@@ -5,8 +5,12 @@ Usage::
     python benchmarks/compare_bench.py bench-results.json [BENCH_engine.json]
 
 Prints a GitHub-flavoured markdown table comparing each benchmark's
-wall-clock (and, for the macro cluster benchmark, events/sec) against
-the ``after`` figures recorded in ``BENCH_engine.json``. Meant for the
+wall-clock (and, for the macro cluster benchmarks, ops/sec) against
+the ``after`` figures recorded in ``BENCH_engine.json``. Ops/sec is the
+compared throughput: a row's op count is fixed, so it moves only with
+wall time. Events/run and events/sec are printed as information and
+never flagged — removing dead events speeds a run up and makes its
+events/sec *fall*. Meant for the
 non-gating CI bench job's ``$GITHUB_STEP_SUMMARY``: absolute numbers
 vary with runner hardware, so the deltas are informational, never a
 build failure — the script always exits 0 when both files parse.
@@ -29,8 +33,8 @@ def _baseline_entries(baseline: dict) -> dict:
         for name, entry in baseline.get(section, {}).items():
             after = entry.get("after", entry)
             out[name] = dict(after)
-            for k in ("events_per_run", "events_per_sec_best",
-                      "events_per_sec_mean", "p99_latency_s"):
+            for k in ("ops_per_run", "ops_per_sec_best", "events_per_run",
+                      "events_per_sec_best", "p99_latency_s"):
                 if k in entry:
                     out[name][k] = entry[k]
     return out
@@ -49,9 +53,10 @@ def compare(results: dict, baseline: dict) -> str:
     lines = [
         "### Benchmark comparison vs committed baseline",
         "",
-        "| benchmark | min (s) | baseline min (s) | Δ min | events/sec "
-        "(best) | baseline | Δ | sim p99 (µs) | baseline | Δ |",
-        "|---|---|---|---|---|---|---|---|---|---|",
+        "| benchmark | min (s) | baseline min (s) | Δ min | ops/sec "
+        "(best) | baseline | Δ | sim p99 (µs) | baseline | Δ | events/run "
+        "| baseline | events/sec (best, info) |",
+        "|---|---|---|---|---|---|---|---|---|---|---|---|---|",
     ]
     for bench in results.get("benchmarks", []):
         name = bench["name"].split("[")[0]
@@ -59,18 +64,25 @@ def compare(results: dict, baseline: dict) -> str:
         ref = base.get(name)
         if ref is None:
             lines.append(f"| `{name}` | {stats['min']:.4f} | — (new) "
-                         "| — | — | — | — | — | — | — |")
+                         "| — | — | — | — | — | — | — | — | — | — |")
             continue
         d_min = _fmt_delta(stats["min"] / ref["min_s"])
         extra = bench.get("extra_info", {})
-        eps = extra.get("events_per_sec_best")
-        ref_eps = ref.get("events_per_sec_best")
-        if eps and ref_eps:
+        ops = extra.get("ops_per_sec_best")
+        ref_ops = ref.get("ops_per_sec_best")
+        if ops and ref_ops:
             # Throughput: below-baseline is the slowdown direction.
-            d_eps = _fmt_delta(ref_eps / eps)
-            eps_cells = f"{eps:,.0f} | {ref_eps:,.0f} | {d_eps}"
+            d_ops = _fmt_delta(ref_ops / ops)
+            ops_cells = f"{ops:,.0f} | {ref_ops:,.0f} | {d_ops}"
         else:
-            eps_cells = "— | — | —"
+            ops_cells = "— | — | —"
+        events, eps = (extra.get("events_per_run"),
+                       extra.get("events_per_sec_best"))
+        if events and eps:
+            info_cells = (f"{events:,} | {ref.get('events_per_run', 0):,} "
+                          f"| {eps:,.0f}")
+        else:
+            info_cells = "— | — | —"
         p99 = extra.get("p99_latency_s")
         ref_p99 = ref.get("p99_latency_s")
         if p99 and ref_p99:
@@ -81,15 +93,17 @@ def compare(results: dict, baseline: dict) -> str:
         else:
             p99_cells = "— | — | —"
         lines.append(f"| `{name}` | {stats['min']:.4f} | "
-                     f"{ref['min_s']:.4f} | {d_min} | {eps_cells} | "
-                     f"{p99_cells} |")
+                     f"{ref['min_s']:.4f} | {d_min} | {ops_cells} | "
+                     f"{p99_cells} | {info_cells} |")
     lines += [
         "",
         "Positive Δ = slower than the committed baseline (⚠ beyond "
         f"{FLAG_THRESHOLD:.0%}). Baselines were recorded on a different "
         "machine; treat cross-runner wall-clock deltas as trends, not "
         "regressions. *Sim p99* is simulated time — deterministic on "
-        "any machine, so a nonzero Δ there is a model change.",
+        "any machine, so a nonzero Δ there is a model change. "
+        "*Events/run* is the engine's deterministic cost fingerprint "
+        "(lower is cheaper); events/sec is information only.",
     ]
     return "\n".join(lines)
 

@@ -1021,8 +1021,7 @@ class MemcachedClient:
             req.status = SERVER_DOWN
             req.t_complete = self.sim.now
             req.complete.succeed(None)
-            if not req.buffer_safe.triggered:
-                req.buffer_safe.succeed()
+            req.mark_buffer_safe()
 
     def _await_replica_acks(self, req: MemcachedReq):
         """Sync write mode: hold the caller until every replica copy of
@@ -1146,8 +1145,7 @@ class MemcachedClient:
         self._m_server_down.inc()
         if not req.complete.triggered:
             req.complete.succeed(None)
-        if not req.buffer_safe.triggered:
-            req.buffer_safe.succeed()
+        req.mark_buffer_safe()
 
     # -- miss path ---------------------------------------------------------
 
@@ -1295,48 +1293,61 @@ class MemcachedClient:
                 cost = self._acquire_buffer(req)
                 if cost > 0:
                     yield timeout(cost)
-            if req.op == "set":
-                yield from self._engine_set(req, conn, flags, expiration,
-                                            mode, cas_token, hlc)
-            elif req.op == "get":
-                self._engine_get(req, conn)
-            elif req.op == "delete":
-                self._engine_delete(req, conn, hlc)
-            elif req.op == "touch":
+            # Every branch leaves in ``msg`` the message whose going on
+            # the wire frees the operation's buffers (None: a BufferAck
+            # does instead).
+            op = req.op
+            msg = None
+            if op == "set":
+                msg = yield from self._engine_set(req, conn, flags,
+                                                  expiration, mode,
+                                                  cas_token, hlc)
+            elif op == "get":
+                header = GetRequest(req_id=req.req_id, op="get", key=req.key,
+                                    trace_id=req.trace_id)
+                msg = self._send_header(req, conn, header)
+            elif op == "delete":
+                header = DeleteRequest(req_id=req.req_id, op="delete",
+                                       key=req.key,
+                                       replica=req.api == "replica",
+                                       hlc=hlc, trace_id=req.trace_id)
+                msg = self._send_header(req, conn, header)
+            elif op == "touch":
                 header = TouchRequest(req_id=req.req_id, op="touch",
                                       key=req.key, expiration=expiration,
                                       trace_id=req.trace_id)
-                msg = conn.endpoint.send(header, header.header_bytes)
-                self._profile_msg(req, msg)
-                self._arm(req.buffer_safe, msg.on_wire)
-            elif req.op in ("incr", "decr"):
-                header = CounterRequest(req_id=req.req_id, op=req.op,
+                msg = self._send_header(req, conn, header)
+            elif op in ("incr", "decr"):
+                header = CounterRequest(req_id=req.req_id, op=op,
                                         key=req.key, delta=delta,
                                         initial=initial,
                                         expiration=expiration,
-                                        direction=req.op,
+                                        direction=op,
                                         replica=req.api == "replica",
                                         trace_id=req.trace_id)
-                msg = conn.endpoint.send(header, header.header_bytes)
-                self._profile_msg(req, msg)
-                self._arm(req.buffer_safe, msg.on_wire)
-            elif req.op == "gat":
+                msg = self._send_header(req, conn, header)
+            elif op == "gat":
                 header = GatRequest(req_id=req.req_id, op="gat",
                                     key=req.key, expiration=expiration,
                                     trace_id=req.trace_id)
-                msg = conn.endpoint.send(header, header.header_bytes)
-                self._profile_msg(req, msg)
-                self._arm(req.buffer_safe, msg.on_wire)
-            elif req.op == "flush":
+                msg = self._send_header(req, conn, header)
+            elif op == "flush":
                 # The expiration meta slot carries flush_all's delay.
                 header = FlushRequest(req_id=req.req_id, op="flush",
                                       key=b"", delay=expiration)
                 msg = conn.endpoint.send(header, header.header_bytes)
-                self._arm(req.buffer_safe, msg.on_wire)
-            elif req.op == "stats":
+            elif op == "stats":
                 header = StatsRequest(req_id=req.req_id, op="stats", key=b"")
                 msg = conn.endpoint.send(header, header.header_bytes)
-                self._arm(req.buffer_safe, msg.on_wire)
+            if msg is not None:
+                req.reuse_point(msg)
+
+    def _send_header(self, req: MemcachedReq, conn: ServerConn, header):
+        """Send a header-only request; returns its (profiled) message."""
+        msg = conn.endpoint.send(header, header.header_bytes)
+        if req.trace_id is not None:
+            self._profile_msg(req, msg)
+        return msg
 
     def _engine_set(self, req: MemcachedReq, conn: ServerConn,
                     flags: int, expiration: float, mode: str = "set",
@@ -1366,12 +1377,11 @@ class MemcachedClient:
             msg_v = ep.send(arrival, req.value_length, one_sided=True)
             if req.trace_id is not None:
                 self._profile_msg(req, msg_v)
-            if not conn.early_ack:
-                # Existing runtime: no buffered-ack arrives; the buffer
-                # is reusable once the value has left the client NIC.
-                self._arm(req.buffer_safe, msg_v.on_wire)
+            # Existing runtime: no buffered-ack arrives; the buffer is
+            # reusable once the value has left the client NIC.
             # Optimized runtime: the server's BufferAck (Section V-B1)
-            # triggers buffer_safe via the response pump.
+            # marks the buffer safe via the response pump.
+            return None if conn.early_ack else msg_v
         else:
             # Stream transport — and every replica propagation: header
             # and value in one message, so the apply path never competes
@@ -1385,15 +1395,7 @@ class MemcachedClient:
             msg = ep.send(header, header.header_bytes + req.value_length)
             if req.trace_id is not None:
                 self._profile_msg(req, msg)
-            self._arm(req.buffer_safe, msg.on_wire)
-
-    def _engine_get(self, req: MemcachedReq, conn: ServerConn) -> None:
-        header = GetRequest(req_id=req.req_id, op="get", key=req.key,
-                            trace_id=req.trace_id)
-        msg = conn.endpoint.send(header, header.header_bytes)
-        if req.trace_id is not None:
-            self._profile_msg(req, msg)
-        self._arm(req.buffer_safe, msg.on_wire)
+            return msg
 
     def _engine_mget(self, reqs: List[MemcachedReq],
                      conn: ServerConn) -> None:
@@ -1405,16 +1407,7 @@ class MemcachedClient:
         msg = conn.endpoint.send(header, header.header_bytes)
         for r in reqs:
             self._profile_msg(r, msg)
-            self._arm(r.buffer_safe, msg.on_wire)
-
-    def _engine_delete(self, req: MemcachedReq, conn: ServerConn,
-                       hlc: Optional[tuple] = None) -> None:
-        header = DeleteRequest(req_id=req.req_id, op="delete", key=req.key,
-                               replica=req.api == "replica", hlc=hlc,
-                               trace_id=req.trace_id)
-        msg = conn.endpoint.send(header, header.header_bytes)
-        self._profile_msg(req, msg)
-        self._arm(req.buffer_safe, msg.on_wire)
+            r.reuse_point(msg)
 
     def _acquire_buffer(self, req: MemcachedReq) -> float:
         """Draw a registered buffer; schedule its return at the
@@ -1448,24 +1441,6 @@ class MemcachedClient:
             profile_message(self._profiler, req.trace_id,
                             self._profiler.clock, msg, self._pstage(req))
 
-    @staticmethod
-    def _arm(target, source) -> None:
-        """Trigger ``target`` when ``source`` (an event) is processed.
-
-        ``target`` may already be triggered when the operation was
-        failed over or declared SERVER_DOWN while the first attempt's
-        message was still in flight."""
-        if source.processed:
-            if not target.triggered:
-                target.succeed()
-            return
-
-        def _fire(_ev):
-            if not target.triggered:
-                target.succeed()
-
-        source.callbacks.append(_fire)
-
     # -- response pump ---------------------------------------------------------------
 
     def _pump(self, conn: ServerConn):
@@ -1483,8 +1458,8 @@ class MemcachedClient:
             payload = delivery.payload
             if type(payload) is BufferAck:
                 pending = outstanding.get(payload.req_id)
-                if pending is not None and not pending.buffer_safe.triggered:
-                    pending.buffer_safe.succeed()
+                if pending is not None:
+                    pending.mark_buffer_safe()
                 continue
             response: Response = payload
             req = outstanding.pop(response.req_id, None)

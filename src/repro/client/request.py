@@ -68,7 +68,7 @@ class MemcachedReq:
 
     __slots__ = (
         "req_id", "op", "key", "value_length", "api",
-        "complete", "buffer_safe",
+        "complete", "_buffer_safe", "_wire_msg", "_safe",
         "status", "response", "cas_token",
         "t_issue", "t_api_return", "t_complete",
         "blocked_time", "stages", "server_index", "trace_id",
@@ -85,8 +85,12 @@ class MemcachedReq:
         self.api = api
         #: Triggers when the operation's completion reaches the client.
         self.complete: Event = Event(sim)
-        #: Triggers when the user's key/value buffers may be reused.
-        self.buffer_safe: Event = Event(sim)
+        # Buffer-reuse state behind the lazy ``buffer_safe`` event: the
+        # message whose going on the wire frees the buffers, and whether
+        # they were declared free some other way (BufferAck, give-up).
+        self._buffer_safe: Optional[Event] = None
+        self._wire_msg = None
+        self._safe = False
         self.status: Optional[str] = None
         self.response: Optional[Response] = None
         #: CAS token observed on the last get / assigned by the store.
@@ -113,6 +117,56 @@ class MemcachedReq:
     @property
     def done(self) -> bool:
         return self.complete.triggered
+
+    # -- buffer reuse ----------------------------------------------------
+
+    @property
+    def buffer_safe(self) -> Event:
+        """Triggers when the user's key/value buffers may be reused.
+
+        Only ``bset``/``bget`` (and callers that ask) ever look, so the
+        event is created on first access: already processed if the
+        reuse point has passed, armed on the request message's
+        ``on_wire`` if that message is in flight, otherwise armed by
+        :meth:`reuse_point` when the engine sends it. An operation
+        nobody asks costs neither this event nor the message's.
+        """
+        ev = self._buffer_safe
+        if ev is None:
+            ev = self._buffer_safe = Event(self.complete.sim)
+            if self._safe:
+                ev.succeed()
+            elif self._wire_msg is not None:
+                self._arm(self._wire_msg)
+        return ev
+
+    def reuse_point(self, msg) -> None:
+        """The engine sent ``msg``; once it is on the wire this
+        operation's buffers are free. A retry sends another message:
+        the earliest on-wire point counts, and all of one client's
+        messages leave through one NIC in send order, so the first
+        message is the one remembered."""
+        if self._wire_msg is None:
+            self._wire_msg = msg
+        ev = self._buffer_safe
+        if ev is not None and not ev.triggered:
+            self._arm(msg)
+
+    def _arm(self, msg) -> None:
+        on_wire = msg.on_wire
+        if on_wire.processed:
+            self.mark_buffer_safe()
+        else:
+            on_wire.callbacks.append(self.mark_buffer_safe)
+
+    def mark_buffer_safe(self, _on_wire: Optional[Event] = None) -> None:
+        """The buffers are free now. Idempotent: a BufferAck, a give-up
+        (SERVER_DOWN) and each attempt's ``on_wire`` may all report it."""
+        ev = self._buffer_safe
+        if ev is None:
+            self._safe = True
+        elif not ev.triggered:
+            ev.succeed()
 
     @property
     def latency(self) -> float:

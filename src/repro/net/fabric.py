@@ -2,11 +2,21 @@
 
 A :class:`Message` moves through three observable points:
 
-1. ``on_wire`` — the sender's NIC finished serializing it; the sender's
+1. *on wire* — the sender's NIC finished serializing it; the sender's
    buffers are free for reuse (this is what ``bset``/``bget`` wait for).
-2. ``delivered`` — the last byte arrived at the destination NIC.
+2. *delivered* — the last byte arrived at the destination NIC.
 3. consumption — a higher layer (QP recv queue, IPoIB inbox) hands it to
    the application.
+
+The first two are recorded on every message as plain timestamps
+(``t_wire`` / ``t_delivered``). The matching events, ``msg.on_wire`` and
+``msg.delivered``, exist only for a message somebody asked them of: they
+are created on first access (already processed if the milestone has
+passed), and the NIC triggers an event only if it exists. Pure observers
+that need the instants but no wake-up (the request profiler) register a
+hook in ``msg.hooks`` instead, which the NIC calls inline — so neither
+an unobserved nor a profiled message costs the engine any event for its
+milestones.
 
 The transmit side of each NIC is a capacity-1 resource, so concurrent
 messages from one node serialize — this is what creates client-side NIC
@@ -15,9 +25,8 @@ contention in the 100-client throughput experiment (Fig 7c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.net.params import LinkParams
 from repro.obs.api import NULL_OBS, Observability
@@ -25,7 +34,6 @@ from repro.obs.tracer import NULL_SPAN
 from repro.sim import Event, Resource, Simulator, Timeout
 
 
-@dataclass(slots=True)
 class Message:
     """One transfer over the fabric.
 
@@ -33,17 +41,72 @@ class Message:
     descriptor, ...). ``nbytes`` is the size that occupies the wire.
     """
 
-    src: "NIC"
-    dst: "NIC"
-    nbytes: int
-    payload: Any = None
-    #: True for one-sided RDMA ops: the destination CPU is not involved.
-    one_sided: bool = False
-    #: CPU time the receiver's event loop must spend before handing the
-    #: message to the application (zero for one-sided ops).
-    recv_cpu: float = 0.0
-    on_wire: Event = field(default=None)  # type: ignore[assignment]
-    delivered: Event = field(default=None)  # type: ignore[assignment]
+    __slots__ = ("src", "dst", "nbytes", "payload", "one_sided", "recv_cpu",
+                 "t_wire", "t_delivered", "hooks", "_on_wire", "_delivered")
+
+    def __init__(self, src: "NIC", dst: "NIC", nbytes: int,
+                 payload: Any = None, one_sided: bool = False,
+                 recv_cpu: float = 0.0):
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.payload = payload
+        #: True for one-sided RDMA ops: the destination CPU is not involved.
+        self.one_sided = one_sided
+        #: CPU time the receiver's event loop must spend before handing
+        #: the message to the application (zero for one-sided ops).
+        self.recv_cpu = recv_cpu
+        #: Sim time of each milestone; None until it is reached.
+        self.t_wire: Optional[float] = None
+        self.t_delivered: Optional[float] = None
+        #: Inline observers: objects with ``on_wire()`` / ``delivered()``
+        #: methods the NIC calls at the two milestones. A list because
+        #: several traces can ride one message (a batched mget).
+        self.hooks: Optional[List[Any]] = None
+        self._on_wire: Optional[Event] = None
+        self._delivered: Optional[Event] = None
+
+    @property
+    def on_wire(self) -> Event:
+        """Event of the buffer-reuse point (value: this message)."""
+        ev = self._on_wire
+        if ev is None:
+            ev = self._on_wire = self._milestone(self.t_wire)
+        return ev
+
+    @property
+    def delivered(self) -> Event:
+        """Event of arrival at the destination NIC (value: this message)."""
+        ev = self._delivered
+        if ev is None:
+            ev = self._delivered = self._milestone(self.t_delivered)
+        return ev
+
+    def _milestone(self, reached_at: Optional[float]) -> Event:
+        ev = Event(self.src.sim)
+        if reached_at is not None:
+            ev.succeed(self)  # no waiter yet: processed, nothing queued
+        return ev
+
+    def _reach_wire(self, now: float) -> None:
+        self.t_wire = now
+        hooks = self.hooks
+        if hooks is not None:
+            for hook in hooks:
+                hook.on_wire()
+        ev = self._on_wire
+        if ev is not None:
+            ev.succeed(self)
+
+    def _reach_dst(self, now: float) -> None:
+        self.t_delivered = now
+        hooks = self.hooks
+        if hooks is not None:
+            for hook in hooks:
+                hook.delivered()
+        ev = self._delivered
+        if ev is not None:
+            ev.succeed(self)
 
 
 class NIC:
@@ -98,7 +161,7 @@ class NIC:
         """Start an asynchronous transfer; returns the in-flight Message.
 
         The transfer is a callback chain rather than a spawned process:
-        tx grant -> serialize busy-time -> on_wire -> wire latency ->
+        tx grant -> serialize busy-time -> on wire -> wire latency ->
         delivered. One message used to cost a generator, a Process, and
         an Initialize event on top of the model's own events; the chain
         keeps only the model's events. The tx slot is requested here,
@@ -106,8 +169,7 @@ class NIC:
         call order were already identical).
         """
         sim = self.sim
-        msg = Message(self, dst, nbytes, payload, one_sided, recv_cpu,
-                      Event(sim), Event(sim))
+        msg = Message(self, dst, nbytes, payload, one_sided, recv_cpu)
         t_queued = sim._now
         req = self.tx.request()
         # partial, not a lambda: callbacks receive the event argument,
@@ -145,13 +207,8 @@ class NIC:
         if self._metrics_on:
             self._m_bytes.inc(nbytes)
             self._m_msgs.inc()
-        # Inlined msg.on_wire.succeed(msg): the event is fresh and only
-        # ever triggered here, so the double-trigger check cannot fire.
-        ev = msg.on_wire
-        ev._ok = True
-        ev._value = msg
         sim = self.sim
-        sim._schedule_now(ev)
+        msg._reach_wire(sim._now)
         router = self.delivery_router
         if router is None:
             Timeout(sim, self._latency).callbacks.append(
@@ -160,11 +217,7 @@ class NIC:
             router(self, msg)
 
     def _delivered(self, msg: Message, _ev=None) -> None:
-        # Inlined msg.delivered.succeed(msg) (see _tx_done).
-        ev = msg.delivered
-        ev._ok = True
-        ev._value = msg
-        self.sim._schedule_now(ev)
+        msg._reach_dst(self.sim._now)
         deliver = msg.dst.deliver
         if deliver is not None:
             deliver(msg)

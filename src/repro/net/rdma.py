@@ -80,7 +80,9 @@ class CompletionQueue:
             # push-to-poll, which is zero by definition here.
             if self.obs.registry.enabled:
                 self._m_wait.observe(0.0)
-            waiters.popleft().succeed(wc)
+            # A poller is a request: always queued, like wait()'s
+            # already-satisfied branch below.
+            waiters.popleft()._trigger(True, wc)
         else:
             self._completions.append(wc)
 
@@ -124,6 +126,9 @@ class _Frame:
     #: initiator-side completion bookkeeping.
     read_nbytes: int = 0
     read_initiator: Optional["QueuePair"] = None
+    #: For send: the message size, kept so a frame parked in the RNR
+    #: backlog still completes with the bytes it carried.
+    nbytes: int = 0
 
     def deliver(self, msg: Message) -> None:
         self.dst_qp._on_delivery(self, msg)
@@ -167,7 +172,8 @@ class QueuePair:
         if self._rnr_backlog:
             frame = self._rnr_backlog.popleft()
             self.recv_cq.push(WorkCompletion(
-                wr_id=wr_id, opcode="recv", nbytes=0, payload=frame.user_payload))
+                wr_id=wr_id, opcode="recv", nbytes=frame.nbytes,
+                payload=frame.user_payload))
             return
         self._posted_recvs.append(wr_id)
 
@@ -175,10 +181,13 @@ class QueuePair:
         """Two-sided send; completion lands in this QP's send CQ.
 
         Returns the in-flight :class:`Message` so callers can additionally
-        wait on ``on_wire`` (buffer reuse) or ``delivered``.
+        wait on ``on_wire`` (buffer reuse) or ``delivered``. The send
+        completion is an observer of ``delivered``, so every verbs-level
+        message materialises that event.
         """
         peer = self._require_peer()
-        frame = _Frame(dst_qp=peer, kind="send", wr_id=wr_id, user_payload=payload)
+        frame = _Frame(dst_qp=peer, kind="send", wr_id=wr_id,
+                       user_payload=payload, nbytes=nbytes)
         msg = self.nic.transmit(peer.nic, nbytes, payload=frame,
                                 recv_cpu=peer.nic.params.cpu_recv)
         self._complete_on(msg.delivered, WorkCompletion(

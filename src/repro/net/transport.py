@@ -11,7 +11,10 @@ two concrete transports differ in:
 ``Endpoint.send`` returns the in-flight :class:`~repro.net.fabric.Message`
 whose ``on_wire`` event is the *buffer-reuse* point the paper's
 ``bset``/``bget`` APIs wait on, and whose ``delivered`` event marks
-arrival at the peer.
+arrival at the peer. Both are created when first asked for; a message
+nobody asks carries only the ``t_wire`` / ``t_delivered`` timestamps, and
+endpoint traffic (which routes frames straight into the peer inbox)
+raises neither event on its own.
 
 The verbs-level :class:`~repro.net.rdma.QueuePair` API remains available
 for applications that want raw RDMA; these endpoints charge exactly the

@@ -217,30 +217,48 @@ class _NullProfiler:
 NULL_PROFILER = _NullProfiler()
 
 
+class _MessageProbe:
+    """One trace's inline observer of one message (see
+    :attr:`repro.net.fabric.Message.hooks`)."""
+
+    __slots__ = ("profiler", "trace_id", "clock", "prefix", "t_send",
+                 "t_wire")
+
+    def __init__(self, profiler, trace_id: int, clock, prefix: str):
+        self.profiler = profiler
+        self.trace_id = trace_id
+        self.clock = clock
+        self.prefix = prefix
+        self.t_send = self.t_wire = clock()
+
+    def on_wire(self) -> None:
+        now = self.t_wire = self.clock()
+        self.profiler.record(self.trace_id, self.prefix + "nic",
+                             self.t_send, now)
+
+    def delivered(self) -> None:
+        self.profiler.record(self.trace_id, self.prefix + "wire",
+                             self.t_wire, self.clock())
+
+
 def profile_message(profiler, trace_id: int, clock: Callable[[], float],
                     msg, prefix: str = "") -> None:
     """Attach nic/wire stage recording to one in-flight net message.
 
     ``nic`` covers send -> on-wire (tx queue wait + serialization),
-    ``wire`` covers on-wire -> delivery (link latency). Events may have
-    already fired for zero-latency links; record immediately then.
+    ``wire`` covers on-wire -> delivery (link latency). The probe is a
+    message hook the NIC calls inline at the two milestones, not an
+    event callback: it only reads the clock, and observing through the
+    milestone events would make them exist — and be queued — for every
+    profiled message. Milestones already passed (zero-latency links) are
+    recorded immediately.
     """
-    t_send = clock()
-    state = {"t_wire": t_send}
-
-    def on_wire(_=None):
-        now = clock()
-        state["t_wire"] = now
-        profiler.record(trace_id, prefix + "nic", t_send, now)
-
-    def delivered(_=None):
-        profiler.record(trace_id, prefix + "wire", state["t_wire"], clock())
-
-    if msg.on_wire.callbacks is None:  # already processed
-        on_wire()
+    probe = _MessageProbe(profiler, trace_id, clock, prefix)
+    if msg.t_wire is not None:
+        probe.on_wire()
+    if msg.t_delivered is not None:
+        probe.delivered()
+    elif msg.hooks is None:
+        msg.hooks = [probe]
     else:
-        msg.on_wire.callbacks.append(on_wire)
-    if msg.delivered.callbacks is None:
-        delivered()
-    else:
-        msg.delivered.callbacks.append(delivered)
+        msg.hooks.append(probe)

@@ -52,7 +52,7 @@ from repro.server.protocol import (
     TouchRequest,
     ValueArrival,
 )
-from repro.sim import PriorityStore, Resource, Simulator, Store
+from repro.sim import Mailbox, PriorityStore, Resource, Simulator
 from repro.sim.errors import SimulationError
 from repro.storage.device import BlockDevice
 from repro.storage.params import DeviceParams, PageCacheParams
@@ -211,7 +211,9 @@ class MemcachedServer:
         #: handoff; None outside any window — the request hot path pays
         #: exactly one attribute test for elasticity.
         self.handoff = None
-        self._queue = PriorityStore(sim) if config.get_priority else Store(sim)
+        # Neither queue allocates a per-put event: the rx pump never
+        # blocks on (or looks at) a put, so there is nobody to wait on it.
+        self._queue = PriorityStore(sim) if config.get_priority else Mailbox(sim)
         self.credits = Resource(sim, capacity=config.recv_credits)
         self._value_events: Dict[int, object] = {}
         self._started = False

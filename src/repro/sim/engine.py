@@ -52,6 +52,12 @@ _GC_SWEEP_MASK = (1 << 20) - 1
 _gc_collect = gc.collect
 
 
+def _run_until_observer(_event: Event) -> None:
+    """``run(until=ev)`` waits on ``ev`` like any process does: this
+    callback is what makes the event observed, so it is queued when it
+    triggers and the drain stops exactly where its lane slot falls."""
+
+
 class Simulator:
     """Owns the virtual clock and the pending-event queue.
 
@@ -264,6 +270,8 @@ class Simulator:
             stop = until
             if stop.sim is not self:
                 raise SimulationError("until-event belongs to another simulator")
+            if stop.callbacks is not None:
+                stop.callbacks.append(_run_until_observer)
             if gc_paused:
                 gc.disable()
             try:

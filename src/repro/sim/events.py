@@ -9,6 +9,20 @@ Lifecycle of an :class:`Event`:
 3. *processed* — popped from the queue; callbacks run, waiting processes
    resume.
 
+**Every queued event has an observer.** ``succeed()`` on an event whose
+callback list is empty goes straight from *pending* to *processed*: the
+value is readable, a later ``yield`` takes the already-processed branch
+of ``Process._resume``, and nothing is queued — popping it would have
+run no code. That covers *notifications* (a process ending, a message
+milestone, a request completing) that nobody happened to wait for.
+*Requests* — events handed back to a caller that is about to wait on
+them (``Timeout``, store/mailbox getters, resource claims, CQ waits,
+conditions) — are triggered through the always-posting paths
+(``_trigger`` or an inlined ``_schedule_now``) even when already
+satisfied: that lane hop is what fixes the caller's place in
+same-instant order. ``fail`` always posts, so an unhandled failure still
+surfaces from ``Simulator.run``.
+
 This module is the innermost loop of every simulation: ``succeed``,
 ``_process``, and ``Process._resume`` run once (or more) per event, so
 they trade a little repetition for fewer attribute lookups and Python
@@ -78,7 +92,11 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim._schedule_now(self)
+        if self.callbacks:
+            self.sim._schedule_now(self)
+        else:
+            # Nobody is waiting: processed on the spot, nothing queued.
+            self.callbacks = None
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -92,6 +110,7 @@ class Event:
         return self
 
     def _trigger(self, ok: bool, value: Any) -> None:
+        """Trigger and always queue, waiter or not (see module docs)."""
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = ok
@@ -271,7 +290,9 @@ class Condition(Event):
     ``evaluate(events, done_count)`` decides completion. The condition's
     value is an ordered dict mapping each *triggered* child to its value.
     :class:`AllOf`/:class:`AnyOf` override :meth:`_check` directly and
-    never consult ``evaluate``.
+    never consult ``evaluate``. A condition is built to be waited on, so
+    it always takes its lane hop — also when its children were processed
+    before it was constructed.
     """
 
     __slots__ = ("events", "_done", "_evaluate")
@@ -285,7 +306,7 @@ class Condition(Event):
             if ev.sim is not sim:
                 raise SimulationError("condition spans simulators")
         if not self.events:
-            self.succeed({})
+            self._trigger(True, {})
             return
         check = self._check
         for ev in self.events:
@@ -309,7 +330,7 @@ class Condition(Event):
             return
         self._done += 1
         if self._evaluate(self.events, self._done):
-            self.succeed(self._collect_values())
+            self._trigger(True, self._collect_values())
 
 
 class AllOf(Condition):
@@ -326,7 +347,7 @@ class AllOf(Condition):
             return
         self._done += 1
         if self._done == len(self.events):
-            self.succeed(self._collect_values())
+            self._trigger(True, self._collect_values())
 
 
 class AnyOf(Condition):
@@ -342,4 +363,4 @@ class AnyOf(Condition):
             self.fail(event._value)
             return
         self._done += 1
-        self.succeed(self._collect_values())
+        self._trigger(True, self._collect_values())

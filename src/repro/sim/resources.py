@@ -74,8 +74,8 @@ class Resource:
             holders.add(req)
             sim = self.sim
             req.granted_at = sim._now
-            # Inlined req.succeed(): the request is fresh, so the
-            # double-trigger check cannot fire.
+            # Inlined req._trigger(True, None): the request is fresh,
+            # so the double-trigger check cannot fire.
             req._ok = True
             req._value = None
             sim._schedule_now(req)
@@ -116,7 +116,7 @@ class Resource:
             nxt = self._waiting.popleft()
             self._holders.add(nxt)
             nxt.granted_at = self.sim.now
-            nxt.succeed()
+            nxt._trigger(True, None)
             n += 1
         return n
 
@@ -159,7 +159,8 @@ class PriorityStore:
 
     ``put(item, priority)`` inserts; ties resolve FIFO (stable). Getters
     are served FIFO. Unbounded (use :class:`Store` when backpressure on
-    producers is needed).
+    producers is needed), so ``put`` never blocks and — like
+    :meth:`Mailbox.put` — returns nothing to wait on.
     """
 
     def __init__(self, sim: Simulator):
@@ -177,13 +178,10 @@ class PriorityStore:
         self._heap.clear()
         return n
 
-    def put(self, item: Any, priority: float = 0.0) -> StorePut:
-        ev = StorePut(self.sim, item)
+    def put(self, item: Any, priority: float = 0.0) -> None:
         heapq.heappush(self._heap, (priority, self._counter, item))
         self._counter += 1
-        ev.succeed()
         self._dispatch()
-        return ev
 
     def get(self) -> StoreGet:
         ev = StoreGet(self.sim, None)
@@ -192,9 +190,11 @@ class PriorityStore:
         return ev
 
     def _dispatch(self) -> None:
+        # Getters are requests: always queued (_trigger), so a fresh
+        # satisfied getter takes the same one lane hop as a parked one.
         while self._getters and self._heap:
             _, _, item = heapq.heappop(self._heap)
-            self._getters.popleft().succeed(item)
+            self._getters.popleft()._trigger(True, item)
 
 
 class Store:
@@ -204,6 +204,11 @@ class Store:
     matches the optional filter). Items are matched to getters in FIFO
     order; a filtered getter skips past non-matching items without
     consuming them.
+
+    A put admitted on the spot is a notification nobody waits for yet:
+    its event is processed at once and ``yield store.put(x)`` continues
+    inline. A getter is a request and always takes one lane hop, fresh
+    or parked (see :mod:`repro.sim.events`).
     """
 
     def __init__(self, sim: Simulator, capacity: float = float("inf")):
@@ -259,7 +264,7 @@ class Store:
             # case) are served without copying the getter queue or
             # scanning the buffer.
             while getters and items and getters[0].filter is None:
-                getters.popleft().succeed(items.popleft())
+                getters.popleft()._trigger(True, items.popleft())
                 progress = True
             # Anything left means a filtered getter heads the queue:
             # fall back to the full match scan, preserving FIFO getter
@@ -277,7 +282,7 @@ class Store:
                     item = items[match_idx]
                     del items[match_idx]
                     getters.remove(get)
-                    get.succeed(item)
+                    get._trigger(True, item)
                     progress = True
             if not progress:
                 return
@@ -314,8 +319,9 @@ class Mailbox:
     def put(self, item: Any) -> None:
         getters = self._getters
         if getters:
-            # Inlined succeed(): a parked getter event is fresh by
-            # construction, so the double-trigger check cannot fire.
+            # Inlined ev._trigger(True, item): a parked getter event is
+            # fresh by construction, so the double-trigger check cannot
+            # fire.
             ev = getters.popleft()
             ev._ok = True
             ev._value = item
@@ -327,8 +333,8 @@ class Mailbox:
         ev = Event(self.sim)
         items = self.items
         if items:
-            # Inlined ev.succeed(): the event is fresh, so the
-            # double-trigger check cannot fire.
+            # Inlined ev._trigger(True, item): the event is fresh, so
+            # the double-trigger check cannot fire.
             ev._ok = True
             ev._value = items.popleft()
             self.sim._schedule_now(ev)

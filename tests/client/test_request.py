@@ -27,6 +27,67 @@ def test_done_after_completion():
     assert req.done
 
 
+class _Wire:
+    """Stand-in for the request message: just its ``on_wire`` event."""
+
+    def __init__(self, sim):
+        self.on_wire = sim.event()
+
+
+def test_buffer_safe_is_not_allocated_until_asked():
+    sim, req = make_req()
+    msg = _Wire(sim)
+    req.reuse_point(msg)
+    assert req._buffer_safe is None
+    assert msg.on_wire.callbacks == []  # an unobserved op arms nothing
+
+
+def test_buffer_safe_asked_before_send_is_armed_by_the_send():
+    sim, req = make_req(api="bget")
+    safe = req.buffer_safe  # bget parks on it before the engine sends
+    assert not safe.triggered
+    msg = _Wire(sim)
+    req.reuse_point(msg)
+    msg.on_wire.succeed(msg)
+    sim.run()
+    assert safe.processed and req.buffer_safe is safe
+
+
+def test_buffer_safe_asked_while_in_flight_arms_on_the_message():
+    sim, req = make_req()
+    msg = _Wire(sim)
+    req.reuse_point(msg)
+    safe = req.buffer_safe
+    assert not safe.triggered and len(msg.on_wire.callbacks) == 1
+    msg.on_wire.succeed(msg)
+    sim.run()
+    assert safe.triggered
+
+
+def test_buffer_safe_asked_after_the_reuse_point_is_already_processed():
+    sim, req = make_req()
+    msg = _Wire(sim)
+    req.reuse_point(msg)
+    msg.on_wire.succeed(msg)  # nobody waited: processed, never queued
+    assert req.buffer_safe.processed
+    sim2, acked = make_req()
+    acked.mark_buffer_safe()  # BufferAck / SERVER_DOWN path
+    acked.mark_buffer_safe()  # idempotent
+    assert acked.buffer_safe.processed
+
+
+def test_retry_keeps_the_first_message_and_tolerates_a_fired_event():
+    sim, req = make_req(api="bset")
+    safe = req.buffer_safe
+    first, retry = _Wire(sim), _Wire(sim)
+    req.reuse_point(first)
+    req.reuse_point(retry)
+    first.on_wire.succeed(first)
+    retry.on_wire.succeed(retry)  # second arm finds it already triggered
+    sim.run()
+    assert safe.processed and req._wire_msg is first
+
+
 def test_latency_and_overlap():
     _, req = make_req()
     req.t_issue = 1.0

@@ -106,6 +106,58 @@ def test_payload_rides_along():
     assert msg.delivered.value is msg
 
 
+class TestLazyMilestones:
+    """``on_wire`` / ``delivered`` exist only for a message somebody
+    asked them of; every message carries the plain timestamps."""
+
+    def test_unobserved_message_costs_three_events_and_no_milestones(self):
+        sim, a, b = make_pair()
+        msg = a.transmit(b, 4 * KB)
+        sim.run()
+        # tx grant, serialize timeout, wire-latency timeout — nothing else.
+        assert sim.events_processed == 3
+        assert msg._on_wire is None and msg._delivered is None
+        assert msg.t_delivered - msg.t_wire == pytest.approx(
+            FDR_RDMA.latency, rel=1e-9)
+
+    def test_event_asked_for_before_the_milestone_triggers_at_it(self):
+        sim, a, b = make_pair()
+        msg = a.transmit(b, 4 * KB)
+        seen = []
+        msg.on_wire.callbacks.append(lambda ev: seen.append((sim.now, ev.value)))
+        sim.run()
+        assert seen == [(msg.t_wire, msg)]
+        assert sim.events_processed == 4  # the observed on_wire was queued
+
+    def test_event_asked_for_after_the_milestone_is_already_processed(self):
+        sim, a, b = make_pair()
+        msg = a.transmit(b, 4 * KB)
+        sim.run()
+        before = sim.events_processed
+        assert msg.on_wire.processed and msg.on_wire.value is msg
+        assert msg.delivered.processed and msg.delivered.value is msg
+        assert msg.on_wire is msg.on_wire  # materialised once
+        assert sim.run(until=msg.delivered) is msg
+        assert sim.events_processed == before
+
+    def test_hooks_are_called_inline_at_both_milestones(self):
+        sim, a, b = make_pair()
+        msg = a.transmit(b, 4 * KB)
+        calls = []
+
+        class Hook:
+            def on_wire(self):
+                calls.append(("wire", sim.now))
+
+            def delivered(self):
+                calls.append(("dst", sim.now))
+
+        msg.hooks = [Hook(), Hook()]
+        sim.run()
+        assert calls == [("wire", msg.t_wire)] * 2 + [("dst", msg.t_delivered)] * 2
+        assert sim.events_processed == 3  # observing added no event
+
+
 class TestLinkParams:
     def test_serialize_time_zero_for_empty(self):
         assert FDR_RDMA.serialize_time(0) == 0.0

@@ -60,6 +60,21 @@ class TestTwoSided:
         wc = qp_b.recv_cq.try_poll()
         assert wc.wr_id == "rx" and wc.payload == "late-recv"
 
+    def test_rnr_completion_reports_the_bytes_it_carried(self, rig):
+        # A send that beat its post_recv (parked in the RNR backlog)
+        # completes with the same nbytes as one that found a posted
+        # receive; the backlog path used to report nbytes=0.
+        sim, qp_a, qp_b = rig
+        qp_a.post_send(wr_id="early", nbytes=3 * KB, payload="early")
+        sim.run()
+        qp_b.post_recv(wr_id="rx-early")
+        qp_b.post_recv(wr_id="rx-late")
+        qp_a.post_send(wr_id="late", nbytes=3 * KB, payload="late")
+        sim.run()
+        early, late = qp_b.recv_cq.try_poll(), qp_b.recv_cq.try_poll()
+        assert (early.payload, late.payload) == ("early", "late")
+        assert early.nbytes == late.nbytes == 3 * KB
+
     def test_recv_order_is_fifo(self, rig):
         sim, qp_a, qp_b = rig
         for i in range(3):

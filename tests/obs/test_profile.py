@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.net.fabric import Message
 from repro.obs.profile import (
     NULL_PROFILER,
     ProfileReport,
@@ -216,44 +217,56 @@ def test_null_profiler_is_inert():
 # -- message profiling -------------------------------------------------------
 
 
-class _FakeEvent:
-    def __init__(self, processed=False):
-        self.callbacks = None if processed else []
-
-    def fire(self):
-        cbs, self.callbacks = self.callbacks, None
-        for cb in cbs:
-            cb(self)
-
-
-class _FakeMsg:
-    def __init__(self, processed=False):
-        self.on_wire = _FakeEvent(processed)
-        self.delivered = _FakeEvent(processed)
+def _bare_message():
+    """A real Message with no NICs: the profiler observes it through
+    the inline hook list the NIC calls at the two milestones, never
+    through the (lazily created) milestone events."""
+    return Message(None, None, 64)
 
 
 def test_profile_message_records_nic_and_wire():
     prof, t = make_profiler()
     tid = prof.maybe_start("get")
-    msg = _FakeMsg()
+    msg = _bare_message()
     profile_message(prof, tid, prof.clock, msg)
     t["now"] = 5e-6
-    msg.on_wire.fire()
+    msg._reach_wire(t["now"])
     t["now"] = 12e-6
-    msg.delivered.fire()
+    msg._reach_dst(t["now"])
     assert prof._live[tid].spans == [("nic", 0.0, 5e-6),
                                      ("wire", 5e-6, 12e-6)]
+    # Observation made no milestone event exist.
+    assert msg._on_wire is None and msg._delivered is None
 
 
 def test_profile_message_prefix_and_processed_events():
     prof, t = make_profiler()
     tid = prof.maybe_start("get")
     t["now"] = 3e-6
-    # Already-processed events (zero-latency path) record immediately
+    # Milestones already passed (zero-latency path) record immediately
     # as zero-length spans, which the recorder drops.
-    profile_message(prof, tid, prof.clock, _FakeMsg(processed=True),
-                    prefix="replica.")
+    msg = _bare_message()
+    msg._reach_wire(3e-6)
+    msg._reach_dst(3e-6)
+    profile_message(prof, tid, prof.clock, msg, prefix="replica.")
     assert prof._live[tid].spans == []
+    assert msg.hooks is None
+
+
+def test_profile_message_several_traces_hook_one_message():
+    # A batched mget: every sampled entry observes the one wire message.
+    prof, t = make_profiler()
+    a, b = prof.maybe_start("get"), prof.maybe_start("get")
+    msg = _bare_message()
+    profile_message(prof, a, prof.clock, msg)
+    profile_message(prof, b, prof.clock, msg, prefix="replica.")
+    t["now"] = 4e-6
+    msg._reach_wire(t["now"])
+    t["now"] = 9e-6
+    msg._reach_dst(t["now"])
+    assert prof._live[a].spans == [("nic", 0.0, 4e-6), ("wire", 4e-6, 9e-6)]
+    assert prof._live[b].spans == [("replica.nic", 0.0, 4e-6),
+                                   ("replica.wire", 4e-6, 9e-6)]
 
 
 def test_report_table_and_folded_lines_render():

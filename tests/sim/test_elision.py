@@ -1,0 +1,239 @@
+"""Every queued event has an observer.
+
+``succeed()`` on an event nobody waits for marks it processed at once
+and queues nothing; request-style events (getters, claims, conditions,
+timeouts) keep their one lane hop even when already satisfied, because
+that hop fixes the caller's place in same-instant order. Both schedulers
+(fast lane and legacy heap) sit below the rule and must agree.
+"""
+
+import pytest
+
+from repro.sim import (
+    Mailbox,
+    PriorityStore,
+    Resource,
+    SimulationError,
+    Simulator,
+    Store,
+)
+
+
+@pytest.fixture(params=[True, False], ids=["fast-lane", "legacy-heap"])
+def sim(request):
+    return Simulator(fast_lane=request.param)
+
+
+def _marker(sim, log, tag):
+    """Queue one observed event at the current instant that logs
+    ``tag`` when popped: a ruler for 'how many hops later'."""
+    ev = sim.event()
+    ev.callbacks.append(lambda _ev: log.append(tag))
+    ev.succeed()
+
+
+# -- the rule ---------------------------------------------------------------
+
+
+def test_succeed_without_waiter_is_processed_and_readable(sim):
+    ev = sim.event()
+    assert ev.succeed(41) is ev
+    assert ev.triggered and ev.processed and ev.ok and ev.value == 41
+    assert sim.peek() == float("inf")  # nothing was queued
+    sim.run()
+    assert sim.events_processed == 0
+    with pytest.raises(SimulationError):
+        ev.succeed(42)  # still a one-shot
+
+
+def test_succeed_with_waiter_is_queued_and_popped_once(sim):
+    seen = []
+    ev = sim.event()
+    ev.callbacks.append(lambda e: seen.append(e.value))
+    ev.succeed("x")
+    assert ev.triggered and not ev.processed and seen == []
+    sim.run()
+    assert seen == ["x"] and sim.events_processed == 1
+
+
+def test_late_yield_on_elided_event_resumes_inline_with_its_value(sim):
+    ev = sim.event()
+    got = []
+
+    def late():
+        yield sim.timeout(5.0)
+        ev_value = yield ev  # triggered at t=2 with nobody waiting
+        got.append((sim.now, ev_value))
+
+    def trigger():
+        yield sim.timeout(2.0)
+        ev.succeed("early")
+
+    sim.spawn(late())
+    sim.spawn(trigger())
+    sim.run()
+    assert got == [(5.0, "early")]
+    # 2 Initialize + 2 timeouts; neither ev nor the two unobserved
+    # process-end events were ever queued.
+    assert sim.events_processed == 4
+
+
+def test_fail_without_waiter_still_raises_from_run(sim):
+    boom = KeyError("nobody was listening")
+    ev = sim.event()
+    ev.fail(boom)
+    assert ev.triggered and not ev.processed  # always queued
+    with pytest.raises(KeyError) as err:
+        sim.run()
+    assert err.value is boom
+
+
+def test_unobserved_process_failure_still_raises_from_run(sim):
+    def dies():
+        yield sim.timeout(1.0)
+        raise RuntimeError("unobserved death")
+
+    sim.spawn(dies())
+    with pytest.raises(RuntimeError, match="unobserved death"):
+        sim.run()
+
+
+# -- conditions ---------------------------------------------------------------
+
+
+def test_all_of_and_any_of_over_elided_children(sim):
+    a, b = sim.event().succeed("a"), sim.event().succeed("b")
+    pending = sim.event()
+    assert a.processed and b.processed
+    log, out = [], {}
+
+    def waiter():
+        _marker(sim, log, "marker")
+        out["all"] = yield sim.all_of([a, b])
+        log.append("all")
+        out["any"] = yield sim.any_of([pending, b])
+        log.append("any")
+        return sim.now
+
+    assert sim.run(until=sim.spawn(waiter())) == 0.0
+    assert out["all"] == {a: "a", b: "b"}
+    assert out["any"] == {b: "b"}
+    # A condition satisfied at construction still takes its lane hop:
+    # the marker queued before it pops first.
+    assert log == ["marker", "all", "any"]
+
+
+def test_condition_sees_child_elided_after_construction(sim):
+    a = sim.event()
+    cond = sim.all_of([a])
+
+    def waiter():
+        return (yield cond)
+
+    p = sim.spawn(waiter())
+    a.succeed(7)  # observed by the condition: queued, not elided
+    assert not a.processed
+    assert sim.run(until=p) == {a: 7}
+
+
+# -- run(until=...) -----------------------------------------------------------
+
+
+def test_run_until_an_already_elided_event_returns_its_value(sim):
+    ev = sim.event().succeed("done")
+    _marker(sim, [], "untouched")
+    assert sim.run(until=ev) == "done"
+    assert sim.events_processed == 0  # returned without draining anything
+
+
+def test_run_until_observes_its_event_and_stops_at_its_lane_slot(sim):
+    log = []
+
+    def proc():
+        yield sim.timeout(1.0)
+        _marker(sim, log, "before-end")
+        return "result"
+
+    p = sim.spawn(proc())
+    assert sim.run(until=p) == "result"
+    # run() is p's observer, so p's end was queued behind the marker and
+    # the drain stopped exactly there — the marker was not left behind.
+    assert log == ["before-end"]
+    assert sim.peek() == float("inf")
+
+
+# -- requests keep exactly one hop ---------------------------------------------
+
+
+_BOXES = {"store": Store, "priority": PriorityStore, "mailbox": Mailbox}
+
+
+@pytest.mark.parametrize("kind", sorted(_BOXES))
+def test_parked_getter_takes_exactly_one_lane_hop(sim, kind):
+    box = _BOXES[kind](sim)
+    log = []
+
+    def getter():
+        log.append((yield box.get()))
+
+    sim.spawn(getter())
+    sim.run()  # parked on the empty container
+    before = sim.events_processed
+    _marker(sim, log, "m1")
+    box.put("item")
+    _marker(sim, log, "m2")
+    sim.run()
+    # One hop: behind what was queued before the put, ahead of what was
+    # queued after it.
+    assert log == ["m1", "item", "m2"]
+    assert sim.events_processed - before == 3  # no per-put event
+
+
+@pytest.mark.parametrize("kind", sorted(_BOXES))
+def test_fresh_satisfied_getter_takes_exactly_one_lane_hop(sim, kind):
+    box = _BOXES[kind](sim)
+    box.put("item")
+    log = []
+
+    def getter():
+        _marker(sim, log, "m1")
+        ev = box.get()
+        assert ev.triggered and not ev.processed  # queued, not elided
+        _marker(sim, log, "m2")
+        log.append((yield ev))
+
+    sim.spawn(getter())
+    sim.run()
+    # Same place in same-instant order as the parked getter's.
+    assert log == ["m1", "item", "m2"]
+    assert sim.events_processed == 4  # Initialize + m1 + getter + m2
+
+
+def test_fresh_resource_grant_and_timeout_are_queued_not_elided(sim):
+    res = Resource(sim, capacity=1)
+    req = res.request()
+    assert req.triggered and not req.processed
+    zero = sim.timeout(0.0)
+    assert zero.triggered and not zero.processed
+    sim.run()
+    assert req.processed and zero.processed and sim.events_processed == 2
+
+
+def test_store_put_admitted_on_the_spot_queues_nothing(sim):
+    store = Store(sim, capacity=1)
+    first = store.put("a")
+    assert first.processed  # room: the notification had no observer
+    blocked = store.put("b")
+    assert not blocked.triggered  # full: a real wait
+    log = []
+
+    def producer():
+        yield blocked
+        log.append("admitted")
+
+    sim.spawn(producer())
+    sim.run()
+    assert log == []
+    assert store.get().value == "a"
+    sim.run()
+    assert log == ["admitted"]

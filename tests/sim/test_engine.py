@@ -420,6 +420,13 @@ def test_event_repr_is_stable():
     ev = sim.event()
     assert "pending" in repr(ev)
     ev.succeed()
-    assert "triggered" in repr(ev)
-    sim.run()
+    # Changed on purpose: an event triggered with no waiter is never
+    # queued — popping it would run no code — so it reads "processed"
+    # at once instead of "triggered" until the next run().
     assert "processed" in repr(ev)
+    waited = sim.event()
+    waited.callbacks.append(lambda _ev: None)
+    waited.succeed()
+    assert "triggered" in repr(waited)
+    sim.run()
+    assert "processed" in repr(waited)
