@@ -25,7 +25,7 @@ import os
 from pathlib import Path
 
 from repro.core.cluster import ClusterSpec
-from repro.core.profiles import FATCACHE, H_RDMA_OPT_NONB_I
+from repro.core.profiles import H_RDMA_OPT_NONB_I
 from repro.harness.runner import RunConfig
 from repro.units import KB, MB
 from repro.workloads.generator import WorkloadSpec
@@ -117,15 +117,15 @@ def test_macro_ycsb_profiled(benchmark):
     print(f"  wrote {out}")
 
 
-def _paper_scale_cfg(profile, num_clients=PAPER_CLIENTS, **kw):
+def _paper_scale_cfg(num_clients=PAPER_CLIENTS):
     return RunConfig(
-        profile=profile,
+        profile=H_RDMA_OPT_NONB_I,
         workload=WorkloadSpec(num_ops=PAPER_OPS, num_keys=PAPER_KEYS,
                               value_length=PAPER_VALUE, seed=42),
         cluster=ClusterSpec(num_servers=PAPER_SERVERS,
                             num_clients=num_clients,
                             server_mem=4 * MB, ssd_limit=16 * MB),
-        ycsb="A", **kw)
+        ycsb="A")
 
 
 def _record_throughput(benchmark, records, events, result):
@@ -152,27 +152,7 @@ def test_macro_paper_scale(benchmark):
     last = {}
 
     def run():
-        result = _paper_scale_cfg(H_RDMA_OPT_NONB_I).run()
-        last["result"] = result
-        return len(result.records), result.events_processed
-
-    records, events = benchmark(run)
-    assert records == PAPER_CLIENTS * PAPER_OPS
-    _record_throughput(benchmark, records, events, last["result"])
-
-
-def test_macro_paper_scale_sharded(benchmark):
-    """The same 32x100 scale split into event domains (1 client domain
-    + 8 server domains, serial driver) on the IPoIB hybrid profile —
-    sharding supports IPoIB designs only. Events/run exceeds the
-    single-simulator count by the capture/inject bookkeeping; compare
-    the wall-clock column against ``test_macro_paper_scale`` for the
-    coordination overhead this machine pays (or recovers, with
-    ``shard_workers`` on a many-core host)."""
-    last = {}
-
-    def run():
-        result = _paper_scale_cfg(FATCACHE, shard_domains=9).run()
+        result = _paper_scale_cfg().run()
         last["result"] = result
         return len(result.records), result.events_processed
 
@@ -188,7 +168,7 @@ def test_macro_stretch_1k_clients(benchmark):
     last = {}
 
     def run():
-        cfg = _paper_scale_cfg(H_RDMA_OPT_NONB_I, num_clients=1024)
+        cfg = _paper_scale_cfg(num_clients=1024)
         cfg.workload = WorkloadSpec(num_ops=4, num_keys=PAPER_KEYS,
                                     value_length=1 * KB, seed=42)
         result = cfg.run()

@@ -17,6 +17,7 @@ Run:  python examples/webscale_cache.py
 """
 
 from repro.core import metrics
+from repro.core.cluster import ClusterSpec
 from repro.core.profiles import (
     H_RDMA_DEF,
     H_RDMA_OPT_NONB_I,
@@ -24,7 +25,7 @@ from repro.core.profiles import (
     RDMA_MEM,
 )
 from repro.harness.report import ascii_table, fmt_us
-from repro.harness.runner import run_workload, setup_cluster
+from repro.harness.runner import RunConfig
 from repro.storage.params import PageCacheParams
 from repro.units import KB, MB
 from repro.workloads.generator import WorkloadSpec
@@ -44,14 +45,13 @@ def evaluate(profile):
         theta=0.9,
         seed=42,
     )
-    cluster = setup_cluster(
-        profile, spec,
-        num_servers=1,
+    cfg = RunConfig(profile=profile, workload=spec, cluster=ClusterSpec(
         server_mem=SERVER_MEM,
         ssd_limit=4 * SERVER_MEM,
         pagecache=PageCacheParams(size_bytes=32 * MB, dirty_ratio=0.4),
-    )
-    result = run_workload(cluster, spec)
+    ))
+    cluster = cfg.build()
+    result = cfg.run(cluster)
     recs = result.records
     return {
         "design": profile.label,

@@ -14,7 +14,7 @@ from repro.core import metrics
 from repro.core.cluster import ClusterSpec
 from repro.core.profiles import H_RDMA_DEF, H_RDMA_OPT_NONB_I
 from repro.harness.report import ascii_bars, ascii_table, fmt_us
-from repro.harness.runner import run_ops, setup_cluster
+from repro.harness.runner import RunConfig
 from repro.storage.params import PageCacheParams
 from repro.units import KB, MB
 from repro.workloads.generator import WorkloadSpec
@@ -29,11 +29,12 @@ def run_ycsb(workload, profile):
     num_keys = int(1.5 * SERVER_MEM) // VALUE
     spec = WorkloadSpec(num_ops=OPS, num_keys=num_keys, value_length=VALUE,
                         seed=11)
-    cluster = setup_cluster(profile, spec, cluster_spec=ClusterSpec(
+    cfg = RunConfig(profile=profile, workload=spec, cluster=ClusterSpec(
         server_mem=SERVER_MEM, ssd_limit=4 * SERVER_MEM,
         pagecache=PageCacheParams(size_bytes=24 * MB, dirty_ratio=0.4)))
+    cluster = cfg.build()
     ops = generate_ycsb_ops(workload, OPS, num_keys, VALUE, seed=11)
-    result = run_ops(cluster, [ops])
+    result = cfg.run_streams([ops], cluster=cluster)
     return cluster, metrics.effective_latency(result.records)
 
 

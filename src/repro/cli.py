@@ -119,21 +119,6 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--storm-phase-ops", type=int, default=100,
                    help="hot-storm: ops per client between storm-key "
                         "rotations (default 100)")
-    p.add_argument("--shard-domains", type=int, default=1, metavar="D",
-                   help="split the run into 1 client event domain + "
-                        "min(D-1, servers) server domains "
-                        "(conservative-lookahead parallel simulation; "
-                        "IPoIB profiles only; default 1 = single "
-                        "simulator)")
-    p.add_argument("--shard-workers", type=int, default=0, metavar="W",
-                   help="sharded runs: fork W multiprocessing workers "
-                        "(>=2) instead of driving all domains serially "
-                        "in-process (default 0 = serial)")
-    p.add_argument("--client-stagger", default=None, metavar="TIME",
-                   help="delay client i's first op by i*TIME (e.g. 13ns):"
-                        " breaks exact-timestamp ties so sharded runs "
-                        "match the single-simulator oracle byte-for-byte "
-                        "(default: no stagger)")
 
 
 def _workload_spec(args) -> WorkloadSpec:
@@ -202,13 +187,8 @@ def _build(args, spec: WorkloadSpec, observe: bool = False,
         profile=profile,
         profile_sample=profile_sample,
     )
-    stagger = getattr(args, "client_stagger", None)
     return RunConfig(profile=profile_key, workload=spec,
-                     cluster=cluster_spec, fault_plan=_fault_plan(args),
-                     shard_domains=getattr(args, "shard_domains", 1),
-                     shard_workers=getattr(args, "shard_workers", 0),
-                     client_stagger=(parse_time(stagger)
-                                     if stagger is not None else 0.0))
+                     cluster=cluster_spec, fault_plan=_fault_plan(args))
 
 
 def _print_summary(title: str, result) -> None:

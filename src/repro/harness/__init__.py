@@ -11,13 +11,6 @@
   EXPERIMENTS.md.
 """
 
-from repro.harness.runner import (
-    RunConfig,
-    RunResult,
-    run_ops,
-    run_workload,
-    setup_cluster,
-)
+from repro.harness.runner import RunConfig, RunResult
 
-__all__ = ["RunConfig", "RunResult", "run_workload", "run_ops",
-           "setup_cluster"]
+__all__ = ["RunConfig", "RunResult"]

@@ -2,15 +2,12 @@
 
 The one-stop entry point is :class:`RunConfig`: declare the profile,
 workload, cluster sizing, and run knobs in one dataclass, then
-``build()`` a cluster and ``run()`` it. The original free functions
-(``setup_cluster``/``run_ops``/``run_workload``) survive as thin
-deprecation shims over it.
+``build()`` a cluster and ``run()`` / ``run_streams()`` it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -71,9 +68,9 @@ class RunResult:
     #: :class:`~repro.obs.profile.ProfileReport` for the measured run
     #: when the cluster was built with ``profile=True``; None otherwise.
     profile: Optional[object] = None
-    #: Total events the simulator(s) behind this run have processed —
-    #: cumulative over the run's lifetime (warmup included; summed over
-    #: every domain on sharded runs). The numerator of events/sec.
+    #: Total events the simulator behind this run has processed —
+    #: cumulative over its lifetime (warmup and earlier runs on the same
+    #: cluster included). The numerator of events/sec.
     events_processed: int = 0
 
     @property
@@ -83,10 +80,7 @@ class RunResult:
 
 @dataclass
 class RunConfig:
-    """Everything one experiment run needs, declared in one place.
-
-    Replaces the kwarg sprawl that used to be spread over
-    ``setup_cluster``/``run_ops``/``run_workload``::
+    """Everything one experiment run needs, declared in one place::
 
         cfg = RunConfig(profile=H_RDMA_OPT_NONB_I,
                         workload=WorkloadSpec(num_ops=500),
@@ -156,24 +150,6 @@ class RunConfig:
     #: Keyword overrides applied to a default :class:`ClusterSpec`
     #: (e.g. ``{"num_servers": 4}``) when ``cluster`` is not given.
     spec_overrides: Dict[str, object] = field(default_factory=dict)
-    #: Shard the cluster into event domains (conservative-lookahead
-    #: parallel simulation; :mod:`repro.harness.sharded`). 1 keeps the
-    #: classic single-simulator run; ``D >= 2`` builds one client
-    #: domain plus ``min(D - 1, num_servers)`` server domains. IPoIB
-    #: transports only — the single-simulator path stays the oracle.
-    shard_domains: int = 1
-    #: Sharded runs only: 0/1 drives all domains serially in-process
-    #: (the byte-identical reference mode); ``>= 2`` forks that many
-    #: multiprocessing workers and coordinates them over pipes.
-    shard_workers: int = 0
-    #: Delay client ``i``'s first operation by ``i * client_stagger``
-    #: seconds (each phase). Zero — the default — changes nothing. A few
-    #: nanoseconds break the lock-step symmetry of identical clients all
-    #: starting at t=0, which is what makes distinct simulated events
-    #: collide on exactly equal timestamps; tie-free schedules are the
-    #: regime where sharded runs are byte-identical to the
-    #: single-simulator oracle (see :mod:`repro.harness.sharded`).
-    client_stagger: float = 0.0
 
     # -- build -------------------------------------------------------------
 
@@ -228,13 +204,13 @@ class RunConfig:
         """
         if self.workload is None:
             raise ValueError("RunConfig.run() needs a workload")
-        if self.shard_domains > 1:
-            if cluster is not None:
+        ycsb = None
+        if self.ycsb:
+            ycsb = CORE_WORKLOADS.get(self.ycsb.upper())
+            if ycsb is None:
                 raise ValueError(
-                    "sharded runs build their own per-domain clusters; "
-                    "don't pass cluster= with shard_domains > 1")
-            from repro.harness import sharded
-            return sharded.run_sharded(self)
+                    f"unknown YCSB workload {self.ycsb!r}; choose from "
+                    f"{sorted(CORE_WORKLOADS)}")
         if cluster is None:
             cluster = self.build()
         if self.warmup_ops > 0:
@@ -247,14 +223,8 @@ class RunConfig:
                             for i in range(len(cluster.clients))]
             self._run_streams(cluster, warm_streams, fault_plan=None,
                               measured=False)
-        if self.ycsb:
-            letter = self.ycsb.upper()
-            if letter not in CORE_WORKLOADS:
-                raise ValueError(
-                    f"unknown YCSB workload {self.ycsb!r}; choose from "
-                    f"{sorted(CORE_WORKLOADS)}")
-            wl = CORE_WORKLOADS[letter]
-            streams = [generate_ycsb_ops(wl, self.workload.num_ops,
+        if ycsb is not None:
+            streams = [generate_ycsb_ops(ycsb, self.workload.num_ops,
                                          self.workload.num_keys,
                                          self.workload.value_length,
                                          seed=self.workload.seed,
@@ -273,13 +243,6 @@ class RunConfig:
         ``fault_plan`` is armed right before the drivers start, so its
         event times are relative to the measured run's start.
         """
-        if self.shard_domains > 1:
-            if cluster is not None:
-                raise ValueError(
-                    "sharded runs build their own per-domain clusters; "
-                    "don't pass cluster= with shard_domains > 1")
-            from repro.harness import sharded
-            return sharded.run_sharded_streams(self, per_client_ops)
         if cluster is None:
             cluster = self.build()
         return self._run_streams(cluster, per_client_ops,
@@ -291,6 +254,12 @@ class RunConfig:
         api = self.api or cluster.profile.api
         if api not in (BLOCKING, NONB_B, NONB_I):
             raise ValueError(f"unknown api {api!r}")
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
+        if len(per_client_ops) != len(cluster.clients):
+            raise ValueError(
+                f"got {len(per_client_ops)} op streams for "
+                f"{len(cluster.clients)} clients; pass one per client")
         cluster.reset_metrics()
         sim = cluster.sim
         recorder = None
@@ -308,17 +277,13 @@ class RunConfig:
                               name=f"scale-{i}-to{ev.servers}"))
         pacer = self.traffic if measured else None
         drivers = []
-        stagger = self.client_stagger
-        for index, (client, ops) in enumerate(
-                zip(cluster.clients, per_client_ops)):
+        for client, ops in zip(cluster.clients, per_client_ops):
             if api == BLOCKING:
                 gen = _drive_blocking(client, ops,
                                       mget_batch=self.mget_batch,
-                                      delay=index * stagger,
                                       pacer=pacer)
             else:
                 gen = _drive_nonblocking(client, ops, api, self.window,
-                                         delay=index * stagger,
                                          pacer=pacer)
             drivers.append(sim.spawn(gen, name=f"driver-{client.name}"))
         done = sim.all_of(drivers)
@@ -373,23 +338,6 @@ class RunConfig:
         return result
 
 
-# -- deprecation shims (the pre-RunConfig free functions) -------------------
-
-
-def setup_cluster(profile: DesignProfile, spec: WorkloadSpec,
-                  preload: bool = True,
-                  cluster_spec: Optional[ClusterSpec] = None,
-                  sim=None,
-                  **spec_overrides) -> Cluster:
-    """Deprecated: use ``RunConfig(...).build()``."""
-    warnings.warn(
-        "setup_cluster is deprecated; use RunConfig(...).build()",
-        DeprecationWarning, stacklevel=2)
-    return RunConfig(profile=profile, workload=spec, preload=preload,
-                     cluster=cluster_spec, sim=sim,
-                     spec_overrides=dict(spec_overrides)).build()
-
-
 def _scale_driver(cluster, at: float, target: int):
     """Drive the serving fleet to ``target`` servers, one online
     migration at a time, starting ``at`` seconds from spawn."""
@@ -406,15 +354,13 @@ def _scale_driver(cluster, at: float, target: int):
 
 
 def _drive_blocking(client, ops: Sequence[Op], mget_batch: int = 0,
-                    delay: float = 0.0, pacer=None):
+                    pacer=None):
     """Blocking driver; with ``mget_batch`` > 1, consecutive reads are
     coalesced into memcached_mget batches (how production web tiers
     fetch the many keys of one page render). ``pacer`` (a
     :class:`~repro.workloads.traffic.TrafficShape`) inserts a
     deterministic inter-op sleep; None keeps the classic back-to-back
     loop byte-identical."""
-    if delay > 0:
-        yield client.sim.timeout(delay)
     pending_reads: list = []
 
     def flush_reads():
@@ -461,9 +407,7 @@ def _drive_blocking(client, ops: Sequence[Op], mget_batch: int = 0,
 
 
 def _drive_nonblocking(client, ops: Sequence[Op], api: str, window: int,
-                       delay: float = 0.0, pacer=None):
-    if delay > 0:
-        yield client.sim.timeout(delay)
+                       pacer=None):
     issue_set = client.iset if api == NONB_I else client.bset
     issue_get = client.iget if api == NONB_I else client.bget
     inflight = deque()
@@ -512,33 +456,3 @@ def _drive_nonblocking(client, ops: Sequence[Op], api: str, window: int,
     # Drain background work (async replica propagation); a no-op — zero
     # sim events — when nothing is outstanding.
     yield from client.quiesce()
-
-
-def run_ops(cluster: Cluster, per_client_ops: Sequence[Sequence[Op]],
-            api: Optional[str] = None,
-            window: int = DEFAULT_WINDOW,
-            mget_batch: int = 0,
-            fault_plan=None) -> RunResult:
-    """Deprecated: use ``RunConfig(...).run_streams(ops, cluster=...)``."""
-    warnings.warn(
-        "run_ops is deprecated; use RunConfig(...).run_streams()",
-        DeprecationWarning, stacklevel=2)
-    cfg = RunConfig(profile=cluster.profile, api=api, window=window,
-                    mget_batch=mget_batch, fault_plan=fault_plan)
-    return cfg.run_streams(per_client_ops, cluster=cluster)
-
-
-def run_workload(cluster: Cluster, spec: WorkloadSpec,
-                 api: Optional[str] = None,
-                 window: int = DEFAULT_WINDOW,
-                 mget_batch: int = 0,
-                 warmup_ops: int = 0,
-                 fault_plan=None) -> RunResult:
-    """Deprecated: use ``RunConfig(...).run(cluster=...)``."""
-    warnings.warn(
-        "run_workload is deprecated; use RunConfig(...).run()",
-        DeprecationWarning, stacklevel=2)
-    cfg = RunConfig(profile=cluster.profile, workload=spec, api=api,
-                    window=window, mget_batch=mget_batch,
-                    warmup_ops=warmup_ops, fault_plan=fault_plan)
-    return cfg.run(cluster=cluster)

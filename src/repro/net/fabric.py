@@ -121,11 +121,6 @@ class NIC:
         self.tx = Resource(sim, capacity=1)
         #: Called with each delivered Message; installed by the transport.
         self.deliver: Optional[Callable[[Message], None]] = None
-        #: Sharded-domain hook (see :mod:`repro.harness.sharded`): when
-        #: set, ``_tx_done`` hands ``(nic, msg)`` to the router instead
-        #: of scheduling the wire-latency delivery timeout, so the domain
-        #: coordinator controls when and in what order deliveries land.
-        self.delivery_router: Optional[Callable[["NIC", Message], None]] = None
         # traffic accounting
         self.bytes_sent = 0
         self.messages_sent = 0
@@ -209,12 +204,8 @@ class NIC:
             self._m_msgs.inc()
         sim = self.sim
         msg._reach_wire(sim._now)
-        router = self.delivery_router
-        if router is None:
-            Timeout(sim, self._latency).callbacks.append(
-                partial(self._delivered, msg))
-        else:
-            router(self, msg)
+        Timeout(sim, self._latency).callbacks.append(
+            partial(self._delivered, msg))
 
     def _delivered(self, msg: Message, _ev=None) -> None:
         msg._reach_dst(self.sim._now)

@@ -48,7 +48,7 @@ class TestBufferPoolUnit:
         assert pool.in_use_bytes == 2 * PAGE
 
 
-def run_workload(profile, api, n=64, value=32 * KB):
+def pool_after(profile, api, n=64, value=32 * KB):
     spec = ClusterSpec(server_mem=32 * MB, ssd_limit=64 * MB)
     cluster = build_cluster(profile, spec=spec)
     # Rebuild the client config with registration modeling on.
@@ -87,22 +87,22 @@ def test_registration_disabled_by_default():
 
 
 def test_blocking_client_needs_one_buffer():
-    pool = run_workload(profiles.H_RDMA_OPT_BLOCK, "set")
+    pool = pool_after(profiles.H_RDMA_OPT_BLOCK, "set")
     assert pool.stats.registrations == 1
     assert pool.stats.reuses == 63
 
 
 def test_bset_reuses_buffers_early():
     """The b-variants' whole point: few registered buffers suffice."""
-    pool_b = run_workload(profiles.H_RDMA_OPT_NONB_B, "bset")
-    pool_i = run_workload(profiles.H_RDMA_OPT_NONB_I, "iset")
+    pool_b = pool_after(profiles.H_RDMA_OPT_NONB_B, "bset")
+    pool_i = pool_after(profiles.H_RDMA_OPT_NONB_I, "iset")
     # iset pins buffers until wait/test: a deep pipeline registers many.
     assert pool_i.stats.registrations > pool_b.stats.registrations
     assert pool_i.stats.peak_bytes > pool_b.stats.peak_bytes
 
 
 def test_warm_pool_stops_registering():
-    pool = run_workload(profiles.H_RDMA_OPT_NONB_I, "iset", n=200)
+    pool = pool_after(profiles.H_RDMA_OPT_NONB_I, "iset", n=200)
     # Far fewer registrations than ops: steady state reuses.
     assert pool.stats.registrations < 80
     assert pool.stats.reuses > 120

@@ -9,7 +9,7 @@ byte-identical timeline.
 from repro.core.cluster import ClusterSpec, ReplicationConfig
 from repro.core.profiles import H_RDMA_OPT_NONB_I, RDMA_MEM
 from repro.faults import FaultPlan
-from repro.harness.runner import run_workload, setup_cluster
+from repro.harness.runner import RunConfig
 from repro.units import KB, MB, MS, US
 from repro.workloads.generator import WorkloadSpec
 
@@ -25,10 +25,11 @@ def crash_run(profile, seed=5, observe=False, faults=PLAN_SPECS):
         replication=ReplicationConfig(router="ketama"),
         request_timeout=2 * MS, retry_backoff=200 * US,
         failure_threshold=2, observe=observe)
-    cluster = setup_cluster(profile, spec, cluster_spec=cluster_spec)
     plan = FaultPlan.parse(faults) if faults else None
-    result = run_workload(cluster, spec, fault_plan=plan)
-    return result, cluster
+    cfg = RunConfig(profile=profile, workload=spec, cluster=cluster_spec,
+                    fault_plan=plan)
+    cluster = cfg.build()
+    return cfg.run(cluster), cluster
 
 
 def fingerprint(result):
@@ -98,10 +99,11 @@ class TestCrashOneOfFour:
                 ssd_limit=64 * MB,
                 replication=ReplicationConfig(router="ketama"),
                 request_timeout=2 * MS, trace=True)
-            cluster = setup_cluster(H_RDMA_OPT_NONB_I, spec,
-                                    cluster_spec=cluster_spec)
-            run_workload(cluster, spec,
-                         fault_plan=FaultPlan.parse(PLAN_SPECS))
+            cfg = RunConfig(profile=H_RDMA_OPT_NONB_I, workload=spec,
+                            cluster=cluster_spec,
+                            fault_plan=FaultPlan.parse(PLAN_SPECS))
+            cluster = cfg.build()
+            cfg.run(cluster)
             return json.dumps(chrome_trace_events(cluster.obs.tracer),
                               sort_keys=True)
 
@@ -118,9 +120,8 @@ class TestCrashOneOfFour:
                 num_servers=4, num_clients=2, server_mem=16 * MB,
                 replication=ReplicationConfig(router="ketama"),
                 request_timeout=2 * MS, eject_duration=5 * MS)
-            cluster = setup_cluster(RDMA_MEM, spec,
-                                    cluster_spec=cluster_spec)
-            return run_workload(cluster, spec, fault_plan=plan)
+            return RunConfig(profile=RDMA_MEM, workload=spec,
+                             cluster=cluster_spec, fault_plan=plan).run()
 
         a, b = run(), run()
         assert fingerprint(a) == fingerprint(b)

@@ -2,46 +2,43 @@
 
 from repro.core import metrics
 from repro.core.profiles import H_RDMA_OPT_BLOCK, RDMA_MEM
-from repro.harness.runner import run_workload, setup_cluster
+from repro.harness.runner import RunConfig
 from repro.units import KB, MB
 from repro.workloads.generator import WorkloadSpec
 
 
-def make(read_fraction=1.0, ops=120):
+def run(mget_batch, read_fraction=1.0, ops=120):
     spec = WorkloadSpec(num_ops=ops, num_keys=256, value_length=4 * KB,
                         read_fraction=read_fraction, seed=4)
-    cluster = setup_cluster(RDMA_MEM, spec, server_mem=16 * MB)
-    return cluster, spec
+    cfg = RunConfig(profile=RDMA_MEM, workload=spec, mget_batch=mget_batch,
+                    spec_overrides=dict(server_mem=16 * MB))
+    cluster = cfg.build()
+    return cluster, cfg.run(cluster)
 
 
 def test_batching_preserves_op_count():
-    cluster, spec = make()
-    result = run_workload(cluster, spec, mget_batch=8)
+    _, result = run(mget_batch=8)
     assert result.ops == 120
     apis = {r.api for r in result.records}
     assert "mget" in apis
 
 
 def test_batching_reduces_read_latency_span():
-    c1, s1 = make()
-    unbatched = run_workload(c1, s1, mget_batch=0)
-    c2, s2 = make()
-    batched = run_workload(c2, s2, mget_batch=8)
+    _, unbatched = run(mget_batch=0)
+    _, batched = run(mget_batch=8)
     assert batched.span < unbatched.span
 
 
 def test_writes_flush_pending_batch_in_order():
     """A write between reads must not be reordered past them."""
-    cluster, spec = make(read_fraction=0.5)
-    result = run_workload(cluster, spec, mget_batch=16)
+    cluster, result = run(mget_batch=16, read_fraction=0.5)
     assert result.ops == 120
     # No operation lost, no client stuck.
     assert all(c.outstanding_count == 0 for c in cluster.clients)
 
 
 def test_batch_of_one_uses_plain_get():
-    cluster, spec = make(read_fraction=0.5, ops=40)
-    result = run_workload(cluster, spec, mget_batch=2)
+    _, result = run(mget_batch=2, read_fraction=0.5, ops=40)
     # Singleton flushes fall back to get; batch pairs use mget.
     apis = [r.api for r in result.records]
     assert "get" in apis or "mget" in apis
@@ -50,8 +47,9 @@ def test_batch_of_one_uses_plain_get():
 def test_batching_on_hybrid_design():
     spec = WorkloadSpec(num_ops=150, num_keys=700, value_length=30 * KB,
                         read_fraction=0.9, seed=2)
-    cluster = setup_cluster(H_RDMA_OPT_BLOCK, spec, server_mem=8 * MB,
-                            ssd_limit=64 * MB)
-    result = run_workload(cluster, spec, mget_batch=10)
+    result = RunConfig(profile=H_RDMA_OPT_BLOCK, workload=spec,
+                       mget_batch=10,
+                       spec_overrides=dict(server_mem=8 * MB,
+                                           ssd_limit=64 * MB)).run()
     assert result.ops == 150
     assert metrics.miss_rate(result.records) == 0.0

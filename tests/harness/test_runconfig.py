@@ -1,20 +1,10 @@
-"""RunConfig facade + deprecation shims for the old free functions.
-
-The old ``setup_cluster``/``run_ops``/``run_workload`` signatures must
-keep working (one release of grace), warn, and produce byte-identical
-results to the RunConfig spelling they delegate to.
-"""
+"""RunConfig: the one way to build and run an experiment."""
 
 import pytest
 
 from repro.core.cluster import ClusterSpec
 from repro.core.profiles import H_RDMA_OPT_NONB_I, RDMA_MEM
-from repro.harness.runner import (
-    RunConfig,
-    run_ops,
-    run_workload,
-    setup_cluster,
-)
+from repro.harness.runner import RunConfig
 from repro.units import KB, MB
 from repro.workloads.generator import Op, WorkloadSpec
 
@@ -24,15 +14,6 @@ def small_spec(**kw):
                     read_fraction=0.5, seed=2)
     defaults.update(kw)
     return WorkloadSpec(**defaults)
-
-
-def fingerprint(result):
-    return [(r.op, r.key_length, r.status, r.t_issue, r.t_complete,
-             r.blocked_time, tuple(sorted(r.stages.items())))
-            for r in result.records]
-
-
-# -- the new facade ---------------------------------------------------------
 
 
 def test_runconfig_build_and_run():
@@ -92,50 +73,30 @@ def test_runconfig_run_streams():
     assert result.records[1].status == "HIT"
 
 
-# -- deprecation shims ------------------------------------------------------
+def _too_many_streams():
+    cfg = RunConfig(profile=RDMA_MEM,
+                    spec_overrides=dict(num_clients=2, server_mem=8 * MB))
+    cfg.run_streams([[Op("get", b"k", 0)] * 5] * 3)
 
 
-def test_shims_warn():
-    spec = small_spec()
-    with pytest.warns(DeprecationWarning, match="setup_cluster is deprecated"):
-        cluster = setup_cluster(RDMA_MEM, spec, server_mem=8 * MB)
-    with pytest.warns(DeprecationWarning, match="run_workload is deprecated"):
-        run_workload(cluster, spec)
-    with pytest.warns(DeprecationWarning, match="run_ops is deprecated"):
-        run_ops(cluster, [[Op("get", b"k", 0)]])
+def _zero_window():
+    RunConfig(profile=H_RDMA_OPT_NONB_I, workload=small_spec(), window=0,
+              spec_overrides=dict(server_mem=8 * MB,
+                                  ssd_limit=16 * MB)).run()
 
 
-def test_shim_matches_runconfig_byte_for_byte():
-    """Old spelling and new spelling replay the identical timeline."""
-    spec = small_spec()
-    cluster_spec = ClusterSpec(num_servers=2, num_clients=2,
-                               server_mem=8 * MB, ssd_limit=16 * MB)
-
-    with pytest.warns(DeprecationWarning):
-        old_cluster = setup_cluster(H_RDMA_OPT_NONB_I, spec,
-                                    cluster_spec=cluster_spec)
-        old = run_workload(old_cluster, spec, warmup_ops=10)
-
-    cfg = RunConfig(profile=H_RDMA_OPT_NONB_I, workload=spec,
-                    cluster=cluster_spec, warmup_ops=10)
-    new = cfg.run()
-
-    assert fingerprint(old) == fingerprint(new)
-    assert old.span == new.span
-    assert old.summary == new.summary
+def _bad_ycsb_letter():
+    # Rejected before any cluster exists: with a bad ClusterSpec field in
+    # the overrides, build() would raise TypeError first.
+    RunConfig(profile=RDMA_MEM, workload=small_spec(), ycsb="Z",
+              spec_overrides=dict(no_such_field=1)).run()
 
 
-def test_shim_run_ops_matches_run_streams():
-    spec = small_spec()
-    stream = [Op("set", b"s-key", 2 * KB), Op("get", b"s-key", 0),
-              Op("get", b"other", 0)]
-
-    with pytest.warns(DeprecationWarning):
-        old_cluster = setup_cluster(RDMA_MEM, spec, server_mem=8 * MB)
-        old = run_ops(old_cluster, [stream], api="blocking")
-
-    cfg = RunConfig(profile=RDMA_MEM, workload=spec, api="blocking",
-                    spec_overrides=dict(server_mem=8 * MB))
-    new = cfg.run_streams([stream])
-
-    assert fingerprint(old) == fingerprint(new)
+@pytest.mark.parametrize("run, message", [
+    (_too_many_streams, "3 op streams for 2 clients"),
+    (_zero_window, "window must be >= 1"),
+    (_bad_ycsb_letter, "unknown YCSB workload"),
+], ids=["stream-count", "window", "ycsb-letter"])
+def test_runconfig_rejects_bad_run_arguments(run, message):
+    with pytest.raises(ValueError, match=message):
+        run()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.profiles import H_RDMA_OPT_NONB_I, RDMA_MEM
-from repro.harness.runner import run_ops, run_workload, setup_cluster
+from repro.harness.runner import RunConfig
 from repro.units import KB, MB
 from repro.workloads.generator import Op, WorkloadSpec
 
@@ -15,28 +15,38 @@ def small_spec(**kw):
     return WorkloadSpec(**defaults)
 
 
+def rdma_mem(spec, **kw):
+    return RunConfig(profile=RDMA_MEM, workload=spec,
+                     spec_overrides=dict(server_mem=8 * MB), **kw)
+
+
+def nonb_i(spec, **kw):
+    return RunConfig(profile=H_RDMA_OPT_NONB_I, workload=spec,
+                     spec_overrides=dict(server_mem=8 * MB,
+                                         ssd_limit=16 * MB), **kw)
+
+
 def test_setup_cluster_preloads_dataset():
     spec = small_spec()
-    cluster = setup_cluster(RDMA_MEM, spec, server_mem=8 * MB)
+    cluster = rdma_mem(spec).build()
     assert cluster.total_items == 64
 
 
 def test_setup_cluster_wires_backend_value_size():
     spec = small_spec()
-    cluster = setup_cluster(RDMA_MEM, spec, server_mem=8 * MB)
+    cluster = rdma_mem(spec).build()
     assert cluster.backend._value_length_for(b"anything") == 4 * KB
 
 
 def test_setup_cluster_no_preload():
     spec = small_spec()
-    cluster = setup_cluster(RDMA_MEM, spec, preload=False, server_mem=8 * MB)
+    cluster = rdma_mem(spec, preload=False).build()
     assert cluster.total_items == 0
 
 
 def test_blocking_run_produces_records():
     spec = small_spec()
-    cluster = setup_cluster(RDMA_MEM, spec, server_mem=8 * MB)
-    result = run_workload(cluster, spec)
+    result = rdma_mem(spec).run()
     assert result.ops == 60
     assert result.api == "blocking"
     assert result.span > 0
@@ -45,9 +55,9 @@ def test_blocking_run_produces_records():
 
 def test_nonblocking_run_uses_profile_api():
     spec = small_spec()
-    cluster = setup_cluster(H_RDMA_OPT_NONB_I, spec, server_mem=8 * MB,
-                            ssd_limit=16 * MB)
-    result = run_workload(cluster, spec)
+    cfg = nonb_i(spec)
+    cluster = cfg.build()
+    result = cfg.run(cluster)
     assert result.api == "nonb-i"
     assert result.ops == 60
     # All operations drained at the end of the run.
@@ -56,33 +66,29 @@ def test_nonblocking_run_uses_profile_api():
 
 def test_api_override():
     spec = small_spec()
-    cluster = setup_cluster(H_RDMA_OPT_NONB_I, spec, server_mem=8 * MB,
-                            ssd_limit=16 * MB)
-    result = run_workload(cluster, spec, api="blocking")
+    result = nonb_i(spec, api="blocking").run()
     assert result.api == "blocking"
     assert result.summary["overlap_pct"] < 5.0
 
 
 def test_unknown_api_rejected():
     spec = small_spec()
-    cluster = setup_cluster(RDMA_MEM, spec, server_mem=8 * MB)
     with pytest.raises(ValueError):
-        run_workload(cluster, spec, api="telepathy")
+        rdma_mem(spec, api="telepathy").run()
 
 
 def test_run_ops_with_explicit_streams():
     spec = small_spec()
-    cluster = setup_cluster(RDMA_MEM, spec, server_mem=8 * MB)
     stream = [Op("set", b"a-key", 2 * KB), Op("get", b"a-key", 0)]
-    result = run_ops(cluster, [stream])
+    result = rdma_mem(spec).run_streams([stream])
     assert result.ops == 2
     assert result.records[1].status == "HIT"
 
 
 def test_window_caps_outstanding():
     spec = small_spec(num_ops=40, read_fraction=1.0)
-    cluster = setup_cluster(H_RDMA_OPT_NONB_I, spec, server_mem=8 * MB,
-                            ssd_limit=16 * MB)
+    cfg = nonb_i(spec, window=4)
+    cluster = cfg.build()
     max_seen = {"n": 0}
     client = cluster.clients[0]
     orig_issue = client._issue
@@ -92,12 +98,13 @@ def test_window_caps_outstanding():
         return orig_issue(*args, **kwargs)
 
     client._issue = tracking_issue
-    run_workload(cluster, spec, window=4)
+    cfg.run(cluster)
     assert max_seen["n"] <= 4
 
 
 def test_multi_client_streams_differ():
     spec = small_spec(num_ops=30)
-    cluster = setup_cluster(RDMA_MEM, spec, num_clients=2, server_mem=8 * MB)
-    result = run_workload(cluster, spec)
+    result = RunConfig(profile=RDMA_MEM, workload=spec,
+                       spec_overrides=dict(num_clients=2,
+                                           server_mem=8 * MB)).run()
     assert result.ops == 60

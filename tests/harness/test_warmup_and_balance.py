@@ -2,7 +2,8 @@
 
 from repro.core import metrics
 from repro.core.profiles import H_RDMA_OPT_NONB_I, RDMA_MEM
-from repro.harness.runner import run_workload, setup_cluster
+from repro.core.topology import TopologyConfig
+from repro.harness.runner import RunConfig
 from repro.units import KB, MB
 from repro.workloads.generator import WorkloadSpec
 
@@ -10,8 +11,8 @@ from repro.workloads.generator import WorkloadSpec
 def test_warmup_records_discarded():
     spec = WorkloadSpec(num_ops=50, num_keys=128, value_length=4 * KB,
                         seed=3)
-    cluster = setup_cluster(RDMA_MEM, spec, server_mem=16 * MB)
-    result = run_workload(cluster, spec, warmup_ops=30)
+    result = RunConfig(profile=RDMA_MEM, workload=spec, warmup_ops=30,
+                       spec_overrides=dict(server_mem=16 * MB)).run()
     assert result.ops == 50  # warmup ops not in the measured records
 
 
@@ -21,8 +22,9 @@ def test_warmup_changes_initial_state():
                         read_fraction=1.0, seed=3)
 
     def miss_rate(warmup):
-        cluster = setup_cluster(RDMA_MEM, spec, server_mem=8 * MB)
-        res = run_workload(cluster, spec, warmup_ops=warmup)
+        res = RunConfig(profile=RDMA_MEM, workload=spec,
+                        warmup_ops=warmup,
+                        spec_overrides=dict(server_mem=8 * MB)).run()
         return metrics.miss_rate(res.records)
 
     cold = miss_rate(0)
@@ -34,9 +36,10 @@ def test_warmup_changes_initial_state():
 def test_server_distribution_and_imbalance():
     spec = WorkloadSpec(num_ops=200, num_keys=512, value_length=2 * KB,
                         seed=5)
-    cluster = setup_cluster(H_RDMA_OPT_NONB_I, spec, num_servers=4,
-                            server_mem=16 * MB, ssd_limit=64 * MB)
-    result = run_workload(cluster, spec)
+    result = RunConfig(profile=H_RDMA_OPT_NONB_I, workload=spec,
+                       topology=TopologyConfig(initial_servers=4),
+                       spec_overrides=dict(server_mem=16 * MB,
+                                           ssd_limit=64 * MB)).run()
     dist = metrics.server_distribution(result.records)
     assert set(dist) == {0, 1, 2, 3}
     assert sum(dist.values()) == 200

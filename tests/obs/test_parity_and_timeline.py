@@ -12,7 +12,7 @@ import json
 
 from repro import profiles
 from repro.core.cluster import ClusterSpec
-from repro.harness.runner import run_workload, setup_cluster
+from repro.harness.runner import RunConfig
 from repro.obs.export import chrome_trace
 from repro.units import KB, MB
 from repro.workloads.generator import WorkloadSpec
@@ -26,10 +26,10 @@ WORKLOAD = WorkloadSpec(num_ops=250, num_keys=800, value_length=16 * KB,
 def _run(observe: bool, trace: bool):
     spec = ClusterSpec(num_servers=1, num_clients=2, server_mem=8 * MB,
                        ssd_limit=64 * MB, observe=observe, trace=trace)
-    cluster = setup_cluster(profiles.H_RDMA_OPT_NONB_B, WORKLOAD,
-                            cluster_spec=spec)
-    result = run_workload(cluster, WORKLOAD)
-    return cluster, result
+    cfg = RunConfig(profile=profiles.H_RDMA_OPT_NONB_B, workload=WORKLOAD,
+                    cluster=spec)
+    cluster = cfg.build()
+    return cluster, cfg.run(cluster)
 
 
 def test_observed_run_matches_unobserved_run_exactly():

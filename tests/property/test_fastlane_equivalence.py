@@ -120,7 +120,7 @@ def test_crash_scenario_chrome_trace_is_byte_identical_across_paths():
     from repro.core.cluster import ClusterSpec, ReplicationConfig
     from repro.core.profiles import H_RDMA_OPT_NONB_I
     from repro.faults import FaultPlan
-    from repro.harness.runner import run_workload, setup_cluster
+    from repro.harness.runner import RunConfig
     from repro.obs.export import chrome_trace_events
     from repro.units import KB, MB, MS
     from repro.workloads.generator import WorkloadSpec
@@ -133,11 +133,12 @@ def test_crash_scenario_chrome_trace_is_byte_identical_across_paths():
             ssd_limit=64 * MB,
             replication=ReplicationConfig(router="ketama"),
             request_timeout=2 * MS, trace=True)
-        cluster = setup_cluster(H_RDMA_OPT_NONB_I, spec,
-                                cluster_spec=cluster_spec,
-                                sim=Simulator(fast_lane=fast_lane))
-        run_workload(cluster, spec,
-                     fault_plan=FaultPlan.parse(["crash:server=1,at=200us"]))
+        cfg = RunConfig(
+            profile=H_RDMA_OPT_NONB_I, workload=spec, cluster=cluster_spec,
+            sim=Simulator(fast_lane=fast_lane),
+            fault_plan=FaultPlan.parse(["crash:server=1,at=200us"]))
+        cluster = cfg.build()
+        cfg.run(cluster)
         return json.dumps(chrome_trace_events(cluster.obs.tracer),
                           sort_keys=True)
 

@@ -6,7 +6,7 @@ assertions, and regression tests all rely on it.
 """
 
 from repro.core.profiles import H_RDMA_OPT_NONB_I, RDMA_MEM
-from repro.harness.runner import run_workload, setup_cluster
+from repro.harness.runner import RunConfig
 from repro.units import KB, MB
 from repro.workloads.generator import WorkloadSpec
 
@@ -14,10 +14,11 @@ from repro.workloads.generator import WorkloadSpec
 def run_once(profile):
     spec = WorkloadSpec(num_ops=300, num_keys=512, value_length=8 * KB,
                         read_fraction=0.5, distribution="zipf", seed=5)
-    cluster = setup_cluster(profile, spec, server_mem=16 * MB,
-                            ssd_limit=64 * MB, num_clients=2)
-    result = run_workload(cluster, spec)
-    return result, cluster
+    cfg = RunConfig(profile=profile, workload=spec,
+                    spec_overrides=dict(server_mem=16 * MB,
+                                        ssd_limit=64 * MB, num_clients=2))
+    cluster = cfg.build()
+    return cfg.run(cluster), cluster
 
 
 def fingerprint(result):
@@ -49,8 +50,7 @@ def test_different_seeds_differ():
                          seed=1)
     spec2 = WorkloadSpec(num_ops=200, num_keys=256, value_length=4 * KB,
                          seed=2)
-    r1 = run_workload(setup_cluster(RDMA_MEM, spec1, server_mem=16 * MB),
-                      spec1)
-    r2 = run_workload(setup_cluster(RDMA_MEM, spec2, server_mem=16 * MB),
-                      spec2)
+    r1, r2 = (RunConfig(profile=RDMA_MEM, workload=spec,
+                        spec_overrides=dict(server_mem=16 * MB)).run()
+              for spec in (spec1, spec2))
     assert fingerprint(r1) != fingerprint(r2)

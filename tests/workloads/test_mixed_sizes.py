@@ -69,12 +69,14 @@ class TestOps:
 class TestOnCluster:
     def test_mixed_sizes_populate_multiple_slab_classes(self):
         from repro.core.profiles import H_RDMA_OPT_NONB_I
-        from repro.harness.runner import run_workload, setup_cluster
+        from repro.harness.runner import RunConfig
 
         s = spec(num_ops=400, num_keys=1200,
                  value_sizes=((512, 0.5), (30 * KB, 0.5)))
-        cluster = setup_cluster(H_RDMA_OPT_NONB_I, s, server_mem=8 * MB,
-                                ssd_limit=64 * MB)
+        cfg = RunConfig(profile=H_RDMA_OPT_NONB_I, workload=s,
+                        spec_overrides=dict(server_mem=8 * MB,
+                                            ssd_limit=64 * MB))
+        cluster = cfg.build()
         mgr = cluster.servers[0].manager
         classes_used = [c for c in mgr.allocator.classes if c.pages]
         assert len(classes_used) >= 2
@@ -86,17 +88,17 @@ class TestOnCluster:
         assert mgr.scheme_name_for(large) == "mmap" \
             if large.chunk_size <= 32 * KB else "cached"
 
-        result = run_workload(cluster, s)
+        result = cfg.run(cluster)
         assert result.ops == 400
         assert result.summary["miss_rate"] == 0.0  # hybrid retains all
 
     def test_miss_repopulation_uses_per_key_size(self):
         from repro.core.profiles import RDMA_MEM
-        from repro.harness.runner import setup_cluster
+        from repro.harness.runner import RunConfig
 
         s = spec(num_keys=300, value_sizes=((1 * KB, 0.5), (16 * KB, 0.5)))
-        cluster = setup_cluster(RDMA_MEM, s, preload=False,
-                                server_mem=8 * MB)
+        cluster = RunConfig(profile=RDMA_MEM, workload=s, preload=False,
+                            spec_overrides=dict(server_mem=8 * MB)).build()
         client = cluster.clients[0]
         key = make_dataset(s)[7][0]
         expected = s.value_length_for(key)

@@ -163,6 +163,5 @@ class TestSlots:
         assert not hasattr(ev, "__dict__")
 
     def test_op_still_pickles(self):
-        # The sharded mp runtime ships op streams to workers.
         op = Op("scan", b"key:0", 64, keys=(b"key:0", b"key:1"))
         assert pickle.loads(pickle.dumps(op)) == op

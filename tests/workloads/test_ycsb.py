@@ -90,15 +90,17 @@ class TestOnCluster:
                                           WORKLOAD_F])
     def test_runs_to_completion(self, workload):
         from repro.core.profiles import H_RDMA_OPT_NONB_I
-        from repro.harness.runner import run_ops, setup_cluster
+        from repro.harness.runner import RunConfig
         from repro.workloads.generator import WorkloadSpec
 
         spec = WorkloadSpec(num_ops=1, num_keys=128, value_length=4 * KB)
-        cluster = setup_cluster(H_RDMA_OPT_NONB_I, spec,
-                                server_mem=16 * MB, ssd_limit=32 * MB)
+        cfg = RunConfig(profile=H_RDMA_OPT_NONB_I, workload=spec,
+                        spec_overrides=dict(server_mem=16 * MB,
+                                            ssd_limit=32 * MB))
+        cluster = cfg.build()
         ops = generate_ycsb_ops(workload, num_ops=120, num_keys=128,
                                 value_length=4 * KB, seed=3)
-        result = run_ops(cluster, [ops])
+        result = cfg.run_streams([ops], cluster=cluster)
         # rmw ops expand into a read + a write record.
         rmw = sum(1 for o in ops if o.kind == "rmw")
         assert result.ops == 120 + rmw
@@ -106,13 +108,14 @@ class TestOnCluster:
 
     def test_rmw_blocking_driver(self):
         from repro.core.profiles import RDMA_MEM
-        from repro.harness.runner import run_ops, setup_cluster
+        from repro.harness.runner import RunConfig
         from repro.workloads.generator import Op, WorkloadSpec
 
         spec = WorkloadSpec(num_ops=1, num_keys=16, value_length=1 * KB)
-        cluster = setup_cluster(RDMA_MEM, spec, server_mem=8 * MB)
         ops = [Op("rmw", b"key:0000000001", 1 * KB)]
-        result = run_ops(cluster, [ops])
+        result = RunConfig(
+            profile=RDMA_MEM, workload=spec,
+            spec_overrides=dict(server_mem=8 * MB)).run_streams([ops])
         assert result.ops == 2  # one get + one set
         kinds = sorted(r.op for r in result.records)
         assert kinds == ["get", "set"]
