@@ -10,6 +10,7 @@ import dataclasses
 from repro.core import metrics
 from repro.core.cluster import ClusterSpec
 from repro.core.profiles import H_RDMA_OPT_NONB_I
+from repro.core.topology import TopologyConfig
 from repro.harness.figures import (
     BASE_SERVER_MEM,
     BASE_SSD_LIMIT,
@@ -43,7 +44,8 @@ def run_variant(profile=H_RDMA_OPT_NONB_I, spec=None, window=64,
     overrides.update(cluster_overrides)
     result = RunConfig(profile=profile, workload=spec, window=window,
                        cluster=ClusterSpec(
-                           num_servers=1, num_clients=1, **overrides)).run()
+                           topology=TopologyConfig(initial_servers=1),
+                           num_clients=1, **overrides)).run()
     return metrics.effective_latency(result.records)
 
 
@@ -157,7 +159,8 @@ def test_ablate_registration_cost(benchmark):
             pagecache=_scaled_pagecache(BENCH_SCALE))
         cfg = RunConfig(profile=profile, workload=spec, api=api,
                         cluster=ClusterSpec(
-                            num_servers=1, num_clients=1,
+                            topology=TopologyConfig(initial_servers=1),
+                            num_clients=1,
                             **cluster_overrides))
         cluster = cfg.build()
         client = cluster.clients[0]

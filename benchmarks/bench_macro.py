@@ -26,6 +26,7 @@ from pathlib import Path
 
 from repro.core.cluster import ClusterSpec
 from repro.core.profiles import H_RDMA_OPT_NONB_I
+from repro.core.topology import TopologyConfig
 from repro.harness.runner import RunConfig
 from repro.units import KB, MB
 from repro.workloads.generator import WorkloadSpec
@@ -51,10 +52,10 @@ PAPER_VALUE = 4 * KB
 def _ycsb_cluster_run(profile: bool = False):
     spec = WorkloadSpec(num_ops=OPS_PER_CLIENT, num_keys=NUM_KEYS,
                         value_length=VALUE_LEN, seed=42)
-    cluster_spec = ClusterSpec(num_servers=NUM_SERVERS,
-                               num_clients=NUM_CLIENTS,
-                               server_mem=16 * MB, ssd_limit=64 * MB,
-                               profile=profile)
+    cluster_spec = ClusterSpec(
+        topology=TopologyConfig(initial_servers=NUM_SERVERS),
+        num_clients=NUM_CLIENTS, server_mem=16 * MB, ssd_limit=64 * MB,
+        profile=profile)
     cfg = RunConfig(profile=H_RDMA_OPT_NONB_I, workload=spec,
                     cluster=cluster_spec)
     cluster = cfg.build()
@@ -122,9 +123,10 @@ def _paper_scale_cfg(num_clients=PAPER_CLIENTS):
         profile=H_RDMA_OPT_NONB_I,
         workload=WorkloadSpec(num_ops=PAPER_OPS, num_keys=PAPER_KEYS,
                               value_length=PAPER_VALUE, seed=42),
-        cluster=ClusterSpec(num_servers=PAPER_SERVERS,
-                            num_clients=num_clients,
-                            server_mem=4 * MB, ssd_limit=16 * MB),
+        cluster=ClusterSpec(
+            topology=TopologyConfig(initial_servers=PAPER_SERVERS),
+            num_clients=num_clients,
+            server_mem=4 * MB, ssd_limit=16 * MB),
         ycsb="A")
 
 

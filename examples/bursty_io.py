@@ -16,6 +16,7 @@ Run:  python examples/bursty_io.py
 """
 
 from repro import build_cluster, profiles
+from repro.core.topology import TopologyConfig
 from repro.harness.report import ascii_table, fmt_us
 from repro.storage.params import NVME_SSD, PageCacheParams, SATA_SSD
 from repro.units import KB, MB
@@ -31,7 +32,9 @@ SERVER_MEM = 8 * MB
 def run_case(profile, device, nonblocking):
     workload = BurstyWorkload(block_size=BLOCK, chunk_size=CHUNK,
                               total_bytes=TOTAL)
-    cluster = build_cluster(profile, num_servers=NUM_SERVERS,
+    cluster = build_cluster(profile,
+                            topology=TopologyConfig(
+                                initial_servers=NUM_SERVERS),
                             server_mem=SERVER_MEM, ssd_limit=128 * MB,
                             device=device,
                             pagecache=PageCacheParams(size_bytes=8 * MB))

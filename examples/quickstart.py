@@ -9,13 +9,14 @@ Run:  python examples/quickstart.py
 """
 
 from repro import build_cluster, profiles
+from repro.core.topology import TopologyConfig
 from repro.units import KB, MB, US
 
 
 def main() -> None:
     cluster = build_cluster(
         profiles.H_RDMA_OPT_NONB_I,  # the paper's proposed design
-        num_servers=1,
+        topology=TopologyConfig(initial_servers=1),
         server_mem=64 * MB,
         ssd_limit=256 * MB,
     )

@@ -24,7 +24,7 @@ Quickstart::
     client = cluster.clients[0]
 
     def app(sim):
-        req = yield from client.iset(b"key", b"x" * 1024)
+        req = yield from client.iset(b"key", 1024)
         # ... overlap with other work ...
         yield from client.wait(req)
         got = yield from client.get(b"key")

@@ -608,10 +608,10 @@ def _add_consistency_args(p: argparse.ArgumentParser) -> None:
                    choices=("sync", "async"))
     p.add_argument("--router", default="ketama",
                    choices=("modulo", "ketama"))
-    p.add_argument("--request-timeout", type=float, default=2e-3,
-                   metavar="SECONDS")
-    p.add_argument("--eject-duration", type=float, default=5e-3,
-                   metavar="SECONDS")
+    p.add_argument("--request-timeout", type=parse_time, default=2e-3,
+                   metavar="TIME")
+    p.add_argument("--eject-duration", type=parse_time, default=5e-3,
+                   metavar="TIME")
     p.add_argument("--server-mem-mb", type=int, default=4)
     p.add_argument("--ssd-limit-mb", type=int, default=32)
     p.add_argument("--legacy-sim", action="store_true",
@@ -633,7 +633,7 @@ def _add_consistency_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale-op", action="append", metavar="SPEC",
                    help="elastic event during the replay (repeatable): "
                         "add@TIME, remove@TIME, or remove:IDX@TIME "
-                        "(times in seconds, e.g. add@0.004)")
+                        "(e.g. add@4ms; bare numbers are seconds)")
     p.add_argument("--handoff", default="forward",
                    choices=("forward", "double-read"),
                    help="migration-window correctness mode")

@@ -191,7 +191,6 @@ class MemcachedClient:
         self._ring_size = 0
         self._engine_queue: Mailbox = Mailbox(sim)
         self._outstanding: Dict[int, MemcachedReq] = {}
-        self._job_meta: Dict[int, tuple] = {}
         if self.config.write_mode not in ("sync", "async"):
             raise ValueError(
                 f"write_mode must be 'sync' or 'async', "
@@ -645,7 +644,6 @@ class MemcachedClient:
                 self.t_first_issue = t0
             self._outstanding[req.req_id] = req
             self._op_begin(req)
-            self._job_meta[req.req_id] = (0, delay, "set", 0, 0, None, None)
             self._engine_queue.put(self._job_new(req, conn, t0))
             reqs.append(req)
         self._account_many(reqs, self.sim.now - t0)
@@ -882,20 +880,19 @@ class MemcachedClient:
         self._ensure_started()
         sim = self.sim
         req_id = self._next_req_id
-        req = MemcachedReq(sim, req_id, op, key, value_length, api)
+        req = MemcachedReq(sim, req_id, op, key, value_length, api,
+                           flags, mode, cas_token, delta, initial)
         self._next_req_id = req_id + 1
         t0 = req.t_issue = sim._now
         req.expiration = expiration
-        req.auto_create = initial is not None
         # One HLC stamp per user write, drawn at issue time so the
         # recorded history sees it even if the op never completes.
         # Every replica copy shares it, so all copies of this write
         # merge identically everywhere. Counters are excluded: incr/
         # decr are commutative server-side arithmetic, not
         # last-writer-wins values.
-        hlc = None
         if self._hlc is not None and op in ("set", "delete"):
-            hlc = req.hlc = self._hlc.stamp()
+            req.hlc = self._hlc.stamp()
         if self._profiler.enabled:
             req.trace_id = self._profiler.maybe_start(op, api)
         if self.recorder is not None:
@@ -917,13 +914,9 @@ class MemcachedClient:
         self._engine_queue.put(self._job_new(req, conn, t0))
         self._account_block(req, now - t0)
         req.t_api_return = now
-        self._job_meta[req_id] = (flags, expiration, mode, cas_token,
-                                  delta, initial, hlc)
         if self._replication > 1:
             if op in ("set", "delete", "incr", "decr"):
-                subs = self._fan_out(req, conn, flags, expiration, mode,
-                                     delta=delta, initial=initial,
-                                     hlc=hlc)
+                subs = self._fan_out(req, conn)
                 if self._sync_writes and subs:
                     self._replica_subs[req.req_id] = subs
             elif op == "get":
@@ -938,11 +931,8 @@ class MemcachedClient:
 
     # -- replication (write fan-out + replica acks) -------------------------
 
-    def _fan_out(self, req: MemcachedReq, primary: ServerConn,
-                 flags: int, expiration: float, mode: str,
-                 delta: int = 0,
-                 initial: Optional[int] = None,
-                 hlc: Optional[tuple] = None) -> List[MemcachedReq]:
+    def _fan_out(self, req: MemcachedReq,
+                 primary: ServerConn) -> List[MemcachedReq]:
         """Queue replica copies of a write on the engine.
 
         CAS tokens are per-server, so replica copies of a ``cas`` write
@@ -954,27 +944,25 @@ class MemcachedClient:
         travel inline (no receive-buffer credits; see ``_engine_set``).
         """
         subs: List[MemcachedReq] = []
-        rmode = "set" if mode == "cas" else mode
+        rmode = "set" if req.mode == "cas" else req.mode
         for conn in self._replica_conns(req.key):
             if conn.index == primary.index:
                 continue
             sub = MemcachedReq(self.sim, self._next_req_id, req.op, req.key,
-                               req.value_length, "replica")
+                               req.value_length, "replica", req.flags,
+                               rmode, 0, req.delta, req.initial)
             self._next_req_id += 1
             sub.t_issue = self.sim.now
-            sub.expiration = expiration
-            sub.auto_create = initial is not None
+            sub.expiration = req.expiration
             # Replica copies share the parent's trace: their spans show
             # up under the ``replica.`` prefix of the parent's tree.
             sub.trace_id = req.trace_id
             sub.server_index = conn.index
-            sub.hlc = hlc  # replica copies share the parent's stamp
+            sub.hlc = req.hlc  # replica copies share the parent's stamp
             if self.recorder is not None:
                 self.recorder.on_issue(self.name, sub.result(),
                                        parent=req.req_id)
             self._outstanding[sub.req_id] = sub
-            self._job_meta[sub.req_id] = (flags, expiration, rmode, 0,
-                                          delta, initial, hlc)
             self._replica_outstanding[conn.index] = (
                 self._replica_outstanding.get(conn.index, 0) + 1)
             sub.complete.callbacks.append(
@@ -990,7 +978,6 @@ class MemcachedClient:
         """Completion hook for one replica copy (ack or give-up)."""
         self._replica_outstanding[conn.index] = max(
             0, self._replica_outstanding.get(conn.index, 0) - 1)
-        self._job_meta.pop(sub.req_id, None)
         self._recorded_ids.add(sub.req_id)
         if self.recorder is not None:
             self.recorder.on_complete(self.name, sub.result(), user=False,
@@ -1139,7 +1126,6 @@ class MemcachedClient:
         Any late response is dropped by the pump (the request is no
         longer outstanding)."""
         self._outstanding.pop(req.req_id, None)
-        self._job_meta.pop(req.req_id, None)
         req.status = SERVER_DOWN
         req.t_complete = self.sim.now
         self._m_server_down.inc()
@@ -1237,7 +1223,6 @@ class MemcachedClient:
         if req.req_id in self._recorded_ids:
             return
         self._recorded_ids.add(req.req_id)
-        self._job_meta.pop(req.req_id, None)
         if req.api == "replica":
             return  # propagation copies are not user-visible operations
         if req.trace_id is not None:
@@ -1261,9 +1246,7 @@ class MemcachedClient:
         engine_cpu = self.config.engine_cpu
         model_registration = self.config.model_registration
         profiler = self._profiler
-        job_meta_get = self._job_meta.get
         pool = self._job_pool
-        _DEFAULT_META = (0, 0.0, "set", 0, 0, None, None)
         while True:
             job = yield queue_get()
             if engine_cpu:
@@ -1285,10 +1268,6 @@ class MemcachedClient:
             # The job carried its payload to this unpack; recycle it.
             job.req = job.conn = None  # type: ignore[assignment]
             pool.append(job)
-            # get, not pop: a retry reissues the same request and needs
-            # the meta again; _finalize/_fail_server_down clean it up.
-            flags, expiration, mode, cas_token, delta, initial, hlc = \
-                job_meta_get(req.req_id, _DEFAULT_META)
             if model_registration and req.op in ("set", "get"):
                 cost = self._acquire_buffer(req)
                 if cost > 0:
@@ -1299,9 +1278,7 @@ class MemcachedClient:
             op = req.op
             msg = None
             if op == "set":
-                msg = yield from self._engine_set(req, conn, flags,
-                                                  expiration, mode,
-                                                  cas_token, hlc)
+                msg = yield from self._engine_set(req, conn)
             elif op == "get":
                 header = GetRequest(req_id=req.req_id, op="get", key=req.key,
                                     trace_id=req.trace_id)
@@ -1310,31 +1287,33 @@ class MemcachedClient:
                 header = DeleteRequest(req_id=req.req_id, op="delete",
                                        key=req.key,
                                        replica=req.api == "replica",
-                                       hlc=hlc, trace_id=req.trace_id)
+                                       hlc=req.hlc, trace_id=req.trace_id)
                 msg = self._send_header(req, conn, header)
             elif op == "touch":
                 header = TouchRequest(req_id=req.req_id, op="touch",
-                                      key=req.key, expiration=expiration,
+                                      key=req.key,
+                                      expiration=req.expiration,
                                       trace_id=req.trace_id)
                 msg = self._send_header(req, conn, header)
             elif op in ("incr", "decr"):
                 header = CounterRequest(req_id=req.req_id, op=op,
-                                        key=req.key, delta=delta,
-                                        initial=initial,
-                                        expiration=expiration,
+                                        key=req.key, delta=req.delta,
+                                        initial=req.initial,
+                                        expiration=req.expiration,
                                         direction=op,
                                         replica=req.api == "replica",
                                         trace_id=req.trace_id)
                 msg = self._send_header(req, conn, header)
             elif op == "gat":
                 header = GatRequest(req_id=req.req_id, op="gat",
-                                    key=req.key, expiration=expiration,
+                                    key=req.key,
+                                    expiration=req.expiration,
                                     trace_id=req.trace_id)
                 msg = self._send_header(req, conn, header)
             elif op == "flush":
-                # The expiration meta slot carries flush_all's delay.
+                # The expiration slot carries flush_all's delay.
                 header = FlushRequest(req_id=req.req_id, op="flush",
-                                      key=b"", delay=expiration)
+                                      key=b"", delay=req.expiration)
                 msg = conn.endpoint.send(header, header.header_bytes)
             elif op == "stats":
                 header = StatsRequest(req_id=req.req_id, op="stats", key=b"")
@@ -1349,17 +1328,16 @@ class MemcachedClient:
             self._profile_msg(req, msg)
         return msg
 
-    def _engine_set(self, req: MemcachedReq, conn: ServerConn,
-                    flags: int, expiration: float, mode: str = "set",
-                    cas_token: int = 0, hlc: Optional[tuple] = None):
+    def _engine_set(self, req: MemcachedReq, conn: ServerConn):
         ep = conn.endpoint
         replica = req.api == "replica"
         if not replica and conn.one_sided and conn.server is not None:
             header = SetRequest(req_id=req.req_id, op="set", key=req.key,
-                                value_length=req.value_length, flags=flags,
-                                expiration=expiration, mode=mode,
-                                cas_token=cas_token, inline_value=False,
-                                hlc=hlc, trace_id=req.trace_id)
+                                value_length=req.value_length,
+                                flags=req.flags, expiration=req.expiration,
+                                mode=req.mode, cas_token=req.cas_send,
+                                inline_value=False, hlc=req.hlc,
+                                trace_id=req.trace_id)
             msg_h = ep.send(header, header.header_bytes)
             if req.trace_id is not None:
                 self._profile_msg(req, msg_h)
@@ -1387,11 +1365,11 @@ class MemcachedClient:
             # and value in one message, so the apply path never competes
             # for the receive-buffer credits user traffic flows through.
             header = SetRequest(req_id=req.req_id, op="set", key=req.key,
-                                value_length=req.value_length, flags=flags,
-                                expiration=expiration, mode=mode,
-                                cas_token=cas_token, inline_value=True,
-                                replica=replica, hlc=hlc,
-                                trace_id=req.trace_id)
+                                value_length=req.value_length,
+                                flags=req.flags, expiration=req.expiration,
+                                mode=req.mode, cas_token=req.cas_send,
+                                inline_value=True, replica=replica,
+                                hlc=req.hlc, trace_id=req.trace_id)
             msg = ep.send(header, header.header_bytes + req.value_length)
             if req.trace_id is not None:
                 self._profile_msg(req, msg)

@@ -72,11 +72,14 @@ class MemcachedReq:
         "status", "response", "cas_token",
         "t_issue", "t_api_return", "t_complete",
         "blocked_time", "stages", "server_index", "trace_id",
-        "expiration", "counter_value", "auto_create", "hlc",
+        "expiration", "counter_value", "hlc",
+        "flags", "mode", "cas_send", "delta", "initial",
     )
 
     def __init__(self, sim: Simulator, req_id: int, op: str, key: bytes,
-                 value_length: int, api: str):
+                 value_length: int, api: str, flags: int = 0,
+                 mode: str = "set", cas_send: int = 0, delta: int = 0,
+                 initial: Optional[int] = None):
         self.req_id = req_id
         self.op = op
         self.key = key
@@ -109,14 +112,28 @@ class MemcachedReq:
         self.expiration: float = 0.0
         #: incr/decr arithmetic result, filled from the response.
         self.counter_value: int = 0
-        #: incr/decr issued with auto-create (``initial`` given).
-        self.auto_create: bool = False
         #: HLC stamp carried by a set/delete (HLC clusters only).
         self.hlc: Optional[tuple] = None
+        # The rest of the request header. It lives here, with
+        # ``expiration`` and ``hlc``, so that every attempt (a retry
+        # sends the header again) carries what the first one did.
+        self.flags = flags
+        #: Store mode: "set" / "add" / "replace" / "cas".
+        self.mode = mode
+        #: CAS token to send (``cas_token`` above is the one received).
+        self.cas_send = cas_send
+        #: incr/decr amount, and the auto-create value (None: no create).
+        self.delta = delta
+        self.initial = initial
 
     @property
     def done(self) -> bool:
         return self.complete.triggered
+
+    @property
+    def auto_create(self) -> bool:
+        """incr/decr issued with auto-create (``initial`` given)."""
+        return self.initial is not None
 
     # -- buffer reuse ----------------------------------------------------
 

@@ -606,7 +606,7 @@ def check_run(cluster, recorder, *, full: bool = True,
                                    initial_tokens=recorder.initial_tokens)
     else:
         report = check_history(events, recorder.initial_tokens,
-                               write_mode=cluster.spec.write_mode,
+                               write_mode=rep.write_mode,
                                full=full, **kw)
     elapsed = time.perf_counter() - t0
     if cluster.obs.enabled:

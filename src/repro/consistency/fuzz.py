@@ -31,7 +31,7 @@ from repro.consistency.history import HistoryEvent, HistoryRecorder
 from repro.core.cluster import ClusterSpec, ReplicationConfig, build_cluster
 from repro.core.profiles import H_RDMA_OPT_NONB_I
 from repro.core.topology import TopologyConfig
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, parse_time
 from repro.sim import Simulator
 from repro.units import MB
 from repro.workloads.keyspace import Keyspace
@@ -242,7 +242,7 @@ def _parse_scale_spec(spec: str) -> Tuple[str, Optional[int], float]:
     action, sep, at_text = spec.partition("@")
     if not sep:
         raise ValueError(f"scale spec {spec!r} needs '@<time>'")
-    at = float(at_text)
+    at = parse_time(at_text)
     if action == "add":
         return "add", None, at
     if action == "remove" or action.startswith("remove:"):
@@ -413,7 +413,7 @@ def run_scenario(scn: Scenario, *, full: bool = True
                                    initial_tokens=recorder.initial_tokens)
     else:
         report = check_history(events, recorder.initial_tokens,
-                               write_mode=cluster.spec.write_mode,
+                               write_mode=cluster.spec.replication.write_mode,
                                faults=bool(scn.fault_specs)
                                or bool(scn.scale_specs), full=full)
     return report, events, recorder

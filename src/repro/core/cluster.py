@@ -10,7 +10,6 @@ for miss penalties.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -37,10 +36,9 @@ from repro.units import GB, MB, MS
 class ReplicationConfig:
     """Every replication knob in one typed place.
 
-    Replaces the flat ``router``/``replication_factor``/``write_mode``
-    kwargs that used to sprawl over :class:`ClusterSpec` (those survive
-    as :class:`DeprecationWarning` shims), and adds the consensus /
-    convergence extensions:
+    The only spelling of factor, write mode and router (a
+    :class:`ClusterSpec` has no flat replication kwargs), plus the
+    consensus / convergence extensions:
 
     * ``consensus`` — run a :class:`~repro.consensus.RaftGroup` over
       the server nodes that owns membership and ring epochs; clients
@@ -93,8 +91,6 @@ class ReplicationConfig:
 class ClusterSpec:
     """Sizing and substrate knobs for :func:`build_cluster`."""
 
-    #: Deprecated: use ``topology=TopologyConfig(initial_servers=...)``.
-    num_servers: Optional[int] = None
     num_clients: int = 1
     #: Physical client nodes; clients share NICs when fewer than clients.
     client_nodes: Optional[int] = None
@@ -126,8 +122,6 @@ class ClusterSpec:
     expiry_interval: float = 0.005
     expiry_budget: int = 128
     record_ops: bool = True
-    #: Deprecated: use ``replication=ReplicationConfig(router=...)``.
-    router: Optional[str] = None
     # -- client fault tolerance (None keeps the pre-fault fast path) -------
     #: Per-request completion timeout (seconds); enables timeout/retry/
     #: ejection/failover on every client.
@@ -137,19 +131,13 @@ class ClusterSpec:
     failure_threshold: int = 2
     #: Re-probe an ejected server after this many seconds (None: never).
     eject_duration: Optional[float] = None
-    # -- replication (R=1 keeps single-copy behaviour and cost) -------------
-    #: Deprecated: use ``replication=ReplicationConfig(factor=...)``.
-    replication_factor: Optional[int] = None
-    #: Deprecated: use ``replication=ReplicationConfig(write_mode=...)``.
-    write_mode: Optional[str] = None
     #: The replication configuration (factor, write mode, router,
-    #: consensus membership, HLC convergence). ``None`` builds one from
-    #: the deprecated flat kwargs above (or all defaults).
-    replication: Optional[ReplicationConfig] = None
+    #: consensus membership, HLC convergence). The default is R=1,
+    #: which keeps single-copy behaviour and cost.
+    replication: ReplicationConfig = field(default_factory=ReplicationConfig)
     #: The elastic-topology configuration (initial fleet size, handoff
-    #: mode, migration budget, autoscaler policy). ``None`` builds one
-    #: from the deprecated ``num_servers`` kwarg (or the default of 1).
-    topology: Optional[TopologyConfig] = None
+    #: mode, migration budget, autoscaler policy).
+    topology: TopologyConfig = field(default_factory=TopologyConfig)
     #: Live metrics registry + gauge sampler (see :mod:`repro.obs`).
     observe: bool = False
     #: Sim-time span tracing (Chrome ``trace_event`` export).
@@ -163,65 +151,6 @@ class ClusterSpec:
     #: Gauge-sampling period in seconds; defaults to 100 µs when
     #: ``observe`` is on and no interval is given.
     sample_interval: Optional[float] = None
-
-    def __post_init__(self):
-        # Resolve the deprecated num_servers kwarg against the typed
-        # TopologyConfig (same pattern as the replication shim below),
-        # then backfill it so every existing reader of
-        # ``spec.num_servers`` keeps working unchanged.
-        if self.topology is None:
-            if self.num_servers is not None:
-                warnings.warn(
-                    "ClusterSpec(num_servers=) is deprecated; use "
-                    "ClusterSpec(topology=TopologyConfig("
-                    "initial_servers=...))",
-                    DeprecationWarning, stacklevel=3)
-            self.topology = TopologyConfig(
-                initial_servers=(self.num_servers
-                                 if self.num_servers is not None else 1))
-        elif self.num_servers is not None \
-                and self.num_servers != self.topology.initial_servers:
-            raise TypeError(
-                f"ClusterSpec: legacy num_servers={self.num_servers!r} "
-                f"conflicts with topology={self.topology!r}; "
-                f"drop the legacy kwarg")
-        self.num_servers = self.topology.initial_servers
-        # Resolve the deprecated flat replication kwargs against the
-        # typed ReplicationConfig, then backfill them so every existing
-        # reader (spec.router / spec.replication_factor /
-        # spec.write_mode) keeps working unchanged.
-        legacy = {}
-        if self.router is not None:
-            legacy["router"] = self.router
-        if self.replication_factor is not None:
-            legacy["factor"] = self.replication_factor
-        if self.write_mode is not None:
-            legacy["write_mode"] = self.write_mode
-        if self.replication is None:
-            if legacy:
-                warnings.warn(
-                    "ClusterSpec(router=/replication_factor=/write_mode=)"
-                    " is deprecated; use "
-                    "ClusterSpec(replication=ReplicationConfig(...))",
-                    DeprecationWarning, stacklevel=3)
-            self.replication = ReplicationConfig(
-                factor=legacy.get("factor", 1),
-                write_mode=legacy.get("write_mode", "sync"),
-                router=legacy.get("router", "modulo"))
-        else:
-            # dataclasses.replace() passes the backfilled flat fields
-            # back in alongside `replication`; accept them silently when
-            # consistent, reject a genuine conflict.
-            for name in ("factor", "write_mode", "router"):
-                if name in legacy \
-                        and legacy[name] != getattr(self.replication, name):
-                    raise TypeError(
-                        f"ClusterSpec: legacy {name}={legacy[name]!r} "
-                        f"conflicts with replication="
-                        f"{self.replication!r}; drop the legacy kwarg")
-        self.router = self.replication.router
-        self.replication_factor = self.replication.factor
-        self.write_mode = self.replication.write_mode
 
 
 class Cluster:
@@ -267,7 +196,7 @@ class Cluster:
 
     @property
     def replication_factor(self) -> int:
-        return max(1, self.spec.replication_factor)
+        return self.spec.replication.factor
 
     def server_node(self, index: int):
         """The fabric node hosting server ``index``."""
@@ -389,7 +318,7 @@ class Cluster:
         Memoized: ketama rings are costly to build and anti-entropy
         asks for one every round."""
         router_name = (self.clients[0].config.router if self.clients
-                       else self.spec.router)
+                       else self.spec.replication.router)
         key = (router_name, len(self.servers))
         if getattr(self, "_router_cache_key", None) != key:
             self._router_cache_key = key
@@ -580,20 +509,19 @@ def build_cluster(profile: DesignProfile,
                   **spec_overrides) -> Cluster:
     """Assemble a cluster for one design profile.
 
-    ``spec_overrides`` are convenience keyword overrides applied to a
-    default :class:`ClusterSpec` (e.g. ``num_servers=4``).
+    ``spec_overrides`` are :class:`ClusterSpec` fields given as keywords
+    instead of a ready-made ``spec`` (e.g. ``num_clients=2``).
     """
     if spec is None:
         spec = ClusterSpec(**spec_overrides)
     elif spec_overrides:
         raise TypeError("pass either spec or keyword overrides, not both")
-    if not 1 <= spec.replication_factor <= spec.num_servers:
+    rep = spec.replication
+    num_servers = spec.topology.initial_servers
+    if rep.factor > num_servers:
         raise ValueError(
-            f"replication_factor must be in [1, num_servers="
-            f"{spec.num_servers}], got {spec.replication_factor}")
-    if spec.write_mode not in ("sync", "async"):
-        raise ValueError(
-            f"write_mode must be 'sync' or 'async', got {spec.write_mode!r}")
+            f"replication factor must be <= initial_servers="
+            f"{num_servers}, got {rep.factor}")
     sim = sim or Simulator()
     if spec.observe or spec.trace or spec.profile:
         interval = spec.sample_interval
@@ -634,7 +562,7 @@ def build_cluster(profile: DesignProfile,
         costs=spec.costs,
     )
     servers = []
-    for i in range(spec.num_servers):
+    for i in range(num_servers):
         server = MemcachedServer(sim, server_cfg, name=f"server{i}",
                                  obs=obs)
         server.index = i
@@ -643,15 +571,15 @@ def build_cluster(profile: DesignProfile,
 
     client_cfg = ClientConfig(nonblocking_allowed=profile.nonblocking,
                               record_ops=spec.record_ops,
-                              router=spec.router,
+                              router=rep.router,
                               request_timeout=spec.request_timeout,
                               max_retries=spec.max_retries,
                               retry_backoff=spec.retry_backoff,
                               failure_threshold=spec.failure_threshold,
                               eject_duration=spec.eject_duration,
-                              replication_factor=spec.replication_factor,
-                              write_mode=spec.write_mode,
-                              hlc=spec.replication.hlc)
+                              replication_factor=rep.factor,
+                              write_mode=rep.write_mode,
+                              hlc=rep.hlc)
     n_nodes = spec.client_nodes or spec.num_clients
     clients = []
     for i in range(spec.num_clients):
@@ -687,7 +615,6 @@ def build_cluster(profile: DesignProfile,
         from repro.core.migration import autoscaler_loop
         sim.spawn(autoscaler_loop(cluster, topo.autoscale),
                   name="autoscaler")
-    rep = spec.replication
     if rep.consensus:
         # Consensus is control-plane machinery between the server
         # nodes; import lazily so replication-free builds never pay for
@@ -695,7 +622,7 @@ def build_cluster(profile: DesignProfile,
         from repro.consensus import RaftGroup
         cluster.raft = RaftGroup(
             sim, servers,
-            [fabric.node(f"snode{i}") for i in range(spec.num_servers)],
+            [fabric.node(f"snode{i}") for i in range(num_servers)],
             obs.registry,
             heartbeat_interval=rep.heartbeat_interval,
             election_timeout=rep.election_timeout,

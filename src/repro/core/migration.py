@@ -105,7 +105,7 @@ class Migration:
         self.ring_size = ring_size
         self.excluded = tuple(sorted(excluded))
         self.copy = copy
-        router_name = cluster.spec.router
+        router_name = cluster.spec.replication.router
         excl = frozenset(self.excluded)
         self.new_router = make_router(router_name, ring_size)
         self.new_alive = (frozenset(range(ring_size)) - excl

@@ -5,9 +5,8 @@ describe how a cluster changes size while serving live traffic, and the
 :class:`ClusterAdmin` facade that drives those changes
 (``add_server`` / ``remove_server`` / ``rebalance``) as simulated-time
 migrations.  It follows the :class:`~repro.core.cluster.ReplicationConfig`
-precedent — one frozen dataclass per concern, legacy flat kwargs shimmed
-behind :class:`DeprecationWarning` — so ``ClusterSpec(num_servers=4)``
-keeps working byte-identically while new code writes
+precedent — one frozen dataclass per concern, and the only spelling of
+it: a four-server cluster is
 ``ClusterSpec(topology=TopologyConfig(initial_servers=4))``.
 
 The actual data movement lives in :mod:`repro.core.migration`; this
@@ -69,8 +68,7 @@ HANDOFF_MODES = ("forward", "double-read")
 class TopologyConfig:
     """Every elastic-topology knob in one typed place.
 
-    * ``initial_servers`` — fleet size at build time (replaces the
-      deprecated ``ClusterSpec.num_servers`` kwarg).
+    * ``initial_servers`` — fleet size at build time.
     * ``handoff`` — how correctness is preserved during a migration
       window: ``"forward"`` copies first and the old owner relays
       misrouted requests after the cutover seal; ``"double-read"``

@@ -93,7 +93,7 @@ def latency_experiment(profile: DesignProfile, fit: bool, *, scale: int = 16,
     spec = _spec_for(fit, scale, ops, value, read_fraction, seed)
     cfg = RunConfig(
         profile=profile, workload=spec, api=api,
-        spec_overrides=dict(
+        cluster=ClusterSpec(
             topology=TopologyConfig(initial_servers=1), num_clients=1,
             server_mem=BASE_SERVER_MEM // scale,
             ssd_limit=BASE_SSD_LIMIT // scale,
@@ -211,7 +211,7 @@ def fig7a(scale: int = 16, ops: int = 1200) -> List[Dict[str, object]]:
                              read_fraction, seed=1)
             cfg = RunConfig(
                 profile=profile, workload=spec, api=api,
-                spec_overrides=dict(
+                cluster=ClusterSpec(
                     topology=TopologyConfig(initial_servers=1),
                     num_clients=1,
                     server_mem=BASE_SERVER_MEM // scale,

@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import metrics
-from repro.core.cluster import (Cluster, ClusterSpec, ReplicationConfig,
-                                build_cluster)
+from repro.core.cluster import Cluster, ClusterSpec, build_cluster
 from repro.core.profiles import BLOCKING, NONB_B, NONB_I, DesignProfile
-from repro.core.topology import TopologyConfig
 from repro.client.request import OpRecord
 from repro.workloads.generator import Op, WorkloadSpec, generate_ops, make_dataset
 from repro.workloads.traffic import TrafficShape
@@ -98,7 +96,8 @@ class RunConfig:
     #: Workload shape; optional for pure-topology builds, required to
     #: ``run()``.
     workload: Optional[WorkloadSpec] = None
-    #: Full cluster sizing; mutually exclusive with ``spec_overrides``.
+    #: The cluster to build: sizing, substrate, replication, topology
+    #: (None builds a default :class:`ClusterSpec`).
     cluster: Optional[ClusterSpec] = None
     #: Preload the dataset into the servers (replica-aware) on build.
     preload: bool = True
@@ -127,16 +126,6 @@ class RunConfig:
     #: the raw events in ``RunResult.history``. Off by default — the
     #: hot path stays recorder-free.
     check_consistency: bool = False
-    #: Replication configuration override. When set it wins over both
-    #: ``cluster.replication`` and any legacy routing fields — the one
-    #: knob experiments flip between sync/async/consensus variants
-    #: without rebuilding the whole ClusterSpec.
-    replication: Optional[ReplicationConfig] = None
-    #: Topology configuration override (initial fleet size, handoff
-    #: mode, migration budget, autoscaler). When set it wins over both
-    #: ``cluster.topology`` and the legacy ``num_servers`` kwarg —
-    #: mirrors the ``replication`` override above.
-    topology: Optional[TopologyConfig] = None
     #: Elastic resizes scheduled into the measured run (never the
     #: warmup). Each event drives the serving fleet to its target size
     #: through online migrations; the run settles until the last
@@ -147,9 +136,6 @@ class RunConfig:
     #: spike — :class:`~repro.workloads.traffic.TrafficShape`). None
     #: keeps the classic back-to-back issue loop byte-identical.
     traffic: Optional[TrafficShape] = None
-    #: Keyword overrides applied to a default :class:`ClusterSpec`
-    #: (e.g. ``{"num_servers": 4}``) when ``cluster`` is not given.
-    spec_overrides: Dict[str, object] = field(default_factory=dict)
 
     # -- build -------------------------------------------------------------
 
@@ -161,31 +147,9 @@ class RunConfig:
         """
         value_length_for = (self.workload.value_length_for
                             if self.workload is not None else None)
-        spec = self.cluster
-        overrides = self.spec_overrides
-        if self.replication is not None:
-            if spec is not None:
-                # Clear the backfilled legacy fields so replace() does
-                # not carry the old routing into a conflict check.
-                spec = dataclasses.replace(
-                    spec, replication=self.replication, router=None,
-                    replication_factor=None, write_mode=None)
-            else:
-                overrides = dict(overrides)
-                overrides["replication"] = self.replication
-        if self.topology is not None:
-            if spec is not None:
-                # num_servers=None: don't let the backfilled legacy
-                # field conflict with the overriding config.
-                spec = dataclasses.replace(
-                    spec, topology=self.topology, num_servers=None)
-            else:
-                overrides = dict(overrides)
-                overrides["topology"] = self.topology
-        cluster = build_cluster(self.profile, spec=spec,
+        cluster = build_cluster(self.profile, spec=self.cluster,
                                 sim=self.sim,
-                                value_length_for=value_length_for,
-                                **overrides)
+                                value_length_for=value_length_for)
         if self.preload and self.workload is not None:
             cluster.preload(make_dataset(self.workload))
         return cluster

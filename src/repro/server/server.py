@@ -777,6 +777,7 @@ class MemcachedServer:
                 self.stats.get_misses += 1
                 if self._metrics_on:
                     self._m_misses.inc()
+                self.stats.add_stages(stages)
                 yield from self._respond(endpoint, sub, MISS, 0, stages)
                 continue
             t0 = sim._now

@@ -19,14 +19,14 @@ the lane in FIFO order — exactly the ``(time, post-order)`` sequence the
 legacy heap-only path produces.
 
 The legacy path remains available for debugging and A/B determinism
-checks: pass ``fast_lane=False`` or set ``REPRO_SIM_LEGACY_HEAP=1``.
+checks: pass ``fast_lane=False``. Nothing in the process environment
+changes the engine.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-import os
 from collections import deque
 from functools import partial
 from itertools import count
@@ -45,9 +45,7 @@ _heappop = heapq.heappop
 #: mid-drain (~15% of wall time on the macro bench). ``run()`` therefore
 #: pauses automatic collection while draining and forces a bounded sweep
 #: every ``_GC_SWEEP_MASK + 1`` events so multi-million-event runs cannot
-#: accumulate unbounded cyclic garbage. ``REPRO_SIM_GC=1`` keeps the
-#: collector running normally (A/B and leak-hunting escape hatch).
-_GC_PAUSE = not os.environ.get("REPRO_SIM_GC")
+#: accumulate unbounded cyclic garbage.
 _GC_SWEEP_MASK = (1 << 20) - 1
 _gc_collect = gc.collect
 
@@ -65,9 +63,7 @@ class Simulator:
     from different simulators raises :class:`SimulationError`.
     """
 
-    def __init__(self, fast_lane: Optional[bool] = None) -> None:
-        if fast_lane is None:
-            fast_lane = not os.environ.get("REPRO_SIM_LEGACY_HEAP")
+    def __init__(self, fast_lane: bool = True) -> None:
         self.fast_lane = bool(fast_lane)
         self._now: float = 0.0
         self._queue: list[tuple[float, int, Event]] = []
@@ -190,9 +186,9 @@ class Simulator:
         unhandled = self._unhandled
         processed = 0
         # Pause the cyclic collector for the duration of the drain (see
-        # _GC_PAUSE above); a bounded manual sweep keeps memory flat on
-        # runs long enough to matter.
-        gc_paused = _GC_PAUSE and gc.isenabled()
+        # _GC_SWEEP_MASK above); a bounded manual sweep keeps memory flat
+        # on runs long enough to matter.
+        gc_paused = gc.isenabled()
         if isinstance(until, Event):
             stop = until
             if stop.sim is not self:

@@ -4,6 +4,7 @@ import pytest
 
 from repro import build_cluster, profiles
 from repro.client.client import UnsupportedOperation
+from repro.core.topology import TopologyConfig
 from repro.server.protocol import HIT, MISS, STORED
 from repro.units import KB, MB, MS, US
 
@@ -318,7 +319,8 @@ class TestRecords:
 
 class TestMultiServer:
     def test_keys_spread_over_servers(self):
-        cluster = small_cluster(profiles.H_RDMA_OPT_NONB_I, num_servers=4)
+        cluster = small_cluster(profiles.H_RDMA_OPT_NONB_I,
+                                topology=TopologyConfig(initial_servers=4))
         client = cluster.clients[0]
 
         def app(sim):
@@ -334,7 +336,8 @@ class TestMultiServer:
         assert all(n > 0 for n in sizes)
 
     def test_get_routes_to_owner(self):
-        cluster = small_cluster(profiles.H_RDMA_OPT_NONB_I, num_servers=4)
+        cluster = small_cluster(profiles.H_RDMA_OPT_NONB_I,
+                                topology=TopologyConfig(initial_servers=4))
         client = cluster.clients[0]
 
         def app(sim):

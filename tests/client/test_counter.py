@@ -4,6 +4,7 @@ import pytest
 
 from repro import build_cluster, profiles
 from repro.core.cluster import ReplicationConfig
+from repro.core.topology import TopologyConfig
 from repro.units import KB, MB
 
 pytestmark = pytest.mark.protocol
@@ -81,7 +82,7 @@ def test_gets_returns_cas_token_for_cas():
 
 def test_counter_replicates_to_all_replicas():
     cluster = build_cluster(profiles.RDMA_MEM, server_mem=16 * MB,
-                            num_servers=2,
+                            topology=TopologyConfig(initial_servers=2),
                             replication=ReplicationConfig(factor=2))
     client = cluster.clients[0]
 

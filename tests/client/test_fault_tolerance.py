@@ -6,6 +6,7 @@ import pytest
 
 from repro import build_cluster, profiles
 from repro.core.cluster import ReplicationConfig
+from repro.core.topology import TopologyConfig
 from repro.client.hashing import make_router
 from repro.server.protocol import HIT, MISS
 from repro.units import KB, MB, MS, US
@@ -31,7 +32,7 @@ class TestKetamaEndToEnd:
         """Regression: preload used to hardcode ModuloRouter, landing
         every key on the wrong server under router='ketama'."""
         cluster = small_cluster(
-            profiles.RDMA_MEM, num_servers=4,
+            profiles.RDMA_MEM, topology=TopologyConfig(initial_servers=4),
             replication=ReplicationConfig(router="ketama"))
         cluster.preload([(k, 4 * KB) for k in KEYS])
         client = cluster.clients[0]
@@ -45,7 +46,7 @@ class TestKetamaEndToEnd:
 
     def test_surviving_servers_keys_still_hit_after_ejection(self):
         cluster = small_cluster(
-            profiles.RDMA_MEM, num_servers=4,
+            profiles.RDMA_MEM, topology=TopologyConfig(initial_servers=4),
             replication=ReplicationConfig(router="ketama"),
             request_timeout=1 * MS, failure_threshold=1)
         cluster.backend.default_value_length = 4 * KB
@@ -162,6 +163,36 @@ class TestTestMissPath:
             assert client.test(req)
 
         run_app(cluster, app)
+
+    def test_retry_queued_behind_the_answer_keeps_its_header(self):
+        """A retry still waiting for the engine when the first attempt
+        is answered goes out anyway; it must carry the header the first
+        attempt did. It used to be rebuilt from defaults — an ``add``
+        became an unconditional ``set`` and overwrote the key."""
+        import dataclasses
+
+        from repro.server.protocol import NOT_STORED
+        from repro.server.server import ServerCosts
+
+        cluster = build_cluster(
+            profiles.RDMA_MEM, server_mem=16 * MB,
+            costs=ServerCosts(parse=200 * US),
+            request_timeout=200 * US, retry_backoff=50 * US,
+            failure_threshold=0)
+        client = cluster.clients[0]
+        client.config = dataclasses.replace(client.config,
+                                            engine_cpu=100 * US)
+        cluster.preload([(b"held", 1 * KB)])
+
+        def app(sim):
+            req = yield from client.add(b"held", 4 * KB)
+            assert req.status == NOT_STORED
+
+        run_app(cluster, app)
+        cluster.run()  # let the queued second attempt reach the server
+        assert cluster.servers[0].stats.sets == 2  # both attempts arrived
+        table = cluster.servers[0].manager.table
+        assert table[b"held"].value_length == 1 * KB
 
     def test_hit_path_unchanged(self):
         cluster = small_cluster(profiles.H_RDMA_OPT_NONB_I)

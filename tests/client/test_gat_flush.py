@@ -3,6 +3,7 @@
 import pytest
 
 from repro import build_cluster, profiles
+from repro.core.topology import TopologyConfig
 from repro.units import KB, MB
 
 pytestmark = pytest.mark.protocol
@@ -140,7 +141,7 @@ def test_flush_all_delayed():
 
 
 def test_flush_all_fans_out_to_every_server():
-    cluster = make(num_servers=3)
+    cluster = make(topology=TopologyConfig(initial_servers=3))
     client = cluster.clients[0]
     out = {}
 

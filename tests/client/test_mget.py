@@ -3,6 +3,7 @@
 import pytest
 
 from repro import build_cluster, profiles
+from repro.core.topology import TopologyConfig
 from repro.server.protocol import HIT, MISS
 from repro.units import KB, MB
 
@@ -64,7 +65,7 @@ def test_mget_miss_pays_backend_penalty():
 
 
 def test_mget_spans_servers():
-    cluster = small_cluster(num_servers=4)
+    cluster = small_cluster(topology=TopologyConfig(initial_servers=4))
     client = cluster.clients[0]
 
     def app(sim):

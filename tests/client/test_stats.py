@@ -1,6 +1,7 @@
 """Tests for the stats wire command."""
 
 from repro import build_cluster, profiles
+from repro.core.topology import TopologyConfig
 from repro.units import KB, MB
 
 
@@ -61,7 +62,8 @@ def test_stats_takes_simulated_time_and_is_not_recorded():
 
 
 def test_stats_per_server():
-    cluster = build_cluster(profiles.H_RDMA_OPT_NONB_I, num_servers=2,
+    cluster = build_cluster(profiles.H_RDMA_OPT_NONB_I,
+                            topology=TopologyConfig(initial_servers=2),
                             server_mem=16 * MB, ssd_limit=64 * MB)
     client = cluster.clients[0]
     out = {}

@@ -10,6 +10,7 @@ green under the linearizability checker in sync mode.
 from repro.consistency import HistoryRecorder, check_history
 from repro.core.cluster import ReplicationConfig, build_cluster
 from repro.core.profiles import H_RDMA_OPT_NONB_I
+from repro.core.topology import TopologyConfig
 from repro.units import KB, MB, MS
 from repro.workloads import CORE_WORKLOADS, generate_ycsb_ops
 
@@ -19,7 +20,9 @@ VALUE = 4 * KB
 
 def test_crash_the_leader_under_load_stays_green():
     cluster = build_cluster(
-        H_RDMA_OPT_NONB_I, num_servers=3, num_clients=2,
+        H_RDMA_OPT_NONB_I,
+        topology=TopologyConfig(initial_servers=3),
+        num_clients=2,
         server_mem=16 * MB, ssd_limit=64 * MB,
         request_timeout=1 * MS, failure_threshold=1, observe=True,
         replication=ReplicationConfig(factor=2, write_mode="sync",

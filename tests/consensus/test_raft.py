@@ -10,13 +10,16 @@ Raft tickers never terminate, so every ``sim.run`` is bounded.
 from repro.consensus import FOLLOWER, LEADER
 from repro.core.cluster import ReplicationConfig, build_cluster
 from repro.core.profiles import H_RDMA_OPT_NONB_I
+from repro.core.topology import TopologyConfig
 from repro.units import MB, MS
 
 
 def consensus_cluster(observe=False, raft_seed=0, num_servers=3,
                       factor=2):
     return build_cluster(
-        H_RDMA_OPT_NONB_I, num_servers=num_servers, num_clients=2,
+        H_RDMA_OPT_NONB_I,
+        topology=TopologyConfig(initial_servers=num_servers),
+        num_clients=2,
         server_mem=16 * MB, ssd_limit=64 * MB,
         request_timeout=1 * MS, failure_threshold=1, observe=observe,
         replication=ReplicationConfig(factor=factor, write_mode="sync",
@@ -151,7 +154,9 @@ class TestRingEpochRouting:
 
     def run_partition_heal(self, router_name):
         cluster = build_cluster(
-            H_RDMA_OPT_NONB_I, num_servers=4, num_clients=1,
+            H_RDMA_OPT_NONB_I,
+            topology=TopologyConfig(initial_servers=4),
+            num_clients=1,
             server_mem=16 * MB, ssd_limit=64 * MB,
             request_timeout=1 * MS, failure_threshold=1,
             replication=ReplicationConfig(factor=2, router=router_name,

@@ -1,8 +1,11 @@
 """CLI surface (``check --seed`` / ``fuzz``) and RunConfig wiring."""
 
+import pytest
+
 from repro.cli import main
-from repro.core.cluster import ReplicationConfig
+from repro.core.cluster import ClusterSpec, ReplicationConfig
 from repro.core.profiles import H_RDMA_OPT_NONB_I
+from repro.core.topology import TopologyConfig
 from repro.harness.runner import RunConfig
 from repro.workloads.generator import WorkloadSpec
 
@@ -27,6 +30,22 @@ class TestCheckSeed:
                           "--fault", "crash:server=1,at=0.004")
         assert rc == 0
         assert "--legacy-sim" in out
+
+    @pytest.mark.parametrize("flag, value, echoed", [
+        ("--request-timeout", "2ms", "--request-timeout 0.002"),
+        ("--eject-duration", "5ms", "--eject-duration 0.005"),
+        ("--scale-op", "add@4ms", "--scale-op add@4ms"),
+    ])
+    def test_time_values_take_unit_suffixes(self, capsys, flag, value,
+                                            echoed):
+        """``check`` reads times like ``run`` and ``scale`` do
+        (``faults.parse_time``); bare seconds still parse, so every
+        fuzzer repro line does too."""
+        rc, out = run_cli(capsys, "check", "--seed", "3", "--clients",
+                          "1", "--ops", "30", flag, value)
+        assert rc == 0
+        assert echoed in out.splitlines()[0]
+        assert "consistency: OK" in out
 
     def test_history_out(self, capsys, tmp_path):
         out_file = tmp_path / "h.jsonl"
@@ -81,9 +100,10 @@ class TestRunConfigWiring:
                         workload=WorkloadSpec(num_ops=80, num_keys=40,
                                               value_length=4096),
                         check_consistency=True,
-                        spec_overrides={
-                            "num_servers": 3, "num_clients": 2,
-                            "replication": ReplicationConfig(factor=2)})
+                        cluster=ClusterSpec(
+                            topology=TopologyConfig(initial_servers=3),
+                            num_clients=2,
+                            replication=ReplicationConfig(factor=2)))
         result = cfg.run()
         assert result.consistency is not None
         assert result.consistency.ok

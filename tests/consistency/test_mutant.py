@@ -26,6 +26,7 @@ from repro.consistency import HistoryRecorder, check_history
 from repro.core.cluster import (ClusterSpec, ReplicationConfig,
                                 build_cluster)
 from repro.core.profiles import H_RDMA_OPT_NONB_I
+from repro.core.topology import TopologyConfig
 from repro.faults import FaultPlan
 from repro.server.server import ServerCosts
 from repro.sim import Simulator
@@ -46,7 +47,8 @@ def keys_by_primary(client, want, count):
 
 def run_scenario_once():
     sim = Simulator()
-    spec = ClusterSpec(num_servers=3, num_clients=3,
+    spec = ClusterSpec(topology=TopologyConfig(initial_servers=3),
+                       num_clients=3,
                        server_mem=256 * MB,
                        replication=ReplicationConfig(
                            factor=2, write_mode="sync", router="modulo"),

@@ -4,11 +4,14 @@ import pytest
 
 from repro import build_cluster, profiles
 from repro.core.cluster import ClusterSpec, ReplicationConfig
+from repro.core.topology import TopologyConfig
 from repro.units import KB, MB
 
 
 def test_build_counts():
-    cluster = build_cluster(profiles.RDMA_MEM, num_servers=3, num_clients=2,
+    cluster = build_cluster(profiles.RDMA_MEM,
+                            topology=TopologyConfig(initial_servers=3),
+                            num_clients=2,
                             server_mem=8 * MB)
     assert len(cluster.servers) == 3
     assert len(cluster.clients) == 2
@@ -55,11 +58,12 @@ def test_clients_share_nodes_when_fewer_nodes():
 def test_spec_and_overrides_mutually_exclusive():
     with pytest.raises(TypeError):
         build_cluster(profiles.RDMA_MEM, spec=ClusterSpec(),
-                      num_servers=2)
+                      topology=TopologyConfig(initial_servers=2))
 
 
 def test_preload_routes_like_clients():
-    cluster = build_cluster(profiles.H_RDMA_OPT_NONB_I, num_servers=2,
+    cluster = build_cluster(profiles.H_RDMA_OPT_NONB_I,
+                            topology=TopologyConfig(initial_servers=2),
                             server_mem=8 * MB, ssd_limit=16 * MB)
     pairs = [(f"key{i}".encode(), 4 * KB) for i in range(100)]
     assert cluster.preload(pairs) == 100
@@ -136,7 +140,9 @@ def test_reset_metrics_registry_flag():
 
 def test_preload_replicates():
     cluster = build_cluster(
-        profiles.RDMA_MEM, num_servers=3, server_mem=8 * MB,
+        profiles.RDMA_MEM,
+        topology=TopologyConfig(initial_servers=3),
+        server_mem=8 * MB,
         replication=ReplicationConfig(factor=2, router="ketama"))
     pairs = [(f"key{i}".encode(), 1 * KB) for i in range(50)]
     assert cluster.preload(pairs) == 50

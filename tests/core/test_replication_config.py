@@ -1,84 +1,16 @@
-"""ReplicationConfig: the typed replication surface and its legacy shims.
+"""ReplicationConfig: the typed replication surface.
 
-The old spelling — ``ClusterSpec(router=..., replication_factor=...,
-write_mode=...)`` — must keep working for one release of grace: it
-warns, builds the equivalent :class:`ReplicationConfig`, and produces
-byte-identical runs. Mixing the two spellings inconsistently is a hard
-error, not a guess.
+``ClusterSpec(replication=ReplicationConfig(...))`` is the only spelling
+of factor, write mode and router; the flat keywords it replaced are
+rejected like any other unknown field
+(``tests/harness/test_runconfig.py::test_removed_keywords_are_rejected``).
 """
-
-import dataclasses
 
 import pytest
 
-from repro.core.cluster import ClusterSpec, ReplicationConfig, build_cluster
-from repro.core.profiles import H_RDMA_OPT_NONB_I, RDMA_MEM
-from repro.harness.runner import RunConfig
-from repro.units import KB, MB
-from repro.workloads.generator import WorkloadSpec
-
-
-def fingerprint(result):
-    return [(r.op, r.key_length, r.status, r.t_issue, r.t_complete,
-             r.blocked_time, tuple(sorted(r.stages.items())))
-            for r in result.records]
-
-
-def small_workload():
-    return WorkloadSpec(num_ops=80, num_keys=64, value_length=4 * KB,
-                        read_fraction=0.5, seed=3)
-
-
-class TestShim:
-    def test_legacy_kwargs_warn_and_backfill(self):
-        with pytest.deprecated_call():
-            spec = ClusterSpec(num_servers=3, router="ketama",
-                               replication_factor=2, write_mode="async")
-        assert spec.replication == ReplicationConfig(
-            factor=2, write_mode="async", router="ketama")
-        # Legacy attribute access still answers, from the config.
-        assert spec.replication_factor == 2
-        assert spec.write_mode == "async"
-        assert spec.router == "ketama"
-
-    def test_typed_config_does_not_warn(self):
-        import warnings
-        from repro.core.topology import TopologyConfig
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            spec = ClusterSpec(
-                topology=TopologyConfig(initial_servers=3),
-                replication=ReplicationConfig(factor=2, router="ketama"))
-        assert spec.replication.factor == 2
-        assert spec.num_servers == 3
-
-    def test_conflicting_spellings_raise(self):
-        with pytest.raises(TypeError):
-            ClusterSpec(replication=ReplicationConfig(factor=2),
-                        replication_factor=3)
-
-    def test_consistent_legacy_echo_is_accepted(self):
-        # dataclasses.replace() passes the backfilled legacy fields back
-        # in; values that agree with the config must not be an error.
-        spec = ClusterSpec(num_servers=3, replication=ReplicationConfig(
-            factor=2, router="ketama"))
-        again = dataclasses.replace(spec, num_clients=2)
-        assert again.replication == spec.replication
-
-    def test_legacy_and_typed_runs_are_byte_identical(self):
-        def run(spec):
-            return RunConfig(profile=H_RDMA_OPT_NONB_I,
-                             workload=small_workload(), cluster=spec).run()
-
-        with pytest.deprecated_call():
-            legacy_spec = ClusterSpec(
-                num_servers=3, server_mem=16 * MB, ssd_limit=64 * MB,
-                router="ketama", replication_factor=2, write_mode="sync")
-        typed_spec = ClusterSpec(
-            num_servers=3, server_mem=16 * MB, ssd_limit=64 * MB,
-            replication=ReplicationConfig(factor=2, write_mode="sync",
-                                          router="ketama"))
-        assert fingerprint(run(legacy_spec)) == fingerprint(run(typed_spec))
+from repro.core.cluster import ReplicationConfig, build_cluster
+from repro.core.profiles import RDMA_MEM
+from repro.core.topology import TopologyConfig
 
 
 class TestValidation:
@@ -92,27 +24,6 @@ class TestValidation:
 
     def test_factor_bounded_by_cluster_size(self):
         with pytest.raises(ValueError):
-            build_cluster(RDMA_MEM, num_servers=2,
+            build_cluster(RDMA_MEM,
+                          topology=TopologyConfig(initial_servers=2),
                           replication=ReplicationConfig(factor=3))
-
-
-class TestRunConfigOverride:
-    def test_replication_wins_over_cluster_spec(self):
-        spec = ClusterSpec(num_servers=3, server_mem=16 * MB,
-                           ssd_limit=64 * MB)
-        cfg = RunConfig(profile=H_RDMA_OPT_NONB_I,
-                        workload=small_workload(), cluster=spec,
-                        replication=ReplicationConfig(factor=2,
-                                                      router="ketama"))
-        cluster = cfg.build()
-        assert cluster.spec.replication.factor == 2
-        assert cluster.spec.router == "ketama"
-
-    def test_replication_with_spec_overrides(self):
-        cfg = RunConfig(profile=RDMA_MEM, workload=small_workload(),
-                        spec_overrides=dict(num_servers=3,
-                                            server_mem=8 * MB),
-                        replication=ReplicationConfig(factor=2))
-        cluster = cfg.build()
-        assert len(cluster.servers) == 3
-        assert cluster.replication_factor == 2

@@ -1,35 +1,18 @@
-"""TopologyConfig: the typed topology surface and its legacy shim.
+"""TopologyConfig: the typed topology surface.
 
-The old spelling — ``ClusterSpec(num_servers=4)`` — must keep working
-for one release of grace: it warns, builds the equivalent
-:class:`TopologyConfig`, and produces byte-identical runs. Mixing the
-two spellings inconsistently is a hard error, not a guess. This mirrors
-the :class:`ReplicationConfig` shim contract next door.
+``ClusterSpec(topology=TopologyConfig(initial_servers=4))`` is the only
+spelling of fleet size; the ``num_servers`` keyword it replaced is
+rejected like any other unknown field
+(``tests/harness/test_runconfig.py::test_removed_keywords_are_rejected``).
 """
-
-import dataclasses
-import warnings
 
 import pytest
 
-from repro.core.cluster import ClusterSpec, build_cluster
+from repro.core.cluster import build_cluster
 from repro.core.profiles import H_RDMA_OPT_NONB_I
 from repro.core.topology import (AutoscalePolicy, TopologyConfig,
                                  TopologySnapshot)
-from repro.harness.runner import RunConfig
-from repro.units import KB, MB
-from repro.workloads.generator import WorkloadSpec
-
-
-def fingerprint(result):
-    return [(r.op, r.key_length, r.status, r.t_issue, r.t_complete,
-             r.blocked_time, tuple(sorted(r.stages.items())))
-            for r in result.records]
-
-
-def small_workload():
-    return WorkloadSpec(num_ops=80, num_keys=64, value_length=4 * KB,
-                        read_fraction=0.5, seed=3)
+from repro.units import MB
 
 
 class TestValidation:
@@ -62,76 +45,6 @@ class TestValidation:
             AutoscalePolicy(min_servers=4, max_servers=2)
         with pytest.raises(ValueError):
             AutoscalePolicy(min_servers=0)
-
-
-class TestShim:
-    def test_legacy_num_servers_warns_and_backfills(self):
-        with pytest.deprecated_call():
-            spec = ClusterSpec(num_servers=4)
-        assert spec.topology == TopologyConfig(initial_servers=4)
-        # Legacy attribute access still answers, from the config.
-        assert spec.num_servers == 4
-
-    def test_typed_config_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            spec = ClusterSpec(topology=TopologyConfig(initial_servers=4))
-        assert spec.num_servers == 4
-
-    def test_default_spec_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            spec = ClusterSpec()
-        assert spec.topology.initial_servers == 1
-
-    def test_conflicting_spellings_raise(self):
-        with pytest.raises(TypeError):
-            ClusterSpec(num_servers=3,
-                        topology=TopologyConfig(initial_servers=4))
-
-    def test_consistent_legacy_echo_is_accepted(self):
-        # dataclasses.replace() passes the backfilled legacy field back
-        # in; a value that agrees with the config must not be an error.
-        spec = ClusterSpec(topology=TopologyConfig(initial_servers=3))
-        again = dataclasses.replace(spec, num_clients=2)
-        assert again.topology == spec.topology
-        assert again.num_servers == 3
-
-    def test_legacy_and_typed_runs_are_byte_identical(self):
-        def run(spec):
-            return RunConfig(profile=H_RDMA_OPT_NONB_I,
-                             workload=small_workload(), cluster=spec).run()
-
-        with pytest.deprecated_call():
-            legacy_spec = ClusterSpec(num_servers=3, server_mem=16 * MB,
-                                      ssd_limit=64 * MB)
-        typed_spec = ClusterSpec(
-            topology=TopologyConfig(initial_servers=3),
-            server_mem=16 * MB, ssd_limit=64 * MB)
-        assert fingerprint(run(legacy_spec)) == fingerprint(run(typed_spec))
-
-
-class TestRunConfigOverride:
-    def test_topology_wins_over_cluster_spec(self):
-        spec = ClusterSpec(topology=TopologyConfig(initial_servers=2),
-                           server_mem=16 * MB, ssd_limit=64 * MB)
-        cfg = RunConfig(profile=H_RDMA_OPT_NONB_I,
-                        workload=small_workload(), cluster=spec,
-                        topology=TopologyConfig(initial_servers=3))
-        cluster = cfg.build()
-        assert len(cluster.servers) == 3
-        assert cluster.topology.initial_servers == 3
-
-    def test_topology_with_spec_overrides(self):
-        cfg = RunConfig(profile=H_RDMA_OPT_NONB_I,
-                        workload=small_workload(),
-                        spec_overrides=dict(server_mem=16 * MB,
-                                            ssd_limit=64 * MB),
-                        topology=TopologyConfig(initial_servers=3,
-                                                handoff="double-read"))
-        cluster = cfg.build()
-        assert len(cluster.servers) == 3
-        assert cluster.topology.handoff == "double-read"
 
 
 class TestAdminQueries:

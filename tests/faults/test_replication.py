@@ -13,6 +13,7 @@ import pytest
 from repro import build_cluster, profiles
 from repro.core.cluster import ClusterSpec, ReplicationConfig
 from repro.core.profiles import H_RDMA_OPT_NONB_I
+from repro.core.topology import TopologyConfig
 from repro.faults import FaultPlan
 from repro.harness.runner import RunConfig
 from repro.server.protocol import HIT
@@ -31,7 +32,8 @@ def repl_config(replication=2, write_mode="sync", faults=PLAN_SPECS,
     spec = WorkloadSpec(num_ops=num_ops, num_keys=512, value_length=8 * KB,
                         read_fraction=0.5, distribution="uniform", seed=seed)
     cluster_spec = ClusterSpec(
-        num_servers=4, num_clients=2, server_mem=16 * MB,
+        topology=TopologyConfig(initial_servers=4),
+        num_clients=2, server_mem=16 * MB,
         ssd_limit=64 * MB,
         replication=ReplicationConfig(factor=replication,
                                       write_mode=write_mode,
@@ -133,7 +135,9 @@ class TestResync:
 
     def small_replicated(self, observe=False):
         cluster = build_cluster(
-            profiles.H_RDMA_OPT_NONB_I, num_servers=4, num_clients=1,
+            profiles.H_RDMA_OPT_NONB_I,
+            topology=TopologyConfig(initial_servers=4),
+            num_clients=1,
             server_mem=16 * MB, ssd_limit=64 * MB,
             replication=ReplicationConfig(factor=2, router="ketama"),
             request_timeout=2 * MS, failure_threshold=2,
@@ -163,7 +167,9 @@ class TestResync:
 
     def test_resync_noop_at_r1(self):
         cluster = build_cluster(
-            profiles.RDMA_MEM, num_servers=2, server_mem=8 * MB,
+            profiles.RDMA_MEM,
+            topology=TopologyConfig(initial_servers=2),
+            server_mem=8 * MB,
             replication=ReplicationConfig(router="ketama"))
         cluster.preload([(b"a", 1 * KB), (b"b", 1 * KB)])
         assert cluster.resync_server(0) == 0
@@ -193,7 +199,9 @@ class TestMgetAcrossCrash:
 
     def test_mget_spanning_crashed_server_still_hits(self):
         cluster = build_cluster(
-            profiles.H_RDMA_OPT_NONB_I, num_servers=4, num_clients=1,
+            profiles.H_RDMA_OPT_NONB_I,
+            topology=TopologyConfig(initial_servers=4),
+            num_clients=1,
             server_mem=16 * MB, ssd_limit=64 * MB,
             replication=ReplicationConfig(factor=2, router="ketama"),
             request_timeout=1 * MS, failure_threshold=1)
@@ -223,7 +231,8 @@ class TestMgetAcrossCrash:
 class TestSpecValidation:
     def test_replication_factor_bounds(self):
         with pytest.raises(ValueError):
-            build_cluster(profiles.RDMA_MEM, num_servers=2,
+            build_cluster(profiles.RDMA_MEM,
+                          topology=TopologyConfig(initial_servers=2),
                           replication=ReplicationConfig(factor=3))
         with pytest.raises(ValueError):
             ReplicationConfig(factor=0)

@@ -8,6 +8,7 @@ byte-identical timeline.
 
 from repro.core.cluster import ClusterSpec, ReplicationConfig
 from repro.core.profiles import H_RDMA_OPT_NONB_I, RDMA_MEM
+from repro.core.topology import TopologyConfig
 from repro.faults import FaultPlan
 from repro.harness.runner import RunConfig
 from repro.units import KB, MB, MS, US
@@ -20,7 +21,8 @@ def crash_run(profile, seed=5, observe=False, faults=PLAN_SPECS):
     spec = WorkloadSpec(num_ops=200, num_keys=512, value_length=8 * KB,
                         read_fraction=0.5, distribution="zipf", seed=seed)
     cluster_spec = ClusterSpec(
-        num_servers=4, num_clients=2, server_mem=16 * MB,
+        topology=TopologyConfig(initial_servers=4),
+        num_clients=2, server_mem=16 * MB,
         ssd_limit=64 * MB,
         replication=ReplicationConfig(router="ketama"),
         request_timeout=2 * MS, retry_backoff=200 * US,
@@ -95,7 +97,8 @@ class TestCrashOneOfFour:
                                 value_length=8 * KB, read_fraction=0.5,
                                 seed=9)
             cluster_spec = ClusterSpec(
-                num_servers=4, num_clients=1, server_mem=16 * MB,
+                topology=TopologyConfig(initial_servers=4),
+                num_clients=1, server_mem=16 * MB,
                 ssd_limit=64 * MB,
                 replication=ReplicationConfig(router="ketama"),
                 request_timeout=2 * MS, trace=True)
@@ -117,7 +120,8 @@ class TestCrashOneOfFour:
 
         def run():
             cluster_spec = ClusterSpec(
-                num_servers=4, num_clients=2, server_mem=16 * MB,
+                topology=TopologyConfig(initial_servers=4),
+                num_clients=2, server_mem=16 * MB,
                 replication=ReplicationConfig(router="ketama"),
                 request_timeout=2 * MS, eject_duration=5 * MS)
             return RunConfig(profile=RDMA_MEM, workload=spec,
@@ -136,7 +140,9 @@ class TestFailFast:
         from repro.server.protocol import SERVER_DOWN
 
         cluster = build_cluster(
-            profiles.RDMA_MEM, num_servers=2, server_mem=16 * MB,
+            profiles.RDMA_MEM,
+            topology=TopologyConfig(initial_servers=2),
+            server_mem=16 * MB,
             replication=ReplicationConfig(router="ketama"),
             request_timeout=1 * MS, failure_threshold=1)
         cluster.backend.default_value_length = 4 * KB

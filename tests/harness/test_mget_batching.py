@@ -1,6 +1,7 @@
 """Tests for mget batching in the blocking driver."""
 
 from repro.core import metrics
+from repro.core.cluster import ClusterSpec
 from repro.core.profiles import H_RDMA_OPT_BLOCK, RDMA_MEM
 from repro.harness.runner import RunConfig
 from repro.units import KB, MB
@@ -11,7 +12,7 @@ def run(mget_batch, read_fraction=1.0, ops=120):
     spec = WorkloadSpec(num_ops=ops, num_keys=256, value_length=4 * KB,
                         read_fraction=read_fraction, seed=4)
     cfg = RunConfig(profile=RDMA_MEM, workload=spec, mget_batch=mget_batch,
-                    spec_overrides=dict(server_mem=16 * MB))
+                    cluster=ClusterSpec(server_mem=16 * MB))
     cluster = cfg.build()
     return cluster, cfg.run(cluster)
 
@@ -49,7 +50,7 @@ def test_batching_on_hybrid_design():
                         read_fraction=0.9, seed=2)
     result = RunConfig(profile=H_RDMA_OPT_BLOCK, workload=spec,
                        mget_batch=10,
-                       spec_overrides=dict(server_mem=8 * MB,
+                       cluster=ClusterSpec(server_mem=8 * MB,
                                            ssd_limit=64 * MB)).run()
     assert result.ops == 150
     assert metrics.miss_rate(result.records) == 0.0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.cluster import ClusterSpec
+from repro.core.cluster import (ClusterSpec, ReplicationConfig,
+                                build_cluster)
 from repro.core.profiles import H_RDMA_OPT_NONB_I, RDMA_MEM
 from repro.harness.runner import RunConfig
 from repro.units import KB, MB
@@ -26,20 +27,30 @@ def test_runconfig_build_and_run():
     assert result.summary["mean_latency"] > 0
 
 
-def test_runconfig_spec_overrides():
-    cfg = RunConfig(profile=RDMA_MEM, workload=small_spec(),
-                    spec_overrides=dict(num_servers=2, server_mem=8 * MB))
-    cluster = cfg.build()
-    assert len(cluster.servers) == 2
-    assert cluster.total_items == 64  # preloaded
+def _run_config(**kw):
+    return RunConfig(profile=RDMA_MEM, **kw)
 
 
-def test_runconfig_cluster_and_overrides_exclusive():
-    cfg = RunConfig(profile=RDMA_MEM, workload=small_spec(),
-                    cluster=ClusterSpec(),
-                    spec_overrides=dict(num_servers=2))
-    with pytest.raises(TypeError):
-        cfg.build()
+def _build_cluster(**kw):
+    return build_cluster(RDMA_MEM, **kw)
+
+
+@pytest.mark.parametrize("build, keyword", [
+    (ClusterSpec, "num_servers"),
+    (ClusterSpec, "router"),
+    (ClusterSpec, "replication_factor"),
+    (ClusterSpec, "write_mode"),
+    (_build_cluster, "num_servers"),
+    (_run_config, "spec_overrides"),
+    (_run_config, "replication"),
+    (_run_config, "topology"),
+], ids=lambda arg: getattr(arg, "__name__", arg).strip("_"))
+def test_removed_keywords_are_rejected(build, keyword):
+    """A cluster is described by ``ClusterSpec(topology=, replication=)``
+    and nothing else: the flat and override spellings are unknown
+    keywords, refused where they are written."""
+    with pytest.raises(TypeError, match=keyword):
+        build(**{keyword: None})
 
 
 def test_runconfig_run_requires_workload():
@@ -49,7 +60,7 @@ def test_runconfig_run_requires_workload():
 
 def test_runconfig_build_once_run_many():
     cfg = RunConfig(profile=RDMA_MEM, workload=small_spec(),
-                    spec_overrides=dict(server_mem=8 * MB))
+                    cluster=ClusterSpec(server_mem=8 * MB))
     cluster = cfg.build()
     a = cfg.run(cluster=cluster)
     b = cfg.run(cluster=cluster)
@@ -58,7 +69,7 @@ def test_runconfig_build_once_run_many():
 
 def test_runconfig_warmup_discards_records():
     cfg = RunConfig(profile=RDMA_MEM, workload=small_spec(),
-                    spec_overrides=dict(server_mem=8 * MB),
+                    cluster=ClusterSpec(server_mem=8 * MB),
                     warmup_ops=20)
     result = cfg.run()
     assert result.ops == 60  # warmup records never surface
@@ -66,7 +77,7 @@ def test_runconfig_warmup_discards_records():
 
 def test_runconfig_run_streams():
     cfg = RunConfig(profile=RDMA_MEM,
-                    spec_overrides=dict(server_mem=8 * MB))
+                    cluster=ClusterSpec(server_mem=8 * MB))
     stream = [Op("set", b"a-key", 2 * KB), Op("get", b"a-key", 0)]
     result = cfg.run_streams([stream])
     assert result.ops == 2
@@ -75,21 +86,22 @@ def test_runconfig_run_streams():
 
 def _too_many_streams():
     cfg = RunConfig(profile=RDMA_MEM,
-                    spec_overrides=dict(num_clients=2, server_mem=8 * MB))
+                    cluster=ClusterSpec(num_clients=2, server_mem=8 * MB))
     cfg.run_streams([[Op("get", b"k", 0)] * 5] * 3)
 
 
 def _zero_window():
     RunConfig(profile=H_RDMA_OPT_NONB_I, workload=small_spec(), window=0,
-              spec_overrides=dict(server_mem=8 * MB,
+              cluster=ClusterSpec(server_mem=8 * MB,
                                   ssd_limit=16 * MB)).run()
 
 
 def _bad_ycsb_letter():
-    # Rejected before any cluster exists: with a bad ClusterSpec field in
-    # the overrides, build() would raise TypeError first.
+    # Rejected before any cluster exists: build() would refuse three
+    # copies on one server with its own ValueError first.
     RunConfig(profile=RDMA_MEM, workload=small_spec(), ycsb="Z",
-              spec_overrides=dict(no_such_field=1)).run()
+              cluster=ClusterSpec(
+                  replication=ReplicationConfig(factor=3))).run()
 
 
 @pytest.mark.parametrize("run, message", [

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.cluster import ClusterSpec
 from repro.core.profiles import H_RDMA_OPT_NONB_I, RDMA_MEM
 from repro.harness.runner import RunConfig
 from repro.units import KB, MB
@@ -17,12 +18,12 @@ def small_spec(**kw):
 
 def rdma_mem(spec, **kw):
     return RunConfig(profile=RDMA_MEM, workload=spec,
-                     spec_overrides=dict(server_mem=8 * MB), **kw)
+                     cluster=ClusterSpec(server_mem=8 * MB), **kw)
 
 
 def nonb_i(spec, **kw):
     return RunConfig(profile=H_RDMA_OPT_NONB_I, workload=spec,
-                     spec_overrides=dict(server_mem=8 * MB,
+                     cluster=ClusterSpec(server_mem=8 * MB,
                                          ssd_limit=16 * MB), **kw)
 
 
@@ -105,6 +106,6 @@ def test_window_caps_outstanding():
 def test_multi_client_streams_differ():
     spec = small_spec(num_ops=30)
     result = RunConfig(profile=RDMA_MEM, workload=spec,
-                       spec_overrides=dict(num_clients=2,
+                       cluster=ClusterSpec(num_clients=2,
                                            server_mem=8 * MB)).run()
     assert result.ops == 60

@@ -1,6 +1,7 @@
 """Tests for warmup runs and server-balance metrics."""
 
 from repro.core import metrics
+from repro.core.cluster import ClusterSpec
 from repro.core.profiles import H_RDMA_OPT_NONB_I, RDMA_MEM
 from repro.core.topology import TopologyConfig
 from repro.harness.runner import RunConfig
@@ -12,7 +13,7 @@ def test_warmup_records_discarded():
     spec = WorkloadSpec(num_ops=50, num_keys=128, value_length=4 * KB,
                         seed=3)
     result = RunConfig(profile=RDMA_MEM, workload=spec, warmup_ops=30,
-                       spec_overrides=dict(server_mem=16 * MB)).run()
+                       cluster=ClusterSpec(server_mem=16 * MB)).run()
     assert result.ops == 50  # warmup ops not in the measured records
 
 
@@ -24,7 +25,7 @@ def test_warmup_changes_initial_state():
     def miss_rate(warmup):
         res = RunConfig(profile=RDMA_MEM, workload=spec,
                         warmup_ops=warmup,
-                        spec_overrides=dict(server_mem=8 * MB)).run()
+                        cluster=ClusterSpec(server_mem=8 * MB)).run()
         return metrics.miss_rate(res.records)
 
     cold = miss_rate(0)
@@ -37,9 +38,9 @@ def test_server_distribution_and_imbalance():
     spec = WorkloadSpec(num_ops=200, num_keys=512, value_length=2 * KB,
                         seed=5)
     result = RunConfig(profile=H_RDMA_OPT_NONB_I, workload=spec,
-                       topology=TopologyConfig(initial_servers=4),
-                       spec_overrides=dict(server_mem=16 * MB,
-                                           ssd_limit=64 * MB)).run()
+                       cluster=ClusterSpec(
+                           topology=TopologyConfig(initial_servers=4),
+                           server_mem=16 * MB, ssd_limit=64 * MB)).run()
     dist = metrics.server_distribution(result.records)
     assert set(dist) == {0, 1, 2, 3}
     assert sum(dist.values()) == 200

@@ -12,6 +12,7 @@ import json
 
 from repro import profiles
 from repro.core.cluster import ClusterSpec
+from repro.core.topology import TopologyConfig
 from repro.harness.runner import RunConfig
 from repro.obs.export import chrome_trace
 from repro.units import KB, MB
@@ -24,7 +25,8 @@ WORKLOAD = WorkloadSpec(num_ops=250, num_keys=800, value_length=16 * KB,
 
 
 def _run(observe: bool, trace: bool):
-    spec = ClusterSpec(num_servers=1, num_clients=2, server_mem=8 * MB,
+    spec = ClusterSpec(topology=TopologyConfig(initial_servers=1),
+                       num_clients=2, server_mem=8 * MB,
                        ssd_limit=64 * MB, observe=observe, trace=trace)
     cfg = RunConfig(profile=profiles.H_RDMA_OPT_NONB_B, workload=WORKLOAD,
                     cluster=spec)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.cluster import ClusterSpec, ReplicationConfig
 from repro.core.profiles import H_RDMA_OPT_NONB_I
+from repro.core.topology import TopologyConfig
 from repro.faults import FaultPlan
 from repro.harness.runner import RunConfig
 from repro.obs.profile import attribute, build_tree
@@ -29,7 +30,7 @@ def _run(fast_lane: bool):
     spec = WorkloadSpec(num_ops=120, num_keys=64, value_length=4 * KB,
                         read_fraction=0.5, distribution="zipf", seed=11)
     cluster_spec = ClusterSpec(
-        num_servers=3, num_clients=2,
+        topology=TopologyConfig(initial_servers=3), num_clients=2,
         server_mem=4 * MB, ssd_limit=16 * MB,
         replication=ReplicationConfig(factor=2, write_mode="sync",
                                       router="ketama"),

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.cluster import ClusterSpec
 from repro.core.profiles import H_RDMA_OPT_NONB_I
+from repro.core.topology import TopologyConfig
 from repro.harness.runner import RunConfig
 from repro.obs.profile import context as profile_context
 from repro.units import KB, MB
@@ -24,7 +25,8 @@ from repro.workloads.generator import WorkloadSpec
 def _cfg(**cluster_kw):
     spec = WorkloadSpec(num_ops=150, num_keys=256, value_length=8 * KB,
                         read_fraction=0.5, distribution="zipf", seed=3)
-    cluster = ClusterSpec(num_servers=2, num_clients=2,
+    cluster = ClusterSpec(topology=TopologyConfig(initial_servers=2),
+                          num_clients=2,
                           server_mem=8 * MB, ssd_limit=32 * MB,
                           **cluster_kw)
     return RunConfig(profile=H_RDMA_OPT_NONB_I, workload=spec,

@@ -119,6 +119,7 @@ def test_crash_scenario_chrome_trace_is_byte_identical_across_paths():
     whether events flow through the fast lane or the legacy heap."""
     from repro.core.cluster import ClusterSpec, ReplicationConfig
     from repro.core.profiles import H_RDMA_OPT_NONB_I
+    from repro.core.topology import TopologyConfig
     from repro.faults import FaultPlan
     from repro.harness.runner import RunConfig
     from repro.obs.export import chrome_trace_events
@@ -129,7 +130,8 @@ def test_crash_scenario_chrome_trace_is_byte_identical_across_paths():
         spec = WorkloadSpec(num_ops=120, num_keys=256, value_length=8 * KB,
                             read_fraction=0.5, seed=9)
         cluster_spec = ClusterSpec(
-            num_servers=4, num_clients=1, server_mem=16 * MB,
+            topology=TopologyConfig(initial_servers=4),
+            num_clients=1, server_mem=16 * MB,
             ssd_limit=64 * MB,
             replication=ReplicationConfig(router="ketama"),
             request_timeout=2 * MS, trace=True)

@@ -221,6 +221,34 @@ def test_stats_stage_accumulation():
     assert server.stats.busy_time > 0
 
 
+def test_mget_miss_accounts_the_stages_a_get_miss_does():
+    from repro.server.protocol import MultiGetRequest
+
+    def miss_stages(send):
+        sim, server, ep = make_rig()
+
+        def app(sim):
+            send(ep)
+            d = yield ep.recv()
+            assert d.payload.status == MISS
+
+        sim.run(until=sim.spawn(app(sim)))
+        return server.stats.stage_time
+
+    def get(ep):
+        header = GetRequest(req_id=1, op="get", key=b"absent")
+        ep.send(header, header.header_bytes)
+
+    def mget(ep):
+        header = MultiGetRequest(req_id=1, op="mget", key=b"absent",
+                                 entries=((1, b"absent"),))
+        ep.send(header, header.header_bytes)
+
+    via_get = miss_stages(get)
+    assert via_get["cache_check_load"] > 0
+    assert miss_stages(mget) == via_get
+
+
 def test_delete_request():
     from repro.server.protocol import DELETED, NOT_FOUND, DeleteRequest
 

@@ -10,6 +10,28 @@ def test_clock_starts_at_zero():
     assert sim.now == 0.0
 
 
+def test_environment_does_not_change_the_engine(monkeypatch):
+    """No ambient switch: the scheduler is chosen by the ``fast_lane``
+    argument alone, and ``run()`` pauses the collector regardless."""
+    import gc
+
+    monkeypatch.setenv("REPRO_SIM_LEGACY_HEAP", "1")
+    monkeypatch.setenv("REPRO_SIM_GC", "1")
+    sim = Simulator()
+    assert sim.fast_lane is True
+    seen = []
+
+    def proc(sim):
+        yield sim.timeout(1.0)
+        seen.append(gc.isenabled())
+
+    sim.spawn(proc(sim))
+    assert gc.isenabled()
+    sim.run()
+    assert seen == [False]
+    assert gc.isenabled()
+
+
 def test_timeout_advances_clock():
     sim = Simulator()
     log = []

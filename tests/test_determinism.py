@@ -5,6 +5,7 @@ tie-breaking, no wall-clock — because EXPERIMENTS.md numbers, benchmark
 assertions, and regression tests all rely on it.
 """
 
+from repro.core.cluster import ClusterSpec
 from repro.core.profiles import H_RDMA_OPT_NONB_I, RDMA_MEM
 from repro.harness.runner import RunConfig
 from repro.units import KB, MB
@@ -15,7 +16,7 @@ def run_once(profile):
     spec = WorkloadSpec(num_ops=300, num_keys=512, value_length=8 * KB,
                         read_fraction=0.5, distribution="zipf", seed=5)
     cfg = RunConfig(profile=profile, workload=spec,
-                    spec_overrides=dict(server_mem=16 * MB,
+                    cluster=ClusterSpec(server_mem=16 * MB,
                                         ssd_limit=64 * MB, num_clients=2))
     cluster = cfg.build()
     return cfg.run(cluster), cluster
@@ -51,6 +52,6 @@ def test_different_seeds_differ():
     spec2 = WorkloadSpec(num_ops=200, num_keys=256, value_length=4 * KB,
                          seed=2)
     r1, r2 = (RunConfig(profile=RDMA_MEM, workload=spec,
-                        spec_overrides=dict(server_mem=16 * MB)).run()
+                        cluster=ClusterSpec(server_mem=16 * MB)).run()
               for spec in (spec1, spec2))
     assert fingerprint(r1) != fingerprint(r2)

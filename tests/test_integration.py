@@ -4,6 +4,7 @@ import pytest
 
 from repro import build_cluster, profiles
 from repro.core import metrics
+from repro.core.topology import TopologyConfig
 from repro.storage.params import PageCacheParams
 from repro.units import KB, MB, MS
 
@@ -75,7 +76,8 @@ class TestMixedApiStress:
 
     def test_mixed_clients_consistent_end_state(self):
         cluster = build_cluster(profiles.H_RDMA_OPT_NONB_I,
-                                num_servers=2, num_clients=3,
+                                topology=TopologyConfig(initial_servers=2),
+                                num_clients=3,
                                 server_mem=16 * MB, ssd_limit=64 * MB)
         c0, c1, c2 = cluster.clients
         sim = cluster.sim

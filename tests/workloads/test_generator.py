@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.topology import TopologyConfig
 from repro.units import KB, MB
 from repro.workloads.bursty import BurstyWorkload
 from repro.workloads.generator import WorkloadSpec, generate_ops, make_dataset
@@ -117,7 +118,8 @@ class TestBursty:
 
         w = BurstyWorkload(block_size=1 * MB, chunk_size=256 * KB,
                            total_bytes=2 * MB)
-        cluster = build_cluster(profiles.H_RDMA_OPT_NONB_I, num_servers=2,
+        cluster = build_cluster(profiles.H_RDMA_OPT_NONB_I,
+                                topology=TopologyConfig(initial_servers=2),
                                 server_mem=16 * MB, ssd_limit=32 * MB)
         client = cluster.clients[0]
         sim = cluster.sim
@@ -141,7 +143,8 @@ class TestBursty:
                                total_bytes=2 * MB)
             profile = (profiles.H_RDMA_OPT_NONB_I if nonblocking
                        else profiles.H_RDMA_OPT_BLOCK)
-            cluster = build_cluster(profile, num_servers=2,
+            cluster = build_cluster(profile,
+                                    topology=TopologyConfig(initial_servers=2),
                                     server_mem=16 * MB, ssd_limit=32 * MB)
             client = cluster.clients[0]
             sim = cluster.sim

@@ -68,13 +68,14 @@ class TestOps:
 
 class TestOnCluster:
     def test_mixed_sizes_populate_multiple_slab_classes(self):
+        from repro.core.cluster import ClusterSpec
         from repro.core.profiles import H_RDMA_OPT_NONB_I
         from repro.harness.runner import RunConfig
 
         s = spec(num_ops=400, num_keys=1200,
                  value_sizes=((512, 0.5), (30 * KB, 0.5)))
         cfg = RunConfig(profile=H_RDMA_OPT_NONB_I, workload=s,
-                        spec_overrides=dict(server_mem=8 * MB,
+                        cluster=ClusterSpec(server_mem=8 * MB,
                                             ssd_limit=64 * MB))
         cluster = cfg.build()
         mgr = cluster.servers[0].manager
@@ -93,12 +94,13 @@ class TestOnCluster:
         assert result.summary["miss_rate"] == 0.0  # hybrid retains all
 
     def test_miss_repopulation_uses_per_key_size(self):
+        from repro.core.cluster import ClusterSpec
         from repro.core.profiles import RDMA_MEM
         from repro.harness.runner import RunConfig
 
         s = spec(num_keys=300, value_sizes=((1 * KB, 0.5), (16 * KB, 0.5)))
         cluster = RunConfig(profile=RDMA_MEM, workload=s, preload=False,
-                            spec_overrides=dict(server_mem=8 * MB)).build()
+                            cluster=ClusterSpec(server_mem=8 * MB)).build()
         client = cluster.clients[0]
         key = make_dataset(s)[7][0]
         expected = s.value_length_for(key)

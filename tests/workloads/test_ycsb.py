@@ -89,13 +89,14 @@ class TestOnCluster:
     @pytest.mark.parametrize("workload", [WORKLOAD_A, WORKLOAD_D,
                                           WORKLOAD_F])
     def test_runs_to_completion(self, workload):
+        from repro.core.cluster import ClusterSpec
         from repro.core.profiles import H_RDMA_OPT_NONB_I
         from repro.harness.runner import RunConfig
         from repro.workloads.generator import WorkloadSpec
 
         spec = WorkloadSpec(num_ops=1, num_keys=128, value_length=4 * KB)
         cfg = RunConfig(profile=H_RDMA_OPT_NONB_I, workload=spec,
-                        spec_overrides=dict(server_mem=16 * MB,
+                        cluster=ClusterSpec(server_mem=16 * MB,
                                             ssd_limit=32 * MB))
         cluster = cfg.build()
         ops = generate_ycsb_ops(workload, num_ops=120, num_keys=128,
@@ -107,6 +108,7 @@ class TestOnCluster:
         assert all(c.outstanding_count == 0 for c in cluster.clients)
 
     def test_rmw_blocking_driver(self):
+        from repro.core.cluster import ClusterSpec
         from repro.core.profiles import RDMA_MEM
         from repro.harness.runner import RunConfig
         from repro.workloads.generator import Op, WorkloadSpec
@@ -115,7 +117,7 @@ class TestOnCluster:
         ops = [Op("rmw", b"key:0000000001", 1 * KB)]
         result = RunConfig(
             profile=RDMA_MEM, workload=spec,
-            spec_overrides=dict(server_mem=8 * MB)).run_streams([ops])
+            cluster=ClusterSpec(server_mem=8 * MB)).run_streams([ops])
         assert result.ops == 2  # one get + one set
         kinds = sorted(r.op for r in result.records)
         assert kinds == ["get", "set"]
