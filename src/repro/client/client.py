@@ -201,7 +201,6 @@ class MemcachedClient:
         self._replica_subs: Dict[int, List[MemcachedReq]] = {}
         #: In-flight replica propagations per server index (the lag gauge).
         self._replica_outstanding: Dict[int, int] = {}
-        self._recorded_ids: set[int] = set()
         #: Free list of recycled :class:`_EngineJob` instances.
         self._job_pool: List[_EngineJob] = []
         #: key -> ServerConn memo, valid only while no server was ever
@@ -396,51 +395,46 @@ class MemcachedClient:
             self.sim.spawn(self._pump(conn), name=f"{self.name}-pump{conn.index}")
 
     # -- public blocking API -------------------------------------------------
+    #
+    # One request lifecycle: issue -> (buffer-safe) -> complete -> finish.
+    # A blocking call is ``_issue`` plus the ``_finish`` tail that ``wait``
+    # runs; the non-blocking calls return somewhere in between.
 
     def set(self, key: bytes, value_length: int, flags: int = 0,
-            expiration: float = 0.0, _record: bool = True):
+            expiration: float = 0.0):
         """Blocking ``memcached_set``. Generator; returns the request."""
         req = yield from self._issue("set", "set", key, value_length,
                                      flags, expiration)
-        yield from self._recover(req)
-        if self._replica_subs:
-            yield from self._await_replica_acks(req)
-        self._finalize(req, record=_record)
+        yield from self._finish(req)
         return req
 
     def add(self, key: bytes, value_length: int, flags: int = 0,
             expiration: float = 0.0):
         """``memcached_add``: store only if the key is absent."""
-        req = yield from self._issue("set", "add", key, value_length,
-                                     flags, expiration, mode="add")
-        yield from self._recover(req)
-        if self._replica_subs:
-            yield from self._await_replica_acks(req)
-        self._finalize(req)
-        return req
+        return (yield from self._store_if("add", key, value_length,
+                                          flags, expiration))
 
     def replace(self, key: bytes, value_length: int, flags: int = 0,
                 expiration: float = 0.0):
         """``memcached_replace``: store only if the key exists."""
-        req = yield from self._issue("set", "replace", key, value_length,
-                                     flags, expiration, mode="replace")
-        yield from self._recover(req)
-        if self._replica_subs:
-            yield from self._await_replica_acks(req)
-        self._finalize(req)
-        return req
+        return (yield from self._store_if("replace", key, value_length,
+                                          flags, expiration))
 
     def cas(self, key: bytes, value_length: int, cas_token: int,
             flags: int = 0, expiration: float = 0.0):
         """``memcached_cas``: store only if the item's CAS token matches
         the one observed by this client's last get of the key."""
-        req = yield from self._issue("set", "cas", key, value_length,
-                                     flags, expiration, mode="cas",
+        return (yield from self._store_if("cas", key, value_length,
+                                          flags, expiration, cas_token))
+
+    def _store_if(self, mode: str, key: bytes, value_length: int,
+                  flags: int, expiration: float, cas_token: int = 0):
+        """The conditional stores: a SET whose header names the
+        precondition (the API is called what the mode is)."""
+        req = yield from self._issue("set", mode, key, value_length, flags,
+                                     expiration, mode=mode,
                                      cas_token=cas_token)
-        yield from self._recover(req)
-        if self._replica_subs:
-            yield from self._await_replica_acks(req)
-        self._finalize(req)
+        yield from self._finish(req)
         return req
 
     def get(self, key: bytes):
@@ -451,9 +445,7 @@ class MemcachedClient:
         repopulates the cache, as web-scale deployments do.
         """
         req = yield from self._issue("get", "get", key, 0, 0, 0.0)
-        yield from self._recover(req)
-        yield from self._handle_miss(req)
-        self._finalize(req)
+        yield from self._finish(req)
         return req
 
     def mget(self, keys: Sequence[bytes]):
@@ -479,15 +471,9 @@ class MemcachedClient:
             if self._profiler.enabled:
                 req.trace_id = self._profiler.maybe_start("get", "mget",
                                                           t_issue=t0)
-            if self.recorder is not None:
-                self.recorder.on_issue(self.name, req.result())
-            if self.t_first_issue is None:
-                self.t_first_issue = t0
-            self._outstanding[req.req_id] = req
             self._op_begin(req)
             reqs.append(req)
             if conn is None:  # every server ejected: fail fast
-                req.server_index = -1
                 down.append(req)
                 continue
             req.server_index = conn.index
@@ -505,9 +491,7 @@ class MemcachedClient:
             self._fail_server_down(req)
         # Blocking fetch loop (like memcached_fetch after mget).
         for req in reqs:
-            yield from self._recover(req)
-            yield from self._handle_miss(req)
-            self._finalize(req)
+            yield from self._finish(req)
         return reqs
 
     def _account_many(self, reqs: Sequence[MemcachedReq], dt: float) -> None:
@@ -528,24 +512,18 @@ class MemcachedClient:
         self._next_req_id += 1
         req.t_issue = self.sim.now
         req.server_index = conn.index
-        self._outstanding[req.req_id] = req
-        self._op_begin(req)
+        self._op_begin(req, history=False)
         t0 = self.sim.now
         yield self.sim.timeout(self.config.api_overhead)
         self._engine_queue.put(self._job_new(req, conn, 0.0))
-        timeout = self.config.request_timeout
-        if timeout is None:
-            yield req.complete
-        else:
-            # stats targets one explicit server: no failover, no retry.
-            yield self.sim.any_of([req.complete, self.sim.timeout(timeout)])
-            if not req.complete.triggered:
-                self._m_timeouts.inc()
-                self._note_timeout(req)
-                self._fail_server_down(req)
+        # stats targets one explicit server: no failover, no retry.
+        yield self._bounded(req.complete, self.config.request_timeout)
+        if not req.complete.triggered:
+            self._note_timeout(req)
+            self._fail_server_down(req)
         self._op_end(req)
         self._account_block(req, self.sim.now - t0)
-        self._recorded_ids.add(req.req_id)  # not a data op; never record
+        req.recorded = True  # not a data op; never record
         if req.response is None:
             return {}
         return dict(req.response.stats_payload or {})
@@ -558,17 +536,13 @@ class MemcachedClient:
         removals) — otherwise read failover would resurrect deleted
         keys from an untouched copy."""
         req = yield from self._issue("delete", "delete", key, 0, 0, 0.0)
-        yield from self._recover(req)
-        if self._replica_subs:
-            yield from self._await_replica_acks(req)
-        self._finalize(req)
+        yield from self._finish(req)
         return req
 
     def touch(self, key: bytes, expiration: float):
         """``memcached_touch``: refresh an item's TTL without a refetch."""
         req = yield from self._issue("touch", "touch", key, 0, 0, expiration)
-        yield from self._recover(req)
-        self._finalize(req)
+        yield from self._finish(req)
         return req
 
     def incr(self, key: bytes, delta: int = 1,
@@ -584,10 +558,7 @@ class MemcachedClient:
         """
         req = yield from self._issue("incr", "incr", key, 0, 0, expiration,
                                      delta=delta, initial=initial)
-        yield from self._recover(req)
-        if self._replica_subs:
-            yield from self._await_replica_acks(req)
-        self._finalize(req)
+        yield from self._finish(req)
         return req
 
     def decr(self, key: bytes, delta: int = 1,
@@ -595,10 +566,7 @@ class MemcachedClient:
         """``memcached_decrement``: like :meth:`incr`, saturating at 0."""
         req = yield from self._issue("decr", "decr", key, 0, 0, expiration,
                                      delta=delta, initial=initial)
-        yield from self._recover(req)
-        if self._replica_subs:
-            yield from self._await_replica_acks(req)
-        self._finalize(req)
+        yield from self._finish(req)
         return req
 
     def gat(self, key: bytes, expiration: float):
@@ -608,8 +576,7 @@ class MemcachedClient:
         does NOT trigger the backend fetch: gat is a cache-maintenance
         read, not a demand read."""
         req = yield from self._issue("gat", "gat", key, 0, 0, expiration)
-        yield from self._recover(req)
-        self._finalize(req)
+        yield from self._finish(req)
         return req
 
     def gets(self, key: bytes):
@@ -617,8 +584,7 @@ class MemcachedClient:
         for a later :meth:`cas`. Every GET response in this protocol
         already ships the token; ``gets`` exists so call sites can spell
         the intent, exactly like libmemcached's behavior-gated variant."""
-        req = yield from self.get(key)
-        return req
+        return (yield from self.get(key))
 
     def flush_all(self, delay: float = 0.0):
         """``memcached_flush_all``: invalidate every item on every
@@ -638,11 +604,6 @@ class MemcachedClient:
             req.t_issue = t0
             req.expiration = delay
             req.server_index = conn.index
-            if self.recorder is not None:
-                self.recorder.on_issue(self.name, req.result())
-            if self.t_first_issue is None:
-                self.t_first_issue = t0
-            self._outstanding[req.req_id] = req
             self._op_begin(req)
             self._engine_queue.put(self._job_new(req, conn, t0))
             reqs.append(req)
@@ -684,31 +645,23 @@ class MemcachedClient:
         self._require_nonblocking("bset")
         req = yield from self._issue("set", "bset", key, value_length,
                                      flags, expiration)
-        t0 = self.sim.now
-        timeout = self.config.request_timeout
-        if timeout is None:
-            yield req.buffer_safe
-        else:
-            # A dead early-ack server never sends its BufferAck; bound
-            # the wait so the caller can reach wait()'s recovery path.
-            yield self.sim.any_of([req.buffer_safe,
-                                   self.sim.timeout(timeout)])
-        self._account_block(req, self.sim.now - t0)
+        yield from self._await_buffer_safe(req)
         return req
 
     def bget(self, key: bytes):
         """``memcached_bget``: non-blocking Get with key-buffer reuse."""
         self._require_nonblocking("bget")
         req = yield from self._issue("get", "bget", key, 0, 0, 0.0)
-        t0 = self.sim.now
-        timeout = self.config.request_timeout
-        if timeout is None:
-            yield req.buffer_safe
-        else:
-            yield self.sim.any_of([req.buffer_safe,
-                                   self.sim.timeout(timeout)])
-        self._account_block(req, self.sim.now - t0)
+        yield from self._await_buffer_safe(req)
         return req
+
+    def _await_buffer_safe(self, req: MemcachedReq):
+        """Hold a b-variant's caller until its buffers are reusable. A
+        dead early-ack server never sends its BufferAck, so the wait is
+        bounded: the caller must be able to reach wait()'s recovery."""
+        t0 = self.sim.now
+        yield self._bounded(req.buffer_safe, self.config.request_timeout)
+        self._account_block(req, self.sim.now - t0)
 
     def wait(self, req: MemcachedReq, timeout: Optional[float] = None):
         """``memcached_wait``: block until the operation completes.
@@ -718,46 +671,42 @@ class MemcachedClient:
         operation itself continues in the background and a later wait
         can pick it up, like libmemcached's poll timeout.
         """
-        if req.api == "replica":
-            # Async-mode replica propagation drained via quiesce/wait:
-            # bounded completion, no retries — the data lives on the
-            # other replicas and resync repairs this one on restart.
-            yield from self._await_replica(req)
-            return req
         if timeout is not None and not req.complete.triggered:
             t0 = self.sim.now
-            yield self.sim.any_of([req.complete,
-                                   self.sim.timeout(timeout)])
+            yield self._bounded(req.complete, timeout)
             self._account_block(req, self.sim.now - t0)
             if not req.complete.triggered:
                 return req  # timed out; op still in flight
         yield from self._finish(req)
         return req
 
-    def _finish(self, req: MemcachedReq):
-        """The completion tail shared by ``wait``/``wait_any``: recovery
-        (timeout/retry/failover), sync replica acks, miss handling,
-        finalize. Replica propagation copies get the bounded
-        ``_await_replica`` wait instead."""
+    def _finish(self, req: MemcachedReq, record: bool = True):
+        """The completion tail of every operation, blocking or waited on:
+        drive it to completion (through timeout/retry/failover recovery
+        when ``request_timeout`` is set), hold for sync replica acks,
+        handle a GET miss, finalize. ``record=False`` is the miss path's
+        repopulating set, which is not a user-visible operation.
+
+        A replica propagation copy (drained via quiesce) gets the bounded
+        ``_await_replica`` wait instead: no retries — the data lives on
+        the other replicas and resync repairs this one."""
         if req.api == "replica":
             yield from self._await_replica(req)
             return
-        # Inline _recover's no-fault-handling path (request_timeout
-        # unset): _finish runs once per non-blocking op, and the two
-        # delegating generator frames are measurable there.
-        if self.config.request_timeout is None:
-            if not req.complete.processed:
-                sim = self.sim
-                t0 = sim._now
-                yield req.complete
-                self._account_block(req, sim._now - t0)
-        else:
+        if self.config.request_timeout is not None:
             yield from self._recover(req)
+        elif not req.complete.processed:
+            # No fault handling: a silent server blocks the caller forever.
+            # Inline: once per operation, a generator frame is measurable.
+            sim = self.sim
+            t0 = sim._now
+            yield req.complete
+            self._account_block(req, sim._now - t0)
         if self._replica_subs:
             yield from self._await_replica_acks(req)
         if req.op == "get" and self.backend is not None:
             yield from self._handle_miss(req)
-        self._finalize(req)
+        self._finalize(req, record)
 
     def test(self, req: MemcachedReq) -> bool:
         """``memcached_test``: non-blocking completion poll.
@@ -771,7 +720,7 @@ class MemcachedClient:
         """
         if not req.done:
             return False
-        if req.req_id in self._recorded_ids:
+        if req.recorded:
             return True
         if (req.op == "get" and self.backend is not None
                 and req.status in (MISS, SERVER_DOWN)
@@ -819,14 +768,12 @@ class MemcachedClient:
                     return None, reqs  # timed out; ops still in flight
                 bound = left if bound is None else min(bound, left)
             waits = [r.complete for r in reqs]
+            if bound is not None:
+                waits.append(self.sim.timeout(bound))
             t0 = self.sim.now
-            if bound is None:
-                yield self.sim.any_of(waits)
-            else:
-                yield self.sim.any_of(waits + [self.sim.timeout(bound)])
-            dt = self.sim.now - t0
-            self.total_blocked += dt
-            self._m_blocked.inc(dt)
+            yield self.sim.any_of(waits)
+            # Blocked on the whole set: no one request's blocked_time.
+            self._account_many((), self.sim.now - t0)
             if any(r.complete.triggered for r in reqs):
                 continue
             if deadline is not None and self.sim.now >= deadline:
@@ -846,14 +793,10 @@ class MemcachedClient:
         ones are finalized, pending ones are left in flight for a later
         ``wait``/``test``). ``None`` preserves the unbounded behaviour.
         """
-        if timeout is None:
-            for req in reqs:
-                yield from self.wait(req)
-            return list(reqs)
-        deadline = self.sim.now + timeout
+        deadline = None if timeout is None else self.sim.now + timeout
         for req in reqs:
-            yield from self.wait(req,
-                                 timeout=max(0.0, deadline - self.sim.now))
+            yield from self.wait(req, None if deadline is None
+                                 else max(0.0, deadline - self.sim.now))
         return list(reqs)
 
     def quiesce(self):
@@ -861,8 +804,7 @@ class MemcachedClient:
         (including background miss fetches started by ``test``)."""
         while self._outstanding or self._miss_fetches:
             if self._outstanding:
-                pending = list(self._outstanding.values())
-                yield from self.wait(pending[0])
+                yield from self.wait(next(iter(self._outstanding.values())))
             else:
                 yield next(iter(self._miss_fetches.values()))
 
@@ -895,25 +837,16 @@ class MemcachedClient:
             req.hlc = self._hlc.stamp()
         if self._profiler.enabled:
             req.trace_id = self._profiler.maybe_start(op, api)
-        if self.recorder is not None:
-            self.recorder.on_issue(self.name, req.result())
-        if self.t_first_issue is None:
-            self.t_first_issue = t0
         conn = self._route(key)
-        self._outstanding[req_id] = req
         self._op_begin(req)
         yield sim.timeout(self.config.api_overhead)
-        now = sim._now
+        now = req.t_api_return = sim._now
+        self._account_block(req, now - t0)
         if conn is None:  # every server ejected: fail fast
-            req.server_index = -1
-            self._account_block(req, now - t0)
-            req.t_api_return = now
             self._fail_server_down(req)
             return req
         req.server_index = conn.index
         self._engine_queue.put(self._job_new(req, conn, t0))
-        self._account_block(req, now - t0)
-        req.t_api_return = now
         if self._replication > 1:
             if op in ("set", "delete", "incr", "decr"):
                 subs = self._fan_out(req, conn)
@@ -923,11 +856,13 @@ class MemcachedClient:
                 self._note_replica_read(req.key, conn)
         return req
 
-    def _block_until_complete(self, req: MemcachedReq):
-        if not req.complete.processed:
-            t0 = self.sim.now
-            yield req.complete
-            self._account_block(req, self.sim.now - t0)
+    def _bounded(self, ev, bound: Optional[float]):
+        """The event to yield to wait on ``ev`` for at most ``bound``
+        seconds; ``None`` waits as long as it takes, on ``ev`` itself.
+        The caller tells a timeout by ``ev`` not having triggered."""
+        if bound is None:
+            return ev
+        return self.sim.any_of([ev, self.sim.timeout(bound)])
 
     # -- replication (write fan-out + replica acks) -------------------------
 
@@ -978,7 +913,7 @@ class MemcachedClient:
         """Completion hook for one replica copy (ack or give-up)."""
         self._replica_outstanding[conn.index] = max(
             0, self._replica_outstanding.get(conn.index, 0) - 1)
-        self._recorded_ids.add(sub.req_id)
+        sub.recorded = True
         if self.recorder is not None:
             self.recorder.on_complete(self.name, sub.result(), user=False,
                                       parent=parent)
@@ -993,22 +928,13 @@ class MemcachedClient:
         resync repairs this one when the server rejoins."""
         if req.complete.triggered:
             return
-        timeout = self.config.request_timeout
         t0 = self.sim.now
-        if timeout is None:
-            yield req.complete
-        else:
-            yield self.sim.any_of([req.complete, self.sim.timeout(timeout)])
+        yield self._bounded(req.complete, self.config.request_timeout)
         if account:
             self._account_block(req, self.sim.now - t0)
         if not req.complete.triggered:
-            self._m_timeouts.inc()
             self._note_timeout(req)
-            self._outstanding.pop(req.req_id, None)
-            req.status = SERVER_DOWN
-            req.t_complete = self.sim.now
-            req.complete.succeed(None)
-            req.mark_buffer_safe()
+            self._fail_server_down(req, count=False)
 
     def _await_replica_acks(self, req: MemcachedReq):
         """Sync write mode: hold the caller until every replica copy of
@@ -1028,11 +954,10 @@ class MemcachedClient:
     # -- failure detection & recovery --------------------------------------
 
     def _recover(self, req: MemcachedReq):
-        """Drive ``req`` to completion, detecting silent server failures.
+        """Drive ``req`` to completion, detecting silent server failures
+        (``_finish`` calls this only with ``request_timeout`` set).
 
-        With ``request_timeout`` unset this is exactly
-        ``_block_until_complete`` (the pre-fault behaviour). Otherwise
-        each wait is bounded: a timeout counts against the target server
+        Each wait is bounded: a timeout counts against the target server
         (ejection after ``failure_threshold`` consecutive timeouts), the
         operation is reissued after exponential backoff — rerouted
         around ejected servers — and after ``max_retries`` reissues it
@@ -1041,17 +966,13 @@ class MemcachedClient:
         died before responding applies it again on reissue.
         """
         timeout = self.config.request_timeout
-        if timeout is None:
-            yield from self._block_until_complete(req)
-            return
         attempt = 0
         while not req.complete.triggered:
             t0 = self.sim.now
-            yield self.sim.any_of([req.complete, self.sim.timeout(timeout)])
+            yield self._bounded(req.complete, timeout)
             self._account_block(req, self.sim.now - t0)
             if req.complete.triggered:
                 break
-            self._m_timeouts.inc()
             self._note_timeout(req)
             if attempt >= self.config.max_retries:
                 self._fail_server_down(req)
@@ -1060,7 +981,7 @@ class MemcachedClient:
             backoff = (self.config.retry_backoff
                        * self.config.backoff_multiplier ** (attempt - 1))
             t0 = self.sim.now
-            yield self.sim.any_of([req.complete, self.sim.timeout(backoff)])
+            yield self._bounded(req.complete, backoff)
             self._account_block(req, self.sim.now - t0)
             if req.trace_id is not None:
                 self._profiler.record(req.trace_id, "backoff",
@@ -1075,6 +996,7 @@ class MemcachedClient:
 
     def _note_timeout(self, req: MemcachedReq) -> None:
         """A completion timeout elapsed against ``req``'s target server."""
+        self._m_timeouts.inc()
         if not 0 <= req.server_index < len(self._conns):
             return
         conn = self._conns[req.server_index]
@@ -1120,15 +1042,18 @@ class MemcachedClient:
         self._engine_queue.put(self._job_new(req, conn, self.sim.now))
         return True
 
-    def _fail_server_down(self, req: MemcachedReq) -> None:
-        """Give up on ``req``: complete it with status ``SERVER_DOWN``.
+    def _fail_server_down(self, req: MemcachedReq,
+                          count: bool = True) -> None:
+        """Give up on ``req``: complete it with status ``SERVER_DOWN``
+        (``count=False``: a replica copy or a broadcast, not a user op).
 
         Any late response is dropped by the pump (the request is no
         longer outstanding)."""
         self._outstanding.pop(req.req_id, None)
         req.status = SERVER_DOWN
         req.t_complete = self.sim.now
-        self._m_server_down.inc()
+        if count:
+            self._m_server_down.inc()
         if not req.complete.triggered:
             req.complete.succeed(None)
         req.mark_buffer_safe()
@@ -1145,19 +1070,17 @@ class MemcachedClient:
             done.succeed()
             self._finalize(req)
 
-    def _handle_miss(self, req: MemcachedReq, account: bool = True):
-        """Backend fetch + cache repopulation after a failed GET."""
-        if req.op != "get" or self.backend is None:
-            return
+    def _handle_miss(self, req: MemcachedReq):
+        """Backend fetch + cache repopulation after a failed GET
+        (``_finish`` calls this for a GET on a client with a backend)."""
         inflight = self._miss_fetches.get(req.req_id)
         if inflight is not None:
             # test() already started the fetch in the background; join it.
             t0 = self.sim.now
             yield inflight
-            if account:
-                self._account_block(req, self.sim.now - t0)
+            self._account_block(req, self.sim.now - t0)
             return
-        yield from self._miss_fetch(req, account)
+        yield from self._miss_fetch(req, account=True)
 
     def _miss_fetch(self, req: MemcachedReq, account: bool):
         """The fetch itself. A MISS repopulates the cache; a SERVER_DOWN
@@ -1177,7 +1100,9 @@ class MemcachedClient:
         if value_length > 0 and req.status == MISS:
             # Repopulate so future lookups hit (not recorded as a user op).
             t1 = self.sim.now
-            yield from self.set(req.key, value_length, _record=False)
+            fill = yield from self._issue("set", "set", req.key,
+                                          value_length, 0, 0.0)
+            yield from self._finish(fill, record=False)
             if account:
                 self._account_block(req, self.sim.now - t1)
         req.value_length = value_length
@@ -1191,7 +1116,15 @@ class MemcachedClient:
         if self._metrics_on:
             self._m_blocked.inc(dt)
 
-    def _op_begin(self, req: MemcachedReq) -> None:
+    def _op_begin(self, req: MemcachedReq, history: bool = True) -> None:
+        """Issue-time bookkeeping of one user-visible request: history,
+        the outstanding table, live metrics, the trace span."""
+        if history:
+            if self.recorder is not None:
+                self.recorder.on_issue(self.name, req.result())
+            if self.t_first_issue is None:
+                self.t_first_issue = req.t_issue
+        self._outstanding[req.req_id] = req
         if self._metrics_on:
             self._m_issued.inc()
         if self.obs.tracer.enabled:
@@ -1220,9 +1153,9 @@ class MemcachedClient:
 
     def _finalize(self, req: MemcachedReq, record: bool = True) -> None:
         """Record a completed user-visible operation (idempotent)."""
-        if req.req_id in self._recorded_ids:
+        if req.recorded:
             return
-        self._recorded_ids.add(req.req_id)
+        req.recorded = True
         if req.api == "replica":
             return  # propagation copies are not user-visible operations
         if req.trace_id is not None:
@@ -1272,29 +1205,28 @@ class MemcachedClient:
                 cost = self._acquire_buffer(req)
                 if cost > 0:
                     yield timeout(cost)
-            # Every branch leaves in ``msg`` the message whose going on
-            # the wire frees the operation's buffers (None: a BufferAck
-            # does instead).
+            # ``msg`` is the message whose going on the wire frees the
+            # operation's buffers (None: a BufferAck does instead).
             op = req.op
-            msg = None
             if op == "set":
                 msg = yield from self._engine_set(req, conn)
-            elif op == "get":
+                if msg is not None:
+                    req.reuse_point(msg)
+                continue
+            # Everything else is one header-only message.
+            if op == "get":
                 header = GetRequest(req_id=req.req_id, op="get", key=req.key,
                                     trace_id=req.trace_id)
-                msg = self._send_header(req, conn, header)
             elif op == "delete":
                 header = DeleteRequest(req_id=req.req_id, op="delete",
                                        key=req.key,
                                        replica=req.api == "replica",
                                        hlc=req.hlc, trace_id=req.trace_id)
-                msg = self._send_header(req, conn, header)
             elif op == "touch":
                 header = TouchRequest(req_id=req.req_id, op="touch",
                                       key=req.key,
                                       expiration=req.expiration,
                                       trace_id=req.trace_id)
-                msg = self._send_header(req, conn, header)
             elif op in ("incr", "decr"):
                 header = CounterRequest(req_id=req.req_id, op=op,
                                         key=req.key, delta=req.delta,
@@ -1303,30 +1235,21 @@ class MemcachedClient:
                                         direction=op,
                                         replica=req.api == "replica",
                                         trace_id=req.trace_id)
-                msg = self._send_header(req, conn, header)
             elif op == "gat":
                 header = GatRequest(req_id=req.req_id, op="gat",
                                     key=req.key,
                                     expiration=req.expiration,
                                     trace_id=req.trace_id)
-                msg = self._send_header(req, conn, header)
             elif op == "flush":
                 # The expiration slot carries flush_all's delay.
                 header = FlushRequest(req_id=req.req_id, op="flush",
                                       key=b"", delay=req.expiration)
-                msg = conn.endpoint.send(header, header.header_bytes)
-            elif op == "stats":
+            else:
                 header = StatsRequest(req_id=req.req_id, op="stats", key=b"")
-                msg = conn.endpoint.send(header, header.header_bytes)
-            if msg is not None:
-                req.reuse_point(msg)
-
-    def _send_header(self, req: MemcachedReq, conn: ServerConn, header):
-        """Send a header-only request; returns its (profiled) message."""
-        msg = conn.endpoint.send(header, header.header_bytes)
-        if req.trace_id is not None:
-            self._profile_msg(req, msg)
-        return msg
+            msg = conn.endpoint.send(header, header.header_bytes)
+            if req.trace_id is not None:
+                self._profile_msg(req, msg)
+            req.reuse_point(msg)
 
     def _engine_set(self, req: MemcachedReq, conn: ServerConn):
         ep = conn.endpoint

@@ -73,7 +73,7 @@ class MemcachedReq:
         "t_issue", "t_api_return", "t_complete",
         "blocked_time", "stages", "server_index", "trace_id",
         "expiration", "counter_value", "hlc",
-        "flags", "mode", "cas_send", "delta", "initial",
+        "flags", "mode", "cas_send", "delta", "initial", "recorded",
     )
 
     def __init__(self, sim: Simulator, req_id: int, op: str, key: bytes,
@@ -125,6 +125,9 @@ class MemcachedReq:
         #: incr/decr amount, and the auto-create value (None: no create).
         self.delta = delta
         self.initial = initial
+        #: The client finished this operation (record, history, span):
+        #: what makes ``wait``/``test`` on it idempotent afterwards.
+        self.recorded = False
 
     @property
     def done(self) -> bool:

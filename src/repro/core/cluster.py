@@ -389,7 +389,7 @@ class Cluster:
                 if donor is target or donor_index in self._excluded \
                         or not (donor.alive and donor.reachable):
                     continue
-                for key, value_length, expiration, numeric in \
+                for key, value_length, expiration, numeric, _hlc in \
                         donor.manager.live_items():
                     if key in table:
                         continue
@@ -432,7 +432,7 @@ class Cluster:
         moved = 0
         dst_manager = dst.manager
         for key, value_length, expiration, numeric, hlc in \
-                src.manager.live_items_with_hlc():
+                src.manager.live_items():
             if dst_index not in router.replicas_for(key, r, alive):
                 continue
             if dst_manager.merge_item(key, value_length,

@@ -247,8 +247,7 @@ class Migration:
 
     def _install(self, donor, owner: int, key: bytes, record,
                  *, only_if_absent: bool) -> bool:
-        cluster = self.cluster
-        target = cluster.servers[owner]
+        target = self.cluster.servers[owner]
         if not (target.alive and target.reachable):
             return False
         manager = target.manager
@@ -261,8 +260,14 @@ class Migration:
                 return False
             if manager.peek(key) is not None:
                 return False
+        return self._put_record(manager, key, record)
+
+    def _put_record(self, manager, key: bytes, record) -> bool:
+        """Install one peeked donor record in ``manager`` (zero-time):
+        an HLC-stamped item through the last-writer-wins merge, anything
+        else as a plain overwrite. Returns True when it was installed."""
         value_length, expiration, numeric, hlc = record
-        if hlc is not None and cluster.hlc_enabled:
+        if hlc is not None and self.cluster.hlc_enabled:
             return manager.merge_item(key, value_length,
                                       expiration=expiration,
                                       numeric=numeric, hlc=hlc)
@@ -293,14 +298,7 @@ class Migration:
             else:
                 manager.discard(key)
         else:
-            value_length, expiration, numeric, hlc = record
-            if hlc is not None and cluster.hlc_enabled:
-                manager.merge_item(key, value_length,
-                                   expiration=expiration,
-                                   numeric=numeric, hlc=hlc)
-            else:
-                manager.preload(key, value_length, expiration=expiration,
-                                numeric=numeric)
+            self._put_record(manager, key, record)
             self.items_moved += 1
             self._c_items.inc()
         state = target.handoff
@@ -322,16 +320,7 @@ class Migration:
         record = donor.manager.peek(key)
         if record is None:
             return False
-        value_length, expiration, numeric, hlc = record
-        manager = target.manager
-        if hlc is not None and self.cluster.hlc_enabled:
-            installed = manager.merge_item(key, value_length,
-                                           expiration=expiration,
-                                           numeric=numeric, hlc=hlc)
-        else:
-            manager.preload(key, value_length, expiration=expiration,
-                            numeric=numeric)
-            installed = True
+        installed = self._put_record(target.manager, key, record)
         if installed:
             self._registry.counter("double_reads",
                                    server=target.name).inc()

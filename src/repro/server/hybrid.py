@@ -332,22 +332,27 @@ class HybridSlabManager:
         while page is None:
             yield from self._make_space(cls, info)
             page = self.allocator.alloc_chunk(cls, item)
-        old = self.table.get(key)
-        if old is not None:
-            self._remove_item(old, keep_table=True)
-            info.replaced = True
         self._cas_counter += 1
         item.cas = self._cas_counter
-        self.table[key] = item
-        item.created = self.sim.now
-        item.last_access = self.sim.now
-        cls.lru.insert_head(item)
+        info.replaced = self._link(item, cls)
         self.stats.stores += 1
         if hlc is not None:
             self.tombstones.pop(key, None)  # the write outranked it
-        if expiration:
-            self._arm_expiry(expiration)
         return item, info
+
+    def _link(self, item: Item, cls: SlabClass) -> bool:
+        """Make a freshly allocated item the live entry under its key
+        (the tail ``store`` and ``preload`` share). Returns True when it
+        replaced an older entry."""
+        old = self.table.get(item.key)
+        if old is not None:
+            self._remove_item(old, keep_table=True)
+        self.table[item.key] = item
+        item.created = item.last_access = self.sim.now
+        cls.lru.insert_head(item)
+        if item.expiration:
+            self._arm_expiry(item.expiration)
+        return old is not None
 
     def counter_op(self, key: bytes, delta: int, direction: str,
                    initial: Optional[int] = None, expiration: float = 0.0):
@@ -712,23 +717,11 @@ class HybridSlabManager:
         the device write; reads of not-yet-durable items are served from
         the buffer at memcpy speed.
         """
-        from_cls = self.allocator.classes[page.clsid]
-        scheme_name = self.scheme_name_for(from_cls)
+        slot = self._spill_page(page)
         span = self.obs.tracer.begin("slab_flush", tid=f"{self.owner}-slabs",
                                      pid="server", cat="flush", async_=True,
-                                     scheme=scheme_name)
-        slot = self._acquire_slot(scheme_name)
-        victims = list(page.items.items())
-        for idx, item in victims:
-            from_cls.lru.remove(item)
-            item.location = SSD
-            item.disk_slot = slot
-            item.disk_offset = slot.offset + idx * page.chunk_size
-            item.page = None
-            item.chunk_index = -1
-            slot.items.add(item)
-            page.free(idx)
-        scheme = self.schemes[scheme_name]
+                                     scheme=slot.scheme_name)
+        scheme = self.schemes[slot.scheme_name]
         if self.async_flush:
             buf = self._flush_buffers.request()
             yield buf  # backpressure: bounded in-flight flush buffers
@@ -748,6 +741,24 @@ class HybridSlabManager:
         info.flushed = True
         info.flush_bytes += self.allocator.page_size
         self.allocator.recycle_page(page, to_cls)
+
+    def _spill_page(self, page: SlabPage) -> DiskSlot:
+        """The state transition of a page flush, no I/O: every item of
+        ``page`` moves to a fresh SSD slot and its chunk is freed.
+        ``preload`` stops here (its slots are durable at once);
+        ``_flush_page`` then pays for the write."""
+        from_cls = self.allocator.classes[page.clsid]
+        slot = self._acquire_slot(self.scheme_name_for(from_cls))
+        for idx, item in list(page.items.items()):
+            from_cls.lru.remove(item)
+            item.location = SSD
+            item.disk_slot = slot
+            item.disk_offset = slot.offset + idx * page.chunk_size
+            item.page = None
+            item.chunk_index = -1
+            slot.items.add(item)
+            page.free(idx)
+        return slot
 
     def _background_flush(self, scheme: IOScheme, slot: DiskSlot, buf):
         try:
@@ -894,71 +905,26 @@ class HybridSlabManager:
                 pass
             elif self.hybrid:
                 victim = self._victim_page(cls)
-                self._flush_page_stateonly(victim, cls)
+                slot = self._spill_page(victim)
+                slot.durable = True  # zero-time: there is no write to wait for
+                self.allocator.recycle_page(victim, cls)
             else:
                 self._evict_for(cls, info)
             page = self.allocator.alloc_chunk(cls, item)
-        old = self.table.get(key)
-        if old is not None:
-            self._remove_item(old, keep_table=True)
-        self.table[key] = item
-        item.created = self.sim.now
-        item.last_access = self.sim.now
-        cls.lru.insert_head(item)
-        if expiration:
-            self._arm_expiry(expiration)
-
-    def _flush_page_stateonly(self, page: SlabPage, to_cls: SlabClass) -> None:
-        from_cls = self.allocator.classes[page.clsid]
-        scheme_name = self.scheme_name_for(from_cls)
-        if not self._free_slots:
-            oldest = min(self._live_slots.values(), key=lambda s: s.seq)
-            for item in list(oldest.items):
-                self.table.pop(item.key, None)
-                self.stats.dropped_items += 1
-                self._m_dropped.inc()
-            oldest.items.clear()
-            self._free_slot(oldest)
-            self.stats.disk_drops += 1
-        slot_id = self._free_slots.pop()
-        slot = DiskSlot(slot_id, slot_id * self.allocator.page_size,
-                        scheme_name, self._slot_seq)
-        slot.durable = True  # preload: state transition only, no I/O
-        self._slot_seq += 1
-        self._live_slots[slot_id] = slot
-        for idx, item in list(page.items.items()):
-            from_cls.lru.remove(item)
-            item.location = SSD
-            item.disk_slot = slot
-            item.disk_offset = slot.offset + idx * page.chunk_size
-            item.page = None
-            item.chunk_index = -1
-            slot.items.add(item)
-            page.free(idx)
-        self.allocator.recycle_page(page, to_cls)
+        self._link(item, cls)
 
     def reset_metrics(self) -> None:
         """Zero the run-scoped counters; cache contents are untouched."""
         self.stats = ManagerStats()
 
     def live_items(self):
-        """Yield ``(key, value_length, expiration, numeric)`` for every
-        live, unexpired item.
+        """Yield ``(key, value_length, expiration, numeric, hlc)`` for
+        every live, unexpired item (``hlc`` is None off HLC clusters).
 
         Read-only walk for anti-entropy resync: no LRU touches, no stat
         bumps, so donating data to a rejoining replica never perturbs
         the donor's metrics or recency state.
         """
-        for key, item in self.table.items():
-            if item.location == DEAD:
-                continue
-            if self._expired(item):
-                continue
-            yield key, item.value_length, item.expiration, item.numeric
-
-    def live_items_with_hlc(self):
-        """:meth:`live_items` plus each item's HLC stamp — the donor
-        walk of the bidirectional last-writer-wins resync."""
         for key, item in self.table.items():
             if item.location == DEAD:
                 continue

@@ -321,7 +321,7 @@ class MemcachedServer:
         if getattr(request, "replica", False):
             return False
         if isinstance(request, MultiGetRequest):
-            return False  # split per entry inside _handle_mget
+            return False  # _handle_mget routes each entry's sub-request
         key = request.key
         if not key:
             return False  # flush/stats broadcasts stay local
@@ -332,23 +332,6 @@ class MemcachedServer:
                 if isinstance(request, SetRequest):
                     return False
                 self._forward(request, endpoint, owner)
-                return True
-        if state.pulling and key not in state.written:
-            migration.maybe_pull(self, key)
-        return False
-
-    def _handoff_mget_entry(self, req_id: int, key: bytes, ptid,
-                            endpoint: Endpoint) -> bool:
-        """Per-entry handoff routing for a batched mget: misrouted
-        entries are split out and relayed individually."""
-        state = self.handoff
-        migration = state.migration
-        if state.forwarding:
-            owner = migration.owner_of(key)
-            if owner != self.index:
-                sub = GetRequest(req_id=req_id, op="get", key=key,
-                                 trace_id=ptid)
-                self._forward(sub, endpoint, owner)
                 return True
         if state.pulling and key not in state.written:
             migration.maybe_pull(self, key)
@@ -437,8 +420,13 @@ class MemcachedServer:
         old.grant_all_waiting()
 
     def _release_credit(self, credit) -> None:
+        """Return a SET's receive-buffer credit (None: already returned,
+        or an inline value that never took one), observing how long it
+        was held."""
         if credit is None:
             return
+        if credit.granted_at is not None and self._metrics_on:
+            self._m_credit_hold.observe(self.sim._now - credit.granted_at)
         try:
             credit.resource.release(credit)
         except SimulationError:  # pragma: no cover - defensive
@@ -627,8 +615,6 @@ class MemcachedServer:
             # client engine's next value transfer can proceed while we do
             # the expensive slab work below. Notify the client that its
             # buffers are reusable (what bset blocks on — Section V-B1).
-            if credit.granted_at is not None and self._metrics_on:
-                self._m_credit_hold.observe(sim._now - credit.granted_at)
             self._release_credit(credit)
             credit = None
             if self.reachable:
@@ -641,10 +627,7 @@ class MemcachedServer:
             # Misrouted SET from a client that has not observed the new
             # view yet: the value is fully staged here now, so relay the
             # whole operation inline to the key's new owner.
-            if credit is not None:
-                if credit.granted_at is not None and self._metrics_on:
-                    self._m_credit_hold.observe(sim._now - credit.granted_at)
-                self._release_credit(credit)
+            self._release_credit(credit)
             request.inline_value = True
             self._forward(request, endpoint,
                           self.handoff.migration.owner_of(request.key))
@@ -672,10 +655,7 @@ class MemcachedServer:
         if ptid is not None:
             prof.record(ptid, px + "index", t0, sim._now)
 
-        if credit is not None:
-            if credit.granted_at is not None and self._metrics_on:
-                self._m_credit_hold.observe(sim._now - credit.granted_at)
-            self._release_credit(credit)
+        self._release_credit(credit)
         if request.replica:
             # Replica-apply path: same slab work, separate accounting —
             # user-visible SET counters stay comparable across R values.
@@ -743,55 +723,17 @@ class MemcachedServer:
     # -- MGET -----------------------------------------------------------------
 
     def _handle_mget(self, request: MultiGetRequest, endpoint: Endpoint):
-        """memcached_mget: stream one response per requested key."""
-        sim = self.sim
-        timeout = sim.timeout
-        costs = self.config.costs
-        prof = self.obs.profiler
-        traces = request.traces if prof.enabled else ()
+        """memcached_mget: one GET per requested key, each answered
+        with its own response (and, in a migration window, routed on its
+        own: a misrouted entry is relayed alone)."""
+        traces = request.traces if self.obs.profiler.enabled else ()
         for i, (req_id, key) in enumerate(request.entries):
-            stages: Dict[str, float] = {}
-            ptid = traces[i] if i < len(traces) else None
-            if self.handoff is not None and not request.forwarded \
-                    and self._handoff_mget_entry(req_id, key, ptid,
-                                                 endpoint):
+            sub = GetRequest(req_id=req_id, op="get", key=key,
+                             trace_id=traces[i] if i < len(traces) else None)
+            if self.handoff is not None \
+                    and self._handoff_route(sub, endpoint):
                 continue  # relayed to the key's new owner
-            t0 = sim._now
-            yield timeout(costs.hash_lookup)
-            if ptid is not None:
-                prof.record(ptid, "index", t0, sim._now)
-            item = self.manager.lookup(key)
-            if item is not None:
-                t_load = sim._now
-                was_ssd = item.on_ssd
-                yield from self.manager.load_value(item, trace=ptid)
-                if ptid is not None:
-                    prof.record(ptid, "ssd" if was_ssd else "ram",
-                                t_load, sim._now)
-            stages["cache_check_load"] = sim._now - t0
-            self.stats.gets += 1
-            if self._metrics_on:
-                self._m_gets.inc()
-            sub = GetRequest(req_id=req_id, op="get", key=key, trace_id=ptid)
-            if item is None:
-                self.stats.get_misses += 1
-                if self._metrics_on:
-                    self._m_misses.inc()
-                self.stats.add_stages(stages)
-                yield from self._respond(endpoint, sub, MISS, 0, stages)
-                continue
-            t0 = sim._now
-            yield timeout(costs.lru_update)
-            self.manager.touch(item)
-            stages["cache_update"] = sim._now - t0
-            if ptid is not None:
-                prof.record(ptid, "index", t0, sim._now)
-            self.stats.get_hits += 1
-            if self._metrics_on:
-                self._m_hits.inc()
-            self.stats.add_stages(stages)
-            yield from self._respond(endpoint, sub, HIT, item.value_length,
-                                     stages, cas_token=item.cas)
+            yield from self._handle_get(sub, endpoint)
 
     # -- DELETE --------------------------------------------------------------
 
@@ -864,8 +806,7 @@ class MemcachedServer:
             self._m_replica_applies.inc()
         else:
             self.stats.counters += 1
-        for k, v in stages.items():
-            self.stats.add_stage(k, v)
+        self.stats.add_stages(stages)
         yield from self._respond(endpoint, request, status, value_length,
                                  stages, cas_token=cas_token,
                                  counter_value=value)
@@ -885,8 +826,7 @@ class MemcachedServer:
         stages["cache_check_load"] = self.sim.now - t0
         self.stats.gats += 1
         if item is None:
-            for k, v in stages.items():
-                self.stats.add_stage(k, v)
+            self.stats.add_stages(stages)
             yield from self._respond(endpoint, request, MISS, 0, stages)
             return
         value_length, cas_token = item.value_length, item.cas
@@ -897,8 +837,7 @@ class MemcachedServer:
             stages["cache_update"] = self.sim.now - t0
         if self.handoff is not None:
             self._note_write(request.key)
-        for k, v in stages.items():
-            self.stats.add_stage(k, v)
+        self.stats.add_stages(stages)
         yield from self._respond(endpoint, request, HIT, value_length,
                                  stages, cas_token=cas_token)
 

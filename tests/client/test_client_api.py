@@ -1,5 +1,7 @@
 """Tests for the client API: blocking, non-blocking, wait/test semantics."""
 
+from collections import deque
+
 import pytest
 
 from repro import build_cluster, profiles
@@ -303,6 +305,38 @@ class TestRecords:
         client.reset_metrics()
         assert not client.records
         assert client.total_blocked == 0.0
+
+    def test_client_memory_is_bounded_by_outstanding_not_by_ops(self):
+        """After quiesce + reset_metrics a client holds nothing per
+        operation it ever ran: every container attribute is sized by the
+        window, the key set and the server list, not by the op count."""
+        cluster = small_cluster(profiles.H_RDMA_OPT_NONB_I)
+        client = cluster.clients[0]
+        keys = [b"k%d" % i for i in range(8)]
+
+        def app(sim):
+            window = []
+            for i in range(2000):
+                key = keys[i % len(keys)]
+                if i % 4 == 0:
+                    yield from client.set(key, 1 * KB)
+                elif i % 4 == 1:
+                    yield from client.get(key)
+                elif i % 4 == 2:
+                    window.append((yield from client.iset(key, 1 * KB)))
+                else:
+                    window.append((yield from client.iget(key)))
+                if len(window) >= 16 or i == 1999:
+                    yield from client.wait_all(window)
+                    window.clear()
+            yield from client.quiesce()
+
+        run_app(cluster, app)
+        assert len(client.records) == 2000
+        client.reset_metrics()
+        held = {name: len(value) for name, value in vars(client).items()
+                if isinstance(value, (set, dict, list, deque))}
+        assert sum(held.values()) <= 64, held
 
     def test_repopulate_set_not_recorded(self):
         cluster = small_cluster(profiles.RDMA_MEM)

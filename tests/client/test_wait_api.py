@@ -107,8 +107,7 @@ class TestWaitAllTimeout:
             yield from client.wait_all(reqs, timeout=2 * US)
             # One shared budget, not per request.
             assert sim.now - t0 <= 4 * US
-            pending = [r for r in reqs if r.req_id not in
-                       client._recorded_ids]
+            pending = [r for r in reqs if not r.recorded]
             assert pending  # something was left in flight
             yield from client.wait_all(reqs)
             assert all(r.status == STORED for r in reqs)
@@ -142,7 +141,7 @@ class TestWaitTimeoutTestInterplay:
             req = yield from client.iget(b"absent")
             got = yield from client.wait(req, timeout=1 * US)
             assert got is req
-            assert req.req_id not in client._recorded_ids  # not finalized
+            assert not req.recorded  # not finalized
             # Poll until the background backend fetch completes.
             while not client.test(req):
                 yield sim.timeout(100 * US)

@@ -77,7 +77,7 @@ class TestDivergenceMutant:
         moved = 0
         table = dst.manager.table
         for key, value_length, expiration, numeric, _hlc in \
-                src.manager.live_items_with_hlc():
+                src.manager.live_items():
             if key in table \
                     or dst_index not in router.replicas_for(key, r, alive):
                 continue

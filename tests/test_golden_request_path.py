@@ -145,7 +145,7 @@ def run_mget() -> str:
                                              ssd_limit=64 * MB)))
 
 
-def _replicated(write_mode, hlc, fault, **run_kwargs) -> str:
+def run_replicated(write_mode, hlc, fault, check=False) -> str:
     spec = WorkloadSpec(num_ops=150, num_keys=512, value_length=8 * KB,
                         read_fraction=0.5, distribution="uniform", seed=5)
     cluster_spec = ClusterSpec(
@@ -155,8 +155,8 @@ def _replicated(write_mode, hlc, fault, **run_kwargs) -> str:
                                       router="ketama", hlc=hlc),
         request_timeout=2 * MS, retry_backoff=200 * US, failure_threshold=2)
     return run(RunConfig(profile=H_RDMA_OPT_NONB_I, workload=spec,
-                         cluster=cluster_spec,
-                         fault_plan=FaultPlan.parse([fault]), **run_kwargs))
+                         cluster=cluster_spec, check_consistency=check,
+                         fault_plan=FaultPlan.parse([fault])))
 
 
 def run_scale(handoff, ycsb) -> str:
@@ -230,14 +230,14 @@ CASES = {f"{profile.key}/{api}": (run_grid, profile, api)
          for profile, api in GRID}
 CASES.update({
     "mget/h-rdma-opt-block": (run_mget,),
-    "r2-sync/crash": (_replicated, "sync", False,
+    "r2-sync/crash": (run_replicated, "sync", False,
                       "crash:server=1,at=200us"),
-    "r2-sync/crash-restart-resync": (_replicated, "sync", False,
+    "r2-sync/crash-restart-resync": (run_replicated, "sync", False,
                                      "crash:server=1,at=200us,duration=1ms"),
+    # Recorded and checked, so the run settles past the heal + resync.
     "r2-async-hlc/partition-heal": (
-        lambda: _replicated("async", True,
-                            "partition:server=1,at=200us,duration=1ms",
-                            check_consistency=True),),
+        run_replicated, "async", True,
+        "partition:server=1,at=200us,duration=1ms", True),
     "scale-4-8/forward/ycsb-a": (run_scale, "forward", "A"),
     "scale-4-8/double-read/ycsb-a": (run_scale, "double-read", "A"),
     # YCSB-E scans are mgets: per-entry forwarding / pull-on-miss.
