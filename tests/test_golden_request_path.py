@@ -2,16 +2,20 @@
 
 Each case below is one small fixed run — about 300 operations — whose
 whole observable outcome is folded into one SHA-256: every operation
-record (``test_determinism.fingerprint``), the simulator's event count,
-each server's ``manager.stats``, ``stats.stage_time`` and final table
-contents and, where the run records one, the consistency history. The digests were generated on
-the commit *before* the request-lifecycle refactor and committed ahead
-of it, so "same behaviour" is an assertion in this file, not a scratch
-script compared against a second checkout.
+record (``test_determinism.fingerprint``), each server's
+``manager.stats``, ``stats.stage_time`` and final table contents and,
+where the run records one, the consistency history. The simulator's
+event count is pinned next to it, apart: ``GOLDEN[case] =
+(behaviour_digest, events)``, so a change that only makes the engine
+cheaper touches the integer column and a reviewer sees that no digest
+moved. The digests were generated on the commit *before* the
+request-lifecycle refactor and committed ahead of it, so "same
+behaviour" is an assertion in this file, not a scratch script compared
+against a second checkout.
 
-A failing case prints its new digest. Regenerating means pasting that
+A failing case prints its new pair. Regenerating means pasting that
 value into ``GOLDEN`` in a diff a reviewer sees, with the reason the
-behaviour was meant to change.
+behaviour (or the event count) was meant to change.
 """
 
 import dataclasses
@@ -33,33 +37,33 @@ from repro.workloads.generator import WorkloadSpec, generate_ops
 from tests.test_determinism import fingerprint
 
 GOLDEN = {
-    "all-verbs/r2-sync": "0fb425c0dc531e9ca2617815ec6175a8a3c971618e9347d610003f0b50cd75aa",
-    "fatcache/blocking": "522ccd6efa74b25b5a6cd96283bfbfa15d4d031f71ab21df470e06512bd7f6db",
-    "h-rdma-def/blocking": "1e94484481afb187f7c0bc7d2fd26000610904464e7428b4c26b4e2b9977ad47",
-    "h-rdma-opt-block/blocking": "53c113aae769d4e367d48e8cbfbe576dc76b422887055136bcd876d778c65cbc",
-    "h-rdma-opt-nonb-b/blocking": "53c113aae769d4e367d48e8cbfbe576dc76b422887055136bcd876d778c65cbc",
-    "h-rdma-opt-nonb-b/nonb-b": "3465bd2a7cb2aba40c92efc4a5b68c38610420e17e8d0b9bc9d11fe85e89787a",
-    "h-rdma-opt-nonb-b/nonb-i": "b2afb4ee14dc0652f1c346677c1204a3fddd06d729932c8cfaf0493d7f615073",
-    "h-rdma-opt-nonb-i/blocking": "53c113aae769d4e367d48e8cbfbe576dc76b422887055136bcd876d778c65cbc",
-    "h-rdma-opt-nonb-i/nonb-b": "3465bd2a7cb2aba40c92efc4a5b68c38610420e17e8d0b9bc9d11fe85e89787a",
-    "h-rdma-opt-nonb-i/nonb-i": "b2afb4ee14dc0652f1c346677c1204a3fddd06d729932c8cfaf0493d7f615073",
-    "ipoib-mem/blocking": "c923cd3ee5eb04509a4ab2ba0d97d5df4c3872eb69a658181dc57c32c3be305b",
-    "mget/h-rdma-opt-block": "516006c3f3f9ea856ff4de31e413895303ef0fe79831285040c9b637f728664a",
-    "r2-async-hlc/partition-heal": "30a9cc3acded361cb66220d16808f11cea261657eeb8ad3aaec1226971887960",
-    "r2-sync/crash": "0146bcb7e64c134ff594d89c3218716700b775d30550a18cfcd6c0311578b1f8",
-    "r2-sync/crash-restart-resync": "8f4afce68ca49474bd3280b9c131a681c89126a5afee964146edb1b66b120b7b",
-    "rdma-mem/blocking": "4f699b20ef05a01d1bbc88b82b22cc4aeba223c7eb2c4cb9ff98f84b8d23f589",
-    "scale-4-8/double-read/ycsb-a": "bc0707f8f0c73236da07628180b1bbe048d8c09b9bb39974d4df2d0863e1768a",
-    "scale-4-8/double-read/ycsb-e": "f4521550e4b47c6d16c7caad970cd5f37a89cc1b6ccdfdede05a91703e8f9fd5",
-    "scale-4-8/forward/ycsb-a": "1a927a1d96d41842af24df919e6b6306ceef4c048a7b5119c6c938d65eaccc9d",
-    "scale-4-8/forward/ycsb-e": "fe7ec30029a734f8857955a79e7e59188ff334b5a3e93a1519813678d783b5fc",
+    "all-verbs/r2-sync": ("427ec2f744137272e41cdf9c062200b6ba0919ed7cab89c4de96becbc646fa5e", 13263),
+    "fatcache/blocking": ("df054ac1b9ce9822bda4b763d3f8d6e5558583406fb05a374a87437b02ba4e11", 6599),
+    "h-rdma-def/blocking": ("3acd781c97e07fc0b7214f6a097dc85d7608e0f382cf7e28317ea0bd1c902753", 7306),
+    "h-rdma-opt-block/blocking": ("4c99db19a05119c0717a0763ff24d9b3a762626deb61cf3d680bcccd842f5ad2", 7979),
+    "h-rdma-opt-nonb-b/blocking": ("4c99db19a05119c0717a0763ff24d9b3a762626deb61cf3d680bcccd842f5ad2", 7979),
+    "h-rdma-opt-nonb-b/nonb-b": ("026af2d7f5e9780e729f30aa5796fc00483ecb67d3d37b96d41a91035c4310e0", 8139),
+    "h-rdma-opt-nonb-b/nonb-i": ("659c403a2729e75d63fb6f7978a7f3ccae3144387687c916407cf17d48d54be4", 7619),
+    "h-rdma-opt-nonb-i/blocking": ("4c99db19a05119c0717a0763ff24d9b3a762626deb61cf3d680bcccd842f5ad2", 7979),
+    "h-rdma-opt-nonb-i/nonb-b": ("026af2d7f5e9780e729f30aa5796fc00483ecb67d3d37b96d41a91035c4310e0", 8139),
+    "h-rdma-opt-nonb-i/nonb-i": ("659c403a2729e75d63fb6f7978a7f3ccae3144387687c916407cf17d48d54be4", 7619),
+    "ipoib-mem/blocking": ("1957333b9b1e0ea27baa5e2cff26885965d309f7de13482f1f359bed367bab59", 6780),
+    "mget/h-rdma-opt-block": ("1d78b05b533678085d1ef916223d51a8a35ac4a98af5a3899cc5fc7797dfdb77", 4951),
+    "r2-async-hlc/partition-heal": ("7c8cbe7bb9e10682e1e9070098f40d45754171cb9c168732ca03881239c039da", 9989),
+    "r2-sync/crash": ("663855656b2fdbe5558f852bb54c35e63edf1cb07d5d2857c16ccdf33a5b7fe4", 10012),
+    "r2-sync/crash-restart-resync": ("5023a98c33a19509970a081429478e6d813f4edb0b29153f9b0befc6022a6de8", 10021),
+    "rdma-mem/blocking": ("3379e6c46add0cc8f9484f902e23300b68014fc77423a2b6f66963ea3c162fee", 7556),
+    "scale-4-8/double-read/ycsb-a": ("01f13cbb6b590299b9fe720fbd47d02204ff521c44644501f9316714e609ce33", 7058),
+    "scale-4-8/double-read/ycsb-e": ("1ca8b52048f0a440353bb29f2b1cc76b2b018b56ac82861b38da36e9eed2ba0e", 18367),
+    "scale-4-8/forward/ycsb-a": ("1724b598d9c527fc6d0a530c243813077bf46af66d1dd8bfd1679741c26237e2", 7068),
+    "scale-4-8/forward/ycsb-e": ("3a33a162eac7bcf23423cd1207c1657b78544d59ef0f031a67cf2b74f22bf9fa", 18375),
 }
 
 
-def digest(result, cluster) -> str:
+def digest(result, cluster, extra=None) -> tuple:
+    """``(behaviour digest, events processed)`` of a finished run."""
     h = hashlib.sha256()
     h.update(repr(fingerprint(result)).encode())
-    h.update(repr(cluster.sim.events_processed).encode())
     for server in cluster.servers:
         manager = server.manager
         h.update(repr((dataclasses.astuple(manager.stats),
@@ -74,10 +78,12 @@ def digest(result, cluster) -> str:
     history = getattr(result, "history", None)
     if history is not None:
         h.update(to_jsonl(history).encode())
-    return h.hexdigest()
+    if extra is not None:
+        h.update(repr(extra).encode())
+    return h.hexdigest(), cluster.sim.events_processed
 
 
-def run(cfg: RunConfig) -> str:
+def run(cfg: RunConfig) -> tuple:
     cluster = cfg.build()
     return digest(cfg.run(cluster), cluster)
 
@@ -113,7 +119,7 @@ def _drive_wait_any(client, ops, window=8):
     yield from client.quiesce()
 
 
-def run_grid(profile, api) -> str:
+def run_grid(profile, api) -> tuple:
     cfg = RunConfig(profile=profile, workload=GRID_WORKLOAD,
                     cluster=GRID_CLUSTER, api=api)
     if api != NONB_B:
@@ -136,7 +142,7 @@ GRID = [(profile, api)
 
 # -- mget, replication, HLC, elastic scaling --------------------------------
 
-def run_mget() -> str:
+def run_mget() -> tuple:
     spec = WorkloadSpec(num_ops=300, num_keys=700, value_length=30 * KB,
                         read_fraction=0.8, seed=2)
     return run(RunConfig(profile=H_RDMA_OPT_BLOCK, workload=spec,
@@ -145,7 +151,7 @@ def run_mget() -> str:
                                              ssd_limit=64 * MB)))
 
 
-def run_replicated(write_mode, hlc, fault, check=False) -> str:
+def run_replicated(write_mode, hlc, fault, check=False) -> tuple:
     spec = WorkloadSpec(num_ops=150, num_keys=512, value_length=8 * KB,
                         read_fraction=0.5, distribution="uniform", seed=5)
     cluster_spec = ClusterSpec(
@@ -159,7 +165,7 @@ def run_replicated(write_mode, hlc, fault, check=False) -> str:
                          fault_plan=FaultPlan.parse([fault])))
 
 
-def run_scale(handoff, ycsb) -> str:
+def run_scale(handoff, ycsb) -> tuple:
     spec = ClusterSpec(
         topology=TopologyConfig(initial_servers=4, handoff=handoff),
         num_clients=2, server_mem=8 * MB, ssd_limit=64 * MB,
@@ -173,7 +179,7 @@ def run_scale(handoff, ycsb) -> str:
 
 # -- every client verb once, on a replicated cluster ------------------------
 
-def run_all_verbs() -> str:
+def run_all_verbs() -> tuple:
     """The verbs no generated workload issues (add / replace / cas /
     delete / gets / flush_all / stats / test-polling) next to the ones
     they do, at R=2 sync so every write tail holds for replica acks."""
@@ -220,10 +226,8 @@ def run_all_verbs() -> str:
         yield from client.quiesce()
 
     sim.run(until=sim.spawn(app()))
-    result = SimpleNamespace(records=cluster.all_records())
-    h = hashlib.sha256(digest(result, cluster).encode())
-    h.update(repr(seen).encode())
-    return h.hexdigest()
+    return digest(SimpleNamespace(records=cluster.all_records()), cluster,
+                  extra=seen)
 
 
 CASES = {f"{profile.key}/{api}": (run_grid, profile, api)
@@ -256,6 +260,9 @@ def test_the_grid_covers_every_profile_and_api():
 def test_golden_digest(case):
     fn, *args = CASES[case]
     got = fn(*args)
-    assert got == GOLDEN.get(case), (
-        f"request-path digest changed for {case!r}; new digest:\n"
-        f'    "{case}": "{got}",')
+    want = GOLDEN.get(case, (None, None))
+    assert got == want, (
+        f"request path changed for {case!r}: behaviour digest "
+        f"{'same' if got[0] == want[0] else 'MOVED'}, events "
+        f"{want[1]} -> {got[1]}; new entry:\n"
+        f'    "{case}": ("{got[0]}", {got[1]}),')
