@@ -7,9 +7,10 @@ Architecture (paper Figure 3):
   runtime). The engine serializes operations onto the NIC, obeys the
   server's receive-buffer credits for SET values, and arms the
   buffer-reuse events.
-* A **response pump** per connection matches server responses (and
-  RDMA-written GET values) back to outstanding ``memcached_req``
-  handles and triggers their completion flags.
+* The **response path** matches server responses (and RDMA-written
+  GET values) back to outstanding ``memcached_req`` handles and raises
+  their completion flags: the connection endpoint's receiver on RDMA, a
+  pump process per connection on IPoIB (which pays receive CPU).
 * ``iset``/``iget`` return as soon as the request is queued on the
   engine; ``bset`` returns when the value has left the user buffer;
   ``bget`` returns when the request header is on the wire; ``wait``/
@@ -24,6 +25,7 @@ measurements (Figure 7a).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.client.backend import BackendDatabase
@@ -259,9 +261,8 @@ class MemcachedClient:
         self._router = None  # rebuilt on next use
         if self._started:
             # Elastically added mid-run: the communication engine is
-            # already up, so this connection needs its response pump now.
-            self.sim.spawn(self._pump(conn),
-                           name=f"{self.name}-pump{conn.index}")
+            # already up, so this connection's responses are taken now.
+            self._listen(conn)
         self.obs.registry.gauge(
             "client_server_health",
             fn=lambda c=conn: 1.0 if self._conn_alive(c) else 0.0,
@@ -392,7 +393,7 @@ class MemcachedClient:
             self._ring_size = len(self._conns)
         self.sim.spawn(self._engine(), name=f"{self.name}-engine")
         for conn in self._conns:
-            self.sim.spawn(self._pump(conn), name=f"{self.name}-pump{conn.index}")
+            self._listen(conn)
 
     # -- public blocking API -------------------------------------------------
     #
@@ -1342,60 +1343,71 @@ class MemcachedClient:
             profile_message(self._profiler, req.trace_id,
                             self._profiler.clock, msg, self._pstage(req))
 
-    # -- response pump ---------------------------------------------------------------
+    # -- response path ----------------------------------------------------------------
+
+    def _listen(self, conn: ServerConn) -> None:
+        """Start taking ``conn``'s responses: as the endpoint's receiver
+        on a one-sided connection (no receive CPU, so each is handled as
+        it is delivered), through a process on a stream connection (a
+        serial kernel receive per message)."""
+        if conn.one_sided:
+            conn.endpoint.receiver = partial(self._on_response, conn)
+        else:
+            self.sim.spawn(self._pump(conn),
+                           name=f"{self.name}-pump{conn.index}")
 
     def _pump(self, conn: ServerConn):
-        # Per-response loop: one iteration per server response this
-        # connection ever receives, so the lookups below are hoisted.
-        sim = self.sim
-        timeout = sim.timeout
+        timeout = self.sim.timeout
         recv = conn.endpoint.recv
-        outstanding = self._outstanding
-        conn_index = conn.index
         while True:
             delivery = yield recv()
             if delivery.recv_cpu:
                 yield timeout(delivery.recv_cpu)
-            payload = delivery.payload
-            if type(payload) is BufferAck:
-                pending = outstanding.get(payload.req_id)
-                if pending is not None:
-                    pending.mark_buffer_safe()
-                continue
-            response: Response = payload
-            req = outstanding.pop(response.req_id, None)
-            if req is None:
-                # Late response for an op already declared SERVER_DOWN,
-                # or the duplicate answer of a retried request.
-                continue
-            if req.complete.triggered:  # pragma: no cover - defensive
-                continue
-            req.response = response
-            req.status = response.status
-            # Attribute the completion to the server that answered:
-            # after a failover reissue, the response of the *first*
-            # attempt can still arrive, and history/consistency checks
-            # need the server that actually served the op. A response
-            # relayed through a migration-window forward carries the
-            # true origin (the new owner), not this connection's server.
-            origin = response.origin
-            req.server_index = origin if origin >= 0 else conn_index
-            stages = response.stages
-            req.stages.update(stages)
-            # Network + delivery share of the server's response stage.
-            now = sim._now
-            req.stages["server_response"] = (
-                stages.get("server_response", 0.0)
-                + (now - response.sent_at))
-            if response.op in ("get", "gat") and response.status == HIT:
-                req.value_length = response.value_length
-            elif response.op in ("incr", "decr") and \
-                    response.status == "STORED":
-                req.value_length = response.value_length
-            req.counter_value = response.counter_value
-            req.cas_token = response.cas_token
-            req.t_complete = now
-            req.complete.succeed(response)
+            self._on_response(conn, delivery)
+
+    def _on_response(self, conn: ServerConn, delivery) -> None:
+        payload = delivery.payload
+        outstanding = self._outstanding
+        if type(payload) is BufferAck:
+            pending = outstanding.get(payload.req_id)
+            if pending is not None:
+                pending.mark_buffer_safe()
+            return
+        response: Response = payload
+        req = outstanding.pop(response.req_id, None)
+        if req is None:
+            # Late response for an op already declared SERVER_DOWN,
+            # or the duplicate answer of a retried request.
+            return
+        if req.complete.triggered:  # pragma: no cover - defensive
+            return
+        req.response = response
+        req.status = response.status
+        # Attribute the completion to the server that answered:
+        # after a failover reissue, the response of the *first*
+        # attempt can still arrive, and history/consistency checks
+        # need the server that actually served the op. A response
+        # relayed through a migration-window forward carries the
+        # true origin (the new owner), not this connection's server.
+        origin = response.origin
+        req.server_index = origin if origin >= 0 else conn.index
+        stages = response.stages
+        req.stages.update(stages)
+        # Network + delivery share of the server's response stage.
+        now = self.sim._now
+        req.stages["server_response"] = (
+            stages.get("server_response", 0.0)
+            + (now - response.sent_at))
+        if response.op in ("get", "gat") and response.status == HIT:
+            req.value_length = response.value_length
+        elif response.op in ("incr", "decr") and \
+                response.status == "STORED":
+            req.value_length = response.value_length
+        req.counter_value = response.counter_value
+        req.cas_token = response.cas_token
+        req.t_complete = now
+        # Whoever polls the request in wait() sees the completion now.
+        req.complete._hand_off(response)
 
     # -- metrics --------------------------------------------------------------
 

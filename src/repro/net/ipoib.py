@@ -10,7 +10,7 @@ one-sided operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Optional
 
 from repro.net.fabric import Message, NIC
 from repro.sim import Mailbox, Simulator
@@ -38,13 +38,20 @@ class _StreamFrame:
 
 
 class IPoIBEndpoint:
-    """One side of an IPoIB socket."""
+    """One side of an IPoIB socket (duck-types
+    :class:`repro.net.transport.Endpoint`)."""
+
+    #: IPoIB cannot bypass the remote CPU, which is exactly the cost the
+    #: paper's IPoIB-Mem baseline pays.
+    supports_one_sided = False
 
     def __init__(self, sim: Simulator, nic: NIC):
         self.sim = sim
         self.nic = nic
         # Mailbox, not Store: delivery never blocks and never filters.
         self.inbox: Mailbox = Mailbox(sim)
+        #: See :attr:`repro.net.transport.Endpoint.receiver`.
+        self.receiver: Optional[Callable[[Delivery], None]] = None
         self.peer: "IPoIBEndpoint" = None  # type: ignore[assignment]
 
     @property
@@ -52,8 +59,9 @@ class IPoIBEndpoint:
         return self.nic.params
 
     def send(self, payload: Any, nbytes: int, one_sided: bool = False) -> Message:
-        """Stream ``nbytes`` to the peer. ``one_sided`` is ignored: TCP
-        always involves the remote CPU (that is the point of this model)."""
+        """Stream ``nbytes`` to the peer. ``one_sided`` silently degrades
+        to a stream send: TCP always involves the remote CPU (that is the
+        point of this model)."""
         frame = _StreamFrame(dst=self.peer, payload=payload)
         return self.nic.transmit(self.peer.nic, nbytes, payload=frame,
                                  recv_cpu=self.peer.params.cpu_recv)
@@ -63,8 +71,9 @@ class IPoIBEndpoint:
         return self.inbox.get()
 
     def _on_delivery(self, frame: _StreamFrame, msg: Message) -> None:
-        self.inbox.put(Delivery(payload=frame.payload, nbytes=msg.nbytes,
-                                recv_cpu=self.params.cpu_recv, one_sided=False))
+        (self.receiver or self.inbox.put)(
+            Delivery(payload=frame.payload, nbytes=msg.nbytes,
+                     recv_cpu=self.params.cpu_recv, one_sided=False))
 
 
 class IPoIBConnection:

@@ -25,10 +25,10 @@ which is how the Memcached runtime consumes them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.net.fabric import Message, Node
-from repro.net.ipoib import Delivery, IPoIBConnection
+from repro.net.ipoib import Delivery, IPoIBConnection, IPoIBEndpoint
 from repro.net.params import FDR_IPOIB, FDR_RDMA, LinkParams
 from repro.sim import Mailbox, Simulator
 
@@ -39,6 +39,10 @@ class Endpoint:
     sim: Simulator
     inbox: Mailbox
     params: LinkParams
+    #: Called with each :class:`Delivery` as it arrives, in place of the
+    #: inbox: what a consumer that would only loop on ``recv()`` installs
+    #: instead of a process. ``None`` buffers into ``inbox``.
+    receiver: Optional[Callable[[Delivery], None]] = None
 
     def send(self, payload: Any, nbytes: int, one_sided: bool = False) -> Message:
         """Transfer ``nbytes`` to the peer; ``payload`` rides along."""
@@ -64,9 +68,10 @@ class _RdmaEpFrame:
     def deliver(self, msg: Message) -> None:
         # msg.recv_cpu was computed at send time (0.0 for one-sided);
         # re-deriving it here walked dst.params per delivery.
-        self.dst.inbox.put(Delivery(payload=self.payload, nbytes=msg.nbytes,
-                                    recv_cpu=msg.recv_cpu,
-                                    one_sided=self.one_sided))
+        dst = self.dst
+        (dst.receiver or dst.inbox.put)(
+            Delivery(payload=self.payload, nbytes=msg.nbytes,
+                     recv_cpu=msg.recv_cpu, one_sided=self.one_sided))
 
 
 class RdmaEndpoint(Endpoint):
@@ -98,26 +103,6 @@ class RdmaEndpoint(Endpoint):
         return True
 
 
-class IPoIBWrapEndpoint(Endpoint):
-    """Endpoint backed by an IPoIB socket endpoint."""
-
-    def __init__(self, sim: Simulator, raw):
-        self.sim = sim
-        self._raw = raw
-        self.inbox = raw.inbox
-        self.params = raw.params
-
-    def send(self, payload: Any, nbytes: int, one_sided: bool = False) -> Message:
-        # one_sided silently degrades to a stream send: IPoIB cannot
-        # bypass the remote CPU, which is exactly the cost the paper's
-        # IPoIB-Mem baseline pays.
-        return self._raw.send(payload, nbytes)
-
-    @property
-    def supports_one_sided(self) -> bool:
-        return False
-
-
 def connect_rdma(sim: Simulator, node_a: Node, node_b: Node,
                  params: LinkParams = FDR_RDMA) -> Tuple[RdmaEndpoint, RdmaEndpoint]:
     """Create a connected pair of RDMA endpoints between two nodes."""
@@ -128,7 +113,10 @@ def connect_rdma(sim: Simulator, node_a: Node, node_b: Node,
 
 
 def connect_ipoib(sim: Simulator, node_a: Node, node_b: Node,
-                  params: LinkParams = FDR_IPOIB) -> Tuple[Endpoint, Endpoint]:
-    """Create a connected IPoIB socket between two nodes."""
+                  params: LinkParams = FDR_IPOIB
+                  ) -> Tuple[IPoIBEndpoint, IPoIBEndpoint]:
+    """Create a connected IPoIB socket between two nodes; its two
+    :class:`~repro.net.ipoib.IPoIBEndpoint` sides speak the
+    :class:`Endpoint` interface as they are."""
     conn = IPoIBConnection(sim, node_a.nic(params), node_b.nic(params))
-    return IPoIBWrapEndpoint(sim, conn.a), IPoIBWrapEndpoint(sim, conn.b)
+    return conn.a, conn.b

@@ -22,6 +22,7 @@ the six-stage breakdown of Section III-A.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional
 
 from repro.net.transport import Endpoint
@@ -52,7 +53,7 @@ from repro.server.protocol import (
     TouchRequest,
     ValueArrival,
 )
-from repro.sim import Mailbox, PriorityStore, Resource, Simulator
+from repro.sim import Mailbox, PriorityStore, Resource, Simulator, Timeout
 from repro.sim.errors import SimulationError
 from repro.storage.device import BlockDevice
 from repro.storage.params import DeviceParams, PageCacheParams
@@ -211,7 +212,7 @@ class MemcachedServer:
         #: handoff; None outside any window — the request hot path pays
         #: exactly one attribute test for elasticity.
         self.handoff = None
-        # Neither queue allocates a per-put event: the rx pump never
+        # Neither queue allocates a per-put event: the receiver never
         # blocks on (or looks at) a put, so there is nobody to wait on it.
         self._queue = PriorityStore(sim) if config.get_priority else Mailbox(sim)
         self.credits = Resource(sim, capacity=config.recv_credits)
@@ -255,8 +256,9 @@ class MemcachedServer:
     # -- wiring -----------------------------------------------------------
 
     def attach(self, endpoint: Endpoint) -> None:
-        """Serve one client connection."""
-        self.sim.spawn(self._rx_pump(endpoint), name=f"{self.name}-rx")
+        """Serve one client connection: its frames are handled as they
+        are delivered, by :meth:`_receive`."""
+        endpoint.receiver = partial(self._receive, endpoint)
 
     def start(self) -> None:
         if self._started:
@@ -284,12 +286,7 @@ class MemcachedServer:
             # completion timeout and retry path take over.
             self._m_dropped_rx.inc()
             return
-        entry = (_Forwarded(request), endpoint)
-        if self.config.get_priority:
-            rank = 0 if request.op in ("get", "mget", "gat") else 1
-            self._queue.put(entry, priority=rank)
-        else:
-            self._queue.put(entry)
+        self._enqueue(_Forwarded(request), endpoint)
 
     def _forward(self, request, endpoint: Endpoint, owner: int) -> None:
         """Relay ``request`` to the key's new owner (one modeled hop);
@@ -349,7 +346,7 @@ class MemcachedServer:
         """Fail-stop: drop queued and in-flight work, stop the worker
         pool, and make sure nothing can block on this server's resources.
 
-        The NIC keeps draining deliveries (the rx pumps stay up) but
+        The NIC keeps draining deliveries (the receivers stay installed) but
         every message is discarded, so clients observe silence — their
         completion timeouts, not errors, detect the failure.
         """
@@ -436,42 +433,41 @@ class MemcachedServer:
 
     # -- receive path ---------------------------------------------------------
 
-    def _rx_pump(self, endpoint: Endpoint):
-        # One iteration per frame this connection ever receives; the
-        # per-frame lookups below are hoisted once.
-        recv = endpoint.recv
-        prof = self.obs.profiler
-        prof_on = prof.enabled
-        get_priority = self.config.get_priority
-        queue_put = self._queue.put
-        ep_key = id(endpoint)
-        while True:
-            delivery = yield recv()
-            if not (self.alive and self.reachable):
-                # Crashed or partitioned: the frame vanishes. No CPU is
-                # charged — nobody is listening.
-                self._m_dropped_rx.inc()
-                continue
-            payload = delivery.payload
-            if isinstance(payload, ValueArrival):
-                # req_ids are unique per client connection only; key the
-                # rendezvous by (connection, req_id).
-                key = (ep_key, payload.req_id)
-                ev = self._value_events.setdefault(key, self.sim.event())
-                ev.succeed(payload)
-            elif isinstance(payload, Request):
-                if prof_on:
-                    for tid, px in self._trace_targets(payload):
-                        prof.open_stage(tid, px + "server_queue")
-                if get_priority:
-                    # Reads skip ahead of writes (0 beats 1); gat rides
-                    # the read lane — its TTL refresh never flushes.
-                    rank = 0 if payload.op in ("get", "mget", "gat") else 1
-                    queue_put((delivery, endpoint), priority=rank)
-                else:
-                    queue_put((delivery, endpoint))
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unexpected payload {payload!r}")
+    def _receive(self, endpoint: Endpoint, delivery) -> None:
+        """The connection's receiver: runs inside the frame's delivery,
+        at the instant it arrives (the worker polling the receive buffer
+        picks the request up; no process sits in between)."""
+        if not (self.alive and self.reachable):
+            # Crashed or partitioned: the frame vanishes. No CPU is
+            # charged — nobody is listening.
+            self._m_dropped_rx.inc()
+            return
+        payload = delivery.payload
+        if isinstance(payload, ValueArrival):
+            # req_ids are unique per client connection only; key the
+            # rendezvous by (connection, req_id).
+            key = (id(endpoint), payload.req_id)
+            ev = self._value_events.setdefault(key, self.sim.event())
+            ev.succeed(payload)
+        elif isinstance(payload, Request):
+            prof = self.obs.profiler
+            if prof.enabled:
+                for tid, px in self._trace_targets(payload):
+                    prof.open_stage(tid, px + "server_queue")
+            self._enqueue(delivery, endpoint)
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"unexpected payload {payload!r}")
+
+    def _enqueue(self, delivery, endpoint: Endpoint) -> None:
+        """Hand a request frame to the worker pool; a parked worker
+        picks it up inside this call."""
+        if self.config.get_priority:
+            # Reads skip ahead of writes (0 beats 1); gat rides the
+            # read lane — its TTL refresh never flushes.
+            rank = 0 if delivery.payload.op in ("get", "mget", "gat") else 1
+            self._queue.put((delivery, endpoint), priority=rank)
+        else:
+            self._queue.put((delivery, endpoint))
 
     @staticmethod
     def _trace_targets(request: Request):
@@ -509,7 +505,6 @@ class MemcachedServer:
         parse_cost = self.config.costs.parse
         metrics_on = self._metrics_on
         sim = self.sim
-        timeout = sim.timeout
         queue_get = self._queue.get
         prof = self.obs.profiler
         prof_on = prof.enabled
@@ -545,9 +540,9 @@ class MemcachedServer:
                                         req_id=request.req_id)
             else:
                 span = NULL_SPAN
-            if delivery.recv_cpu:
-                yield timeout(delivery.recv_cpu)
-            yield timeout(parse_cost)
+            # Receive CPU then parse, nothing in between: one timer, due
+            # when the second sleep would have ended (same float sums).
+            yield Timeout.at(sim, (start + delivery.recv_cpu) + parse_cost)
             for ptid, px in targets:
                 prof.record(ptid, px + "server_cpu", start, sim._now)
             # Dispatch ordered by hot-path frequency: SETs (including

@@ -16,12 +16,18 @@ of ``Process._resume``, and nothing is queued — popping it would have
 run no code. That covers *notifications* (a process ending, a message
 milestone, a request completing) that nobody happened to wait for.
 *Requests* — events handed back to a caller that is about to wait on
-them (``Timeout``, store/mailbox getters, resource claims, CQ waits,
+them (``Timeout``, store getters, resource claims, CQ waits,
 conditions) — are triggered through the always-posting paths
 (``_trigger`` or an inlined ``_schedule_now``) even when already
 satisfied: that lane hop is what fixes the caller's place in
 same-instant order. ``fail`` always posts, so an unhandled failure still
 surfaces from ``Simulator.run``.
+
+**A hand-off inside one simulated instant is a call.** Where one
+component passes work to the next with no delay between them
+(``Mailbox.put`` to a parked getter, a response to the request's
+waiter), ``_hand_off`` runs the waiter on the spot instead of queueing
+it, and ``Mailbox.get`` on a buffered item returns a processed event.
 
 This module is the innermost loop of every simulation: ``succeed``,
 ``_process``, and ``Process._resume`` run once (or more) per event, so
@@ -117,6 +123,17 @@ class Event:
         self._value = value
         self.sim._schedule_now(self)
 
+    def _hand_off(self, value: Any) -> None:
+        """Succeed and run the waiters inside this call: a hand-off
+        between two components at one simulated instant (a mailbox put
+        to its parked getter, a completion to its waiter) is a call."""
+        self._ok = True
+        self._value = value
+        callbacks = self.callbacks
+        self.callbacks = None
+        for cb in callbacks:
+            cb(self)
+
     # -- processing (called by the simulator) -----------------------------
 
     def _process(self) -> None:
@@ -162,6 +179,28 @@ class Timeout(Event):
             sim._lane.append(self)
         else:
             heappush(sim._queue, (when, next(sim._counter), self))
+
+    @classmethod
+    def at(cls, sim, when: float, value: Any = None) -> "Timeout":
+        """A timeout due at the absolute instant ``when``: back-to-back
+        sleeps folded into one timer keep their exact due time if the
+        caller sums it the way the sleeps would have
+        (``(now + a) + b``, which ``now + (a + b)`` is not)."""
+        now = sim._now
+        if when < now:
+            raise SimulationError(f"timeout due at {when!r}, before now")
+        self = cls.__new__(cls)
+        self.sim = sim
+        self.callbacks = []
+        self._ok = True
+        self._value = value
+        self.defused = False
+        self.delay = when - now
+        if when == now and sim.fast_lane:
+            sim._lane.append(self)
+        else:
+            heappush(sim._queue, (when, next(sim._counter), self))
+        return self
 
 
 class Initialize(Event):
@@ -245,6 +284,9 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         self._target = None
         sim = self.sim
+        # A hand-off resumes a consumer inside its producer's turn: the
+        # producer is the active process again once this one yields.
+        outer = sim._active_process
         sim._active_process = self
         send = self._send
         try:
@@ -281,7 +323,7 @@ class Process(Event):
             self._span.end(failed=True)
             self.fail(exc)
         finally:
-            sim._active_process = None
+            sim._active_process = outer
 
 
 class Condition(Event):

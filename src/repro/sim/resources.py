@@ -295,9 +295,11 @@ class Mailbox:
     covers most inter-component queues (endpoint inboxes, completion
     delivery), and for those the ``StorePut`` event per item is pure
     overhead: the putter never blocks, so nobody ever waits on it.
-    ``put`` returns nothing (do **not** yield it); it wakes the oldest
-    parked getter directly or buffers the item. ``get`` returns an event
-    exactly like ``Store.get()``.
+    ``put`` returns nothing (do **not** yield it). The hand-off is a
+    call, not an event: ``put`` runs the oldest parked getter's waiter
+    before it returns (or buffers the item), and ``get`` on a buffered
+    item returns an already-processed event, so ``yield box.get()``
+    continues without a turn of the loop.
     """
 
     __slots__ = ("sim", "items", "_getters")
@@ -319,13 +321,7 @@ class Mailbox:
     def put(self, item: Any) -> None:
         getters = self._getters
         if getters:
-            # Inlined ev._trigger(True, item): a parked getter event is
-            # fresh by construction, so the double-trigger check cannot
-            # fire.
-            ev = getters.popleft()
-            ev._ok = True
-            ev._value = item
-            self.sim._schedule_now(ev)
+            getters.popleft()._hand_off(item)
         else:
             self.items.append(item)
 
@@ -333,11 +329,11 @@ class Mailbox:
         ev = Event(self.sim)
         items = self.items
         if items:
-            # Inlined ev._trigger(True, item): the event is fresh, so
-            # the double-trigger check cannot fire.
+            # Already processed: the caller's ``yield`` continues inline
+            # through ``Process._resume``'s processed branch.
             ev._ok = True
             ev._value = items.popleft()
-            self.sim._schedule_now(ev)
+            ev.callbacks = None
         else:
             self._getters.append(ev)
         return ev

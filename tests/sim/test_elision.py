@@ -1,13 +1,20 @@
-"""Every queued event has an observer.
+"""Every queued event has an observer, and a hand-off inside one
+simulated instant is a call.
 
 ``succeed()`` on an event nobody waits for marks it processed at once
-and queues nothing; request-style events (getters, claims, conditions,
-timeouts) keep their one lane hop even when already satisfied, because
-that hop fixes the caller's place in same-instant order. Both schedulers
-(fast lane and legacy heap) sit below the rule and must agree.
+and queues nothing; request-style events (store getters, claims,
+conditions, timeouts) keep their one lane hop even when already
+satisfied, because that hop fixes the caller's place in same-instant
+order. A :class:`Mailbox` has one producer side and interchangeable
+consumers, so it hands over directly: ``put`` runs a parked consumer
+before it returns, ``get`` on a buffered item is already processed. Both
+schedulers (fast lane and legacy heap) sit below the rules and must
+agree.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     Mailbox,
@@ -162,10 +169,10 @@ def test_run_until_observes_its_event_and_stops_at_its_lane_slot(sim):
     assert sim.peek() == float("inf")
 
 
-# -- requests keep exactly one hop ---------------------------------------------
+# -- store requests keep exactly one hop ---------------------------------------
 
 
-_BOXES = {"store": Store, "priority": PriorityStore, "mailbox": Mailbox}
+_BOXES = {"store": Store, "priority": PriorityStore}
 
 
 @pytest.mark.parametrize("kind", sorted(_BOXES))
@@ -207,6 +214,140 @@ def test_fresh_satisfied_getter_takes_exactly_one_lane_hop(sim, kind):
     # Same place in same-instant order as the parked getter's.
     assert log == ["m1", "item", "m2"]
     assert sim.events_processed == 4  # Initialize + m1 + getter + m2
+
+
+# -- a mailbox hands over directly ---------------------------------------------
+
+
+def test_mailbox_put_runs_the_parked_consumer_before_it_returns(sim):
+    box = Mailbox(sim)
+    log = []
+
+    def consumer():
+        while True:
+            log.append((yield box.get()))
+
+    sim.spawn(consumer())
+    sim.run()  # parked on the empty box
+    before = sim.events_processed
+    _marker(sim, log, "queued-before-the-put")
+    box.put("item")
+    # The consumer ran inside put(): ahead of everything queued at this
+    # instant, and it is parked again for the next item.
+    assert log == ["item"] and len(box._getters) == 1
+    box.put("second")
+    assert log == ["item", "second"]
+    sim.run()
+    assert log == ["item", "second", "queued-before-the-put"]
+    assert sim.events_processed - before == 1  # the marker; no hand-off event
+
+
+def test_mailbox_get_of_a_buffered_item_does_not_yield_to_the_loop(sim):
+    box = Mailbox(sim)
+    box.put("a")
+    box.put("b")
+    log = []
+
+    def consumer():
+        _marker(sim, log, "marker")
+        ev = box.get()
+        assert ev.processed and ev.value == "a"
+        log.append((yield ev))
+        log.append((yield box.get()))
+
+    sim.spawn(consumer())
+    sim.run()
+    # Both items were taken in the consumer's one turn: the marker it
+    # queued first only pops once it is done.
+    assert log == ["a", "b", "marker"]
+    assert sim.events_processed == 2  # Initialize + marker
+
+
+def test_mailbox_consumer_that_feeds_its_own_box_does_not_reenter(sim):
+    box = Mailbox(sim)
+    log, depth = [], [0, 0]  # (current, deepest) nesting of the consumer
+
+    def consumer(tag):
+        while True:
+            n = yield box.get()
+            depth[0] += 1
+            depth[1] = max(depth)
+            log.append((tag, n))
+            if n:
+                # A running generator is not parked, so this is buffered
+                # or handed to the *other* consumer, never back into this
+                # frame (a re-entered generator raises ValueError).
+                box.put(n - 1)
+            depth[0] -= 1
+
+    a, b = sim.spawn(consumer("a")), sim.spawn(consumer("b"))
+    sim.run()
+    box.put(50)
+    sim.run()
+    assert [n for _tag, n in log] == list(range(50, -1, -1))
+    assert {tag for tag, _n in log} == {"a", "b"}
+    assert a.is_alive and b.is_alive
+    # The ping-pong between the two consumers unwinds as it goes: the
+    # Python stack never holds more than two nested resumes.
+    assert depth[1] <= 2
+
+
+def test_producer_is_the_active_process_again_after_a_hand_off(sim):
+    box = Mailbox(sim)
+
+    def consumer():
+        yield box.get()
+
+    def producer():
+        yield sim.timeout(1.0)
+        box.put("x")  # the parked consumer runs, and ends, inside this call
+        assert not parked.is_alive
+        with pytest.raises(SimulationError, match="cannot interrupt itself"):
+            me.interrupt()
+        return "guarded"
+
+    parked = sim.spawn(consumer())
+    me = sim.spawn(producer())
+    assert sim.run(until=me) == "guarded"
+
+
+#: Zero delays put several calls in one instant; the others collide
+#: across processes at a few shared timestamps.
+_DELAYS = [0.0, 0.0, 1.0, 2.5]
+_calls = st.lists(
+    st.tuples(st.sampled_from(_DELAYS), st.sampled_from(["put", "get"])),
+    min_size=1, max_size=6)
+
+
+@given(st.lists(_calls, min_size=2, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_mailbox_pairs_fifo_and_resumes_at_the_later_of_put_and_get(program):
+    for fast_lane in (True, False):
+        sim = Simulator(fast_lane=fast_lane)
+        box = Mailbox(sim)
+        puts, gets, resumed = [], [], {}
+
+        def proc(pid, calls):
+            for i, (delay, call) in enumerate(calls):
+                yield sim.timeout(delay)
+                if call == "put":
+                    puts.append((sim.now, (pid, i)))
+                    box.put((pid, i))
+                else:
+                    gets.append((sim.now, (pid, i)))
+                    item = yield box.get()
+                    resumed[(pid, i)] = (item, sim.now)
+
+        for pid, calls in enumerate(program):
+            sim.spawn(proc(pid, calls))
+        sim.run()
+        # The reference: the k-th put meets the k-th get, whichever came
+        # first, and the getter continues at the later of the two calls.
+        # A get with no put stays parked for good.
+        expected = {getter: (item, max(t_put, t_get))
+                    for (t_put, item), (t_get, getter) in zip(puts, gets)}
+        assert resumed == expected
+        assert len(box) == max(0, len(puts) - len(gets))
 
 
 def test_fresh_resource_grant_and_timeout_are_queued_not_elided(sim):
