@@ -21,7 +21,11 @@ Fault kinds
     (forever when ``None``).
 ``link_degrade``
     Every NIC on the server's node runs ``factor``× worse (latency
-    multiplied, bandwidth divided) for ``duration`` seconds.
+    multiplied, bandwidth divided) for ``duration`` seconds. The
+    degrade, and its restoration, applies to messages handed to the NIC
+    from that instant on: a NIC fixes a message's on-wire and delivery
+    instants at submit, so what is already queued or serializing keeps
+    the rate and latency it was submitted under.
 ``ssd_slowdown``
     The server's block device runs ``factor``× slower for ``duration``
     seconds (firmware GC storms, failing flash). No-op on pure

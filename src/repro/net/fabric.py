@@ -8,30 +8,33 @@ A :class:`Message` moves through three observable points:
 3. consumption — a higher layer (QP recv queue, IPoIB inbox) hands it to
    the application.
 
-The first two are recorded on every message as plain timestamps
-(``t_wire`` / ``t_delivered``). The matching events, ``msg.on_wire`` and
-``msg.delivered``, exist only for a message somebody asked them of: they
-are created on first access (already processed if the milestone has
-passed), and the NIC triggers an event only if it exists. Pure observers
-that need the instants but no wake-up (the request profiler) register a
-hook in ``msg.hooks`` instead, which the NIC calls inline — so neither
-an unobserved nor a profiled message costs the engine any event for its
-milestones.
+The transmit side of each NIC is one pipe, so concurrent messages from
+one node serialize — this is what creates client-side NIC contention in
+the 100-client throughput experiment (Fig 7c). A FIFO server whose
+service time is known at arrival is a clock, not a queue: the NIC keeps
+the instant its pipe falls idle, and a message handed to it learns both
+of its milestones on the spot,
 
-The transmit side of each NIC is a capacity-1 resource, so concurrent
-messages from one node serialize — this is what creates client-side NIC
-contention in the 100-client throughput experiment (Fig 7c).
+    wire_at      = max(now, busy_until) + (cpu_send + serialize(nbytes))
+    delivered_at = wire_at + latency
+
+(the Lindley recursion). They are plain numbers on the message,
+``wire_at`` / ``delivered_at``, fixed at submit, and the one event a
+message costs the engine is the timer that delivers it. The events
+``msg.on_wire`` and ``msg.delivered`` are timers made for whoever asks
+before the instant (already processed from the instant on). Frames that
+arrive in the same instant are handled in the order they were handed to
+their NICs.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.net.params import LinkParams
 from repro.obs.api import NULL_OBS, Observability
-from repro.obs.tracer import NULL_SPAN
-from repro.sim import Event, Resource, Simulator, Timeout
+from repro.sim import Event, Simulator, Timeout
 
 
 class Message:
@@ -42,11 +45,11 @@ class Message:
     """
 
     __slots__ = ("src", "dst", "nbytes", "payload", "one_sided", "recv_cpu",
-                 "t_wire", "t_delivered", "hooks", "_on_wire", "_delivered")
+                 "wire_at", "delivered_at", "_on_wire", "_delivered")
 
-    def __init__(self, src: "NIC", dst: "NIC", nbytes: int,
-                 payload: Any = None, one_sided: bool = False,
-                 recv_cpu: float = 0.0):
+    def __init__(self, src: "NIC", dst: "NIC", nbytes: int, payload: Any,
+                 one_sided: bool, recv_cpu: float,
+                 wire_at: float, delivered_at: float):
         self.src = src
         self.dst = dst
         self.nbytes = nbytes
@@ -56,13 +59,9 @@ class Message:
         #: CPU time the receiver's event loop must spend before handing
         #: the message to the application (zero for one-sided ops).
         self.recv_cpu = recv_cpu
-        #: Sim time of each milestone; None until it is reached.
-        self.t_wire: Optional[float] = None
-        self.t_delivered: Optional[float] = None
-        #: Inline observers: objects with ``on_wire()`` / ``delivered()``
-        #: methods the NIC calls at the two milestones. A list because
-        #: several traces can ride one message (a batched mget).
-        self.hooks: Optional[List[Any]] = None
+        #: Sim time of each milestone, known from the moment of submit.
+        self.wire_at = wire_at
+        self.delivered_at = delivered_at
         self._on_wire: Optional[Event] = None
         self._delivered: Optional[Event] = None
 
@@ -71,7 +70,7 @@ class Message:
         """Event of the buffer-reuse point (value: this message)."""
         ev = self._on_wire
         if ev is None:
-            ev = self._on_wire = self._milestone(self.t_wire)
+            ev = self._on_wire = self._milestone(self.wire_at)
         return ev
 
     @property
@@ -79,34 +78,14 @@ class Message:
         """Event of arrival at the destination NIC (value: this message)."""
         ev = self._delivered
         if ev is None:
-            ev = self._delivered = self._milestone(self.t_delivered)
+            ev = self._delivered = self._milestone(self.delivered_at)
         return ev
 
-    def _milestone(self, reached_at: Optional[float]) -> Event:
-        ev = Event(self.src.sim)
-        if reached_at is not None:
-            ev.succeed(self)  # no waiter yet: processed, nothing queued
-        return ev
-
-    def _reach_wire(self, now: float) -> None:
-        self.t_wire = now
-        hooks = self.hooks
-        if hooks is not None:
-            for hook in hooks:
-                hook.on_wire()
-        ev = self._on_wire
-        if ev is not None:
-            ev.succeed(self)
-
-    def _reach_dst(self, now: float) -> None:
-        self.t_delivered = now
-        hooks = self.hooks
-        if hooks is not None:
-            for hook in hooks:
-                hook.delivered()
-        ev = self._delivered
-        if ev is not None:
-            ev.succeed(self)
+    def _milestone(self, at: float) -> Event:
+        sim = self.src.sim
+        if sim._now < at:
+            return Timeout.at(sim, at, self)
+        return Event(sim).succeed(self)  # no waiter: processed at once
 
 
 class NIC:
@@ -117,11 +96,12 @@ class NIC:
         self.sim = sim
         self.node = node
         self.params = params  # property: also derives the hot constants
-        #: Serializes outbound messages (the DMA/wire is one pipe).
-        self.tx = Resource(sim, capacity=1)
+        #: The instant the transmit pipe falls idle (the DMA/wire is one
+        #: pipe: a message starts serializing no earlier than this).
+        self.busy_until = 0.0
         #: Called with each delivered Message; installed by the transport.
         self.deliver: Optional[Callable[[Message], None]] = None
-        # traffic accounting
+        # traffic accounting (counted when a message is handed over)
         self.bytes_sent = 0
         self.messages_sent = 0
         # live metrics (no-ops when observability is disabled)
@@ -133,8 +113,10 @@ class NIC:
         self._m_bytes = reg.counter("nic_bytes_sent", **labels)
         self._m_msgs = reg.counter("nic_messages_sent", **labels)
         self._m_tx_wait = reg.histogram("nic_tx_wait_seconds", **labels)
-        reg.gauge("nic_tx_backlog",
-                  fn=lambda: self.tx.in_use + self.tx.queue_length, **labels)
+        #: ``wire_at`` of the messages not yet on the wire, oldest first
+        #: (kept only while the registry is on; read by the gauge).
+        self._tx_pending: Deque[float] = deque()
+        reg.gauge("nic_tx_backlog", fn=self._tx_backlog, **labels)
 
     @property
     def params(self) -> LinkParams:
@@ -142,73 +124,63 @@ class NIC:
 
     @params.setter
     def params(self, params: LinkParams) -> None:
-        # The transmit pipeline reads per-message constants from flat
-        # attributes instead of walking ``self.params.*`` per call; the
-        # setter keeps them coherent when a fault injector swaps the
-        # LinkParams mid-run (link_degrade and its restoration).
+        # The transmit path reads per-message constants from flat
+        # attributes instead of walking ``self.params.*`` per call. A
+        # message's instants are fixed when it is handed over, so a swap
+        # mid-run (link_degrade and its restoration) applies to messages
+        # submitted from now on: those already queued or serializing
+        # keep the rate and latency they were submitted under.
         self._params = params
         self._latency = params.latency
         self._cpu_send = params.cpu_send
         self._serialize = params.serialize_time
 
+    def _tx_backlog(self) -> int:
+        """Messages queued for the pipe or serializing right now."""
+        pending, now = self._tx_pending, self.sim._now
+        while pending and pending[0] <= now:
+            pending.popleft()
+        return len(pending)
+
     def transmit(self, dst: "NIC", nbytes: int, payload: Any = None,
                  one_sided: bool = False, recv_cpu: float = 0.0) -> Message:
         """Start an asynchronous transfer; returns the in-flight Message.
 
-        The transfer is a callback chain rather than a spawned process:
-        tx grant -> serialize busy-time -> on wire -> wire latency ->
-        delivered. One message used to cost a generator, a Process, and
-        an Initialize event on top of the model's own events; the chain
-        keeps only the model's events. The tx slot is requested here,
-        synchronously, which preserves FIFO grant order (spawn order and
-        call order were already identical).
+        The pipe is FIFO and a message's busy time is known here, so
+        its whole schedule is too. The sums are grouped the way
+        back-to-back sleeps would add them up, ``(start + busy) +
+        latency``, which ``start + (busy + latency)`` is not.
         """
         sim = self.sim
-        msg = Message(self, dst, nbytes, payload, one_sided, recv_cpu)
-        t_queued = sim._now
-        req = self.tx.request()
-        # partial, not a lambda: callbacks receive the event argument,
-        # which the trailing _ev parameter absorbs without the extra
-        # Python frame a lambda would add to every hop of the chain.
-        req.callbacks.append(partial(self._tx_granted, msg, req, t_queued))
-        return msg
-
-    def _tx_granted(self, msg: Message, req, t_queued: float,
-                    _ev=None) -> None:
-        sim = self.sim
-        if self._metrics_on:
-            self._m_tx_wait.observe(sim._now - t_queued)
-        tracer = self._tracer
-        if tracer.enabled:
-            span = tracer.begin(
-                "tx", tid=f"{self.node.name}/{self.params.name}", pid="net",
-                cat="net", bytes=msg.nbytes)
-        else:
-            span = NULL_SPAN
-        busy = self._cpu_send + self._serialize(msg.nbytes)
-        if busy > 0:
-            Timeout(sim, busy).callbacks.append(
-                partial(self._tx_done, msg, req, span))
-        else:
-            self._tx_done(msg, req, span)
-
-    def _tx_done(self, msg: Message, req, span, _ev=None) -> None:
-        self.tx.release(req)
-        nbytes = msg.nbytes
+        now = sim._now
+        start = self.busy_until
+        if start < now:
+            start = now
+        wire_at = start + (self._cpu_send + self._serialize(nbytes))
+        self.busy_until = wire_at
+        delivered_at = wire_at + self._latency
+        msg = Message(self, dst, nbytes, payload, one_sided, recv_cpu,
+                      wire_at, delivered_at)
+        Timeout.at(sim, delivered_at, msg).callbacks.append(self._delivered)
         self.bytes_sent += nbytes
         self.messages_sent += 1
-        if span is not NULL_SPAN:
-            span.end()
         if self._metrics_on:
+            self._m_tx_wait.observe(start - now)
             self._m_bytes.inc(nbytes)
             self._m_msgs.inc()
-        sim = self.sim
-        msg._reach_wire(sim._now)
-        Timeout(sim, self._latency).callbacks.append(
-            partial(self._delivered, msg))
+            self._tx_backlog()  # prune, so the deque stays backlog-sized
+            self._tx_pending.append(wire_at)
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.complete(
+                "tx", start, wire_at,
+                tid=f"{self.node.name}/{self.params.name}", pid="net",
+                cat="net", bytes=nbytes)
+        return msg
 
-    def _delivered(self, msg: Message, _ev=None) -> None:
-        msg._reach_dst(self.sim._now)
+    @staticmethod
+    def _delivered(timer: Event) -> None:
+        msg = timer._value
         deliver = msg.dst.deliver
         if deliver is not None:
             deliver(msg)

@@ -11,10 +11,10 @@ two concrete transports differ in:
 ``Endpoint.send`` returns the in-flight :class:`~repro.net.fabric.Message`
 whose ``on_wire`` event is the *buffer-reuse* point the paper's
 ``bset``/``bget`` APIs wait on, and whose ``delivered`` event marks
-arrival at the peer. Both are created when first asked for; a message
-nobody asks carries only the ``t_wire`` / ``t_delivered`` timestamps, and
-endpoint traffic (which routes frames straight into the peer inbox)
-raises neither event on its own.
+arrival at the peer. The message knows both instants from the moment it
+is sent (``wire_at`` / ``delivered_at``); ``delivered`` is the one event
+it costs — the frame is routed into the peer inbox when it pops — and
+``on_wire`` is a timer created only for a caller that asks.
 
 The verbs-level :class:`~repro.net.rdma.QueuePair` API remains available
 for applications that want raw RDMA; these endpoints charge exactly the

@@ -114,16 +114,19 @@ class RequestProfiler:
         write's replica-ack barrier outlives ``t_complete``). A batched
         mget entry can be finalized well after it completed; using
         ``t_complete`` rather than the wall clock keeps the window equal
-        to the :class:`~repro.client.request.ReqResult` latency.
+        to the :class:`~repro.client.request.ReqResult` latency. A span
+        still ending in the future (a message in flight when the client
+        gave up: its spans are written at submit) extends nothing.
         """
         tr = self._live.pop(trace_id, None)
         if tr is None:
             return
+        present = self.clock()
         now = getattr(result, "t_complete", 0.0)
         if now <= tr.t_issue:
-            now = self.clock()
+            now = present
         for name, _s0, s1 in tr.spans:
-            if s1 > now and canonical_stage(name) is not None:
+            if now < s1 <= present and canonical_stage(name) is not None:
                 now = s1
         cls = self._classify(tr, result)
         breakdown = attribute(tr.spans, tr.t_issue, now)
@@ -217,48 +220,14 @@ class _NullProfiler:
 NULL_PROFILER = _NullProfiler()
 
 
-class _MessageProbe:
-    """One trace's inline observer of one message (see
-    :attr:`repro.net.fabric.Message.hooks`)."""
-
-    __slots__ = ("profiler", "trace_id", "clock", "prefix", "t_send",
-                 "t_wire")
-
-    def __init__(self, profiler, trace_id: int, clock, prefix: str):
-        self.profiler = profiler
-        self.trace_id = trace_id
-        self.clock = clock
-        self.prefix = prefix
-        self.t_send = self.t_wire = clock()
-
-    def on_wire(self) -> None:
-        now = self.t_wire = self.clock()
-        self.profiler.record(self.trace_id, self.prefix + "nic",
-                             self.t_send, now)
-
-    def delivered(self) -> None:
-        self.profiler.record(self.trace_id, self.prefix + "wire",
-                             self.t_wire, self.clock())
-
-
 def profile_message(profiler, trace_id: int, clock: Callable[[], float],
                     msg, prefix: str = "") -> None:
-    """Attach nic/wire stage recording to one in-flight net message.
+    """Record the nic/wire stages of one net message just handed over.
 
     ``nic`` covers send -> on-wire (tx queue wait + serialization),
-    ``wire`` covers on-wire -> delivery (link latency). The probe is a
-    message hook the NIC calls inline at the two milestones, not an
-    event callback: it only reads the clock, and observing through the
-    milestone events would make them exist — and be queued — for every
-    profiled message. Milestones already passed (zero-latency links) are
-    recorded immediately.
+    ``wire`` covers on-wire -> delivery (link latency). A message knows
+    both instants from the moment of submit, so the two spans are
+    written here and nothing observes the message afterwards.
     """
-    probe = _MessageProbe(profiler, trace_id, clock, prefix)
-    if msg.t_wire is not None:
-        probe.on_wire()
-    if msg.t_delivered is not None:
-        probe.delivered()
-    elif msg.hooks is None:
-        msg.hooks = [probe]
-    else:
-        msg.hooks.append(probe)
+    profiler.record(trace_id, prefix + "nic", clock(), msg.wire_at)
+    profiler.record(trace_id, prefix + "wire", msg.wire_at, msg.delivered_at)

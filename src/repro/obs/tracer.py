@@ -87,6 +87,17 @@ class SpanTracer:
     # enclose the traced region.
     span = begin
 
+    def complete(self, name: str, t0: float, t1: float, tid: str = "main",
+                 pid: str = "repro", cat: str = "span",
+                 **args: object) -> None:
+        """Record a sync span whose two ends are already known."""
+        ev: Dict[str, object] = {"name": name, "cat": cat, "ph": "X",
+                                 "ts": t0, "dur": t1 - t0, "pid": pid,
+                                 "tid": tid}
+        if args:
+            ev["args"] = args
+        self.events.append(ev)
+
     def instant(self, name: str, tid: str = "main", pid: str = "repro",
                 cat: str = "mark", **args: object) -> None:
         """A zero-duration marker event."""
@@ -99,14 +110,14 @@ class SpanTracer:
 
     def _close(self, span: Span) -> None:
         now = self.now
-        base: Dict[str, object] = {"name": span.name, "cat": span.cat,
-                                   "pid": span.pid, "tid": span.tid}
-        if span.args:
-            base["args"] = span.args
         if span.async_id is None:
-            self.events.append({**base, "ph": "X", "ts": span.t0,
-                                "dur": now - span.t0})
+            self.complete(span.name, span.t0, now, span.tid, span.pid,
+                          span.cat, **(span.args or {}))
         else:
+            base: Dict[str, object] = {"name": span.name, "cat": span.cat,
+                                       "pid": span.pid, "tid": span.tid}
+            if span.args:
+                base["args"] = span.args
             self.events.append({**base, "ph": "b", "id": span.async_id,
                                 "ts": span.t0})
             self.events.append({**base, "ph": "e", "id": span.async_id,
@@ -148,6 +159,11 @@ class NullTracer:
         return NULL_SPAN
 
     span = begin
+
+    def complete(self, name: str, t0: float, t1: float, tid: str = "main",
+                 pid: str = "repro", cat: str = "span",
+                 **args: object) -> None:
+        pass
 
     def instant(self, name: str, tid: str = "main", pid: str = "repro",
                 cat: str = "mark", **args: object) -> None:

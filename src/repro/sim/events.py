@@ -13,8 +13,8 @@ Lifecycle of an :class:`Event`:
 callback list is empty goes straight from *pending* to *processed*: the
 value is readable, a later ``yield`` takes the already-processed branch
 of ``Process._resume``, and nothing is queued — popping it would have
-run no code. That covers *notifications* (a process ending, a message
-milestone, a request completing) that nobody happened to wait for.
+run no code. That covers *notifications* (a process ending, a request
+completing, a buffer becoming reusable) that nobody happened to wait for.
 *Requests* — events handed back to a caller that is about to wait on
 them (``Timeout``, store getters, resource claims, CQ waits,
 conditions) — are triggered through the always-posting paths

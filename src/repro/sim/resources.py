@@ -31,7 +31,7 @@ class Request(Event):
 
     def __init__(self, resource: "Resource"):
         # Flattened Event.__init__ — one Request per resource claim
-        # (tx slots, server credits), squarely on the per-message path.
+        # (server credits, device slots), squarely on the per-op path.
         self.sim = resource.sim
         self.callbacks = []
         self._value = _PENDING

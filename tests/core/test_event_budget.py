@@ -17,8 +17,11 @@ a response its waiter without a lane hop in between.
 
 The second exact column is heap pushes per operation: the timers that
 really wait for a later instant, read off the simulator's tie-break
-counter (one draw per push). A failing budget prints the events of one
-more operation, one per line.
+counter (one draw per push). The third is generator resumes per
+operation — calls of ``Process._resume``, counted by a spy this file
+installs (the engine keeps no counter of its own); it is recorded as it
+is today, the cost ROADMAP item 3(c) is about, not a target. A failing
+budget prints the events of one more operation, one per line.
 """
 
 import collections
@@ -29,7 +32,7 @@ import pytest
 from repro import build_cluster, profiles
 from repro.core.cluster import ClusterSpec
 from repro.core.topology import TopologyConfig
-from repro.sim.events import Event
+from repro.sim.events import Event, Process
 from repro.units import KB, MB
 
 KEY = b"key"
@@ -64,23 +67,41 @@ def _bset(c):
 
 
 #: (id, design profile, one operation, events per operation, of which
-#: heap pushes). PR 13 -> PR 20 events: 18 -> 12, 25 -> 18, 18 -> 12,
-#: 29 -> 21, 20 -> 14, 30 -> 22, 19 -> 13, 20 -> 14; every operation
-#: lost exactly one heap push (recv + parse is one timer), the rest of
-#: the difference was lane hops.
+#: heap pushes, generator resumes per operation). PR 13 -> PR 20 -> PR 22
+#: events: 18 -> 12 -> 8, 25 -> 18 -> 12, 18 -> 12 -> 8, 29 -> 21 -> 13,
+#: 20 -> 14 -> 10, 30 -> 22 -> 14, 19 -> 13 -> 9, 20 -> 14 -> 10. PR 20
+#: took one heap push off every operation (recv + parse is one timer)
+#: and otherwise lane hops; PR 22 took two events off every message (a
+#: NIC is a clock: no tx grant, no serialize timer), one of them a push.
 BUDGETS = [
-    ("get-hit/RDMA_MEM", profiles.RDMA_MEM, _get, 12, 10),
-    ("set/RDMA_MEM", profiles.RDMA_MEM, _set, 18, 13),
-    ("iget+wait/H_RDMA_OPT_NONB_I", profiles.H_RDMA_OPT_NONB_I, _iget_wait, 12, 10),
-    ("iset+wait/H_RDMA_OPT_NONB_I", profiles.H_RDMA_OPT_NONB_I, _iset_wait, 21, 15),
+    ("get-hit/RDMA_MEM", profiles.RDMA_MEM, _get, 8, 8, 9),
+    ("set/RDMA_MEM", profiles.RDMA_MEM, _set, 12, 10, 12),
+    ("iget+wait/H_RDMA_OPT_NONB_I", profiles.H_RDMA_OPT_NONB_I, _iget_wait, 8, 8, 9),
+    ("iset+wait/H_RDMA_OPT_NONB_I", profiles.H_RDMA_OPT_NONB_I, _iset_wait, 13, 11, 12),
     # The b-variants observe the buffer-reuse point: bget waits on
-    # buffer_safe, armed on the request's on_wire (+2 events); bset's
-    # buffer_safe is raised by the server's BufferAck (+1).
-    ("bget/H_RDMA_OPT_NONB_B", profiles.H_RDMA_OPT_NONB_B, _bget, 14, 10),
-    ("bset/H_RDMA_OPT_NONB_B", profiles.H_RDMA_OPT_NONB_B, _bset, 22, 15),
-    ("get-hit/FATCACHE", profiles.FATCACHE, _get, 13, 11),
-    ("set/FATCACHE", profiles.FATCACHE, _set, 14, 12),
+    # buffer_safe, armed on the request's on_wire timer (+2 events, one
+    # a push); bset's buffer_safe is raised by the server's BufferAck (+1).
+    ("bget/H_RDMA_OPT_NONB_B", profiles.H_RDMA_OPT_NONB_B, _bget, 10, 9, 10),
+    ("bset/H_RDMA_OPT_NONB_B", profiles.H_RDMA_OPT_NONB_B, _bset, 14, 11, 13),
+    ("get-hit/FATCACHE", profiles.FATCACHE, _get, 9, 9, 11),
+    ("set/FATCACHE", profiles.FATCACHE, _set, 10, 10, 12),
 ]
+
+
+@pytest.fixture
+def resumes(monkeypatch):
+    """Calls of ``Process._resume`` so far, as a one-element list. A
+    process binds its resume callback when it is created, so this has
+    to be in place before the cluster is built."""
+    calls = [0]
+    resume = Process._resume
+
+    def spy(process, event):
+        calls[0] += 1
+        resume(process, event)
+
+    monkeypatch.setattr(Process, "_resume", spy)
+    return calls
 
 
 def _warm_cluster(profile, profiled):
@@ -97,8 +118,9 @@ def _warm_cluster(profile, profiled):
     return cluster
 
 
-def _costs_for(cluster, op, n):
-    """``(events popped, heap pushes)`` of ``n`` operations."""
+def _costs_for(cluster, op, n, resumes):
+    """``(events popped, heap pushes, generator resumes)`` of ``n``
+    operations."""
     client, sim = cluster.clients[0], cluster.sim
 
     def app():
@@ -107,10 +129,11 @@ def _costs_for(cluster, op, n):
 
     # Every heap push draws one tie-break value, so two draws of our own
     # bracket the run's (the lane draws none).
-    before = sim.events_processed, next(sim._counter)
+    before = sim.events_processed, next(sim._counter), resumes[0]
     sim.run(until=sim.spawn(app()))
     return (sim.events_processed - before[0],
-            next(sim._counter) - before[1] - 1)
+            next(sim._counter) - before[1] - 1,
+            resumes[0] - before[2])
 
 
 def _callback_name(cb):
@@ -138,17 +161,20 @@ def _event_list(cluster, op):
 
 
 @pytest.mark.parametrize("profiled", [False, True], ids=["profile-off", "profile-on"])
-@pytest.mark.parametrize("profile,op,budget,pushes",
+@pytest.mark.parametrize("profile,op,budget,pushes,gen_resumes",
                          [b[1:] for b in BUDGETS], ids=[b[0] for b in BUDGETS])
 def test_events_per_op_is_exactly_the_budget(profile, op, budget, pushes,
-                                             profiled):
+                                             gen_resumes, profiled, resumes):
     cluster = _warm_cluster(profile, profiled)
-    ten = _costs_for(cluster, op, 10)
-    twenty = _costs_for(cluster, op, 20)
+    ten = _costs_for(cluster, op, 10, resumes)
+    twenty = _costs_for(cluster, op, 20, resumes)
     # The driver process costs two lane events per run (its Initialize
-    # and its observed end); everything else is the operations'.
-    assert ((ten[0] - 2, ten[1]), (twenty[0] - 2, twenty[1])) == \
-        ((10 * budget, 10 * pushes), (20 * budget, 20 * pushes)), (
+    # and its observed end) and one resume (its start; every other one
+    # happens inside an operation); everything else is the operations'.
+    assert ((ten[0] - 2, ten[1], ten[2] - 1),
+            (twenty[0] - 2, twenty[1], twenty[2] - 1)) == \
+        ((10 * budget, 10 * pushes, 10 * gen_resumes),
+         (20 * budget, 20 * pushes, 20 * gen_resumes)), (
             "events of one more operation (2 of them the driver's):\n"
             + _event_list(cluster, op))
     if profiled:
@@ -208,5 +234,5 @@ def test_no_event_on_the_get_path_is_popped_without_an_observer(
     done.callbacks.append(lambda _ev: None)  # observe it, as run(until=) does
     while not done.processed:
         sim.step()  # step() dispatches through Event._process
-    assert len(popped) > 5 * 10
+    assert len(popped) >= 5 * 8
     assert [p for p in popped if p[1] == 0] == []

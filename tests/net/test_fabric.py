@@ -1,9 +1,15 @@
 """Tests for the fabric / NIC transfer machinery."""
 
+import gc
+import weakref
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.fabric import Fabric
 from repro.net.params import FDR_RDMA, LinkParams
+from repro.obs.api import Observability
 from repro.sim import Simulator
 from repro.units import KB, MB, US
 
@@ -107,27 +113,44 @@ def test_payload_rides_along():
 
 
 class TestLazyMilestones:
-    """``on_wire`` / ``delivered`` exist only for a message somebody
-    asked them of; every message carries the plain timestamps."""
+    """Both instants of a message are numbers fixed at submit; its
+    delivery is the one event it costs, and ``on_wire`` / ``delivered``
+    are timers made for whoever asks."""
 
-    def test_unobserved_message_costs_three_events_and_no_milestones(self):
+    def test_unobserved_message_costs_one_event_and_no_milestone(self):
         sim, a, b = make_pair()
         msg = a.transmit(b, 4 * KB)
+        assert msg.wire_at == FDR_RDMA.cpu_send + FDR_RDMA.serialize_time(4 * KB)
+        assert msg.delivered_at == msg.wire_at + FDR_RDMA.latency
         sim.run()
-        # tx grant, serialize timeout, wire-latency timeout — nothing else.
-        assert sim.events_processed == 3
+        assert sim.events_processed == 1  # the delivery — nothing else
+        assert sim.now == msg.delivered_at
         assert msg._on_wire is None and msg._delivered is None
-        assert msg.t_delivered - msg.t_wire == pytest.approx(
-            FDR_RDMA.latency, rel=1e-9)
+
+    def test_delivered_message_is_freed_without_the_collector(self):
+        # Simulator.run() pauses the cyclic collector, so a message that
+        # sat in a reference cycle with its timer would pile up per run.
+        sim, a, b = make_pair()
+        payload = type("Payload", (), {})()  # dies with its message
+        ref = weakref.ref(payload)
+        a.transmit(b, 4 * KB, payload=payload)
+        del payload
+        gc.disable()
+        try:
+            sim.run()
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_event_asked_for_before_the_milestone_triggers_at_it(self):
         sim, a, b = make_pair()
         msg = a.transmit(b, 4 * KB)
         seen = []
         msg.on_wire.callbacks.append(lambda ev: seen.append((sim.now, ev.value)))
+        assert msg.on_wire is msg.on_wire  # materialised once
         sim.run()
-        assert seen == [(msg.t_wire, msg)]
-        assert sim.events_processed == 4  # the observed on_wire was queued
+        assert seen == [(msg.wire_at, msg)]
+        assert sim.events_processed == 2  # the observed on_wire is a timer
 
     def test_event_asked_for_after_the_milestone_is_already_processed(self):
         sim, a, b = make_pair()
@@ -140,22 +163,155 @@ class TestLazyMilestones:
         assert sim.run(until=msg.delivered) is msg
         assert sim.events_processed == before
 
-    def test_hooks_are_called_inline_at_both_milestones(self):
+    def test_on_wire_asked_for_between_the_two_instants(self):
         sim, a, b = make_pair()
         msg = a.transmit(b, 4 * KB)
-        calls = []
+        sim.run(until=msg.wire_at + 0.5 * FDR_RDMA.latency)
+        assert msg.on_wire.processed and not msg.delivered.processed
+        assert sim.run(until=msg.delivered) is msg
+        assert sim.now == msg.delivered_at
+        assert sim.events_processed == 2  # the delivery and its observer
 
-        class Hook:
-            def on_wire(self):
-                calls.append(("wire", sim.now))
 
-            def delivered(self):
-                calls.append(("dst", sim.now))
+class TestTransmitClock:
+    """The transmit side against its closed form: a FIFO pipe whose
+    service times are known at arrival (the Lindley recursion)."""
 
-        msg.hooks = [Hook(), Hook()]
+    def test_queued_message_waits_for_the_pipe_not_for_an_event(self):
+        sim, a, b = make_pair()
+        one = FDR_RDMA.cpu_send + FDR_RDMA.serialize_time(1 * MB)
+        m1 = a.transmit(b, 1 * MB)
+        m2 = a.transmit(b, 1 * MB)
+        assert (m1.wire_at, m2.wire_at) == (one, one + one)
+        assert a.busy_until == m2.wire_at
         sim.run()
-        assert calls == [("wire", msg.t_wire)] * 2 + [("dst", msg.t_delivered)] * 2
-        assert sim.events_processed == 3  # observing added no event
+        # An idle pipe starts at the submit instant, not at busy_until.
+        m3 = a.transmit(b, 1 * MB)
+        assert m3.wire_at == sim.now + one
+        assert sim.events_processed == 2
+
+    def test_link_degrade_applies_from_the_next_submit_on(self):
+        slow = FDR_RDMA.degraded(4.0)
+        sim, a, b = make_pair()
+        busy, slow_busy = (p.cpu_send + p.serialize_time(64 * KB)
+                           for p in (FDR_RDMA, slow))
+        m1 = a.transmit(b, 64 * KB)
+        m2 = a.transmit(b, 64 * KB)
+        a.params = slow  # what faults.link_degrade does, mid-burst
+        m3 = a.transmit(b, 64 * KB)
+        assert m1.wire_at == busy and m2.wire_at == busy + busy
+        assert (m1.delivered_at, m2.delivered_at) == (
+            m1.wire_at + FDR_RDMA.latency, m2.wire_at + FDR_RDMA.latency)
+        # The third queues behind the first two, at the new rate.
+        assert m3.wire_at == m2.wire_at + slow_busy
+        assert m3.delivered_at == m3.wire_at + slow.latency
+        arrivals = []
+        b.deliver = lambda msg: arrivals.append((sim.now, msg))
+        sim.run()
+        assert arrivals == [(m.delivered_at, m) for m in (m1, m2, m3)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        links=st.lists(st.tuples(
+            st.sampled_from([0.0, 0.5 * US, 1.7 * US]),    # latency
+            st.sampled_from([0.0, 0.3 * US]),              # cpu_send
+            st.sampled_from([float("inf"), 1e9, 6e9])),    # bandwidth
+            min_size=1, max_size=3),
+        burst=st.lists(st.tuples(
+            st.integers(0, 2),                             # source NIC
+            st.sampled_from([0.0, 0.0, 0.1 * US, 1 * US, 25 * US]),  # gap
+            st.sampled_from([0, 64, 4 * KB, 4 * KB, 32 * KB])),      # nbytes
+            min_size=1, max_size=40))
+    def test_bursts_follow_the_lindley_recursion(self, links, burst):
+        sim = Simulator()
+        fabric = Fabric(sim)
+        sources = [
+            fabric.node(f"src{i}").nic(LinkParams(
+                name=f"link{i}", latency=latency, bandwidth=bandwidth,
+                cpu_send=cpu_send, cpu_recv=0.0))
+            for i, (latency, cpu_send, bandwidth) in enumerate(links)]
+        dst = fabric.node("dst").nic(FDR_RDMA)
+        arrivals = []
+        dst.deliver = lambda msg: arrivals.append((sim.now, msg))
+        sent = []
+
+        def submit():
+            for src, gap, nbytes in burst:
+                if gap:
+                    yield sim.timeout(gap)
+                nic = sources[src % len(sources)]
+                sent.append((sim.now, nic.transmit(dst, nbytes)))
+
+        sim.spawn(submit())
+        sim.run()
+
+        pipe_idle = {nic: 0.0 for nic in sources}
+        for submitted, msg in sent:
+            nic, p = msg.src, msg.src.params
+            busy = p.cpu_send + p.serialize_time(msg.nbytes)
+            assert msg.wire_at == max(submitted, pipe_idle[nic]) + busy
+            assert msg.delivered_at == msg.wire_at + p.latency
+            pipe_idle[nic] = msg.wire_at
+        # Every message arrives, at its instant; ties pop in submit
+        # order, which also makes each NIC's deliveries FIFO.
+        order = {id(msg): i for i, (_t, msg) in enumerate(sent)}
+        assert arrivals == sorted(
+            ((msg.delivered_at, msg) for _t, msg in sent),
+            key=lambda a: (a[0], order[id(a[1])]))
+        # One event per message, plus the submitter's own (its start
+        # and one per sleep).
+        sleeps = sum(1 for _src, gap, _n in burst if gap)
+        assert sim.events_processed == len(burst) + 1 + sleeps
+
+    def test_counters_are_counted_at_submit_and_agree_at_quiesce(self):
+        sim, a, b = make_pair()
+        on_wire = [0, 0]
+
+        def count(ev):
+            on_wire[0] += ev.value.nbytes
+            on_wire[1] += 1
+
+        for nbytes in (10 * KB, 20 * KB, 512):
+            a.transmit(b, nbytes).on_wire.callbacks.append(count)
+        assert (a.bytes_sent, a.messages_sent) == (30 * KB + 512, 3)
+        assert on_wire == [0, 0]
+        sim.run()
+        # What the old at-wire accounting would have read once drained.
+        assert on_wire == [a.bytes_sent, a.messages_sent]
+
+
+def test_registry_metrics_and_tx_spans_keep_their_meaning():
+    sim = Simulator()
+    obs = Observability(sim, metrics=True, trace=True)
+    fabric = Fabric(sim, obs=obs)
+    a = fabric.node("a").nic(FDR_RDMA)
+    b = fabric.node("b").nic(FDR_RDMA)
+    one = FDR_RDMA.cpu_send + FDR_RDMA.serialize_time(1 * MB)
+    msgs = [a.transmit(b, 1 * MB) for _ in range(3)]
+
+    def value(name):
+        return obs.registry.flatten()[f'{name}{{link="rdma-fdr",node="a"}}']
+
+    # Counted at submit; the wait is what each message will queue for.
+    assert value("nic_bytes_sent") == 3 * MB
+    assert value("nic_messages_sent") == 3
+    wait, = obs.registry.histograms(lambda m: m.labels["node"] == "a")
+    assert (wait.count, wait.min, wait.max) == (3, 0.0, msgs[1].wire_at)
+    assert wait.total == msgs[0].wire_at + msgs[1].wire_at
+    # Backlog: messages queued or serializing, computed when read.
+    assert value("nic_tx_backlog") == 3
+    sim.run(until=msgs[0].wire_at + 0.5 * one)
+    assert value("nic_tx_backlog") == 2
+    sim.run()
+    assert value("nic_tx_backlog") == 0
+    assert value("nic_bytes_sent") == a.bytes_sent == 3 * MB
+    # One complete span per message, end to end on the NIC's pipe.
+    spans = [e for e in obs.tracer.events if e["name"] == "tx"]
+    assert [(e["ph"], e["pid"], e["tid"], e["args"]) for e in spans] == \
+        [("X", "net", "a/rdma-fdr", {"bytes": 1 * MB})] * 3
+    assert [e["ts"] for e in spans] == [0.0, msgs[0].wire_at, msgs[1].wire_at]
+    assert [e["ts"] + e["dur"] for e in spans] == pytest.approx(
+        [m.wire_at for m in msgs], rel=1e-12)
 
 
 class TestLinkParams:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.fabric import Fabric
-from repro.net.params import FDR_RDMA
+from repro.net.params import FDR_RDMA, LinkParams
 from repro.net.rdma import HEADER_BYTES, CompletionQueue, QueuePair, WorkCompletion
 from repro.sim import Simulator, SimulationError
 from repro.units import KB, MB
@@ -49,6 +49,23 @@ class TestTwoSided:
         assert send_wc.wr_id == "tx-1" and send_wc.opcode == "send"
         assert recv_wc.wr_id == "rx-1" and recv_wc.opcode == "recv"
         assert recv_wc.payload == {"hello": 1}
+
+    def test_send_completes_on_a_link_that_costs_nothing(self):
+        # No busy time and no latency: ``delivered`` is reached in the
+        # instant of the post, so the completion cannot wait on it.
+        free = LinkParams(name="free", latency=0.0, bandwidth=float("inf"),
+                          cpu_send=0.0, cpu_recv=0.0)
+        sim = Simulator()
+        fabric = Fabric(sim)
+        qp_a = QueuePair(sim, fabric.node("a").nic(free))
+        qp_b = QueuePair(sim, fabric.node("b").nic(free))
+        qp_a.connect(qp_b)
+        qp_b.post_recv(wr_id="rx")
+        qp_a.post_send(wr_id="tx", nbytes=64, payload="now")
+        sim.run()
+        assert sim.now == 0.0
+        assert qp_a.send_cq.try_poll().wr_id == "tx"
+        assert qp_b.recv_cq.try_poll().payload == "now"
 
     def test_send_before_recv_is_buffered_rnr(self, rig):
         sim, qp_a, qp_b = rig

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.net.fabric import Message
+from repro.net.fabric import Fabric
+from repro.net.params import FDR_RDMA, LinkParams
 from repro.obs.profile import (
     NULL_PROFILER,
     ProfileReport,
@@ -17,6 +18,7 @@ from repro.obs.profile import (
     folded_stacks,
     profile_message,
 )
+from repro.sim import Simulator
 
 
 # -- canonical stage mapping -------------------------------------------------
@@ -217,56 +219,93 @@ def test_null_profiler_is_inert():
 # -- message profiling -------------------------------------------------------
 
 
-def _bare_message():
-    """A real Message with no NICs: the profiler observes it through
-    the inline hook list the NIC calls at the two milestones, never
-    through the (lazily created) milestone events."""
-    return Message(None, None, 64)
+def _send(nbytes=4096, params=FDR_RDMA):
+    """One real message, just handed to an idle NIC at t=0."""
+    sim = Simulator()
+    fabric = Fabric(sim)
+    msg = fabric.node("a").nic(params).transmit(
+        fabric.node("b").nic(params), nbytes)
+    return sim, msg
 
 
 def test_profile_message_records_nic_and_wire():
     prof, t = make_profiler()
     tid = prof.maybe_start("get")
-    msg = _bare_message()
+    sim, msg = _send()
     profile_message(prof, tid, prof.clock, msg)
-    t["now"] = 5e-6
-    msg._reach_wire(t["now"])
-    t["now"] = 12e-6
-    msg._reach_dst(t["now"])
-    assert prof._live[tid].spans == [("nic", 0.0, 5e-6),
-                                     ("wire", 5e-6, 12e-6)]
-    # Observation made no milestone event exist.
+    # Both spans are written at submit, from the message's own numbers.
+    assert prof._live[tid].spans == [("nic", 0.0, msg.wire_at),
+                                     ("wire", msg.wire_at, msg.delivered_at)]
+    assert 0.0 < msg.wire_at < msg.delivered_at
+    # Observation touched no event: the delivery is all the run pops.
     assert msg._on_wire is None and msg._delivered is None
+    sim.run()
+    assert sim.events_processed == 1
 
 
 def test_profile_message_prefix_and_processed_events():
     prof, t = make_profiler()
     tid = prof.maybe_start("get")
-    t["now"] = 3e-6
-    # Milestones already passed (zero-latency path) record immediately
-    # as zero-length spans, which the recorder drops.
-    msg = _bare_message()
-    msg._reach_wire(3e-6)
-    msg._reach_dst(3e-6)
+    # A free link (no busy time, no latency): both spans are
+    # zero-length, which the recorder drops.
+    free = LinkParams(name="free", latency=0.0, bandwidth=float("inf"),
+                      cpu_send=0.0, cpu_recv=0.0)
+    sim, msg = _send(params=free)
     profile_message(prof, tid, prof.clock, msg, prefix="replica.")
+    assert (msg.wire_at, msg.delivered_at) == (0.0, 0.0)
     assert prof._live[tid].spans == []
-    assert msg.hooks is None
 
 
 def test_profile_message_several_traces_hook_one_message():
     # A batched mget: every sampled entry observes the one wire message.
     prof, t = make_profiler()
     a, b = prof.maybe_start("get"), prof.maybe_start("get")
-    msg = _bare_message()
+    sim, msg = _send()
     profile_message(prof, a, prof.clock, msg)
     profile_message(prof, b, prof.clock, msg, prefix="replica.")
-    t["now"] = 4e-6
-    msg._reach_wire(t["now"])
-    t["now"] = 9e-6
-    msg._reach_dst(t["now"])
-    assert prof._live[a].spans == [("nic", 0.0, 4e-6), ("wire", 4e-6, 9e-6)]
-    assert prof._live[b].spans == [("replica.nic", 0.0, 4e-6),
-                                   ("replica.wire", 4e-6, 9e-6)]
+    w, d = msg.wire_at, msg.delivered_at
+    assert prof._live[a].spans == [("nic", 0.0, w), ("wire", w, d)]
+    assert prof._live[b].spans == [("replica.nic", 0.0, w),
+                                   ("replica.wire", w, d)]
+
+
+def test_message_still_in_flight_at_finish_does_not_stretch_the_window():
+    # The client gives up at 10 us with a late response on the wire:
+    # its spans were written at submit and end after the give-up.
+    prof, t = make_profiler(keep_traces=True)
+    tid = prof.maybe_start("get")
+    prof.record(tid, "nic", 8e-6, 9e-6)
+    prof.record(tid, "wire", 9e-6, 12e-6)
+    t["now"] = 10e-6
+    prof.finish(tid, _Result(t_complete=10e-6))
+    (_tid, _cls, t_issue, t_done, _spans), = prof.traces
+    assert (t_issue, t_done) == (0.0, 10e-6)
+    sketch = prof.report().classes["get:ram"]
+    assert sketch.mean_breakdown()["wire"] == pytest.approx(1e-6)
+
+
+def test_profiled_and_unprofiled_bursts_pop_the_same_events():
+    def burst(profiled):
+        sim = Simulator()
+        fabric = Fabric(sim)
+        a, b = (fabric.node(n).nic(FDR_RDMA) for n in "ab")
+        prof = RequestProfiler(clock=lambda: sim.now)
+        popped = []
+        b.deliver = lambda msg: popped.append((sim.now, msg.nbytes))
+
+        def app():
+            for nbytes in (64, 32768, 4096, 4096):
+                msg = a.transmit(b, nbytes)
+                if profiled:
+                    profile_message(prof, prof.maybe_start("set"),
+                                    prof.clock, msg)
+                yield sim.timeout(1e-6)
+
+        sim.spawn(app())
+        sim.run()
+        return popped, sim.events_processed, sim.now
+
+    assert burst(profiled=True) == burst(profiled=False)
 
 
 def test_report_table_and_folded_lines_render():

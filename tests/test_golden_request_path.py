@@ -37,26 +37,26 @@ from repro.workloads.generator import WorkloadSpec, generate_ops
 from tests.test_determinism import fingerprint
 
 GOLDEN = {
-    "all-verbs/r2-sync": ("427ec2f744137272e41cdf9c062200b6ba0919ed7cab89c4de96becbc646fa5e", 9763),
-    "fatcache/blocking": ("df054ac1b9ce9822bda4b763d3f8d6e5558583406fb05a374a87437b02ba4e11", 4635),
-    "h-rdma-def/blocking": ("3acd781c97e07fc0b7214f6a097dc85d7608e0f382cf7e28317ea0bd1c902753", 5172),
-    "h-rdma-opt-block/blocking": ("4c99db19a05119c0717a0763ff24d9b3a762626deb61cf3d680bcccd842f5ad2", 5669),
-    "h-rdma-opt-nonb-b/blocking": ("4c99db19a05119c0717a0763ff24d9b3a762626deb61cf3d680bcccd842f5ad2", 5669),
-    "h-rdma-opt-nonb-b/nonb-b": ("026af2d7f5e9780e729f30aa5796fc00483ecb67d3d37b96d41a91035c4310e0", 6118),
-    "h-rdma-opt-nonb-b/nonb-i": ("659c403a2729e75d63fb6f7978a7f3ccae3144387687c916407cf17d48d54be4", 5622),
-    "h-rdma-opt-nonb-i/blocking": ("4c99db19a05119c0717a0763ff24d9b3a762626deb61cf3d680bcccd842f5ad2", 5669),
-    "h-rdma-opt-nonb-i/nonb-b": ("026af2d7f5e9780e729f30aa5796fc00483ecb67d3d37b96d41a91035c4310e0", 6118),
-    "h-rdma-opt-nonb-i/nonb-i": ("659c403a2729e75d63fb6f7978a7f3ccae3144387687c916407cf17d48d54be4", 5622),
-    "ipoib-mem/blocking": ("1957333b9b1e0ea27baa5e2cff26885965d309f7de13482f1f359bed367bab59", 4702),
-    "mget/h-rdma-opt-block": ("1d78b05b533678085d1ef916223d51a8a35ac4a98af5a3899cc5fc7797dfdb77", 3725),
-    "r2-async-hlc/partition-heal": ("7c8cbe7bb9e10682e1e9070098f40d45754171cb9c168732ca03881239c039da", 7159),
-    "r2-sync/crash": ("663855656b2fdbe5558f852bb54c35e63edf1cb07d5d2857c16ccdf33a5b7fe4", 7217),
-    "r2-sync/crash-restart-resync": ("5023a98c33a19509970a081429478e6d813f4edb0b29153f9b0befc6022a6de8", 7226),
-    "rdma-mem/blocking": ("3379e6c46add0cc8f9484f902e23300b68014fc77423a2b6f66963ea3c162fee", 5289),
-    "scale-4-8/double-read/ycsb-a": ("01f13cbb6b590299b9fe720fbd47d02204ff521c44644501f9316714e609ce33", 4996),
-    "scale-4-8/double-read/ycsb-e": ("1ca8b52048f0a440353bb29f2b1cc76b2b018b56ac82861b38da36e9eed2ba0e", 12603),
-    "scale-4-8/forward/ycsb-a": ("1724b598d9c527fc6d0a530c243813077bf46af66d1dd8bfd1679741c26237e2", 5013),
-    "scale-4-8/forward/ycsb-e": ("3a33a162eac7bcf23423cd1207c1657b78544d59ef0f031a67cf2b74f22bf9fa", 12616),
+    "all-verbs/r2-sync": ("427ec2f744137272e41cdf9c062200b6ba0919ed7cab89c4de96becbc646fa5e", 6989),
+    "fatcache/blocking": ("df054ac1b9ce9822bda4b763d3f8d6e5558583406fb05a374a87437b02ba4e11", 3327),
+    "h-rdma-def/blocking": ("3acd781c97e07fc0b7214f6a097dc85d7608e0f382cf7e28317ea0bd1c902753", 3528),
+    "h-rdma-opt-block/blocking": ("4c99db19a05119c0717a0763ff24d9b3a762626deb61cf3d680bcccd842f5ad2", 3681),
+    "h-rdma-opt-nonb-b/blocking": ("4c99db19a05119c0717a0763ff24d9b3a762626deb61cf3d680bcccd842f5ad2", 3681),
+    "h-rdma-opt-nonb-b/nonb-b": ("026af2d7f5e9780e729f30aa5796fc00483ecb67d3d37b96d41a91035c4310e0", 4146),
+    "h-rdma-opt-nonb-b/nonb-i": ("659c403a2729e75d63fb6f7978a7f3ccae3144387687c916407cf17d48d54be4", 3650),
+    "h-rdma-opt-nonb-i/blocking": ("4c99db19a05119c0717a0763ff24d9b3a762626deb61cf3d680bcccd842f5ad2", 3681),
+    "h-rdma-opt-nonb-i/nonb-b": ("026af2d7f5e9780e729f30aa5796fc00483ecb67d3d37b96d41a91035c4310e0", 4146),
+    "h-rdma-opt-nonb-i/nonb-i": ("659c403a2729e75d63fb6f7978a7f3ccae3144387687c916407cf17d48d54be4", 3650),
+    "ipoib-mem/blocking": ("1957333b9b1e0ea27baa5e2cff26885965d309f7de13482f1f359bed367bab59", 3318),
+    "mget/h-rdma-opt-block": ("1d78b05b533678085d1ef916223d51a8a35ac4a98af5a3899cc5fc7797dfdb77", 2621),
+    "r2-async-hlc/partition-heal": ("7c8cbe7bb9e10682e1e9070098f40d45754171cb9c168732ca03881239c039da", 4791),
+    "r2-sync/crash": ("663855656b2fdbe5558f852bb54c35e63edf1cb07d5d2857c16ccdf33a5b7fe4", 4849),
+    "r2-sync/crash-restart-resync": ("5023a98c33a19509970a081429478e6d813f4edb0b29153f9b0befc6022a6de8", 4858),
+    "rdma-mem/blocking": ("3379e6c46add0cc8f9484f902e23300b68014fc77423a2b6f66963ea3c162fee", 3531),
+    "scale-4-8/double-read/ycsb-a": ("01f13cbb6b590299b9fe720fbd47d02204ff521c44644501f9316714e609ce33", 3224),
+    "scale-4-8/double-read/ycsb-e": ("1ca8b52048f0a440353bb29f2b1cc76b2b018b56ac82861b38da36e9eed2ba0e", 8243),
+    "scale-4-8/forward/ycsb-a": ("1724b598d9c527fc6d0a530c243813077bf46af66d1dd8bfd1679741c26237e2", 3241),
+    "scale-4-8/forward/ycsb-e": ("3a33a162eac7bcf23423cd1207c1657b78544d59ef0f031a67cf2b74f22bf9fa", 8258),
 }
 
 
