@@ -162,10 +162,7 @@ def _build(args, spec: WorkloadSpec, observe: bool = False,
     profile_key = ALL_PROFILES[args.profile]
     eject = getattr(args, "eject_duration", None)
     cluster_spec = ClusterSpec(
-        topology=TopologyConfig(
-            initial_servers=args.servers,
-            handoff=getattr(args, "handoff", "forward"),
-        ),
+        topology=TopologyConfig(initial_servers=args.servers),
         num_clients=args.clients,
         server_mem=args.server_mem_mb * MB,
         ssd_limit=args.ssd_limit_mb * MB,
@@ -366,7 +363,7 @@ def cmd_scale(args) -> int:
     _print_summary(
         f"{ALL_PROFILES[args.profile].label} — scale "
         f"{args.from_servers}->{args.to_servers} at {args.at} "
-        f"({args.traffic} traffic, {args.handoff} handoff)", result)
+        f"({args.traffic} traffic)", result)
     reg = cluster.obs.registry
 
     def _total(name: str) -> int:
@@ -376,7 +373,6 @@ def cmd_scale(args) -> int:
     print()
     print(ascii_table([{
         "migrated items": _total("migration_items"),
-        "forwards": _total("migration_forwards"),
         "double reads": _total("double_reads"),
         "final epoch": cluster.view_epoch,
     }], title="Migration"))
@@ -523,10 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="traffic shape pacing the clients: steady, "
                               "diurnal (sinusoidal), or spike (flash "
                               "crowd)")
-    scale_p.add_argument("--handoff", default="forward",
-                         choices=("forward", "double-read"),
-                         help="migration-window correctness mode "
-                              "(default forward)")
     scale_p.set_defaults(func=cmd_scale)
 
     topo_p = sub.add_parser(
@@ -578,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--elastic", action="store_true",
                         help="fuzz the elasticity band instead: scale "
                              "add/remove events (racing optional faults) "
-                             "during the run, both handoff modes")
+                             "during the run")
     fuzz_p.set_defaults(func=cmd_fuzz)
 
     exp_p = sub.add_parser("export",
@@ -634,9 +626,6 @@ def _add_consistency_args(p: argparse.ArgumentParser) -> None:
                    help="elastic event during the replay (repeatable): "
                         "add@TIME, remove@TIME, or remove:IDX@TIME "
                         "(e.g. add@4ms; bare numbers are seconds)")
-    p.add_argument("--handoff", default="forward",
-                   choices=("forward", "double-read"),
-                   help="migration-window correctness mode")
     p.add_argument("--history-out", default=None, metavar="FILE",
                    help="also write the recorded history as JSONL")
 
@@ -665,7 +654,6 @@ def cmd_check_consistency(args) -> int:
         consensus=args.consensus,
         hlc=args.hlc,
         scale_specs=tuple(args.scale_op or ()),
-        handoff=args.handoff,
     )
     print(repro_line(scn))
     report, events, _recorder = run_scenario(scn)
@@ -709,8 +697,7 @@ def cmd_fuzz(args) -> int:
             extras += "/hlc"
         scaling = ""
         if scn.scale_specs:
-            scaling = (f" scale={';'.join(scn.scale_specs)}"
-                       f"/{scn.handoff}")
+            scaling = f" scale={';'.join(scn.scale_specs)}"
         print(f"  seed {result.seed:>4} {mark} R={scn.replication} "
               f"{scn.write_mode}/{scn.router}{extras}"
               f"{'' if scn.fast_lane else '/legacy'} faults={faults}"

@@ -342,12 +342,15 @@ class MemcachedClient:
             return conn
         self._restore_expired_ejections()
         excludes = self._view_excludes
+        # Only the ring's slots: a server wired in ahead of the view that
+        # grows the ring must not count as routable.
+        ring = conns[:router.num_servers]
         if all(c.healthy for c in conns):
             if excludes is None:
                 return conns[router.server_for(key)]
-            alive = {c.index for c in conns} - excludes
+            alive = {c.index for c in ring} - excludes
         else:
-            alive = {c.index for c in conns if c.healthy}
+            alive = {c.index for c in ring if c.healthy}
             if excludes is not None:
                 alive -= excludes
         if not alive:
@@ -362,13 +365,14 @@ class MemcachedClient:
             self._router = make_router(self.config.router,
                                        self._ring_size or len(self._conns))
         self._restore_expired_ejections()
+        ring = self._conns[:self._router.num_servers]
         alive = None
         if not all(c.healthy for c in self._conns):
-            alive = {c.index for c in self._conns if c.healthy}
+            alive = {c.index for c in ring if c.healthy}
         excludes = self._view_excludes
         if excludes is not None:
             if alive is None:
-                alive = {c.index for c in self._conns}
+                alive = {c.index for c in ring}
             alive -= excludes
         if alive is not None and not alive:
             return []
@@ -1386,11 +1390,8 @@ class MemcachedClient:
         # Attribute the completion to the server that answered:
         # after a failover reissue, the response of the *first*
         # attempt can still arrive, and history/consistency checks
-        # need the server that actually served the op. A response
-        # relayed through a migration-window forward carries the
-        # true origin (the new owner), not this connection's server.
-        origin = response.origin
-        req.server_index = origin if origin >= 0 else conn.index
+        # need the server that actually served the op.
+        req.server_index = conn.index
         stages = response.stages
         req.stages.update(stages)
         # Network + delivery share of the server's response stage.

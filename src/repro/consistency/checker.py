@@ -200,6 +200,9 @@ def check_history(events: Sequence[HistoryEvent],
     """
     initial_tokens = initial_tokens or {}
     report = _Builder(ops_checked=len(events))
+    lost = _lost_hlc_writes(events)
+    if lost:
+        events = [ev for ev in events if ev not in lost]
 
     # -- index ------------------------------------------------------------
     by_key: Dict[str, List[HistoryEvent]] = defaultdict(list)
@@ -236,6 +239,41 @@ def check_history(events: Sequence[HistoryEvent],
             _search_key(key, evs, initial_tokens, applies_by_server,
                         report, wg_budget, max_wg_ops, allow_unknown)
     return report.freeze()
+
+
+def _lost_hlc_writes(events: Sequence[HistoryEvent]) -> set:
+    """HLC-stamped sets that answered STORED without installing
+    anything: the server's last-writer-wins merge kept a newer delete
+    (the reply carries token 0) or a newer write (the reply carries
+    that winner's token, so two recorded sets claim one token and the
+    larger stamp installed it).
+
+    Leaving them out of every check is sound. A stamp's physical part
+    is the simulated time its op was issued at, so the smaller stamp
+    means the losing write was issued no later than the winner was
+    issued — hence no later than the winner was applied — and it
+    completed after the server had applied the winner. It therefore
+    linearizes immediately before the winner, whose effect hides it
+    from every later op."""
+    lost = set()
+    installs: Dict[Tuple[int, int], HistoryEvent] = {}
+    for ev in events:
+        if (ev.op != "set" or ev.status != _ACKED_WRITE or ev.hlc is None
+                or ev.server < 0):
+            continue
+        if ev.cas_token == 0:
+            lost.add(ev)
+            continue
+        slot = (ev.server, ev.cas_token)
+        other = installs.get(slot)
+        if other is None:
+            installs[slot] = ev
+        elif other.hlc < ev.hlc:
+            lost.add(other)
+            installs[slot] = ev
+        else:
+            lost.add(ev)
+    return lost
 
 
 # -- invariant pass ---------------------------------------------------------

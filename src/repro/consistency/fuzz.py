@@ -76,8 +76,6 @@ class Scenario:
     #: server ``I`` out. Actions that collide with an in-flight
     #: migration (or an invalid target) are skipped deterministically.
     scale_specs: Tuple[str, ...] = ()
-    #: Migration-window correctness mode ("forward" / "double-read").
-    handoff: str = "forward"
 
     def to_cli_args(self) -> List[str]:
         """The exact ``repro check`` flags reproducing this scenario."""
@@ -106,8 +104,6 @@ class Scenario:
             args.append("--hlc")
         for spec in self.fault_specs:
             args += ["--fault", spec]
-        if self.handoff != "forward":
-            args += ["--handoff", self.handoff]
         for spec in self.scale_specs:
             args += ["--scale-op", spec]
         return args
@@ -193,10 +189,10 @@ def derive_eventual(seed: int) -> Scenario:
 
 def derive_elastic(seed: int) -> Scenario:
     """Expand one fuzz seed into an **elastic-scaling** scenario: R=1
-    sync runs with 1-2 randomized add/remove actions (both handoff
-    modes, both routers, consensus and HLC coins) and at most one
-    fault riding along — migrations racing crashes/partitions is
-    exactly the grid hand-written tests cannot cover.
+    sync runs with 1-2 randomized add/remove actions (both routers,
+    consensus and HLC coins) and at most one fault riding along —
+    migrations racing crashes/partitions is exactly the grid
+    hand-written tests cannot cover.
 
     A separate derivation keeps :func:`derive` and
     :func:`derive_eventual` byte-stable (appending draws there would
@@ -232,7 +228,6 @@ def derive_elastic(seed: int) -> Scenario:
         consensus=bool(rng.getrandbits(1)),
         hlc=bool(rng.getrandbits(1)),
         scale_specs=tuple(specs),
-        handoff=rng.choice(("forward", "double-read")),
     )
 
 
@@ -341,8 +336,7 @@ def run_scenario(scn: Scenario, *, full: bool = True
     """
     sim = Simulator(fast_lane=scn.fast_lane)
     spec = ClusterSpec(
-        topology=TopologyConfig(initial_servers=scn.num_servers,
-                                handoff=scn.handoff),
+        topology=TopologyConfig(initial_servers=scn.num_servers),
         num_clients=scn.num_clients,
         server_mem=scn.server_mem_mb * MB,
         ssd_limit=scn.ssd_limit_mb * MB,

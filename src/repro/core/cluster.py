@@ -135,8 +135,8 @@ class ClusterSpec:
     #: consensus membership, HLC convergence). The default is R=1,
     #: which keeps single-copy behaviour and cost.
     replication: ReplicationConfig = field(default_factory=ReplicationConfig)
-    #: The elastic-topology configuration (initial fleet size, handoff
-    #: mode, migration budget, autoscaler policy).
+    #: The elastic-topology configuration (initial fleet size,
+    #: migration budget, autoscaler policy).
     topology: TopologyConfig = field(default_factory=TopologyConfig)
     #: Live metrics registry + gauge sampler (see :mod:`repro.obs`).
     observe: bool = False
@@ -171,7 +171,7 @@ class Cluster:
         #: :class:`repro.consensus.RaftGroup` when the spec enables
         #: consensus-owned membership; None otherwise.
         self.raft = None
-        #: Typed elastic-topology knobs (handoff mode, migration budget,
+        #: Typed elastic-topology knobs (migration budget,
         #: autoscaler policy) — see :class:`TopologyConfig`.
         self.topology: TopologyConfig = spec.topology
         #: Online admin facade: ``add_server`` / ``remove_server`` /
@@ -611,7 +611,7 @@ def build_cluster(profile: DesignProfile,
                 fn=(lambda c=cluster, idx=i: c.ownership_share(idx)),
                 server=server.name)
     topo = spec.topology
-    if topo.autoscale is not None and topo.autoscale.enabled:
+    if topo.autoscale is not None:
         from repro.core.migration import autoscaler_loop
         sim.spawn(autoscaler_loop(cluster, topo.autoscale),
                   name="autoscaler")

@@ -2,41 +2,36 @@
 
 A :class:`Migration` moves a cluster from its current published view
 (ring size + admin-excluded servers) to a new one **while the cluster
-serves traffic**, generalizing the anti-entropy resync path (PR 4/PR 9)
-into a budgeted online transfer:
+serves traffic**, generalizing the anti-entropy resync path into a
+budgeted online transfer. There is one protocol — publish first, pull
+on miss:
 
-* **Copy** — a cursor walk over each donor's
-  :meth:`~repro.server.hybrid.HybridSlabManager.live_items`, streaming
-  every item the new view owns elsewhere to its new owner in zero-time
-  out-of-band installs (``preload``; HLC-stamped items go through the
-  last-writer-wins ``merge_item``), ``migration_batch`` items per burst
-  with ``migration_interval`` of simulated time between bursts so live
-  traffic keeps its share of the fleet.
-* **Seal + cutover** — donors atomically flip into the handoff window:
-  keys mutated during the walk are re-pushed from their current state,
-  then the epoch-bumped view is published (through the Raft group when
-  consensus is on, direct per-client epoch publish otherwise) and
-  clients re-route in one step.
-* **Handoff window** — correctness while clients straggle between
-  views. ``"forward"`` mode: a sealed donor relays any request whose
-  *new-view* owner is another server straight into that owner's worker
-  queue (one modeled hop), and the owner answers over the original
-  client connection with :attr:`Response.origin` set. ``"double-read"``
-  mode: the view is published first and a new owner *pulls* a missing
-  key from its old owner on first touch (the ``double_reads`` counter)
-  while the copy walk back-fills in the background.
+* **Publish** — the epoch-bumped view goes out first (through the Raft
+  group when consensus is on, direct per-client epoch publish
+  otherwise) and clients re-route in one step. Every participating
+  server enters the handoff window in the same zero-time block.
+* **Pull on miss** — a new owner serves immediately; the first request
+  for a key it does not hold yet materializes the key from its old
+  owner before it is served (zero-time, the ``double_reads`` counter).
+* **Copy** — behind the cutover, a cursor walk over each donor's
+  table back-fills every item the new view owns elsewhere to its new
+  owner, only where the owner holds nothing yet (HLC-stamped items go
+  through the last-writer-wins ``merge_item``), ``migration_batch``
+  items per burst with ``migration_interval`` of simulated time
+  between bursts so live traffic keeps its share of the fleet.
 * **Drain** — after ``drain_delay`` (and, under consensus, after the
   view actually commits) donors drop the items the new view owns
-  elsewhere. Forwarding state persists, so even a pathologically stale
-  client still reaches the data's new home.
+  elsewhere.
 
-Writes racing the seal are safe by construction: every local mutation
-on a participating server runs through
-:meth:`HandoffState.note_write` *after* it applies — pre-seal it marks
-the key dirty (re-pushed at seal), post-seal it re-pushes the key's
-current state immediately. The push happens before the donor's
+Writes that reach an old owner from a client still on the old view are
+safe by construction: every local mutation on a participating server
+runs through :meth:`HandoffState.note_write` *after* it applies, and a
+mutation of a key the new view owns elsewhere re-pushes the key's
+current state to its new owner immediately — before the donor's
 response forms, so ordering the write after any already-completed
-write at the target is a valid linearization.
+write at the target is a valid linearization. The donor keeps this
+state after the migration ends, so even a pathologically stale client
+cannot strand a write on it.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ from repro.client.hashing import make_router
 
 __all__ = ["HandoffState", "Migration", "autoscaler_loop"]
 
-#: Bound on the per-migration key->owner memo (hot-path forward checks).
+#: Bound on the per-migration key->owner memo (hot-path ownership checks).
 _OWNER_CACHE_MAX = 1 << 20
 
 
@@ -58,50 +53,39 @@ class HandoffState:
     at once (lose some keys, gain others — the modulo router reshuffles
     almost everything on a ring-size change):
 
-    * donor: ``dirty`` collects keys mutated during the unsealed copy
-      walk; once ``sealed``, mutations of foreign-owned keys re-push
-      the key's current state to its new owner immediately, and (in
-      forward mode) ``forwarding`` relays misrouted requests.
-    * target (double-read window): ``pulling`` enables pull-on-miss
-      from the old owner, and ``written`` records keys the users
-      already wrote here so the background copy walk cannot resurrect
-      stale donor state over them.
+    * donor: a mutation of a key the new view owns elsewhere re-pushes
+      the key's current state to its new owner immediately.
+    * target: ``pulling`` enables pull-on-miss from the old owner, and
+      ``written`` records keys already written here so the background
+      copy walk cannot resurrect stale donor state over them.
     """
 
-    __slots__ = ("migration", "sealed", "forwarding", "pulling",
-                 "dirty", "written")
+    __slots__ = ("migration", "pulling", "written")
 
     def __init__(self, migration: "Migration"):
         self.migration = migration
-        self.sealed = False
-        self.forwarding = False
         self.pulling = False
-        # Insertion-ordered dicts, not sets: iteration order feeds the
-        # deterministic replay invariant.
-        self.dirty: dict = {}
+        # An insertion-ordered dict, not a set: iteration order feeds
+        # the deterministic replay invariant.
         self.written: dict = {}
 
     def note_write(self, server, key: bytes) -> None:
         """Record a local mutation that just applied on ``server``."""
         migration = self.migration
         if migration.owner_of(key) != server.index:
-            if self.sealed:
-                migration.push_current(server, key)
-            else:
-                self.dirty[key] = True
+            migration.push_current(server, key)
         elif self.pulling:
             self.written[key] = True
 
 
 class Migration:
-    """One online view change: copy, seal, publish, handoff, drain."""
+    """One online view change: publish, pull on miss, copy, drain."""
 
     def __init__(self, cluster, *, ring_size: int,
                  excluded: Sequence[int], copy: bool = True,
                  force_all_donors: bool = False):
         self.cluster = cluster
         self.cfg = cluster.topology
-        self.mode = self.cfg.handoff
         self.ring_size = ring_size
         self.excluded = tuple(sorted(excluded))
         self.copy = copy
@@ -136,7 +120,7 @@ class Migration:
 
     def owner_of(self, key: bytes) -> int:
         """The key's owner under the *new* view (memoized — this runs on
-        every request a sealed donor receives)."""
+        every write a participating server applies)."""
         owner = self._owner_cache.get(key)
         if owner is None:
             if len(self._owner_cache) >= _OWNER_CACHE_MAX:
@@ -158,34 +142,6 @@ class Migration:
         return self._proc
 
     def _run(self):
-        if self.mode == "forward":
-            yield from self._run_forward()
-        else:
-            yield from self._run_double_read()
-
-    def _run_forward(self):
-        """Copy first, then seal + publish: by the time any client sees
-        the new view, every moved item is already at its new owner."""
-        cluster = self.cluster
-        donors = [cluster.servers[i] for i in self.donor_indices]
-        for donor in donors:
-            donor.handoff = HandoffState(self)
-        if self.copy:
-            yield from self._cursor_walk(donors, only_if_absent=False)
-        # Zero-time seal: flip the window closed, flush the keys that
-        # moved under the cursor, then publish. No simulated time may
-        # pass inside this block — that is what makes it atomic.
-        for donor in donors:
-            state = donor.handoff
-            state.sealed = True
-            state.forwarding = True
-            for key in state.dirty:
-                self.push_current(donor, key)
-            state.dirty.clear()
-        self._publish()
-        yield from self._drain(donors)
-
-    def _run_double_read(self):
         """Publish first: new owners serve immediately, pulling missing
         keys from the old owners on demand while the copy walk
         back-fills behind them."""
@@ -194,19 +150,15 @@ class Migration:
         targets = [cluster.servers[i] for i in range(self.ring_size)
                    if self.new_alive is None or i in self.new_alive]
         for donor in donors:
-            state = HandoffState(self)
-            state.sealed = True
-            donor.handoff = state
+            donor.handoff = HandoffState(self)
         for target in targets:
             state = target.handoff
             if state is None or state.migration is not self:
-                state = HandoffState(self)
-                state.sealed = True
-                target.handoff = state
+                state = target.handoff = HandoffState(self)
             state.pulling = True
         self._publish()
         if self.copy:
-            yield from self._cursor_walk(donors, only_if_absent=True)
+            yield from self._cursor_walk(donors)
         for target in targets:
             state = target.handoff
             if state is not None and state.migration is self:
@@ -214,7 +166,7 @@ class Migration:
                 state.written.clear()
         yield from self._drain(donors)
 
-    def _cursor_walk(self, donors, *, only_if_absent: bool):
+    def _cursor_walk(self, donors):
         """Budgeted copy: ``migration_batch`` items per burst, then one
         ``migration_interval`` sleep, so the zero-time installs never
         starve live traffic of simulated progress."""
@@ -235,8 +187,7 @@ class Migration:
                 record = manager.peek(key)
                 if record is None:
                     continue
-                if self._install(donor, owner, key, record,
-                                 only_if_absent=only_if_absent):
+                if self._install(owner, key, record):
                     self.items_moved += 1
                     self._c_items.inc()
                 burst += 1
@@ -245,21 +196,19 @@ class Migration:
                     if cfg.migration_interval > 0:
                         yield sim.timeout(cfg.migration_interval)
 
-    def _install(self, donor, owner: int, key: bytes, record,
-                 *, only_if_absent: bool) -> bool:
+    def _install(self, owner: int, key: bytes, record) -> bool:
         target = self.cluster.servers[owner]
         if not (target.alive and target.reachable):
             return False
+        # The target is already serving this key: its own copy (pulled,
+        # pushed or user-written) is newer than anything the cursor
+        # carries.
+        state = target.handoff
+        if state is not None and key in state.written:
+            return False
         manager = target.manager
-        if only_if_absent:
-            # Double-read window: the target is already serving this
-            # key — its own copy (pulled or user-written) is newer than
-            # anything the cursor carries.
-            state = target.handoff
-            if state is not None and key in state.written:
-                return False
-            if manager.peek(key) is not None:
-                return False
+        if manager.peek(key) is not None:
+            return False
         return self._put_record(manager, key, record)
 
     def _put_record(self, manager, key: bytes, record) -> bool:
@@ -279,8 +228,8 @@ class Migration:
 
     def push_current(self, donor, key: bytes) -> None:
         """Re-push ``key``'s *current* donor state (value or absence) to
-        its new owner, zero-time. Called for keys dirtied under the
-        cursor walk and for writes that land on a sealed donor."""
+        its new owner, zero-time. Called for every write that lands on a
+        donor for a key the new view owns elsewhere."""
         owner = self.owner_of(key)
         if owner == donor.index:
             return
@@ -308,7 +257,7 @@ class Migration:
             state.written[key] = True
 
     def maybe_pull(self, target, key: bytes) -> bool:
-        """Double-read window: materialize ``key`` at its new owner from
+        """Pull on miss: materialize ``key`` at its new owner from
         the old owner before the request is served (zero-time, counted
         as a double read). Returns True when a copy was installed."""
         old_owner = self.old_owner_of(key)
@@ -326,21 +275,16 @@ class Migration:
                                    server=target.name).inc()
         return installed
 
-    def count_forward(self, donor) -> None:
-        self._registry.counter("migration_forwards",
-                               server=donor.name).inc()
-
     # -- cutover + drain ------------------------------------------------------
 
     def _publish(self) -> None:
         cluster = self.cluster
         cluster._apply_topology(self.ring_size, self.excluded)
         # Handoff states from *finished* migrations re-point at this
-        # one, so their forwarding decisions follow the newest view.
+        # one, so their re-push decisions follow the newest view.
         for server in cluster.servers:
             state = server.handoff
-            if state is not None and state.migration is not self \
-                    and state.sealed:
+            if state is not None and state.migration is not self:
                 state.migration = self
 
     def _drain(self, donors):

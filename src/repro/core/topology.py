@@ -34,7 +34,6 @@ class AutoscalePolicy:
     handoff is in flight.
     """
 
-    enabled: bool = True
     #: Mean queued requests per serving server that triggers a grow.
     high_watermark: float = 8.0
     #: Mean queue depth below which the fleet shrinks.
@@ -60,54 +59,36 @@ class AutoscalePolicy:
                 f"high_watermark ({self.high_watermark})")
 
 
-#: Valid ``TopologyConfig.handoff`` modes.
-HANDOFF_MODES = ("forward", "double-read")
-
-
 @dataclass(frozen=True)
 class TopologyConfig:
     """Every elastic-topology knob in one typed place.
 
     * ``initial_servers`` — fleet size at build time.
-    * ``handoff`` — how correctness is preserved during a migration
-      window: ``"forward"`` copies first and the old owner relays
-      misrouted requests after the cutover seal; ``"double-read"``
-      publishes the new view first and the new owner pulls missing
-      items from the old owner on demand.
     * ``migration_batch`` / ``migration_interval`` — the transfer
       engine's budgeted cursor walk: ``migration_batch`` items are
       copied per burst, then the walker sleeps ``migration_interval``
       simulated seconds so live traffic keeps its share of the fleet.
     * ``drain_delay`` — how long after cutover the old owner keeps the
       moved items before dropping them (covers clients still notifying
-      into the new view).
-    * ``forward_hop`` — modeled one-way latency of a forwarded request
-      hop between servers (seconds).
+      into the new view, whose misses pull from it).
     * ``autoscale`` — optional :class:`AutoscalePolicy`; ``None``
       leaves fleet size entirely manual.
     """
 
     initial_servers: int = 1
-    handoff: str = "forward"
     migration_batch: int = 32
     migration_interval: float = 100e-6
     drain_delay: float = 1e-3
-    forward_hop: float = 3e-6
     autoscale: Optional[AutoscalePolicy] = None
 
     def __post_init__(self):
         if self.initial_servers < 1:
             raise ValueError(
                 f"initial_servers must be >= 1, got {self.initial_servers}")
-        if self.handoff not in HANDOFF_MODES:
-            raise ValueError(
-                f"handoff must be one of {HANDOFF_MODES}, "
-                f"got {self.handoff!r}")
         if self.migration_batch < 1:
             raise ValueError(
                 f"migration_batch must be >= 1, got {self.migration_batch}")
-        if self.migration_interval < 0 or self.drain_delay < 0 \
-                or self.forward_hop < 0:
+        if self.migration_interval < 0 or self.drain_delay < 0:
             raise ValueError("migration timings must be >= 0")
 
 
@@ -147,11 +128,11 @@ class ClusterAdmin:
     """Online topology operations on a live cluster.
 
     Every mutating call validates, starts an online migration (a
-    simulated-time process: budgeted copy, seal, epoch-bumped view
-    publish, drain), and returns the migration's process event so
-    callers can ``yield`` / ``sim.run(until=...)`` on completion.  One
-    migration runs at a time; a second call while one is in flight
-    raises ``RuntimeError``.
+    simulated-time process: epoch-bumped view publish, pull on miss,
+    budgeted background copy, drain), and returns the migration's
+    process event so callers can ``yield`` / ``sim.run(until=...)`` on
+    completion.  One migration runs at a time; a second call while one
+    is in flight raises ``RuntimeError``.
 
     Elastic operations require replication factor 1: with R > 1 the
     replica placement would have to migrate too, which the transfer
@@ -203,12 +184,11 @@ class ClusterAdmin:
 
     def remove_server(self, server, drain: bool = True):
         """Remove one server from the serving set.  ``server`` is an
-        index or a ``"serverN"`` name.  With ``drain`` (default) its
-        items are streamed to their new owners before the view flips;
-        without, the view flips immediately and the data is dropped
-        (misses repopulate).  Either way the removed server keeps
-        forwarding misrouted requests, so stale clients stay correct.
-        Returns the migration process event."""
+        index or a ``"serverN"`` name.  The view flips first; with
+        ``drain`` (default) the new owners pull the removed server's
+        items on first touch while its table is streamed to them in the
+        background; without, nothing is copied and its data is dropped
+        (misses repopulate).  Returns the migration process event."""
         cluster = self._cluster
         self._check_elastic_ok()
         index = self._resolve(server)

@@ -290,10 +290,8 @@ class RunConfig:
             result.profile = cluster.obs.profiler.report()
         if recorder is not None:
             from repro.consistency import check_run
-            topo = cluster.topology
             elastic = (bool(self.scale_events)
-                       or (topo.autoscale is not None
-                           and topo.autoscale.enabled))
+                       or cluster.topology.autoscale is not None)
             result.consistency = check_run(
                 cluster, recorder,
                 faults=fault_plan is not None or elastic)

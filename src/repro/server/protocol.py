@@ -42,11 +42,6 @@ class Request:
     #: the request is not sampled). Observability only — servers must
     #: never branch on it.
     trace_id: Optional[int] = None
-    #: True once a migration-window server relayed this request to the
-    #: key's new owner; the answering server then stamps its identity
-    #: into :attr:`Response.origin` so the client attributes the op to
-    #: the server that actually served it.
-    forwarded: bool = False
 
     @property
     def header_bytes(self) -> int:
@@ -240,10 +235,6 @@ class Response:
     #: Simulation time at which the server handed the response to its NIC.
     sent_at: float = 0.0
     server_name: str = ""
-    #: Index of the server that served a migration-forwarded request
-    #: (the response still travels over the original connection, so the
-    #: client cannot infer the server from the wire). -1 = not forwarded.
-    origin: int = -1
 
     @property
     def header_bytes(self) -> int:

@@ -65,18 +65,6 @@ _POISON = object()
 _DROPPED = object()
 
 
-class _Forwarded:
-    """Delivery shim for a request relayed server-to-server during a
-    migration handoff window: enters the receiving worker queue exactly
-    like an rx frame (``payload`` + ``recv_cpu``)."""
-
-    __slots__ = ("payload", "recv_cpu")
-
-    def __init__(self, payload, recv_cpu: float = 0.0):
-        self.payload = payload
-        self.recv_cpu = recv_cpu
-
-
 @dataclass(frozen=True)
 class ServerCosts:
     """CPU service times of the server's fast-path operations."""
@@ -276,68 +264,24 @@ class MemcachedServer:
 
     # -- migration handoff (elastic scaling) ----------------------------------
 
-    def enqueue_forwarded(self, request, endpoint: Endpoint) -> None:
-        """Accept a request another server relayed during a migration
-        handoff window. It enters the worker queue exactly like an rx
-        frame and is answered over the *original* client endpoint, with
-        :attr:`Response.origin` naming this server."""
-        if not (self.alive and self.reachable):
-            # Dropped like any frame at a dead server; the client's
-            # completion timeout and retry path take over.
-            self._m_dropped_rx.inc()
-            return
-        self._enqueue(_Forwarded(request), endpoint)
-
-    def _forward(self, request, endpoint: Endpoint, owner: int) -> None:
-        """Relay ``request`` to the key's new owner (one modeled hop);
-        the owner responds over the original client endpoint."""
-        migration = self.handoff.migration
-        target = migration.cluster.servers[owner]
-        request.forwarded = True
-        migration.count_forward(self)
-        hop = migration.cfg.forward_hop
-        if hop <= 0:
-            target.enqueue_forwarded(request, endpoint)
-            return
-        sim = self.sim
-
-        def _relay():
-            yield sim.timeout(hop)
-            target.enqueue_forwarded(request, endpoint)
-
-        sim.spawn(_relay(), name=f"{self.name}-forward")
-
-    def _handoff_route(self, request, endpoint: Endpoint) -> bool:
-        """Migration-window routing for a single-key request: relay it
-        to its new owner (forward mode, sealed donor) or pull the item
-        in from the old owner before serving (double-read window).
-        Returns True when the request was relayed and needs no local
-        handling. SETs are never relayed here — their value may still
-        be in flight; :meth:`_handle_set` forwards once it has it."""
+    def _pull_on_miss(self, request) -> None:
+        """Migration window: materialize a single-key request's item
+        from its old owner before it is served here, unless the key was
+        already written here. Replica applies and key-less broadcasts
+        (flush/stats) stay local; an mget pulls per entry in
+        :meth:`_handle_mget`."""
         state = self.handoff
-        if getattr(request, "replica", False):
-            return False
-        if isinstance(request, MultiGetRequest):
-            return False  # _handle_mget routes each entry's sub-request
+        if not state.pulling or getattr(request, "replica", False) \
+                or isinstance(request, MultiGetRequest):
+            return
         key = request.key
-        if not key:
-            return False  # flush/stats broadcasts stay local
-        migration = state.migration
-        if state.forwarding and not request.forwarded:
-            owner = migration.owner_of(key)
-            if owner != self.index:
-                if isinstance(request, SetRequest):
-                    return False
-                self._forward(request, endpoint, owner)
-                return True
-        if state.pulling and key not in state.written:
-            migration.maybe_pull(self, key)
-        return False
+        if key and key not in state.written:
+            state.migration.maybe_pull(self, key)
 
     def _note_write(self, key: bytes) -> None:
         """Hook run after every local mutation applies: keeps a
-        migration window coherent (dirty tracking before the seal,
-        immediate re-push after it). Callers guard on ``handoff``."""
+        migration window coherent (a write to a key owned elsewhere is
+        re-pushed to its new owner). Callers guard on ``handoff``."""
         self.handoff.note_write(self, key)
 
     # -- fault injection (fail-stop crash / network partition) ----------------
@@ -545,14 +489,11 @@ class MemcachedServer:
             yield Timeout.at(sim, (start + delivery.recv_cpu) + parse_cost)
             for ptid, px in targets:
                 prof.record(ptid, px + "server_cpu", start, sim._now)
+            if self.handoff is not None:
+                self._pull_on_miss(request)
             # Dispatch ordered by hot-path frequency: SETs (including
             # replica applies) and GETs dominate every workload mix.
-            if self.handoff is not None \
-                    and self._handoff_route(request, endpoint):
-                # Relayed to the key's new owner during a migration
-                # window; that server answers the client directly.
-                pass
-            elif isinstance(request, SetRequest):
+            if isinstance(request, SetRequest):
                 yield from self._handle_set(request, endpoint)
             elif isinstance(request, GetRequest):
                 yield from self._handle_get(request, endpoint)
@@ -615,18 +556,6 @@ class MemcachedServer:
             if self.reachable:
                 ack = BufferAck(req_id=request.req_id)
                 endpoint.send(ack, ack.header_bytes, one_sided=True)
-
-        if self.handoff is not None and self.handoff.forwarding \
-                and not request.replica and not request.forwarded \
-                and self.handoff.migration.owner_of(request.key) != self.index:
-            # Misrouted SET from a client that has not observed the new
-            # view yet: the value is fully staged here now, so relay the
-            # whole operation inline to the key's new owner.
-            self._release_credit(credit)
-            request.inline_value = True
-            self._forward(request, endpoint,
-                          self.handoff.migration.owner_of(request.key))
-            return
 
         t0 = sim._now
         yield timeout(costs.slab_alloc_cpu)
@@ -719,15 +648,14 @@ class MemcachedServer:
 
     def _handle_mget(self, request: MultiGetRequest, endpoint: Endpoint):
         """memcached_mget: one GET per requested key, each answered
-        with its own response (and, in a migration window, routed on its
-        own: a misrouted entry is relayed alone)."""
+        with its own response (and, in a migration window, pulled on
+        its own)."""
         traces = request.traces if self.obs.profiler.enabled else ()
         for i, (req_id, key) in enumerate(request.entries):
             sub = GetRequest(req_id=req_id, op="get", key=key,
                              trace_id=traces[i] if i < len(traces) else None)
-            if self.handoff is not None \
-                    and self._handoff_route(sub, endpoint):
-                continue  # relayed to the key's new owner
+            if self.handoff is not None:
+                self._pull_on_miss(sub)
             yield from self._handle_get(sub, endpoint)
 
     # -- DELETE --------------------------------------------------------------
@@ -926,8 +854,7 @@ class MemcachedServer:
                             status=status, value_length=value_length,
                             stages=stages, sent_at=sim._now,
                             server_name=self.name, cas_token=cas_token,
-                            counter_value=counter_value,
-                            origin=self.index if request.forwarded else -1)
+                            counter_value=counter_value)
         nbytes = RESPONSE_HEADER_BYTES + value_length
         # GET responses carry the value via an RDMA write into the
         # client's buffer (one-sided); on IPoIB this degrades to a stream

@@ -9,12 +9,12 @@ from repro.consistency import HistoryEvent, check_history
 
 def ev(client="c0", req_id=0, op="set", api=None, key="k",
        status="STORED", tok=0, vlen=100, t0=0.0, t1=1.0, server=0,
-       user=True, parent=-1):
+       user=True, parent=-1, exp=0.0, hlc=None):
     return HistoryEvent(client=client, req_id=req_id, op=op,
                         api=api or op, key=key, status=status,
                         cas_token=tok, value_length=vlen,
                         t_issue=t0, t_complete=t1, server=server,
-                        user=user, parent=parent)
+                        user=user, parent=parent, expiration=exp, hlc=hlc)
 
 
 def kinds(report):
@@ -194,3 +194,48 @@ class TestWingGong:
         report = check_history(history, max_wg_ops=3)
         assert report.ok
         assert ("k", 0) in report.undecided
+
+
+class TestHlcLostWrites:
+    """An HLC-stamped SET that loses the last-writer-wins merge answers
+    STORED without installing anything; it linearizes immediately
+    before the winner and is left out of the search."""
+
+    def test_set_lost_to_newer_delete(self):
+        # c1's set (stamped 1.0) reaches the server after c0's delete
+        # (stamped 1.5): STORED with token 0, then the key is absent.
+        report = check_history([
+            ev(req_id=0, tok=1, t0=0, t1=0.5, hlc=(0.0, 0, 0)),
+            ev(client="c0", req_id=1, op="delete", status="DELETED",
+               t0=1.5, t1=2, hlc=(1.5, 0, 0)),
+            ev(client="c1", req_id=2, tok=0, t0=1, t1=3, hlc=(1.0, 0, 1)),
+            ev(client="c1", req_id=3, op="get", status="MISS",
+               t0=4, t1=5),
+        ])
+        assert report.ok, report.violations
+
+    def test_set_lost_to_newer_set(self):
+        # The loser's reply carries the winner's token; reads of it are
+        # the winner's (no TTL), not the loser's (expired at 3.5).
+        report = check_history([
+            ev(client="c0", req_id=0, tok=5, t0=1.5, t1=2,
+               hlc=(1.5, 0, 0)),
+            ev(client="c1", req_id=1, tok=5, t0=1, t1=3, exp=3.5,
+               hlc=(1.0, 0, 1)),
+            ev(client="c1", req_id=2, op="get", status="HIT", tok=5,
+               t0=4, t1=5),
+        ])
+        assert report.ok, report.violations
+        assert report.ops_checked == 3
+
+    def test_lost_write_hides_no_stale_read(self):
+        report = check_history([
+            ev(client="c0", req_id=0, tok=5, t0=1.5, t1=2,
+               hlc=(1.5, 0, 0)),
+            ev(client="c1", req_id=1, tok=5, t0=1, t1=3, hlc=(1.0, 0, 1)),
+            ev(client="c0", req_id=2, tok=6, t0=3.5, t1=4,
+               hlc=(3.5, 0, 0)),
+            ev(client="c1", req_id=3, op="get", status="HIT", tok=5,
+               t0=5, t1=6),
+        ])
+        assert "stale-read" in kinds(report)

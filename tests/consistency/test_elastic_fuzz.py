@@ -22,7 +22,6 @@ class TestDerive:
             scn = derive_elastic(seed)
             assert scn.scale_specs
             assert scn.replication == 1  # elastic ops require R=1
-            assert scn.handoff in ("forward", "double-read")
             for spec in scn.scale_specs:
                 action, index, at = _parse_scale_spec(spec)
                 assert action in ("add", "remove")
@@ -30,7 +29,6 @@ class TestDerive:
 
     def test_band_varies_the_interesting_axes(self):
         scenarios = [derive_elastic(s) for s in range(32)]
-        assert {s.handoff for s in scenarios} == {"forward", "double-read"}
         assert {s.router for s in scenarios} == {"modulo", "ketama"}
         actions = {_parse_scale_spec(sp)[0]
                    for s in scenarios for sp in s.scale_specs}
@@ -45,8 +43,7 @@ class TestCliRoundTrip:
         scn = derive_elastic(2)
         line = repro_line(scn)
         assert "--scale-op" in line
-        if scn.handoff != "forward":
-            assert "--handoff" in line
+        assert "--handoff" not in line
 
     def test_to_cli_args_round_trips(self):
         from repro.cli import build_parser
@@ -56,7 +53,6 @@ class TestCliRoundTrip:
             scn = derive_elastic(seed)
             args = parser.parse_args(["check"] + scn.to_cli_args())
             assert tuple(args.scale_op or ()) == scn.scale_specs
-            assert args.handoff == scn.handoff
             assert args.servers == scn.num_servers
             assert args.replication == scn.replication
 
@@ -79,7 +75,6 @@ class TestRun:
     def test_manual_scenario_with_scale_and_handoff(self):
         scn = Scenario(seed=5, num_servers=2, num_clients=2,
                        ops_per_client=60, replication=1,
-                       router="ketama", handoff="double-read",
-                       scale_specs=("add@0.003",))
+                       router="ketama", scale_specs=("add@0.003",))
         report, _events, _recorder = run_scenario(scn)
         assert report.ok, report.violations

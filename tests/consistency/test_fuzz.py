@@ -1,8 +1,11 @@
 """Fuzzer machinery: seed derivation, repro lines, shrinking, sweeps."""
 
 import dataclasses
+import shlex
 
-from repro.cli import build_parser
+import pytest
+
+from repro.cli import build_parser, main
 from repro.consistency import (ConsistencyReport, Violation, derive,
                                fuzz_seeds, repro_line)
 from repro.consistency import fuzz as fuzz_mod
@@ -119,3 +122,30 @@ def derive_small_seed() -> int:
         if scn.num_clients == 1 and scn.ops_per_client <= 80:
             return seed
     return 0
+
+
+class TestShrunkRepros:
+    """Repro lines the fuzzer once printed for real bugs, replayed
+    through the CLI exactly as printed (exit 0 = history checked clean)."""
+
+    @pytest.mark.parametrize("line", [
+        # A server added by add_server is wired into the client before
+        # the grown view is applied; with every in-ring server then
+        # crashed, routing must end the op SERVER_DOWN instead of
+        # raising "no live servers" out of the simulation.
+        "repro check --seed 629 --servers 2 --clients 1 --ops 80 "
+        "--keys 24 --value-length 1024 --replication 1 --write-mode sync "
+        "--router ketama --request-timeout 0.002 --eject-duration 0.005 "
+        "--server-mem-mb 4 --ssd-limit-mb 32 --consensus "
+        "--fault crash:server=0,at=0.0024420808850184523 "
+        "--fault crash:server=1,at=0.0026 --scale-op add@0.002429",
+        # An HLC-stamped SET that loses last-writer-wins to an
+        # overlapping DELETE still answers STORED (token 0); the checker
+        # must not ask the search to place it as an apply.
+        "repro check --seed 782 --servers 2 --clients 2 --ops 120 "
+        "--keys 24 --value-length 4096 --replication 1 --write-mode sync "
+        "--router ketama --request-timeout 0.002 --eject-duration 0.005 "
+        "--server-mem-mb 4 --ssd-limit-mb 32 --hlc",
+    ], ids=["client-route-outside-ring", "hlc-write-lost-to-delete"])
+    def test_repro_line_checks_clean(self, line, capsys):
+        assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().out

@@ -18,11 +18,11 @@ from repro.units import MB
 KEYS = [b"key:%03d" % i for i in range(60)]
 
 
-def make_cluster(n, *, router="ketama", handoff="forward", observe=True,
+def make_cluster(n, *, router="ketama", observe=True,
                  autoscale=None, replication=1, **topo_kw):
     spec = ClusterSpec(
-        topology=TopologyConfig(initial_servers=n, handoff=handoff,
-                                autoscale=autoscale, **topo_kw),
+        topology=TopologyConfig(initial_servers=n, autoscale=autoscale,
+                                **topo_kw),
         num_clients=1, server_mem=16 * MB, ssd_limit=64 * MB,
         replication=ReplicationConfig(factor=replication, router=router),
         observe=observe)
@@ -144,8 +144,8 @@ class TestRemoveServer:
 class TestDoubleRead:
     def test_pull_on_miss_serves_during_slow_copy(self):
         # Crawl the copy (1 item / 2ms) so reads hit the window.
-        cluster = make_cluster(2, handoff="double-read",
-                               migration_batch=1, migration_interval=2e-3)
+        cluster = make_cluster(2, migration_batch=1,
+                               migration_interval=2e-3)
         cluster.preload([(k, 512) for k in KEYS])
         sim = cluster.sim
         client = cluster.clients[0]

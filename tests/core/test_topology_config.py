@@ -20,11 +20,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             TopologyConfig(initial_servers=0)
 
-    def test_handoff_mode_checked(self):
-        with pytest.raises(ValueError):
-            TopologyConfig(handoff="yolo")
-        TopologyConfig(handoff="double-read")  # both modes accepted
-        TopologyConfig(handoff="forward")
+    def test_handoff_knobs_are_rejected(self):
+        # Publish-first / pull-on-miss is the only migration protocol:
+        # there is no mode to pick and no relay hop to size.
+        with pytest.raises(TypeError):
+            TopologyConfig(handoff="double-read")
+        with pytest.raises(TypeError):
+            TopologyConfig(forward_hop=3e-6)
 
     def test_migration_batch_must_be_positive(self):
         with pytest.raises(ValueError):
