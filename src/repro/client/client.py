@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.client.backend import BackendDatabase
 from repro.client.buffers import BufferPool
-from repro.client.hashing import make_router
+from repro.client.hashing import RouterTable
 from repro.client.request import MemcachedReq, OpRecord
 from repro.net.transport import Endpoint
 from repro.obs.api import NULL_OBS, Observability
@@ -162,7 +162,8 @@ class MemcachedClient:
                  config: Optional[ClientConfig] = None,
                  backend: Optional[BackendDatabase] = None,
                  obs: Optional[Observability] = None,
-                 origin: int = 0):
+                 origin: int = 0,
+                 routers: Optional[RouterTable] = None):
         self.sim = sim
         self.name = name
         self.config = config or ClientConfig()
@@ -185,6 +186,10 @@ class MemcachedClient:
         #: Causal request profiler (NULL_PROFILER unless enabled).
         self._profiler = self.obs.profiler
         self._conns: List[ServerConn] = []
+        #: Where routers come from: the cluster's table, shared by all
+        #: of its clients, or this client's own when built standalone.
+        self._routers = routers or RouterTable()
+        #: The router for the current ring (``None``: look it up again).
         self._router = None
         #: Hash-ring size the router is built for. Decoupled from the
         #: connection count: an elastically added server is wired (conn
@@ -205,9 +210,6 @@ class MemcachedClient:
         self._replica_outstanding: Dict[int, int] = {}
         #: Free list of recycled :class:`_EngineJob` instances.
         self._job_pool: List[_EngineJob] = []
-        #: key -> ServerConn memo, valid only while no server was ever
-        #: ejected (``_route`` bypasses it afterwards).
-        self._route_cache: Dict[bytes, ServerConn] = {}
         #: True once any connection was ever ejected; while False the
         #: router takes a straight-line path with no health scans.
         self._had_ejections = False
@@ -258,7 +260,7 @@ class MemcachedClient:
                           early_ack=(server is not None
                                      and server.config.early_ack))
         self._conns.append(conn)
-        self._router = None  # rebuilt on next use
+        self._router = None  # looked up again on next use
         if self._started:
             # Elastically added mid-run: the communication engine is
             # already up, so this connection's responses are taken now.
@@ -302,8 +304,8 @@ class MemcachedClient:
         overrides the static ring the way ejection does, but from
         *committed* knowledge rather than per-client timeout guessing.
         A ``ring_size`` larger than the current ring is the atomic
-        cutover of an elastic scale-up: the router is rebuilt over the
-        grown ring, flipping ownership in one step."""
+        cutover of an elastic scale-up: routing switches to the router
+        of the grown ring, flipping ownership in one step."""
         if epoch <= self._view_epoch:
             return
         self._view_epoch = epoch
@@ -312,34 +314,37 @@ class MemcachedClient:
             self._router = None
         excluded = frozenset(range(len(self._conns))) - frozenset(alive)
         self._view_excludes = excluded or None
-        self._route_cache.clear()
 
     @property
     def view_epoch(self) -> int:
         """Epoch of the latest membership view observed (0 = none)."""
         return self._view_epoch
 
+    def _ring_router(self):
+        """The router of the ring this client routes over, from
+        :attr:`_routers` — shared with every client of the cluster and
+        with its preload and migrations."""
+        router = self._router
+        if router is None:
+            router = self._router = self._routers.get(
+                self.config.router, self._ring_size or len(self._conns))
+        return router
+
     def _route(self, key: bytes) -> Optional[ServerConn]:
         """Pick the connection for a key, routing around ejected servers
         (dead-server rehash) and servers the committed membership view
-        excludes. Returns None when no server is routable."""
+        excludes. Returns None when no server is routable.
+
+        Every path starts from the router's memo of the key's ring
+        position, which is all the healthy-cluster fast path needs."""
         conns = self._conns
         if not conns:
             raise RuntimeError(f"{self.name}: no servers configured")
-        router = self._router
-        if router is None:
-            router = self._router = make_router(
-                self.config.router, self._ring_size or len(conns))
+        router = self._ring_router()
         if not self._had_ejections and self._view_excludes is None:
             # Healthy-cluster fast path: no ejection has ever happened,
-            # so the per-op health scans cannot change anything — and the
-            # key-to-connection map is static, so it is memoized outright
-            # (workloads re-route the same hot keys constantly).
-            cache = self._route_cache
-            conn = cache.get(key)
-            if conn is None:
-                conn = cache[key] = conns[router.server_for(key)]
-            return conn
+            # so the per-op health scans cannot change anything.
+            return conns[router.server_for(key)]
         self._restore_expired_ejections()
         excludes = self._view_excludes
         # Only the ring's slots: a server wired in ahead of the view that
@@ -361,11 +366,9 @@ class MemcachedClient:
         """Preference-ordered replica connections for ``key`` (primary
         first), skipping ejected and view-excluded servers. Empty when
         none are routable."""
-        if self._router is None:
-            self._router = make_router(self.config.router,
-                                       self._ring_size or len(self._conns))
+        router = self._ring_router()
         self._restore_expired_ejections()
-        ring = self._conns[:self._router.num_servers]
+        ring = self._conns[:router.num_servers]
         alive = None
         if not all(c.healthy for c in self._conns):
             alive = {c.index for c in ring if c.healthy}
@@ -377,8 +380,7 @@ class MemcachedClient:
         if alive is not None and not alive:
             return []
         n = min(self._replication, len(self._conns))
-        return [self._conns[i]
-                for i in self._router.replicas_for(key, n, alive)]
+        return [self._conns[i] for i in router.replicas_for(key, n, alive)]
 
     def _note_replica_read(self, key: bytes, conn: ServerConn) -> None:
         """Count a GET served by a non-primary member of the key's

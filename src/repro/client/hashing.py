@@ -4,22 +4,11 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import AbstractSet, List, Optional, Sequence
-
-
-# Key hashes are pure functions of the key bytes and workloads re-route
-# the same (zipf-hot) keys constantly, so the per-byte Python loop below
-# is memoized. Bounded: the cache resets rather than evicts when it
-# fills, which keeps the common steady-state lookup a single dict hit.
-_HASH_CACHE: dict = {}
-_HASH_CACHE_MAX = 1 << 20
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 
 def one_at_a_time(key: bytes) -> int:
     """Jenkins one-at-a-time hash — libmemcached's default key hash."""
-    h = _HASH_CACHE.get(key)
-    if h is not None:
-        return h
     h = 0
     for b in key:
         h = (h + b) & 0xFFFFFFFF
@@ -28,13 +17,44 @@ def one_at_a_time(key: bytes) -> int:
     h = (h + (h << 3)) & 0xFFFFFFFF
     h ^= h >> 11
     h = (h + (h << 15)) & 0xFFFFFFFF
-    if len(_HASH_CACHE) >= _HASH_CACHE_MAX:
-        _HASH_CACHE.clear()
-    _HASH_CACHE[key] = h
     return h
 
 
-class ModuloRouter:
+class _Router:
+    """What both distributions share: the ring size and a memo of each
+    key's ring position.
+
+    A key's position is a pure function of the key bytes and the ring,
+    and workloads re-route the same (zipf-hot) keys constantly, so it is
+    computed once per router (the per-byte hash loop or md5 + bisect)
+    and every routing path starts from it. Bounded: the memo resets
+    rather than evicts when it fills, which keeps the steady-state
+    lookup a single dict hit.
+    """
+
+    MEMO_MAX = 1 << 20
+
+    def __init__(self, num_servers: int):
+        if num_servers < 1:
+            raise ValueError("need at least one server")
+        self.num_servers = num_servers
+        self._memo: Dict[bytes, int] = {}
+
+    def position(self, key: bytes) -> int:
+        """The key's memoized ring position."""
+        pos = self._memo.get(key)
+        if pos is None:
+            memo = self._memo
+            if len(memo) >= self.MEMO_MAX:
+                memo.clear()
+            pos = memo[key] = self._locate(key)
+        return pos
+
+    def _locate(self, key: bytes) -> int:
+        raise NotImplementedError
+
+
+class ModuloRouter(_Router):
     """``hash(key) % n`` — libmemcached's default distribution.
 
     With ``alive`` (a set of live server indices), a key whose primary
@@ -42,14 +62,12 @@ class ModuloRouter:
     libmemcached's ``AUTO_EJECT_HOSTS`` + rehash behaviour.
     """
 
-    def __init__(self, num_servers: int):
-        if num_servers < 1:
-            raise ValueError("need at least one server")
-        self.num_servers = num_servers
+    def _locate(self, key: bytes) -> int:
+        return one_at_a_time(key) % self.num_servers
 
     def server_for(self, key: bytes,
                    alive: Optional[AbstractSet[int]] = None) -> int:
-        idx = one_at_a_time(key) % self.num_servers
+        idx = self.position(key)
         if alive is None or idx in alive:
             return idx
         if not alive:
@@ -99,7 +117,7 @@ class ModuloRouter:
         """
         if n < 1:
             raise ValueError("need at least one replica")
-        start = one_at_a_time(key) % self.num_servers
+        start = self.position(key)
         out: List[int] = []
         for step in range(self.num_servers):
             candidate = (start + step) % self.num_servers
@@ -113,15 +131,13 @@ class ModuloRouter:
         return out
 
 
-class KetamaRouter:
+class KetamaRouter(_Router):
     """Consistent hashing on a 160-point-per-server ring (ketama)."""
 
     POINTS_PER_SERVER = 160
 
     def __init__(self, num_servers: int):
-        if num_servers < 1:
-            raise ValueError("need at least one server")
-        self.num_servers = num_servers
+        super().__init__(num_servers)
         ring: List[tuple[int, int]] = []
         for idx in range(num_servers):
             for p in range(self.POINTS_PER_SERVER // 4):
@@ -134,12 +150,15 @@ class KetamaRouter:
         self._points = [p for p, _ in ring]
         self._owners = [o for _, o in ring]
 
-    def server_for(self, key: bytes,
-                   alive: Optional[AbstractSet[int]] = None) -> int:
+    def _locate(self, key: bytes) -> int:
+        """Index of the first ring point clockwise of the key's point."""
         point = int.from_bytes(hashlib.md5(key).digest()[:4], "little")
         i = bisect.bisect(self._points, point)
-        if i == len(self._points):
-            i = 0
+        return 0 if i == len(self._points) else i
+
+    def server_for(self, key: bytes,
+                   alive: Optional[AbstractSet[int]] = None) -> int:
+        i = self.position(key)
         if alive is None:
             return self._owners[i]
         if not alive:
@@ -197,10 +216,7 @@ class KetamaRouter:
         """
         if n < 1:
             raise ValueError("need at least one replica")
-        point = int.from_bytes(hashlib.md5(key).digest()[:4], "little")
-        i = bisect.bisect(self._points, point)
-        if i == len(self._points):
-            i = 0
+        i = self.position(key)
         out: List[int] = []
         seen = set()
         for step in range(len(self._owners)):
@@ -219,10 +235,36 @@ class KetamaRouter:
 
 
 def make_router(name: str, num_servers: int):
-    """Router factory shared by clients and cluster preload, so data is
-    always placed exactly where the clients will look for it."""
+    """A fresh router: ``"modulo"`` or ``"ketama"`` over ``num_servers``
+    ring slots, with an empty position memo.
+
+    Anything that routes for a cluster takes its router from that
+    cluster's :class:`RouterTable` instead, so clients, preload and
+    migration share one instance (and one memo) per ring size and data
+    is always placed exactly where the clients will look for it."""
     if name == "ketama":
         return KetamaRouter(num_servers)
     if name == "modulo":
         return ModuloRouter(num_servers)
     raise ValueError(f"unknown router {name!r}")
+
+
+class RouterTable:
+    """One memoized router per (kind, ring size), built on first use.
+
+    A cluster owns one and hands it to every client; a client built on
+    its own makes its own. A view change then switches to another
+    entry instead of building a router (a 32-server ketama ring takes
+    milliseconds), and a key's ring position is computed once per ring
+    for the whole cluster rather than once per client.
+    """
+
+    def __init__(self):
+        self._routers: Dict[Tuple[str, int], _Router] = {}
+
+    def get(self, name: str, num_servers: int):
+        router = self._routers.get((name, num_servers))
+        if router is None:
+            router = self._routers[name, num_servers] = make_router(
+                name, num_servers)
+        return router

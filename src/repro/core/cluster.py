@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.client.backend import BackendDatabase
 from repro.client.client import ClientConfig, MemcachedClient
-from repro.client.hashing import make_router
+from repro.client.hashing import RouterTable
 from repro.core.profiles import DesignProfile
 from repro.core.topology import ClusterAdmin, TopologyConfig
 from repro.net.fabric import Fabric
@@ -159,7 +159,8 @@ class Cluster:
     def __init__(self, sim: Simulator, profile: DesignProfile,
                  spec: ClusterSpec, servers: List[MemcachedServer],
                  clients: List[MemcachedClient], backend: BackendDatabase,
-                 fabric: Fabric, obs: Optional[Observability] = None):
+                 fabric: Fabric, obs: Optional[Observability] = None,
+                 routers: Optional[RouterTable] = None):
         self.sim = sim
         self.profile = profile
         self.spec = spec
@@ -168,6 +169,10 @@ class Cluster:
         self.backend = backend
         self.fabric = fabric
         self.obs = obs or NULL_OBS
+        #: The routers of this cluster, one per ring size: every client,
+        #: preload, resync and migration routes through these instances
+        #: (see :meth:`_client_router`).
+        self.routers = routers or RouterTable()
         #: :class:`repro.consensus.RaftGroup` when the spec enables
         #: consensus-owned membership; None otherwise.
         self.raft = None
@@ -313,18 +318,13 @@ class Cluster:
 
     # -- experiment setup ----------------------------------------------------
 
-    def _client_router(self):
-        """A router configured exactly as the clients route requests.
-        Memoized: ketama rings are costly to build and anti-entropy
-        asks for one every round."""
+    def _client_router(self, ring_size: int = 0):
+        """The router the clients use over ``ring_size`` slots (default:
+        every server) — the same instance, from :attr:`routers`, so its
+        memo of key positions is shared too."""
         router_name = (self.clients[0].config.router if self.clients
                        else self.spec.replication.router)
-        key = (router_name, len(self.servers))
-        if getattr(self, "_router_cache_key", None) != key:
-            self._router_cache_key = key
-            self._router_cache = make_router(router_name,
-                                             len(self.servers))
-        return self._router_cache
+        return self.routers.get(router_name, ring_size or len(self.servers))
 
     def preload(self, pairs: Sequence[Tuple[bytes, int]]) -> int:
         """Load key-value pairs into the servers, routed exactly as the
@@ -581,10 +581,12 @@ def build_cluster(profile: DesignProfile,
                               write_mode=rep.write_mode,
                               hlc=rep.hlc)
     n_nodes = spec.client_nodes or spec.num_clients
+    routers = RouterTable()
     clients = []
     for i in range(spec.num_clients):
         client = MemcachedClient(sim, name=f"client{i}", config=client_cfg,
-                                 backend=backend, obs=obs, origin=i)
+                                 backend=backend, obs=obs, origin=i,
+                                 routers=routers)
         client_node = fabric.node(f"cnode{i % n_nodes}")
         for j, server in enumerate(servers):
             server_node = fabric.node(f"snode{j}")
@@ -599,7 +601,7 @@ def build_cluster(profile: DesignProfile,
         clients.append(client)
 
     cluster = Cluster(sim, profile, spec, servers, clients, backend,
-                      fabric, obs=obs)
+                      fabric, obs=obs, routers=routers)
     cluster._server_cfg = server_cfg
     cluster._client_nodes = n_nodes
     if spec.observe:

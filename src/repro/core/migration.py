@@ -38,12 +38,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.client.hashing import make_router
-
 __all__ = ["HandoffState", "Migration", "autoscaler_loop"]
-
-#: Bound on the per-migration key->owner memo (hot-path ownership checks).
-_OWNER_CACHE_MAX = 1 << 20
 
 
 class HandoffState:
@@ -89,14 +84,15 @@ class Migration:
         self.ring_size = ring_size
         self.excluded = tuple(sorted(excluded))
         self.copy = copy
-        router_name = cluster.spec.replication.router
         excl = frozenset(self.excluded)
-        self.new_router = make_router(router_name, ring_size)
+        # The clients' own routers for both rings: their position memos
+        # are warm, and the old ring's is the one the clients route by.
+        self.new_router = cluster._client_router(ring_size)
         self.new_alive = (frozenset(range(ring_size)) - excl
                           if excl else None)
         self.old_ring = cluster._view_ring
         old_excl = frozenset(cluster._excluded)
-        self.old_router = make_router(router_name, self.old_ring)
+        self.old_router = cluster._client_router(self.old_ring)
         self.old_alive = (frozenset(range(self.old_ring)) - old_excl
                           if old_excl else None)
         old_serving = [i for i in range(self.old_ring) if i not in old_excl]
@@ -110,7 +106,6 @@ class Migration:
         else:
             self.donor_indices = old_serving
         self.items_moved = 0
-        self._owner_cache: dict = {}
         registry = cluster.obs.registry
         self._c_items = registry.counter("migration_items")
         self._registry = registry
@@ -119,15 +114,10 @@ class Migration:
     # -- ownership ----------------------------------------------------------
 
     def owner_of(self, key: bytes) -> int:
-        """The key's owner under the *new* view (memoized — this runs on
-        every write a participating server applies)."""
-        owner = self._owner_cache.get(key)
-        if owner is None:
-            if len(self._owner_cache) >= _OWNER_CACHE_MAX:
-                self._owner_cache.clear()
-            owner = self.new_router.server_for(key, self.new_alive)
-            self._owner_cache[key] = owner
-        return owner
+        """The key's owner under the *new* view (runs on every write a
+        participating server applies; the router memoizes the key's
+        ring position)."""
+        return self.new_router.server_for(key, self.new_alive)
 
     def old_owner_of(self, key: bytes) -> int:
         return self.old_router.server_for(key, self.old_alive)

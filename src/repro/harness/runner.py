@@ -285,7 +285,7 @@ class RunConfig:
                            records=records, span=span,
                            obs=cluster.obs if cluster.obs.enabled else None,
                            events_processed=sim.events_processed)
-        result.summary = metrics.summarize(records)
+        result.summary = metrics.summarize(records, span=span)
         if measured and cluster.obs.profiler.enabled:
             result.profile = cluster.obs.profiler.report()
         if recorder is not None:

@@ -48,15 +48,23 @@ class IPoIBEndpoint:
     def __init__(self, sim: Simulator, nic: NIC):
         self.sim = sim
         self.nic = nic
-        # Mailbox, not Store: delivery never blocks and never filters.
-        self.inbox: Mailbox = Mailbox(sim)
         #: See :attr:`repro.net.transport.Endpoint.receiver`.
         self.receiver: Optional[Callable[[Delivery], None]] = None
+        self._inbox: Optional[Mailbox] = None
         self.peer: "IPoIBEndpoint" = None  # type: ignore[assignment]
 
     @property
     def params(self):
         return self.nic.params
+
+    @property
+    def inbox(self) -> Mailbox:
+        """Created on first use; see
+        :attr:`repro.net.transport.Endpoint.inbox`."""
+        inbox = self._inbox
+        if inbox is None:
+            inbox = self._inbox = Mailbox(self.sim)
+        return inbox
 
     def send(self, payload: Any, nbytes: int, one_sided: bool = False) -> Message:
         """Stream ``nbytes`` to the peer. ``one_sided`` silently degrades

@@ -13,13 +13,14 @@ whose ``on_wire`` event is the *buffer-reuse* point the paper's
 ``bset``/``bget`` APIs wait on, and whose ``delivered`` event marks
 arrival at the peer. The message knows both instants from the moment it
 is sent (``wire_at`` / ``delivered_at``); ``delivered`` is the one event
-it costs — the frame is routed into the peer inbox when it pops — and
+it costs — the frame is handed to the peer's receiver when it pops — and
 ``on_wire`` is a timer created only for a caller that asks.
 
 The verbs-level :class:`~repro.net.rdma.QueuePair` API remains available
 for applications that want raw RDMA; these endpoints charge exactly the
-same wire and CPU costs but route frames straight into a peer inbox,
-which is how the Memcached runtime consumes them.
+same wire and CPU costs but hand frames straight to the peer endpoint's
+receiver (or, without one, its inbox), which is how the Memcached
+runtime consumes them.
 """
 
 from __future__ import annotations
@@ -37,16 +38,29 @@ class Endpoint:
     """Abstract one side of a connection. Concrete: RDMA or IPoIB."""
 
     sim: Simulator
-    inbox: Mailbox
     params: LinkParams
     #: Called with each :class:`Delivery` as it arrives, in place of the
     #: inbox: what a consumer that would only loop on ``recv()`` installs
-    #: instead of a process. ``None`` buffers into ``inbox``.
+    #: instead of a process. ``None`` buffers into :attr:`inbox`.
     receiver: Optional[Callable[[Delivery], None]] = None
+    _inbox: Optional[Mailbox] = None
 
     def send(self, payload: Any, nbytes: int, one_sided: bool = False) -> Message:
         """Transfer ``nbytes`` to the peer; ``payload`` rides along."""
         raise NotImplementedError
+
+    @property
+    def inbox(self) -> Mailbox:
+        """Frames that arrived while no :attr:`receiver` was installed,
+        in arrival order, for :meth:`recv`. Created on first use — by a
+        ``recv()`` or by such a frame — so an endpoint whose consumer is
+        a receiver (every server endpoint, every one-sided client
+        endpoint) never allocates one."""
+        inbox = self._inbox
+        if inbox is None:
+            # Mailbox, not Store: delivery never blocks and never filters.
+            inbox = self._inbox = Mailbox(self.sim)
+        return inbox
 
     def recv(self):
         """Event producing the next :class:`Delivery` from the inbox."""
@@ -77,8 +91,8 @@ class _RdmaEpFrame:
 class RdmaEndpoint(Endpoint):
     """Endpoint carried over RC verbs.
 
-    Two-sided sends land in the peer inbox with the (small) verbs receive
-    CPU attached; one-sided sends (RDMA writes) land with zero receive
+    Two-sided sends reach the peer with the (small) verbs receive CPU
+    attached; one-sided sends (RDMA writes) land with zero receive
     CPU — the peer discovers them by polling memory, as RDMA-Memcached's
     communication engine does.
     """
@@ -86,9 +100,6 @@ class RdmaEndpoint(Endpoint):
     def __init__(self, sim: Simulator, nic):
         self.sim = sim
         self.nic = nic
-        # Mailbox, not Store: delivery never blocks and never filters,
-        # so the put-side event a Store would allocate is dead weight.
-        self.inbox = Mailbox(sim)
         self.params = nic.params
         self.peer: "RdmaEndpoint" = None  # type: ignore[assignment]
 

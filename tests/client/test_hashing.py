@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.client.hashing import KetamaRouter, ModuloRouter, one_at_a_time
+from repro.client import hashing
+from repro.client.hashing import (KetamaRouter, ModuloRouter, RouterTable,
+                                  one_at_a_time)
 
 
 def test_one_at_a_time_is_deterministic_32bit():
@@ -116,3 +118,37 @@ def test_ketama_replica_set_stable_across_heal():
                 assert s in during
     after = {k: tuple(router.replicas_for(k, 2)) for k in keys}
     assert after == before
+
+
+# -- memoized positions and the router table -------------------------------
+
+
+def test_no_module_level_mutable_state():
+    """Routing state lives in router objects, never in the module: two
+    clusters in one process cannot see each other's keys."""
+    mutable = (dict, list, set, bytearray)
+    assert [name for name, value in vars(hashing).items()
+            if isinstance(value, mutable) and not name.startswith("__")] == []
+
+
+@pytest.mark.parametrize("router_cls", [ModuloRouter, KetamaRouter])
+def test_memo_is_the_position_and_resets_when_full(router_cls, monkeypatch):
+    router = router_cls(5)
+    fresh = router_cls(5)
+    keys = [f"key{i}".encode() for i in range(50)]
+    monkeypatch.setattr(router, "MEMO_MAX", 16)
+    for k in keys:
+        assert router.server_for(k) == fresh.server_for(k)
+        assert router.replicas_for(k, 2) == fresh.replicas_for(k, 2)
+        assert len(router._memo) <= 16
+    assert router.position(keys[0]) == fresh._locate(keys[0])
+
+
+def test_router_table_builds_one_router_per_kind_and_size():
+    table = RouterTable()
+    assert table.get("ketama", 4) is table.get("ketama", 4)
+    assert table.get("ketama", 5) is not table.get("ketama", 4)
+    assert table.get("modulo", 4) is not table.get("ketama", 4)
+    assert isinstance(table.get("modulo", 4), ModuloRouter)
+    with pytest.raises(ValueError):
+        table.get("rendezvous", 4)

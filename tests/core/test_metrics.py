@@ -103,3 +103,48 @@ class TestMissRateAndFilters:
                     "p99_latency", "throughput", "overlap_pct",
                     "miss_rate", "mean_blocked"):
             assert key in s
+
+
+def per_metric_summary(rs):
+    """What summarize() computed before it became one pass."""
+    return {
+        "ops": float(len(rs)),
+        "mean_latency": metrics.mean_latency(rs),
+        "effective_latency": metrics.effective_latency(rs),
+        "p50_latency": metrics.percentile_latency(rs, 50),
+        "p95_latency": metrics.percentile_latency(rs, 95),
+        "p99_latency": metrics.percentile_latency(rs, 99),
+        "throughput": metrics.throughput(rs),
+        "overlap_pct": metrics.overlap_percent(rs),
+        "miss_rate": metrics.miss_rate(rs),
+        "mean_blocked": metrics.mean_blocked(rs),
+    }
+
+
+class TestSummarizeIsThePerMetricFunctions:
+    def mixed(self):
+        # Irregular floats, zero-length ops, misses by status and by
+        # penalty, and sets: every branch of every metric.
+        rs = []
+        for i in range(257):
+            t0 = i * 0.37e-6 + (i % 7) * 1.1e-7
+            life = 0.0 if i % 31 == 0 else (3.3 + (i * 7919) % 101) * 1e-6
+            op = "set" if i % 3 == 0 else "get"
+            status = ("STORED" if op == "set"
+                      else "MISS" if i % 11 == 0 else "HIT")
+            stages = ({"miss_penalty": 2e-3} if i % 13 == 1 else
+                      {"server_response": 1e-6})
+            rs.append(rec(op=op, status=status, t0=t0, t1=t0 + life,
+                          blocked=life * ((i % 5) / 4.0) + (i % 2) * 1e-7,
+                          stages=stages, api=op))
+        return rs
+
+    def test_mixed_records_bit_identical(self):
+        rs = self.mixed()
+        want = per_metric_summary(rs)
+        assert metrics.summarize(rs) == want
+        span = (max(r.t_complete for r in rs) - min(r.t_issue for r in rs))
+        assert metrics.summarize(rs, span=span) == want
+
+    def test_empty(self):
+        assert metrics.summarize([]) == per_metric_summary([])

@@ -6,7 +6,8 @@ arrival. These cases pin that the fault paths behave as they did when a
 pump process sat there: a frame for a dead or unreachable server is
 dropped and counted, ``crash()`` tears the worker pool down although the
 parked workers now run *inside* it, and a connection added to a running
-cluster is served without anything being spawned for it.
+cluster is served without anything being spawned for it. An endpoint
+that has a receiver never allocates the inbox it would not read.
 """
 
 import pytest
@@ -14,8 +15,10 @@ import pytest
 from repro.core.cluster import ClusterSpec, ReplicationConfig, build_cluster
 from repro.core.profiles import H_RDMA_OPT_NONB_I, IPOIB_MEM, RDMA_MEM
 from repro.core.topology import TopologyConfig
+from repro.harness.runner import RunConfig
 from repro.server.protocol import HIT, STORED, GetRequest
 from repro.units import KB, MB, US
+from repro.workloads.generator import WorkloadSpec
 
 
 def make_cluster(profile=RDMA_MEM, servers=1):
@@ -48,7 +51,31 @@ def test_frame_for_a_down_server_is_dropped_and_counted(
     assert dropped(cluster) == 3
     assert server.queue_depth() == 0
     assert server.stats.busy_time == 0.0 and server.stats.gets == 0
-    assert len(ep.inbox) == 0
+    # Nothing came back, so nothing made the client endpoint allocate
+    # an inbox either.
+    assert ep._inbox is None
+
+
+def test_endpoints_with_a_receiver_never_allocate_an_inbox():
+    cfg = RunConfig(profile=RDMA_MEM,
+                    workload=WorkloadSpec(num_ops=60, num_keys=200,
+                                          value_length=1 * KB,
+                                          read_fraction=0.7),
+                    cluster=ClusterSpec(
+                        topology=TopologyConfig(initial_servers=4),
+                        num_clients=8, server_mem=16 * MB))
+    cluster = cfg.build()
+    result = cfg.run(cluster=cluster)
+    assert result.ops == 8 * 60
+    clients = [conn.endpoint for c in cluster.clients for conn in c._conns]
+    endpoints = clients + [ep.peer for ep in clients]
+    assert len(endpoints) == 2 * 4 * 8
+    assert all(ep.receiver is not None for ep in endpoints)
+    assert [ep for ep in endpoints if ep._inbox is not None] == []
+    # recv() is what allocates one, for a consumer that loops on it.
+    ep = endpoints[0]
+    ep.recv()
+    assert ep._inbox is not None
 
 
 def test_crash_tears_the_worker_pool_down_inside_the_call(spawned):
