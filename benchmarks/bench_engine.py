@@ -60,30 +60,18 @@ def test_store_producer_consumer_throughput(benchmark):
 
 def test_opstream_generation_throughput(benchmark):
     """Vectorized op-stream generation (bulk numpy draws + batch key
-    materialization). The per-op reference loop it replaced is timed
-    once alongside; the ratio lands in ``extra_info`` and the streams
-    must stay op-for-op identical."""
-    import time
-
-    from repro.workloads.generator import (
-        WorkloadSpec,
-        _generate_ops_ref,
-        generate_ops,
-    )
+    materialization) of a 100k-op stream, which must hash to the digest
+    pinned in ``tests/golden/op_streams.json``."""
+    from repro.workloads.generator import WorkloadSpec, generate_ops
+    from tests.golden import load
+    from tests.workloads.test_vectorized import stream_digest
 
     spec = WorkloadSpec(num_ops=100_000, num_keys=4096, value_length=512,
                         seed=7, value_sizes=((256, 0.5), (4 * KB, 0.5)))
     ops = benchmark(generate_ops, spec)
     assert len(ops) == 100_000
-    t0 = time.perf_counter()
-    ref = _generate_ops_ref(spec)
-    ref_s = time.perf_counter() - t0
-    assert ops == ref
-    best = benchmark.stats.stats.min
-    benchmark.extra_info["ref_loop_s"] = ref_s
-    benchmark.extra_info["speedup_vs_ref_loop"] = ref_s / best
-    print(f"\n  vectorized {best * 1e3:.1f} ms vs reference loop "
-          f"{ref_s * 1e3:.1f} ms ({ref_s / best:.1f}x)")
+    pin = load("op_streams")["streams"]["bench/100k-mixture seed=7 client=0"]
+    assert stream_digest(ops) == pin
 
 
 def test_hot_object_churn(benchmark):

@@ -6,7 +6,7 @@ fuzz run — every knob the simulation needs, no hidden state — so any
 scenario can be reproduced from its CLI flags alone
 (:func:`repro_line`). :func:`derive` maps a single integer seed to a
 scenario (randomized fault plan × replication × write mode × router ×
-fast-lane/legacy sim path); :func:`run_scenario` executes it under a
+TTL / counter op mix); :func:`run_scenario` executes it under a
 :class:`~repro.consistency.history.HistoryRecorder` and checks the
 history; :func:`shrink` minimizes a failing scenario (drop faults one
 at a time, halve the op count, drop to one client) so the printed
@@ -15,7 +15,8 @@ at a time, halve the op count, drop to one client) so the printed
 Workload: a mixed per-client stream (weighted get/set/add/replace/
 cas/delete/touch, blocking and non-blocking with ``wait_any`` windows)
 drawn from a per-client ``random.Random`` — deterministic for a fixed
-seed, identical across the fast-lane and legacy simulator paths.
+seed. Which scenario each CI seed derives is pinned in
+``tests/golden/fuzz_ledger.json``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.core.cluster import ClusterSpec, ReplicationConfig, build_cluster
 from repro.core.profiles import H_RDMA_OPT_NONB_I
 from repro.core.topology import TopologyConfig
 from repro.faults import FaultPlan, parse_time
-from repro.sim import Simulator
 from repro.units import MB
 from repro.workloads.keyspace import Keyspace
 
@@ -54,7 +54,6 @@ class Scenario:
     replication: int = 2
     write_mode: str = "sync"
     router: str = "ketama"
-    fast_lane: bool = True
     #: CLI fault specs (``FaultPlan.parse`` format); () = fault-free.
     fault_specs: Tuple[str, ...] = ()
     request_timeout: float = 2e-3
@@ -92,8 +91,6 @@ class Scenario:
                 "--eject-duration", repr(self.eject_duration),
                 "--server-mem-mb", str(self.server_mem_mb),
                 "--ssd-limit-mb", str(self.ssd_limit_mb)]
-        if not self.fast_lane:
-            args.append("--legacy-sim")
         if self.ttl_ops:
             args.append("--ttl-ops")
         if self.counter_ops:
@@ -135,7 +132,6 @@ def derive(seed: int) -> Scenario:
         replication=rng.choice((1, 2, 3)),
         write_mode=rng.choice(("sync", "async")),
         router=rng.choice(("modulo", "ketama")),
-        fast_lane=bool(rng.getrandbits(1)),
         fault_specs=fault_specs,
         # Appended draws — keep them last so earlier fields stay stable
         # across seeds recorded before these knobs existed.
@@ -178,7 +174,6 @@ def derive_eventual(seed: int) -> Scenario:
         replication=rng.choice((2, 3)),
         write_mode="async",
         router=rng.choice(("modulo", "ketama")),
-        fast_lane=bool(rng.getrandbits(1)),
         fault_specs=tuple(specs),
         ttl_ops=False,
         counter_ops=False,
@@ -221,7 +216,6 @@ def derive_elastic(seed: int) -> Scenario:
         replication=1,
         write_mode="sync",
         router=rng.choice(("modulo", "ketama")),
-        fast_lane=bool(rng.getrandbits(1)),
         fault_specs=fault_specs,
         ttl_ops=False,
         counter_ops=rng.random() < 0.3,
@@ -334,7 +328,6 @@ def run_scenario(scn: Scenario, *, full: bool = True
     on, Raft tickers run forever, so draining the event queue would
     never terminate.
     """
-    sim = Simulator(fast_lane=scn.fast_lane)
     spec = ClusterSpec(
         topology=TopologyConfig(initial_servers=scn.num_servers),
         num_clients=scn.num_clients,
@@ -351,8 +344,9 @@ def run_scenario(scn: Scenario, *, full: bool = True
             raft_seed=scn.seed,
         ),
     )
-    cluster = build_cluster(H_RDMA_OPT_NONB_I, spec=spec, sim=sim,
+    cluster = build_cluster(H_RDMA_OPT_NONB_I, spec=spec,
                             value_length_for=lambda _k: scn.value_length)
+    sim = cluster.sim
     keyspace = Keyspace(scn.num_keys)
     cluster.preload([(keyspace.key(i), scn.value_length)
                      for i in range(scn.num_keys)])

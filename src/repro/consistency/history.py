@@ -19,8 +19,8 @@ at issue and completion time — it never touches request internals.
 Event order and serialization are deterministic: events are emitted in
 completion order (itself deterministic for a fixed seed), and
 :func:`to_jsonl` sorts keys and canonicalizes floats, so the same seed
-produces **byte-identical** histories on the fast-lane and legacy
-simulator paths.
+produces a **byte-identical** history on every replay (the golden
+request-path digests hash it).
 """
 
 from __future__ import annotations

@@ -504,7 +504,6 @@ class Cluster:
 
 def build_cluster(profile: DesignProfile,
                   spec: Optional[ClusterSpec] = None,
-                  sim: Optional[Simulator] = None,
                   value_length_for: Optional[Callable[[bytes], int]] = None,
                   **spec_overrides) -> Cluster:
     """Assemble a cluster for one design profile.
@@ -522,7 +521,7 @@ def build_cluster(profile: DesignProfile,
         raise ValueError(
             f"replication factor must be <= initial_servers="
             f"{num_servers}, got {rep.factor}")
-    sim = sim or Simulator()
+    sim = Simulator()
     if spec.observe or spec.trace or spec.profile:
         interval = spec.sample_interval
         if spec.observe and interval is None:

@@ -101,9 +101,6 @@ class RunConfig:
     cluster: Optional[ClusterSpec] = None
     #: Preload the dataset into the servers (replica-aware) on build.
     preload: bool = True
-    #: Inject a pre-built :class:`~repro.sim.Simulator` (e.g. one with
-    #: ``fast_lane=False`` for determinism A/B checks).
-    sim: Optional[object] = None
     #: Client API to drive (defaults to the profile's native API).
     api: Optional[str] = None
     #: YCSB core workload letter ("A".."F"). When set, the measured
@@ -148,7 +145,6 @@ class RunConfig:
         value_length_for = (self.workload.value_length_for
                             if self.workload is not None else None)
         cluster = build_cluster(self.profile, spec=self.cluster,
-                                sim=self.sim,
                                 value_length_for=value_length_for)
         if self.preload and self.workload is not None:
             cluster.preload(make_dataset(self.workload))

@@ -10,17 +10,13 @@ pending-event structures —
   store/resource dispatch — which dominate real workloads.
 
 Lane appends are a single C-level ``deque.append`` with no tie-break
-counter and no heap sift. Determinism is preserved because a heap entry
-due at time *t* was always posted at a sim time strictly before *t*
-(``_post`` routes anything that would land at the current instant into
-the lane), so it precedes every lane entry at *t* in global post order;
-``step``/``peek``/``run`` therefore drain due heap entries first, then
-the lane in FIFO order — exactly the ``(time, post-order)`` sequence the
-legacy heap-only path produces.
-
-The legacy path remains available for debugging and A/B determinism
-checks: pass ``fast_lane=False``. Nothing in the process environment
-changes the engine.
+counter and no heap sift. Events still run in ``(time, post-order)``
+sequence: a heap entry due at time *t* was always posted at a sim time
+strictly before *t* (``_post`` routes anything that would land at the
+current instant into the lane), so it precedes every lane entry at *t*
+in global post order; ``step``/``peek``/``run`` therefore drain due
+heap entries first, then the lane in FIFO order. Nothing in the process
+environment changes the engine.
 """
 
 from __future__ import annotations
@@ -63,8 +59,7 @@ class Simulator:
     from different simulators raises :class:`SimulationError`.
     """
 
-    def __init__(self, fast_lane: bool = True) -> None:
-        self.fast_lane = bool(fast_lane)
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._lane: deque[Event] = deque()
@@ -78,22 +73,15 @@ class Simulator:
         #: Span tracer for process lifetimes; the shared no-op tracer
         #: unless an :class:`~repro.obs.api.Observability` installs one.
         self.tracer = NULL_TRACER
-        # ``Event._trigger`` calls this once per triggered event; in
-        # fast-lane mode it is the raw bound deque.append (no Python
-        # frame at all), in legacy mode the heap-push fallback.
-        if self.fast_lane:
-            self._schedule_now = self._lane.append
-        else:
-            self._schedule_now = self._legacy_schedule_now
+        # ``Event._trigger`` calls this once per triggered event: the
+        # raw bound deque.append, no Python frame at all.
+        self._schedule_now = self._lane.append
         # Shadow the factory methods with C-level partials: event/timeout
         # creation is once-per-yield in every process, and the delegating
         # Python frame is measurable there. The defs below remain as the
         # documented API surface.
         self.event = partial(Event, self)
         self.timeout = partial(Timeout, self)
-
-    def _legacy_schedule_now(self, event: Event) -> None:
-        _heappush(self._queue, (self._now, next(self._counter), event))
 
     # -- clock -----------------------------------------------------------
 
@@ -132,8 +120,8 @@ class Simulator:
         # Anything landing at the current instant (delay 0, or a delay so
         # small it vanishes in float addition) takes the lane; the heap
         # must only ever hold strictly-future postings, which is what
-        # makes the lane/heap merge order equal the legacy post order.
-        if when == self._now and self.fast_lane:
+        # makes the lane/heap merge order equal the global post order.
+        if when == self._now:
             self._lane.append(event)
         else:
             _heappush(self._queue, (when, next(self._counter), event))

@@ -175,7 +175,7 @@ class Timeout(Event):
         # ops, cheaper than the call frame it replaces.
         now = sim._now
         when = now + delay
-        if when == now and sim.fast_lane:
+        if when == now:
             sim._lane.append(self)
         else:
             heappush(sim._queue, (when, next(sim._counter), self))
@@ -196,7 +196,7 @@ class Timeout(Event):
         self._value = value
         self.defused = False
         self.delay = when - now
-        if when == now and sim.fast_lane:
+        if when == now:
             sim._lane.append(self)
         else:
             heappush(sim._queue, (when, next(sim._counter), self))

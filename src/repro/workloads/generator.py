@@ -4,10 +4,10 @@ Generation is vectorized: every random draw is made in bulk up front
 (numpy), keys are materialized once per *unique* index, and the
 per-op Python work is a single list comprehension over plain lists.
 The draw sequence — which RNG streams exist, their salts, and the
-order draws are consumed in — is identical to the original per-op
-loop, so streams are bit-identical to the pre-vectorization ones
-(``_generate_ops_ref`` keeps the loop implementation as the test
-oracle).
+order draws are consumed in — is that of the original per-op loop, so
+streams are bit-identical to the pre-vectorization ones; digests of
+every stream the figures, kvbench and the tests draw are pinned in
+``tests/golden/op_streams.json``.
 """
 
 from __future__ import annotations
@@ -236,67 +236,6 @@ def generate_ops(spec: WorkloadSpec, client_index: int = 0,
             op = memo[(r, k)] = (Op("get", k, v) if r
                                  else Op("set", k, v, ttl=ttl))
         append(op)
-    return ops
-
-
-def _generate_ops_ref(spec: WorkloadSpec, client_index: int = 0,
-                      stream_offset: int = 0) -> List[Op]:
-    """Reference per-op-loop implementation of :func:`generate_ops`.
-
-    Kept as the oracle for the vectorization-equivalence tests; not
-    used on any production path.
-    """
-    seed = spec.seed + 7919 * client_index + stream_offset
-    sampler = make_sampler(spec.distribution, spec.num_keys,
-                           theta=spec.theta, seed=seed,
-                           perm_seed=spec.seed)
-    keyspace = Keyspace(spec.num_keys)
-    sizes = spec._size_table()
-    indices = sampler.sample(spec.num_ops)
-    ops: List[Op] = []
-    if spec.pattern == "counter":
-        rng = np.random.default_rng(seed + 0xC0DE)
-        draws = rng.random(spec.num_ops)
-        deltas = rng.integers(1, 5, size=spec.num_ops)
-        for idx, draw, delta in zip(indices, draws, deltas):
-            key = keyspace.key(int(idx))
-            if draw < spec.read_fraction:
-                ops.append(Op("get", key, int(sizes[idx])))
-            elif draw < spec.read_fraction + 0.75 * (1 - spec.read_fraction):
-                ops.append(Op("incr", key, int(sizes[idx]),
-                              delta=int(delta), initial=0))
-            else:
-                ops.append(Op("decr", key, int(sizes[idx]),
-                              delta=int(delta), initial=0))
-        return ops
-    if spec.pattern == "ttl-churn":
-        ttl = spec.ttl or 0.050
-        rng = np.random.default_rng(seed + 0x77E)
-        draws = rng.random(spec.num_ops)
-        jitter = rng.uniform(0.5, 1.5, size=spec.num_ops)
-        for idx, draw, j in zip(indices, draws, jitter):
-            key = keyspace.key(int(idx))
-            vlen = int(sizes[idx])
-            if draw < 0.70 * spec.read_fraction:
-                ops.append(Op("get", key, vlen))
-            elif draw < 0.85 * spec.read_fraction:
-                ops.append(Op("gat", key, vlen, ttl=ttl * float(j)))
-            elif draw < spec.read_fraction:
-                ops.append(Op("touch", key, vlen, ttl=ttl * float(j)))
-            else:
-                ops.append(Op("set", key, vlen, ttl=ttl * float(j)))
-        return ops
-    if spec.pattern == "hot-storm":
-        indices = _storm_indices(spec, seed, indices)
-    reads = np.random.default_rng(seed + 0xA11CE).random(spec.num_ops) \
-        < spec.read_fraction
-    for idx, is_read in zip(indices, reads):
-        if is_read:
-            ops.append(Op("get", keyspace.key(int(idx)),
-                          int(sizes[idx])))
-        else:
-            ops.append(Op("set", keyspace.key(int(idx)),
-                          int(sizes[idx]), ttl=spec.ttl))
     return ops
 
 

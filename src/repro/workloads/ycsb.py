@@ -84,9 +84,9 @@ def generate_ycsb_ops(workload: YCSBWorkload, num_ops: int, num_keys: int,
     recently inserted/loaded records, as YCSB defines it.
 
     All draws are made in bulk (same RNG streams and consumption order
-    as the original per-op loop, kept as ``_generate_ycsb_ops_ref`` for
-    the equivalence tests); workloads without scans or inserts (A, B,
-    C, F) take a fully vectorized path.
+    as the original per-op loop, whose streams are pinned in
+    ``tests/golden/op_streams.json``); workloads without scans or
+    inserts (A, B, C, F) take a fully vectorized path.
     """
     rng = np.random.default_rng(seed + 7919 * client_index + 13)
     keyspace = Keyspace(num_keys)
@@ -168,56 +168,6 @@ def generate_ycsb_ops(workload: YCSBWorkload, num_ops: int, num_keys: int,
         key = (key_of(index) if index < num_keys
                else _insert_key(client_index, index - num_keys))
         append(Op(_OP_KIND[kind], key, value_length))
-    return ops
-
-
-def _generate_ycsb_ops_ref(workload: YCSBWorkload, num_ops: int,
-                           num_keys: int, value_length: int, seed: int = 0,
-                           client_index: int = 0) -> List[Op]:
-    """Reference per-op-loop implementation (the equivalence oracle)."""
-    rng = np.random.default_rng(seed + 7919 * client_index + 13)
-    keyspace = Keyspace(num_keys)
-    zipf = ZipfSampler(num_keys, theta=workload.theta,
-                       seed=seed + 7919 * client_index)
-    kinds = rng.choice(
-        ["read", "update", "insert", "rmw", "scan"],
-        size=num_ops,
-        p=[workload.read_fraction, workload.update_fraction,
-           workload.insert_fraction, workload.rmw_fraction,
-           workload.scan_fraction])
-    scan_lens = rng.integers(1, workload.max_scan_len + 1, size=num_ops)
-    zipf_draws = iter(zipf.sample(num_ops))
-    rank_draws = iter(zipf.sample_ranks(num_ops))
-    ops: List[Op] = []
-    inserted = 0  # keys appended past the initial keyspace
-
-    def pick_key() -> bytes:
-        if workload.distribution == "latest":
-            total = num_keys + inserted
-            back = int(next(rank_draws)) % total
-            index = total - 1 - back
-        else:
-            index = int(next(zipf_draws))
-        if index < num_keys:
-            return keyspace.key(index)
-        return _insert_key(client_index, index - num_keys)
-
-    for n, kind in enumerate(kinds):
-        if kind == "read":
-            ops.append(Op("get", pick_key(), value_length))
-        elif kind == "update":
-            ops.append(Op("set", pick_key(), value_length))
-        elif kind == "rmw":
-            ops.append(Op("rmw", pick_key(), value_length))
-        elif kind == "scan":
-            start = min(int(next(zipf_draws)), num_keys - 1)
-            end = min(start + int(scan_lens[n]), num_keys)
-            keys = tuple(keyspace.key(i) for i in range(start, end))
-            ops.append(Op("scan", keys[0], value_length, keys=keys))
-        else:  # insert
-            ops.append(Op("set", _insert_key(client_index, inserted),
-                          value_length))
-            inserted += 1
     return ops
 
 

@@ -26,10 +26,10 @@ class TestCheckSeed:
     def test_with_fault_and_replication(self, capsys):
         rc, out = run_cli(capsys, "check", "--seed", "3", "--clients",
                           "1", "--ops", "30", "--replication", "3",
-                          "--write-mode", "async", "--legacy-sim",
+                          "--write-mode", "async",
                           "--fault", "crash:server=1,at=0.004")
         assert rc == 0
-        assert "--legacy-sim" in out
+        assert "--fault crash:server=1,at=0.004" in out.splitlines()[0]
 
     @pytest.mark.parametrize("flag, value, echoed", [
         ("--request-timeout", "2ms", "--request-timeout 0.002"),

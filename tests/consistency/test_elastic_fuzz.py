@@ -1,22 +1,18 @@
-"""Elasticity fuzz band: derive_elastic scenarios and their CLI round-trip.
+"""Elasticity fuzz band: derive_elastic scenarios and their scale specs.
 
-Every elastic scenario must be (a) a pure function of its seed, (b)
-replayable through the exact ``repro check`` flag line the fuzzer
-prints, and (c) green when actually run — scale events racing optional
-faults stay linearizable.
+Every elastic scenario must scale, and be green when actually run —
+scale events racing optional faults stay linearizable. Which scenario
+each CI seed derives, and its ``repro check`` round trip, are checked
+with the other bands in ``test_fuzz.py``.
 """
 
 import pytest
 
-from repro.consistency import derive_elastic, repro_line, run_scenario
+from repro.consistency import derive_elastic, run_scenario
 from repro.consistency.fuzz import Scenario, _parse_scale_spec
 
 
 class TestDerive:
-    def test_deterministic(self):
-        for seed in range(12):
-            assert derive_elastic(seed) == derive_elastic(seed)
-
     def test_every_scenario_scales(self):
         for seed in range(24):
             scn = derive_elastic(seed)
@@ -35,27 +31,9 @@ class TestDerive:
         assert actions == {"add", "remove"}
         assert any(s.consensus for s in scenarios)
         assert any(s.fault_specs for s in scenarios)
-        assert any(not s.fast_lane for s in scenarios)
 
 
 class TestCliRoundTrip:
-    def test_repro_line_carries_the_elastic_flags(self):
-        scn = derive_elastic(2)
-        line = repro_line(scn)
-        assert "--scale-op" in line
-        assert "--handoff" not in line
-
-    def test_to_cli_args_round_trips(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        for seed in range(8):
-            scn = derive_elastic(seed)
-            args = parser.parse_args(["check"] + scn.to_cli_args())
-            assert tuple(args.scale_op or ()) == scn.scale_specs
-            assert args.servers == scn.num_servers
-            assert args.replication == scn.replication
-
     def test_parse_scale_spec_forms(self):
         assert _parse_scale_spec("add@0.004") == ("add", None, 0.004)
         assert _parse_scale_spec("remove@0.004") == ("remove", None, 0.004)

@@ -29,7 +29,6 @@ from repro.core.profiles import H_RDMA_OPT_NONB_I
 from repro.core.topology import TopologyConfig
 from repro.faults import FaultPlan
 from repro.server.server import ServerCosts
-from repro.sim import Simulator
 from repro.units import KB, MB
 
 VAL = 512 * KB
@@ -46,7 +45,6 @@ def keys_by_primary(client, want, count):
 
 
 def run_scenario_once():
-    sim = Simulator()
     spec = ClusterSpec(topology=TopologyConfig(initial_servers=3),
                        num_clients=3,
                        server_mem=256 * MB,
@@ -55,8 +53,9 @@ def run_scenario_once():
                        worker_threads=1, get_priority=True,
                        costs=ServerCosts(memcpy_bandwidth=5e8),
                        request_timeout=1.5e-3, retry_backoff=5e-6)
-    cluster = build_cluster(H_RDMA_OPT_NONB_I, spec=spec, sim=sim,
+    cluster = build_cluster(H_RDMA_OPT_NONB_I, spec=spec,
                             value_length_for=lambda _k: VAL)
+    sim = cluster.sim
     writer, bomber, reader = cluster.clients
     victim = keys_by_primary(writer, 0, 1)[0]
     bombers = keys_by_primary(writer, 1, 8)

@@ -1,8 +1,8 @@
 """Every shipped configuration must produce linearizable histories.
 
-The grid covers replication x write mode x router x simulator path,
-each with and without a crash+partition fault schedule — the
-acceptance matrix for the consistency checker.
+The grid covers replication x write mode x router, each with and
+without a crash+partition fault schedule — the acceptance matrix for
+the consistency checker.
 """
 
 import itertools
@@ -19,21 +19,19 @@ GRID = list(itertools.product(
     (1, 2, 3),                 # replication
     ("sync", "async"),         # write mode
     ("modulo", "ketama"),      # router
-    (True, False),             # fast-lane / legacy sim
     (False, True),             # fault plan off / on
 ))
 
 
 @pytest.mark.parametrize(
-    "replication,write_mode,router,fast_lane,faulty", GRID,
-    ids=[f"R{r}-{w}-{ro}-{'fast' if f else 'legacy'}"
-         f"{'-faults' if fl else ''}"
-         for r, w, ro, f, fl in GRID])
+    "replication,write_mode,router,faulty", GRID,
+    ids=[f"R{r}-{w}-{ro}{'-faults' if fl else ''}"
+         for r, w, ro, fl in GRID])
 def test_shipped_config_linearizable(replication, write_mode, router,
-                                     fast_lane, faulty):
+                                     faulty):
     scn = Scenario(seed=11, num_clients=2, ops_per_client=40,
                    replication=replication, write_mode=write_mode,
-                   router=router, fast_lane=fast_lane,
+                   router=router,
                    fault_specs=FAULTS if faulty else (),
                    ttl_ops=True, counter_ops=True)
     report, _events, _rec = run_scenario(scn)

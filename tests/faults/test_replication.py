@@ -5,7 +5,7 @@ synchronous writes, the crash-1-of-4 outage is survivable — reads fail
 over to the ring-successor replica and keep *hitting*, sustaining at
 least 90% of the steady-state GET hit rate through the outage window,
 where the R=1 run collapses to backend misses. Replay must stay
-byte-identical for the same seed + plan, across both simulator paths.
+byte-identical for the same seed + plan.
 """
 
 import pytest
@@ -17,7 +17,6 @@ from repro.core.topology import TopologyConfig
 from repro.faults import FaultPlan
 from repro.harness.runner import RunConfig
 from repro.server.protocol import HIT
-from repro.sim import Simulator
 from repro.units import KB, MB, MS, US
 from repro.workloads.generator import WorkloadSpec
 
@@ -26,7 +25,7 @@ PLAN_SPECS = ["crash:server=1,at=200us"]
 
 
 def repl_config(replication=2, write_mode="sync", faults=PLAN_SPECS,
-                sim=None, observe=False, seed=5, num_ops=300):
+                observe=False, seed=5, num_ops=300):
     # Uniform keys: every post-crash read of a lost key is a cold miss
     # at R=1 (zipf would mask the outage by repopulating the hot head).
     spec = WorkloadSpec(num_ops=num_ops, num_keys=512, value_length=8 * KB,
@@ -42,7 +41,7 @@ def repl_config(replication=2, write_mode="sync", faults=PLAN_SPECS,
         failure_threshold=2, observe=observe)
     plan = FaultPlan.parse(faults) if faults else None
     return RunConfig(profile=H_RDMA_OPT_NONB_I, workload=spec,
-                     cluster=cluster_spec, sim=sim, fault_plan=plan)
+                     cluster=cluster_spec, fault_plan=plan)
 
 
 def outage_get_hit_rate(result, since=CRASH_AT):
@@ -105,16 +104,6 @@ class TestCrashOneOfFourReplicated:
         b = repl_config(replication=2).run()
         assert fingerprint(a) == fingerprint(b)
         assert a.span == b.span
-
-    def test_replay_byte_identical_across_sim_paths(self):
-        """Fast-lane and legacy-heap schedulers must produce the same
-        timeline for the replicated crash scenario."""
-        fast = repl_config(replication=2,
-                           sim=Simulator(fast_lane=True)).run()
-        legacy = repl_config(replication=2,
-                             sim=Simulator(fast_lane=False)).run()
-        assert fingerprint(fast) == fingerprint(legacy)
-        assert fast.span == legacy.span
 
     def test_async_mode_also_survives_and_drains(self):
         cfg = repl_config(replication=2, write_mode="async")

@@ -4,8 +4,8 @@ The elasticity contract, end to end through the harness: the fleet
 doubles mid-run through online migrations while the traffic is still
 running (new owners pull keys they do not hold yet), the hit rate never
 craters below 80% of its steady state in any time bucket, the recorded
-history stays consistency-clean, and the whole paced/scaled run replays
-byte-identically on the legacy-heap simulator.
+history stays consistency-clean, and the paced/scaled run replays
+byte-identically.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.core.cluster import ClusterSpec, ReplicationConfig
 from repro.core.profiles import H_RDMA_OPT_NONB_I
 from repro.core.topology import TopologyConfig
 from repro.harness.runner import RunConfig, ScaleEvent
-from repro.sim import Simulator
 from repro.units import KB, MB
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.traffic import make_traffic
@@ -26,8 +25,7 @@ def fingerprint(result):
             for r in result.records]
 
 
-def scale_config(*, fast_lane=True, traffic=None, to_servers=8, check=True,
-                 observe=False):
+def scale_config(*, traffic=None, to_servers=8, check=True, observe=False):
     spec = ClusterSpec(
         topology=TopologyConfig(initial_servers=4),
         num_clients=2, server_mem=8 * MB, ssd_limit=64 * MB,
@@ -41,7 +39,7 @@ def scale_config(*, fast_lane=True, traffic=None, to_servers=8, check=True,
                      # the traffic (which ends around 0.4 ms).
                      scale_events=(ScaleEvent(at=100e-6,
                                               servers=to_servers),),
-                     traffic=traffic, sim=Simulator(fast_lane=fast_lane))
+                     traffic=traffic)
 
 
 def bucket_hit_rates(records, buckets=6):
@@ -93,11 +91,6 @@ class TestScaleUnderYCSB:
         result = cfg.run(cluster=cluster)
         assert len(cluster.serving_indices()) == 2
         assert result.consistency.ok, result.consistency.violations
-
-    def test_fast_lane_and_legacy_sim_replay_byte_identically(self):
-        fast = scale_config(fast_lane=True, check=False).run()
-        legacy = scale_config(fast_lane=False, check=False).run()
-        assert fingerprint(fast) == fingerprint(legacy)
 
 
 class TestTrafficShapedRuns:

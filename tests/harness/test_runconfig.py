@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.cli import main
+from repro.consistency import Scenario
 from repro.core.cluster import (ClusterSpec, ReplicationConfig,
                                 build_cluster)
 from repro.core.profiles import H_RDMA_OPT_NONB_I, RDMA_MEM
 from repro.harness.runner import RunConfig
+from repro.sim import Simulator
 from repro.units import KB, MB
 from repro.workloads.generator import Op, WorkloadSpec
 
@@ -44,6 +47,11 @@ def _build_cluster(**kw):
     (_run_config, "spec_overrides"),
     (_run_config, "replication"),
     (_run_config, "topology"),
+    # One scheduler: nothing selects or injects another.
+    (Simulator, "fast_lane"),
+    (_run_config, "sim"),
+    (_build_cluster, "sim"),
+    (Scenario, "fast_lane"),
 ], ids=lambda arg: getattr(arg, "__name__", arg).strip("_"))
 def test_removed_keywords_are_rejected(build, keyword):
     """A cluster is described by ``ClusterSpec(topology=, replication=)``
@@ -51,6 +59,13 @@ def test_removed_keywords_are_rejected(build, keyword):
     keywords, refused where they are written."""
     with pytest.raises(TypeError, match=keyword):
         build(**{keyword: None})
+
+
+def test_removed_check_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", "--seed", "1", "--legacy-sim"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --legacy-sim" in capsys.readouterr().err
 
 
 def test_runconfig_run_requires_workload():

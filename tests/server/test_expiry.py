@@ -22,8 +22,8 @@ from repro.units import KB, MB
 pytestmark = pytest.mark.protocol
 
 
-def make_mgr(fast_lane=True, **kw):
-    sim = Simulator(fast_lane=fast_lane)
+def make_mgr(**kw):
+    sim = Simulator()
     mgr = HybridSlabManager(sim, mem_limit=2 * MB, **kw)
     return sim, mgr
 
@@ -32,11 +32,9 @@ def drive(sim, gen):
     return sim.run(until=sim.spawn(gen))
 
 
-@pytest.mark.parametrize("fast_lane", (True, False),
-                         ids=("fast", "legacy"))
 class TestExpiryBoundary:
-    def test_lookup_at_exact_deadline_misses(self, fast_lane):
-        sim, mgr = make_mgr(fast_lane, active_expiry=False)
+    def test_lookup_at_exact_deadline_misses(self):
+        sim, mgr = make_mgr(active_expiry=False)
 
         def app():
             yield from mgr.store(b"k", 1 * KB, expiration=sim.now + 0.5)
@@ -46,8 +44,8 @@ class TestExpiryBoundary:
         assert mgr.lookup(b"k") is None
         assert mgr.stats.expired_passive == 1
 
-    def test_lookup_just_before_deadline_hits(self, fast_lane):
-        sim, mgr = make_mgr(fast_lane, active_expiry=False)
+    def test_lookup_just_before_deadline_hits(self):
+        sim, mgr = make_mgr(active_expiry=False)
 
         def app():
             yield from mgr.store(b"k", 1 * KB, expiration=sim.now + 0.5)

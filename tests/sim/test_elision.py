@@ -7,9 +7,7 @@ conditions, timeouts) keep their one lane hop even when already
 satisfied, because that hop fixes the caller's place in same-instant
 order. A :class:`Mailbox` has one producer side and interchangeable
 consumers, so it hands over directly: ``put`` runs a parked consumer
-before it returns, ``get`` on a buffered item is already processed. Both
-schedulers (fast lane and legacy heap) sit below the rules and must
-agree.
+before it returns, ``get`` on a buffered item is already processed.
 """
 
 import pytest
@@ -26,9 +24,9 @@ from repro.sim import (
 )
 
 
-@pytest.fixture(params=[True, False], ids=["fast-lane", "legacy-heap"])
-def sim(request):
-    return Simulator(fast_lane=request.param)
+@pytest.fixture
+def sim():
+    return Simulator()
 
 
 def _marker(sim, log, tag):
@@ -322,32 +320,31 @@ _calls = st.lists(
 @given(st.lists(_calls, min_size=2, max_size=4))
 @settings(max_examples=80, deadline=None)
 def test_mailbox_pairs_fifo_and_resumes_at_the_later_of_put_and_get(program):
-    for fast_lane in (True, False):
-        sim = Simulator(fast_lane=fast_lane)
-        box = Mailbox(sim)
-        puts, gets, resumed = [], [], {}
+    sim = Simulator()
+    box = Mailbox(sim)
+    puts, gets, resumed = [], [], {}
 
-        def proc(pid, calls):
-            for i, (delay, call) in enumerate(calls):
-                yield sim.timeout(delay)
-                if call == "put":
-                    puts.append((sim.now, (pid, i)))
-                    box.put((pid, i))
-                else:
-                    gets.append((sim.now, (pid, i)))
-                    item = yield box.get()
-                    resumed[(pid, i)] = (item, sim.now)
+    def proc(pid, calls):
+        for i, (delay, call) in enumerate(calls):
+            yield sim.timeout(delay)
+            if call == "put":
+                puts.append((sim.now, (pid, i)))
+                box.put((pid, i))
+            else:
+                gets.append((sim.now, (pid, i)))
+                item = yield box.get()
+                resumed[(pid, i)] = (item, sim.now)
 
-        for pid, calls in enumerate(program):
-            sim.spawn(proc(pid, calls))
-        sim.run()
-        # The reference: the k-th put meets the k-th get, whichever came
-        # first, and the getter continues at the later of the two calls.
-        # A get with no put stays parked for good.
-        expected = {getter: (item, max(t_put, t_get))
-                    for (t_put, item), (t_get, getter) in zip(puts, gets)}
-        assert resumed == expected
-        assert len(box) == max(0, len(puts) - len(gets))
+    for pid, calls in enumerate(program):
+        sim.spawn(proc(pid, calls))
+    sim.run()
+    # The reference: the k-th put meets the k-th get, whichever came
+    # first, and the getter continues at the later of the two calls.
+    # A get with no put stays parked for good.
+    expected = {getter: (item, max(t_put, t_get))
+                for (t_put, item), (t_get, getter) in zip(puts, gets)}
+    assert resumed == expected
+    assert len(box) == max(0, len(puts) - len(gets))
 
 
 def test_fresh_resource_grant_and_timeout_are_queued_not_elided(sim):

@@ -11,14 +11,13 @@ def test_clock_starts_at_zero():
 
 
 def test_environment_does_not_change_the_engine(monkeypatch):
-    """No ambient switch: the scheduler is chosen by the ``fast_lane``
-    argument alone, and ``run()`` pauses the collector regardless."""
+    """No ambient switch: the retired scheduler and GC variables are
+    ignored, and ``run()`` pauses the collector regardless."""
     import gc
 
     monkeypatch.setenv("REPRO_SIM_LEGACY_HEAP", "1")
     monkeypatch.setenv("REPRO_SIM_GC", "1")
     sim = Simulator()
-    assert sim.fast_lane is True
     seen = []
 
     def proc(sim):
