@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.core.cluster import ClusterSpec, ReplicationConfig
-from repro.core.profiles import H_RDMA_OPT_NONB_I
+from repro.core.profiles import FATCACHE, H_RDMA_OPT_NONB_I, RDMA_MEM
 from repro.core.topology import TopologyConfig
 from repro.faults import FaultPlan
 from repro.harness.runner import RunConfig
@@ -82,6 +82,30 @@ def test_profile_matches_pin():
     _, result = _run()
     pin = load("traces")["digests"]["r2-crash/causal-profile"]
     assert profile_digest(result.profile) == pin
+
+
+@pytest.mark.parametrize("case,profile", [
+    # The value travels inline with the header (IPoIB): copy and slab
+    # allocation follow parse on the worker with nothing in between.
+    ("fatcache-set/causal-profile", FATCACHE),
+    # The value is RDMA-written; no early ack, so nothing happens
+    # between the copy and the slab allocation either.
+    ("rdma-mem-set/causal-profile", RDMA_MEM),
+], ids=["fatcache", "rdma-mem"])
+def test_set_path_profile_matches_pin(case, profile):
+    """Every request of a write-heavy run, profiled: six clients on two
+    servers of two workers each queue for the workers, and data twice
+    the memory evicts (RDMA_MEM) or spills to the SSD (FATCACHE). The
+    SET stage boundaries under that contention hash to their pin."""
+    spec = WorkloadSpec(num_ops=60, num_keys=256, value_length=8 * KB,
+                        read_fraction=0.3, distribution="zipf", seed=23)
+    cluster_spec = ClusterSpec(
+        topology=TopologyConfig(initial_servers=2), num_clients=6,
+        server_mem=1 * MB, ssd_limit=2 * MB, worker_threads=2,
+        profile=True)
+    result = RunConfig(profile=profile, workload=spec,
+                       cluster=cluster_spec).run()
+    assert profile_digest(result.profile) == load("traces")["digests"][case]
 
 
 def test_trace_window_matches_recorded_latency():
