@@ -13,7 +13,10 @@ are still recorded, as a fingerprint and as information.
 
 Each row also records the run's *simulated* p99 latency in
 ``extra_info`` — the simulator is deterministic, so unlike wall time it
-must match the committed baseline exactly on any machine. The profiled
+must match the committed baseline exactly on any machine, and every
+row asserts that its events/run and p99 equal the ones in
+``BENCH_engine.json``. Under ``--benchmark-disable`` each row runs once,
+untimed, and checks only that fingerprint (CI gates on it). The profiled
 variant additionally writes the per-class stage-breakdown JSON
 (``$MACRO_PROFILE_JSON``, default ``macro-profile.json``) for the CI
 artifact, and quantifies the profiling overhead against the unprofiled
@@ -47,6 +50,9 @@ PAPER_CLIENTS = 100
 PAPER_OPS = 40
 PAPER_KEYS = 8192
 PAPER_VALUE = 4 * KB
+
+#: The committed rows: each macro test asserts its fingerprint is theirs.
+BASELINE = Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
 
 def _ycsb_cluster_run(profile: bool = False):
@@ -131,20 +137,33 @@ def _paper_scale_cfg(num_clients=PAPER_CLIENTS):
 
 
 def _record_throughput(benchmark, records, events, result):
-    stats = benchmark.stats.stats
+    """Record the row's deterministic fingerprint (events per run,
+    simulated p99), assert it equals the committed one in
+    ``BENCH_engine.json``, and add the wall-clock rates when the run was
+    timed (``--benchmark-disable`` runs each row once, untimed)."""
+    p99 = result.summary["p99_latency"]
     info = benchmark.extra_info
     info["ops_per_run"] = records
+    info["events_per_run"] = events
+    info["p99_latency_s"] = p99
+    row = json.loads(BASELINE.read_text())["macro"][benchmark.name]
+    assert (events, p99) == (row["events_per_run"], row["p99_latency_s"]), (
+        f"{benchmark.name}: fingerprint moved to events_per_run={events}, "
+        f"p99_latency_s={p99!r}; re-record BENCH_engine.json with the reason")
+    if benchmark.stats is None:
+        print(f"\n  untimed; {events} events/run ({events / records:.2f} per op); "
+              f"sim p99 {p99 * 1e6:.1f} us")
+        return
+    stats = benchmark.stats.stats
     info["ops_per_sec_mean"] = records / stats.mean
     info["ops_per_sec_best"] = records / stats.min
-    info["events_per_run"] = events
     info["events_per_sec_mean"] = events / stats.mean
     info["events_per_sec_best"] = events / stats.min
-    info["p99_latency_s"] = result.summary["p99_latency"]
     print(f"\n  {records / stats.min:,.0f} ops/sec (best), "
           f"{records / stats.mean:,.0f} ops/sec (mean); "
           f"{events} events/run ({events / records:.2f} per op, "
           f"{events / stats.min:,.0f} events/sec best); "
-          f"sim p99 {result.summary['p99_latency'] * 1e6:.1f} us")
+          f"sim p99 {p99 * 1e6:.1f} us")
 
 
 def test_macro_paper_scale(benchmark):

@@ -14,6 +14,8 @@ selected by :class:`ServerConfig`:
   communicates the operation's completion — the non-blocking client can
   meanwhile reuse its buffers and issue further requests.
 
+A worker sleeps one timer per uninterrupted run of CPU stages (Fig 2):
+its pickup timer covers receive, parse and the handler's first stage.
 Stage times are measured here and shipped back in each
 :class:`~repro.server.protocol.Response` so the client side can assemble
 the six-stage breakdown of Section III-A.
@@ -205,6 +207,20 @@ class MemcachedServer:
         self._queue = PriorityStore(sim) if config.get_priority else Mailbox(sim)
         self.credits = Resource(sim, capacity=config.recv_credits)
         self._value_events: Dict[int, object] = {}
+        # Per request type: its handler (passed the parse instant) and the
+        # CPU stage it starts with, slept on the pickup timer (see _worker).
+        lookup = config.costs.hash_lookup
+        self._handlers = {
+            SetRequest: (self._handle_set, None),
+            GetRequest: (self._handle_get, lookup),
+            MultiGetRequest: (self._handle_mget, None),
+            DeleteRequest: (self._handle_delete, lookup),
+            TouchRequest: (self._handle_touch, lookup),
+            CounterRequest: (self._handle_counter, lookup),
+            GatRequest: (self._handle_gat, lookup),
+            FlushRequest: (self._handle_flush, lookup),
+            StatsRequest: (self._handle_stats, config.costs.response_prep),
+        }
         self._started = False
         self._busy_workers = 0
         #: Fail-stop state: a crashed server drops everything until
@@ -392,7 +408,9 @@ class MemcachedServer:
             # rendezvous by (connection, req_id).
             key = (id(endpoint), payload.req_id)
             ev = self._value_events.setdefault(key, self.sim.event())
-            ev.succeed(payload)
+            # A parked worker takes the value inside this call; one still
+            # parsing the header finds the event processed.
+            (ev._hand_off if ev.callbacks else ev.succeed)(payload)
         elif isinstance(payload, Request):
             prof = self.obs.profiler
             if prof.enabled:
@@ -443,10 +461,11 @@ class MemcachedServer:
             fn=lambda: m_busy.value / self.sim.now if self.sim.now > 0 else 0.0,
             server=self.name, worker=str(wid))
         tid = f"{self.name}-w{wid}"
-        # Loop-invariant bindings: tracer and parse cost are fixed for a
+        # Loop-invariant bindings: tracer and costs are fixed for a
         # worker generation, and this loop runs once per request.
         tracer = self.obs.tracer
-        parse_cost = self.config.costs.parse
+        costs = self.config.costs
+        parse_cost = costs.parse
         metrics_on = self._metrics_on
         sim = self.sim
         queue_get = self._queue.get
@@ -473,46 +492,33 @@ class MemcachedServer:
                 for ptid, px in targets:
                     prof.close_stage(ptid, px + "server_queue")
             if tracer_on:
-                if getattr(request, "trace_id", None) is not None:
-                    span = tracer.begin(request.op, tid=tid, pid="server",
-                                        cat="request",
-                                        req_id=request.req_id,
-                                        trace_id=request.trace_id)
-                else:
-                    span = tracer.begin(request.op, tid=tid, pid="server",
-                                        cat="request",
-                                        req_id=request.req_id)
+                ids = {"req_id": request.req_id}
+                if request.trace_id is not None:
+                    ids["trace_id"] = request.trace_id
+                span = tracer.begin(request.op, tid=tid, pid="server",
+                                    cat="request", **ids)
             else:
                 span = NULL_SPAN
-            # Receive CPU then parse, nothing in between: one timer, due
-            # when the second sleep would have ended (same float sums).
-            yield Timeout.at(sim, (start + delivery.recv_cpu) + parse_cost)
+            # Receive CPU, parse and the handler's first CPU stage run
+            # back to back: one timer, due when the last sleep would
+            # have ended (same float sums) and posted where it would
+            # have started, so it keeps that sleep's same-instant order.
+            parsed = (start + delivery.recv_cpu) + parse_cost
+            kind = type(request)
+            handler, lead = self._handlers[kind]
+            if lead is not None:
+                yield Timeout.at(sim, parsed + lead, posted=parsed)
+            elif kind is SetRequest and request.inline_value:
+                # The value came with the header: copy, then slab alloc.
+                copied = parsed + request.value_length / costs.memcpy_bandwidth
+                yield Timeout.at(sim, copied + costs.slab_alloc_cpu, posted=copied)
+            else:  # an RDMA value is on its way; an MGET looks up per entry
+                yield Timeout.at(sim, parsed)
             for ptid, px in targets:
-                prof.record(ptid, px + "server_cpu", start, sim._now)
+                prof.record(ptid, px + "server_cpu", start, parsed)
             if self.handoff is not None:
                 self._pull_on_miss(request)
-            # Dispatch ordered by hot-path frequency: SETs (including
-            # replica applies) and GETs dominate every workload mix.
-            if isinstance(request, SetRequest):
-                yield from self._handle_set(request, endpoint)
-            elif isinstance(request, GetRequest):
-                yield from self._handle_get(request, endpoint)
-            elif isinstance(request, MultiGetRequest):
-                yield from self._handle_mget(request, endpoint)
-            elif isinstance(request, DeleteRequest):
-                yield from self._handle_delete(request, endpoint)
-            elif isinstance(request, TouchRequest):
-                yield from self._handle_touch(request, endpoint)
-            elif isinstance(request, CounterRequest):
-                yield from self._handle_counter(request, endpoint)
-            elif isinstance(request, GatRequest):
-                yield from self._handle_gat(request, endpoint)
-            elif isinstance(request, FlushRequest):
-                yield from self._handle_flush(request, endpoint)
-            elif isinstance(request, StatsRequest):
-                yield from self._handle_stats(request, endpoint)
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown request {request!r}")
+            yield from handler(request, endpoint, parsed)
             if span is not NULL_SPAN:
                 span.end()
             self._busy_workers -= 1
@@ -523,9 +529,8 @@ class MemcachedServer:
 
     # -- SET -----------------------------------------------------------------
 
-    def _handle_set(self, request: SetRequest, endpoint: Endpoint):
+    def _handle_set(self, request: SetRequest, endpoint: Endpoint, t_copy: float):
         sim = self.sim
-        timeout = sim.timeout
         costs = self.config.costs
         stages: Dict[str, float] = {}
         prof = self.obs.profiler
@@ -540,13 +545,19 @@ class MemcachedServer:
                 # client's completion timeout handles the rest.
                 return
             credit = arrival.credit
+            t_copy = sim._now
         # Copy the value out of the receive buffer (staging on the
-        # optimized server, directly toward the chunk otherwise).
-        t_copy = sim._now
-        yield timeout(request.value_length / costs.memcpy_bandwidth)
+        # optimized server, directly toward the chunk otherwise), then
+        # allocate its chunk: one timer unless the early ack comes
+        # between the two (an inline value slept both on the pickup).
+        t0 = t_copy + request.value_length / costs.memcpy_bandwidth
+        early_ack = credit is not None and self.config.early_ack
+        if not request.inline_value:
+            yield (Timeout.at(sim, t0) if early_ack else
+                   Timeout.at(sim, t0 + costs.slab_alloc_cpu, posted=t0))
         if ptid is not None:
-            prof.record(ptid, px + "ram", t_copy, sim._now)
-        if credit is not None and self.config.early_ack:
+            prof.record(ptid, px + "ram", t_copy, t0)
+        if early_ack:
             # Optimized runtime: the receive buffer is free *now*; the
             # client engine's next value transfer can proceed while we do
             # the expensive slab work below. Notify the client that its
@@ -556,9 +567,7 @@ class MemcachedServer:
             if self.reachable:
                 ack = BufferAck(req_id=request.req_id)
                 endpoint.send(ack, ack.header_bytes, one_sided=True)
-
-        t0 = sim._now
-        yield timeout(costs.slab_alloc_cpu)
+            yield sim.timeout(costs.slab_alloc_cpu)
         if ptid is not None:
             prof.record(ptid, px + "index", t0, sim._now)
         t_store = sim._now
@@ -574,7 +583,7 @@ class MemcachedServer:
             self._note_write(request.key)
 
         t0 = sim._now
-        yield timeout(costs.lru_update)
+        yield sim.timeout(costs.lru_update)
         stages["cache_update"] = sim._now - t0
         if ptid is not None:
             prof.record(ptid, px + "index", t0, sim._now)
@@ -596,15 +605,11 @@ class MemcachedServer:
 
     # -- GET ------------------------------------------------------------------
 
-    def _handle_get(self, request: GetRequest, endpoint: Endpoint):
+    def _handle_get(self, request: GetRequest, endpoint: Endpoint, t0: float):
         sim = self.sim
-        timeout = sim.timeout
-        costs = self.config.costs
         stages: Dict[str, float] = {}
         prof = self.obs.profiler
         ptid = request.trace_id if prof.enabled else None
-        t0 = sim._now
-        yield timeout(costs.hash_lookup)
         if ptid is not None:
             prof.record(ptid, "index", t0, sim._now)
         item = self.manager.lookup(request.key)
@@ -631,7 +636,7 @@ class MemcachedServer:
             return
 
         t0 = sim._now
-        yield timeout(costs.lru_update)
+        yield sim.timeout(self.config.costs.lru_update)
         self.manager.touch(item)
         stages["cache_update"] = sim._now - t0
         if ptid is not None:
@@ -646,23 +651,23 @@ class MemcachedServer:
 
     # -- MGET -----------------------------------------------------------------
 
-    def _handle_mget(self, request: MultiGetRequest, endpoint: Endpoint):
-        """memcached_mget: one GET per requested key, each answered
-        with its own response (and, in a migration window, pulled on
-        its own)."""
+    def _handle_mget(self, request: MultiGetRequest, endpoint: Endpoint, _parsed: float):
+        """memcached_mget: one GET per requested key, each with its own
+        lookup sleep and its own response (and, in a migration window,
+        pulled on its own)."""
         traces = request.traces if self.obs.profiler.enabled else ()
         for i, (req_id, key) in enumerate(request.entries):
             sub = GetRequest(req_id=req_id, op="get", key=key,
                              trace_id=traces[i] if i < len(traces) else None)
             if self.handoff is not None:
                 self._pull_on_miss(sub)
-            yield from self._handle_get(sub, endpoint)
+            t0 = self.sim._now
+            yield self.sim.timeout(self.config.costs.hash_lookup)
+            yield from self._handle_get(sub, endpoint, t0)
 
     # -- DELETE --------------------------------------------------------------
 
-    def _handle_delete(self, request: DeleteRequest, endpoint: Endpoint):
-        t0 = self.sim.now
-        yield self.sim.timeout(self.config.costs.hash_lookup)
+    def _handle_delete(self, request: DeleteRequest, endpoint: Endpoint, t0: float):
         if request.trace_id is not None and self.obs.profiler.enabled:
             px = "replica." if request.replica else ""
             self.obs.profiler.record(request.trace_id, px + "index",
@@ -681,10 +686,9 @@ class MemcachedServer:
 
     # -- TOUCH ---------------------------------------------------------------
 
-    def _handle_touch(self, request: TouchRequest, endpoint: Endpoint):
+    def _handle_touch(self, request: TouchRequest, endpoint: Endpoint, _parsed: float):
         """memcached's ``touch``: bump expiration + LRU, no data moved."""
         costs = self.config.costs
-        yield self.sim.timeout(costs.hash_lookup)
         item = self.manager.lookup(request.key)
         if item is None:
             yield from self._respond(endpoint, request, NOT_FOUND, 0, {})
@@ -703,12 +707,10 @@ class MemcachedServer:
 
     # -- INCR / DECR ---------------------------------------------------------
 
-    def _handle_counter(self, request: CounterRequest, endpoint: Endpoint):
+    def _handle_counter(self, request: CounterRequest, endpoint: Endpoint, t0: float):
         """incr/decr: in-place arithmetic, optional auto-create."""
         costs = self.config.costs
         stages: Dict[str, float] = {}
-        t0 = self.sim.now
-        yield self.sim.timeout(costs.hash_lookup)
         status, value, item = yield from self.manager.counter_op(
             request.key, request.delta, request.direction,
             initial=request.initial, expiration=request.expiration)
@@ -736,13 +738,11 @@ class MemcachedServer:
 
     # -- GAT -----------------------------------------------------------------
 
-    def _handle_gat(self, request: GatRequest, endpoint: Endpoint):
+    def _handle_gat(self, request: GatRequest, endpoint: Endpoint, t0: float):
         """gat: a GET that also refreshes the item's deadline. A past
         deadline serves the value one last time, then removes the item."""
         costs = self.config.costs
         stages: Dict[str, float] = {}
-        t0 = self.sim.now
-        yield self.sim.timeout(costs.hash_lookup)
         item = self.manager.lookup(request.key)
         if item is not None:
             yield from self.manager.load_value(item)
@@ -766,27 +766,26 @@ class MemcachedServer:
 
     # -- FLUSH ---------------------------------------------------------------
 
-    def _handle_flush(self, request: FlushRequest, endpoint: Endpoint):
+    def _handle_flush(self, request: FlushRequest, endpoint: Endpoint, _parsed: float):
         """flush_all: stamp the invalidation epoch; reclaim stays lazy."""
-        yield self.sim.timeout(self.config.costs.hash_lookup)
         self.manager.flush_all(request.delay)
         self.stats.flushes += 1
         yield from self._respond(endpoint, request, OK, 0, {})
 
     # -- STATS ---------------------------------------------------------------
 
-    def _handle_stats(self, request: StatsRequest, endpoint: Endpoint):
-        """memcached's ``stats``: ship a counter snapshot to the client."""
-        yield self.sim.timeout(self.config.costs.response_prep)
-        if not (self.alive and self.reachable):
-            return
-        snapshot = self.stats_snapshot()
-        response = Response(req_id=request.req_id, op="stats", status="OK",
-                            stats_payload=snapshot, sent_at=self.sim.now,
-                            server_name=self.name)
-        # ~100 bytes per counter line, like the text protocol.
-        endpoint.send(response, response.header_bytes + 100 * len(snapshot),
-                      one_sided=True)
+    def _handle_stats(self, request: StatsRequest, endpoint: Endpoint, _parsed: float):
+        """memcached's ``stats``: ship a counter snapshot. Its one stage
+        rode the pickup timer, so the worker's ``yield from`` gets ()."""
+        if self.alive and self.reachable:
+            snapshot = self.stats_snapshot()
+            response = Response(req_id=request.req_id, op="stats", status="OK",
+                                stats_payload=snapshot, sent_at=self.sim.now,
+                                server_name=self.name)
+            # ~100 bytes per counter line, like the text protocol.
+            endpoint.send(response, response.header_bytes + 100 * len(snapshot),
+                          one_sided=True)
+        return ()
 
     def stats_snapshot(self) -> Dict[str, float]:
         """The counters the ``stats`` command reports."""

@@ -3,8 +3,8 @@
 Hot-path design (see docs/performance.md): the engine keeps **two**
 pending-event structures —
 
-* a binary heap (``heapq``) of ``(time, tiebreak, event)`` entries for
-  events scheduled at a *future* time, and
+* a binary heap (``heapq``) of ``(time, posted, tiebreak, event)``
+  entries for events scheduled at a *future* time, and
 * a plain FIFO deque (the **same-time fast lane**) for events scheduled
   at the *current* time — ``Event.succeed``/``fail``, ``Initialize``,
   store/resource dispatch — which dominate real workloads.
@@ -15,8 +15,13 @@ sequence: a heap entry due at time *t* was always posted at a sim time
 strictly before *t* (``_post`` routes anything that would land at the
 current instant into the lane), so it precedes every lane entry at *t*
 in global post order; ``step``/``peek``/``run`` therefore drain due
-heap entries first, then the lane in FIFO order. Nothing in the process
-environment changes the engine.
+heap entries first, then the lane in FIFO order. ``posted`` is the
+clock at the push, so it rises with the tie-break and changes no order
+— except for a timer that stands for several back-to-back sleeps
+(``Timeout.at(..., posted=)``): it passes the instant its last sleep
+would have started, and sorts among same-instant timers as if it had
+been posted there. Nothing in the process environment changes the
+engine.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[tuple[float, float, int, Event]] = []
         self._lane: deque[Event] = deque()
         self._counter = count()
         self._active_process: Optional[Process] = None
@@ -124,7 +129,7 @@ class Simulator:
         if when == self._now:
             self._lane.append(event)
         else:
-            _heappush(self._queue, (when, next(self._counter), event))
+            _heappush(self._queue, (when, self._now, next(self._counter), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` if none)."""
@@ -139,11 +144,11 @@ class Simulator:
             # Heap entries already due were posted at an earlier sim time
             # (strictly lower global tie-break): they run first.
             if queue and queue[0][0] <= self._now:
-                event = _heappop(queue)[2]
+                event = _heappop(queue)[3]
             else:
                 event = self._lane.popleft()
         elif queue:
-            when, _, event = _heappop(queue)
+            when, _, _, event = _heappop(queue)
             self._now = when
         else:
             raise SimulationError("step() on an empty schedule")
@@ -190,11 +195,11 @@ class Simulator:
                 while stop.callbacks is not None:  # i.e. not stop.processed
                     if lane:
                         if queue and queue[0][0] <= now:
-                            event = _heappop(queue)[2]
+                            event = _heappop(queue)[3]
                         else:
                             event = lane_pop()
                     elif queue:
-                        when, _, event = _heappop(queue)
+                        when, _, _, event = _heappop(queue)
                         now = self._now = when
                     else:
                         raise SimulationError(
@@ -240,7 +245,7 @@ class Simulator:
                 # deadline, since the clock never passes it).
                 if lane:
                     if queue and queue[0][0] <= now:
-                        event = _heappop(queue)[2]
+                        event = _heappop(queue)[3]
                     else:
                         event = lane_pop()
                 elif queue:
@@ -254,7 +259,7 @@ class Simulator:
                         _heappush(queue, item)
                         break
                     now = self._now = when
-                    event = item[2]
+                    event = item[3]
                 else:
                     break
                 processed += 1

@@ -26,8 +26,9 @@ surfaces from ``Simulator.run``.
 **A hand-off inside one simulated instant is a call.** Where one
 component passes work to the next with no delay between them
 (``Mailbox.put`` to a parked getter, a response to the request's
-waiter), ``_hand_off`` runs the waiter on the spot instead of queueing
-it, and ``Mailbox.get`` on a buffered item returns a processed event.
+waiter, a SET value to its parked server worker), ``_hand_off`` runs
+the waiter on the spot instead of queueing it, and ``Mailbox.get`` on a
+buffered item returns a processed event.
 
 This module is the innermost loop of every simulation: ``succeed``,
 ``_process``, and ``Process._resume`` run once (or more) per event, so
@@ -178,17 +179,28 @@ class Timeout(Event):
         if when == now:
             sim._lane.append(self)
         else:
-            heappush(sim._queue, (when, next(sim._counter), self))
+            heappush(sim._queue, (when, now, next(sim._counter), self))
 
     @classmethod
-    def at(cls, sim, when: float, value: Any = None) -> "Timeout":
+    def at(cls, sim, when: float, value: Any = None, *,
+           posted: Optional[float] = None) -> "Timeout":
         """A timeout due at the absolute instant ``when``: back-to-back
         sleeps folded into one timer keep their exact due time if the
         caller sums it the way the sleeps would have
-        (``(now + a) + b``, which ``now + (a + b)`` is not)."""
+        (``(now + a) + b``, which ``now + (a + b)`` is not).
+
+        ``posted`` is the instant the last folded sleep would have
+        started (default: now). Timers due at one instant run in
+        ``(posted, post order)``, so the folded timer keeps the place
+        among them that its last sleep's timer would have had."""
         now = sim._now
         if when < now:
             raise SimulationError(f"timeout due at {when!r}, before now")
+        if posted is None:
+            posted = now
+        elif not now <= posted <= when:
+            raise SimulationError(f"timeout posted at {posted!r}, outside"
+                                  f" [{now!r}, {when!r}]")
         self = cls.__new__(cls)
         self.sim = sim
         self.callbacks = []
@@ -199,7 +211,7 @@ class Timeout(Event):
         if when == now:
             sim._lane.append(self)
         else:
-            heappush(sim._queue, (when, next(sim._counter), self))
+            heappush(sim._queue, (when, posted, next(sim._counter), self))
         return self
 
 

@@ -5,7 +5,12 @@ timeout and manual event they post is watched against a reference
 model: the clock never goes back, each event runs at the instant it was
 due, and events due at one instant run in the order they were posted
 (``(time, post-order)``, whether an event waited in the heap or was
-posted into the same-time lane). The fault-injected crash scenario's
+posted into the same-time lane). A folded timer — two back-to-back
+sleeps as one ``Timeout.at(..., posted=)``, posted where the second
+sleep would have started — runs among the events due at its instant as
+if it had been posted there: the order is ``(time, posted, post-order)``,
+with ``posted`` the clock at the post for every other event, so those
+keep ``(time, post-order)`` exactly. The fault-injected crash scenario's
 Chrome trace is compared with a pinned digest.
 """
 
@@ -15,7 +20,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AllOf, AnyOf, Mailbox, Simulator, Store
+from repro.sim import AllOf, AnyOf, Mailbox, Simulator, Store, Timeout
 from tests.golden import load
 
 # Delays chosen to exercise both queues: zero (lane), sub-microsecond
@@ -24,6 +29,8 @@ DELAYS = [0.0, 1e-6, 1.5e-6, 2e-6, 1e-3]
 
 action = st.one_of(
     st.tuples(st.just("timeout"), st.sampled_from(range(len(DELAYS)))),
+    st.tuples(st.just("fold"), st.sampled_from(range(len(DELAYS))),
+              st.sampled_from(range(len(DELAYS)))),
     st.tuples(st.just("put"), st.sampled_from([0, 1]), st.integers(0, 99)),
     st.tuples(st.just("get"), st.sampled_from([0, 1])),
     st.tuples(st.just("mput"), st.integers(0, 99)),
@@ -42,21 +49,29 @@ programs = st.lists(
 
 def _execute(program):
     """Run ``program``; return its trace, the watched events as
-    ``(due, post index, ran at)`` in the order they ran, and how many
-    were posted."""
+    ``(due, posted, post index, folded, ran at)`` in the order they
+    ran, and how many were posted."""
     sim = Simulator()
     stores = [Store(sim, capacity=2), Store(sim)]
     mailbox = Mailbox(sim)
     trace, ran, posted = [], [], []
 
-    def watch(ev, due):
+    def watch(ev, due, folded_at=None):
         post = len(posted)
         posted.append(post)
-        ev.callbacks.append(lambda _ev: ran.append((due, post, sim.now)))
+        key = (due, sim.now if folded_at is None else folded_at, post,
+               folded_at is not None)
+        ev.callbacks.append(lambda _ev: ran.append(key + (sim.now,)))
         return ev
 
     def timeout(d):
         return watch(sim.timeout(DELAYS[d]), sim.now + DELAYS[d])
+
+    def folded(a, b):
+        # Sleep DELAYS[a] then DELAYS[b], as one timer.
+        second = sim.now + DELAYS[a]
+        due = second + DELAYS[b]
+        return watch(Timeout.at(sim, due, posted=second), due, second)
 
     def child(pid, delays):
         for i, d in enumerate(delays):
@@ -76,6 +91,9 @@ def _execute(program):
             if kind == "timeout":
                 yield timeout(act[1])
                 trace.append((sim.now, pid, "timeout", i))
+            elif kind == "fold":
+                yield folded(act[1], act[2])
+                trace.append((sim.now, pid, "fold", i))
             elif kind == "put":
                 yield stores[act[1]].put(act[2])
                 trace.append((sim.now, pid, "put", act[2]))
@@ -124,11 +142,14 @@ def test_events_run_in_time_then_post_order(program):
     trace, ran, posted = run
     times = [t for t, *_ in trace]
     assert times == sorted(times), "the clock went back"
-    assert all(due == at for due, _post, at in ran), "ran off its instant"
-    # Every posted event ran once, in (due time, post order).
-    order = [(due, post) for due, post, _at in ran]
-    assert sorted(post for _due, post in order) == list(range(posted))
+    assert all(due == ran_at for due, *_, ran_at in ran), "ran off its instant"
+    # Every posted event ran once, in (due time, posted, post order) ...
+    order = [(due, when_posted, post) for due, when_posted, post, *_ in ran]
+    assert sorted(post for *_, post in order) == list(range(posted))
     assert order == sorted(order)
+    # ... so the events posted without ``posted=`` keep (time, post order).
+    plain = [(due, post) for due, _, post, folded, _ in ran if not folded]
+    assert plain == sorted(plain)
     assert _execute(program) == run
 
 
