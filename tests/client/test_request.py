@@ -88,6 +88,60 @@ def test_retry_keeps_the_first_message_and_tolerates_a_fired_event():
     assert safe.processed and req._wire_msg is first
 
 
+def _iset_with_ack(read_early):
+    """One ``iset`` on an early-ack server; ``buffer_safe`` is read right
+    after the call returns (``read_early``) or after ``wait``. Returns
+    the BufferAck's message, the instant ``buffer_safe`` triggered
+    (None: it was already processed when read) and the request."""
+    from unittest import mock
+
+    from repro import build_cluster, profiles
+    from repro.net.fabric import NIC
+    from repro.server.protocol import BufferAck
+    from repro.units import KB as _KB, MB as _MB
+
+    acks = []
+    transmit = NIC.transmit
+
+    def spy(nic, dst, nbytes, payload=None, *args, **kwargs):
+        msg = transmit(nic, dst, nbytes, payload, *args, **kwargs)
+        if isinstance(getattr(payload, "payload", None), BufferAck):
+            acks.append(msg)
+        return msg
+
+    cluster = build_cluster(profiles.H_RDMA_OPT_NONB_I,
+                            server_mem=8 * _MB, ssd_limit=16 * _MB)
+    client, sim = cluster.clients[0], cluster.sim
+    out = {}
+
+    def app():
+        req = yield from client.iset(b"k", 4 * _KB)
+        if read_early:
+            safe = req.buffer_safe
+            assert not safe.triggered  # the ack has not even been sent
+            yield safe
+            out["safe_at"] = sim.now
+        yield from client.wait(req)
+        if not read_early:
+            assert req.buffer_safe.processed
+        out["req"] = req
+
+    with mock.patch.object(NIC, "transmit", spy):
+        sim.run(until=sim.spawn(app()))
+    (ack,) = acks
+    return ack, out.get("safe_at"), out["req"]
+
+
+def test_iset_buffer_safe_read_after_completion_is_already_processed():
+    ack, safe_at, req = _iset_with_ack(read_early=False)
+    assert safe_at is None and ack.delivered_at <= req.t_complete
+
+
+def test_iset_buffer_safe_read_before_the_ack_triggers_when_it_lands():
+    ack, safe_at, req = _iset_with_ack(read_early=True)
+    assert safe_at == ack.delivered_at < req.t_complete
+
+
 def test_latency_and_overlap():
     _, req = make_req()
     req.t_issue = 1.0

@@ -11,18 +11,20 @@ And the whole report must hash to its pinned digest — profiling may
 not observe scheduling artifacts.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from repro.core.cluster import ClusterSpec, ReplicationConfig
-from repro.core.profiles import FATCACHE, H_RDMA_OPT_NONB_I, RDMA_MEM
+from repro.core.profiles import FATCACHE, H_RDMA_OPT_NONB_I, IPOIB_MEM, RDMA_MEM
 from repro.core.topology import TopologyConfig
 from repro.faults import FaultPlan
 from repro.harness.runner import RunConfig
+from repro.net.params import FDR_IPOIB
 from repro.obs.profile import attribute, build_tree
-from repro.units import KB, MB
+from repro.units import KB, MB, US
 from repro.workloads.generator import WorkloadSpec
 from tests.golden import load
 
@@ -106,6 +108,25 @@ def test_set_path_profile_matches_pin(case, profile):
     result = RunConfig(profile=profile, workload=spec,
                        cluster=cluster_spec).run()
     assert profile_digest(result.profile) == load("traces")["digests"][case]
+
+
+def test_ipoib_mget_profile_matches_pin():
+    """Every request of a read-heavy IPoIB run, profiled, with reads
+    batched into mgets of eight. The client's kernel receive costs three
+    times the server's send here, so the responses of one batch queue on
+    their socket behind each other: the pin covers the receive clock's
+    busy branch as well as its idle one."""
+    spec = WorkloadSpec(num_ops=80, num_keys=256, value_length=4 * KB,
+                        read_fraction=0.9, distribution="zipf", seed=29)
+    cluster_spec = ClusterSpec(
+        topology=TopologyConfig(initial_servers=2), num_clients=3,
+        server_mem=2 * MB, worker_threads=2,
+        ipoib_params=dataclasses.replace(FDR_IPOIB, cpu_recv=12 * US),
+        profile=True)
+    result = RunConfig(profile=IPOIB_MEM, workload=spec, mget_batch=8,
+                       cluster=cluster_spec).run()
+    pin = load("traces")["digests"]["ipoib-mget/causal-profile"]
+    assert profile_digest(result.profile) == pin
 
 
 def test_trace_window_matches_recorded_latency():
