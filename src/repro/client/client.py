@@ -9,8 +9,9 @@ Architecture (paper Figure 3):
   buffer-reuse events.
 * The **response path** matches server responses (and RDMA-written
   GET values) back to outstanding ``memcached_req`` handles and raises
-  their completion flags: the connection endpoint's receiver on RDMA, a
-  pump process per connection on IPoIB (which pays receive CPU).
+  their completion flags: the connection endpoint's receiver, called as
+  each response is delivered on RDMA and once the socket's kernel
+  receive CPU is spent on IPoIB. No connection keeps a process.
 * ``iset``/``iget`` return as soon as the request is queued on the
   engine; ``bset`` returns when the value has left the user buffer;
   ``bget`` returns when the request header is on the wire; ``wait``/
@@ -250,6 +251,9 @@ class MemcachedClient:
         self._m_replica_reads = reg.counter("client_replica_reads", **labels)
         self._m_replica_writes = reg.counter("replica_propagations", **labels)
         self._op_spans: Dict[int, object] = {}
+        #: Every one-sided connection's poller: one bound method shared by
+        #: all of them, not one per connection.
+        self._poller = self._on_buffer_ack
 
     # -- wiring ------------------------------------------------------------
 
@@ -1054,7 +1058,7 @@ class MemcachedClient:
         """Give up on ``req``: complete it with status ``SERVER_DOWN``
         (``count=False``: a replica copy or a broadcast, not a user op).
 
-        Any late response is dropped by the pump (the request is no
+        Any late response is dropped by the receiver (the request is no
         longer outstanding)."""
         self._outstanding.pop(req.req_id, None)
         req.status = SERVER_DOWN
@@ -1287,8 +1291,8 @@ class MemcachedClient:
                 self._profile_msg(req, msg_v)
             # Existing runtime: no buffered-ack arrives; the buffer is
             # reusable once the value has left the client NIC.
-            # Optimized runtime: the server's BufferAck (Section V-B1)
-            # marks the buffer safe via the response pump.
+            # Optimized runtime: the buffer is safe once the server's
+            # BufferAck (Section V-B1) lands (see _on_buffer_ack).
             return None if conn.early_ack else msg_v
         else:
             # Stream transport — and every replica propagation: header
@@ -1352,35 +1356,30 @@ class MemcachedClient:
     # -- response path ----------------------------------------------------------------
 
     def _listen(self, conn: ServerConn) -> None:
-        """Start taking ``conn``'s responses: as the endpoint's receiver
-        on a one-sided connection (no receive CPU, so each is handled as
-        it is delivered), through a process on a stream connection (a
-        serial kernel receive per message)."""
+        """Start taking ``conn``'s responses, each with a call and no
+        process: as the endpoint's receiver on a one-sided connection (no
+        receive CPU, so each is handled as it is delivered, and the
+        server's BufferAcks are polled writes), behind the socket's
+        kernel receive on a stream connection (serial CPU per message,
+        a clock the transport keeps)."""
+        receiver = partial(self._on_response, conn)
+        endpoint = conn.endpoint
         if conn.one_sided:
-            conn.endpoint.receiver = partial(self._on_response, conn)
+            endpoint.receiver = receiver
+            endpoint.poller = self._poller
         else:
-            self.sim.spawn(self._pump(conn),
-                           name=f"{self.name}-pump{conn.index}")
+            endpoint.listen(receiver)
 
-    def _pump(self, conn: ServerConn):
-        timeout = self.sim.timeout
-        recv = conn.endpoint.recv
-        while True:
-            delivery = yield recv()
-            if delivery.recv_cpu:
-                yield timeout(delivery.recv_cpu)
-            self._on_response(conn, delivery)
+    def _on_buffer_ack(self, ack: BufferAck, msg) -> None:
+        """The server sent a BufferAck: the request's buffers are free
+        once it lands, which costs a timer only if someone waits."""
+        req = self._outstanding.get(ack.req_id)
+        if req is not None:
+            req.ack_point(msg)
 
     def _on_response(self, conn: ServerConn, delivery) -> None:
-        payload = delivery.payload
-        outstanding = self._outstanding
-        if type(payload) is BufferAck:
-            pending = outstanding.get(payload.req_id)
-            if pending is not None:
-                pending.mark_buffer_safe()
-            return
-        response: Response = payload
-        req = outstanding.pop(response.req_id, None)
+        response: Response = delivery.payload
+        req = self._outstanding.pop(response.req_id, None)
         if req is None:
             # Late response for an op already declared SERVER_DOWN,
             # or the duplicate answer of a retried request.

@@ -68,7 +68,7 @@ class MemcachedReq:
 
     __slots__ = (
         "req_id", "op", "key", "value_length", "api",
-        "complete", "_buffer_safe", "_wire_msg", "_safe",
+        "complete", "_buffer_safe", "_wire_msg", "_ack_msg", "_safe",
         "status", "response", "cas_token",
         "t_issue", "t_api_return", "t_complete",
         "blocked_time", "stages", "server_index", "trace_id",
@@ -89,10 +89,12 @@ class MemcachedReq:
         #: Triggers when the operation's completion reaches the client.
         self.complete: Event = Event(sim)
         # Buffer-reuse state behind the lazy ``buffer_safe`` event: the
-        # message whose going on the wire frees the buffers, and whether
-        # they were declared free some other way (BufferAck, give-up).
+        # message whose going on the wire frees the buffers, the
+        # server's BufferAck whose landing does, and whether they were
+        # declared free some other way (a give-up).
         self._buffer_safe: Optional[Event] = None
         self._wire_msg = None
+        self._ack_msg = None
         self._safe = False
         self.status: Optional[str] = None
         self.response: Optional[Response] = None
@@ -147,17 +149,21 @@ class MemcachedReq:
         Only ``bset``/``bget`` (and callers that ask) ever look, so the
         event is created on first access: already processed if the
         reuse point has passed, armed on the request message's
-        ``on_wire`` if that message is in flight, otherwise armed by
-        :meth:`reuse_point` when the engine sends it. An operation
-        nobody asks costs neither this event nor the message's.
+        ``on_wire`` or the BufferAck's ``delivered`` if that message is
+        in flight, otherwise armed by :meth:`reuse_point` /
+        :meth:`ack_point` when it is sent. An operation nobody asks
+        costs neither this event nor the message's.
         """
         ev = self._buffer_safe
         if ev is None:
             ev = self._buffer_safe = Event(self.complete.sim)
             if self._safe:
                 ev.succeed()
-            elif self._wire_msg is not None:
-                self._arm(self._wire_msg)
+            else:
+                if self._wire_msg is not None:
+                    self._arm(self._wire_msg.on_wire)
+                if self._ack_msg is not None and not ev.triggered:
+                    self._arm(self._ack_msg.delivered)
         return ev
 
     def reuse_point(self, msg) -> None:
@@ -170,16 +176,27 @@ class MemcachedReq:
             self._wire_msg = msg
         ev = self._buffer_safe
         if ev is not None and not ev.triggered:
-            self._arm(msg)
+            self._arm(msg.on_wire)
 
-    def _arm(self, msg) -> None:
-        on_wire = msg.on_wire
-        if on_wire.processed:
+    def ack_point(self, msg) -> None:
+        """The server sent its BufferAck ``msg``, a write the client
+        polls for: once it lands this operation's buffers are free. A
+        retry may draw an ack from a second server; the one that lands
+        first counts."""
+        ack = self._ack_msg
+        if ack is None or msg.delivered_at < ack.delivered_at:
+            self._ack_msg = msg
+        ev = self._buffer_safe
+        if ev is not None and not ev.triggered:
+            self._arm(msg.delivered)
+
+    def _arm(self, milestone: Event) -> None:
+        if milestone.processed:
             self.mark_buffer_safe()
         else:
-            on_wire.callbacks.append(self.mark_buffer_safe)
+            milestone.callbacks.append(self.mark_buffer_safe)
 
-    def mark_buffer_safe(self, _on_wire: Optional[Event] = None) -> None:
+    def mark_buffer_safe(self, _milestone: Optional[Event] = None) -> None:
         """The buffers are free now. Idempotent: a BufferAck, a give-up
         (SERVER_DOWN) and each attempt's ``on_wire`` may all report it."""
         ev = self._buffer_safe

@@ -138,8 +138,8 @@ class RaftNode:
         obs.gauge("raft_term", fn=lambda: float(self.term),
                   node=str(index))
         self.sim.spawn(self._ticker(), name=f"raft-tick-{index}")
-        for peer, ep in endpoints.items():
-            self.sim.spawn(self._pump(ep), name=f"raft-rx-{index}-{peer}")
+        for ep in endpoints.values():
+            ep.receiver = self._receive
 
     # -- liveness (piggybacks on the colocated data server) ----------------
 
@@ -157,11 +157,10 @@ class RaftNode:
         for peer in self.endpoints:
             self._send(peer, msg, nbytes)
 
-    def _pump(self, ep):
-        while True:
-            delivery = yield ep.recv()
-            if not self.live():
-                continue  # crashed/partitioned node drops everything
+    def _receive(self, delivery) -> None:
+        """Every peer endpoint's receiver: a message is handled as it
+        is delivered."""
+        if self.live():  # a crashed/partitioned node drops everything
             self._dispatch(delivery.payload)
 
     # -- timers ------------------------------------------------------------

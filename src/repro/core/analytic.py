@@ -63,7 +63,7 @@ def predict_set_latency(value_length: int, key_length: int,
     t += value_length / costs.memcpy_bandwidth
     t += costs.slab_alloc_cpu + costs.lru_update + costs.response_prep
     # Response: small status message; one-sided on RDMA (no client CPU),
-    # a stream message on IPoIB (client pump pays kernel receive).
+    # a stream message on IPoIB (the client socket's kernel receive).
     t += _tx(net, RESPONSE_HEADER_BYTES) + net.latency
     if not p.rdma:
         t += net.cpu_recv

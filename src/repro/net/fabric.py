@@ -25,6 +25,19 @@ message costs the engine is the timer that delivers it. The events
 before the instant (already processed from the instant on). Frames that
 arrive in the same instant are handled in the order they were handed to
 their NICs.
+
+The same rule holds on the receive side. A stream socket whose consumer
+pays the kernel receive (``rx``: serial CPU per socket, known at
+submit) keeps the instant that receive falls idle, and the message's one
+timer is due when its receive ends,
+
+    rx_start  = max(delivered_at, rx.rx_free_at)
+    taken_at  = rx_start + recv_cpu
+
+posted at ``rx_start``, where a receive loop would have started that
+sleep. A *polled* message (a one-sided write the destination reads when
+it wants to) costs no event at all: its arrival exists only as the
+``delivered`` milestone, made for whoever asks.
 """
 
 from __future__ import annotations
@@ -143,13 +156,19 @@ class NIC:
         return len(pending)
 
     def transmit(self, dst: "NIC", nbytes: int, payload: Any = None,
-                 one_sided: bool = False, recv_cpu: float = 0.0) -> Message:
+                 one_sided: bool = False, recv_cpu: float = 0.0,
+                 rx: Any = None, polled: bool = False) -> Message:
         """Start an asynchronous transfer; returns the in-flight Message.
 
         The pipe is FIFO and a message's busy time is known here, so
         its whole schedule is too. The sums are grouped the way
         back-to-back sleeps would add them up, ``(start + busy) +
         latency``, which ``start + (busy + latency)`` is not.
+
+        ``rx`` is the destination socket when its consumer pays the
+        kernel receive (an object with a float ``rx_free_at``): the
+        message is handed over once that receive ends. ``polled``
+        schedules nothing (see the module docs).
         """
         sim = self.sim
         now = sim._now
@@ -161,7 +180,15 @@ class NIC:
         delivered_at = wire_at + self._latency
         msg = Message(self, dst, nbytes, payload, one_sided, recv_cpu,
                       wire_at, delivered_at)
-        Timeout.at(sim, delivered_at, msg).callbacks.append(self._delivered)
+        if rx is not None:
+            rx_start = rx.rx_free_at
+            if rx_start < delivered_at:
+                rx_start = delivered_at
+            taken_at = rx.rx_free_at = rx_start + recv_cpu
+            Timeout.at(sim, taken_at, msg, posted=rx_start).callbacks.append(
+                self._delivered)
+        elif not polled:
+            Timeout.at(sim, delivered_at, msg).callbacks.append(self._delivered)
         self.bytes_sent += nbytes
         self.messages_sent += 1
         if self._metrics_on:

@@ -5,6 +5,15 @@ message crosses the kernel stack on both ends (``cpu_send``/``cpu_recv``
 from :data:`repro.net.params.FDR_IPOIB`), is segmented at the IPoIB MTU,
 and sees roughly a third of the native link bandwidth. There are no
 one-sided operations.
+
+A socket whose consumer pays the kernel receive (:meth:`IPoIBEndpoint
+.listen`) keeps it as a clock: the receive is serial CPU per socket and
+its time is known when the peer sends, so each frame is handed over
+``cpu_recv`` after it arrived and the frame before it was received (see
+:mod:`repro.net.fabric`). The clock advances in send order, so a stream
+socket never reorders: frames reach the receiver in the order they were
+sent, even when a later one arrives first (a ``link_degrade`` restored
+mid-batch shortens the latency of what is sent after it).
 """
 
 from __future__ import annotations
@@ -50,6 +59,11 @@ class IPoIBEndpoint:
         self.nic = nic
         #: See :attr:`repro.net.transport.Endpoint.receiver`.
         self.receiver: Optional[Callable[[Delivery], None]] = None
+        #: The instant this socket's kernel receive falls idle, once
+        #: :meth:`listen` made the receiver pay it; None while the
+        #: consumer charges ``Delivery.recv_cpu`` itself (a server
+        #: worker's pickup) or reads through :meth:`recv`.
+        self.rx_free_at: Optional[float] = None
         self._inbox: Optional[Mailbox] = None
         self.peer: "IPoIBEndpoint" = None  # type: ignore[assignment]
 
@@ -66,13 +80,22 @@ class IPoIBEndpoint:
             inbox = self._inbox = Mailbox(self.sim)
         return inbox
 
+    def listen(self, receiver: Callable[[Delivery], None]) -> None:
+        """Install ``receiver`` behind the socket's kernel receive: it is
+        called with each frame once that frame's ``cpu_recv`` is spent,
+        in send order, where a receive loop would take it."""
+        self.receiver = receiver
+        self.rx_free_at = 0.0
+
     def send(self, payload: Any, nbytes: int, one_sided: bool = False) -> Message:
         """Stream ``nbytes`` to the peer. ``one_sided`` silently degrades
         to a stream send: TCP always involves the remote CPU (that is the
         point of this model)."""
-        frame = _StreamFrame(dst=self.peer, payload=payload)
-        return self.nic.transmit(self.peer.nic, nbytes, payload=frame,
-                                 recv_cpu=self.peer.params.cpu_recv)
+        peer = self.peer
+        frame = _StreamFrame(dst=peer, payload=payload)
+        return self.nic.transmit(
+            peer.nic, nbytes, payload=frame, recv_cpu=peer.params.cpu_recv,
+            rx=None if peer.rx_free_at is None else peer)
 
     def recv(self):
         """Event producing the next :class:`Delivery`."""

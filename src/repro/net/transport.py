@@ -12,9 +12,12 @@ two concrete transports differ in:
 whose ``on_wire`` event is the *buffer-reuse* point the paper's
 ``bset``/``bget`` APIs wait on, and whose ``delivered`` event marks
 arrival at the peer. The message knows both instants from the moment it
-is sent (``wire_at`` / ``delivered_at``); ``delivered`` is the one event
-it costs — the frame is handed to the peer's receiver when it pops — and
-``on_wire`` is a timer created only for a caller that asks.
+is sent (``wire_at`` / ``delivered_at``); its delivery is the one event
+it costs — the frame is handed to the peer's receiver when it pops (on
+a stream socket that pays its kernel receive, once that receive ends) —
+and ``on_wire`` is a timer created only for a caller that asks. A
+polled write (:meth:`RdmaEndpoint.write_polled`) costs no event: the
+peer reads its ``delivered`` milestone when it polls.
 
 The verbs-level :class:`~repro.net.rdma.QueuePair` API remains available
 for applications that want raw RDMA; these endpoints charge exactly the
@@ -43,6 +46,11 @@ class Endpoint:
     #: inbox: what a consumer that would only loop on ``recv()`` installs
     #: instead of a process. ``None`` buffers into :attr:`inbox`.
     receiver: Optional[Callable[[Delivery], None]] = None
+    #: Called with the payload and in-flight :class:`Message` of each
+    #: polled write the peer sends (:meth:`RdmaEndpoint.write_polled`),
+    #: at the instant it is sent, in place of its delivery. ``None``:
+    #: polled writes arrive as frames like any other.
+    poller: Optional[Callable[[Any, Message], None]] = None
     _inbox: Optional[Mailbox] = None
 
     def send(self, payload: Any, nbytes: int, one_sided: bool = False) -> Message:
@@ -108,6 +116,23 @@ class RdmaEndpoint(Endpoint):
         return self.nic.transmit(self.peer.nic, nbytes, payload=frame,
                                  one_sided=one_sided,
                                  recv_cpu=0.0 if one_sided else self.peer.params.cpu_recv)
+
+    def write_polled(self, payload: Any, nbytes: int) -> Message:
+        """A one-sided write the peer polls for instead of being woken
+        by (a flag in its memory): the pipe time and counters of any
+        write, but no event at its arrival. The peer's :attr:`poller`
+        is handed the in-flight message now and reads its ``delivered``
+        milestone if and when it cares; a peer without a poller gets
+        the write as a frame."""
+        peer = self.peer
+        poller = peer.poller
+        if poller is None:
+            return self.send(payload, nbytes, one_sided=True)
+        frame = _RdmaEpFrame(dst=peer, payload=payload, one_sided=True)
+        msg = self.nic.transmit(peer.nic, nbytes, payload=frame,
+                                one_sided=True, polled=True)
+        poller(payload, msg)
+        return msg
 
     @property
     def supports_one_sided(self) -> bool:

@@ -87,8 +87,8 @@ class RequestProfiler:
             tr.spans.append((stage, t0, t1))
 
     def open_stage(self, trace_id: int, stage: str) -> None:
-        """Begin a span whose end lives in another process (rx pump ->
-        worker): the close side pops the newest matching open (LIFO, so a
+        """Begin a span whose end lives in another process (the
+        connection's receiver -> worker): the close side pops the newest matching open (LIFO, so a
         retried request's stale open cannot shadow the fresh one)."""
         tr = self._live.get(trace_id)
         if tr is not None:

@@ -33,7 +33,7 @@ STAGES = (
     "credit",         # receive-buffer credit rendezvous (RDMA SET values)
     "nic",            # tx queue wait + serialization (either direction)
     "wire",           # link latency (either direction)
-    "server_queue",   # rx pump enqueue -> worker dequeue
+    "server_queue",   # receiver enqueue -> worker dequeue
     "server_cpu",     # recv/parse/response-prep CPU on the server
     "index",          # hash lookup, LRU update, slab-allocator CPU
     "ram",            # memcpy staging / buffer-served value copies

@@ -561,12 +561,13 @@ class MemcachedServer:
             # Optimized runtime: the receive buffer is free *now*; the
             # client engine's next value transfer can proceed while we do
             # the expensive slab work below. Notify the client that its
-            # buffers are reusable (what bset blocks on — Section V-B1).
+            # buffers are reusable (what bset blocks on — Section V-B1):
+            # an RDMA write the client polls for, so it wakes nobody.
             self._release_credit(credit)
             credit = None
             if self.reachable:
                 ack = BufferAck(req_id=request.req_id)
-                endpoint.send(ack, ack.header_bytes, one_sided=True)
+                endpoint.write_polled(ack, ack.header_bytes)
             yield sim.timeout(costs.slab_alloc_cpu)
         if ptid is not None:
             prof.record(ptid, px + "index", t0, sim._now)

@@ -1,9 +1,12 @@
 """Tests for the batched multi-get (memcached_mget)."""
 
+from unittest import mock
+
 import pytest
 
 from repro import build_cluster, profiles
 from repro.core.topology import TopologyConfig
+from repro.net.params import FDR_IPOIB
 from repro.server.protocol import HIT, MISS
 from repro.units import KB, MB
 
@@ -124,3 +127,54 @@ def test_mget_records_ops_once():
 
     run_app(cluster, app)
     assert [r.api for r in client.records] == ["set", "mget"]
+
+
+def test_ipoib_mget_responses_keep_send_order_across_a_link_restore():
+    """A stream socket never reorders. The server's link is degraded
+    50x and restored while it is sending one mget batch's responses:
+    those sent before the restore take 50x the latency, those sent
+    after it arrive first. The client still takes them in send order,
+    each one socket receive after the one before it."""
+    from repro.faults import LINK_DEGRADE, FaultEvent, FaultPlan
+    from repro.net.ipoib import IPoIBEndpoint
+    from repro.server.protocol import Response
+
+    keys = [b"k%d" % i for i in range(12)]
+    sent = []
+    send = IPoIBEndpoint.send
+
+    def spy(endpoint, payload, nbytes, one_sided=False):
+        msg = send(endpoint, payload, nbytes, one_sided)
+        if isinstance(payload, Response):
+            sent.append((endpoint.sim.now, msg))
+        return msg
+
+    def run(restore):
+        sent.clear()
+        cluster = small_cluster(profiles.IPOIB_MEM)
+        cluster.servers[0].preload((key, 4 * KB) for key in keys)
+        if restore is not None:
+            FaultPlan([FaultEvent(kind=LINK_DEGRADE, server=0, at=0.0,
+                                  duration=restore, factor=50.0)]
+                      ).inject(cluster)
+
+        def app(sim):
+            return (yield from cluster.clients[0].mget(keys))
+
+        with mock.patch.object(IPoIBEndpoint, "send", spy):
+            return run_app(cluster, app), list(sent)
+
+    # The server sends its responses at the same instants either way
+    # (the request travels on the client's link): restore mid-batch.
+    _, healthy = run(None)
+    restore = (healthy[5][0] + healthy[6][0]) / 2
+    reqs, degraded = run(restore)
+    delivered = [msg.delivered_at for _, msg in degraded]
+    assert min(delivered[6:]) < max(delivered[:6])  # arrival order differs
+    cpu_recv = FDR_IPOIB.cpu_recv
+    taken, previous = [], 0.0
+    for _, msg in degraded:
+        previous = max(msg.delivered_at, previous) + cpu_recv
+        taken.append(previous)
+    assert [r.t_complete for r in reqs] == taken  # send order
+    assert all(r.status == HIT for r in reqs)

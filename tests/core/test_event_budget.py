@@ -32,8 +32,9 @@ import re
 import pytest
 
 from repro import build_cluster, profiles
-from repro.core.cluster import ClusterSpec
+from repro.core.cluster import ClusterSpec, ReplicationConfig
 from repro.core.topology import TopologyConfig
+from repro.net.fabric import NIC
 from repro.sim.events import Event, Process
 from repro.units import KB, MB
 
@@ -100,21 +101,31 @@ def _stats(c):
 #: PR 29 took the timer of each handler's first CPU stage (it rides the
 #: worker's pickup timer), the slab-allocation timer of a SET whose
 #: copy and allocation are back to back, and the lane hop of a SET
-#: value reaching its parked worker.
+#: value reaching its parked worker. Next the IPoIB client's kernel
+#: receive became a clock (the response's one timer ends it: 8/8/10 ->
+#: 7/7/8 on FATCACHE) and the BufferAck a polled write (no event unless
+#: someone waits on it: iset+wait 12/11/12 -> 11/10/12).
 BUDGETS = [
     ("get-hit/RDMA_MEM", profiles.RDMA_MEM, _get, 7, 7, 8),
     ("set/RDMA_MEM", profiles.RDMA_MEM, _set, 10, 9, 11),
     ("iget+wait/H_RDMA_OPT_NONB_I", profiles.H_RDMA_OPT_NONB_I, _iget_wait, 7, 7, 8),
     # Early ack: the BufferAck sits between copy and slab allocation, so
-    # only the value's lane hop goes.
-    ("iset+wait/H_RDMA_OPT_NONB_I", profiles.H_RDMA_OPT_NONB_I, _iset_wait, 12, 11, 12),
+    # the slab allocation keeps its own timer; the ack itself is polled
+    # and nobody here waits on it.
+    ("iset+wait/H_RDMA_OPT_NONB_I", profiles.H_RDMA_OPT_NONB_I, _iset_wait, 11, 10, 12),
+    ("set/H_RDMA_OPT_NONB_I", profiles.H_RDMA_OPT_NONB_I, _set, 11, 10, 12),
     # The b-variants observe the buffer-reuse point: bget waits on
     # buffer_safe, armed on the request's on_wire timer (+2 events, one
-    # a push); bset's buffer_safe is raised by the server's BufferAck (+1).
+    # a push); bset's buffer_safe is armed on the BufferAck's delivered
+    # milestone, the timer a waiter makes the polled ack cost (+2).
     ("bget/H_RDMA_OPT_NONB_B", profiles.H_RDMA_OPT_NONB_B, _bget, 9, 8, 9),
     ("bset/H_RDMA_OPT_NONB_B", profiles.H_RDMA_OPT_NONB_B, _bset, 13, 11, 13),
-    ("get-hit/FATCACHE", profiles.FATCACHE, _get, 8, 8, 10),
-    ("set/FATCACHE", profiles.FATCACHE, _set, 8, 8, 10),
+    # IPoIB: the response's one timer ends the client socket's kernel
+    # receive, and the client's receiver runs there.
+    ("get-hit/FATCACHE", profiles.FATCACHE, _get, 7, 7, 8),
+    ("set/FATCACHE", profiles.FATCACHE, _set, 7, 7, 8),
+    ("get-hit/IPOIB_MEM", profiles.IPOIB_MEM, _get, 7, 7, 8),
+    ("set/IPOIB_MEM", profiles.IPOIB_MEM, _set, 7, 7, 8),
     # The other handlers, first pinned in PR 29; at the parent each cost
     # one event, one push and one resume more: 7/7/8, 8/8/9, 8/8/9,
     # 8/8/9 and 6/6/7.
@@ -194,6 +205,10 @@ def _event_list(cluster, op):
         source = "heap" if not lane or (heap and heap[0][0] <= sim.now) else "lane"
         event = heap[0][3] if source == "heap" else lane[0]
         wakes = ", ".join(_callback_name(cb) for cb in event.callbacks)
+        if NIC._delivered in event.callbacks:
+            # Which message this delivery hands over: the frame's payload.
+            frame = event._value.payload
+            wakes += f" [{type(getattr(frame, 'payload', frame)).__name__}]"
         sim.step()
         lines.append(f"{sim.now * 1e6:12.3f} us  {source}  "
                      f"{type(event).__name__:<10} -> {wakes}")
@@ -221,21 +236,23 @@ def test_events_per_op_is_exactly_the_budget(profile, op, budget, pushes,
         assert cluster.obs.profiler.report().finished >= 30
 
 
-@pytest.mark.parametrize("profile,pumps", [(profiles.RDMA_MEM, 0),
-                                           (profiles.IPOIB_MEM, 32)],
-                         ids=["RDMA_MEM", "IPOIB_MEM"])
-def test_no_process_per_connection(spawned, profile, pumps):
+@pytest.mark.parametrize("profile,consensus", [(profiles.RDMA_MEM, False),
+                                               (profiles.IPOIB_MEM, False),
+                                               (profiles.RDMA_MEM, True)],
+                         ids=["RDMA_MEM", "IPOIB_MEM", "raft-membership"])
+def test_no_process_per_connection(spawned, profile, consensus):
     """A running 4x8 cluster (32 connections) keeps one process per
     server worker thread and one engine per client, plus any named
     daemon (expiry sweeper, writeback, automover — none is up on these
-    in-memory profiles): a connection is a receiver on its two
-    endpoints, not a process. The exception is a stream transport's
-    client side, where the kernel receive is serial CPU per connection
-    and so a process — one response pump per connection, on IPoIB
-    profiles only."""
+    in-memory profiles; one Raft ticker per node when Raft owns the
+    membership): a connection is a receiver on its two endpoints, not a
+    process. That holds on a stream transport too, whose client side
+    pays a serial kernel receive per connection (a clock, not a
+    process), and on the Raft mesh between the servers."""
+    replication = ReplicationConfig(consensus=consensus)
     cluster = build_cluster(profile, spec=ClusterSpec(
         topology=TopologyConfig(initial_servers=4), num_clients=8,
-        server_mem=32 * MB))
+        server_mem=32 * MB, replication=replication))
     sim = cluster.sim
     # Clients start their engine on first use: one operation each.
     sim.run(until=sim.all_of([sim.spawn(_set(c)) for c in cluster.clients]))
@@ -243,8 +260,8 @@ def test_no_process_per_connection(spawned, profile, pumps):
         re.sub(r"\d+", "", p.name) for p in spawned if p.is_alive)
     workers = cluster.servers[0].config.worker_threads
     expected = {"server-worker.g": 4 * workers, "client-engine": 8}
-    if pumps:
-        expected["client-pump"] = pumps
+    if consensus:
+        expected["raft-tick-"] = 4
     assert live == expected
 
 

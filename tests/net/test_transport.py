@@ -124,3 +124,48 @@ def test_same_node_endpoints_share_nic(sim_fabric):
     t1 = sim.now
     sim.run(until=m2.on_wire)
     assert sim.now >= 2 * t1 * 0.99
+
+
+def test_polled_write_wakes_nobody_and_lands_at_delivered_at(sim_fabric):
+    sim, fabric = sim_fabric
+    srv, cli = connect_rdma(sim, fabric.node("s"), fabric.node("c"))
+    polled = []
+    cli.receiver = lambda d: pytest.fail("a polled write reached the receiver")
+    cli.poller = lambda payload, msg: polled.append((sim.now, payload, msg))
+    msg = srv.write_polled("ack", 64)
+    assert polled == [(0.0, "ack", msg)]  # told at send time
+    sim.run()
+    assert sim.events_processed == 0  # nothing was scheduled
+    sim.run(until=msg.delivered)  # a waiting poller makes the one timer
+    assert sim.now == msg.delivered_at and sim.events_processed == 1
+
+
+def test_polled_write_without_a_poller_arrives_as_a_frame(sim_fabric):
+    sim, fabric = sim_fabric
+    srv, cli = connect_rdma(sim, fabric.node("s"), fabric.node("c"))
+    got = []
+
+    def client(sim):
+        got.append((yield cli.recv()))
+        got.append(sim.now)
+
+    msg = srv.write_polled("ack", 64)
+    sim.spawn(client(sim))
+    sim.run()
+    assert got[0].payload == "ack" and got[0].one_sided
+    assert got[1] == msg.delivered_at
+
+
+def test_listened_ipoib_socket_takes_frames_after_its_receive_cpu(sim_fabric):
+    sim, fabric = sim_fabric
+    srv, cli = connect_ipoib(sim, fabric.node("s"), fabric.node("c"))
+    taken = []
+    cli.listen(lambda d: taken.append((sim.now, d.payload)))
+    msgs = [srv.send(i, 1 * KB) for i in range(3)]
+    sim.run()
+    # One event per frame: its receive end. The sender's pipe spaces the
+    # frames by cpu_send + serialize, equal to cpu_recv plus a little, so
+    # each is taken one receive after it arrived.
+    assert sim.events_processed == 3
+    assert taken == [(m.delivered_at + FDR_IPOIB.cpu_recv, i)
+                     for i, m in enumerate(msgs)]

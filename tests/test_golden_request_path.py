@@ -37,26 +37,26 @@ from repro.workloads.generator import WorkloadSpec, generate_ops
 from tests.test_determinism import fingerprint
 
 GOLDEN = {
-    "all-verbs/r2-sync": ("427ec2f744137272e41cdf9c062200b6ba0919ed7cab89c4de96becbc646fa5e", 6414),
-    "autoscale-3-4/ycsb-a": ("14642b654a747e30ea571a57cf496b7706d42282e96a037d807d6df553bef9dc", 2861),
-    "fatcache/blocking": ("df054ac1b9ce9822bda4b763d3f8d6e5558583406fb05a374a87437b02ba4e11", 2832),
+    "all-verbs/r2-sync": ("427ec2f744137272e41cdf9c062200b6ba0919ed7cab89c4de96becbc646fa5e", 6261),
+    "autoscale-3-4/ycsb-a": ("14642b654a747e30ea571a57cf496b7706d42282e96a037d807d6df553bef9dc", 2718),
+    "fatcache/blocking": ("df054ac1b9ce9822bda4b763d3f8d6e5558583406fb05a374a87437b02ba4e11", 2503),
     "h-rdma-def/blocking": ("3acd781c97e07fc0b7214f6a097dc85d7608e0f382cf7e28317ea0bd1c902753", 3033),
-    "h-rdma-opt-block/blocking": ("4c99db19a05119c0717a0763ff24d9b3a762626deb61cf3d680bcccd842f5ad2", 3353),
-    "h-rdma-opt-nonb-b/blocking": ("4c99db19a05119c0717a0763ff24d9b3a762626deb61cf3d680bcccd842f5ad2", 3353),
-    "h-rdma-opt-nonb-b/nonb-b": ("026af2d7f5e9780e729f30aa5796fc00483ecb67d3d37b96d41a91035c4310e0", 3820),
-    "h-rdma-opt-nonb-b/nonb-i": ("659c403a2729e75d63fb6f7978a7f3ccae3144387687c916407cf17d48d54be4", 3380),
-    "h-rdma-opt-nonb-i/blocking": ("4c99db19a05119c0717a0763ff24d9b3a762626deb61cf3d680bcccd842f5ad2", 3353),
-    "h-rdma-opt-nonb-i/nonb-b": ("026af2d7f5e9780e729f30aa5796fc00483ecb67d3d37b96d41a91035c4310e0", 3820),
-    "h-rdma-opt-nonb-i/nonb-i": ("659c403a2729e75d63fb6f7978a7f3ccae3144387687c916407cf17d48d54be4", 3380),
-    "ipoib-mem/blocking": ("1957333b9b1e0ea27baa5e2cff26885965d309f7de13482f1f359bed367bab59", 2785),
-    "mget/h-rdma-opt-block": ("1d78b05b533678085d1ef916223d51a8a35ac4a98af5a3899cc5fc7797dfdb77", 2541),
-    "r2-async-hlc/partition-heal": ("7c8cbe7bb9e10682e1e9070098f40d45754171cb9c168732ca03881239c039da", 4233),
-    "r2-sync/crash": ("663855656b2fdbe5558f852bb54c35e63edf1cb07d5d2857c16ccdf33a5b7fe4", 4291),
-    "r2-sync/crash-restart-resync": ("5023a98c33a19509970a081429478e6d813f4edb0b29153f9b0befc6022a6de8", 4300),
-    "raft-r2-sync/leader-crash/ycsb-a": ("bc3610aa4db2ccf71f47ded2aa36ac2125cbbc6de6c18088f122f25bca29db45", 4589),
+    "h-rdma-opt-block/blocking": ("4c99db19a05119c0717a0763ff24d9b3a762626deb61cf3d680bcccd842f5ad2", 3184),
+    "h-rdma-opt-nonb-b/blocking": ("4c99db19a05119c0717a0763ff24d9b3a762626deb61cf3d680bcccd842f5ad2", 3184),
+    "h-rdma-opt-nonb-b/nonb-b": ("026af2d7f5e9780e729f30aa5796fc00483ecb67d3d37b96d41a91035c4310e0", 3794),
+    "h-rdma-opt-nonb-b/nonb-i": ("659c403a2729e75d63fb6f7978a7f3ccae3144387687c916407cf17d48d54be4", 3213),
+    "h-rdma-opt-nonb-i/blocking": ("4c99db19a05119c0717a0763ff24d9b3a762626deb61cf3d680bcccd842f5ad2", 3184),
+    "h-rdma-opt-nonb-i/nonb-b": ("026af2d7f5e9780e729f30aa5796fc00483ecb67d3d37b96d41a91035c4310e0", 3794),
+    "h-rdma-opt-nonb-i/nonb-i": ("659c403a2729e75d63fb6f7978a7f3ccae3144387687c916407cf17d48d54be4", 3213),
+    "ipoib-mem/blocking": ("1957333b9b1e0ea27baa5e2cff26885965d309f7de13482f1f359bed367bab59", 2437),
+    "mget/h-rdma-opt-block": ("1d78b05b533678085d1ef916223d51a8a35ac4a98af5a3899cc5fc7797dfdb77", 2477),
+    "r2-async-hlc/partition-heal": ("7c8cbe7bb9e10682e1e9070098f40d45754171cb9c168732ca03881239c039da", 4092),
+    "r2-sync/crash": ("663855656b2fdbe5558f852bb54c35e63edf1cb07d5d2857c16ccdf33a5b7fe4", 4150),
+    "r2-sync/crash-restart-resync": ("5023a98c33a19509970a081429478e6d813f4edb0b29153f9b0befc6022a6de8", 4159),
+    "raft-r2-sync/leader-crash/ycsb-a": ("bc3610aa4db2ccf71f47ded2aa36ac2125cbbc6de6c18088f122f25bca29db45", 4440),
     "rdma-mem/blocking": ("3379e6c46add0cc8f9484f902e23300b68014fc77423a2b6f66963ea3c162fee", 2998),
-    "scale-4-8/double-read/ycsb-a": ("01f13cbb6b590299b9fe720fbd47d02204ff521c44644501f9316714e609ce33", 2924),
-    "scale-4-8/double-read/ycsb-e": ("1ca8b52048f0a440353bb29f2b1cc76b2b018b56ac82861b38da36e9eed2ba0e", 8226),
+    "scale-4-8/double-read/ycsb-a": ("01f13cbb6b590299b9fe720fbd47d02204ff521c44644501f9316714e609ce33", 2781),
+    "scale-4-8/double-read/ycsb-e": ("1ca8b52048f0a440353bb29f2b1cc76b2b018b56ac82861b38da36e9eed2ba0e", 8209),
 }
 
 
