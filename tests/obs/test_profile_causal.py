@@ -74,10 +74,16 @@ def test_every_sampled_request_attributes_exactly():
     assert any(c.startswith("set") for c in classes)
 
 
-def profile_digest(profile) -> str:
-    return hashlib.sha256("\n".join(
-        [json.dumps(profile.to_dict(), sort_keys=True)]
-        + sorted(profile.folded_lines())).encode()).hexdigest()
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def profile_digest(profile) -> dict:
+    """The report's two halves, pinned apart: the stage attribution
+    (``to_dict``, keyed by canonical stage) and the folded stacks (keyed
+    by span name, so a renamed span moves only this half)."""
+    return {"attribution": _sha(json.dumps(profile.to_dict(), sort_keys=True)),
+            "folded": _sha("\n".join(sorted(profile.folded_lines())))}
 
 
 def test_profile_matches_pin():

@@ -23,8 +23,11 @@ def run_once(profile):
 
 
 def fingerprint(result):
+    """What each record says happened. Of Fig 2's stages only the miss
+    penalty is the record's own; the others are pinned as means in
+    ``tests/golden/stage_breakdown.json``."""
     return [(r.op, r.key_length, r.status, r.t_issue, r.t_complete,
-             r.blocked_time, tuple(sorted(r.stages.items())))
+             r.blocked_time, r.stages.get("miss_penalty"))
             for r in result.records]
 
 
@@ -37,7 +40,7 @@ def test_nonblocking_hybrid_run_is_deterministic():
     for sa, sb in zip(ca.servers, cb.servers):
         assert sa.manager.stats == sb.manager.stats
         assert len(sa.manager.table) == len(sb.manager.table)
-        assert sa.stats.stage_time == sb.stats.stage_time
+        assert sa.stats == sb.stats
 
 
 def test_blocking_inmemory_run_is_deterministic():
