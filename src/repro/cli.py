@@ -30,7 +30,7 @@ from repro.harness import figures
 from repro.harness.report import ascii_table, fmt_pct, fmt_us, obs_report
 from repro.harness.runner import RunConfig, ScaleEvent
 from repro.storage.params import NVME_SSD, SATA_SSD
-from repro.units import KB, MB, MS
+from repro.units import KB, MB, MS, US
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.traffic import TRAFFIC_SHAPES, make_traffic
 from repro.workloads.ycsb import CORE_WORKLOADS, generate_ycsb_ops
@@ -259,6 +259,9 @@ def cmd_stats(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run a workload with span tracing on; write a Chrome trace."""
+    from pathlib import Path
+
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # before the run
     spec = _workload_spec(args)
     cfg = _build(args, spec, observe=True, trace=True)
     cluster = cfg.build()
@@ -425,13 +428,19 @@ def _show_rows(rows, title) -> None:
 
 
 def _show_fig16(data, title) -> None:
+    """Latency rows of Figures 1, 2 and 6 (Figure 2: and its stages)."""
     rows = []
     for regime in ("fit", "nofit"):
         for r in data[regime]:
-            rows.append({"regime": regime, "design": r["design"],
-                         "latency": fmt_us(r["latency"]),
-                         "overlap": f"{r['overlap_pct']:.0f}%",
-                         "miss": f"{r['miss_rate']:.1%}"})
+            row = {"regime": regime, "design": r["design"],
+                   "latency": fmt_us(r["latency"]),
+                   "overlap": f"{r['overlap_pct']:.0f}%",
+                   "miss": f"{r['miss_rate']:.1%}"}
+            for stage, seconds in r.get("breakdown", {}).items():
+                row[stage] = f"{seconds / US:.1f}"
+            rows.append(row)
+    if any("breakdown" in r for r in data["fit"]):
+        title += " (stages in mean us per op)"
     print(ascii_table(rows, title=title))
 
 

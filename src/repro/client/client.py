@@ -735,7 +735,7 @@ class MemcachedClient:
             return True
         if (req.op == "get" and self.backend is not None
                 and req.status in (MISS, SERVER_DOWN)
-                and not req.stages.get("miss_penalty")):
+                and req.miss_penalty is None):
             done = self._miss_fetches.get(req.req_id)
             if done is None:
                 done = self.sim.event()
@@ -1101,11 +1101,11 @@ class MemcachedClient:
         """
         if req.status not in (MISS, SERVER_DOWN):
             return
-        if req.stages.get("miss_penalty"):
-            return  # already handled
+        if req.miss_penalty is not None:
+            return  # already fetched (a penalty of 0.0 included)
         t0 = self.sim.now
         value_length = yield from self.backend.fetch(req.key)
-        req.stages["miss_penalty"] = self.sim.now - t0
+        req.miss_penalty = self.sim.now - t0
         if account:
             self._account_block(req, self.sim.now - t0)
         if value_length > 0 and req.status == MISS:
@@ -1393,13 +1393,11 @@ class MemcachedClient:
         # attempt can still arrive, and history/consistency checks
         # need the server that actually served the op.
         req.server_index = conn.index
-        stages = response.stages
-        req.stages.update(stages)
-        # Network + delivery share of the server's response stage.
         now = self.sim._now
-        req.stages["server_response"] = (
-            stages.get("server_response", 0.0)
-            + (now - response.sent_at))
+        if req.trace_id is not None and req.api != "replica":
+            # Fig 2's server_response ends here; a replica copy shares
+            # the trace of the write it copies.
+            self._profiler.mark_response(req.trace_id)
         if response.op in ("get", "gat") and response.status == HIT:
             req.value_length = response.value_length
         elif response.op in ("incr", "decr") and \

@@ -6,8 +6,9 @@ Implements the measurement definitions of DESIGN.md §6:
 * **effective latency** for non-blocking runs: issue-to-drain span
   divided by the number of operations (how the paper's modified
   micro-benchmark reports non-blocking Set/Get latency);
-* **six-stage breakdown** (Section III-A): server-measured stages plus
-  the derived *client wait* residual and the *miss penalty*;
+* **six-stage breakdown** (Section III-A): a fold over a profiled
+  run's causal-profile spans, plus the records' *miss penalty* and the
+  derived *client wait* residual;
 * **overlap%** (Figure 7a): average share of an operation's lifetime
   during which the client was not blocked in a client API call;
 * **throughput** in operations/second across many clients (Figure 7c).
@@ -100,28 +101,44 @@ def throughput(records: Sequence[OpRecord]) -> float:
     return len(records) / span
 
 
-def stage_breakdown(records: Sequence[OpRecord]) -> Dict[str, float]:
+def stage_breakdown(records: Sequence[OpRecord],
+                    traces: Iterable[tuple]) -> Dict[str, float]:
     """Average per-op time in each of the paper's six stages (seconds).
 
-    Server-measured stages come straight from the responses. *Client
-    wait* is the residual blocking time not attributable to a server
-    stage or the miss penalty — for blocking APIs it is dominated by
-    request transmission and server queueing; for non-blocking APIs it
-    is near zero (the client was barely blocked at all).
+    A fold over a profiled run (``ClusterSpec(profile=True,
+    profile_keep_traces=True)``) whose profiler's ``traces`` hold every
+    record's ``trace_id``. Server stages sum the handlers' dotted spans
+    (``index.slab_alloc`` ...) of an op that took its response, and
+    ``server_response`` runs from the end of ``server_cpu.response`` to
+    that instant. *Client wait* is the residual blocking time not
+    attributable to those or the record's miss penalty — for blocking
+    APIs it is dominated by request transmission and server queueing;
+    for non-blocking APIs it is near zero.
     """
-    out = {k: 0.0 for k in STAGE_KEYS}
-    if not records:
-        return out
-    n = len(records)
-    for r in records:
+    out = dict.fromkeys(STAGE_KEYS, 0.0)
+    kept = {t[0]: t for t in traces}
+    for r in records:  # not the miss path's repopulating SET: no record
+        if r.trace_id not in kept:
+            raise ValueError(f"no kept trace for {r.op} issued at "
+                             f"{r.t_issue}: profile every request")
+        *_, spans, t_response = kept[r.trace_id]
+        op_stages = dict.fromkeys(STAGE_KEYS[:4], 0.0)
+        if t_response is not None:
+            sent = t_response
+            for name, t0, t1 in spans:
+                stage = name.partition(".")[2]
+                if stage in op_stages:
+                    op_stages[stage] += t1 - t0
+                elif name == "server_cpu.response" and t1 <= t_response:
+                    sent = t1  # a retried op took the last one sent
+            op_stages["server_response"] = t_response - sent
+        op_stages["miss_penalty"] = r.miss_penalty or 0.0
         attributed = 0.0
-        for k in ("slab_alloc", "cache_check_load", "cache_update",
-                  "server_response", "miss_penalty"):
-            v = r.stages.get(k, 0.0)
+        for k, v in op_stages.items():
             out[k] += v
             attributed += v
         out["client_wait"] += max(0.0, r.blocked_time - attributed)
-    return {k: v / n for k, v in out.items()}
+    return {k: v / len(records) for k, v in out.items()} if records else out
 
 
 def server_distribution(records: Sequence[OpRecord]) -> Dict[int, int]:
@@ -145,8 +162,8 @@ def miss_rate(records: Sequence[OpRecord]) -> float:
     gets = filter_records(records, op="get")
     if not gets:
         return 0.0
-    misses = sum(1 for r in gets if r.stages.get("miss_penalty", 0.0) > 0
-                 or r.status == "MISS")
+    misses = sum(1 for r in gets
+                 if r.miss_penalty is not None or r.status == "MISS")
     return misses / len(gets)
 
 
@@ -211,7 +228,7 @@ def summarize(records: Sequence[OpRecord],
         overlaps.append(max(0.0, 1.0 - b / lat) if lat > 0 else 0.0)
         if r.op == "get":
             gets += 1
-            if r.stages.get("miss_penalty", 0.0) > 0 or r.status == "MISS":
+            if r.miss_penalty is not None or r.status == "MISS":
                 misses += 1
     ordered = sorted(lats)
 

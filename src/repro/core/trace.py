@@ -2,7 +2,8 @@
 
 Experiments produce lists of :class:`~repro.client.request.OpRecord`;
 these helpers persist them for offline analysis/plotting and load them
-back. The CSV flattens the six-stage breakdown into ``stage_*`` columns.
+back. ``miss_penalty`` is empty (CSV) or null (JSON) when nothing was
+fetched from the backend.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from pathlib import Path
 from typing import Iterable, List, Sequence, Union
 
 from repro.client.request import OpRecord
-from repro.core.metrics import STAGE_KEYS
 
 #: Every stored OpRecord field (audited against the dataclass: the
-#: constructor takes exactly these plus ``stages``).
+#: constructor takes exactly these plus the run-local ``trace_id``).
 _BASE_FIELDS = ("op", "api", "key_length", "value_length", "status",
-                "t_issue", "t_complete", "blocked_time", "server_index")
+                "t_issue", "t_complete", "blocked_time", "server_index",
+                "miss_penalty")
 
 #: Computed properties written for offline analysis; ``_from_dict``
 #: ignores them (they reconstruct exactly from the base fields).
@@ -26,27 +27,19 @@ _DERIVED_FIELDS = ("latency", "overlap_fraction")
 
 
 def to_dicts(records: Iterable[OpRecord]) -> List[dict]:
-    """Flatten records (stages become ``stage_<name>`` keys)."""
-    out = []
-    for r in records:
-        d = {f: getattr(r, f) for f in _BASE_FIELDS}
-        for f in _DERIVED_FIELDS:
-            d[f] = getattr(r, f)
-        for stage in STAGE_KEYS:
-            d[f"stage_{stage}"] = r.stages.get(stage, 0.0)
-        out.append(d)
-    return out
+    """Flatten records into one dict each."""
+    return [{f: getattr(r, f) for f in _BASE_FIELDS + _DERIVED_FIELDS}
+            for r in records]
 
 
 def _from_dict(d: dict) -> OpRecord:
-    stages = {stage: float(d.get(f"stage_{stage}", 0.0) or 0.0)
-              for stage in STAGE_KEYS}
-    stages = {k: v for k, v in stages.items() if v}
+    penalty = d.get("miss_penalty")
     return OpRecord(
         op=d["op"], api=d["api"], key_length=int(d["key_length"]),
         value_length=int(d["value_length"]), status=d["status"],
         t_issue=float(d["t_issue"]), t_complete=float(d["t_complete"]),
-        blocked_time=float(d["blocked_time"]), stages=stages,
+        blocked_time=float(d["blocked_time"]),
+        miss_penalty=None if penalty in (None, "") else float(penalty),
         server_index=int(d["server_index"]))
 
 
@@ -54,10 +47,8 @@ def write_csv(records: Sequence[OpRecord],
               path: Union[str, Path]) -> Path:
     """Dump records as CSV; returns the path written."""
     path = Path(path)
-    fields = (list(_BASE_FIELDS) + list(_DERIVED_FIELDS)
-              + [f"stage_{s}" for s in STAGE_KEYS])
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=_BASE_FIELDS + _DERIVED_FIELDS)
         writer.writeheader()
         writer.writerows(to_dicts(records))
     return path

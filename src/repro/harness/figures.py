@@ -88,8 +88,10 @@ def latency_experiment(profile: DesignProfile, fit: bool, *, scale: int = 16,
                        read_fraction: float = 0.5,
                        device: DeviceParams = SATA_SSD,
                        api: Optional[str] = None,
-                       seed: int = 1) -> Dict[str, object]:
-    """One cell of Figures 1/2/6: a single client against one server."""
+                       seed: int = 1,
+                       breakdown: bool = False) -> Dict[str, object]:
+    """One cell of Figures 1/2/6: a single client against one server.
+    ``breakdown`` profiles the run and adds Fig 2's stages."""
     spec = _spec_for(fit, scale, ops, value, read_fraction, seed)
     cfg = RunConfig(
         profile=profile, workload=spec, api=api,
@@ -99,13 +101,13 @@ def latency_experiment(profile: DesignProfile, fit: bool, *, scale: int = 16,
             ssd_limit=BASE_SSD_LIMIT // scale,
             device=device,
             pagecache=_scaled_pagecache(scale),
+            profile=breakdown, profile_keep_traces=breakdown,
         ))
     result = cfg.run()
-    breakdown = metrics.stage_breakdown(result.records)
     effective = metrics.effective_latency(result.records)
     mean = metrics.mean_latency(result.records)
     used_api = api or profile.api
-    return {
+    row = {
         "design": profile.label,
         "api": used_api,
         "fit": fit,
@@ -113,11 +115,14 @@ def latency_experiment(profile: DesignProfile, fit: bool, *, scale: int = 16,
         "latency": effective if used_api != BLOCKING else mean,
         "mean_latency": mean,
         "effective_latency": effective,
-        "breakdown": breakdown,
         "miss_rate": metrics.miss_rate(result.records),
         "overlap_pct": metrics.overlap_percent(result.records),
         "ops": len(result.records),
     }
+    if breakdown:
+        row["breakdown"] = metrics.stage_breakdown(
+            result.records, result.obs.profiler.traces)
+    return row
 
 
 # -- Table I -------------------------------------------------------------------
@@ -131,23 +136,23 @@ def table1() -> List[Dict[str, object]]:
 # -- Figures 1 and 2 (baselines; Fig 2 adds the stage breakdown) -----------------
 
 
-def fig1(scale: int = 16, ops: int = 1500) -> Dict[str, List[Dict[str, object]]]:
+def fig1(scale: int = 16, ops: int = 1500,
+         breakdown: bool = False) -> Dict[str, List[Dict[str, object]]]:
     """Overall Set/Get latency of the three existing designs."""
     out: Dict[str, List[Dict[str, object]]] = {"fit": [], "nofit": []}
     for profile in BASELINES:
-        out["fit"].append(latency_experiment(profile, fit=True,
-                                             scale=scale, ops=ops))
-        out["nofit"].append(latency_experiment(profile, fit=False,
-                                               scale=scale, ops=ops))
+        for regime, fit in (("fit", True), ("nofit", False)):
+            out[regime].append(latency_experiment(
+                profile, fit=fit, scale=scale, ops=ops, breakdown=breakdown))
     return out
 
 
 def fig2(scale: int = 16, ops: int = 1500) -> Dict[str, List[Dict[str, object]]]:
     """Six-stage time-wise breakdown for the three existing designs.
 
-    Same runs as Figure 1; the interesting payload is ``breakdown``.
+    Figure 1's runs, profiled; the interesting payload is ``breakdown``.
     """
-    return fig1(scale=scale, ops=ops)
+    return fig1(scale=scale, ops=ops, breakdown=True)
 
 
 # -- Figure 4 (I/O schemes) -------------------------------------------------------

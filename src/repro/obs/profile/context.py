@@ -31,7 +31,7 @@ from repro.obs.profile.report import ProfileReport
 class _Trace:
     """Live state for one in-flight sampled request."""
 
-    __slots__ = ("op", "api", "t_issue", "spans", "open")
+    __slots__ = ("op", "api", "t_issue", "spans", "open", "t_response")
 
     def __init__(self, op: str, api: str, t_issue: float):
         self.op = op
@@ -40,6 +40,8 @@ class _Trace:
         self.spans: List[Span] = []
         #: LIFO of cross-process stage opens: (stage, t0).
         self.open: List[Tuple[str, float]] = []
+        #: When the client took the response (None: none arrived).
+        self.t_response: Optional[float] = None
 
 
 class RequestProfiler:
@@ -57,8 +59,8 @@ class RequestProfiler:
         self._live: Dict[int, _Trace] = {}
         self._report = ProfileReport()
         self._report.sample_every = self.sample_every
-        #: retained (trace_id, class, t_issue, t_done, spans) tuples when
-        #: ``keep_traces`` — for tests and deep-dive tooling only.
+        #: retained (trace_id, class, t_issue, t_done, spans, t_response)
+        #: tuples when ``keep_traces`` — tests, tooling, Fig 2's fold.
         self.traces: List[tuple] = []
 
     # -- lifecycle -----------------------------------------------------------
@@ -106,6 +108,13 @@ class RequestProfiler:
                     tr.spans.append((stage, t0, now))
                 return
 
+    def mark_response(self, trace_id: int) -> None:
+        """The client took the response now: no span (it attributes
+        nothing), but Fig 2's ``server_response`` ends here."""
+        tr = self._live.get(trace_id)
+        if tr is not None:
+            tr.t_response = self.clock()
+
     def finish(self, trace_id: int, result) -> None:
         """Complete a trace: attribute latency and fold into the report.
 
@@ -138,7 +147,7 @@ class RequestProfiler:
         self._report.finished += 1
         if self.keep_traces:
             self.traces.append((trace_id, cls, tr.t_issue, now,
-                                tuple(tr.spans)))
+                                tuple(tr.spans), tr.t_response))
 
     def discard(self, trace_id: int) -> None:
         """Drop a live trace without aggregating (errored request)."""
@@ -198,6 +207,9 @@ class _NullProfiler:
         pass
 
     def close_stage(self, trace_id, stage) -> None:
+        pass
+
+    def mark_response(self, trace_id) -> None:
         pass
 
     def finish(self, trace_id, result) -> None:

@@ -7,7 +7,7 @@ match responses (and RDMA-written values) back to requests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 #: Bytes of a request header on the wire (opcode, key length, metadata).
@@ -229,12 +229,6 @@ class Response:
     cas_token: int = 0
     #: Result of incr/decr arithmetic (0 when not applicable).
     counter_value: int = 0
-    #: Per-stage server time for this operation (seconds), keyed by the
-    #: six-stage breakdown names of Section III-A.
-    stages: Dict[str, float] = field(default_factory=dict)
-    #: Simulation time at which the server handed the response to its NIC.
-    sent_at: float = 0.0
-    server_name: str = ""
 
     @property
     def header_bytes(self) -> int:

@@ -16,9 +16,9 @@ selected by :class:`ServerConfig`:
 
 A worker sleeps one timer per uninterrupted run of CPU stages (Fig 2):
 its pickup timer covers receive, parse and the handler's first stage.
-Stage times are measured here and shipped back in each
-:class:`~repro.server.protocol.Response` so the client side can assemble
-the six-stage breakdown of Section III-A.
+A profiled request records one causal-profile span per stage; Fig 2's
+server stages are its dotted spans (``index.slab_alloc`` ...), folded
+by :func:`repro.core.metrics.stage_breakdown`.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class ServerConfig:
 
 @dataclass
 class ServerStats:
-    """Operation counters and per-stage time accumulators."""
+    """Operation counters and worker busy time."""
 
     sets: int = 0
     gets: int = 0
@@ -141,19 +141,7 @@ class ServerStats:
     flushes: int = 0
     #: Replica-propagation writes applied (not user-visible SETs).
     replica_applies: int = 0
-    stage_time: Dict[str, float] = field(default_factory=dict)
     busy_time: float = 0.0
-
-    def add_stage(self, name: str, dt: float) -> None:
-        self.stage_time[name] = self.stage_time.get(name, 0.0) + dt
-
-    def add_stages(self, stages: Dict[str, float]) -> None:
-        """Accumulate a whole per-op stage dict in one call (the per-op
-        handlers sit on the hot path; one frame beats one per stage)."""
-        stage_time = self.stage_time
-        get = stage_time.get
-        for name, dt in stages.items():
-            stage_time[name] = get(name, 0.0) + dt
 
 
 class MemcachedServer:
@@ -532,7 +520,6 @@ class MemcachedServer:
     def _handle_set(self, request: SetRequest, endpoint: Endpoint, t_copy: float):
         sim = self.sim
         costs = self.config.costs
-        stages: Dict[str, float] = {}
         prof = self.obs.profiler
         ptid = request.trace_id if prof.enabled else None
         px = "replica." if request.replica else ""
@@ -570,24 +557,22 @@ class MemcachedServer:
                 endpoint.write_polled(ack, ack.header_bytes)
             yield sim.timeout(costs.slab_alloc_cpu)
         if ptid is not None:
-            prof.record(ptid, px + "index", t0, sim._now)
+            prof.record(ptid, px + "index.slab_alloc", t0, sim._now)
         t_store = sim._now
         item, info = yield from self.manager.store(
             request.key, request.value_length, request.flags,
             request.expiration, mode=request.mode,
             cas_token=request.cas_token, hlc=request.hlc)
-        stages["slab_alloc"] = sim._now - t0
         if ptid is not None:
             # Store time beyond the alloc CPU is flush/eviction I/O wait.
-            prof.record(ptid, px + "ssd", t_store, sim._now)
+            prof.record(ptid, px + "ssd.slab_alloc", t_store, sim._now)
         if self.handoff is not None and info.status == STORED:
             self._note_write(request.key)
 
         t0 = sim._now
         yield sim.timeout(costs.lru_update)
-        stages["cache_update"] = sim._now - t0
         if ptid is not None:
-            prof.record(ptid, px + "index", t0, sim._now)
+            prof.record(ptid, px + "index.cache_update", t0, sim._now)
 
         self._release_credit(credit)
         if request.replica:
@@ -600,19 +585,17 @@ class MemcachedServer:
             self.stats.sets += 1
             if self._metrics_on:
                 self._m_sets.inc()
-        self.stats.add_stages(stages)
-        yield from self._respond(endpoint, request, info.status, 0, stages,
+        yield from self._respond(endpoint, request, info.status, 0,
                                  cas_token=item.cas if item else 0)
 
     # -- GET ------------------------------------------------------------------
 
     def _handle_get(self, request: GetRequest, endpoint: Endpoint, t0: float):
         sim = self.sim
-        stages: Dict[str, float] = {}
         prof = self.obs.profiler
         ptid = request.trace_id if prof.enabled else None
         if ptid is not None:
-            prof.record(ptid, "index", t0, sim._now)
+            prof.record(ptid, "index.cache_check_load", t0, sim._now)
         item = self.manager.lookup(request.key)
         if item is not None:
             t_load = sim._now
@@ -621,9 +604,8 @@ class MemcachedServer:
             if ptid is not None:
                 # A RAM hit serves at memcpy speed; the SSD path's device
                 # time is nested under this span as ``ssd.io``.
-                prof.record(ptid, "ssd" if was_ssd else "ram",
-                            t_load, sim._now)
-        stages["cache_check_load"] = sim._now - t0
+                prof.record(ptid, ("ssd" if was_ssd else "ram")
+                            + ".cache_check_load", t_load, sim._now)
 
         self.stats.gets += 1
         if self._metrics_on:
@@ -632,23 +614,20 @@ class MemcachedServer:
             self.stats.get_misses += 1
             if self._metrics_on:
                 self._m_misses.inc()
-            self.stats.add_stages(stages)
-            yield from self._respond(endpoint, request, MISS, 0, stages)
+            yield from self._respond(endpoint, request, MISS, 0)
             return
 
         t0 = sim._now
         yield sim.timeout(self.config.costs.lru_update)
         self.manager.touch(item)
-        stages["cache_update"] = sim._now - t0
         if ptid is not None:
-            prof.record(ptid, "index", t0, sim._now)
+            prof.record(ptid, "index.cache_update", t0, sim._now)
 
         self.stats.get_hits += 1
         if self._metrics_on:
             self._m_hits.inc()
-        self.stats.add_stages(stages)
         yield from self._respond(endpoint, request, HIT, item.value_length,
-                                 stages, cas_token=item.cas)
+                                 cas_token=item.cas)
 
     # -- MGET -----------------------------------------------------------------
 
@@ -683,7 +662,7 @@ class MemcachedServer:
             self.stats.deletes += 1
             self._m_deletes.inc()
         yield from self._respond(endpoint, request,
-                                 DELETED if found else NOT_FOUND, 0, {})
+                                 DELETED if found else NOT_FOUND, 0)
 
     # -- TOUCH ---------------------------------------------------------------
 
@@ -692,7 +671,7 @@ class MemcachedServer:
         costs = self.config.costs
         item = self.manager.lookup(request.key)
         if item is None:
-            yield from self._respond(endpoint, request, NOT_FOUND, 0, {})
+            yield from self._respond(endpoint, request, NOT_FOUND, 0)
             return
         # A past deadline removes the item *now* (memcached semantics);
         # blindly assigning it would leave a dead item holding its slab
@@ -704,18 +683,16 @@ class MemcachedServer:
             # Deadline changed (or a past deadline removed the item):
             # either way the migrated copy must reflect it.
             self._note_write(request.key)
-        yield from self._respond(endpoint, request, TOUCHED, 0, {})
+        yield from self._respond(endpoint, request, TOUCHED, 0)
 
     # -- INCR / DECR ---------------------------------------------------------
 
-    def _handle_counter(self, request: CounterRequest, endpoint: Endpoint, t0: float):
+    def _handle_counter(self, request: CounterRequest, endpoint: Endpoint, _parsed: float):
         """incr/decr: in-place arithmetic, optional auto-create."""
         costs = self.config.costs
-        stages: Dict[str, float] = {}
         status, value, item = yield from self.manager.counter_op(
             request.key, request.delta, request.direction,
             initial=request.initial, expiration=request.expiration)
-        stages["slab_alloc"] = self.sim.now - t0
         if self.handoff is not None and status == STORED:
             self._note_write(request.key)
         cas_token = 0
@@ -723,47 +700,37 @@ class MemcachedServer:
         if status == STORED and item is not None:
             cas_token = item.cas
             value_length = item.value_length
-            t0 = self.sim.now
             yield self.sim.timeout(costs.lru_update)
             self.manager.touch(item)
-            stages["cache_update"] = self.sim.now - t0
         if request.replica:
             self.stats.replica_applies += 1
             self._m_replica_applies.inc()
         else:
             self.stats.counters += 1
-        self.stats.add_stages(stages)
         yield from self._respond(endpoint, request, status, value_length,
-                                 stages, cas_token=cas_token,
-                                 counter_value=value)
+                                 cas_token=cas_token, counter_value=value)
 
     # -- GAT -----------------------------------------------------------------
 
-    def _handle_gat(self, request: GatRequest, endpoint: Endpoint, t0: float):
+    def _handle_gat(self, request: GatRequest, endpoint: Endpoint, _parsed: float):
         """gat: a GET that also refreshes the item's deadline. A past
         deadline serves the value one last time, then removes the item."""
         costs = self.config.costs
-        stages: Dict[str, float] = {}
         item = self.manager.lookup(request.key)
         if item is not None:
             yield from self.manager.load_value(item)
-        stages["cache_check_load"] = self.sim.now - t0
         self.stats.gats += 1
         if item is None:
-            self.stats.add_stages(stages)
-            yield from self._respond(endpoint, request, MISS, 0, stages)
+            yield from self._respond(endpoint, request, MISS, 0)
             return
         value_length, cas_token = item.value_length, item.cas
         if self.manager.set_expiration(item, request.expiration):
-            t0 = self.sim.now
             yield self.sim.timeout(costs.lru_update)
             self.manager.touch(item)
-            stages["cache_update"] = self.sim.now - t0
         if self.handoff is not None:
             self._note_write(request.key)
-        self.stats.add_stages(stages)
         yield from self._respond(endpoint, request, HIT, value_length,
-                                 stages, cas_token=cas_token)
+                                 cas_token=cas_token)
 
     # -- FLUSH ---------------------------------------------------------------
 
@@ -771,7 +738,7 @@ class MemcachedServer:
         """flush_all: stamp the invalidation epoch; reclaim stays lazy."""
         self.manager.flush_all(request.delay)
         self.stats.flushes += 1
-        yield from self._respond(endpoint, request, OK, 0, {})
+        yield from self._respond(endpoint, request, OK, 0)
 
     # -- STATS ---------------------------------------------------------------
 
@@ -781,8 +748,7 @@ class MemcachedServer:
         if self.alive and self.reachable:
             snapshot = self.stats_snapshot()
             response = Response(req_id=request.req_id, op="stats", status="OK",
-                                stats_payload=snapshot, sent_at=self.sim.now,
-                                server_name=self.name)
+                                stats_payload=snapshot)
             # ~100 bytes per counter line, like the text protocol.
             endpoint.send(response, response.header_bytes + 100 * len(snapshot),
                           one_sided=True)
@@ -832,8 +798,8 @@ class MemcachedServer:
     # -- response ----------------------------------------------------------------
 
     def _respond(self, endpoint: Endpoint, request: Request, status: str,
-                 value_length: int, stages: Dict[str, float],
-                 cas_token: int = 0, counter_value: int = 0):
+                 value_length: int, cas_token: int = 0,
+                 counter_value: int = 0):
         if not self.alive:
             return  # crashed mid-request: the response never forms
         sim = self.sim
@@ -841,20 +807,14 @@ class MemcachedServer:
         ptid = request.trace_id if prof.enabled else None
         px = ("replica." if getattr(request, "replica", False) else "")
         t_prep = sim._now
-        response_prep = self.config.costs.response_prep
-        yield sim.timeout(response_prep)
+        yield sim.timeout(self.config.costs.response_prep)
         if ptid is not None:
-            prof.record(ptid, px + "server_cpu", t_prep, sim._now)
+            prof.record(ptid, px + "server_cpu.response", t_prep, sim._now)
         if not (self.alive and self.reachable):
             return  # died or partitioned during prep: response dropped
-        # The handler's ``stages`` dict is handed over as-is: every
-        # caller is done mutating it by this point, and it dies with the
-        # response on the client side (no copy on the per-op path).
         response = Response(req_id=request.req_id, op=request.op,
                             status=status, value_length=value_length,
-                            stages=stages, sent_at=sim._now,
-                            server_name=self.name, cas_token=cas_token,
-                            counter_value=counter_value)
+                            cas_token=cas_token, counter_value=counter_value)
         nbytes = RESPONSE_HEADER_BYTES + value_length
         # GET responses carry the value via an RDMA write into the
         # client's buffer (one-sided); on IPoIB this degrades to a stream
@@ -862,7 +822,6 @@ class MemcachedServer:
         msg = endpoint.send(response, nbytes, one_sided=True)
         if ptid is not None:
             profile_message(prof, ptid, prof.clock, msg, px)
-        self.stats.add_stage("server_response", response_prep)
 
     # -- experiment setup ------------------------------------------------------
 

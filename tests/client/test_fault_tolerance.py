@@ -135,7 +135,7 @@ class TestTestMissPath:
                 yield sim.timeout(10 * US)
             assert polls > 0
             assert req.status == MISS
-            assert req.stages["miss_penalty"] > 0
+            assert req.miss_penalty > 0
             # The op reached the records (it used to be dropped).
             assert any(r.status == MISS for r in client.records)
             # And the cache was repopulated.
@@ -158,11 +158,35 @@ class TestTestMissPath:
             assert not done  # not consumable until the fetch lands
             r = yield from client.wait(req)  # joins the same fetch
             assert r.done and r.status == MISS
-            assert r.stages["miss_penalty"] > 0
+            assert r.miss_penalty > 0
             yield from client.quiesce()
             assert client.test(req)
 
         run_app(cluster, app)
+
+    @pytest.mark.parametrize("penalty", [0.0, 2 * MS])
+    def test_wait_after_a_polled_miss_fetches_once(self, penalty):
+        """Regression: "already fetched" used to be "the miss penalty is
+        truthy", so with a free backend a wait() after test() returned
+        True fetched and repopulated the key a second time."""
+        cluster = small_cluster(profiles.H_RDMA_OPT_NONB_I,
+                                backend_penalty=penalty)
+        cluster.backend.default_value_length = 4 * KB
+        client = cluster.clients[0]
+        server = cluster.servers[0]
+
+        def app(sim):
+            req = yield from client.iget(b"absent")
+            while not client.test(req):
+                yield sim.timeout(10 * US)
+            yield from client.wait(req)
+            assert req.miss_penalty == penalty
+            yield from client.quiesce()
+
+        run_app(cluster, app)
+        assert cluster.backend.fetches == 1
+        assert server.stats.sets == 1  # one repopulating SET
+        assert [r.miss_penalty for r in client.records] == [penalty]
 
     def test_retry_queued_behind_the_answer_keeps_its_header(self):
         """A retry still waiting for the engine when the first attempt

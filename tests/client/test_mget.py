@@ -60,7 +60,7 @@ def test_mget_miss_pays_backend_penalty():
 
     def app(sim):
         reqs = yield from client.mget([b"absent"])
-        assert reqs[0].stages["miss_penalty"] == pytest.approx(2 * MS)
+        assert reqs[0].miss_penalty == pytest.approx(2 * MS)
         again = yield from client.get(b"absent")
         assert again.status == HIT  # repopulated
 

@@ -176,17 +176,27 @@ def test_oprecord_from_req_copies_everything():
     req.status = "STORED"
     req.t_issue, req.t_complete = 0.0, 1.0
     req.blocked_time = 0.25
-    req.stages["slab_alloc"] = 0.1
+    req.miss_penalty = 0.1
     req.server_index = 3
+    req.trace_id = 5
     rec = OpRecord.from_req(req)
     assert rec.op == "set" and rec.api == "bset"
     assert rec.value_length == 2048
     assert rec.server_index == 3
-    assert rec.stages == {"slab_alloc": 0.1}
+    assert rec.miss_penalty == 0.1 and rec.trace_id == 5
     assert rec.overlap_fraction == pytest.approx(0.75)
     # Mutating the req afterwards must not affect the record.
-    req.stages["slab_alloc"] = 9.9
-    assert rec.stages["slab_alloc"] == 0.1
+    req.miss_penalty = 9.9
+    assert rec.miss_penalty == 0.1
+
+
+def test_oprecord_stages_holds_only_the_miss_penalty():
+    """The read-only view ``benchmarks/kvbench/measure.py`` reads."""
+    _, req = make_req(op="get", api="get")
+    req.status = "HIT"
+    assert OpRecord.from_req(req).stages == {}
+    req.status, req.miss_penalty = "SERVER_DOWN", 0.0
+    assert OpRecord.from_req(req).stages == {"miss_penalty": 0.0}
 
 
 # -- ReqResult: the uniform completion view ---------------------------------

@@ -6,11 +6,17 @@ from repro.client.request import OpRecord
 from repro.core import metrics
 
 
-def rec(op="get", status="HIT", t0=0.0, t1=1.0, blocked=1.0, stages=None,
-        api="get"):
+def rec(op="get", status="HIT", t0=0.0, t1=1.0, blocked=1.0,
+        miss_penalty=None, api="get", trace_id=None):
     return OpRecord(op=op, api=api, key_length=10, value_length=100,
                     status=status, t_issue=t0, t_complete=t1,
-                    blocked_time=blocked, stages=stages or {})
+                    blocked_time=blocked, miss_penalty=miss_penalty,
+                    trace_id=trace_id)
+
+
+def kept(trace_id, spans, t_response):
+    """A profiler's kept-trace tuple (class and window do not matter)."""
+    return (trace_id, "set:ram", 0.0, 1.0, tuple(spans), t_response)
 
 
 class TestLatency:
@@ -62,25 +68,67 @@ class TestThroughput:
 
 class TestBreakdown:
     def test_stage_averages(self):
-        rs = [
-            rec(stages={"slab_alloc": 0.2, "server_response": 0.1},
-                blocked=1.0),
-            rec(stages={"slab_alloc": 0.4, "server_response": 0.1},
-                blocked=1.0),
+        rs = [rec(op="set", trace_id=0, blocked=1.0),
+              rec(op="set", trace_id=1, blocked=1.0)]
+        traces = [
+            kept(0, [("index.slab_alloc", 0.1, 0.2),
+                     ("server_cpu.response", 0.2, 0.3)], 0.4),
+            # Flush I/O under the slab allocation counts toward it too.
+            kept(1, [("index.slab_alloc", 0.1, 0.2),
+                     ("ssd.slab_alloc", 0.2, 0.4),
+                     ("server_cpu.response", 0.4, 0.5)], 0.6),
         ]
-        bd = metrics.stage_breakdown(rs)
-        assert bd["slab_alloc"] == pytest.approx(0.3)
+        bd = metrics.stage_breakdown(rs, traces)
+        assert bd["slab_alloc"] == pytest.approx(0.2)
         assert bd["server_response"] == pytest.approx(0.1)
-        # residual: blocked (1.0) minus attributed (0.3 + 0.1 avg)
-        assert bd["client_wait"] == pytest.approx(0.6)
+        # residual: blocked (1.0) minus attributed (0.2 + 0.1 avg)
+        assert bd["client_wait"] == pytest.approx(0.7)
+
+    def test_get_stages_and_miss_penalty(self):
+        rs = [rec(trace_id=7, blocked=1.0, miss_penalty=0.25)]
+        traces = [kept(7, [("index.cache_check_load", 0.0, 0.1),
+                           ("ram.cache_check_load", 0.1, 0.15),
+                           ("ssd.io", 0.1, 0.15),
+                           ("index.cache_update", 0.15, 0.2),
+                           ("server_cpu.response", 0.2, 0.3)], 0.35)]
+        bd = metrics.stage_breakdown(rs, traces)
+        assert bd["cache_check_load"] == pytest.approx(0.15)
+        assert bd["cache_update"] == pytest.approx(0.05)
+        assert bd["server_response"] == pytest.approx(0.05)
+        assert bd["miss_penalty"] == 0.25
+        assert bd["client_wait"] == pytest.approx(1.0 - 0.5)
+
+    def test_replica_spans_and_unrecorded_traces_do_not_count(self):
+        rs = [rec(op="set", trace_id=0, blocked=0.0)]
+        traces = [kept(0, [("index.slab_alloc", 0.0, 0.1),
+                           ("replica.index.slab_alloc", 0.1, 0.5),
+                           ("server_cpu.response", 0.1, 0.2)], 0.2),
+                  # The miss path's repopulating SET: traced, no record.
+                  kept(1, [("index.slab_alloc", 0.0, 9.0)], 9.0)]
+        bd = metrics.stage_breakdown(rs, traces)
+        assert bd["slab_alloc"] == pytest.approx(0.1)
+        assert bd["server_response"] == 0.0
+
+    def test_no_response_means_no_server_stages(self):
+        rs = [rec(status="SERVER_DOWN", trace_id=0, blocked=1.0,
+                  miss_penalty=0.0)]
+        traces = [kept(0, [("index.cache_check_load", 0.0, 0.1)], None)]
+        bd = metrics.stage_breakdown(rs, traces)
+        assert bd["cache_check_load"] == 0.0
+        assert bd["client_wait"] == 1.0
 
     def test_all_keys_present(self):
-        bd = metrics.stage_breakdown([])
+        bd = metrics.stage_breakdown([], [])
         assert set(bd) == set(metrics.STAGE_KEYS)
 
     def test_client_wait_clamped_nonnegative(self):
-        rs = [rec(stages={"slab_alloc": 5.0}, blocked=0.1)]
-        assert metrics.stage_breakdown(rs)["client_wait"] == 0.0
+        rs = [rec(op="set", trace_id=0, blocked=0.1)]
+        traces = [kept(0, [("index.slab_alloc", 0.0, 5.0)], 5.0)]
+        assert metrics.stage_breakdown(rs, traces)["client_wait"] == 0.0
+
+    def test_an_unprofiled_record_is_an_error(self):
+        with pytest.raises(ValueError, match="profile every request"):
+            metrics.stage_breakdown([rec()], [])
 
 
 class TestMissRateAndFilters:
@@ -88,6 +136,12 @@ class TestMissRateAndFilters:
         rs = [rec(status="HIT"), rec(status="MISS"),
               rec(op="set", status="STORED", api="set")]
         assert metrics.miss_rate(rs) == pytest.approx(0.5)
+
+    def test_a_fetched_get_is_a_miss_whatever_its_penalty(self):
+        rs = [rec(status="SERVER_DOWN", miss_penalty=0.0),
+              rec(status="SERVER_DOWN"), rec(status="HIT")]
+        assert metrics.miss_rate(rs) == pytest.approx(1 / 3)
+        assert metrics.summarize(rs)["miss_rate"] == pytest.approx(1 / 3)
 
     def test_miss_rate_no_gets(self):
         assert metrics.miss_rate([rec(op="set", status="STORED")]) == 0.0
@@ -132,11 +186,11 @@ class TestSummarizeIsThePerMetricFunctions:
             op = "set" if i % 3 == 0 else "get"
             status = ("STORED" if op == "set"
                       else "MISS" if i % 11 == 0 else "HIT")
-            stages = ({"miss_penalty": 2e-3} if i % 13 == 1 else
-                      {"server_response": 1e-6})
+            penalty = (2e-3 if i % 13 == 1 else 0.0 if i % 17 == 2
+                       else None)
             rs.append(rec(op=op, status=status, t0=t0, t1=t0 + life,
                           blocked=life * ((i % 5) / 4.0) + (i % 2) * 1e-7,
-                          stages=stages, api=op))
+                          miss_penalty=penalty, api=op))
         return rs
 
     def test_mixed_records_bit_identical(self):

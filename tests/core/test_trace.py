@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.client.request import OpRecord
 from repro.core import trace
-from repro.core.metrics import STAGE_KEYS
 
 
 @pytest.fixture()
@@ -16,12 +15,13 @@ def records():
     return [
         OpRecord(op="get", api="iget", key_length=14, value_length=32768,
                  status="HIT", t_issue=0.001, t_complete=0.0012,
-                 blocked_time=0.00001,
-                 stages={"cache_check_load": 0.0001,
-                         "server_response": 0.00002}, server_index=2),
-        OpRecord(op="set", api="set", key_length=14, value_length=1024,
-                 status="STORED", t_issue=0.002, t_complete=0.0021,
-                 blocked_time=0.0001, stages={}, server_index=0),
+                 blocked_time=0.00001, server_index=2),
+        OpRecord(op="get", api="get", key_length=14, value_length=1024,
+                 status="MISS", t_issue=0.002, t_complete=0.0041,
+                 blocked_time=0.0021, miss_penalty=0.002, server_index=0),
+        OpRecord(op="get", api="get", key_length=14, value_length=0,
+                 status="SERVER_DOWN", t_issue=0.005, t_complete=0.006,
+                 blocked_time=0.001, miss_penalty=0.0, server_index=1),
     ]
 
 
@@ -37,11 +37,17 @@ def test_jsonl_roundtrip(tmp_path, records):
     assert loaded == records
 
 
-def test_to_dicts_flattens_stages(records):
-    d = trace.to_dicts(records)[0]
-    assert d["stage_cache_check_load"] == pytest.approx(0.0001)
-    assert d["stage_miss_penalty"] == 0.0
-    assert d["op"] == "get"
+def test_to_dicts_has_one_miss_penalty_column(records):
+    rows = trace.to_dicts(records)
+    assert [d["miss_penalty"] for d in rows] == [None, 0.002, 0.0]
+    assert not any(k.startswith("stage_") for k in rows[0])
+    assert rows[0]["op"] == "get"
+
+
+def test_a_zero_miss_penalty_survives_the_csv(tmp_path, records):
+    """An empty cell is "no fetch"; 0.0 is a fetch that cost nothing."""
+    loaded = trace.read_csv(trace.write_csv(records, tmp_path / "ops.csv"))
+    assert [r.miss_penalty for r in loaded] == [None, 0.002, 0.0]
 
 
 def test_csv_from_live_run(tmp_path):
@@ -87,9 +93,10 @@ def test_ascii_bars_empty():
 
 
 def test_base_fields_cover_every_stored_oprecord_field():
-    """_BASE_FIELDS must stay in sync with the OpRecord dataclass."""
+    """_BASE_FIELDS must stay in sync with the OpRecord dataclass (the
+    trace id only means something next to its run's profiler)."""
     stored = {f.name for f in dataclasses.fields(OpRecord)}
-    assert set(trace._BASE_FIELDS) | {"stages"} == stored
+    assert set(trace._BASE_FIELDS) | {"trace_id"} == stored
 
 
 def test_derived_fields_are_written_and_survive_roundtrip(tmp_path, records):
@@ -111,10 +118,8 @@ def test_derived_fields_are_written_and_survive_roundtrip(tmp_path, records):
 def op_records(draw):
     t_issue = draw(st.floats(min_value=0, max_value=10, allow_nan=False))
     dt = draw(st.floats(min_value=0, max_value=1, allow_nan=False))
-    n_stages = draw(st.integers(min_value=0, max_value=len(STAGE_KEYS)))
-    stages = {k: draw(st.floats(min_value=1e-9, max_value=1e-2,
-                                allow_nan=False))
-              for k in STAGE_KEYS[:n_stages]}
+    penalty = draw(st.none() | st.floats(min_value=0, max_value=1e-2,
+                                         allow_nan=False))
     return OpRecord(
         op=draw(st.sampled_from(["get", "set", "delete"])),
         api=draw(st.sampled_from(["get", "set", "iget", "iset", "bget",
@@ -125,7 +130,7 @@ def op_records(draw):
         t_issue=t_issue, t_complete=t_issue + dt,
         blocked_time=draw(st.floats(min_value=0, max_value=1,
                                     allow_nan=False)),
-        stages=stages,
+        miss_penalty=penalty,
         server_index=draw(st.integers(min_value=-1, max_value=31)))
 
 

@@ -99,7 +99,7 @@ class TestPartition:
             g = yield from client.get(b"key")
             # All retries black-holed: failed fast, fell back to the DB.
             assert g.status == SERVER_DOWN
-            assert g.stages["miss_penalty"] > 0
+            assert g.miss_penalty > 0
             server.heal()
             g2 = yield from client.get(b"key")
             assert g2.status == HIT  # state survived the partition

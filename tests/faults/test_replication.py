@@ -54,7 +54,7 @@ def outage_get_hit_rate(result, since=CRASH_AT):
 
 def fingerprint(result):
     return [(r.op, r.key_length, r.status, r.t_issue, r.t_complete,
-             r.blocked_time, tuple(sorted(r.stages.items())))
+             r.blocked_time, r.miss_penalty)
             for r in result.records]
 
 

@@ -36,7 +36,7 @@ def crash_run(profile, seed=5, observe=False, faults=PLAN_SPECS):
 
 def fingerprint(result):
     return [(r.op, r.key_length, r.status, r.t_issue, r.t_complete,
-             r.blocked_time, tuple(sorted(r.stages.items())))
+             r.blocked_time, r.miss_penalty)
             for r in result.records]
 
 

@@ -278,10 +278,27 @@ def test_message_still_in_flight_at_finish_does_not_stretch_the_window():
     prof.record(tid, "wire", 9e-6, 12e-6)
     t["now"] = 10e-6
     prof.finish(tid, _Result(t_complete=10e-6))
-    (_tid, _cls, t_issue, t_done, _spans), = prof.traces
-    assert (t_issue, t_done) == (0.0, 10e-6)
+    (_tid, _cls, t_issue, t_done, _spans, t_response), = prof.traces
+    assert (t_issue, t_done, t_response) == (0.0, 10e-6, None)
     sketch = prof.report().classes["get:ram"]
     assert sketch.mean_breakdown()["wire"] == pytest.approx(1e-6)
+
+
+def test_response_mark_is_kept_and_attributes_nothing():
+    """A stream socket's kernel receive follows the ``wire`` span; the
+    instant the client took the response is kept with the trace, and
+    the gap stays ``other``."""
+    prof, t = make_profiler(keep_traces=True)
+    tid = prof.maybe_start("get")
+    prof.record(tid, "wire", 2e-6, 6e-6)
+    t["now"] = 9e-6
+    prof.mark_response(tid)
+    prof.finish(tid, _Result(t_complete=9e-6))
+    (*_head, spans, t_response), = prof.traces
+    assert spans == (("wire", 2e-6, 6e-6),)
+    assert t_response == 9e-6
+    breakdown = prof.report().classes["get:ram"].mean_breakdown()
+    assert breakdown["other"] == pytest.approx(5e-6)
 
 
 def test_profiled_and_unprofiled_bursts_pop_the_same_events():

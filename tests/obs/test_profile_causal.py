@@ -56,7 +56,7 @@ def test_every_sampled_request_attributes_exactly():
     assert result.profile is not None
     assert result.profile.finished == len(records) > 0
     classes = set()
-    for trace_id, cls, t_issue, t_done, spans in records:
+    for trace_id, cls, t_issue, t_done, spans, _t_response in records:
         classes.add(cls)
         latency = t_done - t_issue
         assert latency > 0
@@ -144,7 +144,7 @@ def test_trace_window_matches_recorded_latency():
     for r in result.records:
         by_issue.setdefault(round(r.t_issue, 12), []).append(r)
     matched = 0
-    for _tid, _cls, t_issue, t_done, _spans in cluster.obs.profiler.traces:
+    for _tid, _cls, t_issue, t_done, *_ in cluster.obs.profiler.traces:
         recs = by_issue.get(round(t_issue, 12), [])
         for r in recs:
             if r.t_complete <= t_done + 1e-12:

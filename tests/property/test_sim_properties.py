@@ -110,8 +110,22 @@ def record_lists(draw):
                                  allow_nan=False))
         recs.append(OpRecord(op="get", api="get", key_length=8,
                              value_length=128, status="HIT", t_issue=t0,
-                             t_complete=t0 + dur, blocked_time=blocked))
+                             t_complete=t0 + dur, blocked_time=blocked,
+                             trace_id=i))
     return recs
+
+
+def kept_traces(recs):
+    """Each record's trace: a lookup, then the response prep, then the
+    response in flight until completion."""
+    out = []
+    for r in recs:
+        t0, dur = r.t_issue, r.latency
+        spans = (("index.cache_check_load", t0, t0 + dur / 4),
+                 ("server_cpu.response", t0 + dur / 4, t0 + dur / 2))
+        out.append((r.trace_id, "get:ram", t0, r.t_complete, spans,
+                    r.t_complete))
+    return out
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,5 +138,5 @@ def test_metric_bounds(recs):
     p50 = metrics.percentile_latency(recs, 50)
     p99 = metrics.percentile_latency(recs, 99)
     assert p50 <= p99
-    bd = metrics.stage_breakdown(recs)
+    bd = metrics.stage_breakdown(recs, kept_traces(recs))
     assert all(v >= 0 for v in bd.values())

@@ -1,7 +1,12 @@
 """Tests for the server runtime: workers, credits, early acks, stats."""
 
+from types import SimpleNamespace
+
+import pytest
+
 from repro.net.fabric import Fabric
 from repro.net.transport import connect_rdma
+from repro.obs.api import Observability
 from repro.server.protocol import (
     HIT,
     MISS,
@@ -16,22 +21,26 @@ from repro.storage.params import SATA_SSD
 from repro.units import KB, MB, US
 
 
-def make_rig(config=None):
+def make_rig(config=None, profile=False):
     sim = Simulator()
     fabric = Fabric(sim)
-    server = MemcachedServer(sim, config or ServerConfig(mem_limit=16 * MB))
+    obs = (Observability(sim, metrics=False, profile=True,
+                         profile_keep_traces=True) if profile else None)
+    server = MemcachedServer(sim, config or ServerConfig(mem_limit=16 * MB),
+                             obs=obs)
     cli_ep, srv_ep = connect_rdma(sim, fabric.node("c"), fabric.node("s"))
     server.attach(srv_ep)
     server.start()
     return sim, server, cli_ep
 
 
-def raw_set(sim, server, ep, req_id, key, nbytes):
+def raw_set(sim, server, ep, req_id, key, nbytes, trace_id=None):
     """Drive the wire protocol by hand (no client library)."""
     from repro.server.protocol import BufferAck
 
     header = SetRequest(req_id=req_id, op="set", key=key,
-                        value_length=nbytes, inline_value=False)
+                        value_length=nbytes, inline_value=False,
+                        trace_id=trace_id)
     ep.send(header, header.header_bytes)
     credit = server.credits.request()
     yield credit
@@ -43,8 +52,8 @@ def raw_set(sim, server, ep, req_id, key, nbytes):
             return d.payload
 
 
-def raw_get(sim, ep, req_id, key):
-    header = GetRequest(req_id=req_id, op="get", key=key)
+def raw_get(sim, ep, req_id, key, trace_id=None):
+    header = GetRequest(req_id=req_id, op="get", key=key, trace_id=trace_id)
     ep.send(header, header.header_bytes)
     d = yield ep.recv()
     return d.payload
@@ -77,18 +86,45 @@ def test_get_missing_key_misses():
     assert server.stats.get_misses == 1
 
 
-def test_response_carries_stage_timings():
-    sim, server, ep = make_rig()
+def fig2_spans(server, trace_id):
+    """``{span name: seconds}`` of a profiled request's Fig 2 server
+    stages (the dotted spans) once it is finished."""
+    prof = server.obs.profiler
+    prof.finish(trace_id, SimpleNamespace(t_complete=server.sim.now,
+                                          hit=True))
+    (_tid, _cls, _t0, _t1, spans, _t_response), = (
+        t for t in prof.traces if t[0] == trace_id)
     out = {}
+    for name, t0, t1 in spans:
+        if "." in name and name != "ssd.io":
+            out[name] = out.get(name, 0.0) + (t1 - t0)
+    return out
+
+
+def test_handlers_record_the_fig2_server_stages():
+    sim, server, ep = make_rig(profile=True)
+    prof = server.obs.profiler
+    tids = [prof.maybe_start("set"), prof.maybe_start("get")]
 
     def app(sim):
-        out["set"] = yield from raw_set(sim, server, ep, 1, b"k", 32 * KB)
-        out["get"] = yield from raw_get(sim, ep, 2, b"k")
+        yield from raw_set(sim, server, ep, 1, b"k", 32 * KB, tids[0])
+        yield from raw_get(sim, ep, 2, b"k", tids[1])
 
     sim.run(until=sim.spawn(app(sim)))
-    assert out["set"].stages["slab_alloc"] > 0
-    assert out["set"].stages["cache_update"] > 0
-    assert out["get"].stages["cache_check_load"] > 0
+    costs = server.config.costs
+    set_spans, get_spans = (fig2_spans(server, tid) for tid in tids)
+    assert set(set_spans) == {"index.slab_alloc", "index.cache_update",
+                              "server_cpu.response"}
+    assert set_spans["index.slab_alloc"] == pytest.approx(
+        costs.slab_alloc_cpu)
+    assert set(get_spans) == {"index.cache_check_load",
+                              "index.cache_update", "server_cpu.response"}
+    assert get_spans["index.cache_check_load"] == pytest.approx(
+        costs.hash_lookup)
+    for spans in (set_spans, get_spans):
+        assert spans["index.cache_update"] == pytest.approx(costs.lru_update)
+        assert spans["server_cpu.response"] == pytest.approx(
+            costs.response_prep)
 
 
 def test_default_design_holds_credit_until_processed():
@@ -207,7 +243,7 @@ def test_preload_counts():
     assert len(server.manager.table) == 50
 
 
-def test_stats_stage_accumulation():
+def test_stats_accumulate_busy_time():
     sim, server, ep = make_rig()
 
     def app(sim):
@@ -215,9 +251,7 @@ def test_stats_stage_accumulation():
         yield from raw_get(sim, ep, 2, b"k")
 
     sim.run(until=sim.spawn(app(sim)))
-    assert server.stats.stage_time["slab_alloc"] > 0
-    assert server.stats.stage_time["cache_check_load"] > 0
-    assert server.stats.stage_time["server_response"] > 0
+    assert server.stats.sets == 1 and server.stats.gets == 1
     assert server.stats.busy_time > 0
 
 
@@ -225,27 +259,28 @@ def test_mget_miss_accounts_the_stages_a_get_miss_does():
     from repro.server.protocol import MultiGetRequest
 
     def miss_stages(send):
-        sim, server, ep = make_rig()
+        sim, server, ep = make_rig(profile=True)
+        tid = server.obs.profiler.maybe_start("get")
 
         def app(sim):
-            send(ep)
+            send(ep, tid)
             d = yield ep.recv()
             assert d.payload.status == MISS
 
         sim.run(until=sim.spawn(app(sim)))
-        return server.stats.stage_time
+        return fig2_spans(server, tid)
 
-    def get(ep):
-        header = GetRequest(req_id=1, op="get", key=b"absent")
+    def get(ep, tid):
+        header = GetRequest(req_id=1, op="get", key=b"absent", trace_id=tid)
         ep.send(header, header.header_bytes)
 
-    def mget(ep):
+    def mget(ep, tid):
         header = MultiGetRequest(req_id=1, op="mget", key=b"absent",
-                                 entries=((1, b"absent"),))
+                                 entries=((1, b"absent"),), traces=(tid,))
         ep.send(header, header.header_bytes)
 
     via_get = miss_stages(get)
-    assert via_get["cache_check_load"] > 0
+    assert via_get["index.cache_check_load"] > 0
     assert miss_stages(mget) == via_get
 
 

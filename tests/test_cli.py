@@ -82,6 +82,29 @@ def test_reproduce_single_figure(capsys):
     assert "direct" in out
 
 
+def test_reproduce_fig2_prints_the_six_stages(capsys):
+    from repro.core.metrics import STAGE_KEYS
+
+    rc, out = run_cli(capsys, "reproduce", "--figure", "fig2",
+                      "--scale", "64", "--ops", "60")
+    assert rc == 0
+    assert "Figure 2 (stages in mean us per op)" in out
+    header = next(line for line in out.splitlines() if "design" in line)
+    assert all(stage in header for stage in STAGE_KEYS)
+    rc, out = run_cli(capsys, "reproduce", "--figure", "fig1",
+                      "--scale", "64", "--ops", "60")
+    assert rc == 0 and "slab_alloc" not in out
+
+
+def test_trace_creates_the_out_directory(capsys, tmp_path):
+    import json
+
+    out = tmp_path / "missing" / "dir" / "x.json"
+    rc, printed = run_cli(capsys, "trace", "--ops", "20", "--out", str(out))
+    assert rc == 0 and f"wrote {out}" in printed
+    assert json.loads(out.read_text())["traceEvents"]
+
+
 def test_reproduce_table1(capsys):
     rc, out = run_cli(capsys, "reproduce", "--figure", "table1")
     assert rc == 0

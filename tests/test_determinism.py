@@ -27,7 +27,7 @@ def fingerprint(result):
     penalty is the record's own; the others are pinned as means in
     ``tests/golden/stage_breakdown.json``."""
     return [(r.op, r.key_length, r.status, r.t_issue, r.t_complete,
-             r.blocked_time, r.stages.get("miss_penalty"))
+             r.blocked_time, r.miss_penalty)
             for r in result.records]
 
 

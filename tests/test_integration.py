@@ -4,6 +4,7 @@ import pytest
 
 from repro import build_cluster, profiles
 from repro.core import metrics
+from repro.core.cluster import ClusterSpec
 from repro.core.topology import TopologyConfig
 from repro.storage.params import PageCacheParams
 from repro.units import KB, MB, MS
@@ -43,7 +44,7 @@ class TestSSDExhaustion:
             outcome["dropped_items"] = srv.manager.stats.dropped_items
             # Read an early (dropped) key: miss -> backend -> repopulate.
             g = yield from client.get(b"k0")
-            outcome["first"] = g.status, g.stages.get("miss_penalty", 0.0)
+            outcome["first"] = g.status, g.miss_penalty
             g2 = yield from client.get(b"k0")
             outcome["second"] = g2.status
 
@@ -116,8 +117,9 @@ class TestMixedApiStress:
         assert all(r.blocked_time >= 0 for r in recs)
 
     def test_stage_timings_attributed_everywhere(self):
-        cluster = build_cluster(profiles.H_RDMA_OPT_BLOCK,
-                                server_mem=8 * MB, ssd_limit=32 * MB)
+        cluster = build_cluster(profiles.H_RDMA_OPT_BLOCK, ClusterSpec(
+            server_mem=8 * MB, ssd_limit=32 * MB,
+            profile=True, profile_keep_traces=True))
         client = cluster.clients[0]
 
         def app(sim):
@@ -127,7 +129,8 @@ class TestMixedApiStress:
                 yield from client.get(f"k{i}".encode())
 
         run_app(cluster, app)
-        bd = metrics.stage_breakdown(cluster.all_records())
+        bd = metrics.stage_breakdown(cluster.all_records(),
+                                     cluster.obs.profiler.traces)
         # Spill happened, so both SSD-bearing stages must be non-zero.
         assert bd["slab_alloc"] > 0
         assert bd["cache_check_load"] > 0
