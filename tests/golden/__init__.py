@@ -7,3 +7,16 @@ from pathlib import Path
 
 def load(kind: str) -> dict:
     return json.loads((Path(__file__).parent / f"{kind}.json").read_text())
+
+
+def mismatch(case: str, got: dict, rows: dict) -> str:
+    """``""`` when ``got`` (column -> value) is the row pinned for
+    ``case`` in ``rows``; otherwise each moved column, old -> new, and
+    the JSON entry to paste."""
+    want = rows.get(case, {})
+    if got == want:
+        return ""
+    moved = [f"{col} {want.get(col)} -> {value}"
+             for col, value in got.items() if value != want.get(col)]
+    return (f"{case!r} moved: {'; '.join(moved)}; new entry:\n"
+            f'  "{case}": {json.dumps(got)},')

@@ -92,7 +92,7 @@ STREAMS = {
                            generate_ops(spec, client_index=ci,
                                         stream_offset=stream_offset(seed, 0)))
        for name, w in WORKLOADS.items()},
-    # The stream benchmarks/bench_engine.py times (not generated here).
+    # The largest stream pinned: 100k ops over a two-size value mixture.
     "bench/100k-mixture": _ops(WorkloadSpec(
         num_ops=100_000, num_keys=4096, value_length=512, seed=7,
         value_sizes=((256, 0.5), (4 * KB, 0.5))), seeds=(7,)),
@@ -113,7 +113,7 @@ def test_every_pin_has_a_stream():
 
 
 @pytest.mark.parametrize("case", [c for c in STREAMS
-                                  if c.startswith(("fig", "kvbench"))])
+                                  if c.startswith(("fig", "kvbench", "bench"))])
 def test_figure_and_kvbench_streams_match_pins(case):
     assert_pinned(case)
 
