@@ -70,8 +70,9 @@ class Simulator:
         self._lane: deque[Event] = deque()
         self._counter = count()
         self._active_process: Optional[Process] = None
-        #: Total events processed (the numerator of the engine's
-        #: events/sec wall-clock throughput; see benchmarks/bench_macro).
+        #: Total events processed: the exact, machine-independent cost
+        #: of a run (kvbench's ``sim_events_per_op``; the ``events``
+        #: column of the pins in ``tests/golden/``).
         self.events_processed: int = 0
         #: Exceptions from failed events that no handler defused.
         self._unhandled: list[BaseException] = []
