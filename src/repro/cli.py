@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.core.cluster import ClusterSpec, ReplicationConfig
@@ -188,6 +189,13 @@ def _build(args, spec: WorkloadSpec, observe: bool = False,
                      cluster=cluster_spec, fault_plan=_fault_plan(args))
 
 
+def _output_file(path: Optional[str]) -> None:
+    """Create the parent directory of an output file flag's ``path``, so
+    that the flag fails (if at all) before the run rather than after it."""
+    if path:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _print_summary(title: str, result) -> None:
     s = result.summary
     print(ascii_table([{
@@ -259,9 +267,7 @@ def cmd_stats(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run a workload with span tracing on; write a Chrome trace."""
-    from pathlib import Path
-
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)  # before the run
+    _output_file(args.out)
     spec = _workload_spec(args)
     cfg = _build(args, spec, observe=True, trace=True)
     cluster = cfg.build()
@@ -282,6 +288,8 @@ def cmd_trace(args) -> int:
 def cmd_profile(args) -> int:
     """Run a workload with causal profiling; print the critical-path
     latency decomposition (per-class percentiles + stage breakdowns)."""
+    _output_file(args.json)
+    _output_file(args.folded)
     spec = _workload_spec(args)
     cfg = _build(args, spec, profile=True, profile_sample=args.sample)
     if args.ycsb:
@@ -311,13 +319,10 @@ def cmd_profile(args) -> int:
     print(report.breakdown_table(q=0.99))
     if args.json:
         import json as _json
-        from pathlib import Path
 
         Path(args.json).write_text(_json.dumps(report.to_dict(), indent=2))
         print(f"\nwrote {args.json}")
     if args.folded:
-        from pathlib import Path
-
         lines = report.folded_lines()
         Path(args.folded).write_text("\n".join(lines)
                                      + ("\n" if lines else ""))
@@ -669,11 +674,10 @@ def cmd_check_consistency(args) -> int:
     from repro.consistency import repro_line, run_scenario
 
     scn = scenario_from_args(args)
+    _output_file(args.history_out)
     print(repro_line(scn))
     report, events, _recorder = run_scenario(scn)
     if args.history_out:
-        from pathlib import Path
-
         from repro.consistency import to_jsonl
 
         Path(args.history_out).write_text(to_jsonl(events))
@@ -688,11 +692,19 @@ def cmd_fuzz(args) -> int:
     from repro.consistency import (derive, derive_elastic, derive_eventual,
                                    fuzz_seeds, to_jsonl)
 
-    if ":" in args.seeds:
-        lo, hi = args.seeds.split(":", 1)
-        seeds = list(range(int(lo), int(hi)))
-    else:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        if ":" in args.seeds:
+            lo, hi = args.seeds.split(":", 1)
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        # A sweep of nothing would report "0/0 seeds clean" and pass.
+        print(f"--seeds {args.seeds!r} names no seed (A:B with A < B, "
+              "or N,N,...)", file=sys.stderr)
+        return 2
     eventual = getattr(args, "eventual", False)
     elastic = getattr(args, "elastic", False)
     if eventual and elastic:
@@ -730,7 +742,6 @@ def cmd_fuzz(args) -> int:
     failures = [r for r in results if not r.ok]
     if args.out:
         import json as _json
-        from pathlib import Path
 
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -783,9 +794,8 @@ def cmd_export(args) -> int:
             return 2
         out = args.out
         if not out.endswith(".json"):
-            from pathlib import Path
-            Path(out).mkdir(parents=True, exist_ok=True)
             out = f"{out}/{args.figure}.json"
+        _output_file(out)
         print(f"wrote {export_figure(args.figure, out, scale=args.scale, ops=args.ops)}")
     return 0
 

@@ -74,8 +74,6 @@ class ClientConfig:
     #: False for the existing designs (IPoIB-Mem, RDMA-Mem, H-RDMA-Def):
     #: iset/iget/bset/bget raise UnsupportedOperation.
     nonblocking_allowed: bool = True
-    #: Keep per-operation records for metrics (experiments need this).
-    record_ops: bool = True
     #: "modulo" (libmemcached default) or "ketama".
     router: str = "modulo"
     #: Model RDMA memory-registration costs with a registered-buffer
@@ -89,9 +87,8 @@ class ClientConfig:
     request_timeout: Optional[float] = None
     #: Reissues after the first timeout before giving up on the op.
     max_retries: int = 2
-    #: First retry backoff; doubles (``backoff_multiplier``) per retry.
+    #: First retry backoff; doubles per retry.
     retry_backoff: float = 200 * US
-    backoff_multiplier: float = 2.0
     #: Consecutive timeouts on one connection before the server is
     #: ejected from the routing ring (0 disables ejection).
     failure_threshold: int = 2
@@ -989,8 +986,7 @@ class MemcachedClient:
                 self._fail_server_down(req)
                 return
             attempt += 1
-            backoff = (self.config.retry_backoff
-                       * self.config.backoff_multiplier ** (attempt - 1))
+            backoff = self.config.retry_backoff * 2 ** (attempt - 1)
             t0 = self.sim.now
             yield self._bounded(req.complete, backoff)
             self._account_block(req, self.sim.now - t0)
@@ -1174,7 +1170,7 @@ class MemcachedClient:
         if self.recorder is not None:
             self.recorder.on_complete(self.name, req.result(), user=record)
         self._op_end(req)
-        if record and self.config.record_ops and req.status is not None:
+        if record and req.status is not None:
             self.records.append(OpRecord.from_req(req))
         self.t_last_complete = max(self.t_last_complete, req.t_complete)
 

@@ -121,7 +121,6 @@ class ClusterSpec:
     active_expiry: bool = True
     expiry_interval: float = 0.005
     expiry_budget: int = 128
-    record_ops: bool = True
     # -- client fault tolerance (None keeps the pre-fault fast path) -------
     #: Per-request completion timeout (seconds); enables timeout/retry/
     #: ejection/failover on every client.
@@ -569,7 +568,6 @@ def build_cluster(profile: DesignProfile,
         servers.append(server)
 
     client_cfg = ClientConfig(nonblocking_allowed=profile.nonblocking,
-                              record_ops=spec.record_ops,
                               router=rep.router,
                               request_timeout=spec.request_timeout,
                               max_retries=spec.max_retries,

@@ -1,6 +1,8 @@
 """Fuzzer machinery: seed derivation, repro lines, shrinking, sweeps."""
 
+import re
 import shlex
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,24 @@ def test_ci_seeds_derive_the_ledgered_scenarios(band):
         line = repro_line(derive_fn(seed))
         assert line == ledger.get(str(seed)), f"seed {seed} now: {line}"
     assert len(ledger) == len(seeds)
+
+
+def test_the_ledger_holds_exactly_the_ci_bands():
+    """Each ``repro fuzz ... --seeds A:B`` step of the CI workflow sweeps
+    exactly the seeds its band's ledger pins."""
+    ci = (Path(__file__).resolve().parents[2] / ".github" / "workflows"
+          / "ci.yml").read_text()
+    swept = {}
+    for flags, lo, hi in re.findall(
+            r"repro fuzz((?: --[\w-]+)*) --seeds (\d+):(\d+)", ci):
+        band = ("eventual-convergence" if "--eventual" in flags else
+                "elasticity" if "--elastic" in flags else "linearizability")
+        assert band not in swept, f"two CI steps sweep the {band} band"
+        swept[band] = list(range(int(lo), int(hi)))
+    bands = load("fuzz_ledger")["bands"]
+    assert set(swept) == set(bands)
+    for band, seeds in swept.items():
+        assert sorted(int(seed) for seed in bands[band]) == seeds, band
 
 
 class TestDerive:

@@ -1,5 +1,7 @@
 """Tests for the artifact-evaluation claim checker."""
 
+import pytest
+
 from repro.harness import paper
 from repro.harness.check import Verdict, _grade, run_checks, summarize_verdicts
 
@@ -29,19 +31,35 @@ class TestGrading:
         assert row["measured"] == "11.00"
 
 
-def test_run_checks_small_scale_no_failures():
-    verdicts = run_checks(scale=48, ops=300)
-    summary = summarize_verdicts(verdicts)
+@pytest.fixture(scope="module")
+def small_scale_verdicts():
+    return run_checks(scale=48, ops=300)
+
+
+def test_run_checks_small_scale_no_failures(small_scale_verdicts):
+    summary = summarize_verdicts(small_scale_verdicts)
     assert summary["FAIL"] == 0
     assert summary["PASS"] >= 6
-    assert len(verdicts) == 12
+    assert len(small_scale_verdicts) == 12
 
 
-def test_cli_check_command(capsys):
+def test_cli_check_command(capsys, monkeypatch, small_scale_verdicts):
+    """``repro check`` grades through ``run_checks`` with its flags and
+    prints the table; the runs are deterministic, so their verdicts are
+    the ones the test above computed."""
     from repro.cli import main
+    from repro.harness import check
 
+    calls = []
+
+    def graded(**kwargs):
+        calls.append(kwargs)
+        return small_scale_verdicts
+
+    monkeypatch.setattr(check, "run_checks", graded)
     rc = main(["check", "--scale", "48", "--ops", "300"])
     out = capsys.readouterr().out
+    assert calls == [{"scale": 48, "ops": 300}]
     assert rc == 0
     assert "Paper-claim check" in out
     assert "FAIL" in out  # summary line

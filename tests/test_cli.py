@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -105,6 +107,21 @@ def test_trace_creates_the_out_directory(capsys, tmp_path):
     assert json.loads(out.read_text())["traceEvents"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("profile", "--ops", "50", "--json", "{out}/x.json"),
+    ("profile", "--ops", "50", "--folded", "{out}/x.folded"),
+    ("check", "--seed", "1", "--ops", "20", "--history-out", "{out}/h.jsonl"),
+    ("export", "--figure", "fig4", "--out", "{out}/fig4.json"),
+], ids=["profile-json", "profile-folded", "check-history-out", "export-out"])
+def test_output_file_flags_create_their_directory(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "dir"
+    rc, printed = run_cli(capsys, *(a.format(out=out) for a in argv))
+    assert rc == 0
+    written = argv[-1].format(out=out)
+    assert f"wrote {written}" in printed
+    assert Path(written).read_text().strip()
+
+
 def test_reproduce_table1(capsys):
     rc, out = run_cli(capsys, "reproduce", "--figure", "table1")
     assert rc == 0
@@ -147,6 +164,12 @@ def test_fuzz_elastic_band(capsys):
     assert rc == 0
     assert "elasticity band" in out
     assert "2/2 seeds clean" in out
+
+
+@pytest.mark.parametrize("seeds", ["96:0", ",", "0:x"])
+def test_fuzz_rejects_a_band_of_no_seeds(capsys, seeds):
+    assert main(["fuzz", "--seeds", seeds]) == 2
+    assert "names no seed" in capsys.readouterr().err
 
 
 def test_fuzz_bands_mutually_exclusive(capsys):
