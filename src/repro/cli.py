@@ -399,28 +399,13 @@ def cmd_topology(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    targets = {
-        "table1": lambda: _show_rows(figures.table1(), "Table I"),
-        "fig1": lambda: _show_fig16(figures.fig1(args.scale, args.ops),
-                                    "Figure 1"),
-        "fig2": lambda: _show_fig16(figures.fig2(args.scale, args.ops),
-                                    "Figure 2"),
-        "fig4": lambda: _show_rows(
-            [{**r, **{k: fmt_us(r[k]) for k in
-                      ("direct", "cached", "mmap")}}
-             for r in figures.fig4()], "Figure 4"),
-        "fig6": lambda: _show_fig16(figures.fig6(args.scale, args.ops),
-                                    "Figure 6"),
-        "fig7a": lambda: _show_rows(figures.fig7a(args.scale, args.ops),
-                                    "Figure 7(a)"),
-        "fig7b": lambda: _show_rows(figures.fig7b(args.scale), "Figure 7(b)"),
-        "fig7c": lambda: _show_rows(figures.fig7c(args.scale), "Figure 7(c)"),
-        "fig8a": lambda: _show_rows(figures.fig8a(args.scale), "Figure 8(a)"),
-        "fig8b": lambda: _show_rows(figures.fig8b(args.scale), "Figure 8(b)"),
-    }
-    names = list(targets) if args.figure == "all" else [args.figure]
+    names = list(figures.FIGURES) if args.figure == "all" else [args.figure]
     for name in names:
-        targets[name]()
+        title, run = figures.FIGURES[name]
+        data = run(args.scale, args.ops)
+        # Figs 1, 2 and 6 return {"fit": rows, "nofit": rows}.
+        show = _show_fig16 if isinstance(data, dict) else _show_rows
+        show(data, title)
     return 0
 
 
@@ -545,9 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p = sub.add_parser("reproduce",
                            help="regenerate a paper table/figure")
     rep_p.add_argument("--figure", default="all",
-                       choices=["all", "table1", "fig1", "fig2", "fig4",
-                                "fig6", "fig7a", "fig7b", "fig7c",
-                                "fig8a", "fig8b"])
+                       choices=["all", *figures.FIGURES])
     rep_p.add_argument("--scale", type=int, default=16)
     rep_p.add_argument("--ops", type=int, default=1200)
     rep_p.set_defaults(func=cmd_reproduce)
@@ -589,7 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp_p = sub.add_parser("export",
                            help="write figure data as JSON for plotting")
-    exp_p.add_argument("--figure", default="all")
+    exp_p.add_argument("--figure", default="all",
+                       choices=["all", *figures.FIGURES])
     exp_p.add_argument("--out", default="figure_data",
                        help="output directory (or file for one figure)")
     exp_p.add_argument("--scale", type=int, default=16)
@@ -782,16 +766,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_export(args) -> int:
-    from repro.harness.export import FIGURES, export_all, export_figure
+    from repro.harness.export import export_all, export_figure
 
     if args.figure == "all":
         paths = export_all(args.out, scale=args.scale, ops=args.ops)
         for p in paths:
             print(f"wrote {p}")
     else:
-        if args.figure not in FIGURES:
-            print(f"unknown figure {args.figure!r}", file=sys.stderr)
-            return 2
         out = args.out
         if not out.endswith(".json"):
             out = f"{out}/{args.figure}.json"

@@ -107,8 +107,6 @@ class ClusterSpec:
     costs: ServerCosts = field(default_factory=ServerCosts)
     rdma_params: LinkParams = FDR_RDMA
     ipoib_params: LinkParams = FDR_IPOIB
-    promote_policy: str = "always"
-    victim_policy: str = "coldest"
     adaptive_cutoff: int = 32 * 1024
     #: Asynchronous SSD flushes (the paper's future-work extension).
     async_flush: bool = False
@@ -544,8 +542,6 @@ def build_cluster(profile: DesignProfile,
         ssd_limit=spec.ssd_limit,
         io_policy=profile.io_policy,
         adaptive_cutoff=spec.adaptive_cutoff,
-        promote_policy=spec.promote_policy,
-        victim_policy=spec.victim_policy,
         worker_threads=spec.worker_threads,
         recv_credits=spec.recv_credits,
         early_ack=profile.early_ack,

@@ -1,33 +1,19 @@
 """Export reproduced figure/table data for external tooling.
 
-``export_figure`` runs one figure function and writes its rows as JSON
-(with the run configuration alongside), so plots can be made outside
-this repository without re-running simulations. ``export_all`` sweeps
-every figure.
+``export_figure`` runs one figure of :data:`figures.FIGURES` and writes
+its rows as JSON (with the run configuration alongside), so plots can be
+made outside this repository without re-running simulations.
+``export_all`` sweeps every figure.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Dict, List, Union
+from typing import List, Union
 
 from repro._version import __version__
-from repro.harness import figures
-
-#: Figure name -> callable(scale, ops) -> rows (list or regime dict).
-FIGURES: Dict[str, Callable] = {
-    "table1": lambda scale, ops: figures.table1(),
-    "fig1": lambda scale, ops: figures.fig1(scale=scale, ops=ops),
-    "fig2": lambda scale, ops: figures.fig2(scale=scale, ops=ops),
-    "fig4": lambda scale, ops: figures.fig4(),
-    "fig6": lambda scale, ops: figures.fig6(scale=scale, ops=ops),
-    "fig7a": lambda scale, ops: figures.fig7a(scale=scale, ops=ops),
-    "fig7b": lambda scale, ops: figures.fig7b(scale=scale),
-    "fig7c": lambda scale, ops: figures.fig7c(scale=scale),
-    "fig8a": lambda scale, ops: figures.fig8a(scale=scale),
-    "fig8b": lambda scale, ops: figures.fig8b(scale=scale),
-}
+from repro.harness.figures import FIGURES
 
 
 def export_figure(name: str, path: Union[str, Path], scale: int = 16,
@@ -36,7 +22,8 @@ def export_figure(name: str, path: Union[str, Path], scale: int = 16,
     if name not in FIGURES:
         raise ValueError(f"unknown figure {name!r}; "
                          f"choose from {sorted(FIGURES)}")
-    data = FIGURES[name](scale, ops)
+    _title, run = FIGURES[name]
+    data = run(scale, ops)
     payload = {
         "figure": name,
         "repro_version": __version__,

@@ -14,7 +14,7 @@ the modified OHB micro-benchmark measures (Section VI-A).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import metrics
 from repro.core.cluster import ClusterSpec
@@ -30,7 +30,7 @@ from repro.core.profiles import (
     DesignProfile,
     feature_matrix,
 )
-from repro.harness.runner import RunConfig
+from repro.harness.runner import DEFAULT_WINDOW, RunConfig, RunResult
 from repro.sim import Simulator
 from repro.storage.device import BlockDevice
 from repro.storage.pagecache import PageCache
@@ -74,13 +74,27 @@ NOFIT_RATIO = 1.5
 
 
 def _spec_for(fit: bool, scale: int, ops: int, value: int,
-              read_fraction: float, seed: int = 1) -> WorkloadSpec:
+              read_fraction: float, seed: int = 1,
+              theta: float = ZIPF_THETA) -> WorkloadSpec:
     server_mem = BASE_SERVER_MEM // scale
     data_bytes = int((FIT_RATIO if fit else NOFIT_RATIO) * server_mem)
     num_keys = max(8, data_bytes // value)
     return WorkloadSpec(num_ops=ops, num_keys=num_keys, value_length=value,
                         read_fraction=read_fraction, distribution="zipf",
-                        theta=ZIPF_THETA, seed=seed)
+                        theta=theta, seed=seed)
+
+
+def run_single_server(profile: DesignProfile, spec: WorkloadSpec, /, *,
+                      scale: int, api: Optional[str] = None,
+                      window: int = DEFAULT_WINDOW, **cluster) -> RunResult:
+    """Run ``spec`` from one client against one server sized at
+    ``scale`` (memory, SSD budget, page cache); ``cluster`` overrides
+    any :class:`ClusterSpec` field, those sizes included."""
+    sizes = dict(server_mem=BASE_SERVER_MEM // scale,
+                 ssd_limit=BASE_SSD_LIMIT // scale,
+                 pagecache=_scaled_pagecache(scale))
+    return RunConfig(profile=profile, workload=spec, api=api, window=window,
+                     cluster=ClusterSpec(**{**sizes, **cluster})).run()
 
 
 def latency_experiment(profile: DesignProfile, fit: bool, *, scale: int = 16,
@@ -93,17 +107,9 @@ def latency_experiment(profile: DesignProfile, fit: bool, *, scale: int = 16,
     """One cell of Figures 1/2/6: a single client against one server.
     ``breakdown`` profiles the run and adds Fig 2's stages."""
     spec = _spec_for(fit, scale, ops, value, read_fraction, seed)
-    cfg = RunConfig(
-        profile=profile, workload=spec, api=api,
-        cluster=ClusterSpec(
-            topology=TopologyConfig(initial_servers=1), num_clients=1,
-            server_mem=BASE_SERVER_MEM // scale,
-            ssd_limit=BASE_SSD_LIMIT // scale,
-            device=device,
-            pagecache=_scaled_pagecache(scale),
-            profile=breakdown, profile_keep_traces=breakdown,
-        ))
-    result = cfg.run()
+    result = run_single_server(profile, spec, scale=scale, api=api,
+                               device=device, profile=breakdown,
+                               profile_keep_traces=breakdown)
     effective = metrics.effective_latency(result.records)
     mean = metrics.mean_latency(result.records)
     used_api = api or profile.api
@@ -214,16 +220,7 @@ def fig7a(scale: int = 16, ops: int = 1200) -> List[Dict[str, object]]:
         for label, profile, api in cases:
             spec = _spec_for(False, scale, ops, BASE_VALUE,
                              read_fraction, seed=1)
-            cfg = RunConfig(
-                profile=profile, workload=spec, api=api,
-                cluster=ClusterSpec(
-                    topology=TopologyConfig(initial_servers=1),
-                    num_clients=1,
-                    server_mem=BASE_SERVER_MEM // scale,
-                    ssd_limit=BASE_SSD_LIMIT // scale,
-                    pagecache=_scaled_pagecache(scale),
-                ))
-            result = cfg.run()
+            result = run_single_server(profile, spec, scale=scale, api=api)
             sets = metrics.filter_records(result.records, op="set")
             gets = metrics.filter_records(result.records, op="get")
             overlap_all = metrics.overlap_percent(result.records)
@@ -414,3 +411,22 @@ def fig8b(scale: int = 16,
                     "blocks": len(block_times),
                 })
     return rows
+
+
+#: Every reproduced table and figure: name -> (title, run(scale, ops)).
+#: The one place the uniform ``scale``/``ops`` knobs map onto each
+#: figure's own arguments; ``repro reproduce`` and ``repro export``
+#: read it. Table I and Fig 4 run no workload, Fig 7(c) sizes its runs
+#: per client and Fig 8(b) by bytes, so those ignore ``ops``.
+FIGURES: Dict[str, Tuple[str, Callable[[int, int], object]]] = {
+    "table1": ("Table I", lambda scale, ops: table1()),
+    "fig1": ("Figure 1", lambda scale, ops: fig1(scale, ops)),
+    "fig2": ("Figure 2", lambda scale, ops: fig2(scale, ops)),
+    "fig4": ("Figure 4", lambda scale, ops: fig4()),
+    "fig6": ("Figure 6", lambda scale, ops: fig6(scale, ops)),
+    "fig7a": ("Figure 7(a)", lambda scale, ops: fig7a(scale, ops)),
+    "fig7b": ("Figure 7(b)", lambda scale, ops: fig7b(scale, ops)),
+    "fig7c": ("Figure 7(c)", lambda scale, ops: fig7c(scale)),
+    "fig8a": ("Figure 8(a)", lambda scale, ops: fig8a(scale, ops)),
+    "fig8b": ("Figure 8(b)", lambda scale, ops: fig8b(scale)),
+}

@@ -15,39 +15,38 @@ import dataclasses
 from typing import Dict, List, Sequence
 
 from repro.core import metrics
-from repro.core.cluster import ClusterSpec
-from repro.core.profiles import H_RDMA_DEF, H_RDMA_OPT_NONB_I
-from repro.harness.figures import (
-    BASE_SERVER_MEM,
-    BASE_SSD_LIMIT,
-    ZIPF_THETA,
-    _scaled_pagecache,
+from repro.core.profiles import (
+    H_RDMA_DEF,
+    H_RDMA_OPT_NONB_I,
+    RDMA_MEM,
+    DesignProfile,
 )
-from repro.harness.runner import RunConfig
-from repro.storage.params import SATA_SSD, DeviceParams, PageCacheParams
-from repro.units import KB, MB, US
-from repro.workloads.generator import WorkloadSpec
+from repro.harness.figures import (
+    BASE_VALUE,
+    ZIPF_THETA,
+    _spec_for,
+    run_single_server,
+)
+from repro.net.params import EDR_RDMA, FDR_RDMA
+from repro.storage.params import SATA_SSD, PageCacheParams
+from repro.units import MB, US
 
 
-def _measure_pair(device: DeviceParams, scale: int, ops: int,
-                  theta: float = ZIPF_THETA,
-                  pagecache: PageCacheParams = None) -> Dict[str, float]:
+def _latencies(scale: int, ops: int, profiles: Dict[str, DesignProfile],
+               theta: float = ZIPF_THETA, **cluster) -> Dict[str, float]:
+    """Effective latency per labelled profile on the no-fit workload."""
+    spec = _spec_for(False, scale, ops, BASE_VALUE, 0.5, theta=theta)
+    return {label: metrics.effective_latency(run_single_server(
+                profile, spec, scale=scale, **cluster).records)
+            for label, profile in profiles.items()}
+
+
+def _measure_pair(scale: int, ops: int, theta: float = ZIPF_THETA,
+                  **cluster) -> Dict[str, float]:
     """Def vs NonB-i effective latency for one hardware point."""
-    server_mem = BASE_SERVER_MEM // scale
-    spec = WorkloadSpec(num_ops=ops,
-                        num_keys=int(1.5 * server_mem) // (32 * KB),
-                        value_length=32 * KB, read_fraction=0.5,
-                        distribution="zipf", theta=theta, seed=1)
-    out = {}
-    for label, profile in (("def", H_RDMA_DEF), ("nonb", H_RDMA_OPT_NONB_I)):
-        result = RunConfig(profile=profile, workload=spec,
-                           cluster=ClusterSpec(
-                               server_mem=server_mem,
-                               ssd_limit=BASE_SSD_LIMIT // scale,
-                               device=device,
-                               pagecache=pagecache
-                               or _scaled_pagecache(scale))).run()
-        out[label] = metrics.effective_latency(result.records)
+    out = _latencies(scale, ops, {"def": H_RDMA_DEF,
+                                  "nonb": H_RDMA_OPT_NONB_I},
+                     theta=theta, **cluster)
     out["gain"] = out["def"] / out["nonb"]
     return out
 
@@ -62,7 +61,7 @@ def sweep_ssd_latency(multipliers: Sequence[float] = (0.25, 1.0, 4.0),
             name=f"sata-x{m:g}",
             read_latency=SATA_SSD.read_latency * m,
             write_latency=SATA_SSD.write_latency * m)
-        out = _measure_pair(device, scale, ops)
+        out = _measure_pair(scale, ops, device=device)
         rows.append({"latency_multiplier": m,
                      "read_latency_us": device.read_latency / US,
                      "def_latency": out["def"],
@@ -81,7 +80,7 @@ def sweep_ssd_bandwidth(multipliers: Sequence[float] = (0.5, 1.0, 4.0),
             name=f"sata-bw-x{m:g}",
             read_bandwidth=SATA_SSD.read_bandwidth * m,
             write_bandwidth=SATA_SSD.write_bandwidth * m)
-        out = _measure_pair(device, scale, ops)
+        out = _measure_pair(scale, ops, device=device)
         rows.append({"bandwidth_multiplier": m,
                      "def_latency": out["def"],
                      "nonb_latency": out["nonb"],
@@ -94,7 +93,7 @@ def sweep_zipf_theta(thetas: Sequence[float] = (0.5, 0.8, 1.1),
     """Vary workload skew: hotter workloads touch the SSD less."""
     rows = []
     for theta in thetas:
-        out = _measure_pair(SATA_SSD, scale, ops, theta=theta)
+        out = _measure_pair(scale, ops, theta=theta)
         rows.append({"theta": theta,
                      "def_latency": out["def"],
                      "nonb_latency": out["nonb"],
@@ -109,29 +108,13 @@ def sweep_network(scale: int = 16, ops: int = 800) -> List[Dict]:
     the fabric barely moves either design — the paper's conclusion is
     about I/O, not the interconnect it already optimized.
     """
-    from repro.net.params import EDR_RDMA, FDR_RDMA
-
-    server_mem = BASE_SERVER_MEM // scale
-    spec = WorkloadSpec(num_ops=ops,
-                        num_keys=int(1.5 * server_mem) // (32 * KB),
-                        value_length=32 * KB, read_fraction=0.5,
-                        distribution="zipf", theta=ZIPF_THETA, seed=1)
     rows = []
     for name, params in (("FDR 56G", FDR_RDMA), ("EDR 100G", EDR_RDMA)):
-        out = {}
-        for label, profile in (("def", H_RDMA_DEF),
-                               ("nonb", H_RDMA_OPT_NONB_I)):
-            result = RunConfig(profile=profile, workload=spec,
-                               cluster=ClusterSpec(
-                                   server_mem=server_mem,
-                                   ssd_limit=BASE_SSD_LIMIT // scale,
-                                   rdma_params=params,
-                                   pagecache=_scaled_pagecache(scale))).run()
-            out[label] = metrics.effective_latency(result.records)
+        out = _measure_pair(scale, ops, rdma_params=params)
         rows.append({"fabric": name,
                      "def_latency": out["def"],
                      "nonb_latency": out["nonb"],
-                     "nonb_gain": out["def"] / out["nonb"]})
+                     "nonb_gain": out["gain"]})
     return rows
 
 
@@ -146,25 +129,11 @@ def sweep_backend_penalty(penalties_ms: Sequence[float] = (0.1, 0.5, 2.0,
     instead). With a fast-enough backend the hybrid's SSD accesses are
     not worth it — exactly the trade-off the paper's Figure 1 frames.
     """
-    from repro.core.profiles import RDMA_MEM
-
-    server_mem = BASE_SERVER_MEM // scale
     rows = []
     for ms in penalties_ms:
-        spec = WorkloadSpec(num_ops=ops,
-                            num_keys=int(1.5 * server_mem) // (32 * KB),
-                            value_length=32 * KB, read_fraction=0.5,
-                            distribution="zipf", theta=ZIPF_THETA, seed=1)
-        out = {}
-        for label, profile in (("inmem", RDMA_MEM), ("hybrid", H_RDMA_DEF)):
-            result = RunConfig(
-                profile=profile, workload=spec,
-                cluster=ClusterSpec(
-                    server_mem=server_mem,
-                    ssd_limit=BASE_SSD_LIMIT // scale,
-                    backend_penalty=ms * 1e-3,
-                    pagecache=_scaled_pagecache(scale))).run()
-            out[label] = metrics.effective_latency(result.records)
+        out = _latencies(scale, ops, {"inmem": RDMA_MEM,
+                                      "hybrid": H_RDMA_DEF},
+                         backend_penalty=ms * 1e-3)
         rows.append({"penalty_ms": ms,
                      "inmem_latency": out["inmem"],
                      "hybrid_latency": out["hybrid"],
@@ -178,7 +147,7 @@ def sweep_pagecache(sizes_mb: Sequence[int] = (8, 32, 128),
     rows = []
     for mb in sizes_mb:
         pc = PageCacheParams(size_bytes=mb * MB, dirty_ratio=0.4)
-        out = _measure_pair(SATA_SSD, scale, ops, pagecache=pc)
+        out = _measure_pair(scale, ops, pagecache=pc)
         rows.append({"pagecache_mb": mb,
                      "def_latency": out["def"],
                      "nonb_latency": out["nonb"],

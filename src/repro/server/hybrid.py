@@ -112,8 +112,6 @@ class HybridSlabManager:
                  page_size: int = 1 * MB,
                  io_policy: str = "direct",
                  adaptive_cutoff: int = 32 * KB,
-                 promote_policy: str = "always",
-                 victim_policy: str = "coldest",
                  pagecache_params: Optional[PageCacheParams] = None,
                  min_chunk: int = 96,
                  growth_factor: float = 1.25,
@@ -130,10 +128,6 @@ class HybridSlabManager:
                  owner: str = "server0"):
         if io_policy not in ("direct", "adaptive"):
             raise ValueError(f"unknown io_policy {io_policy!r}")
-        if promote_policy not in ("always", "cheap", "never"):
-            raise ValueError(f"unknown promote_policy {promote_policy!r}")
-        if victim_policy not in ("coldest", "round_robin"):
-            raise ValueError(f"unknown victim_policy {victim_policy!r}")
         self.sim = sim
         self.obs = obs or NULL_OBS
         self.owner = owner
@@ -150,8 +144,6 @@ class HybridSlabManager:
         self.hybrid = device is not None
         self.io_policy = io_policy
         self.adaptive_cutoff = adaptive_cutoff
-        self.promote_policy = promote_policy
-        self.victim_policy = victim_policy
         #: The existing design's O_DIRECT read path operates on coarse
         #: slab-block-aligned windows (this many chunks per read): its
         #: on-SSD layout is slab-, not chunk-oriented. The optimized
@@ -175,7 +167,6 @@ class HybridSlabManager:
                       fn=lambda c=cls: sum(len(p.free_chunks) for p in c.pages),
                       server=owner, chunk_size=str(cls.chunk_size))
         self._cas_counter = 0
-        self._rr_next_cls = 0
         #: Serializes victim selection + flush (memcached's cache lock):
         #: two workers must never flush the same page concurrently.
         self._flush_lock = Resource(sim, capacity=1)
@@ -682,19 +673,10 @@ class HybridSlabManager:
         return any(p.free_chunks for p in cls.partial)
 
     def _victim_page(self, cls: SlabClass) -> SlabPage:
-        """Pick the slab page to flush (policy: see DESIGN.md §5)."""
-        if self.victim_policy == "round_robin":
-            n = len(self.allocator.classes)
-            for step in range(n):
-                cand = self.allocator.classes[(self._rr_next_cls + step) % n]
-                if cand.pages:
-                    self._rr_next_cls = (cand.clsid + 1) % n
-                    tail = cand.lru.coldest()
-                    return tail.page if tail is not None else cand.pages[0]
-            raise RuntimeError("no slab pages exist to flush")
-        # "coldest": the page holding the least recently used item of the
-        # class whose LRU tail is globally coldest (preferring `cls` when
-        # it has pages of its own).
+        """Pick the slab page to flush (see DESIGN.md §5): the page
+        holding the least recently used item of the class whose LRU tail
+        is globally coldest (preferring `cls` when it has pages of its
+        own)."""
         tail = cls.lru.coldest()
         if tail is not None:
             return tail.page
@@ -854,9 +836,9 @@ class HybridSlabManager:
             self.stats.ssd_reads += 1
             self.stats.ssd_read_bytes += nbytes
             self._m_ssd_reads.inc()
-        if self.promote_policy in ("cheap", "always") and self._promotable(item):
+        if self._promotable(item):
             page = self.allocator.alloc_chunk(cls, item)
-            if page is None and self.promote_policy == "always":
+            if page is None:
                 info = StoreInfo()
                 while page is None and self._promotable(item):
                     yield from self._make_space(cls, info)

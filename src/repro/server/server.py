@@ -92,8 +92,6 @@ class ServerConfig:
     #: "direct" (existing design) or "adaptive" (mmap/cached by class).
     io_policy: str = "direct"
     adaptive_cutoff: int = 32 * KB
-    promote_policy: str = "always"
-    victim_policy: str = "coldest"
     worker_threads: int = 8
     #: RDMA receive-buffer credits for in-flight SET values.
     recv_credits: int = 16
@@ -165,8 +163,6 @@ class MemcachedServer:
             page_size=config.page_size,
             io_policy=config.io_policy,
             adaptive_cutoff=config.adaptive_cutoff,
-            promote_policy=config.promote_policy,
-            victim_policy=config.victim_policy,
             pagecache_params=config.pagecache,
             min_chunk=config.min_chunk,
             growth_factor=config.growth_factor,

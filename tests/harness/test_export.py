@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from repro.harness.export import FIGURES, export_figure
+from repro.cli import main
+from repro.harness import figures
+from repro.harness.export import export_figure
+from repro.harness.figures import FIGURES
 
 
 def test_every_figure_has_an_exporter():
@@ -33,6 +36,16 @@ def test_export_latency_figure_small(tmp_path):
     assert payload["scale"] == 64
     assert set(payload["data"]) == {"fit", "nofit"}
     assert len(payload["data"]["fit"]) == 3
+
+
+def test_export_runs_the_ops_it_records(capsys, tmp_path):
+    """``--ops`` reaches fig8a, and the payload records what ran."""
+    out = tmp_path / "f8a.json"
+    assert main(["export", "--figure", "fig8a", "--scale", "128",
+                 "--ops", "150", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["ops"] == 150
+    assert payload["data"] == figures.fig8a(128, ops=150)
 
 
 def test_unknown_figure_rejected(tmp_path):

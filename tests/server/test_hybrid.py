@@ -102,7 +102,7 @@ class TestSpillToSSD:
             assert mgr.lookup(f"k{i}".encode()) is not None, f"k{i} lost"
 
     def test_ssd_read_back(self):
-        sim, dev, mgr = make_hybrid(mem=2 * MB, promote_policy="never")
+        sim, dev, mgr = make_hybrid(mem=2 * MB)
         fill(sim, mgr, 100)
         victim = next(it for it in
                       (mgr.lookup(f"k{i}".encode()) for i in range(100))
@@ -118,7 +118,7 @@ class TestSpillToSSD:
         assert mgr.stats.ssd_reads == 0
 
     def test_cheap_promotion_moves_item_to_ram(self):
-        sim, _, mgr = make_hybrid(mem=2 * MB, promote_policy="cheap")
+        sim, _, mgr = make_hybrid(mem=2 * MB)
         fill(sim, mgr, 100)
         on_ssd = next(it for it in
                       (mgr.lookup(f"k{i}".encode()) for i in range(100))
@@ -245,16 +245,14 @@ class TestPreload:
 
 
 class TestVictimPolicies:
-    def test_round_robin_cycles_classes(self):
-        sim, _, mgr = make_hybrid(mem=2 * MB, victim_policy="round_robin")
+    def test_coldest_items_are_flushed_first(self):
+        sim, _, mgr = make_hybrid(mem=2 * MB)
         fill(sim, mgr, 100)
         assert mgr.stats.flushes > 0
+        assert mgr.lookup(b"k0").on_ssd
+        assert mgr.lookup(b"k99").in_ram
 
     def test_invalid_policies_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
             HybridSlabManager(sim, mem_limit=2 * MB, io_policy="bogus")
-        with pytest.raises(ValueError):
-            HybridSlabManager(sim, mem_limit=2 * MB, promote_policy="bogus")
-        with pytest.raises(ValueError):
-            HybridSlabManager(sim, mem_limit=2 * MB, victim_policy="bogus")

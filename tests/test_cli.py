@@ -122,6 +122,24 @@ def test_output_file_flags_create_their_directory(capsys, tmp_path, argv):
     assert Path(written).read_text().strip()
 
 
+@pytest.mark.parametrize("command", ["reproduce", "export"])
+def test_figure_choices_are_the_registry(command):
+    import argparse
+
+    from repro.harness.figures import FIGURES
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    figure = next(a for a in sub.choices[command]._actions
+                  if a.dest == "figure")
+    assert figure.choices == ["all", *FIGURES]
+    for name in figure.choices:
+        assert parser.parse_args([command, "--figure", name]).figure == name
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, "--figure", "fig3"])
+
+
 def test_reproduce_table1(capsys):
     rc, out = run_cli(capsys, "reproduce", "--figure", "table1")
     assert rc == 0
