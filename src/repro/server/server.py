@@ -16,6 +16,9 @@ selected by :class:`ServerConfig`:
 
 A worker sleeps one timer per uninterrupted run of CPU stages (Fig 2):
 its pickup timer covers receive, parse and the handler's first stage.
+A SET whose value comes by RDMA write sleeps nothing at the pickup: its
+first timer runs from the later of the parse end and the value's
+arrival through the copy (and the slab allocation without early ack).
 A profiled request records one causal-profile span per stage; Fig 2's
 server stages are its dotted spans (``index.slab_alloc`` ...), folded
 by :func:`repro.core.metrics.stage_breakdown`.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.net.transport import Endpoint
 from repro.obs.api import NULL_OBS, Observability
@@ -191,6 +194,8 @@ class MemcachedServer:
         self._queue = PriorityStore(sim) if config.get_priority else Mailbox(sim)
         self.credits = Resource(sim, capacity=config.recv_credits)
         self._value_events: Dict[int, object] = {}
+        #: Instant of every SET-value purge (crash, partition, heal).
+        self._purges: List[float] = []
         # Per request type: its handler (passed the parse instant) and the
         # CPU stage it starts with, slept on the pickup timer (see _worker).
         lookup = config.costs.hash_lookup
@@ -345,7 +350,10 @@ class MemcachedServer:
         self.credits = Resource(self.sim, capacity=self.config.recv_credits)
 
     def _purge_value_waits(self) -> None:
-        """Abort every pending SET-value rendezvous with a sentinel."""
+        """Abort every pending SET-value rendezvous with a sentinel; a
+        SET whose value landed before the purge but whose header was
+        still being parsed finds the purge in ``_purges``."""
+        self._purges.append(self.sim.now)
         for ev in list(self._value_events.values()):
             if not ev.triggered:
                 ev.succeed(_DROPPED)
@@ -427,14 +435,6 @@ class MemcachedServer:
         px = "replica." if getattr(request, "replica", False) else ""
         return [(request.trace_id, px)]
 
-    def _await_value(self, endpoint: Endpoint, req_id: int):
-        key = (id(endpoint), req_id)
-        ev = self._value_events.setdefault(key, self.sim.event())
-        arrival = yield ev
-        # pop, not del: a fault purge may have already dropped the key.
-        self._value_events.pop(key, None)
-        return arrival
-
     # -- worker threads ---------------------------------------------------------
 
     def _worker(self, wid: int = 0, gen: int = 0):
@@ -490,17 +490,23 @@ class MemcachedServer:
             parsed = (start + delivery.recv_cpu) + parse_cost
             kind = type(request)
             handler, lead = self._handlers[kind]
+            rdma_value = kind is SetRequest and not request.inline_value
             if lead is not None:
                 yield Timeout.at(sim, parsed + lead, posted=parsed)
-            elif kind is SetRequest and request.inline_value:
+            elif rdma_value:
+                # The value is on its way by RDMA write: the pickup sleeps
+                # nothing, and _handle_set's first timer waits for both
+                # the value and the parse end.
+                pass
+            elif kind is SetRequest:
                 # The value came with the header: copy, then slab alloc.
                 copied = parsed + request.value_length / costs.memcpy_bandwidth
                 yield Timeout.at(sim, copied + costs.slab_alloc_cpu, posted=copied)
-            else:  # an RDMA value is on its way; an MGET looks up per entry
+            else:  # an MGET looks up per entry
                 yield Timeout.at(sim, parsed)
             for ptid, px in targets:
                 prof.record(ptid, px + "server_cpu", start, parsed)
-            if self.handoff is not None:
+            if self.handoff is not None and not rdma_value:
                 self._pull_on_miss(request)
             yield from handler(request, endpoint, parsed)
             if span is not NULL_SPAN:
@@ -513,22 +519,37 @@ class MemcachedServer:
 
     # -- SET -----------------------------------------------------------------
 
-    def _handle_set(self, request: SetRequest, endpoint: Endpoint, t_copy: float):
+    def _handle_set(self, request: SetRequest, endpoint: Endpoint, parsed: float):
         sim = self.sim
         costs = self.config.costs
         prof = self.obs.profiler
         ptid = request.trace_id if prof.enabled else None
         px = "replica." if request.replica else ""
         credit = None
+        t_copy = parsed
         if not request.inline_value:
-            arrival = yield from self._await_value(endpoint, request.req_id)
+            # Entered at the pickup: the rendezvous exists from here on,
+            # so a fault purge before the value lands reaches it.
+            purges = len(self._purges)
+            key = (id(endpoint), request.req_id)
+            value = self._value_events.setdefault(key, sim.event())
+            pull_at_parse = self.handoff is not None
+            if pull_at_parse:
+                # A migration window pulls on miss at the parse end.
+                yield Timeout.at(sim, parsed)
+                self._pull_on_miss(request)
+            arrival = yield value
+            # pop, not del: a fault purge may have already dropped the key.
+            self._value_events.pop(key, None)
             if arrival is _DROPPED or not self.alive:
                 # The value was lost to a crash/partition while we waited
                 # (or the server died under us): abandon the SET. The
                 # client's completion timeout handles the rest.
                 return
             credit = arrival.credit
-            t_copy = sim._now
+            # The copy starts once both the value and the parsed header
+            # are in; a value that landed mid-parse posts the timer now.
+            t_copy = max(parsed, sim._now)
         # Copy the value out of the receive buffer (staging on the
         # optimized server, directly toward the chunk otherwise), then
         # allocate its chunk: one timer unless the early ack comes
@@ -536,8 +557,15 @@ class MemcachedServer:
         t0 = t_copy + request.value_length / costs.memcpy_bandwidth
         early_ack = credit is not None and self.config.early_ack
         if not request.inline_value:
-            yield (Timeout.at(sim, t0) if early_ack else
+            yield (Timeout.at(sim, t0, posted=t_copy) if early_ack else
                    Timeout.at(sim, t0 + costs.slab_alloc_cpu, posted=t0))
+            if len(self._purges) > purges and self._purges[purges] < parsed:
+                # A fault purged the rendezvous after the value landed
+                # but before the parse end: the value is lost with it.
+                return
+            if not pull_at_parse and self.handoff is not None:
+                # A migration window opened during the parse.
+                self._pull_on_miss(request)
         if ptid is not None:
             prof.record(ptid, px + "ram", t_copy, t0)
         if early_ack:

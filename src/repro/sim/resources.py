@@ -83,6 +83,23 @@ class Resource:
             self._waiting.append(req)
         return req
 
+    def claim(self) -> Request:
+        """:meth:`request` for a claimant that continues inline: a free
+        slot is granted already processed (nothing is queued, and a
+        ``yield`` of it continues at once); a queued claim waits for its
+        FIFO grant and the grant's lane hop, exactly as a request does."""
+        req = Request(self)
+        holders = self._holders
+        if len(holders) < self.capacity:
+            holders.add(req)
+            req.granted_at = self.sim._now
+            req._ok = True
+            req._value = None
+            req.callbacks = None
+        else:
+            self._waiting.append(req)
+        return req
+
     def release(self, req: Request) -> None:
         holders = self._holders
         if req not in holders:

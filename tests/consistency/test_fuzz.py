@@ -1,5 +1,6 @@
 """Fuzzer machinery: seed derivation, repro lines, shrinking, sweeps."""
 
+import dataclasses
 import re
 import shlex
 from pathlib import Path
@@ -129,6 +130,43 @@ class TestFuzzSeeds:
         assert not result.ok
         assert result.shrunk is not None
         assert result.repro == repro_line(result.shrunk)
+
+    def test_seed_67_ends_with_every_server_idle(self, monkeypatch):
+        """Regression: seed 67 crashes server2 after an RDMA SET's header
+        was picked up and before its parse ended. The worker used to
+        park for good on a value rendezvous made after the crash purged
+        them, one busy worker too many for the rest of the run."""
+        built, build = [], fuzz_mod.build_cluster
+
+        def spy(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(fuzz_mod, "build_cluster", spy)
+        report, _events, _recorder = fuzz_mod.run_scenario(derive(67))
+        (cluster,) = built
+        assert [s._busy_workers for s in cluster.servers] == [0, 0, 0]
+        assert [s._value_events for s in cluster.servers] == [{}, {}, {}]
+        assert report.ok, report.violations
+
+    def test_a_busy_server_at_quiesce_is_a_violation(self, monkeypatch):
+        """The idle check can fire: a worker left busy, or a value
+        rendezvous left behind, fails the run's verdict."""
+        build = fuzz_mod.build_cluster
+
+        def leaky(*args, **kwargs):
+            cluster = build(*args, **kwargs)
+            server = cluster.servers[1]
+            server._busy_workers += 1
+            server._value_events[(0, 0)] = cluster.sim.event()
+            return cluster
+
+        monkeypatch.setattr(fuzz_mod, "build_cluster", leaky)
+        scn = dataclasses.replace(derive(derive_small_seed()), fault_specs=())
+        report, _events, _recorder = fuzz_mod.run_scenario(scn)
+        (violation,) = report.violations
+        assert (violation.kind, violation.server) == ("busy-at-quiesce", 1)
+        assert "1 busy worker(s), 1 SET-value rendezvous" in violation.detail
 
     def test_keep_history(self):
         (result,) = fuzz_seeds(

@@ -16,7 +16,8 @@ from repro.core.cluster import ClusterSpec, ReplicationConfig, build_cluster
 from repro.core.profiles import H_RDMA_OPT_NONB_I, IPOIB_MEM, RDMA_MEM
 from repro.core.topology import TopologyConfig
 from repro.harness.runner import RunConfig
-from repro.server.protocol import HIT, STORED, GetRequest
+from repro.server.protocol import HIT, STORED, GetRequest, ValueArrival
+from repro.server.server import ServerCosts
 from repro.units import KB, MB, US
 from repro.workloads.generator import WorkloadSpec
 
@@ -138,3 +139,47 @@ def test_connection_added_mid_run_gets_its_receiver_without_a_spawn(spawned):
     assert out == [HIT] * len(keys)
     assert cluster.servers[2].stats.gets > 0
     assert not [p.name for p in spawned if "rx" in p.name or "pump" in p.name]
+
+
+@pytest.mark.parametrize("restart", [False, True], ids=["down", "restarted"])
+@pytest.mark.parametrize("value_length,lands",
+                         [(1 * KB, "before"), (256 * KB, "after")],
+                         ids=["value-landed", "value-in-flight"])
+def test_a_crash_mid_parse_abandons_the_rdma_set(value_length, lands,
+                                                 restart):
+    """A crash after an RDMA SET's header was picked up and before its
+    parse ends abandons the SET, whether its value had landed by then
+    or was still on the wire (and so dropped): the worker comes free,
+    and no rendezvous outlives the crash — also across a restart."""
+    cluster = build_cluster(RDMA_MEM, spec=ClusterSpec(
+        server_mem=16 * MB, costs=ServerCosts(parse=100 * US)))
+    sim, server, client = cluster.sim, cluster.servers[0], cluster.clients[0]
+    values = []
+    receive = server._receive
+
+    def spy(endpoint, delivery):
+        if isinstance(delivery.payload, ValueArrival):
+            values.append(sim.now)
+        receive(endpoint, delivery)
+
+    for conn in client._conns:
+        conn.endpoint.peer.receiver = lambda d, ep=conn.endpoint.peer: spy(ep, d)
+
+    def app():
+        yield from client.set(b"k", value_length)
+
+    def faults():
+        yield sim.timeout(20 * US)  # the header is in, its parse is not
+        assert server._busy_workers == 1
+        assert bool(values) == (lands == "before")
+        server.crash()
+        if restart:
+            yield sim.timeout(1e-3)
+            server.restart()
+
+    sim.spawn(app())
+    sim.spawn(faults())
+    sim.run(until=5e-3)
+    assert server._busy_workers == 0
+    assert server._value_events == {}
+    assert server.stats.sets == 0

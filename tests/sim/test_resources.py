@@ -27,6 +27,33 @@ class TestResource:
         assert granted == [("a", 0.0), ("b", 0.0)]
         assert res.in_use == 2
 
+    def test_claim_of_a_free_slot_is_granted_processed(self):
+        """``claim`` grants a free slot on the spot: nothing is queued,
+        the holder counts at once, and a ``yield`` continues inline."""
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        req = res.claim()
+        assert req.processed and req.ok and req.granted_at == 0.0
+        assert res.in_use == 1 and not sim._lane
+
+    def test_a_queued_claim_waits_fifo_and_takes_the_grant_hop(self):
+        """A claim that finds no free slot queues FIFO with requests and
+        is granted, on release, through the lane like any request."""
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        held = res.claim()
+        queued = [res.request(), res.claim()]
+        assert not any(r.triggered for r in queued)
+        res.release(held)
+        first = queued[0]
+        assert first.triggered and not first.processed
+        assert list(sim._lane) == [first]
+        sim.run()
+        res.release(first)
+        assert list(sim._lane) == [queued[1]]
+        sim.run()
+        assert queued[1].processed and res.in_use == 1
+
     def test_fifo_queueing_and_release(self):
         sim = Simulator()
         res = Resource(sim, capacity=1)
