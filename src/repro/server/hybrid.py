@@ -806,15 +806,12 @@ class HybridSlabManager:
         causal profile trace id (observability only).
 
         Returns the number of bytes read from SSD (0 on a RAM hit).
-        Promotion of the accessed item back to RAM follows the Cache
-        Update semantics of Section III-A ("promotes the most recently
-        added or accessed data"):
-
-        * ``always`` — promote even when making room flushes another
-          victim page to the SSD (the churn this creates is part of the
-          hybrid design's cost when the working set exceeds memory);
-        * ``cheap`` — promote only into an already-free chunk;
-        * ``never`` — serve from SSD, leave placement unchanged.
+        The accessed item is then promoted back to RAM, following the
+        Cache Update semantics of Section III-A ("promotes the most
+        recently added or accessed data"), even when making room
+        flushes another victim page to the SSD: the churn this creates
+        is part of the hybrid design's cost when the working set
+        exceeds memory.
         """
         if not item.on_ssd:
             return 0
