@@ -144,6 +144,26 @@ class TestTestMissPath:
 
         run_app(cluster, app)
 
+    def test_a_polled_miss_is_done_only_once_its_repopulation_landed(self):
+        """Regression: test() checked for an in-flight background fetch
+        only while the miss penalty was unset, but the fetch sets it
+        before it issues the repopulating set — so test() finalized the
+        GET while that set was still in flight, and a get right after
+        could overtake it."""
+        cluster = small_cluster(profiles.H_RDMA_OPT_NONB_I)
+        cluster.backend.default_value_length = 4 * KB
+        client = cluster.clients[0]
+        table = cluster.servers[0].manager.table
+
+        def app(sim):
+            req = yield from client.iget(b"absent")
+            while not client.test(req):
+                yield sim.timeout(10 * US)
+            assert b"absent" in table  # the fill was stored first
+            assert client.outstanding_count == 0
+
+        run_app(cluster, app)
+
     def test_poll_stays_zero_time_and_wait_joins_background_fetch(self):
         cluster = small_cluster(profiles.H_RDMA_OPT_NONB_I)
         cluster.backend.default_value_length = 4 * KB
