@@ -20,7 +20,6 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.client.request import OpRecord
-from repro.obs.buckets import bucket_index, log_bounds
 
 #: Stage keys in presentation order (Figure 2 legend).
 STAGE_KEYS = (
@@ -165,37 +164,6 @@ def miss_rate(records: Sequence[OpRecord]) -> float:
     misses = sum(1 for r in gets
                  if r.miss_penalty is not None or r.status == "MISS")
     return misses / len(gets)
-
-
-def latency_histogram(records: Sequence[OpRecord],
-                      buckets: int = 16) -> List[tuple]:
-    """Log-spaced latency histogram: [(upper_bound_seconds, count)].
-
-    Log spacing suits latency's heavy tail (a miss is 100x a hit).
-    Bucket placement bisects over the precomputed bounds — O(log b) per
-    record instead of a linear bound scan (the same machinery backs
-    :class:`repro.obs.Histogram`).
-    """
-    if buckets < 1:
-        raise ValueError("need at least one bucket")
-    lats = [r.latency for r in records if r.latency > 0]
-    if not lats:
-        return []
-    lo, hi = min(lats), max(lats)
-    if lo == hi:
-        return [(hi, len(lats))]
-    bounds = log_bounds(lo, hi, buckets)
-    counts = [0] * buckets
-    for lat in lats:
-        counts[bucket_index(bounds, lat)] += 1
-    return list(zip(bounds, counts))
-
-
-def latency_cdf(records: Sequence[OpRecord],
-                points: Sequence[float] = (50, 90, 95, 99, 99.9),
-                ) -> Dict[float, float]:
-    """Latency at the given percentiles, as {percentile: seconds}."""
-    return {q: percentile_latency(records, min(q, 100.0)) for q in points}
 
 
 def summarize(records: Sequence[OpRecord],

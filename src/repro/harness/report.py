@@ -14,10 +14,6 @@ def fmt_us(seconds: float) -> str:
     return f"{seconds / US:.1f} us"
 
 
-def fmt_ratio(x: float) -> str:
-    return f"{x:.2f}x"
-
-
 def fmt_pct(x: float) -> str:
     return f"{x:.1f}%"
 
@@ -107,15 +103,3 @@ def obs_report(obs, match: Optional[str] = None) -> str:
             sections.append(ascii_table(rows, title="Sampled series"))
     return "\n\n".join(sections) if sections else "observability: (no data)"
 
-
-def markdown_table(rows: Sequence[Dict[str, object]],
-                   columns: Optional[Sequence[str]] = None) -> str:
-    """Render dict rows as a GitHub-flavoured markdown table."""
-    if not rows:
-        return "(no rows)"
-    cols = list(columns) if columns else list(rows[0].keys())
-    out = ["| " + " | ".join(cols) + " |",
-           "|" + "|".join("---" for _ in cols) + "|"]
-    for r in rows:
-        out.append("| " + " | ".join(str(r.get(c, "")) for c in cols) + " |")
-    return "\n".join(out)

@@ -5,10 +5,11 @@ paper's rack-level topology on SDSC Comet). Each node owns a NIC whose
 transmit side serializes messages at link bandwidth; propagation adds a
 fixed one-way latency. Two transports run on top:
 
-* :mod:`repro.net.rdma` — queue pairs with two-sided send/recv and
-  one-sided ``rdma_write``/``rdma_read`` verbs plus completion queues;
-  per-message CPU cost is sub-microsecond and one-sided ops cost the
-  remote CPU nothing.
+* :class:`repro.net.transport.RdmaEndpoint` — the RDMA runtime the
+  Memcached protocol runs on: two-sided header sends with
+  sub-microsecond receive CPU, and one-sided value writes (after a
+  receive-buffer credit) and polled BufferAcks that cost the remote CPU
+  nothing.
 * :mod:`repro.net.ipoib` — TCP/IP-over-InfiniBand streams with kernel
   stack overheads and reduced effective bandwidth.
 """
@@ -16,7 +17,6 @@ fixed one-way latency. Two transports run on top:
 from repro.net.fabric import Fabric, Message, NIC, Node
 from repro.net.ipoib import IPoIBConnection
 from repro.net.params import FDR_IPOIB, FDR_RDMA, LinkParams
-from repro.net.rdma import CompletionQueue, QueuePair, WorkCompletion
 
 __all__ = [
     "Fabric",
@@ -26,8 +26,5 @@ __all__ = [
     "LinkParams",
     "FDR_RDMA",
     "FDR_IPOIB",
-    "QueuePair",
-    "CompletionQueue",
-    "WorkCompletion",
     "IPoIBConnection",
 ]

@@ -19,11 +19,13 @@ and ``on_wire`` is a timer created only for a caller that asks. A
 polled write (:meth:`RdmaEndpoint.write_polled`) costs no event: the
 peer reads its ``delivered`` milestone when it polls.
 
-The verbs-level :class:`~repro.net.rdma.QueuePair` API remains available
-for applications that want raw RDMA; these endpoints charge exactly the
-same wire and CPU costs but hand frames straight to the peer endpoint's
-receiver (or, without one, its inbox), which is how the Memcached
-runtime consumes them.
+:class:`RdmaEndpoint` on a :class:`~repro.net.fabric.NIC` is the
+simulator's only RDMA model. The Memcached runtime's three parts all
+ride it: the request header is a two-sided send, a SET's value is a
+one-sided write once the server has granted a receive-buffer credit,
+and the server's BufferAck is a polled write
+(:meth:`RdmaEndpoint.write_polled`). Frames go straight to the peer
+endpoint's receiver (or, without one, its inbox).
 """
 
 from __future__ import annotations

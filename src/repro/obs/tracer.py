@@ -62,7 +62,7 @@ class Span:
 
 
 class SpanTracer:
-    """Buffers span/instant events; export via :mod:`repro.obs.export`."""
+    """Buffers span events; export via :mod:`repro.obs.export`."""
 
     enabled = True
 
@@ -94,16 +94,6 @@ class SpanTracer:
         ev: Dict[str, object] = {"name": name, "cat": cat, "ph": "X",
                                  "ts": t0, "dur": t1 - t0, "pid": pid,
                                  "tid": tid}
-        if args:
-            ev["args"] = args
-        self.events.append(ev)
-
-    def instant(self, name: str, tid: str = "main", pid: str = "repro",
-                cat: str = "mark", **args: object) -> None:
-        """A zero-duration marker event."""
-        ev: Dict[str, object] = {"name": name, "cat": cat, "ph": "i",
-                                 "ts": self.now, "pid": pid, "tid": tid,
-                                 "s": "t"}
         if args:
             ev["args"] = args
         self.events.append(ev)
@@ -163,10 +153,6 @@ class NullTracer:
     def complete(self, name: str, t0: float, t1: float, tid: str = "main",
                  pid: str = "repro", cat: str = "span",
                  **args: object) -> None:
-        pass
-
-    def instant(self, name: str, tid: str = "main", pid: str = "repro",
-                cat: str = "mark", **args: object) -> None:
         pass
 
     def clear(self) -> None:

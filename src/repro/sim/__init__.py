@@ -10,7 +10,7 @@ events, so every run is exactly reproducible.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.errors import Interrupt, SimulationError
+from repro.sim.errors import SimulationError
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Process, Timeout
 from repro.sim.resources import Mailbox, PriorityStore, Resource, Store
 
@@ -26,6 +26,5 @@ __all__ = [
     "Store",
     "PriorityStore",
     "Mailbox",
-    "Interrupt",
     "SimulationError",
 ]

@@ -10,12 +10,15 @@ pending-event structures —
   store/resource dispatch — which dominate real workloads.
 
 Lane appends are a single C-level ``deque.append`` with no tie-break
-counter and no heap sift. Events still run in ``(time, post-order)``
-sequence: a heap entry due at time *t* was always posted at a sim time
-strictly before *t* (``_post`` routes anything that would land at the
-current instant into the lane), so it precedes every lane entry at *t*
-in global post order; ``step``/``peek``/``run`` therefore drain due
-heap entries first, then the lane in FIFO order. ``posted`` is the
+counter and no heap sift. Every scheduling site applies one rule
+inline: an event due at ``now + delay`` takes the lane when that sum
+equals ``now`` (delay 0, or a delay so small it vanishes in float
+addition) and the heap otherwise, so the heap only ever holds
+strictly-future postings. Events therefore still run in
+``(time, post-order)`` sequence: a heap entry due at time *t* was
+always posted at a sim time strictly before *t*, so it precedes every
+lane entry at *t* in global post order; ``step``/``peek``/``run`` drain
+due heap entries first, then the lane in FIFO order. ``posted`` is the
 clock at the push, so it rises with the tie-break and changes no order
 — except for a timer that stands for several back-to-back sleeps
 (``Timeout.at(..., posted=)``): it passes the instant its last sleep
@@ -69,7 +72,6 @@ class Simulator:
         self._queue: list[tuple[float, float, int, Event]] = []
         self._lane: deque[Event] = deque()
         self._counter = count()
-        self._active_process: Optional[Process] = None
         #: Total events processed: the exact, machine-independent cost
         #: of a run (kvbench's ``sim_events_per_op``; the ``events``
         #: column of the pins in ``tests/golden/``).
@@ -110,9 +112,6 @@ class Simulator:
         """Run a generator as a process; returns its completion event."""
         return Process(self, gen, name=name)
 
-    # Alias matching SimPy nomenclature.
-    process = spawn
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
@@ -120,17 +119,6 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------
-
-    def _post(self, event: Event, delay: float = 0.0) -> None:
-        when = self._now + delay
-        # Anything landing at the current instant (delay 0, or a delay so
-        # small it vanishes in float addition) takes the lane; the heap
-        # must only ever hold strictly-future postings, which is what
-        # makes the lane/heap merge order equal the global post order.
-        if when == self._now:
-            self._lane.append(event)
-        else:
-            _heappush(self._queue, (when, self._now, next(self._counter), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` if none)."""

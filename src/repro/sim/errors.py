@@ -4,13 +4,3 @@
 class SimulationError(RuntimeError):
     """Misuse of the engine (triggering twice, yielding a non-event, ...)."""
 
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    ``cause`` carries whatever the interrupter supplied.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause

@@ -16,12 +16,11 @@ of ``Process._resume``, and nothing is queued — popping it would have
 run no code. That covers *notifications* (a process ending, a request
 completing, a buffer becoming reusable) that nobody happened to wait for.
 *Requests* — events handed back to a caller that is about to wait on
-them (``Timeout``, store getters, resource claims, CQ waits,
-conditions) — are triggered through the always-posting paths
-(``_trigger`` or an inlined ``_schedule_now``) even when already
-satisfied: that lane hop is what fixes the caller's place in
-same-instant order. ``fail`` always posts, so an unhandled failure still
-surfaces from ``Simulator.run``.
+them (``Timeout``, store getters, resource claims, conditions) — are
+triggered through the always-posting paths (``_trigger`` or an inlined
+``_schedule_now``) even when already satisfied: that lane hop is what
+fixes the caller's place in same-instant order. ``fail`` always posts,
+so an unhandled failure still surfaces from ``Simulator.run``.
 
 **A hand-off inside one simulated instant is a call.** Where one
 component passes work to the next with no delay between them
@@ -45,7 +44,7 @@ from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.obs.tracer import NULL_SPAN
-from repro.sim.errors import Interrupt, SimulationError
+from repro.sim.errors import SimulationError
 
 _PENDING = object()
 
@@ -172,8 +171,8 @@ class Timeout(Event):
         self._value = value
         self.defused = False
         self.delay = delay
-        # Inlined Simulator._post: the scheduling decision is two float
-        # ops, cheaper than the call frame it replaces.
+        # The lane/heap rule (see the engine's module docstring): two
+        # float ops decide where the timer goes.
         now = sim._now
         when = now + delay
         if when == now:
@@ -240,7 +239,7 @@ class Process(Event):
     succeeds the process event with value ``x``.
     """
 
-    __slots__ = ("_gen", "_send", "_on_event", "_target", "name", "_span")
+    __slots__ = ("_gen", "_send", "_on_event", "name", "_span")
 
     def __init__(self, sim, gen: Generator, name: Optional[str] = None):
         if not hasattr(gen, "send"):
@@ -251,8 +250,6 @@ class Process(Event):
         # instead of allocating a fresh bound method on every yield.
         self._send = gen.send
         self._on_event = self._resume
-        #: The event this process is currently waiting on (None when ready).
-        self._target: Optional[Event] = None
         self.name = name or getattr(gen, "__name__", "process")
         #: Spawn-to-finish span; async because process lifetimes overlap
         #: arbitrarily. The shared no-op span when tracing is off, so the
@@ -269,37 +266,8 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._value is not _PENDING:
-            raise SimulationError("cannot interrupt a finished process")
-        sim = self.sim
-        if sim._active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        # Detach from whatever it is waiting on, then resume with the error.
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._on_event)
-            except ValueError:
-                pass
-        # Hand-rolled wake.fail(Interrupt(cause)) + defuse: the wake event
-        # is pre-defused and freshly created, so the state checks in
-        # fail() are dead weight here.
-        wake = Event(sim)
-        wake._ok = False
-        wake._value = Interrupt(cause)
-        wake.defused = True
-        wake.callbacks.append(self._on_event)
-        sim._schedule_now(wake)
-
     def _resume(self, event: Event) -> None:
-        self._target = None
         sim = self.sim
-        # A hand-off resumes a consumer inside its producer's turn: the
-        # producer is the active process again once this one yields.
-        outer = sim._active_process
-        sim._active_process = self
         send = self._send
         try:
             while True:
@@ -326,7 +294,6 @@ class Process(Event):
                     event = target
                     continue
                 callbacks.append(self._on_event)
-                self._target = target
                 return
         except StopIteration as stop:
             self._span.end()
@@ -334,8 +301,6 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - process died
             self._span.end(failed=True)
             self.fail(exc)
-        finally:
-            sim._active_process = outer
 
 
 class Condition(Event):

@@ -114,13 +114,6 @@ class Resource:
             nxt._value = None
             sim._schedule_now(nxt)
 
-    def cancel(self, req: Request) -> None:
-        """Withdraw a queued (not yet granted) request."""
-        try:
-            self._waiting.remove(req)
-        except ValueError as err:
-            raise SimulationError("request is not queued") from err
-
     def grant_all_waiting(self) -> int:
         """Grant every queued request immediately, ignoring capacity.
 
@@ -136,12 +129,6 @@ class Resource:
             nxt._trigger(True, None)
             n += 1
         return n
-
-    def acquire(self):
-        """Generator helper: ``req = yield from res.acquire()``."""
-        req = self.request()
-        yield req
-        return req
 
 
 class StorePut(Event):

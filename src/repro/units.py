@@ -20,10 +20,3 @@ GB = 1024 * 1024 * 1024
 # -- rates -----------------------------------------------------------------
 GBPS = 1e9 / 8  # 1 gigabit/s expressed in bytes/second
 MBPS_BYTES = 1e6  # 1 megabyte/s in bytes/second (decimal, as drive specs use)
-
-
-def transfer_time(nbytes: int, bandwidth_bytes_per_s: float) -> float:
-    """Serialization time of ``nbytes`` at ``bandwidth_bytes_per_s``."""
-    if nbytes <= 0:
-        return 0.0
-    return nbytes / bandwidth_bytes_per_s

@@ -1,47 +1,4 @@
-"""Tests for histogram/CDF metrics and wait timeouts."""
-
-import pytest
-
-from repro.client.request import OpRecord
-from repro.core import metrics
-
-
-def rec(latency):
-    return OpRecord(op="get", api="get", key_length=8, value_length=10,
-                    status="HIT", t_issue=0.0, t_complete=latency,
-                    blocked_time=latency)
-
-
-class TestHistogram:
-    def test_counts_sum_to_records(self):
-        recs = [rec(10 ** -i) for i in range(1, 6)] * 3
-        hist = metrics.latency_histogram(recs, buckets=8)
-        assert sum(c for _, c in hist) == len(recs)
-
-    def test_bounds_monotone(self):
-        recs = [rec(x * 1e-6) for x in (1, 5, 20, 100, 900)]
-        hist = metrics.latency_histogram(recs)
-        bounds = [b for b, _ in hist]
-        assert bounds == sorted(bounds)
-        assert bounds[-1] == pytest.approx(900e-6)
-
-    def test_single_value(self):
-        hist = metrics.latency_histogram([rec(1e-3)] * 5)
-        assert hist == [(1e-3, 5)]
-
-    def test_empty_and_validation(self):
-        assert metrics.latency_histogram([]) == []
-        with pytest.raises(ValueError):
-            metrics.latency_histogram([rec(1)], buckets=0)
-
-
-class TestCdf:
-    def test_percentile_points(self):
-        recs = [rec((i + 1) * 1e-6) for i in range(1000)]
-        cdf = metrics.latency_cdf(recs)
-        assert cdf[50] == pytest.approx(500e-6, rel=0.01)
-        assert cdf[99] == pytest.approx(990e-6, rel=0.01)
-        assert cdf[99.9] <= 1000e-6
+"""Tests for wait timeouts."""
 
 
 class TestWaitTimeout:

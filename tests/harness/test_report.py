@@ -1,7 +1,7 @@
 """Tests for report formatting and the encoded paper claims."""
 
 from repro.harness import paper
-from repro.harness.report import ascii_table, fmt_pct, fmt_ratio, fmt_us, markdown_table
+from repro.harness.report import ascii_bars, ascii_table, fmt_pct, fmt_us
 from repro.units import MS, US
 
 
@@ -12,8 +12,7 @@ class TestFormatters:
     def test_fmt_us_switches_to_ms(self):
         assert fmt_us(2.5 * MS) == "2.50 ms"
 
-    def test_ratio_and_pct(self):
-        assert fmt_ratio(2.0) == "2.00x"
+    def test_fmt_pct(self):
         assert fmt_pct(12.3456) == "12.3%"
 
 
@@ -31,10 +30,20 @@ class TestAsciiTable:
         out = ascii_table([{"a": 1, "b": 2}], columns=["b"])
         assert "a" not in out.splitlines()[1]
 
-    def test_markdown(self):
-        out = markdown_table([{"x": 1}])
-        assert out.splitlines()[0] == "| x |"
-        assert "| 1 |" in out
+
+def test_ascii_bars_renders():
+    out = ascii_bars({"RDMA-Mem": 15 * US, "H-RDMA-Def": 165 * US},
+                     title="nofit latency")
+    assert "nofit latency" in out
+    assert out.count("#") > 10
+    lines = out.splitlines()
+    assert len(lines) == 3
+    # The larger value gets the longer bar.
+    assert lines[2].count("#") > lines[1].count("#")
+
+
+def test_ascii_bars_empty():
+    assert "(no data)" in ascii_bars({}, title="x")
 
 
 class TestClaims:

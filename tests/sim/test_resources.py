@@ -81,33 +81,6 @@ class TestResource:
         with pytest.raises(SimulationError):
             res.release(req)
 
-    def test_cancel_queued_request(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        first = res.request()
-        second = res.request()
-        assert res.queue_length == 1
-        res.cancel(second)
-        assert res.queue_length == 0
-        with pytest.raises(SimulationError):
-            res.cancel(first)  # granted, not queued
-
-    def test_acquire_helper(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        log = []
-
-        def proc(sim):
-            req = yield from res.acquire()
-            log.append(sim.now)
-            yield sim.timeout(1)
-            res.release(req)
-
-        sim.spawn(proc(sim))
-        sim.spawn(proc(sim))
-        sim.run()
-        assert log == [0.0, 1.0]
-
     def test_utilization_counters(self):
         sim = Simulator()
         res = Resource(sim, capacity=2)
