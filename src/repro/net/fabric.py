@@ -5,8 +5,8 @@ A :class:`Message` moves through three observable points:
 1. *on wire* — the sender's NIC finished serializing it; the sender's
    buffers are free for reuse (this is what ``bset``/``bget`` wait for).
 2. *delivered* — the last byte arrived at the destination NIC.
-3. consumption — a higher layer (QP recv queue, IPoIB inbox) hands it to
-   the application.
+3. consumption — a higher layer (an endpoint's receiver or inbox) hands
+   it to the application.
 
 The transmit side of each NIC is one pipe, so concurrent messages from
 one node serialize — this is what creates client-side NIC contention in
