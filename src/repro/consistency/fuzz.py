@@ -22,6 +22,7 @@ seed. Which scenario each CI seed derives is pinned in
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -29,7 +30,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.consistency.checker import (ConsistencyReport, Violation,
                                       check_history)
 from repro.consistency.eventual import check_convergence
-from repro.consistency.history import HistoryEvent, HistoryRecorder
+from repro.consistency.history import HistoryEvent, HistoryRecorder, to_jsonl
 from repro.core.cluster import ClusterSpec, ReplicationConfig, build_cluster
 from repro.core.profiles import H_RDMA_OPT_NONB_I
 from repro.core.topology import TopologyConfig
@@ -496,6 +497,9 @@ class FuzzResult:
     repro: Optional[str] = None
     #: Recorded history (violating seeds, or ``keep_history=True``).
     events: List[HistoryEvent] = field(default_factory=list)
+    #: First 16 hex digits of the sha256 of the seed's recorded history
+    #: (``to_jsonl``): two trees whose runs differ show different values.
+    history: str = ""
 
     @property
     def ok(self) -> bool:
@@ -517,7 +521,9 @@ def fuzz_seeds(seeds: Sequence[int], *, shrink_failures: bool = True,
     for seed in seeds:
         scenario = derive_fn(seed)
         report, events, _recorder = run_scenario(scenario)
-        result = FuzzResult(seed=seed, scenario=scenario, report=report)
+        digest = hashlib.sha256(to_jsonl(events).encode()).hexdigest()[:16]
+        result = FuzzResult(seed=seed, scenario=scenario, report=report,
+                            history=digest)
         if not report.ok:
             result.events = events
             minimized = shrink(scenario) if shrink_failures else scenario

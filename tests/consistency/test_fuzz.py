@@ -1,6 +1,7 @@
 """Fuzzer machinery: seed derivation, repro lines, shrinking, sweeps."""
 
 import dataclasses
+import hashlib
 import re
 import shlex
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from repro.cli import build_parser, main, scenario_from_args
 from repro.consistency import (ConsistencyReport, Violation, derive,
                                derive_elastic, derive_eventual, fuzz_seeds,
-                               repro_line)
+                               repro_line, to_jsonl)
 from repro.consistency import fuzz as fuzz_mod
 from repro.consistency.fuzz import Scenario, shrink
 from tests.golden import load
@@ -172,6 +173,18 @@ class TestFuzzSeeds:
         (result,) = fuzz_seeds(
             [derive_small_seed()], keep_history=True)
         assert result.ok and result.events
+
+    def test_progress_line_names_the_history_digest(self, capsys):
+        """Each seed's line carries the sha256 of its recorded history,
+        so two trees' sweeps diff wherever a run's outcome moved."""
+        seed = derive_small_seed()
+        (result,) = fuzz_seeds([seed], keep_history=True)
+        digest = hashlib.sha256(to_jsonl(result.events).encode()).hexdigest()
+        assert result.history == digest[:16]
+        assert main(["fuzz", "--seeds", str(seed), "--no-shrink"]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+                   if ln.startswith(f"  seed {seed:>4} ")]
+        assert line.endswith(f" history={digest[:16]}")
 
 
 def derive_small_seed() -> int:
