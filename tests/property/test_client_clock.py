@@ -14,12 +14,20 @@ waits, in the order it waits them: the API overhead, then from
 ``t_api_return`` to the instant the call returns. With a silent server
 and ``request_timeout`` set, each bounded wait starts where the one
 before it ended — the first at ``t_api_return`` — so every completion
-timeout, and the ``SERVER_DOWN`` completion, falls on a sum too.
+timeout, and the ``SERVER_DOWN`` completion, falls on a sum too, and
+each of those waits (a timeout, a retry's backoff) is a stretch of its
+own in the blocked time.
 Drawing the costs as picosecond counts makes these arbitrary floats,
 so the checks are exact; zero costs are drawn as well. Every blocking
 entry point is checked on RDMA (with and without early ack) and IPoIB,
 including the miss path's repopulating ``set``. The sequential sum is
 the reference, as in ``test_worker_clock.py``.
+
+The replication factor R is drawn too. At R=2 (a 1x2 cluster, sync
+writes, healthy servers only) the primary request keeps every one of
+these sums; a write's caller waits one stretch more, from the primary's
+response to its copy's ack, and every copy is issued where its parent's
+API overhead ends.
 """
 
 import dataclasses
@@ -30,7 +38,8 @@ from hypothesis import strategies as st
 
 from repro import build_cluster, profiles
 from repro.client.client import MemcachedClient
-from repro.core.cluster import ClusterSpec
+from repro.core.cluster import ClusterSpec, ReplicationConfig
+from repro.core.topology import TopologyConfig
 from repro.net.fabric import NIC
 from repro.units import KB, MB
 
@@ -59,14 +68,26 @@ ps = st.integers(10_000, 5_000_000).map(lambda n: n * 1e-12)
 cost_or_zero = st.one_of(st.just(0.0), ps)
 
 
+def _waited(t0, *instants):
+    """The blocked time of a caller that waits from ``t0`` through each
+    of ``instants`` in turn: its stretches, added one at a time."""
+    blocked, start = 0.0, t0
+    for t in instants:
+        blocked += t - start
+        start = t
+    return blocked
+
+
 def _down_at(start, timeout, retries, backoff):
-    """``(timeout instants, SERVER_DOWN instant)`` of a request whose
-    first bounded wait starts at ``start`` and that nobody answers."""
-    timeouts = [start + timeout]
+    """Every instant a bounded wait ends, in order, for a request whose
+    first wait starts at ``start`` and that nobody answers: a completion
+    timeout, then per retry its backoff and the next timeout. The even
+    ones are the timeouts; the last is the ``SERVER_DOWN`` instant."""
+    ends = [start + timeout]
     for attempt in range(1, retries + 1):
-        retry = timeouts[-1] + backoff * 2 ** (attempt - 1)
-        timeouts.append(retry + timeout)
-    return timeouts, timeouts[-1]
+        ends.append(ends[-1] + backoff * 2 ** (attempt - 1))
+        ends.append(ends[-1] + timeout)
+    return ends
 
 
 @settings(max_examples=25, deadline=None)
@@ -78,12 +99,13 @@ def _down_at(start, timeout, retries, backoff):
                      min_size=40, max_size=40),
        healthy_timeout=st.one_of(st.none(), ps.map(lambda t: t + 1e-3)),
        timeout=ps.map(lambda t: t + 1e-4), retries=st.integers(0, 1),
-       backoff=ps, penalty=cost_or_zero)
+       backoff=ps, penalty=cost_or_zero, replication=st.sampled_from([1, 2]))
 def test_blocking_calls_are_the_sequential_sums(
         profile, api_overhead, engine_cpu, value_length, gaps,
-        healthy_timeout, timeout, retries, backoff, penalty):
-    sent, answered, timeouts, downs = [], [], [], {}
+        healthy_timeout, timeout, retries, backoff, penalty, replication):
+    sent, answered, timeouts, downs, copies = [], [], [], {}, {}
     transmit, note_timeout = NIC.transmit, MemcachedClient._note_timeout
+    fan_out = MemcachedClient._fan_out
     fail, on_response = (MemcachedClient._fail_server_down,
                          MemcachedClient._on_response)
 
@@ -104,8 +126,15 @@ def test_blocking_calls_are_the_sequential_sums(
         downs.setdefault(req.req_id, client.sim.now)
         fail(client, req, count)
 
+    def spy_fan_out(client, req, *args):
+        subs = fan_out(client, req, *args)
+        copies[req.req_id] = (req, subs)
+        return subs
+
     cluster = build_cluster(profile, spec=ClusterSpec(
-        server_mem=32 * MB, ssd_limit=64 * MB, backend_penalty=penalty))
+        topology=TopologyConfig(initial_servers=replication),
+        server_mem=32 * MB, ssd_limit=64 * MB, backend_penalty=penalty,
+        replication=ReplicationConfig(factor=replication)))
     client, sim = cluster.clients[0], cluster.sim
     cluster.backend.default_value_length = value_length
     client.config = dataclasses.replace(
@@ -134,12 +163,31 @@ def test_blocking_calls_are_the_sequential_sums(
         check_request_sent(t0)
         return t0, result, sim.now
 
+    def check_waited_in_turn(t0, reqs):
+        """mget and flush_all: one overhead for the batch, then each
+        request waited in turn from where the one before it completed.
+        Returns where the last wait ends."""
+        t_api = start = t0 + api_overhead
+        for r in reqs:
+            assert r.t_api_return == t_api
+            blocked = 0.0 + (t_api - t0)
+            if r.t_complete > start:
+                blocked += r.t_complete - start
+                start = r.t_complete
+            assert r.blocked_time == blocked
+        return start
+
     def healthy():
         for name, fn in ISSUED.items():
             t0, req, t_ret = yield from call(name, lambda: fn(client, value_length))
             t_api = t0 + api_overhead
             assert req.t_api_return == t_api
-            assert req.blocked_time == (0.0 + (t_api - t0)) + (t_ret - t_api)
+            waits = [t_api, t_ret]
+            if req.req_id in copies and name not in BUFFER_SAFE:
+                # A sync write: the response, then the copies' acks.
+                waits.insert(1, next(t for t, rid in answered
+                                     if rid == req.req_id))
+            assert req.blocked_time == _waited(t0, *waits)
             if name in BUFFER_SAFE:
                 yield from client.wait(req)
         # A miss: the backend fetch, then the repopulating set, which
@@ -156,20 +204,16 @@ def test_blocking_calls_are_the_sequential_sums(
                                     + (t_fetched - t_resp)) + (t_ret - t_fetched)
         # The hand-rolled ones: mget, stats, flush_all.
         t0, reqs, _ = yield from call("mget", lambda: client.mget(KEYS))
-        t_api = start = t0 + api_overhead
-        for r in reqs:
-            assert r.t_api_return == t_api
-            blocked = 0.0 + (t_api - t0)
-            if r.t_complete > start:
-                blocked += r.t_complete - start
-                start = r.t_complete
-            assert r.blocked_time == blocked
+        check_waited_in_turn(t0, reqs)
         client.total_blocked = 0.0
         t0, _, t_ret = yield from call("stats", lambda: client.stats(0))
         assert client.total_blocked == 0.0 + (t_ret - t0)
-        t0, (req,), t_ret = yield from call("flush_all", client.flush_all)
-        t_api = t0 + api_overhead
-        assert req.blocked_time == (0.0 + (t_api - t0)) + (t_ret - t_api)
+        t0, reqs, t_ret = yield from call("flush_all", client.flush_all)
+        assert check_waited_in_turn(t0, reqs) == t_ret
+        # Every write copy is issued where its parent's overhead ends.
+        assert bool(copies) == (replication > 1)
+        for parent, subs in copies.values():
+            assert {sub.t_issue for sub in subs} == {parent.t_api_return}
 
     def silent():
         client.config = dataclasses.replace(client.config,
@@ -179,23 +223,25 @@ def test_blocking_calls_are_the_sequential_sums(
             del timeouts[:]
             t0, req, t_ret = yield from call(name, lambda: fn(client, value_length))
             t_api = t0 + api_overhead
-            assert req.blocked_time == (0.0 + (t_api - t0)) + (t_ret - t_api)
-            start = t_api
             if name in BUFFER_SAFE:
+                assert req.blocked_time == _waited(t0, t_api, t_ret)
                 if profile.early_ack and name == "bset":
                     assert t_ret == t_api + timeout  # no BufferAck comes
                 yield from client.wait(req)
-                start = t_ret
-            want, down = _down_at(start, timeout, retries, backoff)
-            assert (timeouts, downs[req.req_id]) == (want, down)
+                ends = _down_at(t_ret, timeout, retries, backoff)
+            else:
+                ends = _down_at(t_api, timeout, retries, backoff)
+                # Every bounded wait in turn, then a get's backend read.
+                assert req.blocked_time == _waited(t0, t_api, *ends, t_ret)
+            assert (timeouts, downs[req.req_id]) == (ends[::2], ends[-1])
         del timeouts[:]
         t0, reqs, _ = yield from call("mget", lambda: client.mget(KEYS))
         start, want = t0 + api_overhead, []
         for r in reqs:
-            more, down = _down_at(start, timeout, retries, backoff)
-            want += more
-            assert downs[r.req_id] == down
-            start = down + penalty  # the fallback backend read
+            ends = _down_at(start, timeout, retries, backoff)
+            want += ends[::2]
+            assert downs[r.req_id] == ends[-1]
+            start = ends[-1] + penalty  # the fallback backend read
         assert timeouts == want
         for name, fn in (("stats", lambda: client.stats(0)),
                          ("flush_all", client.flush_all)):
@@ -207,6 +253,8 @@ def test_blocking_calls_are_the_sequential_sums(
     with mock.patch.object(NIC, "transmit", spy_transmit), \
             mock.patch.object(MemcachedClient, "_note_timeout", spy_timeout), \
             mock.patch.object(MemcachedClient, "_fail_server_down", spy_fail), \
-            mock.patch.object(MemcachedClient, "_on_response", spy_response):
+            mock.patch.object(MemcachedClient, "_on_response", spy_response), \
+            mock.patch.object(MemcachedClient, "_fan_out", spy_fan_out):
         sim.run(until=sim.spawn(healthy()))
-        sim.run(until=sim.spawn(silent()))
+        if replication == 1:
+            sim.run(until=sim.spawn(silent()))
