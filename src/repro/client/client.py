@@ -20,10 +20,12 @@ Architecture (paper Figure 3):
 Every API method is a generator: drive it with ``yield from`` inside a
 simulation process. Time the client spends blocked inside these
 generators is accounted per operation; it is the basis of the overlap
-measurements (Figure 7a). A blocking call sleeps no timer of its own for
-its API overhead: its caller only waits once the request is handed over,
-so the overhead rides the engine's CPU timer for the request (``_issue``)
-and the caller's waits start where it ends.
+measurements (Figure 7a). Every call, with or without replication,
+queues its engine job at the instant it is made; the job is ready where
+the API overhead ends (``_issue``). A blocking call sleeps no timer of
+its own for that overhead: its caller only waits once the request is
+handed over, so the overhead rides the engine's CPU timer for the
+request and the caller's waits start where it ends.
 """
 
 from __future__ import annotations
@@ -231,13 +233,6 @@ class MemcachedClient:
         self.buffer_pool = BufferPool()
         self._next_req_id = 0
         self._started = False
-        #: The engine's CPU per job, and whether a call with a nonzero API
-        #: overhead queues its engine job at the call instant (see
-        #: ``_issue``): the engine sleeps a CPU of its own, and no replica
-        #: work is due at the overhead's end (a write's fan-out, a read's
-        #: replica count). Both are set when the engine starts.
-        self._engine_cpu = 0.0
-        self._queue_at_call = False
         # metrics
         self.records: List[OpRecord] = []
         self.total_blocked = 0.0
@@ -407,15 +402,13 @@ class MemcachedClient:
             self._m_replica_reads.inc()
 
     def _ensure_started(self) -> None:
-        """On first use: start the communication engine (reading its CPU
-        cost per job now) and take every connection's responses."""
+        """On first use: start the communication engine and take every
+        connection's responses."""
         if self._started:
             return
         self._started = True
         if self._ring_size == 0:
             self._ring_size = len(self._conns)
-        self._engine_cpu = self.config.engine_cpu
-        self._queue_at_call = self._replication == 1 and self._engine_cpu > 0
         self.sim.spawn(self._engine(), name=f"{self.name}-engine")
         for conn in self._conns:
             self._listen(conn)
@@ -496,6 +489,7 @@ class MemcachedClient:
                                0, "mget")
             self._next_req_id += 1
             req.t_issue = t0
+            req.t_api_return = t_api
             if self._profiler.enabled:
                 req.trace_id = self._profiler.maybe_start("get", "mget",
                                                           t_issue=t0)
@@ -510,18 +504,13 @@ class MemcachedClient:
             batch = batches.setdefault(conn.index,
                                        _MgetJob([], conn, t0, t_api))
             batch.reqs.append(req)
-        early = api_overhead and self._queue_at_call
-        if not early:
-            yield self.sim.timeout(api_overhead)
         for batch in batches.values():
             self._engine_queue.put(batch)
-        if early and down:
-            yield self.sim.timeout(api_overhead)  # fail fast at its end
         self._account_many(reqs, t_api - t0)
-        for req in reqs:
-            req.t_api_return = t_api
-        for req in down:
-            self._fail_server_down(req)
+        if down:  # no routable server: fail fast where the overhead ends
+            yield self.sim.timeout(api_overhead)
+            for req in down:
+                self._fail_server_down(req)
         # Blocking fetch loop (like memcached_fetch after mget).
         for req in reqs:
             yield from self._finish(req)
@@ -543,14 +532,10 @@ class MemcachedClient:
         req = MemcachedReq(self.sim, self._next_req_id, "stats", b"",
                            0, "stats")
         self._next_req_id += 1
-        req.t_issue = self.sim.now
+        t0 = req.t_issue = self.sim.now
         req.server_index = conn.index
         self._op_begin(req, history=False)
-        t0 = self.sim.now
-        api_overhead = self.config.api_overhead
-        t_api = req.t_api_return = t0 + api_overhead
-        if not (api_overhead and self._queue_at_call):
-            yield self.sim.timeout(api_overhead)
+        t_api = req.t_api_return = t0 + self.config.api_overhead
         self._engine_queue.put(self._job_new(req, conn, 0.0, t_api))
         # stats targets one explicit server: no failover, no retry.
         yield self._bounded(req.complete, self.config.request_timeout, t_api)
@@ -636,10 +621,7 @@ class MemcachedClient:
         Generator; returns the per-server requests."""
         self._ensure_started()
         t0 = self.sim.now
-        api_overhead = self.config.api_overhead
-        t_api = t0 + api_overhead
-        if not (api_overhead and self._queue_at_call):
-            yield self.sim.timeout(api_overhead)
+        t_api = t0 + self.config.api_overhead
         reqs: List[MemcachedReq] = []
         for conn in self._conns:
             req = MemcachedReq(self.sim, self._next_req_id, "flush", b"",
@@ -868,24 +850,19 @@ class MemcachedClient:
                flags: int, expiration: float, mode: str = "set",
                cas_token: int = 0, delta: int = 0,
                initial: Optional[int] = None, blocking: bool = False):
-        """Open a request, pay the API overhead and queue it on the
-        engine.
+        """Open a request and queue it on the engine at the call
+        instant ``t0``, ready where the API overhead ends (``t_api =
+        t0 + api_overhead``): the engine's CPU timer is due at
+        ``t_api + engine_cpu``, posted at ``t_api`` (``_engine``). With
+        replication, a write's copies are queued behind it, issued at
+        ``t_api`` (``_fan_out``), and a read off the primary's replica
+        set is counted here.
 
-        The job is queued at the call instant ``t0``, ready where the
-        overhead ends (``t0 + api_overhead``), and the engine's CPU timer
-        is due at ``ready + engine_cpu``, posted at ``ready``: the float
-        and the heap key the sleep-then-queue order gave it, with the
-        engines' timers pushed in the order of the calls, as the
-        callers' sleeps had them. A ``blocking`` caller only waits after
-        this, so it sleeps no timer of its own; its waits start at
-        ``t_api_return`` (``_wait_start``). A non-blocking caller still
-        sleeps the overhead, since it issues again at its end.
-
-        The call sleeps first and queues at the overhead's end where the
-        caller has work there — with replication (``_queue_at_call``: a
-        write's fan-out, a read's replica count) — and where either cost
-        is zero. With no routable server there is no job, and the call
-        completes at the overhead's end."""
+        A ``blocking`` caller only waits after this, so it sleeps no
+        timer of its own; its waits start at ``t_api_return``
+        (``_wait_start``). A non-blocking caller sleeps the overhead,
+        since it issues again at its end. With no routable server there
+        is no job, and the call completes at the overhead's end."""
         self._ensure_started()
         sim = self.sim
         req_id = self._next_req_id
@@ -907,31 +884,24 @@ class MemcachedClient:
         conn = self._route(key)
         self._op_begin(req)
         api_overhead = self.config.api_overhead
-        early = api_overhead and self._queue_at_call and conn is not None
-        if early:
-            t_api = t0 + api_overhead
+        t_api = req.t_api_return = t0 + api_overhead
+        if conn is not None:
             req.server_index = conn.index
             self._engine_queue.put(self._job_new(req, conn, t0, t_api))
+            if self._replication > 1:
+                if op in ("set", "delete", "incr", "decr"):
+                    subs = self._fan_out(req, conn, t_api)
+                    if self._sync_writes and subs:
+                        self._replica_subs[req.req_id] = subs
+                elif op == "get":
+                    self._note_replica_read(key, conn)
             if blocking:
-                req.t_api_return = t_api
                 self._account_block(req, t_api - t0)
                 return req
         yield sim.timeout(api_overhead)
-        now = req.t_api_return = sim._now
-        self._account_block(req, now - t0)
+        self._account_block(req, sim._now - t0)
         if conn is None:  # every server ejected: fail fast
             self._fail_server_down(req)
-            return req
-        if not early:
-            req.server_index = conn.index
-            self._engine_queue.put(self._job_new(req, conn, t0))
-        if self._replication > 1:
-            if op in ("set", "delete", "incr", "decr"):
-                subs = self._fan_out(req, conn)
-                if self._sync_writes and subs:
-                    self._replica_subs[req.req_id] = subs
-            elif op == "get":
-                self._note_replica_read(req.key, conn)
         return req
 
     def _wait_start(self, req: MemcachedReq) -> float:
@@ -956,9 +926,11 @@ class MemcachedClient:
 
     # -- replication (write fan-out + replica acks) -------------------------
 
-    def _fan_out(self, req: MemcachedReq,
-                 primary: ServerConn) -> List[MemcachedReq]:
-        """Queue replica copies of a write on the engine.
+    def _fan_out(self, req: MemcachedReq, primary: ServerConn,
+                 at: float) -> List[MemcachedReq]:
+        """Queue replica copies of a write on the engine, behind the
+        write itself; each copy is issued ``at`` the write's
+        ``t_api_return``.
 
         CAS tokens are per-server, so replica copies of a ``cas`` write
         downgrade to unconditional sets — the primary alone validates
@@ -977,7 +949,7 @@ class MemcachedClient:
                                req.value_length, "replica", req.flags,
                                rmode, 0, req.delta, req.initial)
             self._next_req_id += 1
-            sub.t_issue = self.sim.now
+            sub.t_issue = at
             sub.expiration = req.expiration
             # Replica copies share the parent's trace: their spans show
             # up under the ``replica.`` prefix of the parent's tree.
@@ -993,7 +965,7 @@ class MemcachedClient:
             sub.complete.callbacks.append(
                 lambda _ev, s=sub, c=conn, p=req.req_id:
                     self._replica_done(s, c, p))
-            self._engine_queue.put(self._job_new(sub, conn, self.sim.now))
+            self._engine_queue.put(self._job_new(sub, conn, at, at))
             self._m_replica_writes.inc()
             subs.append(sub)
         return subs
@@ -1261,30 +1233,29 @@ class MemcachedClient:
 
     def _engine(self):
         """The communication engine: a FIFO of jobs, each costing
-        ``engine_cpu`` on one timer, due that long after the later of
-        now and the job's ``ready`` instant — where the API overhead of
-        the call that queued it ends; for a blocking call that one timer
-        stands for both sleeps (see ``_issue``). Then it sends: a
-        header, or for an RDMA SET the header and, once a receive credit
-        is granted, the value."""
+        ``engine_cpu`` (read as the engine starts) on one timer, due
+        that long after the later of now and the job's ``ready`` instant
+        — where the API overhead of the call that queued it ends; for a
+        blocking call that one timer stands for both sleeps (see
+        ``_issue``). Then it sends: a header, or for an RDMA SET the
+        header and, once a receive credit is granted, the value."""
         # Everything read per job is hoisted once: the loop runs for
         # every operation the client ever issues and each attribute walk
         # in here is a per-op cost.
         sim = self.sim
         timeout = sim.timeout
         queue_get = self._engine_queue.get
-        engine_cpu = self._engine_cpu
+        engine_cpu = self.config.engine_cpu
         model_registration = self.config.model_registration
         profiler = self._profiler
         pool = self._job_pool
         while True:
             job = yield queue_get()
-            if engine_cpu:
-                ready = job.ready
-                if ready > sim._now:
-                    yield Timeout.at(sim, ready + engine_cpu, posted=ready)
-                else:
-                    yield timeout(engine_cpu)
+            ready = job.ready
+            if ready > sim._now:
+                yield Timeout.at(sim, ready + engine_cpu, posted=ready)
+            else:
+                yield timeout(engine_cpu)
             if isinstance(job, _MgetJob):
                 if profiler.enabled:
                     now = sim.now
