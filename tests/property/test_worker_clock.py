@@ -14,6 +14,9 @@ RDMA to a server without early ack (``RDMA_MEM``), the same with early
 ack (``H_RDMA_OPT_NONB_I``), and a value inline with the header over
 IPoIB (``FATCACHE``): the server-side stage boundaries of the
 request's causal profile, the last of which is the response's send.
+The other commands that hit in RAM and update the LRU — a ``touch``,
+a ``gat``, and an ``incr`` that creates its counter and one that finds
+it — are checked from their pickup to their send.
 An RDMA value can land while the worker still parses the header, at
 the very instant the parse ends, or after it; each example runs all
 three, setting the parse cost to make each happen, and the run must
@@ -35,6 +38,7 @@ from repro.server.server import MemcachedServer, ServerCosts
 from repro.units import KB, MB
 
 KEY = b"clock-key"
+COUNTER = b"clock-counter"
 SERVER_STAGES = ("server_cpu", "index", "ram", "ssd")
 
 
@@ -52,9 +56,10 @@ costs = st.builds(ServerCosts, parse=cost, hash_lookup=cost,
 
 
 def _run(profile, server_costs, value_length):
-    """One SET then one GET of the same key. Returns what the server
-    received (``(instant, recv_cpu, payload)``), the responses' payloads
-    and the two requests' server-side profile spans."""
+    """One SET then one GET of the same key, a touch and a gat of it,
+    and two incrs of a counter (the first creates it). Returns what the
+    server received (``(instant, recv_cpu, payload)``), the responses'
+    payloads and each request's server-side profile spans."""
     received, responses = [], []
     receive, on_response = MemcachedServer._receive, MemcachedClient._on_response
 
@@ -77,6 +82,10 @@ def _run(profile, server_costs, value_length):
         def app():
             yield from client.set(KEY, value_length)
             yield from client.get(KEY)
+            yield from client.touch(KEY, 60.0)
+            yield from client.gat(KEY, 60.0)
+            yield from client.incr(COUNTER, 1, initial=0)
+            yield from client.incr(COUNTER, 1)
 
         sim.run(until=sim.spawn(app()))
     spans = [[span for span in trace[4] if server_side(span)]
@@ -133,13 +142,13 @@ def _check_stages(arrival, profile, c, value_length):
     """The SET's and the GET's server-side spans are the sequential sums
     of their stage costs, and the SET's value landed as ``arrival``
     says."""
-    received, responses, (set_spans, get_spans) = _run(profile, c,
-                                                       value_length)
+    received, responses, spans = _run(profile, c, value_length)
+    set_spans, get_spans, *lru_spans = spans
     headers = [(t, recv) for t, recv, p in received if isinstance(p, Request)]
     values = [t for t, _recv, p in received if isinstance(p, ValueArrival)]
-    (t_set, recv_set), (t_get, recv_get) = headers
-    set_resp, get_resp = (r for r in responses if isinstance(r, Response))
-    assert (set_resp.status, get_resp.status) == ("STORED", "HIT")
+    (t_set, recv_set), (t_get, recv_get), *lru_headers = headers
+    statuses = [r.status for r in responses if isinstance(r, Response)]
+    assert statuses == ["STORED", "HIT", "TOUCHED", "HIT", "STORED", "STORED"]
 
     # SET: the worker picks the header up on arrival; an RDMA-written
     # value is copied out once both it and the parsed header are there.
@@ -171,3 +180,13 @@ def _check_stages(arrival, profile, c, value_length):
                          ("index.cache_check_load", parsed, looked_up),
                          ("index.cache_update", looked_up, updated),
                          ("server_cpu.response", updated, sent)]
+
+    # touch, gat and incr, each a RAM hit: the lookup rode the pickup
+    # timer, then the LRU update and the response.
+    assert len(lru_headers) == len(lru_spans) == 4
+    for (t, recv), req_spans in zip(lru_headers, lru_spans):
+        parsed = (t + recv) + c.parse
+        updated = (parsed + c.hash_lookup) + c.lru_update
+        sent = updated + c.response_prep
+        assert req_spans[0] == ("server_cpu", t, parsed)
+        assert req_spans[-1] == ("server_cpu.response", updated, sent)
