@@ -260,13 +260,15 @@ class HybridSlabManager:
         self.stats.hits += 1
         return item
 
-    def touch(self, item: Item) -> None:
-        """Cache Update stage: promote to MRU.
+    def touch(self, item: Item, at: Optional[float] = None) -> None:
+        """Cache Update stage: promote to MRU, stamped ``at`` (default
+        now) — the instant the stage ends, which a worker that runs it
+        inside a longer CPU burst knows before it sleeps the burst.
 
         Tolerates stale references: an item replaced or flushed by a
         concurrent worker since the lookup is silently skipped.
         """
-        item.last_access = self.sim.now
+        item.last_access = self.sim.now if at is None else at
         if item.in_ram and item.page is not None:
             self.allocator.classes[item.clsid].lru.touch(item)
 

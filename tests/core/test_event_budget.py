@@ -12,11 +12,13 @@ hold with the request profiler off **and** on.
 The budgets are low because every queued event has an observer
 (docs/performance.md, "Event budget"): message milestones, ``buffer_safe``
 and per-put store events exist only where something waits on them —
-which is why ``bget`` costs two events more than ``iget`` + ``wait`` —
-and because a hand-off inside one simulated instant is a call: a frame
-reaches the server's worker queue, a queued job its parked consumer and
-a response its waiter without a lane hop in between — and because a
-server worker sleeps one timer per uninterrupted run of CPU stages.
+which is why ``bget`` costs one event more than ``iget`` + ``wait``
+(its ``buffer_safe`` adds two; it skips the issue sleep ``iget``'s
+caller takes) — and because a hand-off inside one simulated instant is
+a call: a frame reaches the server's worker queue, a queued job its
+parked consumer and a response its waiter without a lane hop in
+between — and because a server worker sleeps one timer per
+uninterrupted run of CPU stages.
 
 The second exact column is heap pushes per operation: the timers that
 really wait for a later instant, read off the simulator's tie-break
@@ -249,16 +251,21 @@ def _device_stage(event):
 
 
 def _process_stage(event):
-    """`` [process]`` for the process ``event`` resumes, else ``""``;
-    the client engine's also names the stage it ends — its CPU for a
-    job (``engine dispatch``) or a SET value's receive credit (``credit
-    grant``) — and the request it is for."""
+    """`` [process: stage]`` for the process ``event`` resumes, else
+    ``""``. The stage of most processes is the innermost generator they
+    are suspended in (a server worker's ``_worker`` pickup, a handler,
+    ``_respond``); the client engine's is the stage it ends — its CPU
+    for a job (``engine dispatch``) or a SET value's receive credit
+    (``credit grant``) — and the request it is for."""
     proc = next((cb.__self__ for cb in event.callbacks
                  if isinstance(getattr(cb, "__self__", None), Process)), None)
     if proc is None:
         return ""
     if not proc.name.endswith("-engine"):
-        return f" [{proc.name}]"
+        gen = proc._gen
+        while getattr(gen.gi_yieldfrom, "gi_code", None) is not None:
+            gen = gen.gi_yieldfrom
+        return f" [{proc.name}: {gen.gi_code.co_name}]"
     # The engine's locals: the job it took (the CPU timer ends it), and
     # the request it unpacked from it (waiting for a credit).
     frame = proc._gen.gi_frame.f_locals
@@ -368,6 +375,24 @@ def test_the_event_list_names_each_engine_stage():
     assert engine == [f"engine dispatch, set #{req_id}]",
                       f"credit grant, set #{req_id}]"]
     assert any("Process._resume [server0-worker" in line for line in lines)
+
+
+def test_the_event_list_names_each_worker_stage():
+    """What a moved request budget prints for a server worker: the
+    generator each timer wakes it in. A RAM-hit GET's worker sleeps its
+    pickup (receive, parse and lookup) and its response prep, which also
+    covers the LRU update; a SET's handler sleeps its copy and slab
+    allocation, then its LRU update, before the response."""
+    cluster = _warm_cluster(profiles.RDMA_MEM, profiled=False)
+    client, sim = cluster.clients[0], cluster.sim
+
+    def worker_stages(op):
+        lines = _event_list(sim, lambda: op(client)).splitlines()
+        return [line.rpartition(": ")[2] for line in lines
+                if "[server0-worker" in line]
+
+    assert worker_stages(_get) == ["_worker]", "_respond]"]
+    assert worker_stages(_set) == ["_handle_set]", "_handle_set]", "_respond]"]
 
 
 @pytest.mark.parametrize("profile,consensus", [(profiles.RDMA_MEM, False),

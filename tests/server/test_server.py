@@ -11,8 +11,11 @@ from repro.server.protocol import (
     HIT,
     MISS,
     STORED,
+    CounterRequest,
+    GatRequest,
     GetRequest,
     SetRequest,
+    TouchRequest,
     ValueArrival,
 )
 from repro.server.server import MemcachedServer, ServerConfig
@@ -125,6 +128,51 @@ def test_handlers_record_the_fig2_server_stages():
         assert spans["index.cache_update"] == pytest.approx(costs.lru_update)
         assert spans["server_cpu.response"] == pytest.approx(
             costs.response_prep)
+
+
+def test_touch_gat_and_incr_record_their_stages_as_get_does():
+    """Every command that looks an item up and moves it to MRU records
+    its lookup and its LRU update as GET does; a gat served from the
+    SSD records the read as ``ssd.cache_check_load``, the device I/O
+    under it tagged with the request's trace."""
+    cfg = ServerConfig(mem_limit=2 * MB, ssd=SATA_SSD, ssd_limit=32 * MB)
+    sim, server, ep = make_rig(cfg, profile=True)
+    prof = server.obs.profiler
+    keys = [f"k{i}".encode() for i in range(100)]
+    headers = {
+        "touch": TouchRequest(req_id=1, op="touch", key=keys[-1]),
+        "gat": GatRequest(req_id=2, op="gat", key=keys[-1]),
+        "incr-create": CounterRequest(req_id=3, op="incr", key=b"n",
+                                      initial=0),
+        "incr": CounterRequest(req_id=4, op="incr", key=b"n"),
+        "gat-ssd": GatRequest(req_id=5, op="gat", key=keys[0]),
+    }
+    tids = {}
+
+    def app(sim):
+        for i, key in enumerate(keys):  # 3 MB: the first pages spill
+            yield from raw_set(sim, server, ep, 100 + i, key, 30 * KB)
+        assert server.manager.table[keys[0]].on_ssd
+        for name, header in headers.items():
+            header.trace_id = tids[name] = prof.maybe_start(header.op)
+            ep.send(header, header.header_bytes)
+            yield ep.recv()
+
+    sim.run(until=sim.spawn(app(sim)))
+    costs = server.config.costs
+    for name, tid in tids.items():
+        spans = fig2_spans(server, tid)
+        expected = {"index.cache_check_load", "index.cache_update",
+                    "server_cpu.response"}
+        if name == "gat-ssd":
+            expected.add("ssd.cache_check_load")
+        assert set(spans) == expected, name
+        assert spans["index.cache_check_load"] == pytest.approx(
+            costs.hash_lookup)
+        assert spans["index.cache_update"] == pytest.approx(costs.lru_update)
+    tagged = {t[0] for t in prof.traces
+              if any(span[0] == "ssd.io" for span in t[4])}
+    assert tagged == {tids["gat-ssd"]}
 
 
 def test_default_design_holds_credit_until_processed():
