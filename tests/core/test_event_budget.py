@@ -381,18 +381,25 @@ def test_the_event_list_names_each_worker_stage():
     """What a moved request budget prints for a server worker: the
     generator each timer wakes it in. A RAM-hit GET's worker sleeps its
     pickup (receive, parse and lookup) and its response prep, which also
-    covers the LRU update; a SET's handler sleeps its copy and slab
-    allocation, then its LRU update, before the response."""
-    cluster = _warm_cluster(profiles.RDMA_MEM, profiled=False)
-    client, sim = cluster.clients[0], cluster.sim
-
-    def worker_stages(op):
+    covers the LRU update. A SET that holds no receive credit past its
+    store does the same after its store: an inline value's worker sleeps
+    its pickup (receive, parse, copy and slab allocation) and the
+    response; with early ack the handler sleeps its copy, then its slab
+    allocation. Without early ack the credit is released where the LRU
+    update ends, so that update keeps its own timer."""
+    def worker_stages(profile, op):
+        cluster = _warm_cluster(profile, profiled=False)
+        client, sim = cluster.clients[0], cluster.sim
         lines = _event_list(sim, lambda: op(client)).splitlines()
         return [line.rpartition(": ")[2] for line in lines
                 if "[server0-worker" in line]
 
-    assert worker_stages(_get) == ["_worker]", "_respond]"]
-    assert worker_stages(_set) == ["_handle_set]", "_handle_set]", "_respond]"]
+    assert worker_stages(profiles.RDMA_MEM, _get) == ["_worker]", "_respond]"]
+    assert worker_stages(profiles.RDMA_MEM, _set) == [
+        "_handle_set]", "_handle_set]", "_respond]"]
+    assert worker_stages(profiles.IPOIB_MEM, _set) == ["_worker]", "_respond]"]
+    assert worker_stages(profiles.H_RDMA_OPT_NONB_I, _set) == [
+        "_handle_set]", "_handle_set]", "_respond]"]
 
 
 @pytest.mark.parametrize("profile,consensus", [(profiles.RDMA_MEM, False),
