@@ -22,10 +22,12 @@ simulation process. Time the client spends blocked inside these
 generators is accounted per operation; it is the basis of the overlap
 measurements (Figure 7a). Every call, with or without replication,
 queues its engine job at the instant it is made; the job is ready where
-the API overhead ends (``_issue``). A blocking call sleeps no timer of
-its own for that overhead: its caller only waits once the request is
-handed over, so the overhead rides the engine's CPU timer for the
-request and the caller's waits start where it ends.
+the API overhead ends (``_issue``). The engine is a clock: a job's send
+instant is known as it starts, and the message goes to the NIC then,
+for that instant, unless the engine must act there (``_engine``). A
+blocking call sleeps no timer of its own for the overhead: its caller
+only waits once the request is handed over, from where the overhead
+ends.
 """
 
 from __future__ import annotations
@@ -204,6 +206,11 @@ class MemcachedClient:
         #: ring, so routing must not grow early. 0 = follow the conns.
         self._ring_size = 0
         self._engine_queue: Mailbox = Mailbox(sim)
+        #: True once another client is wired to send through one of this
+        #: client's NICs (``add_server``): then the engine sends each
+        #: job at its own now, so the shared pipe sees sends in time
+        #: order (``_engine``).
+        self._nic_shared = False
         self._outstanding: Dict[int, MemcachedReq] = {}
         if self.config.write_mode not in ("sync", "async"):
             raise ValueError(
@@ -270,6 +277,11 @@ class MemcachedClient:
                           early_ack=(server is not None
                                      and server.config.early_ack))
         self._conns.append(conn)
+        senders = endpoint.nic.senders
+        senders.add(self)
+        if len(senders) > 1:
+            for client in senders:
+                client._nic_shared = True
         self._router = None  # looked up again on next use
         if self._started:
             # Elastically added mid-run: the communication engine is
@@ -394,8 +406,9 @@ class MemcachedClient:
 
     def _note_replica_read(self, key: bytes, conn: ServerConn) -> None:
         """Count a GET served by a non-primary member of the key's
-        replica set — read failover landing on a copy of the data."""
-        if conn.index == self._router.server_for(key):
+        replica set — read failover landing on a copy of the data. With
+        the registry off there is nothing to count, and no lookup."""
+        if not self._metrics_on or conn.index == self._router.server_for(key):
             return
         n = min(self._replication, len(self._conns))
         if conn.index in self._router.replicas_for(key, n):
@@ -520,7 +533,8 @@ class MemcachedClient:
         for req in reqs:
             req.blocked_time += dt
         self.total_blocked += dt
-        self._m_blocked.inc(dt)
+        if self._metrics_on:
+            self._m_blocked.inc(dt)
 
     def stats(self, server_index: int = 0):
         """memcached ``stats``: fetch one server's counter snapshot.
@@ -852,11 +866,12 @@ class MemcachedClient:
                initial: Optional[int] = None, blocking: bool = False):
         """Open a request and queue it on the engine at the call
         instant ``t0``, ready where the API overhead ends (``t_api =
-        t0 + api_overhead``): the engine's CPU timer is due at
-        ``t_api + engine_cpu``, posted at ``t_api`` (``_engine``). With
-        replication, a write's copies are queued behind it, issued at
-        ``t_api`` (``_fan_out``), and a read off the primary's replica
-        set is counted here.
+        t0 + api_overhead``): on an idle engine the request is sent at
+        ``t_api + engine_cpu``, and is handed to the NIC for that
+        instant inside this call (``_engine``). With replication, a
+        write's copies are queued behind it, issued at ``t_api``
+        (``_fan_out``), and a read off the primary's replica set is
+        counted here.
 
         A ``blocking`` caller only waits after this, so it sleeps no
         timer of its own; its waits start at ``t_api_return``
@@ -966,7 +981,8 @@ class MemcachedClient:
                 lambda _ev, s=sub, c=conn, p=req.req_id:
                     self._replica_done(s, c, p))
             self._engine_queue.put(self._job_new(sub, conn, at, at))
-            self._m_replica_writes.inc()
+            if self._metrics_on:
+                self._m_replica_writes.inc()
             subs.append(sub)
         return subs
 
@@ -1233,12 +1249,24 @@ class MemcachedClient:
 
     def _engine(self):
         """The communication engine: a FIFO of jobs, each costing
-        ``engine_cpu`` (read as the engine starts) on one timer, due
-        that long after the later of now and the job's ``ready`` instant
-        — where the API overhead of the call that queued it ends; for a
-        blocking call that one timer stands for both sleeps (see
-        ``_issue``). Then it sends: a header, or for an RDMA SET the
-        header and, once a receive credit is granted, the value."""
+        ``engine_cpu`` (read as the engine starts). A job starts at the
+        latest of its ``ready`` instant — where the API overhead of the
+        call that queued it ends (see ``_issue``) — the instant the
+        engine's CPU falls idle, and now; it is sent at ``start +
+        engine_cpu``, a float known as the job starts. Then it sends: a
+        header, or for an RDMA SET the header and, once a receive credit
+        is granted, the value.
+
+        A FIFO server whose service time is known at arrival is a
+        clock: a job whose send ends its engine work (every header-only
+        op, an mget, an inline SET, an RDMA SET's header) is handed to
+        the NIC as the job starts, for its send instant, and the engine
+        takes its next job without sleeping. It sleeps to the send
+        instant only where it must act there — an RDMA SET's credit
+        claim, a registered-buffer draw — on one timer due at that
+        float, posted at the job's start. While another client sends
+        through its NIC every job sleeps so, and is sent at its now:
+        the shared pipe must see the sends in time order."""
         # Everything read per job is hoisted once: the loop runs for
         # every operation the client ever issues and each attribute walk
         # in here is a per-op cost.
@@ -1249,42 +1277,57 @@ class MemcachedClient:
         model_registration = self.config.model_registration
         profiler = self._profiler
         pool = self._job_pool
+        free = 0.0  # the instant the engine's CPU falls idle
         while True:
             job = yield queue_get()
-            ready = job.ready
-            if ready > sim._now:
-                yield Timeout.at(sim, ready + engine_cpu, posted=ready)
-            else:
-                yield timeout(engine_cpu)
+            start = job.ready
+            if start < free:
+                start = free
+            now = sim._now
+            if start < now:
+                start = now
+            at = free = start + engine_cpu
+            shared = self._nic_shared
             if isinstance(job, _MgetJob):
+                if shared:
+                    yield Timeout.at(sim, at, posted=start)
                 if profiler.enabled:
-                    now = sim.now
                     for r in job.reqs:
                         if r.trace_id is not None:
                             profiler.record(r.trace_id, "client_queue",
-                                            job.t_queued, now)
-                self._engine_mget(job.reqs, job.conn)
+                                            job.t_queued, at)
+                self._engine_mget(job.reqs, job.conn, at)
                 continue
             req, conn = job.req, job.conn
+            op = req.op
+            registers = model_registration and op in ("set", "get")
+            slept = shared or registers
+            if slept:
+                yield Timeout.at(sim, at, posted=start)
             if req.trace_id is not None:
                 profiler.record(
                     req.trace_id, self._pstage(req) + "client_queue",
-                    job.t_queued, sim.now)
-            # The job carried its payload to this unpack; recycle it.
-            job.req = job.conn = None  # type: ignore[assignment]
-            pool.append(job)
-            if model_registration and req.op in ("set", "get"):
+                    job.t_queued, at)
+            if registers:
                 cost = self._acquire_buffer(req)
                 if cost > 0:
                     yield timeout(cost)
+                    at = sim._now
             # ``msg`` is the message whose going on the wire frees the
             # operation's buffers (None: a BufferAck does instead).
-            op = req.op
+            # The job carried its payload to here; recycle it (a SET's
+            # after its sleeps, so the engine's frame names the request
+            # it sleeps for).
             if op == "set":
-                msg = yield from self._engine_set(req, conn)
+                msg = yield from self._engine_set(
+                    req, conn, at, None if slept else start)
                 if msg is not None:
                     req.reuse_point(msg)
+                job.req = job.conn = None  # type: ignore[assignment]
+                pool.append(job)
                 continue
+            job.req = job.conn = None  # type: ignore[assignment]
+            pool.append(job)
             # Everything else is one header-only message.
             if op == "get":
                 header = GetRequest(req_id=req.req_id, op="get", key=req.key,
@@ -1318,12 +1361,17 @@ class MemcachedClient:
                                       key=b"", delay=req.expiration)
             else:
                 header = StatsRequest(req_id=req.req_id, op="stats", key=b"")
-            msg = conn.endpoint.send(header, header.header_bytes)
+            msg = conn.endpoint.send(header, header.header_bytes, at=at)
             if req.trace_id is not None:
                 self._profile_msg(req, msg)
             req.reuse_point(msg)
 
-    def _engine_set(self, req: MemcachedReq, conn: ServerConn):
+    def _engine_set(self, req: MemcachedReq, conn: ServerConn, at: float,
+                    start: Optional[float]):
+        """Send a SET for the send instant ``at``. An RDMA SET's header
+        goes at once; ``start`` is where its job started if the engine
+        has not slept to ``at`` yet, which it does before claiming the
+        value's receive credit."""
         ep = conn.endpoint
         replica = req.api == "replica"
         if not replica and conn.one_sided and conn.server is not None:
@@ -1333,9 +1381,11 @@ class MemcachedClient:
                                 mode=req.mode, cas_token=req.cas_send,
                                 inline_value=False, hlc=req.hlc,
                                 trace_id=req.trace_id)
-            msg_h = ep.send(header, header.header_bytes)
+            msg_h = ep.send(header, header.header_bytes, at=at)
             if req.trace_id is not None:
                 self._profile_msg(req, msg_h)
+            if start is not None:
+                yield Timeout.at(self.sim, at, posted=start)
             # Flow control: a server receive buffer must be free before
             # the engine may RDMA-write the value.
             credit = conn.server.credits.request()
@@ -1365,19 +1415,20 @@ class MemcachedClient:
                                 mode=req.mode, cas_token=req.cas_send,
                                 inline_value=True, replica=replica,
                                 hlc=req.hlc, trace_id=req.trace_id)
-            msg = ep.send(header, header.header_bytes + req.value_length)
+            msg = ep.send(header, header.header_bytes + req.value_length,
+                          at=at)
             if req.trace_id is not None:
                 self._profile_msg(req, msg)
             return msg
 
-    def _engine_mget(self, reqs: List[MemcachedReq],
-                     conn: ServerConn) -> None:
+    def _engine_mget(self, reqs: List[MemcachedReq], conn: ServerConn,
+                     at: float) -> None:
         header = MultiGetRequest(
             req_id=reqs[0].req_id, op="mget", key=reqs[0].key,
             entries=tuple((r.req_id, r.key) for r in reqs))
         if self._profiler.enabled:
             header.traces = tuple(r.trace_id for r in reqs)
-        msg = conn.endpoint.send(header, header.header_bytes)
+        msg = conn.endpoint.send(header, header.header_bytes, at=at)
         for r in reqs:
             self._profile_msg(r, msg)
             r.reuse_point(msg)
@@ -1411,8 +1462,8 @@ class MemcachedClient:
     def _profile_msg(self, req: MemcachedReq, msg) -> None:
         """Record nic/wire stages for one outbound message of ``req``."""
         if req.trace_id is not None:
-            profile_message(self._profiler, req.trace_id,
-                            self._profiler.clock, msg, self._pstage(req))
+            profile_message(self._profiler, req.trace_id, msg,
+                            self._pstage(req))
 
     # -- response path ----------------------------------------------------------------
 

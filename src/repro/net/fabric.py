@@ -15,12 +15,16 @@ service time is known at arrival is a clock, not a queue: the NIC keeps
 the instant its pipe falls idle, and a message handed to it learns both
 of its milestones on the spot,
 
-    wire_at      = max(now, busy_until) + (cpu_send + serialize(nbytes))
+    wire_at      = max(at, busy_until) + (cpu_send + serialize(nbytes))
     delivered_at = wire_at + latency
 
-(the Lindley recursion). They are plain numbers on the message,
-``wire_at`` / ``delivered_at``, fixed at submit, and the one event a
-message costs the engine is the timer that delivers it. The events
+(the Lindley recursion), where ``at`` is the message's send instant:
+now, or a later instant its sender already knows (a client engine whose
+NIC carries only its own sends hands a job over as the job starts, for
+the instant its CPU ends). They are plain numbers on the message,
+``at`` / ``wire_at`` / ``delivered_at``, fixed at submit, and the one
+event a message costs the engine is the timer that delivers it, posted
+at ``at``. The events
 ``msg.on_wire`` and ``msg.delivered`` are timers made for whoever asks
 before the instant (already processed from the instant on). Frames that
 arrive in the same instant are handled in the order they were handed to
@@ -43,11 +47,11 @@ it wants to) costs no event at all: its arrival exists only as the
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.net.params import LinkParams
 from repro.obs.api import NULL_OBS, Observability
-from repro.sim import Event, Simulator, Timeout
+from repro.sim import Event, SimulationError, Simulator, Timeout
 
 
 class Message:
@@ -58,10 +62,10 @@ class Message:
     """
 
     __slots__ = ("src", "dst", "nbytes", "payload", "one_sided", "recv_cpu",
-                 "wire_at", "delivered_at", "_on_wire", "_delivered")
+                 "at", "wire_at", "delivered_at", "_on_wire", "_delivered")
 
     def __init__(self, src: "NIC", dst: "NIC", nbytes: int, payload: Any,
-                 one_sided: bool, recv_cpu: float,
+                 one_sided: bool, recv_cpu: float, at: float,
                  wire_at: float, delivered_at: float):
         self.src = src
         self.dst = dst
@@ -72,7 +76,9 @@ class Message:
         #: CPU time the receiver's event loop must spend before handing
         #: the message to the application (zero for one-sided ops).
         self.recv_cpu = recv_cpu
-        #: Sim time of each milestone, known from the moment of submit.
+        #: Sim time of each milestone, known from the moment of submit:
+        #: the send instant, the buffer-reuse point, the arrival.
+        self.at = at
         self.wire_at = wire_at
         self.delivered_at = delivered_at
         self._on_wire: Optional[Event] = None
@@ -94,10 +100,14 @@ class Message:
             ev = self._delivered = self._milestone(self.delivered_at)
         return ev
 
-    def _milestone(self, at: float) -> Event:
+    def _milestone(self, when: float) -> Event:
+        # Posted no earlier than the send instant, where the timer of a
+        # message sent at that instant would have been made.
         sim = self.src.sim
-        if sim._now < at:
-            return Timeout.at(sim, at, self)
+        now = sim._now
+        if now < when:
+            at = self.at
+            return Timeout.at(sim, when, self, posted=at if at > now else now)
         return Event(sim).succeed(self)  # no waiter: processed at once
 
 
@@ -108,12 +118,20 @@ class NIC:
                  obs: Optional[Observability] = None):
         self.sim = sim
         self.node = node
+        #: The latest send instant a message was handed over for (see
+        #: the ``params`` setter).
+        self._handed_at = 0.0
         self.params = params  # property: also derives the hot constants
         #: The instant the transmit pipe falls idle (the DMA/wire is one
         #: pipe: a message starts serializing no earlier than this).
         self.busy_until = 0.0
         #: Called with each delivered Message; installed by the transport.
         self.deliver: Optional[Callable[[Message], None]] = None
+        #: The clients wired to send through this NIC. One of them alone
+        #: may hand a message over ahead of its send instant; with more,
+        #: each sends at its own now (the pipe must see sends in time
+        #: order).
+        self.senders: Set[Any] = set()
         # traffic accounting (counted when a message is handed over)
         self.bytes_sent = 0
         self.messages_sent = 0
@@ -126,9 +144,9 @@ class NIC:
         self._m_bytes = reg.counter("nic_bytes_sent", **labels)
         self._m_msgs = reg.counter("nic_messages_sent", **labels)
         self._m_tx_wait = reg.histogram("nic_tx_wait_seconds", **labels)
-        #: ``wire_at`` of the messages not yet on the wire, oldest first
-        #: (kept only while the registry is on; read by the gauge).
-        self._tx_pending: Deque[float] = deque()
+        #: ``(at, wire_at)`` of the messages not yet on the wire, oldest
+        #: first (kept only while the registry is on; read by the gauge).
+        self._tx_pending: Deque[Tuple[float, float]] = deque()
         reg.gauge("nic_tx_backlog", fn=self._tx_backlog, **labels)
 
     @property
@@ -142,23 +160,45 @@ class NIC:
         # message's instants are fixed when it is handed over, so a swap
         # mid-run (link_degrade and its restoration) applies to messages
         # submitted from now on: those already queued or serializing
-        # keep the rate and latency they were submitted under.
+        # keep the rate and latency they were submitted under. A message
+        # handed over for a later send instant has not been sent yet, so
+        # it would straddle the swap: that is refused.
+        if self._handed_at > self.sim._now:
+            raise SimulationError(
+                f"{self.node.name}: link params swapped at "
+                f"{self.sim._now!r} with a message handed over for "
+                f"{self._handed_at!r} still unsent")
         self._params = params
         self._latency = params.latency
         self._cpu_send = params.cpu_send
         self._serialize = params.serialize_time
 
     def _tx_backlog(self) -> int:
-        """Messages queued for the pipe or serializing right now."""
+        """Messages queued for the pipe or serializing right now: sent
+        (their send instant reached) and not yet on the wire."""
+        now = self._tx_prune()
+        return sum(1 for at, _ in self._tx_pending if at <= now)
+
+    def _tx_prune(self) -> float:
+        """Drop the messages already on the wire; returns now."""
         pending, now = self._tx_pending, self.sim._now
-        while pending and pending[0] <= now:
+        while pending and pending[0][1] <= now:
             pending.popleft()
-        return len(pending)
+        return now
 
     def transmit(self, dst: "NIC", nbytes: int, payload: Any = None,
                  one_sided: bool = False, recv_cpu: float = 0.0,
-                 rx: Any = None, polled: bool = False) -> Message:
+                 rx: Any = None, polled: bool = False,
+                 at: Optional[float] = None) -> Message:
         """Start an asynchronous transfer; returns the in-flight Message.
+
+        ``at`` is the send instant (default: now). A sender that knows
+        it ahead of time — a client engine whose CPU for the message is
+        a known float — hands the message over early; it then is a
+        message sent at ``at``: it starts no earlier than ``at``, its
+        delivery timer is posted at ``at``, its tx wait counts from
+        ``at`` and the backlog gauge counts it only from ``at`` on.
+        Messages must be handed over in send-instant order.
 
         The pipe is FIFO and a message's busy time is known here, so
         its whole schedule is too. The sums are grouped the way
@@ -171,15 +211,17 @@ class NIC:
         schedules nothing (see the module docs).
         """
         sim = self.sim
-        now = sim._now
+        if at is None:
+            at = sim._now
+        self._handed_at = at
         start = self.busy_until
-        if start < now:
-            start = now
+        if start < at:
+            start = at
         wire_at = start + (self._cpu_send + self._serialize(nbytes))
         self.busy_until = wire_at
         delivered_at = wire_at + self._latency
         msg = Message(self, dst, nbytes, payload, one_sided, recv_cpu,
-                      wire_at, delivered_at)
+                      at, wire_at, delivered_at)
         if rx is not None:
             rx_start = rx.rx_free_at
             if rx_start < delivered_at:
@@ -188,15 +230,16 @@ class NIC:
             Timeout.at(sim, taken_at, msg, posted=rx_start).callbacks.append(
                 self._delivered)
         elif not polled:
-            Timeout.at(sim, delivered_at, msg).callbacks.append(self._delivered)
+            Timeout.at(sim, delivered_at, msg, posted=at).callbacks.append(
+                self._delivered)
         self.bytes_sent += nbytes
         self.messages_sent += 1
         if self._metrics_on:
-            self._m_tx_wait.observe(start - now)
+            self._m_tx_wait.observe(start - at)
             self._m_bytes.inc(nbytes)
             self._m_msgs.inc()
-            self._tx_backlog()  # prune, so the deque stays backlog-sized
-            self._tx_pending.append(wire_at)
+            self._tx_prune()  # so the deque stays backlog-sized
+            self._tx_pending.append((at, wire_at))
         tracer = self._tracer
         if tracer.enabled:
             tracer.complete(

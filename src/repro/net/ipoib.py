@@ -87,15 +87,17 @@ class IPoIBEndpoint:
         self.receiver = receiver
         self.rx_free_at = 0.0
 
-    def send(self, payload: Any, nbytes: int, one_sided: bool = False) -> Message:
-        """Stream ``nbytes`` to the peer. ``one_sided`` silently degrades
-        to a stream send: TCP always involves the remote CPU (that is the
-        point of this model)."""
+    def send(self, payload: Any, nbytes: int, one_sided: bool = False,
+             at: Optional[float] = None) -> Message:
+        """Stream ``nbytes`` to the peer, sent ``at`` (default: now; see
+        :meth:`~repro.net.fabric.NIC.transmit`). ``one_sided`` silently
+        degrades to a stream send: TCP always involves the remote CPU
+        (that is the point of this model)."""
         peer = self.peer
         frame = _StreamFrame(dst=peer, payload=payload)
         return self.nic.transmit(
             peer.nic, nbytes, payload=frame, recv_cpu=peer.params.cpu_recv,
-            rx=None if peer.rx_free_at is None else peer)
+            rx=None if peer.rx_free_at is None else peer, at=at)
 
     def recv(self):
         """Event producing the next :class:`Delivery`."""

@@ -55,8 +55,11 @@ class Endpoint:
     poller: Optional[Callable[[Any, Message], None]] = None
     _inbox: Optional[Mailbox] = None
 
-    def send(self, payload: Any, nbytes: int, one_sided: bool = False) -> Message:
-        """Transfer ``nbytes`` to the peer; ``payload`` rides along."""
+    def send(self, payload: Any, nbytes: int, one_sided: bool = False,
+             at: Optional[float] = None) -> Message:
+        """Transfer ``nbytes`` to the peer; ``payload`` rides along.
+        ``at`` is the send instant, now or later (see
+        :meth:`~repro.net.fabric.NIC.transmit`)."""
         raise NotImplementedError
 
     @property
@@ -113,11 +116,13 @@ class RdmaEndpoint(Endpoint):
         self.params = nic.params
         self.peer: "RdmaEndpoint" = None  # type: ignore[assignment]
 
-    def send(self, payload: Any, nbytes: int, one_sided: bool = False) -> Message:
+    def send(self, payload: Any, nbytes: int, one_sided: bool = False,
+             at: Optional[float] = None) -> Message:
         frame = _RdmaEpFrame(dst=self.peer, payload=payload, one_sided=one_sided)
         return self.nic.transmit(self.peer.nic, nbytes, payload=frame,
                                  one_sided=one_sided,
-                                 recv_cpu=0.0 if one_sided else self.peer.params.cpu_recv)
+                                 recv_cpu=0.0 if one_sided else self.peer.params.cpu_recv,
+                                 at=at)
 
     def write_polled(self, payload: Any, nbytes: int) -> Message:
         """A one-sided write the peer polls for instead of being woken

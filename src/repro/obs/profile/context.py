@@ -232,14 +232,15 @@ class _NullProfiler:
 NULL_PROFILER = _NullProfiler()
 
 
-def profile_message(profiler, trace_id: int, clock: Callable[[], float],
-                    msg, prefix: str = "") -> None:
+def profile_message(profiler, trace_id: int, msg, prefix: str = "") -> None:
     """Record the nic/wire stages of one net message just handed over.
 
     ``nic`` covers send -> on-wire (tx queue wait + serialization),
     ``wire`` covers on-wire -> delivery (link latency). A message knows
-    both instants from the moment of submit, so the two spans are
-    written here and nothing observes the message afterwards.
+    all three instants from the moment of submit — its send instant
+    ``at`` too, which a client engine may hand over ahead of time — so
+    the two spans are written here and nothing observes the message
+    afterwards.
     """
-    profiler.record(trace_id, prefix + "nic", clock(), msg.wire_at)
+    profiler.record(trace_id, prefix + "nic", msg.at, msg.wire_at)
     profiler.record(trace_id, prefix + "wire", msg.wire_at, msg.delivered_at)

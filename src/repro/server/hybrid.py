@@ -154,6 +154,9 @@ class HybridSlabManager:
         # live metrics (no-ops when observability is disabled)
         reg = self.obs.registry
         labels = dict(server=owner)
+        #: Whether the metric calls below do anything: with the registry
+        #: off each ``.inc()`` is a NULL-counter call, skipped instead.
+        self._metrics_on = reg.enabled
         self._m_flushes = reg.counter("slab_flushes", **labels)
         self._m_flushed_bytes = reg.counter("slab_flushed_bytes", **labels)
         self._m_ssd_reads = reg.counter("ssd_reads", **labels)
@@ -636,7 +639,8 @@ class HybridSlabManager:
                         donor_page.free(idx)
                         item.page = None
                         self.stats.ram_evictions += 1
-                        self._m_evictions.inc()
+                        if self._metrics_on:
+                            self._m_evictions.inc()
                     self.allocator.recycle_page(donor_page, poor)
                 self.stats.automoves += 1
             finally:
@@ -719,8 +723,9 @@ class HybridSlabManager:
             slot.durable = True
         self.stats.flushes += 1
         self.stats.flushed_bytes += self.allocator.page_size
-        self._m_flushes.inc()
-        self._m_flushed_bytes.inc(self.allocator.page_size)
+        if self._metrics_on:
+            self._m_flushes.inc()
+            self._m_flushed_bytes.inc(self.allocator.page_size)
         span.end(bytes=self.allocator.page_size)
         info.flushed = True
         info.flush_bytes += self.allocator.page_size
@@ -759,7 +764,8 @@ class HybridSlabManager:
             for item in list(oldest.items):
                 self.table.pop(item.key, None)
                 self.stats.dropped_items += 1
-                self._m_dropped.inc()
+                if self._metrics_on:
+                    self._m_dropped.inc()
             oldest.items.clear()
             self._free_slot(oldest)
             self.stats.disk_drops += 1
@@ -776,7 +782,8 @@ class HybridSlabManager:
         if tail is not None:
             self._remove_item(tail)
             self.stats.ram_evictions += 1
-            self._m_evictions.inc()
+            if self._metrics_on:
+                self._m_evictions.inc()
             info.evicted += 1
             return
         # Class has no items: steal the coldest page of another class.
@@ -795,7 +802,8 @@ class HybridSlabManager:
             page.free(idx)
             item.page = None
             self.stats.ram_evictions += 1
-            self._m_evictions.inc()
+            if self._metrics_on:
+                self._m_evictions.inc()
             info.evicted += 1
         self.allocator.recycle_page(page, cls)
 
@@ -834,7 +842,8 @@ class HybridSlabManager:
             yield from scheme.read(item.disk_offset, nbytes, trace=trace)
             self.stats.ssd_reads += 1
             self.stats.ssd_read_bytes += nbytes
-            self._m_ssd_reads.inc()
+            if self._metrics_on:
+                self._m_ssd_reads.inc()
         if self._promotable(item):
             page = self.allocator.alloc_chunk(cls, item)
             if page is None:
@@ -848,7 +857,8 @@ class HybridSlabManager:
                 item.location = RAM
                 cls.lru.insert_head(item)
                 self.stats.promotions += 1
-                self._m_promotions.inc()
+                if self._metrics_on:
+                    self._m_promotions.inc()
         return nbytes
 
     def _promotable(self, item: Item) -> bool:

@@ -908,7 +908,7 @@ class MemcachedServer:
         # send, both exactly as in the respective real designs.
         msg = endpoint.send(response, nbytes, one_sided=True)
         if ptid is not None:
-            profile_message(prof, ptid, prof.clock, msg, px)
+            profile_message(prof, ptid, msg, px)
 
     # -- experiment setup ------------------------------------------------------
 

@@ -73,6 +73,7 @@ class BlockDevice:
         self.obs = obs or NULL_OBS
         reg = self.obs.registry
         labels = dict(device=self.name)
+        self._metrics_on = reg.enabled
         self._m_reads = reg.counter("device_reads", **labels)
         self._m_writes = reg.counter("device_writes", **labels)
         self._m_bytes_read = reg.counter("device_bytes_read", **labels)
@@ -96,20 +97,25 @@ class BlockDevice:
         """Count a finished I/O (its ``latency`` and ``xfer`` are the
         device time it used)."""
         busy = io.latency + io.xfer
-        self.stats.busy_time += busy
-        self._m_busy.inc(busy)
+        stats = self.stats
+        stats.busy_time += busy
         nbytes = io.nbytes
         if io.write:
-            self.stats.writes += 1
-            self.stats.bytes_written += nbytes
+            stats.writes += 1
+            stats.bytes_written += nbytes
+        else:
+            stats.reads += 1
+            stats.bytes_read += nbytes
+        if not self._metrics_on:
+            return
+        self._m_busy.inc(busy)
+        if io.write:
             self._m_writes.inc()
             self._m_bytes_written.inc(nbytes)
         else:
-            self.stats.reads += 1
-            self.stats.bytes_read += nbytes
             self._m_reads.inc()
             self._m_bytes_read.inc(nbytes)
-        self._m_lat.observe(self.sim.now - io.t_start)
+        self._m_lat.observe(self.sim._now - io.t_start)
 
     @property
     def queue_length(self) -> int:

@@ -143,8 +143,8 @@ def test_ipoib_mget_responses_keep_send_order_across_a_link_restore():
     sent = []
     send = IPoIBEndpoint.send
 
-    def spy(endpoint, payload, nbytes, one_sided=False):
-        msg = send(endpoint, payload, nbytes, one_sided)
+    def spy(endpoint, payload, nbytes, one_sided=False, at=None):
+        msg = send(endpoint, payload, nbytes, one_sided, at)
         if isinstance(payload, Response):
             sent.append((endpoint.sim.now, msg))
         return msg

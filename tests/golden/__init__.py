@@ -1,5 +1,6 @@
 """Pinned artifacts, one JSON file per kind; each file's ``"pins"`` line
-says what it pins."""
+says what it pins. ``repro_check.txt`` is the default-scale ``python -m
+repro check`` output, byte for byte; CI's 3.12 leg diffs against it."""
 
 import json
 from pathlib import Path

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.net.fabric import Fabric
 from repro.net.params import FDR_RDMA, LinkParams
 from repro.obs.api import Observability
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
 from repro.units import KB, MB, US
 
 
@@ -312,6 +312,70 @@ def test_registry_metrics_and_tx_spans_keep_their_meaning():
     assert [e["ts"] for e in spans] == [0.0, msgs[0].wire_at, msgs[1].wire_at]
     assert [e["ts"] + e["dur"] for e in spans] == pytest.approx(
         [m.wire_at for m in msgs], rel=1e-12)
+
+
+class TestSendInstant:
+    """A message handed over ahead of its send instant ``at`` is a
+    message sent at ``at``: it starts, is timed and is counted from
+    there."""
+
+    def test_clocked_message_starts_at_its_send_instant(self):
+        sim, a, b = make_pair()
+        one = FDR_RDMA.cpu_send + FDR_RDMA.serialize_time(4 * KB)
+        at = 3 * US
+        msg = a.transmit(b, 4 * KB, at=at)
+        assert (msg.at, msg.wire_at) == (at, at + one)
+        assert msg.delivered_at == msg.wire_at + FDR_RDMA.latency
+        # The next one queues behind it, as if it were sent at ``at`` too.
+        assert a.transmit(b, 4 * KB, at=at).wire_at == (at + one) + one
+        arrivals = []
+        b.deliver = lambda m: arrivals.append(sim.now)
+        sim.run()
+        assert arrivals[0] == msg.delivered_at
+        # Its delivery timer, and a milestone asked for before the send
+        # instant, are posted at the send instant, where a message sent
+        # then would have posted them.
+        late = a.transmit(b, 4 * KB, at=sim.now + at)
+        on_wire = late.on_wire
+        posted = {entry[3]: entry[1] for entry in sim._queue}
+        assert set(posted.values()) == {late.at} and on_wire in posted
+
+    def test_backlog_and_tx_wait_count_from_the_send_instant(self):
+        sim = Simulator()
+        obs = Observability(sim, metrics=True)
+        fabric = Fabric(sim, obs=obs)
+        a = fabric.node("a").nic(FDR_RDMA)
+        b = fabric.node("b").nic(FDR_RDMA)
+        one = FDR_RDMA.cpu_send + FDR_RDMA.serialize_time(1 * MB)
+        now_msg = a.transmit(b, 1 * MB)
+        later = a.transmit(b, 1 * MB, at=0.5 * one)
+
+        def backlog():
+            return obs.registry.flatten()[
+                'nic_tx_backlog{link="rdma-fdr",node="a"}']
+
+        # Not sent yet: only the first message is in the backlog.
+        assert backlog() == 1
+        sim.run(until=0.5 * one)
+        assert backlog() == 2
+        sim.run(until=now_msg.wire_at)
+        assert backlog() == 1
+        sim.run()
+        assert backlog() == 0
+        wait, = obs.registry.histograms(lambda m: m.labels["node"] == "a")
+        # The clocked message waited from its send instant to the pipe.
+        assert (wait.count, wait.min, wait.max) == (2, 0.0,
+                                                    now_msg.wire_at - later.at)
+
+    def test_params_swap_refused_while_a_clocked_message_is_unsent(self):
+        sim, a, b = make_pair()
+        slow = FDR_RDMA.degraded(4.0)
+        a.transmit(b, 4 * KB, at=2 * US)
+        with pytest.raises(SimulationError, match="still unsent"):
+            a.params = slow
+        sim.run(until=2 * US)
+        a.params = slow  # sent now: the swap applies from here on
+        assert a.params is slow
 
 
 class TestLinkParams:

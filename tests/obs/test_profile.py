@@ -232,7 +232,7 @@ def test_profile_message_records_nic_and_wire():
     prof, t = make_profiler()
     tid = prof.maybe_start("get")
     sim, msg = _send()
-    profile_message(prof, tid, prof.clock, msg)
+    profile_message(prof, tid, msg)
     # Both spans are written at submit, from the message's own numbers.
     assert prof._live[tid].spans == [("nic", 0.0, msg.wire_at),
                                      ("wire", msg.wire_at, msg.delivered_at)]
@@ -251,7 +251,7 @@ def test_profile_message_prefix_and_processed_events():
     free = LinkParams(name="free", latency=0.0, bandwidth=float("inf"),
                       cpu_send=0.0, cpu_recv=0.0)
     sim, msg = _send(params=free)
-    profile_message(prof, tid, prof.clock, msg, prefix="replica.")
+    profile_message(prof, tid, msg, prefix="replica.")
     assert (msg.wire_at, msg.delivered_at) == (0.0, 0.0)
     assert prof._live[tid].spans == []
 
@@ -261,8 +261,8 @@ def test_profile_message_several_traces_hook_one_message():
     prof, t = make_profiler()
     a, b = prof.maybe_start("get"), prof.maybe_start("get")
     sim, msg = _send()
-    profile_message(prof, a, prof.clock, msg)
-    profile_message(prof, b, prof.clock, msg, prefix="replica.")
+    profile_message(prof, a, msg)
+    profile_message(prof, b, msg, prefix="replica.")
     w, d = msg.wire_at, msg.delivered_at
     assert prof._live[a].spans == [("nic", 0.0, w), ("wire", w, d)]
     assert prof._live[b].spans == [("replica.nic", 0.0, w),
@@ -314,8 +314,7 @@ def test_profiled_and_unprofiled_bursts_pop_the_same_events():
             for nbytes in (64, 32768, 4096, 4096):
                 msg = a.transmit(b, nbytes)
                 if profiled:
-                    profile_message(prof, prof.maybe_start("set"),
-                                    prof.clock, msg)
+                    profile_message(prof, prof.maybe_start("set"), msg)
                 yield sim.timeout(1e-6)
 
         sim.spawn(app())

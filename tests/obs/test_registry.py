@@ -4,6 +4,9 @@ import math
 
 import pytest
 
+from repro import build_cluster, profiles
+from repro.core.cluster import ClusterSpec, ReplicationConfig
+from repro.core.topology import TopologyConfig
 from repro.obs.buckets import bucket_index, log_bounds
 from repro.obs.registry import (
     Histogram,
@@ -11,6 +14,7 @@ from repro.obs.registry import (
     NULL_REGISTRY,
     render_key,
 )
+from repro.units import KB, MB
 
 
 # -- bucket math -----------------------------------------------------------
@@ -190,3 +194,42 @@ def test_null_registry_is_inert_and_shared():
     assert NULL_REGISTRY.enabled is False
     assert NULL_REGISTRY.snapshot()["counters"] == {}
     assert NULL_REGISTRY.flatten() == {}
+
+
+@pytest.mark.parametrize("profile,ssd_mb", [(profiles.H_RDMA_OPT_NONB_I, 3),
+                                            (profiles.RDMA_MEM, 0)],
+                         ids=["hybrid", "in-memory"])
+def test_metrics_off_request_path_calls_no_null_metric(monkeypatch, profile,
+                                                       ssd_mb):
+    """With the registry off (every unobserved run) the request path
+    skips its metric calls instead of paying a NULL counter's ``inc`` or
+    a NULL histogram's ``observe``: an SSD-bound SET and GET through a
+    flush, a dropped disk slot, an SSD read and a promotion (hybrid), or
+    an eviction (in-memory), plus replicated SETs and an ``mget``, over
+    RDMA on two servers at R=2."""
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a NULL metric was called")
+
+    cluster = build_cluster(profile, spec=ClusterSpec(
+        topology=TopologyConfig(initial_servers=2), server_mem=4 * MB,
+        ssd_limit=ssd_mb * MB, replication=ReplicationConfig(factor=2)))
+    client, sim = cluster.clients[0], cluster.sim
+    assert not cluster.obs.registry.enabled
+    keys = [b"k%d" % i for i in range(400)]
+
+    def app():
+        for key in keys:
+            yield from client.set(key, 32 * KB)
+        for key in keys[230:250]:
+            yield from client.get(key)
+        yield from client.mget(keys[250:254])
+
+    monkeypatch.setattr(type(NULL_REGISTRY._COUNTER), "inc", forbidden)
+    monkeypatch.setattr(type(NULL_REGISTRY._HISTOGRAM), "observe", forbidden)
+    sim.run(until=sim.spawn(app()))
+    stats = [s.manager.stats for s in cluster.servers]
+    if profile.hybrid:
+        assert all(st.flushes and st.dropped_items and st.ssd_reads
+                   and st.promotions for st in stats)
+    else:
+        assert all(st.ram_evictions for st in stats)

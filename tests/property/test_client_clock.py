@@ -28,6 +28,21 @@ writes, healthy servers only) the primary request keeps every one of
 these sums; a write's caller waits one stretch more, from the primary's
 response to its copy's ack, and every copy is issued where its parent's
 API overhead ends.
+
+Under load the engine is a FIFO server whose service time is known when
+a job starts, so every send instant is a recursion over the jobs in the
+order they were queued,
+
+    send_k = max(ready_k, free_{k-1}) + engine_cpu
+
+where ``ready_k`` is where the API overhead of the job's call ends and
+``free_{k-1}`` the instant the engine finished the job before: its send,
+or for an RDMA SET the instant its value went, once a receive credit
+was granted. Each NIC then is the Lindley recursion over the sends it
+carries, in time order. Window bursts of ``iget``/``iset`` from two
+clients (RDMA SETs that wait for a credit, inline IPoIB SETs) and an
+``mget`` are checked against both, with the two clients on a node each
+or sharing one NIC.
 """
 
 import dataclasses
@@ -41,6 +56,7 @@ from repro.client.client import MemcachedClient
 from repro.core.cluster import ClusterSpec, ReplicationConfig
 from repro.core.topology import TopologyConfig
 from repro.net.fabric import NIC
+from repro.server.protocol import MultiGetRequest, ValueArrival
 from repro.units import KB, MB
 
 HOT, COUNTER, ABSENT = b"hot", b"counter", b"absent"
@@ -258,3 +274,88 @@ def test_blocking_calls_are_the_sequential_sums(
         sim.run(until=sim.spawn(healthy()))
         if replication == 1:
             sim.run(until=sim.spawn(silent()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(profile=st.sampled_from([profiles.RDMA_MEM, profiles.H_RDMA_OPT_NONB_I,
+                                profiles.IPOIB_MEM]),
+       api_overhead=cost_or_zero, engine_cpu=cost_or_zero,
+       value_length=st.integers(1, 64 * KB), credits=st.integers(1, 2),
+       bursts=st.lists(st.lists(st.tuples(st.sampled_from(["iget", "iset"]),
+                                          st.one_of(st.just(0.0), ps)),
+                                min_size=1, max_size=8),
+                       min_size=2, max_size=2),
+       client_nodes=st.sampled_from([1, 2]))
+def test_window_bursts_are_the_engine_and_nic_recursions(
+        profile, api_overhead, engine_cpu, value_length, credits, bursts,
+        client_nodes):
+    sent = []
+    transmit = NIC.transmit
+
+    def spy_transmit(nic, *args, **kwargs):
+        msg = transmit(nic, *args, **kwargs)
+        sent.append((nic, msg))
+        return msg
+
+    cluster = build_cluster(profile, spec=ClusterSpec(
+        topology=TopologyConfig(initial_servers=2), num_clients=2,
+        client_nodes=client_nodes, server_mem=32 * MB, recv_credits=credits))
+    sim = cluster.sim
+    cluster.preload([(k, value_length) for k in [HOT] + KEYS])
+    issued = {}
+    for client in cluster.clients:
+        client.config = dataclasses.replace(
+            client.config, api_overhead=api_overhead, engine_cpu=engine_cpu,
+            nonblocking_allowed=True)
+        issued[client] = {}
+
+    def burst(client, ops):
+        reqs = []
+        for i, (op, gap) in enumerate(ops):
+            if gap:
+                yield sim.timeout(gap)
+            if op == "iget":
+                req = yield from client.iget(KEYS[i % len(KEYS)])
+            else:
+                req = yield from client.iset(b"w%d" % i, value_length)
+            reqs.append(req)
+        reqs += yield from client.mget(KEYS)
+        yield from client.wait_all(reqs)
+        issued[client] = {r.req_id: r for r in reqs}
+
+    with mock.patch.object(NIC, "transmit", spy_transmit):
+        sim.run(until=sim.all_of([
+            sim.spawn(burst(client, ops))
+            for client, ops in zip(cluster.clients, bursts)]))
+
+    # Whose engine sent each message: the server endpoint it goes to.
+    owner = {conn.endpoint.peer: client for client in cluster.clients
+             for conn in client._conns}
+    for client in cluster.clients:
+        free = 0.0
+        for nic, msg in sent:
+            if owner.get(msg.payload.dst) is not client:
+                continue
+            body = msg.payload.payload
+            if isinstance(body, ValueArrival):
+                # Sent where its credit was granted: the engine is free.
+                assert msg.at >= free
+                free = msg.at
+                continue
+            req_id = (body.entries[0][0] if isinstance(body, MultiGetRequest)
+                      else body.req_id)
+            ready = issued[client][req_id].t_api_return
+            free = max(ready, free) + engine_cpu
+            assert msg.at == free
+    client_nics = {conn.endpoint.nic for client in cluster.clients
+                   for conn in client._conns}
+    assert len(client_nics) == client_nodes
+    for nic in client_nics:
+        busy = 0.0
+        # In time order; a stable sort keeps the hand-over order of sends
+        # at one instant.
+        for msg in sorted((m for n, m in sent if n is nic),
+                          key=lambda m: m.at):
+            busy = max(msg.at, busy) + (nic._cpu_send
+                                        + nic._serialize(msg.nbytes))
+            assert msg.wire_at == busy

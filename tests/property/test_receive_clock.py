@@ -37,8 +37,8 @@ def _run(cpu_recv, batches, value_length):
     sent, taken = [], []
     send, on_response = IPoIBEndpoint.send, MemcachedClient._on_response
 
-    def spy_send(endpoint, payload, nbytes, one_sided=False):
-        msg = send(endpoint, payload, nbytes, one_sided)
+    def spy_send(endpoint, payload, nbytes, one_sided=False, at=None):
+        msg = send(endpoint, payload, nbytes, one_sided, at)
         if isinstance(payload, Response):
             sent.append((msg, payload))
         return msg
