@@ -1313,21 +1313,17 @@ class MemcachedClient:
                 if cost > 0:
                     yield timeout(cost)
                     at = sim._now
+            # The job carried its payload to here; recycle it.
+            job.req = job.conn = None  # type: ignore[assignment]
+            pool.append(job)
             # ``msg`` is the message whose going on the wire frees the
             # operation's buffers (None: a BufferAck does instead).
-            # The job carried its payload to here; recycle it (a SET's
-            # after its sleeps, so the engine's frame names the request
-            # it sleeps for).
             if op == "set":
                 msg = yield from self._engine_set(
                     req, conn, at, None if slept else start)
                 if msg is not None:
                     req.reuse_point(msg)
-                job.req = job.conn = None  # type: ignore[assignment]
-                pool.append(job)
                 continue
-            job.req = job.conn = None  # type: ignore[assignment]
-            pool.append(job)
             # Everything else is one header-only message.
             if op == "get":
                 header = GetRequest(req_id=req.req_id, op="get", key=req.key,
@@ -1371,7 +1367,14 @@ class MemcachedClient:
         """Send a SET for the send instant ``at``. An RDMA SET's header
         goes at once; ``start`` is where its job started if the engine
         has not slept to ``at`` yet, which it does before claiming the
-        value's receive credit."""
+        value's receive credit. The value is a polled write: the server
+        finds it in its receive buffer, and its landing wakes nothing.
+
+        A client alone on its NIC claims the credit inline: a free one
+        is granted on the spot, and only a queued claim waits for its
+        FIFO grant and the grant's lane hop. While another client shares
+        the NIC a free credit also takes that hop (``request``), which
+        keeps the order in which the clients' engines send."""
         ep = conn.endpoint
         replica = req.api == "replica"
         if not replica and conn.one_sided and conn.server is not None:
@@ -1388,7 +1391,8 @@ class MemcachedClient:
                 yield Timeout.at(self.sim, at, posted=start)
             # Flow control: a server receive buffer must be free before
             # the engine may RDMA-write the value.
-            credit = conn.server.credits.request()
+            credits = conn.server.credits
+            credit = credits.request() if self._nic_shared else credits.claim()
             t_credit = self.sim._now
             yield credit
             if req.trace_id is not None:
@@ -1397,7 +1401,7 @@ class MemcachedClient:
                                       t_credit, self.sim._now)
             arrival = ValueArrival(req_id=req.req_id,
                                    nbytes=req.value_length, credit=credit)
-            msg_v = ep.send(arrival, req.value_length, one_sided=True)
+            msg_v = ep.write_polled(arrival, req.value_length)
             if req.trace_id is not None:
                 self._profile_msg(req, msg_v)
             # Existing runtime: no buffered-ack arrives; the buffer is

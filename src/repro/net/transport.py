@@ -21,11 +21,12 @@ peer reads its ``delivered`` milestone when it polls.
 
 :class:`RdmaEndpoint` on a :class:`~repro.net.fabric.NIC` is the
 simulator's only RDMA model. The Memcached runtime's three parts all
-ride it: the request header is a two-sided send, a SET's value is a
-one-sided write once the server has granted a receive-buffer credit,
-and the server's BufferAck is a polled write
-(:meth:`RdmaEndpoint.write_polled`). Frames go straight to the peer
-endpoint's receiver (or, without one, its inbox).
+ride it: the request header is a two-sided send, and two polled writes
+(:meth:`RdmaEndpoint.write_polled`) carry the rest — a SET's value,
+written once the server has granted a receive-buffer credit and found
+by the server worker polling that buffer, and the server's BufferAck.
+Frames go straight to the peer endpoint's receiver (or, without one,
+its inbox); a polled write goes to the peer's poller as it is sent.
 """
 
 from __future__ import annotations

@@ -187,17 +187,21 @@ class MultiGetRequest(Request):
 
 @dataclass(slots=True)
 class ValueArrival:
-    """Marks the landing of an RDMA-written SET value in a server buffer.
+    """The payload of an RDMA-written SET value: a polled write into a
+    server receive buffer.
 
     ``credit`` is the receive-buffer credit the client's communication
     engine acquired before the write; the server releases it when the
     buffer is consumed (late for the default design, early for the
-    optimized one — Section V-B1).
+    optimized one — Section V-B1). ``landed_at`` is the instant the
+    value's last byte lands, stamped by the server's poller from the
+    in-flight message as the write is handed over.
     """
 
     req_id: int
     nbytes: int
     credit: Any = None
+    landed_at: float = 0.0
 
 
 @dataclass(slots=True)

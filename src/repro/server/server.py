@@ -22,7 +22,10 @@ slept after its lookup (a device read, a counter store that flushed)
 sleeps the LRU update on its own timer first.
 A SET whose value comes by RDMA write sleeps nothing at the pickup: its
 first timer runs from the later of the parse end and the value's
-arrival through the copy (and the slab allocation without early ack).
+landing through the copy (and the slab allocation without early ack).
+The value is a polled write: the server's poller takes it as the client
+hands it over and the worker reads its landing instant, so its landing
+wakes nothing.
 A SET that holds no receive credit past its store (an inline value, or
 early ack) also sleeps its LRU update in the response timer, unless the
 store slept (a flush, an eviction); a default server's SET keeps the
@@ -258,8 +261,11 @@ class MemcachedServer:
 
     def attach(self, endpoint: Endpoint) -> None:
         """Serve one client connection: its frames are handled as they
-        are delivered, by :meth:`_receive`."""
+        are delivered, by :meth:`_receive`, and on RDMA its SET values,
+        polled writes, as they are handed over, by :meth:`_poll_value`."""
         endpoint.receiver = partial(self._receive, endpoint)
+        if endpoint.supports_one_sided:
+            endpoint.poller = partial(self._poll_value, endpoint)
 
     def start(self) -> None:
         if self._started:
@@ -359,8 +365,9 @@ class MemcachedServer:
 
     def _purge_value_waits(self) -> None:
         """Abort every pending SET-value rendezvous with a sentinel; a
-        SET whose value landed before the purge but whose header was
-        still being parsed finds the purge in ``_purges``."""
+        SET whose worker took its value before the purge but had not
+        started the copy (the value still in flight, or the header
+        still being parsed) finds the purge in ``_purges``."""
         self._purges.append(self.sim.now)
         for ev in list(self._value_events.values()):
             if not ev.triggered:
@@ -403,15 +410,7 @@ class MemcachedServer:
             self._m_dropped_rx.inc()
             return
         payload = delivery.payload
-        if isinstance(payload, ValueArrival):
-            # req_ids are unique per client connection only; key the
-            # rendezvous by (connection, req_id).
-            key = (id(endpoint), payload.req_id)
-            ev = self._value_events.setdefault(key, self.sim.event())
-            # A parked worker takes the value inside this call; one still
-            # parsing the header finds the event processed.
-            (ev._hand_off if ev.callbacks else ev.succeed)(payload)
-        elif isinstance(payload, Request):
+        if isinstance(payload, Request):
             prof = self.obs.profiler
             if prof.enabled:
                 for tid, px in self._trace_targets(payload):
@@ -419,6 +418,40 @@ class MemcachedServer:
             self._enqueue(delivery, endpoint)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected payload {payload!r}")
+
+    def _poll_value(self, endpoint: Endpoint, arrival: ValueArrival,
+                    msg) -> None:
+        """The connection's poller: a SET value the client RDMA-writes
+        into a receive buffer, handed over as the write is sent. The
+        worker finds it by polling that buffer, so its landing wakes
+        nothing: the value goes to the SET's rendezvous now, stamped
+        with the instant it lands (``msg.delivered_at``), and the worker
+        starts its copy no earlier than that. A server that is down now
+        may be up again where the value lands, as it may be for the
+        value's header: for it, and only on this fault path, the value
+        lands on its ``delivered`` timer, where a frame's fate is
+        decided (:meth:`_land_value`)."""
+        arrival.landed_at = msg.delivered_at
+        if self.alive and self.reachable:
+            self._land_value(endpoint, arrival)
+        else:
+            msg.delivered.callbacks.append(
+                partial(self._land_value, endpoint, arrival))
+
+    def _land_value(self, endpoint: Endpoint, arrival: ValueArrival,
+                    _timer=None) -> None:
+        """Put a SET value on its rendezvous; one that lands on a dead
+        or unreachable server is dropped, as a frame would be."""
+        if not (self.alive and self.reachable):
+            self._m_dropped_rx.inc()
+            return
+        # req_ids are unique per client connection only; key the
+        # rendezvous by (connection, req_id).
+        key = (id(endpoint), arrival.req_id)
+        ev = self._value_events.setdefault(key, self.sim.event())
+        # A parked worker takes the value inside this call; one whose
+        # header is not picked up yet finds the event processed.
+        (ev._hand_off if ev.callbacks else ev.succeed)(arrival)
 
     def _enqueue(self, delivery, endpoint: Endpoint) -> None:
         """Hand a request frame to the worker pool; a parked worker
@@ -544,7 +577,7 @@ class MemcachedServer:
         t_copy = parsed
         if not request.inline_value:
             # Entered at the pickup: the rendezvous exists from here on,
-            # so a fault purge before the value lands reaches it.
+            # so a fault purge before the value is handed over reaches it.
             purges = len(self._purges)
             key = (id(endpoint), request.req_id)
             value = self._value_events.setdefault(key, sim.event())
@@ -562,9 +595,9 @@ class MemcachedServer:
                 # client's completion timeout handles the rest.
                 return
             credit = arrival.credit
-            # The copy starts once both the value and the parsed header
-            # are in; a value that landed mid-parse posts the timer now.
-            t_copy = max(parsed, sim._now)
+            # The copy starts once the value has landed and the header
+            # is parsed.
+            t_copy = max(parsed, arrival.landed_at)
         # Copy the value out of the receive buffer (staging on the
         # optimized server, directly toward the chunk otherwise), then
         # allocate its chunk: one timer unless the early ack comes
@@ -574,9 +607,11 @@ class MemcachedServer:
         if not request.inline_value:
             yield (Timeout.at(sim, t0, posted=t_copy) if early_ack else
                    Timeout.at(sim, t0 + costs.slab_alloc_cpu, posted=t0))
-            if len(self._purges) > purges and self._purges[purges] < parsed:
-                # A fault purged the rendezvous after the value landed
-                # but before the parse end: the value is lost with it.
+            if len(self._purges) > purges and self._purges[purges] < t_copy:
+                # A fault purged the rendezvous after the value was
+                # handed over but before the copy start (the value still
+                # in flight, or the header still being parsed): the
+                # value is lost with it.
                 return
             if not pull_at_parse and self.handoff is not None:
                 # A migration window opened during the parse.

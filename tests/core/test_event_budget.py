@@ -266,14 +266,12 @@ def _process_stage(event):
         while getattr(gen.gi_yieldfrom, "gi_code", None) is not None:
             gen = gen.gi_yieldfrom
         return f" [{proc.name}: {gen.gi_code.co_name}]"
-    # The engine's locals: the job it took (the CPU timer ends it), and
-    # the request it unpacked from it (waiting for a credit).
+    # The engine's locals: the request it unpacked from the job it took
+    # (an mget's job keeps its requests; every other job is recycled at
+    # the unpack).
     frame = proc._gen.gi_frame.f_locals
-    if isinstance(event, Request):
-        stage, reqs = "credit grant", [frame["req"]]
-    else:
-        job = frame["job"]
-        stage, reqs = "engine dispatch", getattr(job, "reqs", None) or [job.req]
+    stage = "credit grant" if isinstance(event, Request) else "engine dispatch"
+    reqs = getattr(frame["job"], "reqs", None) or [frame["req"]]
     named = ", ".join(f"{r.api} #{r.req_id}" for r in reqs)
     return f" [{proc.name}: {stage}, {named}]"
 
@@ -362,19 +360,57 @@ def test_the_event_list_names_each_device_stage():
         _event_list(sim, lambda: _read_1m(dev))
 
 
+def _engine_stages(lines):
+    return [line.rpartition("[client0-engine: ")[2] for line in lines
+            if "[client0-engine: " in line]
+
+
 def test_the_event_list_names_each_engine_stage():
     """What a moved request budget prints: each process an event wakes
     is named, and the client engine's events say which stage ends and
-    for which request — its CPU for a job, then a SET value's credit."""
+    for which request. A client alone on its NIC claims a SET value's
+    free credit inline, so its engine's one event ends its CPU for the
+    job."""
     cluster = _warm_cluster(profiles.RDMA_MEM, profiled=False)
     client, sim = cluster.clients[0], cluster.sim
     lines = _event_list(sim, lambda: _set(client)).splitlines()
-    engine = [line.rpartition("[client0-engine: ")[2] for line in lines
-              if "[client0-engine: " in line]
     req_id = client._next_req_id - 1
-    assert engine == [f"engine dispatch, set #{req_id}]",
-                      f"credit grant, set #{req_id}]"]
+    assert _engine_stages(lines) == [f"engine dispatch, set #{req_id}]"]
     assert any("Process._resume [server0-worker" in line for line in lines)
+
+
+def test_the_event_list_names_a_credit_grant():
+    """A SET value's credit costs the engine an event of its own where
+    the credit is granted after a lane hop: on a NIC another client
+    sends through, whose engines keep their order that way, and on a
+    one-credit server whose credit a second SET in flight finds taken
+    (a queued claim waits for its FIFO grant)."""
+    # Two clients on one node: every job sleeps to its send instant.
+    shared = build_cluster(profiles.RDMA_MEM, spec=ClusterSpec(
+        num_clients=2, client_nodes=1, server_mem=32 * MB))
+    client, sim = shared.clients[0], shared.sim
+    assert client._nic_shared
+    sim.run(until=sim.spawn(_set(client)))  # the engine is up
+    lines = _event_list(sim, lambda: _set(client)).splitlines()
+    req_id = client._next_req_id - 1
+    assert _engine_stages(lines) == [f"engine dispatch, set #{req_id}]",
+                                     f"credit grant, set #{req_id}]"]
+
+    # One credit, two SETs in flight: the second claim queues.
+    alone = build_cluster(profiles.RDMA_MEM, spec=ClusterSpec(
+        server_mem=32 * MB, recv_credits=1))
+    client, sim = alone.clients[0], alone.sim
+    assert not client._nic_shared
+    sim.run(until=sim.spawn(_set(client)))
+
+    def two_sets():
+        yield sim.all_of([sim.spawn(_set(client)), sim.spawn(_set(client))])
+
+    lines = _event_list(sim, two_sets).splitlines()
+    first, second = client._next_req_id - 2, client._next_req_id - 1
+    assert _engine_stages(lines) == [f"engine dispatch, set #{first}]",
+                                     f"engine dispatch, set #{second}]",
+                                     f"credit grant, set #{second}]"]
 
 
 def test_the_event_list_names_each_worker_stage():

@@ -58,21 +58,30 @@ costs = st.builds(ServerCosts, parse=cost, hash_lookup=cost,
 def _run(profile, server_costs, value_length):
     """One SET then one GET of the same key, a touch and a gat of it,
     and two incrs of a counter (the first creates it). Returns what the
-    server received (``(instant, recv_cpu, payload)``), the responses'
+    server received (``(instant, recv_cpu, payload)``: a frame as it is
+    delivered, an RDMA-written value as it lands), the responses'
     payloads and each request's server-side profile spans."""
     received, responses = [], []
     receive, on_response = MemcachedServer._receive, MemcachedClient._on_response
+    poll_value = MemcachedServer._poll_value
 
     def spy_receive(server, endpoint, delivery):
         received.append((server.sim.now, delivery.recv_cpu, delivery.payload))
         receive(server, endpoint, delivery)
 
+    def spy_poll_value(server, endpoint, arrival, msg):
+        # Handed over as it is sent; it lands at its delivered milestone.
+        received.append((msg.delivered_at, 0.0, arrival))
+        poll_value(server, endpoint, arrival, msg)
+
     def spy_response(client, conn, delivery):
         responses.append(delivery.payload)
         on_response(client, conn, delivery)
 
-    # Both receivers are bound when the cluster wires its connections.
+    # The receivers and the poller are bound when the cluster wires its
+    # connections.
     with mock.patch.object(MemcachedServer, "_receive", spy_receive), \
+            mock.patch.object(MemcachedServer, "_poll_value", spy_poll_value), \
             mock.patch.object(MemcachedClient, "_on_response", spy_response):
         cluster = build_cluster(profile, spec=ClusterSpec(
             server_mem=32 * MB, ssd_limit=64 * MB, costs=server_costs,

@@ -4,7 +4,8 @@
 install a callable the frame's ``deliver`` runs at the instant of
 arrival. These cases pin that the fault paths behave as they did when a
 pump process sat there: a frame for a dead or unreachable server is
-dropped and counted, ``crash()`` tears the worker pool down although the
+dropped and counted (a SET value, a polled write, where it lands),
+``crash()`` tears the worker pool down although the
 parked workers now run *inside* it, and a connection added to a running
 cluster is served without anything being spawned for it. An endpoint
 that has a receiver never allocates the inbox it would not read.
@@ -34,6 +35,21 @@ def dropped(cluster):
         lambda m: m.name == "server_rx_dropped")))
 
 
+def _spy_values(client):
+    """The landing instant of each SET value ``client`` writes to its
+    servers, noted as the polled write is handed to the server."""
+    landed = []
+    for conn in client._conns:
+        peer = conn.endpoint.peer
+
+        def spy(arrival, msg, poll=peer.poller):
+            landed.append(msg.delivered_at)
+            poll(arrival, msg)
+
+        peer.poller = spy
+    return landed
+
+
 @pytest.mark.parametrize("profile", [RDMA_MEM, IPOIB_MEM],
                          ids=["rdma", "ipoib"])
 @pytest.mark.parametrize("fault", ["crash", "partition"])
@@ -55,6 +71,53 @@ def test_frame_for_a_down_server_is_dropped_and_counted(
     # Nothing came back, so nothing made the client endpoint allocate
     # an inbox either.
     assert ep._inbox is None
+
+
+@pytest.mark.parametrize("fault", ["crash", "partition"])
+def test_a_value_written_to_a_down_server_is_dropped_and_counted(fault):
+    """A SET value is a polled write, handed to the server's poller as
+    it is sent: one that lands while the server is still dead or
+    unreachable is dropped there, counted as a frame would be, and
+    leaves no rendezvous behind."""
+    cluster = make_cluster(RDMA_MEM)
+    sim, server = cluster.sim, cluster.servers[0]
+    ep = cluster.clients[0]._conns[0].endpoint
+    getattr(server, fault)()
+    for req_id in (1, 2):
+        ep.write_polled(ValueArrival(req_id=req_id, nbytes=4 * KB), 4 * KB)
+    sim.run()
+    assert dropped(cluster) == 2
+    assert server._value_events == {}
+    assert server.stats.busy_time == 0.0 and server.stats.sets == 0
+
+
+@pytest.mark.parametrize("fault,recover", [("crash", "restart"),
+                                           ("partition", "heal")])
+def test_a_value_written_to_a_down_server_that_is_up_where_it_lands_is_stored(
+        fault, recover):
+    """Whether a value written to a down server is lost is decided where
+    it lands, as a frame's fate is: a SET sent while the server is down,
+    whose header and value both land after it is back, completes."""
+    cluster = make_cluster(RDMA_MEM)
+    sim, server, client = cluster.sim, cluster.servers[0], cluster.clients[0]
+    landed = _spy_values(client)
+    done = []
+
+    def app():
+        done.append((yield from client.set(b"k", 4 * KB)).status)
+
+    def faults():
+        getattr(server, fault)()
+        yield sim.timeout(1.5 * US)  # the value is sent, nothing landed
+        assert len(landed) == 1 and landed[0] > sim.now
+        getattr(server, recover)()
+
+    sim.spawn(faults())
+    sim.spawn(app())
+    sim.run(until=5e-3)
+    assert done == [STORED] and server.stats.sets == 1
+    assert dropped(cluster) == 0
+    assert server._busy_workers == 0 and server._value_events == {}
 
 
 def test_endpoints_with_a_receiver_never_allocate_an_inbox():
@@ -149,21 +212,12 @@ def test_a_crash_mid_parse_abandons_the_rdma_set(value_length, lands,
                                                  restart):
     """A crash after an RDMA SET's header was picked up and before its
     parse ends abandons the SET, whether its value had landed by then
-    or was still on the wire (and so dropped): the worker comes free,
+    or was still on the wire (and so lost): the worker comes free,
     and no rendezvous outlives the crash — also across a restart."""
     cluster = build_cluster(RDMA_MEM, spec=ClusterSpec(
         server_mem=16 * MB, costs=ServerCosts(parse=100 * US)))
     sim, server, client = cluster.sim, cluster.servers[0], cluster.clients[0]
-    values = []
-    receive = server._receive
-
-    def spy(endpoint, delivery):
-        if isinstance(delivery.payload, ValueArrival):
-            values.append(sim.now)
-        receive(endpoint, delivery)
-
-    for conn in client._conns:
-        conn.endpoint.peer.receiver = lambda d, ep=conn.endpoint.peer: spy(ep, d)
+    landed = _spy_values(client)
 
     def app():
         yield from client.set(b"k", value_length)
@@ -171,7 +225,10 @@ def test_a_crash_mid_parse_abandons_the_rdma_set(value_length, lands,
     def faults():
         yield sim.timeout(20 * US)  # the header is in, its parse is not
         assert server._busy_workers == 1
-        assert bool(values) == (lands == "before")
+        # The value was handed over as it was sent; ``lands`` says
+        # whether it has landed by now.
+        assert len(landed) == 1
+        assert (landed[0] <= sim.now) == (lands == "before")
         server.crash()
         if restart:
             yield sim.timeout(1e-3)
@@ -180,6 +237,62 @@ def test_a_crash_mid_parse_abandons_the_rdma_set(value_length, lands,
     sim.spawn(app())
     sim.spawn(faults())
     sim.run(until=5e-3)
+    assert server._busy_workers == 0
+    assert server._value_events == {}
+    assert server.stats.sets == 0
+
+
+@pytest.mark.parametrize("restart", [False, True], ids=["down", "restarted"])
+@pytest.mark.parametrize("profile", [RDMA_MEM, H_RDMA_OPT_NONB_I],
+                         ids=["default", "early-ack"])
+def test_a_crash_while_the_value_is_in_flight_abandons_the_rdma_set(
+        profile, restart):
+    """A crash after an RDMA SET's value was handed to the server and
+    its header parsed, but before the value lands, loses the value: the
+    worker, which knows where it lands, wakes there to an abandoned SET.
+    No BufferAck and no response is sent, the worker comes free, and no
+    rendezvous is left — also across a restart before the landing."""
+    cluster = build_cluster(profile, spec=ClusterSpec(server_mem=16 * MB))
+    sim, server, client = cluster.sim, cluster.servers[0], cluster.clients[0]
+    landed = _spy_values(client)
+    parsed, sent = [], []
+    srv_ep = client._conns[0].endpoint.peer
+    receive, send, write_polled = (srv_ep.receiver, srv_ep.send,
+                                   srv_ep.write_polled)
+
+    def spy_receive(delivery):
+        costs = server.config.costs
+        parsed.append((sim.now + delivery.recv_cpu) + costs.parse)
+        receive(delivery)
+
+    def spy_send(payload, *args, **kwargs):
+        sent.append(payload)
+        return send(payload, *args, **kwargs)
+
+    def spy_write_polled(payload, nbytes):
+        sent.append(payload)
+        return write_polled(payload, nbytes)
+
+    srv_ep.receiver, srv_ep.send = spy_receive, spy_send
+    srv_ep.write_polled = spy_write_polled
+
+    def app():
+        yield from client.set(b"k", 512 * KB)
+
+    def faults():
+        yield sim.timeout(20 * US)
+        assert server._busy_workers == 1
+        assert parsed[0] < sim.now < landed[0]
+        server.crash()
+        if restart:
+            yield sim.timeout((landed[0] - sim.now) / 2)
+            server.restart()
+
+    sim.spawn(app())
+    sim.spawn(faults())
+    sim.run(until=5e-3)
+    assert sim.now > landed[0]
+    assert sent == []
     assert server._busy_workers == 0
     assert server._value_events == {}
     assert server.stats.sets == 0

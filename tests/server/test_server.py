@@ -53,8 +53,8 @@ def raw_set(sim, server, ep, req_id, key, nbytes, trace_id=None):
     ep.send(header, header.header_bytes)
     credit = server.credits.request()
     yield credit
-    ep.send(ValueArrival(req_id=req_id, nbytes=nbytes, credit=credit),
-            nbytes, one_sided=True)
+    ep.write_polled(ValueArrival(req_id=req_id, nbytes=nbytes, credit=credit),
+                    nbytes)
     while True:
         d = yield ep.recv()
         if not isinstance(d.payload, BufferAck):
@@ -229,8 +229,8 @@ def test_early_ack_releases_credit_before_response():
             ep.send(header, header.header_bytes)
             credit = server.credits.request()
             yield credit
-            ep.send(ValueArrival(req_id=1, nbytes=32 * KB, credit=credit),
-                    32 * KB, one_sided=True)
+            ep.write_polled(ValueArrival(req_id=1, nbytes=32 * KB,
+                                         credit=credit), 32 * KB)
             # Try to get the credit back — its grant time marks release.
             second = server.credits.request()
             yield second
