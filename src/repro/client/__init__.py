@@ -7,9 +7,12 @@ paper API             this package
 ====================  =====================================================
 ``memcached_set``     ``MemcachedClient.set`` (blocking)
 ``memcached_get``     ``MemcachedClient.get`` (blocking)
-``memcached_iset``    ``MemcachedClient.iset`` — returns immediately after
-                      the request is handed to the communication engine;
-                      key/value buffers must NOT be reused yet
+``memcached_iset``    ``MemcachedClient.iset`` — returns at its call
+                      instant, once the request is handed to the
+                      communication engine; its API overhead moves the
+                      caller's clock (``MemcachedClient.now``), where
+                      the next call starts; key/value buffers must NOT
+                      be reused yet
 ``memcached_iget``    ``MemcachedClient.iget`` — same, for Get
 ``memcached_bset``    ``MemcachedClient.bset`` — returns once the value
                       has left the client buffer (buffer reusable)

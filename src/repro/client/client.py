@@ -24,10 +24,12 @@ measurements (Figure 7a). Every call, with or without replication,
 queues its engine job at the instant it is made; the job is ready where
 the API overhead ends (``_issue``). The engine is a clock: a job's send
 instant is known as it starts, and the message goes to the NIC then,
-for that instant, unless the engine must act there (``_engine``). A
-blocking call sleeps no timer of its own for the overhead: its caller
-only waits once the request is handed over, from where the overhead
-ends.
+for that instant, unless the engine must act there (``_engine``). No call
+sleeps a timer of its own for the overhead: it moves the caller's
+clock (:attr:`MemcachedClient.now`) to where the overhead ends, and the
+caller's next call starts there. A blocking caller only waits once the
+request is handed over, from that clock; a non-blocking one returns at
+its call instant.
 """
 
 from __future__ import annotations
@@ -239,6 +241,9 @@ class MemcachedClient:
         #: Registered-buffer pool (active when model_registration).
         self.buffer_pool = BufferPool()
         self._next_req_id = 0
+        #: The caller's clock: where the API overhead of its last call
+        #: ends (see :attr:`now`).
+        self._api_free = 0.0
         self._started = False
         # metrics
         self.records: List[OpRecord] = []
@@ -436,7 +441,7 @@ class MemcachedClient:
             expiration: float = 0.0):
         """Blocking ``memcached_set``. Generator; returns the request."""
         req = yield from self._issue("set", "set", key, value_length,
-                                     flags, expiration, blocking=True)
+                                     flags, expiration)
         yield from self._finish(req)
         return req
 
@@ -465,7 +470,7 @@ class MemcachedClient:
         precondition (the API is called what the mode is)."""
         req = yield from self._issue("set", mode, key, value_length, flags,
                                      expiration, mode=mode,
-                                     cas_token=cas_token, blocking=True)
+                                     cas_token=cas_token)
         yield from self._finish(req)
         return req
 
@@ -476,8 +481,7 @@ class MemcachedClient:
         from the backend database — paying the miss penalty — and
         repopulates the cache, as web-scale deployments do.
         """
-        req = yield from self._issue("get", "get", key, 0, 0, 0.0,
-                                     blocking=True)
+        req = yield from self._issue("get", "get", key, 0, 0, 0.0)
         yield from self._finish(req)
         return req
 
@@ -490,9 +494,10 @@ class MemcachedClient:
         the per-key requests in input order.
         """
         self._ensure_started()
+        yield from self._to_clock()
         t0 = self.sim.now
         api_overhead = self.config.api_overhead
-        t_api = t0 + api_overhead
+        t_api = self._api_free = t0 + api_overhead
         reqs: List[MemcachedReq] = []
         down: List[MemcachedReq] = []
         batches: Dict[int, _MgetJob] = {}
@@ -542,6 +547,7 @@ class MemcachedClient:
         Generator; returns a dict of counters.
         """
         self._ensure_started()
+        yield from self._to_clock()
         conn = self._conns[server_index]
         req = MemcachedReq(self.sim, self._next_req_id, "stats", b"",
                            0, "stats")
@@ -549,7 +555,8 @@ class MemcachedClient:
         t0 = req.t_issue = self.sim.now
         req.server_index = conn.index
         self._op_begin(req, history=False)
-        t_api = req.t_api_return = t0 + self.config.api_overhead
+        t_api = req.t_api_return = self._api_free = (
+            t0 + self.config.api_overhead)
         self._engine_queue.put(self._job_new(req, conn, 0.0, t_api))
         # stats targets one explicit server: no failover, no retry.
         yield self._bounded(req.complete, self.config.request_timeout, t_api)
@@ -570,15 +577,13 @@ class MemcachedClient:
         write does (``sync`` mode holds the ack for the replica
         removals) — otherwise read failover would resurrect deleted
         keys from an untouched copy."""
-        req = yield from self._issue("delete", "delete", key, 0, 0, 0.0,
-                                     blocking=True)
+        req = yield from self._issue("delete", "delete", key, 0, 0, 0.0)
         yield from self._finish(req)
         return req
 
     def touch(self, key: bytes, expiration: float):
         """``memcached_touch``: refresh an item's TTL without a refetch."""
-        req = yield from self._issue("touch", "touch", key, 0, 0, expiration,
-                                     blocking=True)
+        req = yield from self._issue("touch", "touch", key, 0, 0, expiration)
         yield from self._finish(req)
         return req
 
@@ -594,8 +599,7 @@ class MemcachedClient:
         (each replica applies the same delta, drawing its own token).
         """
         req = yield from self._issue("incr", "incr", key, 0, 0, expiration,
-                                     delta=delta, initial=initial,
-                                     blocking=True)
+                                     delta=delta, initial=initial)
         yield from self._finish(req)
         return req
 
@@ -603,8 +607,7 @@ class MemcachedClient:
              initial: Optional[int] = None, expiration: float = 0.0):
         """``memcached_decrement``: like :meth:`incr`, saturating at 0."""
         req = yield from self._issue("decr", "decr", key, 0, 0, expiration,
-                                     delta=delta, initial=initial,
-                                     blocking=True)
+                                     delta=delta, initial=initial)
         yield from self._finish(req)
         return req
 
@@ -614,8 +617,7 @@ class MemcachedClient:
         (primary only — like touch, recency state is per-server). A miss
         does NOT trigger the backend fetch: gat is a cache-maintenance
         read, not a demand read."""
-        req = yield from self._issue("gat", "gat", key, 0, 0, expiration,
-                                     blocking=True)
+        req = yield from self._issue("gat", "gat", key, 0, 0, expiration)
         yield from self._finish(req)
         return req
 
@@ -634,8 +636,9 @@ class MemcachedClient:
         flush targets explicit servers — rerouting is meaningless).
         Generator; returns the per-server requests."""
         self._ensure_started()
+        yield from self._to_clock()
         t0 = self.sim.now
-        t_api = t0 + self.config.api_overhead
+        t_api = self._api_free = t0 + self.config.api_overhead
         reqs: List[MemcachedReq] = []
         for conn in self._conns:
             req = MemcachedReq(self.sim, self._next_req_id, "flush", b"",
@@ -660,9 +663,10 @@ class MemcachedClient:
              expiration: float = 0.0):
         """``memcached_iset``: purely non-blocking Set.
 
-        Returns right after the request is queued on the communication
-        engine. The key/value buffers must NOT be reused until a
-        successful ``wait``/``test``.
+        Returns at its call instant, once the request is queued on the
+        communication engine; its API overhead moves the caller's clock
+        (:attr:`now`) instead. The key/value buffers must NOT be reused
+        until a successful ``wait``/``test``.
         """
         self._require_nonblocking("iset")
         req = yield from self._issue("set", "iset", key, value_length,
@@ -685,15 +689,14 @@ class MemcachedClient:
         """
         self._require_nonblocking("bset")
         req = yield from self._issue("set", "bset", key, value_length,
-                                     flags, expiration, blocking=True)
+                                     flags, expiration)
         yield from self._await_buffer_safe(req)
         return req
 
     def bget(self, key: bytes):
         """``memcached_bget``: non-blocking Get with key-buffer reuse."""
         self._require_nonblocking("bget")
-        req = yield from self._issue("get", "bget", key, 0, 0, 0.0,
-                                     blocking=True)
+        req = yield from self._issue("get", "bget", key, 0, 0, 0.0)
         yield from self._await_buffer_safe(req)
         return req
 
@@ -714,6 +717,7 @@ class MemcachedClient:
         can pick it up, like libmemcached's poll timeout.
         """
         if timeout is not None and not req.complete.triggered:
+            yield from self._to_clock()
             t0 = self.sim.now
             yield self._bounded(req.complete, timeout)
             self._account_block(req, self.sim.now - t0)
@@ -722,12 +726,23 @@ class MemcachedClient:
         yield from self._finish(req)
         return req
 
-    def _finish(self, req: MemcachedReq, record: bool = True):
+    def _finish(self, req: MemcachedReq, record: bool = True,
+                caller: bool = True):
         """The completion tail of every operation, blocking or waited on:
         drive it to completion (through timeout/retry/failover recovery
         when ``request_timeout`` is set), hold for sync replica acks,
         handle a GET miss, finalize. ``record=False`` is the miss path's
         repopulating set, which is not a user-visible operation.
+
+        A wait on an unfinished request starts on the caller's clock
+        (``_wait_start``) and resumes at the completion, which can fall
+        before that clock: then it blocked for nothing. A request
+        already complete is finished at once, but where the caller must
+        act at its own instant — ``request_timeout`` recovery's success
+        bookkeeping, replica acks, a history recorder, a miss's backend
+        fetch — it sleeps to its clock first. ``caller=False``
+        is a background miss fetch's repopulating set: it runs on no
+        caller's clock.
 
         A replica propagation copy (drained via quiesce) gets the bounded
         ``_await_replica`` wait instead: no retries — the data lives on
@@ -735,32 +750,40 @@ class MemcachedClient:
         if req.api == "replica":
             yield from self._await_replica(req)
             return
+        sim = self.sim
         if self.config.request_timeout is not None:
-            yield from self._recover(req)
+            if (caller and req.complete.triggered
+                    and self._api_free > sim._now):
+                yield Timeout.at(sim, self._api_free)
+            yield from self._recover(req, caller)
         elif not req.complete.processed:
             # No fault handling: a silent server blocks the caller forever.
             # Inline: once per operation, a generator frame is measurable.
-            sim = self.sim
-            t0 = req.t_api_return
-            if t0 < sim._now:
-                t0 = sim._now
+            t0 = self._wait_start(req, caller)
             yield req.complete
-            self._account_block(req, sim._now - t0)
-        if self._replica_subs:
+            if sim._now > t0:
+                self._account_block(req, sim._now - t0)
+        subs = self._replica_subs
+        if caller and self._api_free > sim._now and (
+                self.recorder is not None or req.req_id in subs):
+            yield Timeout.at(sim, self._api_free)
+        if subs:
             yield from self._await_replica_acks(req)
         if req.op == "get" and self.backend is not None:
             yield from self._handle_miss(req)
-        self._finalize(req, record)
+        self._finalize(req, record, caller)
 
     def test(self, req: MemcachedReq) -> bool:
         """``memcached_test``: non-blocking completion poll.
 
         Plain function (no simulated time): mirrors the real API, which
-        only inspects the request's completion flag. A completed GET
-        miss starts its backend fetch + cache repopulation in the
-        background (the poll itself stays zero-time); ``test`` keeps
-        returning False until that fetch finishes, then finalizes the
-        operation like ``wait`` would.
+        only inspects the request's completion flag. It polls at the
+        simulator's instant, which can be up to the API overhead the
+        caller still owes before its clock (:attr:`now`). A completed
+        GET miss starts its backend fetch + cache repopulation in the
+        background, at the caller's clock (the poll itself stays
+        zero-time); ``test`` keeps returning False until that fetch
+        finishes, then finalizes the operation like ``wait`` would.
         """
         if not req.done:
             return False
@@ -775,7 +798,7 @@ class MemcachedClient:
                 and req.miss_penalty is None):
             done = self.sim.event()
             self._miss_fetches[req.req_id] = done
-            self.sim.spawn(self._background_miss(req, done),
+            self.sim.spawn(self._background_miss(req, done, self.now),
                            name=f"{self.name}-miss{req.req_id}")
             return False
         self._finalize(req)
@@ -800,6 +823,7 @@ class MemcachedClient:
         reqs = list(reqs)
         if not reqs:
             return None, []
+        yield from self._to_clock()
         deadline = None if timeout is None else self.sim.now + timeout
         while True:
             for i, req in enumerate(reqs):
@@ -838,6 +862,7 @@ class MemcachedClient:
         ones are finalized, pending ones are left in flight for a later
         ``wait``/``test``). ``None`` preserves the unbounded behaviour.
         """
+        yield from self._to_clock()
         deadline = None if timeout is None else self.sim.now + timeout
         for req in reqs:
             yield from self.wait(req, None if deadline is None
@@ -847,6 +872,7 @@ class MemcachedClient:
     def quiesce(self):
         """Wait until every outstanding request of this client completed
         (including background miss fetches started by ``test``)."""
+        yield from self._to_clock()
         while self._outstanding or self._miss_fetches:
             if self._outstanding:
                 yield from self.wait(next(iter(self._outstanding.values())))
@@ -863,28 +889,37 @@ class MemcachedClient:
     def _issue(self, op: str, api: str, key: bytes, value_length: int,
                flags: int, expiration: float, mode: str = "set",
                cas_token: int = 0, delta: int = 0,
-               initial: Optional[int] = None, blocking: bool = False):
+               initial: Optional[int] = None, caller: bool = True):
         """Open a request and queue it on the engine at the call
-        instant ``t0``, ready where the API overhead ends (``t_api =
-        t0 + api_overhead``): on an idle engine the request is sent at
-        ``t_api + engine_cpu``, and is handed to the NIC for that
-        instant inside this call (``_engine``). With replication, a
-        write's copies are queued behind it, issued at ``t_api``
-        (``_fan_out``), and a read off the primary's replica set is
-        counted here.
+        instant ``t0``, the caller's clock (:attr:`now`), ready where
+        the API overhead ends (``t_api = t0 + api_overhead``): on an
+        idle engine the request is sent at ``t_api + engine_cpu``, and
+        is handed to the NIC for that instant inside this call
+        (``_engine``). With replication, a write's copies are queued
+        behind it, issued at ``t_api`` (``_fan_out``), and a read off
+        the primary's replica set is counted here.
 
-        A ``blocking`` caller only waits after this, so it sleeps no
-        timer of its own; its waits start at ``t_api_return``
-        (``_wait_start``). A non-blocking caller sleeps the overhead,
-        since it issues again at its end. With no routable server there
-        is no job, and the call completes at the overhead's end."""
+        No caller sleeps the overhead: the call moves the caller's clock
+        to ``t_api`` and returns, a non-blocking one at once, a blocking
+        one to wait from there (``_wait_start``). Only an HLC stamp
+        sleeps to the clock first, since it reads the simulator's time.
+        With no routable server there is no job, and the call completes
+        at the overhead's end. ``caller=False`` is a background miss
+        fetch's repopulating set: it is stamped at the simulator's
+        instant and moves no caller's clock."""
         self._ensure_started()
         sim = self.sim
+        t0 = sim._now
+        stamps = self._hlc is not None and op in ("set", "delete")
+        if caller and self._api_free > t0:
+            t0 = self._api_free
+            if stamps:
+                yield Timeout.at(sim, t0)
         req_id = self._next_req_id
         req = MemcachedReq(sim, req_id, op, key, value_length, api,
                            flags, mode, cas_token, delta, initial)
         self._next_req_id = req_id + 1
-        t0 = req.t_issue = sim._now
+        req.t_issue = t0
         req.expiration = expiration
         # One HLC stamp per user write, drawn at issue time so the
         # recorded history sees it even if the op never completes.
@@ -892,14 +927,16 @@ class MemcachedClient:
         # merge identically everywhere. Counters are excluded: incr/
         # decr are commutative server-side arithmetic, not
         # last-writer-wins values.
-        if self._hlc is not None and op in ("set", "delete"):
+        if stamps:
             req.hlc = self._hlc.stamp()
         if self._profiler.enabled:
-            req.trace_id = self._profiler.maybe_start(op, api)
+            req.trace_id = self._profiler.maybe_start(op, api, t_issue=t0)
         conn = self._route(key)
         self._op_begin(req)
         api_overhead = self.config.api_overhead
         t_api = req.t_api_return = t0 + api_overhead
+        if caller:
+            self._api_free = t_api
         if conn is not None:
             req.server_index = conn.index
             self._engine_queue.put(self._job_new(req, conn, t0, t_api))
@@ -910,20 +947,36 @@ class MemcachedClient:
                         self._replica_subs[req.req_id] = subs
                 elif op == "get":
                     self._note_replica_read(key, conn)
-            if blocking:
-                self._account_block(req, t_api - t0)
-                return req
-        yield sim.timeout(api_overhead)
+            self._account_block(req, t_api - t0)
+            return req
+        # Every server ejected: fail fast where the overhead ends.
+        yield Timeout.at(sim, t_api, posted=t0)
         self._account_block(req, sim._now - t0)
-        if conn is None:  # every server ejected: fail fast
-            self._fail_server_down(req)
+        self._fail_server_down(req)
         return req
 
-    def _wait_start(self, req: MemcachedReq) -> float:
-        """When a wait on ``req`` starts: now, or later where a blocking
-        call's API overhead ends (``t_api_return``)."""
+    @property
+    def now(self) -> float:
+        """The caller's clock: the simulator's instant, or later where
+        the API overhead of the caller's last call ends. The caller's
+        next call into the client starts here."""
         now = self.sim._now
-        t = req.t_api_return
+        t = self._api_free
+        return t if t > now else now
+
+    def _to_clock(self):
+        """Sleep the caller to its clock, where it must act at its own
+        instant (the entry of a wait that reads the time, a fetch)."""
+        if self._api_free > self.sim._now:
+            yield Timeout.at(self.sim, self._api_free)
+
+    def _wait_start(self, req: MemcachedReq, caller: bool = True) -> float:
+        """When a wait on ``req`` starts: on the caller's clock
+        (:attr:`now`), which is never before the end of the API overhead
+        of ``req``'s call (``t_api_return``); ``caller=False``: a
+        background process's wait, from now or that end."""
+        now = self.sim._now
+        t = self._api_free if caller else req.t_api_return
         return t if t > now else now
 
     def _bounded(self, ev, bound: Optional[float],
@@ -1003,10 +1056,12 @@ class MemcachedClient:
         rerouting. A copy that times out completes as ``SERVER_DOWN``
         (the timeout still feeds the target's ejection streak); the
         write stays durable on the surviving replicas and anti-entropy
-        resync repairs this one when the server rejoins."""
+        resync repairs this one when the server rejoins. It starts at
+        now: a caller has slept to its clock before (``quiesce``,
+        ``_finish``), and a background miss fetch has none."""
         if req.complete.triggered:
             return
-        t0 = self._wait_start(req)
+        t0 = self._wait_start(req, caller=False)
         yield self._bounded(req.complete, self.config.request_timeout, t0)
         if account:
             self._account_block(req, self.sim.now - t0)
@@ -1031,7 +1086,7 @@ class MemcachedClient:
 
     # -- failure detection & recovery --------------------------------------
 
-    def _recover(self, req: MemcachedReq):
+    def _recover(self, req: MemcachedReq, caller: bool = True):
         """Drive ``req`` to completion, detecting silent server failures
         (``_finish`` calls this only with ``request_timeout`` set).
 
@@ -1046,9 +1101,10 @@ class MemcachedClient:
         timeout = self.config.request_timeout
         attempt = 0
         while not req.complete.triggered:
-            t0 = self._wait_start(req)
+            t0 = self._wait_start(req, caller)
             yield self._bounded(req.complete, timeout, t0)
-            self._account_block(req, self.sim.now - t0)
+            if self.sim.now > t0:  # it can complete before the clock
+                self._account_block(req, self.sim.now - t0)
             if req.complete.triggered:
                 break
             self._note_timeout(req)
@@ -1137,20 +1193,28 @@ class MemcachedClient:
 
     # -- miss path ---------------------------------------------------------
 
-    def _background_miss(self, req: MemcachedReq, done):
+    def _background_miss(self, req: MemcachedReq, done, start: float):
         """Backend fetch driven by ``test()`` — runs off the caller's
-        critical path, so it never counts as blocked time."""
+        critical path, so it never counts as blocked time. It starts at
+        ``start``, the caller's clock when ``test`` polled."""
         try:
+            if start > self.sim._now:
+                yield Timeout.at(self.sim, start)
             yield from self._miss_fetch(req, account=False)
         finally:
             self._miss_fetches.pop(req.req_id, None)
             done.succeed()
-            self._finalize(req)
+            self._finalize(req, caller=False)
 
     def _handle_miss(self, req: MemcachedReq):
         """Backend fetch + cache repopulation after a failed GET
         (``_finish`` calls this for a GET on a client with a backend)."""
         inflight = self._miss_fetches.get(req.req_id)
+        if inflight is None and (req.status not in (MISS, SERVER_DOWN)
+                                 or req.miss_penalty is not None):
+            return  # a hit, or already fetched (a penalty of 0.0 included)
+        # The fetch, or the join, starts at the caller's instant.
+        yield from self._to_clock()
         if inflight is not None:
             # test() already started the fetch in the background; join it.
             t0 = self.sim.now
@@ -1165,10 +1229,6 @@ class MemcachedClient:
         take when a shard is unreachable) — its key still routes to the
         dead server, so repopulating would be wasted work.
         """
-        if req.status not in (MISS, SERVER_DOWN):
-            return
-        if req.miss_penalty is not None:
-            return  # already fetched (a penalty of 0.0 included)
         t0 = self.sim.now
         value_length = yield from self.backend.fetch(req.key)
         req.miss_penalty = self.sim.now - t0
@@ -1178,8 +1238,9 @@ class MemcachedClient:
             # Repopulate so future lookups hit (not recorded as a user op).
             t1 = self.sim.now
             fill = yield from self._issue("set", "set", req.key,
-                                          value_length, 0, 0.0, blocking=True)
-            yield from self._finish(fill, record=False)
+                                          value_length, 0, 0.0,
+                                          caller=account)
+            yield from self._finish(fill, record=False, caller=account)
             if account:
                 self._account_block(req, self.sim.now - t1)
         req.value_length = value_length
@@ -1205,16 +1266,19 @@ class MemcachedClient:
         if self._metrics_on:
             self._m_issued.inc()
         if self.obs.tracer.enabled:
-            self._op_spans[req.req_id] = self.obs.tracer.begin(
+            span = self._op_spans[req.req_id] = self.obs.tracer.begin(
                 f"{req.api}:{req.op}", tid=self.name, pid="client",
                 cat="op", async_=True, req_id=req.req_id)
+            span.t0 = req.t_issue  # the call instant, on the caller's clock
 
-    def _op_end(self, req: MemcachedReq) -> None:
+    def _op_end(self, req: MemcachedReq, caller: bool = True) -> None:
         if self._metrics_on:
             self._m_completed.inc()
         span = self._op_spans.pop(req.req_id, None)
         if span is not None:
-            span.end(status=req.status)
+            # Where the caller observes the completion: on its clock.
+            span.end(at=self.now if caller else self.sim._now,
+                     status=req.status)
 
     def _job_new(self, req: MemcachedReq, conn: ServerConn,
                  t_queued: float, ready: float = 0.0) -> _EngineJob:
@@ -1229,8 +1293,10 @@ class MemcachedClient:
             return job
         return _EngineJob(req, conn, t_queued, ready)
 
-    def _finalize(self, req: MemcachedReq, record: bool = True) -> None:
-        """Record a completed user-visible operation (idempotent)."""
+    def _finalize(self, req: MemcachedReq, record: bool = True,
+                  caller: bool = True) -> None:
+        """Record a completed user-visible operation (idempotent);
+        ``caller=False``: from a background miss fetch."""
         if req.recorded:
             return
         req.recorded = True
@@ -1240,7 +1306,7 @@ class MemcachedClient:
             self._profiler.finish(req.trace_id, req.result())
         if self.recorder is not None:
             self.recorder.on_complete(self.name, req.result(), user=record)
-        self._op_end(req)
+        self._op_end(req, caller)
         if record and req.status is not None:
             self.records.append(OpRecord.from_req(req))
         self.t_last_complete = max(self.t_last_complete, req.t_complete)

@@ -269,7 +269,7 @@ def _drive(client, scn: Scenario, rng: random.Random, keyspace: Keyspace):
             else:
                 yield from client.decr(key, delta, initial=initial)
         elif scn.ttl_ops and draw < 0.22:
-            deadline = client.sim.now + rng.choice((0.0005, 0.002, 0.01))
+            deadline = client.now + rng.choice((0.0005, 0.002, 0.01))
             ttl_draw = rng.random()
             if ttl_draw < 0.45:
                 yield from client.set(key, scn.value_length,
@@ -416,7 +416,9 @@ def run_scenario(scn: Scenario, *, full: bool = True
 def _busy_servers(cluster) -> List[Violation]:
     """The "every server idle at quiesce" check: once the drivers are
     done, no server may still count a busy worker or hold a SET-value
-    rendezvous — either is a worker parked on work nobody will finish."""
+    rendezvous — a worker parked on work nobody will finish, or a
+    value (or a fault's dropped marker for it) whose header never
+    came. Either fails the run, each on its own."""
     out = []
     for index, server in enumerate(cluster.servers):
         workers, waits = server._busy_workers, len(server._value_events)

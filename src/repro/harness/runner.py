@@ -16,6 +16,7 @@ from repro.core import metrics
 from repro.core.cluster import Cluster, ClusterSpec, build_cluster
 from repro.core.profiles import BLOCKING, NONB_B, NONB_I, DesignProfile
 from repro.client.request import OpRecord
+from repro.sim import Timeout
 from repro.workloads.generator import Op, WorkloadSpec, generate_ops, make_dataset
 from repro.workloads.traffic import TrafficShape
 from repro.workloads.ycsb import CORE_WORKLOADS, generate_ycsb_ops
@@ -330,7 +331,7 @@ def _drive_blocking(client, ops: Sequence[Op], mget_batch: int = 0,
 
     for op in ops:
         if pacer is not None:
-            yield client.sim.timeout(pacer.interval_at(client.sim.now))
+            yield _paced(client, pacer)
         if op.kind == "get" and mget_batch > 1:
             pending_reads.append(op.key)
             if len(pending_reads) >= mget_batch:
@@ -351,11 +352,11 @@ def _drive_blocking(client, ops: Sequence[Op], mget_batch: int = 0,
         elif op.kind == "decr":
             yield from client.decr(op.key, op.delta, initial=op.initial)
         elif op.kind == "gat":
-            yield from client.gat(op.key, client.sim.now + op.ttl)
+            yield from client.gat(op.key, client.now + op.ttl)
         elif op.kind == "touch":
-            yield from client.touch(op.key, client.sim.now + op.ttl)
+            yield from client.touch(op.key, client.now + op.ttl)
         else:
-            expiration = client.sim.now + op.ttl if op.ttl else 0.0
+            expiration = client.now + op.ttl if op.ttl else 0.0
             yield from client.set(op.key, op.value_length,
                                   expiration=expiration)
     yield from flush_reads()
@@ -364,20 +365,31 @@ def _drive_blocking(client, ops: Sequence[Op], mget_batch: int = 0,
     yield from client.quiesce()
 
 
+def _paced(client, pacer) -> Timeout:
+    """The pacer's inter-op sleep, taken from the caller's clock
+    (``client.now``): where the last call's API overhead ends."""
+    t = client.now
+    return Timeout.at(client.sim, t + pacer.interval_at(t), posted=t)
+
+
 def _drive_nonblocking(client, ops: Sequence[Op], api: str, window: int,
                        pacer=None):
+    """Non-blocking driver: each ``iset``/``iget`` (or ``bset``/``bget``)
+    joins a window of at most ``window`` requests, and the oldest is
+    waited on once it is full. TTL and ``gat``/``touch`` deadlines are
+    read on the caller's clock (``client.now``), where the call that
+    carries them is made."""
     issue_set = client.iset if api == NONB_I else client.bset
     issue_get = client.iget if api == NONB_I else client.bget
     inflight = deque()
-    # Hot per-op loop: hoist the bound methods and the sim handle so the
-    # driver adds as little as possible on top of the client work.
+    # Hot per-op loop: hoist the bound methods so the driver adds as
+    # little as possible on top of the client work.
     wait = client.wait
     popleft = inflight.popleft
     append = inflight.append
-    sim = client.sim
     for op in ops:
         if pacer is not None:
-            yield sim.timeout(pacer.interval_at(sim.now))
+            yield _paced(client, pacer)
         if len(inflight) >= window:
             yield from wait(popleft())
         kind = op.kind
@@ -400,12 +412,12 @@ def _drive_nonblocking(client, ops: Sequence[Op], api: str, window: int,
                 yield from client.decr(op.key, op.delta,
                                        initial=op.initial)
             elif kind == "gat":
-                yield from client.gat(op.key, sim._now + op.ttl)
+                yield from client.gat(op.key, client.now + op.ttl)
             else:
-                yield from client.touch(op.key, sim._now + op.ttl)
+                yield from client.touch(op.key, client.now + op.ttl)
             continue
         else:
-            expiration = sim._now + op.ttl if op.ttl else 0.0
+            expiration = client.now + op.ttl if op.ttl else 0.0
             req = yield from issue_set(op.key, op.value_length,
                                        expiration=expiration)
         append(req)

@@ -45,14 +45,15 @@ class Span:
         self.async_id = async_id
         self._open = True
 
-    def end(self, **extra: object) -> None:
-        """Close the span at the current sim time (idempotent)."""
+    def end(self, at: Optional[float] = None, **extra: object) -> None:
+        """Close the span at the current sim time, or at ``at``
+        (idempotent)."""
         if not self._open:
             return
         self._open = False
         if extra:
             self.args = {**(self.args or {}), **extra}
-        self._tracer._close(self)
+        self._tracer._close(self, at)
 
     def __enter__(self) -> "Span":
         return self
@@ -98,8 +99,8 @@ class SpanTracer:
             ev["args"] = args
         self.events.append(ev)
 
-    def _close(self, span: Span) -> None:
-        now = self.now
+    def _close(self, span: Span, at: Optional[float] = None) -> None:
+        now = self.now if at is None else at
         if span.async_id is None:
             self.complete(span.name, span.t0, now, span.tid, span.pid,
                           span.cat, **(span.args or {}))
@@ -123,7 +124,7 @@ class SpanTracer:
 class _NullSpan:
     __slots__ = ()
 
-    def end(self, **extra: object) -> None:
+    def end(self, at: Optional[float] = None, **extra: object) -> None:
         pass
 
     def __enter__(self) -> "_NullSpan":

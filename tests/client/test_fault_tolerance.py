@@ -92,7 +92,9 @@ class TestWaitTimeoutAccounting:
         def app(sim):
             req = yield from client.iset(b"key", 256 * KB)
             b0 = req.blocked_time
-            t0 = sim.now
+            # The iset returned at its call instant; the wait starts on
+            # the caller's clock, where its API overhead ends.
+            t0 = client.now
             r = yield from client.wait(req, timeout=5 * US)
             assert r is req and not req.done  # timed out, still pending
             yield from client.wait(req)
@@ -110,7 +112,7 @@ class TestWaitTimeoutAccounting:
         def app(sim):
             req = yield from client.iset(b"key", 4 * KB)
             b0 = req.blocked_time
-            t0 = sim.now
+            t0 = client.now  # the caller's clock: the wait starts there
             yield from client.wait(req, timeout=50 * MS)
             assert req.done
             assert req.blocked_time == pytest.approx(b0 + (sim.now - t0))

@@ -169,6 +169,25 @@ class TestFuzzSeeds:
         assert (violation.kind, violation.server) == ("busy-at-quiesce", 1)
         assert "1 busy worker(s), 1 SET-value rendezvous" in violation.detail
 
+    def test_a_rendezvous_left_alone_at_quiesce_is_a_violation(
+            self, monkeypatch):
+        """No worker is busy, but a SET value's dropped marker outlived
+        the run (its header never came): the verdict still fails."""
+        build = fuzz_mod.build_cluster
+
+        def leaky(*args, **kwargs):
+            cluster = build(*args, **kwargs)
+            server = cluster.servers[2]
+            server._value_events[(0, 0)] = server._dropped_value
+            return cluster
+
+        monkeypatch.setattr(fuzz_mod, "build_cluster", leaky)
+        scn = dataclasses.replace(derive(derive_small_seed()), fault_specs=())
+        report, _events, _recorder = fuzz_mod.run_scenario(scn)
+        (violation,) = report.violations
+        assert (violation.kind, violation.server) == ("busy-at-quiesce", 2)
+        assert "0 busy worker(s), 1 SET-value rendezvous" in violation.detail
+
     def test_keep_history(self):
         (result,) = fuzz_seeds(
             [derive_small_seed()], keep_history=True)

@@ -3,7 +3,9 @@ says what it pins. ``repro_check.txt`` is the default-scale ``python -m
 repro check`` output, byte for byte; CI's 3.12 leg diffs against it.
 ``fuzz_histories.txt`` is each CI fuzz band's header and per-seed
 progress lines (verdict and ``history=`` digest); CI's consistency-fuzz
-job diffs the three bands' output against it."""
+job diffs the three bands' output against it. ``examples/<name>.txt``
+is the stdout of ``examples/<name>.py``, byte for byte; CI's 3.12 leg
+diffs each example's output against it."""
 
 import json
 from pathlib import Path

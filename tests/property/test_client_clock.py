@@ -43,6 +43,21 @@ carries, in time order. Window bursts of ``iget``/``iset`` from two
 clients (RDMA SETs that wait for a credit, inline IPoIB SETs) and an
 ``mget`` are checked against both, with the two clients on a node each
 or sharing one NIC.
+
+A non-blocking ``iset``/``iget`` returns at its call instant: its API
+overhead moves the caller's clock (``client.now``), on which the
+caller's next call starts, instead of being slept. Runs of them mixed
+with ``wait``, ``wait_any``, ``test`` and blocking calls are checked
+against the schedule of a caller that sleeps every call's overhead,
+computed here: each call is made at the caller's instant ``c`` and
+moves it to ``c + api_overhead`` (a blocking call on to its
+completion); a wait on a request completed by ``c`` blocks for
+nothing, one on a later completion blocks from ``c`` to it; a
+``wait_any`` that finds nothing complete at ``c`` moves ``c`` to the
+first completion. Every request's ``t_issue``, ``blocked_time`` and the
+``wire_at`` of its first message (the engine and NIC recursions above,
+over the schedule's ready instants) are that schedule's, and an HLC
+client stamps each write at its issue instant.
 """
 
 import dataclasses
@@ -57,6 +72,7 @@ from repro.core.cluster import ClusterSpec, ReplicationConfig
 from repro.core.topology import TopologyConfig
 from repro.net.fabric import NIC
 from repro.server.protocol import MultiGetRequest, ValueArrival
+from repro.sim import Timeout
 from repro.units import KB, MB
 
 HOT, COUNTER, ABSENT = b"hot", b"counter", b"absent"
@@ -359,3 +375,127 @@ def test_window_bursts_are_the_engine_and_nic_recursions(
             busy = max(msg.at, busy) + (nic._cpu_send
                                         + nic._serialize(msg.nbytes))
             assert msg.wire_at == busy
+
+
+@settings(max_examples=30, deadline=None)
+@given(profile=st.sampled_from([profiles.RDMA_MEM, profiles.H_RDMA_OPT_NONB_I,
+                                profiles.IPOIB_MEM]),
+       api_overhead=cost_or_zero, engine_cpu=cost_or_zero,
+       value_length=st.integers(1, 64 * KB), hlc=st.booleans(),
+       steps=st.lists(st.tuples(st.sampled_from(["iget", "iset", "get", "set",
+                                                 "wait", "wait_any", "test"]),
+                                st.one_of(st.just(0.0), ps)),
+                      min_size=1, max_size=16))
+def test_nonblocking_calls_are_the_sleep_per_call_schedule(
+        profile, api_overhead, engine_cpu, value_length, hlc, steps):
+    sent = []
+    transmit = NIC.transmit
+
+    def spy_transmit(nic, *args, **kwargs):
+        msg = transmit(nic, *args, **kwargs)
+        sent.append((nic, msg))
+        return msg
+
+    cluster = build_cluster(profile, spec=ClusterSpec(
+        server_mem=32 * MB, recv_credits=64,
+        replication=ReplicationConfig(hlc=hlc)))
+    client, sim = cluster.clients[0], cluster.sim
+    client.config = dataclasses.replace(
+        client.config, api_overhead=api_overhead, engine_cpu=engine_cpu,
+        nonblocking_allowed=True)
+    cluster.preload([(HOT, value_length)] + [(k, value_length) for k in KEYS])
+    calls = []  # every request, in call order
+    blocked = {}  # req_id -> the schedule's blocked time
+    clock = 0.0  # the sleeping caller's instant
+
+    def issue(name, i):
+        nonlocal clock
+        c = clock
+        if name == "iget":
+            req = yield from client.iget(KEYS[i % len(KEYS)])
+        elif name == "iset":
+            req = yield from client.iset(b"w%d" % i, value_length)
+        elif name == "get":
+            req = yield from client.get(HOT)
+        else:
+            req = yield from client.set(b"b%d" % i, value_length)
+        note(f"{name} req {req.req_id} at c={c!r}")
+        assert req.t_issue == c
+        calls.append(req)
+        t_api = c + api_overhead
+        blocked[req.req_id] = 0.0 + (t_api - c)
+        clock = t_api
+        if name in ("get", "set"):  # waits from t_api to its completion
+            blocked[req.req_id] += req.t_complete - t_api
+            clock = req.t_complete
+        return req
+
+    def waited(req):
+        """A wait at ``clock`` on ``req``, which has returned."""
+        nonlocal clock
+        if req.t_complete > clock:
+            blocked[req.req_id] += req.t_complete - clock
+            clock = req.t_complete
+
+    def app():
+        nonlocal clock
+        pending = []
+        for i, (name, gap) in enumerate(steps):
+            if gap:
+                yield Timeout.at(sim, client.now + gap)
+                clock += gap
+            if name in ("iget", "iset", "get", "set"):
+                req = yield from issue(name, i)
+                if name in ("iget", "iset"):
+                    pending.append(req)
+            elif not pending:
+                continue
+            elif name == "wait":
+                req = pending.pop(0)
+                yield from client.wait(req)
+                waited(req)
+            elif name == "wait_any":
+                done_req, rest = yield from client.wait_any(pending)
+                ready = [r for r in pending
+                         if r.done and r.t_complete <= clock]
+                if not ready:  # blocked to the first completion
+                    clock = min(r.t_complete for r in pending if r.done)
+                    ready = [r for r in pending
+                             if r.done and r.t_complete <= clock]
+                assert done_req is ready[0]
+                pending = list(rest)
+            elif client.test(pending[0]):
+                # A poll can only see a completion by the caller's instant.
+                assert pending[0].t_complete <= clock
+            assert client.now == clock
+        while pending:
+            req = pending.pop(0)
+            yield from client.wait(req)
+            waited(req)
+
+    with mock.patch.object(NIC, "transmit", spy_transmit):
+        sim.run(until=sim.spawn(app()))
+
+    for req in calls:
+        assert req.blocked_time == blocked[req.req_id], req.req_id
+        if hlc and req.op == "set":
+            assert req.hlc[0] == req.t_issue
+    if not calls:
+        return
+    # The engine sends each job once its call's overhead is spent and
+    # the job before it is sent, and the NIC sends in time order.
+    at, free = {}, 0.0
+    for req in calls:
+        free = at[req.req_id] = max(req.t_issue + api_overhead,
+                                    free) + engine_cpu
+    nic = client._conns[0].endpoint.nic
+    ours = [m for n, m in sent if n is nic]
+    first, busy = {}, 0.0
+    for msg in sorted(ours, key=lambda m: at[m.payload.payload.req_id]):
+        busy = max(at[msg.payload.payload.req_id], busy) + (
+            nic._cpu_send + nic._serialize(msg.nbytes))
+        first.setdefault(msg.payload.payload.req_id, busy)
+    for req in calls:
+        assert first[req.req_id] == min(
+            m.wire_at for m in ours
+            if m.payload.payload.req_id == req.req_id), req.req_id

@@ -34,6 +34,7 @@ from repro.core.profiles import (ALL_PROFILES, BLOCKING, H_RDMA_OPT_BLOCK,
 from repro.core.topology import AutoscalePolicy, TopologyConfig
 from repro.faults import FaultPlan
 from repro.harness.runner import RunConfig, ScaleEvent
+from repro.sim import Timeout
 from repro.units import KB, MB, MS, US
 from repro.workloads.generator import WorkloadSpec, generate_ops
 from repro.workloads.ycsb import CORE_WORKLOADS, generate_ycsb_ops
@@ -254,7 +255,9 @@ def run_all_verbs() -> tuple:
             seen.append((yield from client.decr(counter, 1)).counter_value)
             req = yield from client.iget(b"absent%d" % i)  # miss via test()
             while not client.test(req):
-                yield sim.timeout(50 * US)
+                # Each poll 50 us after the caller's clock: the first
+                # one where the iget's API overhead ends.
+                yield Timeout.at(sim, client.now + 50 * US)
             seen.append(req.status)
             if i % 3 == 0:
                 seen.append((yield from client.delete(key)).status)
