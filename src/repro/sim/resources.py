@@ -176,11 +176,11 @@ class PriorityStore:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def clear(self) -> int:
-        """Drop all buffered items; returns how many were dropped."""
-        n = len(self._heap)
+    def drain(self) -> list:
+        """Drop all buffered items and return them (in no set order)."""
+        items = [item for _, _, item in self._heap]
         self._heap.clear()
-        return n
+        return items
 
     def put(self, item: Any, priority: float = 0.0) -> None:
         heapq.heappush(self._heap, (priority, self._counter, item))
@@ -316,11 +316,11 @@ class Mailbox:
     def __len__(self) -> int:
         return len(self.items)
 
-    def clear(self) -> int:
-        """Drop all buffered items; returns how many were dropped."""
-        n = len(self.items)
+    def drain(self) -> list:
+        """Drop all buffered items and return them, oldest first."""
+        items = list(self.items)
         self.items.clear()
-        return n
+        return items
 
     def put(self, item: Any) -> None:
         getters = self._getters
