@@ -15,7 +15,7 @@ module only holds configuration, validation, and the admin entry points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 __all__ = ["AutoscalePolicy", "TopologyConfig", "TopologySnapshot",

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import build_cluster, profiles
-from repro.server.protocol import HIT, MISS, STORED
+from repro.server.protocol import MISS, STORED
 from repro.units import KB, MB, MS, US
 
 
