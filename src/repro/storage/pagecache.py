@@ -139,6 +139,21 @@ class PageCache:
             self._pages[p] = (True, origin)
         self._signal_wakeup()
 
+    def read_resident(self, offset: int, nbytes: int) -> bool:
+        """A buffered read's bookkeeping when every page of the range is
+        resident: touch the pages and count the hit, and return True;
+        the caller sleeps the memcpy. With any page missing nothing is
+        done and the answer is False."""
+        pages = self._page_range(offset, nbytes)
+        cached = self._pages
+        for p in pages:
+            if p not in cached:
+                return False
+        for p in pages:
+            self._touch(p)
+        self.stats.hit_bytes += nbytes
+        return True
+
     def read(self, offset: int, nbytes: int):
         """Buffered read: misses fetch page clusters from the device.
 

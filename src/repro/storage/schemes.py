@@ -11,6 +11,7 @@ page cache's write-back underneath).
 from __future__ import annotations
 
 from repro.sim import Simulator
+from repro.sim.events import Timeout
 from repro.storage.device import BlockDevice
 from repro.storage.pagecache import PageCache
 
@@ -25,6 +26,10 @@ class IOScheme:
     """
 
     name: str = "abstract"
+    #: Whether a read's last sleep is CPU (the page cache's memcpy)
+    #: rather than a device wake, so the caller's next CPU stage may
+    #: ride its own next timer.
+    read_ends_on_cpu: bool = False
 
     def write(self, offset: int, nbytes: int, trace=None):
         """Generator: complete when the caller may proceed."""
@@ -63,9 +68,12 @@ class CachedIO(IOScheme):
 
     A write is a syscall plus a memcpy; durability is deferred to
     write-back (acceptable: Memcached is a cache, not a store — Sec V-B).
+    A read of a fully resident range is CPU alone: its syscall and its
+    memcpy are one timer.
     """
 
     name = "cached"
+    read_ends_on_cpu = True
 
     def __init__(self, sim: Simulator, device: BlockDevice, cache: PageCache):
         self.sim = sim
@@ -77,8 +85,18 @@ class CachedIO(IOScheme):
         yield from self.cache.write(offset, nbytes, origin="write")
 
     def read(self, offset: int, nbytes: int, trace=None):
-        yield self.sim.timeout(self.cache.params.syscall_overhead)
-        yield from self.cache.read(offset, nbytes)
+        sim, cache = self.sim, self.cache
+        params = cache.params
+        if cache.read_resident(offset, nbytes):
+            # Due where the memcpy's own timer would end, and posted
+            # where it would have started (same float sums).
+            syscalled = sim._now + params.syscall_overhead
+            yield Timeout.at(sim, syscalled + nbytes / params.memcpy_bandwidth,
+                             posted=syscalled)
+            return
+        # A missing page's device read is submitted at the syscall's end.
+        yield sim.timeout(params.syscall_overhead)
+        yield from cache.read(offset, nbytes)
 
     def discard(self, offset: int, nbytes: int) -> None:
         self.cache.discard(offset, nbytes)
@@ -94,6 +112,7 @@ class MmapIO(IOScheme):
     """
 
     name = "mmap"
+    read_ends_on_cpu = True
 
     def __init__(self, sim: Simulator, device: BlockDevice, cache: PageCache):
         self.sim = sim

@@ -33,6 +33,7 @@ same three columns for one I/O on a bare block device.
 
 import collections
 import re
+from pathlib import Path
 
 import pytest
 
@@ -44,7 +45,9 @@ from repro.sim import Simulator
 from repro.sim.events import Event, Process
 from repro.sim.resources import Request
 from repro.storage.device import BlockDevice, DeviceIO
-from repro.storage.params import SATA_SSD
+from repro.storage.pagecache import PageCache
+from repro.storage.params import SATA_SSD, PageCacheParams
+from repro.storage.schemes import make_scheme
 from repro.units import KB, MB
 from tests.golden import load, mismatch
 
@@ -234,7 +237,9 @@ _DEVICE_STAGES = {DeviceIO._slot_granted: "slot grant",
 
 def _device_stage(event):
     """`` [device op bytes: stage]`` for a device I/O's own event (a
-    grant hop, its latency or chunk timer, its completion), else ``""``."""
+    grant hop, its latency or chunk timer, its completion), else ``""``.
+    The last chunk's end runs the I/O's waiter: its line also names the
+    process it hands the completion to."""
     if isinstance(event, DeviceIO):
         io, stage = event, "completion"
     else:
@@ -247,14 +252,32 @@ def _device_stage(event):
         if stage == "chunk end":
             stage += f", {io.remaining - io.chunk} B to go"
     op = "write" if io.write else "read"
-    return f" [{io.device.name} {op} {io.nbytes} B: {stage}]"
+    line = f" [{io.device.name} {op} {io.nbytes} B: {stage}]"
+    if stage.endswith(", 0 B to go"):
+        line += _process_stage(io)
+    return line
+
+
+def _generator_name(gen):
+    """``module.Class.function`` of a suspended generator
+    (``module.function`` outside a class): ``co_qualname`` needs Python
+    3.11, so the class is the one on the frame's ``self`` that defines
+    the code. Four storage generators are all called ``read``."""
+    code = gen.gi_code
+    owner = gen.gi_frame.f_locals.get("self")
+    cls = next((c for c in type(owner).__mro__
+                if getattr(c.__dict__.get(code.co_name), "__code__", None)
+                is code), None)
+    qual = code.co_name if cls is None else f"{cls.__name__}.{code.co_name}"
+    return f"{Path(code.co_filename).stem}.{qual}"
 
 
 def _process_stage(event):
     """`` [process: stage]`` for the process ``event`` resumes, else
     ``""``. The stage of most processes is the innermost generator they
-    are suspended in (a server worker's ``_worker`` pickup, a handler,
-    ``_respond``); the client engine's is the stage it ends — its CPU
+    are suspended in, by module and function (a server worker's
+    ``server.MemcachedServer._worker`` pickup, a handler, ``_respond``,
+    a storage ``read``); the client engine's is the stage it ends — its CPU
     for a job (``engine dispatch``) or a SET value's receive credit
     (``credit grant``) — and the request it is for."""
     proc = next((cb.__self__ for cb in event.callbacks
@@ -265,7 +288,7 @@ def _process_stage(event):
         gen = proc._gen
         while getattr(gen.gi_yieldfrom, "gi_code", None) is not None:
             gen = gen.gi_yieldfrom
-        return f" [{proc.name}: {gen.gi_code.co_name}]"
+        return f" [{proc.name}: {_generator_name(gen)}]"
     # The engine's locals: the request it unpacked from the job it took
     # (an mget's job keeps its requests; every other job is recycled at
     # the unpack).
@@ -348,16 +371,58 @@ def test_device_io_costs_exactly_the_budget(case, resumes):
 
 def test_the_event_list_names_each_device_stage():
     """What a moved device budget prints: every device event says which
-    I/O it belongs to and which stage it ends."""
+    I/O it belongs to and which stage it ends. No I/O completes in an
+    event of its own: the last chunk's end hands the completion to the
+    waiting process, and its line names that process."""
     sim = Simulator()
     dev = BlockDevice(sim, SATA_SSD)
     lines = _event_list(sim, lambda: _read_queued(dev)).splitlines()
-    stages = [line.rpartition(": ")[2] for line in lines if "[sata-ssd" in line]
-    assert stages.count("latency end]") == dev.params.parallelism + 1
-    assert stages.count("chunk end, 0 B to go]") == dev.params.parallelism + 1
-    assert {"slot grant]", "pipe grant]", "completion]"} <= set(stages)
+    stages = re.findall(r"\[sata-ssd read \d+ B: ([^\]]+)\]", "\n".join(lines))
+    assert stages.count("latency end") == dev.params.parallelism + 1
+    assert stages.count("chunk end, 0 B to go") == dev.params.parallelism + 1
+    assert {"slot grant", "pipe grant"} <= set(stages)
+    assert "completion" not in stages
+    assert not any(" DeviceIO " in line for line in lines)
+    assert sum(line.endswith("0 B to go] [_read_queued: "
+                             "test_event_budget._read_queued]")
+               for line in lines) == 1
     assert "[sata-ssd read 1048576 B: chunk end, 786432 B to go]" in \
         _event_list(sim, lambda: _read_1m(dev))
+
+
+def test_the_event_list_names_each_storage_generator():
+    """A process waits in one of four storage generators, all called
+    ``read``: the page cache's (its memcpy), cached I/O's (its syscall),
+    mmap's (its page faults) and direct I/O's (the device). Each is
+    named by module and class. A cold mmap read sleeps its faults, then
+    the page cache waits for the device and sleeps the memcpy; a cold
+    cached read does the same after its syscall; a warm cached read
+    sleeps its syscall and memcpy as one timer; a direct read wakes at
+    the device's last chunk end."""
+    sim = Simulator()
+    dev = BlockDevice(sim, SATA_SSD)
+    cache = PageCache(sim, dev, PageCacheParams())
+    direct, cached, mmap = (make_scheme(kind, sim, dev, cache)
+                            for kind in ("direct", "cached", "mmap"))
+
+    def _reader():
+        yield from mmap.read(0, 4 * KB)
+        yield from cached.read(64 * KB, 4 * KB)
+        yield from cached.read(64 * KB, 4 * KB)
+        yield from direct.read(128 * KB, 4 * KB)
+
+    lines = _event_list(sim, _reader).splitlines()
+    assert re.findall(r"\[_reader: ([^\]]+)\]", "\n".join(lines)) == [
+        "test_event_budget._reader",  # start
+        "schemes.MmapIO.read",       # faults
+        "pagecache.PageCache.read",  # device read (its last chunk end)
+        "pagecache.PageCache.read",  # memcpy
+        "schemes.CachedIO.read",     # syscall
+        "pagecache.PageCache.read",  # device read (its last chunk end)
+        "pagecache.PageCache.read",  # memcpy
+        "schemes.CachedIO.read",     # syscall and memcpy of a hit
+        "schemes.DirectIO.read",     # device read (its last chunk end)
+    ]
 
 
 def _engine_stages(lines):
@@ -430,12 +495,14 @@ def test_the_event_list_names_each_worker_stage():
         return [line.rpartition(": ")[2] for line in lines
                 if "[server0-worker" in line]
 
-    assert worker_stages(profiles.RDMA_MEM, _get) == ["_worker]", "_respond]"]
+    worker, handle_set, respond = (f"server.MemcachedServer.{name}]" for name
+                                   in ("_worker", "_handle_set", "_respond"))
+    assert worker_stages(profiles.RDMA_MEM, _get) == [worker, respond]
     assert worker_stages(profiles.RDMA_MEM, _set) == [
-        "_handle_set]", "_handle_set]", "_respond]"]
-    assert worker_stages(profiles.IPOIB_MEM, _set) == ["_worker]", "_respond]"]
+        handle_set, handle_set, respond]
+    assert worker_stages(profiles.IPOIB_MEM, _set) == [worker, respond]
     assert worker_stages(profiles.H_RDMA_OPT_NONB_I, _set) == [
-        "_handle_set]", "_handle_set]", "_respond]"]
+        handle_set, handle_set, respond]
 
 
 @pytest.mark.parametrize("profile,consensus", [(profiles.RDMA_MEM, False),
