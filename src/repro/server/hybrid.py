@@ -21,7 +21,7 @@ so evicted keys miss and the client pays the backend penalty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.obs.api import NULL_OBS, Observability
 from repro.server.item import DEAD, Item, RAM, SSD
@@ -43,13 +43,20 @@ COUNTER_VALUE_BYTES = 20
 class DiskSlot:
     """One slab-page-sized region on the SSD."""
 
-    __slots__ = ("slot_id", "offset", "items", "scheme_name", "seq",
-                 "durable")
+    __slots__ = ("slot_id", "offset", "chunk_size", "items", "live",
+                 "scheme_name", "seq", "durable")
 
-    def __init__(self, slot_id: int, offset: int, scheme_name: str, seq: int):
+    def __init__(self, slot_id: int, offset: int, chunk_size: int,
+                 scheme_name: str, seq: int):
         self.slot_id = slot_id
         self.offset = offset
-        self.items: Set[Item] = set()
+        #: Chunk size of the page spilled here; an item's chunk index is
+        #: ``(item.disk_offset - offset) // chunk_size``.
+        self.chunk_size = chunk_size
+        #: chunk index -> Item, None where the chunk holds no live item.
+        self.items: List[Optional[Item]] = []
+        #: Number of non-None entries of ``items``.
+        self.live = 0
         self.scheme_name = scheme_name
         self.seq = seq
         #: False while an asynchronous flush of this slot is in flight;
@@ -167,7 +174,7 @@ class HybridSlabManager:
         # occupancy); classes are fixed at allocator construction.
         for cls in self.allocator.classes:
             reg.gauge("slab_free_chunks",
-                      fn=lambda c=cls: sum(len(p.free_chunks) for p in c.pages),
+                      fn=lambda c=cls: sum(p.free_count for p in c.pages),
                       server=owner, chunk_size=str(cls.chunk_size))
         self._cas_counter = 0
         #: Serializes victim selection + flush (memcached's cache lock):
@@ -560,10 +567,16 @@ class HybridSlabManager:
 
     def _remove_from_slot(self, item: Item) -> None:
         slot: DiskSlot = item.disk_slot
-        slot.items.discard(item)
         item.disk_slot = None
-        if not slot.items:
-            self._free_slot(slot)
+        members = slot.items
+        idx = (item.disk_offset - slot.offset) // slot.chunk_size
+        # A dropped slot has emptied its list: its items are gone already
+        # and must not free the slot a second time.
+        if idx < len(members) and members[idx] is item:
+            members[idx] = None
+            slot.live -= 1
+            if not slot.live:
+                self._free_slot(slot)
 
     def _free_slot(self, slot: DiskSlot) -> None:
         self._live_slots.pop(slot.slot_id, None)
@@ -676,7 +689,7 @@ class HybridSlabManager:
     def _class_has_room(self, cls: SlabClass) -> bool:
         if self.allocator.unassigned_pages > 0:
             return True
-        return any(p.free_chunks for p in cls.partial)
+        return any(p.free_count for p in cls.partial)
 
     def _victim_page(self, cls: SlabClass) -> SlabPage:
         """Pick the slab page to flush (see DESIGN.md §5): the page
@@ -737,7 +750,14 @@ class HybridSlabManager:
         ``preload`` stops here (its slots are durable at once);
         ``_flush_page`` then pays for the write."""
         from_cls = self.allocator.classes[page.clsid]
-        slot = self._acquire_slot(self.scheme_name_for(from_cls))
+        if page in from_cls.partial:
+            # Its chunks are freed below, but the page is being recycled:
+            # nothing may allocate into it while its flush is in flight.
+            from_cls.partial.remove(page)
+        slot = self._acquire_slot(self.scheme_name_for(from_cls),
+                                  page.chunk_size)
+        slot.live = len(page.items)
+        members = slot.items = [None] * (max(page.items, default=-1) + 1)
         for idx, item in list(page.items.items()):
             from_cls.lru.remove(item)
             item.location = SSD
@@ -745,7 +765,7 @@ class HybridSlabManager:
             item.disk_offset = slot.offset + idx * page.chunk_size
             item.page = None
             item.chunk_index = -1
-            slot.items.add(item)
+            members[idx] = item
             page.free(idx)
         return slot
 
@@ -757,21 +777,24 @@ class HybridSlabManager:
         finally:
             self._flush_buffers.release(buf)
 
-    def _acquire_slot(self, scheme_name: str) -> DiskSlot:
+    def _acquire_slot(self, scheme_name: str, chunk_size: int) -> DiskSlot:
         """Get a free disk slot, dropping the oldest if full."""
         if not self._free_slots:
             oldest = min(self._live_slots.values(), key=lambda s: s.seq)
-            for item in list(oldest.items):
+            for item in oldest.items:
+                if item is None:
+                    continue
                 self.table.pop(item.key, None)
                 self.stats.dropped_items += 1
                 if self._metrics_on:
                     self._m_dropped.inc()
-            oldest.items.clear()
+            oldest.items = []
+            oldest.live = 0
             self._free_slot(oldest)
             self.stats.disk_drops += 1
         slot_id = self._free_slots.pop()
         slot = DiskSlot(slot_id, slot_id * self.allocator.page_size,
-                        scheme_name, self._slot_seq)
+                        chunk_size, scheme_name, self._slot_seq)
         self._slot_seq += 1
         self._live_slots[slot_id] = slot
         return slot
@@ -1010,7 +1033,7 @@ class HybridSlabManager:
 
     @property
     def items_on_ssd(self) -> int:
-        return sum(len(s.items) for s in self._live_slots.values())
+        return sum(s.live for s in self._live_slots.values())
 
     @property
     def live_slot_count(self) -> int:

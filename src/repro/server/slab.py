@@ -24,7 +24,7 @@ class SlabPage:
     """One page of memory assigned to a slab class."""
 
     __slots__ = ("page_id", "clsid", "chunk_size", "capacity",
-                 "items", "free_chunks")
+                 "items", "freed", "fresh")
 
     def __init__(self, page_id: int, clsid: int, chunk_size: int, page_size: int):
         self.page_id = page_id
@@ -33,20 +33,32 @@ class SlabPage:
         self.capacity = page_size // chunk_size
         #: chunk index -> Item (only chunks holding live items).
         self.items: dict[int, Item] = {}
-        self.free_chunks: List[int] = list(range(self.capacity - 1, -1, -1))
+        #: Returned chunk indices, reused last-in first-out.
+        self.freed: List[int] = []
+        #: Chunks ``fresh..capacity-1`` have never been used; they are
+        #: handed out in ascending order once ``freed`` is empty.
+        self.fresh = 0
 
     @property
     def used(self) -> int:
         return len(self.items)
 
+    @property
+    def free_count(self) -> int:
+        return self.capacity - len(self.items)
+
     def alloc(self, item: Item) -> int:
-        idx = self.free_chunks.pop()
+        if self.freed:
+            idx = self.freed.pop()
+        else:
+            idx = self.fresh
+            self.fresh += 1
         self.items[idx] = item
         return idx
 
     def free(self, idx: int) -> None:
         del self.items[idx]
-        self.free_chunks.append(idx)
+        self.freed.append(idx)
 
 
 class SlabClass:
@@ -133,7 +145,7 @@ class SlabAllocator:
         """
         while cls.partial:
             page = cls.partial[-1]
-            if page.free_chunks:
+            if len(page.items) < page.capacity:
                 break
             cls.partial.pop()
         else:
@@ -141,7 +153,7 @@ class SlabAllocator:
             if page is None:
                 return None
         idx = page.alloc(item)
-        if not page.free_chunks:
+        if len(page.items) == page.capacity:
             cls.partial.pop()
         item.clsid = cls.clsid
         item.page = page
@@ -153,7 +165,7 @@ class SlabAllocator:
         """Return an item's RAM chunk to its page's free list."""
         page: SlabPage = item.page
         assert page is not None, "item has no RAM chunk"
-        had_free = bool(page.free_chunks)
+        had_free = len(page.items) < page.capacity
         page.free(item.chunk_index)
         if not had_free:
             self.classes[page.clsid].partial.append(page)

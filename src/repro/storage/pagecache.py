@@ -23,6 +23,17 @@ from repro.sim import Simulator
 from repro.storage.device import BlockDevice
 from repro.storage.params import PageCacheParams
 
+#: Every ``(dirty, origin)`` value a resident page has ever taken. A
+#: page's value is one of these few shared tuples, never a fresh one, so
+#: a resident page costs its dict slot and nothing more.
+_ENTRIES: Dict[Tuple[bool, str], Tuple[bool, str]] = {}
+
+
+def _entry(dirty: bool, origin: str) -> Tuple[bool, str]:
+    """The shared ``(dirty, origin)`` tuple of a page state."""
+    key = (dirty, origin)
+    return _ENTRIES.setdefault(key, key)
+
 
 @dataclass
 class PageCacheStats:
@@ -51,7 +62,8 @@ class PageCache:
         self.device = device
         self.params = params
         self.capacity_pages = max(1, params.size_bytes // params.page_size)
-        #: page index -> (dirty, origin); insertion order ~ LRU order.
+        #: page index -> (dirty, origin), a shared tuple (``_entry``, or
+        #: the constant ``(False, "read")``); insertion order ~ LRU order.
         self._pages: Dict[int, Tuple[bool, str]] = {}
         self._dirty = 0
         self.stats = PageCacheStats()
@@ -125,6 +137,7 @@ class PageCache:
             yield self._progress
         yield self.sim.timeout(nbytes / self.params.memcpy_bandwidth)
         pages = self._page_range(offset, nbytes)
+        dirty = _entry(True, origin)
         while True:
             # Recompute each round: eviction (ours or a concurrent
             # process's) may have removed pages we counted as resident.
@@ -136,7 +149,7 @@ class PageCache:
             was = self._pages.pop(p, None)
             if was is None or not was[0]:
                 self._dirty += 1
-            self._pages[p] = (True, origin)
+            self._pages[p] = dirty
         self._signal_wakeup()
 
     def read_resident(self, offset: int, nbytes: int) -> bool:
@@ -233,7 +246,7 @@ class PageCache:
                 self.stats.writeback_bytes += nbytes
             for page, origin in batch:
                 if page in self._pages and self._pages[page][0]:
-                    self._pages[page] = (False, origin)
+                    self._pages[page] = _entry(False, origin)
                     self._dirty -= 1
             self._signal("_progress")
 

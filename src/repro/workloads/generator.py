@@ -103,13 +103,14 @@ class WorkloadSpec:
             if abs(total - 1.0) > 1e-9:
                 raise ValueError("value_sizes weights must sum to 1.0")
 
-    def _size_table(self) -> np.ndarray:
-        """Per-key-index value sizes (stable for a given spec)."""
+    def _size_table(self) -> List[int]:
+        """Per-key-index value sizes (stable for a given spec), one
+        shared ``int`` object per distinct size."""
         return _size_table_cached(self.num_keys, self.value_length,
                                   self.value_sizes, self.seed)
 
     def size_of_index(self, index: int) -> int:
-        return int(self._size_table()[index])
+        return self._size_table()[index]
 
     def value_length_for(self, key: bytes) -> int:
         """Value size of a key (for the backend database on misses)."""
@@ -130,18 +131,19 @@ class WorkloadSpec:
         """Dataset footprint (values only)."""
         if self.value_sizes is None:
             return self.num_keys * self.value_length
-        return int(self._size_table().sum())
+        return sum(self._size_table())
 
 
 @lru_cache(maxsize=128)
 def _size_table_cached(num_keys: int, value_length: int,
-                       value_sizes, seed: int) -> np.ndarray:
+                       value_sizes, seed: int) -> List[int]:
     if value_sizes is None:
-        return np.full(num_keys, value_length, dtype=np.int64)
-    sizes = np.array([s for s, _ in value_sizes], dtype=np.int64)
+        return [int(value_length)] * num_keys
+    sizes = [int(s) for s, _ in value_sizes]
     weights = np.array([w for _, w in value_sizes])
     rng = np.random.default_rng(seed + 0x51CE)
-    return sizes[rng.choice(len(sizes), size=num_keys, p=weights)]
+    return [sizes[j] for j in
+            rng.choice(len(sizes), size=num_keys, p=weights).tolist()]
 
 
 def _storm_indices(spec: WorkloadSpec, seed: int,
@@ -189,7 +191,7 @@ def generate_ops(spec: WorkloadSpec, client_index: int = 0,
         draws = rng.random(n).tolist()
         deltas = rng.integers(1, 5, size=n).tolist()
         keys = keyspace.keys_for(indices)
-        vlens = sizes[indices].tolist()
+        vlens = [sizes[i] for i in indices.tolist()]
         rf = spec.read_fraction
         cut = rf + 0.75 * (1 - rf)
         return [
@@ -207,7 +209,7 @@ def generate_ops(spec: WorkloadSpec, client_index: int = 0,
         draws = rng.random(n).tolist()
         ttls = (ttl * rng.uniform(0.5, 1.5, size=n)).tolist()
         keys = keyspace.keys_for(indices)
-        vlens = sizes[indices].tolist()
+        vlens = [sizes[i] for i in indices.tolist()]
         rf = spec.read_fraction
         cut_get = 0.70 * rf
         cut_gat = 0.85 * rf
@@ -223,7 +225,7 @@ def generate_ops(spec: WorkloadSpec, client_index: int = 0,
     reads = (np.random.default_rng(seed + 0xA11CE).random(n)
              < spec.read_fraction).tolist()
     keys = keyspace.keys_for(indices)
-    vlens = sizes[indices].tolist()
+    vlens = [sizes[i] for i in indices.tolist()]
     ttl = spec.ttl
     # Op is frozen: repeated (read?, key) pairs — frequent under zipf
     # skew and a defining feature of hot-storm — share one instance.
@@ -242,5 +244,5 @@ def generate_ops(spec: WorkloadSpec, client_index: int = 0,
 def make_dataset(spec: WorkloadSpec) -> List[Tuple[bytes, int]]:
     """(key, value_length) pairs for preloading the whole keyspace."""
     keyspace = Keyspace(spec.num_keys)
-    sizes = spec._size_table().tolist()
-    return list(zip(keyspace.keys_for(np.arange(spec.num_keys)), sizes))
+    return list(zip(keyspace.keys_for(np.arange(spec.num_keys)),
+                    spec._size_table()))

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+from typing import List, Optional
 
 import numpy as np
+
+
+@lru_cache(maxsize=16)
+def _key_table(fmt: str, size: int) -> List[Optional[bytes]]:
+    """The key objects of one keyspace, by index, each formatted the
+    first time it is asked for. Shared by every :class:`Keyspace` of the
+    same shape, so a preloaded dataset and every op stream drawn over
+    it hold one ``bytes`` object per key."""
+    return [None] * size
 
 
 class Keyspace:
@@ -21,25 +31,32 @@ class Keyspace:
         self.prefix = prefix
         self.width = width
         self._fmt = f"{prefix}:%0{width}d"
+        self._keys = _key_table(self._fmt, size)
 
     def key(self, index: int) -> bytes:
         if not 0 <= index < self.size:
             raise IndexError(f"key index {index} out of range")
-        return (self._fmt % index).encode()
+        key = self._keys[index]
+        if key is None:
+            key = self._keys[index] = (self._fmt % index).encode()
+        return key
 
     def keys_for(self, indices) -> List[bytes]:
-        """Materialize keys for an index array, formatting each *unique*
-        index once (zipf streams repeat hot indices heavily, so this is
-        the bulk path the vectorized generators use)."""
+        """Keys for an index array, each index's key formatted once per
+        keyspace shape (this is the bulk path the vectorized generators
+        use)."""
         arr = np.asarray(indices)
         if arr.size == 0:
             return []
-        uniq, inverse = np.unique(arr, return_inverse=True)
-        if uniq[0] < 0 or uniq[-1] >= self.size:
+        if arr.min() < 0 or arr.max() >= self.size:
             raise IndexError("key index out of range")
+        keys = self._keys
         fmt = self._fmt
-        table = [(fmt % i).encode() for i in uniq.tolist()]
-        return [table[j] for j in inverse.tolist()]
+        idx = arr.tolist()
+        for i in idx:
+            if keys[i] is None:
+                keys[i] = (fmt % i).encode()
+        return [keys[i] for i in idx]
 
     def __len__(self) -> int:
         return self.size

@@ -28,9 +28,8 @@ def check_consistency(mgr: HybridSlabManager) -> None:
         else:  # pragma: no cover - would be a bug
             raise AssertionError(f"dead item in table: {item!r}")
     assert ram == mgr.items_in_ram
-    # Slots may also hold items superseded in the table; live items on
-    # SSD are a subset of all slot entries.
-    assert ssd <= mgr.items_on_ssd
+    # A superseded, deleted or promoted item leaves its slot at once.
+    assert ssd == mgr.items_on_ssd
     # LRU lists contain exactly the RAM-resident items.
     for cls in mgr.allocator.classes:
         for it in cls.lru:

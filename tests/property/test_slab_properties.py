@@ -16,9 +16,15 @@ def check_invariants(alloc: SlabAllocator) -> None:
             assert page.page_id not in seen_pages, "page in two classes"
             seen_pages.add(page.page_id)
             assert page.clsid == cls.clsid
-            assert page.used + len(page.free_chunks) == page.capacity
-            # No chunk is both free and occupied.
-            assert not (set(page.items) & set(page.free_chunks))
+            # Occupied, returned and never-used chunks partition the
+            # page: no chunk is both free and occupied, none is lost.
+            assert 0 <= page.fresh <= page.capacity
+            assert len(set(page.freed)) == len(page.freed)
+            assert all(0 <= idx < page.fresh for idx in page.freed)
+            assert not (set(page.items) & set(page.freed))
+            assert set(page.items) <= set(range(page.fresh))
+            assert page.used + len(page.freed) + (page.capacity - page.fresh) \
+                == page.capacity == page.used + page.free_count
             for idx, item in page.items.items():
                 assert item.page is page and item.chunk_index == idx
                 assert item.total_size <= cls.chunk_size

@@ -1,5 +1,10 @@
 """Tests for the page cache: residency, write-back, throttling."""
 
+import gc
+import tracemalloc
+
+import pytest
+
 from repro.sim import Simulator
 from repro.storage.device import BlockDevice
 from repro.storage.pagecache import PageCache, _cluster_runs
@@ -119,3 +124,33 @@ def test_cluster_runs_helper():
     assert _cluster_runs([], 4096) == []
     assert _cluster_runs([0, 1, 2], 4096) == [3 * 4096]
     assert _cluster_runs([0, 2, 3, 9], 4096) == [4096, 2 * 4096, 4096]
+
+
+def resident_bytes(pages):
+    """Traced bytes held by a page cache holding ``pages`` resident
+    pages, written by ``write`` and ``mmap`` and then written back."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sim, _dev, cache = make_cache(size_bytes=64 * MB, dirty_ratio=1.0)
+        half = pages // 2 * 4 * KB
+        run_gen(sim, cache.write(0, half, origin="write"))
+        run_gen(sim, cache.write(half, half, origin="mmap"))
+        run_gen(sim, cache.sync())
+        assert cache.resident_pages == pages // 2 * 2
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(),
+                    reason="needs tracemalloc to itself")
+def test_memory_per_resident_page_is_bounded():
+    """What one more resident page costs. CPython 3.11: ~150 B when
+    every page held a fresh ``(dirty, origin)`` tuple, ~80 B now that
+    its value is one of a few shared ones (the dict slot and the page
+    number)."""
+    resident_bytes(2048)  # one-time allocations of a first build
+    per_page = (resident_bytes(6144) - resident_bytes(2048)) / 4096
+    assert per_page < 115, per_page

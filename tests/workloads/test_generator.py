@@ -90,6 +90,30 @@ class TestGenerateOps:
         assert len({k for k, _ in pairs}) == 50
 
 
+    @pytest.mark.parametrize("pattern", ["basic", "counter", "ttl-churn",
+                                         "hot-storm"])
+    def test_streams_share_the_datasets_key_and_size_objects(self, pattern):
+        """A stream's key for index i *is* the dataset's key i, and every
+        value length is one shared ``int`` per distinct size: a preloaded
+        key and the ops that hit it hold one object between them."""
+        spec = WorkloadSpec(num_ops=400, num_keys=300, value_length=4 * KB,
+                            value_sizes=((512, 0.5), (4 * KB, 0.3),
+                                         (32 * KB, 0.2)),
+                            pattern=pattern, seed=5)
+        dataset = make_dataset(spec)
+        keys = {key: i for i, (key, _) in enumerate(dataset)}
+        sizes = {}
+        for _, size in dataset:
+            assert sizes.setdefault(size, size) is size
+        assert len(sizes) == 3
+        for client in range(3):
+            for op in generate_ops(spec, client_index=client):
+                assert dataset[keys[op.key]][0] is op.key
+                assert sizes[op.value_length] is op.value_length
+        ks = Keyspace(spec.num_keys)
+        assert all(ks.key(i) is key for i, (key, _) in enumerate(dataset))
+
+
 class TestBursty:
     def test_geometry(self):
         w = BurstyWorkload(block_size=2 * MB, chunk_size=256 * KB,
