@@ -136,6 +136,17 @@ OPS = {
     "set/RDMA_MEM/r2": (profiles.RDMA_MEM, _set),
     "get-hit/RDMA_MEM/r2": (profiles.RDMA_MEM, _get),
 }
+#: SSD-tier GETs on a warm hybrid 1x1 (``_warm_ssd_cluster``): the I/O
+#: scheme the value's slab class is read through, and whether its slot's
+#: pages are in the page cache. A hit under cached I/O sleeps syscall and
+#: memcpy as one timer; under mmap it faults nothing and sleeps the
+#: memcpy; a miss under cached I/O sleeps its syscall, waits for the
+#: device and sleeps the memcpy.
+SSD_OPS = {
+    "get-ssd/cached-hit/H_RDMA_OPT_BLOCK": ("cached", True),
+    "get-ssd/mmap-hit/H_RDMA_OPT_BLOCK": ("mmap", True),
+    "get-ssd/cached-miss/H_RDMA_OPT_BLOCK": ("cached", False),
+}
 #: The replication the ``/r2`` budgets run with (none for the others).
 R2 = ReplicationConfig(factor=2)
 PINS = load("event_budget")["budgets"]
@@ -204,6 +215,39 @@ def _warm_cluster(profile, profiled, replication=ReplicationConfig()):
 
     sim.run(until=sim.spawn(warm()))
     return cluster
+
+
+def _warm_ssd_cluster(scheme, resident, profiled):
+    """A hybrid 1x1 cluster whose first slab page of 4 KiB values has
+    spilled to an SSD slot read through ``scheme`` (its pages in the
+    page cache when ``resident``), and an operation that GETs the slot's
+    next key. Each GET promotes its item into a free chunk of the page
+    the spill recycled, so no promotion sleeps or flushes."""
+    cluster = build_cluster(profiles.H_RDMA_OPT_BLOCK, spec=ClusterSpec(
+        server_mem=2 * MB, ssd_limit=64 * MB, profile=profiled,
+        adaptive_cutoff=32 * KB if scheme == "mmap" else 0))
+    client, sim = cluster.clients[0], cluster.sim
+    manager = cluster.servers[0].manager
+    first, i = b"ssd-0", 0
+    while first not in manager.table or not manager.table[first].on_ssd:
+        cluster.preload([(b"ssd-%d" % i, 4 * KB)])
+        i += 1
+    slot = manager.table[first].disk_slot
+    assert slot.scheme_name == scheme
+    keys = iter([item.key for item in slot.items if item is not None])
+
+    def warm():
+        if resident:
+            yield from manager.pagecache.read(slot.offset,
+                                              manager.allocator.page_size)
+        yield from client.get(next(keys))
+
+    sim.run(until=sim.spawn(warm()))
+
+    def op(c):
+        yield from c.get(next(keys))
+
+    return cluster, op
 
 
 def _costs_for(sim, op, n, resumes):
@@ -340,9 +384,12 @@ def _per_op(sim, op, resumes):
 @pytest.mark.parametrize("profiled", [False, True], ids=["profile-off", "profile-on"])
 @pytest.mark.parametrize("case", list(PINS))
 def test_events_per_op_is_exactly_the_budget(case, profiled, resumes):
-    profile, op = OPS[case]
-    replication = R2 if case.endswith("/r2") else ReplicationConfig()
-    cluster = _warm_cluster(profile, profiled, replication)
+    if case in SSD_OPS:
+        cluster, op = _warm_ssd_cluster(*SSD_OPS[case], profiled)
+    else:
+        profile, op = OPS[case]
+        replication = R2 if case.endswith("/r2") else ReplicationConfig()
+        cluster = _warm_cluster(profile, profiled, replication)
     client, sim = cluster.clients[0], cluster.sim
     got, steady = _per_op(sim, lambda: op(client), resumes)
     msg = mismatch(case, got, PINS)
