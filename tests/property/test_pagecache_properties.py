@@ -24,8 +24,8 @@ def io_programs(draw):
 
 
 def check(cache: PageCache) -> None:
-    actual_dirty = sum(1 for d, _ in cache._pages.values() if d)
-    assert cache._dirty == actual_dirty, "dirty counter desync"
+    actual_dirty = cache.counted_dirty_pages()
+    assert cache.dirty_pages == actual_dirty, "dirty counter desync"
     assert cache.resident_pages <= cache.capacity_pages
 
 
