@@ -1,8 +1,8 @@
 """Cache items.
 
 An :class:`Item` records a stored key-value pair's metadata and where its
-bytes live: a RAM slab chunk (``page``/``chunk_index``) or an SSD slot
-(``disk_slot``/``disk_offset``). The value bytes themselves are never
+bytes live: a RAM slab chunk (``page``/``chunk_index``) or a chunk of an
+SSD slot (``disk_slot``/``chunk_index``). The value bytes themselves are never
 materialized — only sizes move through the simulation.
 """
 
@@ -26,7 +26,7 @@ class Item:
     __slots__ = (
         "key", "value_length", "flags", "expiration", "cas",
         "clsid", "location", "page", "chunk_index",
-        "disk_slot", "disk_offset", "last_access",
+        "disk_slot", "last_access",
         "lru_prev", "lru_next", "created", "numeric", "hlc",
     )
 
@@ -50,9 +50,8 @@ class Item:
         self.clsid: int = -1
         self.location: str = RAM
         self.page = None  # SlabPage when in RAM
-        self.chunk_index: int = -1
+        self.chunk_index: int = -1  # of ``page``, or of ``disk_slot``
         self.disk_slot = None  # DiskSlot when on SSD
-        self.disk_offset: int = -1
         self.last_access: float = 0.0
         self.lru_prev: Optional["Item"] = None
         self.lru_next: Optional["Item"] = None

@@ -23,7 +23,7 @@ def check_consistency(mgr: HybridSlabManager) -> None:
         elif item.on_ssd:
             ssd += 1
             assert item.disk_slot is not None
-            assert item in item.disk_slot.items
+            assert item.disk_slot.items[item.chunk_index] is item
             assert item.disk_slot.slot_id in mgr._live_slots
         else:  # pragma: no cover - would be a bug
             raise AssertionError(f"dead item in table: {item!r}")

@@ -233,6 +233,11 @@ pagecache_costs = st.builds(
     memcpy_bandwidth=st.integers(1_000, 20_000).map(lambda mb: mb * 1e6))
 
 
+def disk_offset(item):
+    """Where an item on the SSD starts: its chunk of its slot."""
+    return item.disk_slot.offset + item.chunk_index * item.disk_slot.chunk_size
+
+
 def _spill_first_key(cluster, value_length):
     """Preload keys until the first one's slab page spills to the SSD.
     The spilled page is recycled into the same class, so the GET's
@@ -248,7 +253,8 @@ def _spill_first_key(cluster, value_length):
 def _ssd_get(case, c, pc, value_length):
     """One SSD-tier GET of ``SSD_KEY`` as ``case`` names it. Returns the
     GET's header ``(instant, recv_cpu)``, its server-side spans, the
-    item and the device read it waited for (bytes, or 0)."""
+    item, the item's offset on the SSD and the device read it waited
+    for (bytes, or 0)."""
     staging = case == "staging-hit"
     spec = ClusterSpec(server_mem=2 * MB, ssd_limit=64 * MB, costs=c,
                        pagecache=pc, async_flush=staging, profile=True,
@@ -268,9 +274,9 @@ def _ssd_get(case, c, pc, value_length):
         item = got["item"] = manager.table[SSD_KEY]
         assert item.disk_slot.scheme_name == (SSD_CASES[case] or
                                               item.disk_slot.scheme_name)
+        offset = got["offset"] = disk_offset(item)
         if case.endswith("-hit") and not staging:
-            yield from manager.pagecache.read(item.disk_offset,
-                                              item.total_size)
+            yield from manager.pagecache.read(offset, item.total_size)
         device_bytes = manager.device.stats.bytes_read
         yield from client.get(SSD_KEY)
         got["device_bytes"] = manager.device.stats.bytes_read - device_bytes
@@ -283,7 +289,7 @@ def _ssd_get(case, c, pc, value_length):
         None if staging else lambda cl: _spill_first_key(cl, value_length))
     assert [r.status for r in responses if isinstance(r, Response)][-1] == "HIT"
     header = [(t, recv) for t, recv, p in received if isinstance(p, Request)][-1]
-    return header, spans[-1], got["item"], got["device_bytes"]
+    return header, spans[-1], got["item"], got["offset"], got["device_bytes"]
 
 
 @settings(max_examples=15, deadline=None)
@@ -298,8 +304,8 @@ def test_ssd_tier_gets_are_the_sequential_sums(c, pc, small, large):
     for case, scheme in SSD_CASES.items():
         note(f"case={case}")
         value_length = small if scheme == "mmap" else large
-        (t, recv), spans, item, device_bytes = _ssd_get(case, c, pc,
-                                                        value_length)
+        (t, recv), spans, item, offset, device_bytes = _ssd_get(
+            case, c, pc, value_length)
         nbytes = item.total_size
         parsed = (t + recv) + c.parse
         looked_up = parsed + c.hash_lookup
@@ -307,8 +313,8 @@ def test_ssd_tier_gets_are_the_sequential_sums(c, pc, small, large):
         if scheme == "cached":
             loaded = loaded + pc.syscall_overhead
         if case.endswith("-miss"):
-            pages = -(-(item.disk_offset + nbytes) // pc.page_size) \
-                - item.disk_offset // pc.page_size
+            pages = -(-(offset + nbytes) // pc.page_size) \
+                - offset // pc.page_size
             assert device_bytes == pages * pc.page_size <= SATA_SSD.pipe_quantum
             if scheme == "mmap":
                 loaded = loaded + pages * pc.fault_overhead
@@ -347,13 +353,11 @@ def test_concurrent_requests_each_keep_their_own_closed_form():
         on_ssd = [key for key, item in manager.table.items() if item.on_ssd]
         # Far apart in their slot: the warmed pages are not the cold's.
         cold, warm, stale = on_ssd[0], on_ssd[-2], on_ssd[-1]
-        got["ranges"] = {key: (manager.table[key].disk_offset,
+        got["ranges"] = {key: (disk_offset(manager.table[key]),
                                manager.table[key].total_size)
                          for key in (cold, warm, stale)}
         for key in (warm, stale):
-            item = manager.table[key]
-            yield from manager.pagecache.read(item.disk_offset,
-                                              item.total_size)
+            yield from manager.pagecache.read(*got["ranges"][key])
         sim = cluster.sim
         c = cluster.clients
         yield sim.all_of([sim.spawn(c[0].get(cold)),
