@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from repro.obs.api import NULL_OBS, Observability
 from repro.server.item import DEAD, Item, RAM, SSD
 from repro.server.slab import SlabAllocator, SlabClass, SlabPage
-from repro.sim import Resource, Simulator
+from repro.sim import BurstClock, Resource, Simulator
 from repro.storage.device import BlockDevice
 from repro.storage.pagecache import PageCache
 from repro.storage.params import PageCacheParams
@@ -251,7 +251,7 @@ class HybridSlabManager:
         """Logically dead: past its deadline (memcached expires at
         ``now >= expiration``, inclusive) or invalidated by a pending
         ``flush_all`` epoch."""
-        now = self.sim.now
+        now = self.sim._now
         if item.expiration and now >= item.expiration:
             return True
         flush_at = self._flush_at
@@ -351,7 +351,7 @@ class HybridSlabManager:
         if old is not None:
             self._remove_item(old, keep_table=True)
         self.table[item.key] = item
-        item.created = item.last_access = self.sim.now
+        item.created = item.last_access = self.sim._now
         cls.lru.insert_head(item)
         if item.expiration:
             self._arm_expiry(item.expiration)
@@ -830,25 +830,22 @@ class HybridSlabManager:
 
     # -- GET path ---------------------------------------------------------
 
-    def load_value(self, item: Item, trace=None):
+    def load_value(self, item: Item, clock: BurstClock, trace=None):
         """Generator (Cache Check & Load stage): make the value readable.
 
         ``trace`` tags the SSD read with the requesting operation's
-        causal profile trace id (observability only).
+        causal profile trace id (observability only). The read's CPU
+        stages go on the worker's ``clock``, empty at the call.
 
-        Returns ``(nbytes, on_cpu)``: the number of bytes read from SSD
-        (0 on a RAM hit), and whether the last sleep was a CPU timer (a
-        page-cache or staging-buffer memcpy) with no sleeping promotion
-        after it, so the caller's next CPU stage may ride its next
-        timer. The accessed item is then promoted back to RAM, following
-        the Cache Update semantics of Section III-A ("promotes the most
-        recently added or accessed data"), even when making room
-        flushes another victim page to the SSD: the churn this creates
-        is part of the hybrid design's cost when the working set
-        exceeds memory.
+        Returns the number of bytes read from SSD (0 on a RAM hit). The
+        accessed item is then promoted back to RAM, following the Cache
+        Update semantics of Section III-A ("promotes the most recently
+        added or accessed data"), even when making room flushes another
+        victim page to the SSD: the churn this creates is part of the
+        hybrid design's cost when the working set exceeds memory.
         """
         if not item.on_ssd:
-            return 0, False
+            return 0
         slot: DiskSlot = item.disk_slot
         cls = self.allocator.classes[item.clsid]
         nbytes = item.total_size
@@ -859,14 +856,11 @@ class HybridSlabManager:
         if not slot.durable:
             # Asynchronous flush still in flight: the data is in the
             # staging buffer — serve it at memcpy speed.
-            yield self.sim.timeout(
-                item.total_size / self._flush_memcpy_bandwidth)
+            yield clock.sleep(item.total_size / self._flush_memcpy_bandwidth)
             self.stats.buffer_served_reads += 1
-            on_cpu = True
         else:
             yield from scheme.read(slot.offset + item.chunk_index * slot.chunk_size,
-                                   nbytes, trace=trace)
-            on_cpu = scheme.read_ends_on_cpu
+                                   nbytes, clock, trace=trace)
             self.stats.ssd_reads += 1
             self.stats.ssd_read_bytes += nbytes
             if self._metrics_on:
@@ -875,7 +869,6 @@ class HybridSlabManager:
             idx = item.chunk_index  # of its slot; alloc_chunk overwrites it
             page = self.allocator.alloc_chunk(cls, item)
             if page is None:
-                on_cpu = False  # making room sleeps
                 info = StoreInfo()
                 while page is None and self._promotable(item):
                     yield from self._make_space(cls, info)
@@ -889,7 +882,7 @@ class HybridSlabManager:
                 self.stats.promotions += 1
                 if self._metrics_on:
                     self._m_promotions.inc()
-        return nbytes, on_cpu
+        return nbytes
 
     def _promotable(self, item: Item) -> bool:
         """Still the live table entry, still on SSD (races resolve here)."""

@@ -14,23 +14,13 @@ selected by :class:`ServerConfig`:
   communicates the operation's completion — the non-blocking client can
   meanwhile reuse its buffers and issue further requests.
 
-A worker sleeps one timer per uninterrupted run of CPU stages (Fig 2):
-its pickup timer covers receive, parse and the handler's first stage.
-A RAM hit (GET, gat, touch, incr) then sleeps once more: the response
-timer covers the LRU update and the response prep, as it does after an
-SSD-tier load whose last sleep was a memcpy. A handler that otherwise
-slept after its lookup (a direct-I/O device read, a counter store that
-flushed) sleeps the LRU update on its own timer first.
-A SET whose value comes by RDMA write sleeps nothing at the pickup: its
-first timer runs from the later of the parse end and the value's
-landing through the copy (and the slab allocation without early ack).
-The value is a polled write: the server's poller takes it as the client
-hands it over and the worker reads its landing instant, so its landing
-wakes nothing.
-A SET that holds no receive credit past its store (an inline value, or
-early ack) also sleeps its LRU update in the response timer, unless the
-store slept (a flush, an eviction); a default server's SET keeps the
-LRU timer, whose end releases its credit.
+A worker charges its CPU stages (Fig 2) to its own
+:class:`~repro.sim.BurstClock` and sleeps it where a later step needs
+the time to have passed: its pickup timer covers receive, parse and the
+lookup, a RAM hit's second timer the LRU update and the response prep.
+An RDMA-written SET value is a polled write: the server's poller takes
+it as the client hands it over, and the worker copies it from the later
+of the parse end and its landing instant, so its landing wakes nothing.
 A profiled request records one causal-profile span per stage; Fig 2's
 server stages are its dotted spans (``index.slab_alloc`` ...), folded
 by :func:`repro.core.metrics.stage_breakdown`.
@@ -70,7 +60,7 @@ from repro.server.protocol import (
     TouchRequest,
     ValueArrival,
 )
-from repro.sim import Mailbox, PriorityStore, Resource, Simulator, Timeout
+from repro.sim import BurstClock, Mailbox, PriorityStore, Resource, Simulator
 from repro.sim.errors import SimulationError
 from repro.storage.device import BlockDevice
 from repro.storage.params import DeviceParams, PageCacheParams
@@ -212,7 +202,7 @@ class MemcachedServer:
         self._dropped_value = sim.event().succeed(_DROPPED)
         #: Instant of every SET-value purge (crash, partition, heal).
         self._purges: List[float] = []
-        # Per request type: its handler (passed the parse instant) and the
+        # Per request type: its handler (passed the worker's clock) and the
         # CPU stage it starts with, slept on the pickup timer (see _worker).
         lookup = config.costs.hash_lookup
         self._handlers = {
@@ -295,8 +285,7 @@ class MemcachedServer:
         (flush/stats) stay local; an mget pulls per entry in
         :meth:`_handle_mget`."""
         state = self.handoff
-        if not state.pulling or getattr(request, "replica", False) \
-                or isinstance(request, MultiGetRequest):
+        if not state.pulling or getattr(request, "replica", False):
             return
         key = request.key
         if key and key not in state.written:
@@ -406,11 +395,8 @@ class MemcachedServer:
         old.grant_all_waiting()
 
     def _release_credit(self, credit) -> None:
-        """Return a SET's receive-buffer credit (None: already returned,
-        or an inline value that never took one), observing how long it
+        """Return a SET's receive-buffer credit, observing how long it
         was held."""
-        if credit is None:
-            return
         if credit.granted_at is not None and self._metrics_on:
             self._m_credit_hold.observe(self.sim._now - credit.granted_at)
         try:
@@ -521,14 +507,14 @@ class MemcachedServer:
         # Loop-invariant bindings: tracer and costs are fixed for a
         # worker generation, and this loop runs once per request.
         tracer = self.obs.tracer
-        costs = self.config.costs
-        parse_cost = costs.parse
+        parse_cost = self.config.costs.parse
         metrics_on = self._metrics_on
         sim = self.sim
         queue_get = self._queue.get
         prof = self.obs.profiler
         prof_on = prof.enabled
         tracer_on = tracer.enabled
+        clock = BurstClock(sim)
         while True:
             got = yield queue_get()
             if got is _POISON:
@@ -556,32 +542,18 @@ class MemcachedServer:
                                     cat="request", **ids)
             else:
                 span = NULL_SPAN
-            # Receive CPU, parse and the handler's first CPU stage run
-            # back to back: one timer, due when the last sleep would
-            # have ended (same float sums) and posted where it would
-            # have started, so it keeps that sleep's same-instant order.
-            parsed = (start + delivery.recv_cpu) + parse_cost
-            kind = type(request)
-            handler, lead = self._handlers[kind]
-            rdma_value = kind is SetRequest and not request.inline_value
+            # Receive CPU and parse are one stage; the handler's first stage
+            # rides its timer (a SET and an MGET sleep it in the handler).
+            clock.charge(delivery.recv_cpu, parse_cost)
+            parsed = clock.instant
+            handler, lead = self._handlers[type(request)]
             if lead is not None:
-                yield Timeout.at(sim, parsed + lead, posted=parsed)
-            elif rdma_value:
-                # The value is on its way by RDMA write: the pickup sleeps
-                # nothing, and _handle_set's first timer waits for both
-                # the value and the parse end.
-                pass
-            elif kind is SetRequest:
-                # The value came with the header: copy, then slab alloc.
-                copied = parsed + request.value_length / costs.memcpy_bandwidth
-                yield Timeout.at(sim, copied + costs.slab_alloc_cpu, posted=copied)
-            else:  # an MGET looks up per entry
-                yield Timeout.at(sim, parsed)
+                yield clock.sleep(lead)
             for ptid, px in targets:
                 prof.record(ptid, px + "server_cpu", start, parsed)
-            if self.handoff is not None and not rdma_value:
+            if self.handoff is not None and lead is not None:
                 self._pull_on_miss(request)
-            yield from handler(request, endpoint, parsed)
+            yield from handler(request, endpoint, clock)
             if span is not NULL_SPAN:
                 span.end()
             self._busy_workers -= 1
@@ -592,21 +564,20 @@ class MemcachedServer:
 
     # -- SET -----------------------------------------------------------------
 
-    def _handle_set(self, request: SetRequest, endpoint: Endpoint, parsed: float):
+    def _handle_set(self, request: SetRequest, endpoint: Endpoint, clock: BurstClock):
         """Generator: stage the value, allocate its chunk, store it,
-        update the LRU and respond. The update ends at ``t_store +
-        lru_update`` and the response prep runs on from there. Without
-        a credit still held and with a store that did not sleep, the
-        two are one CPU burst, slept as the response's one timer (as
-        :meth:`_cache_update` does for a RAM hit); otherwise the update
-        sleeps its own timer and a held credit is released at its end."""
+        update the LRU and respond. The copy and the slab allocation are
+        one timer unless the early ack comes between them; the LRU
+        update rides the response's timer unless it opens a new burst
+        (the store slept) or a credit is still held, which is released
+        where the update ends."""
         sim = self.sim
         costs = self.config.costs
         prof = self.obs.profiler
         ptid = request.trace_id if prof.enabled else None
         px = "replica." if request.replica else ""
         credit = None
-        t_copy = parsed
+        pull_at_parse = False
         if not request.inline_value:
             # Entered at the pickup: the rendezvous exists from here on,
             # so a fault purge before the value is handed over reaches it.
@@ -616,7 +587,7 @@ class MemcachedServer:
             pull_at_parse = self.handoff is not None
             if pull_at_parse:
                 # A migration window pulls on miss at the parse end.
-                yield Timeout.at(sim, parsed)
+                yield clock.sleep()
                 self._pull_on_miss(request)
             arrival = yield value
             # pop, not del: a fault purge may have already dropped the key.
@@ -625,29 +596,31 @@ class MemcachedServer:
                 # The value was lost to a crash/partition while we waited
                 # (or the server died under us): abandon the SET. The
                 # client's completion timeout handles the rest.
+                clock.drop()
                 return
             credit = arrival.credit
-            # The copy starts once the value has landed and the header
-            # is parsed.
-            t_copy = max(parsed, arrival.landed_at)
-        # Copy the value out of the receive buffer (staging on the
-        # optimized server, directly toward the chunk otherwise), then
-        # allocate its chunk: one timer unless the early ack comes
-        # between the two (an inline value slept both on the pickup).
-        t0 = t_copy + request.value_length / costs.memcpy_bandwidth
+            # The copy starts once the value has landed and the header is parsed.
+            clock.poll_until(arrival.landed_at)
+        # Copy the value out of the receive buffer (to staging with early
+        # ack), then allocate its chunk.
+        t_copy = clock.instant
+        copy = request.value_length / costs.memcpy_bandwidth
+        t0 = t_copy + copy
         early_ack = credit is not None and self.config.early_ack
-        if not request.inline_value:
-            yield (Timeout.at(sim, t0, posted=t_copy) if early_ack else
-                   Timeout.at(sim, t0 + costs.slab_alloc_cpu, posted=t0))
-            if len(self._purges) > purges and self._purges[purges] < t_copy:
-                # A fault purged the rendezvous after the value was
-                # handed over but before the copy start (the value still
-                # in flight, or the header still being parsed): the
-                # value is lost with it.
-                return
-            if not pull_at_parse and self.handoff is not None:
-                # A migration window opened during the parse.
-                self._pull_on_miss(request)
+        if early_ack:
+            yield clock.sleep(copy)
+        else:
+            clock.charge(copy)
+            yield clock.sleep(costs.slab_alloc_cpu)
+        if not request.inline_value and len(self._purges) > purges \
+                and self._purges[purges] < t_copy:
+            # A fault purged the rendezvous after the value was handed over
+            # but before the copy start (the value still in flight, or the
+            # header still being parsed): the value is lost with it.
+            return
+        if not pull_at_parse and self.handoff is not None:
+            # Inline, or a migration window opened during the parse.
+            self._pull_on_miss(request)
         if ptid is not None:
             prof.record(ptid, px + "ram", t_copy, t0)
         if early_ack:
@@ -661,7 +634,7 @@ class MemcachedServer:
             if self.reachable:
                 ack = BufferAck(req_id=request.req_id)
                 endpoint.write_polled(ack, ack.header_bytes)
-            yield sim.timeout(costs.slab_alloc_cpu)
+            yield clock.sleep(costs.slab_alloc_cpu)
         if ptid is not None:
             prof.record(ptid, px + "index.slab_alloc", t0, sim._now)
         t_store = sim._now
@@ -674,17 +647,12 @@ class MemcachedServer:
             prof.record(ptid, px + "ssd.slab_alloc", t_store, sim._now)
         if self.handoff is not None and info.status == STORED:
             self._note_write(request.key)
-
-        t0 = sim._now
-        updated = t0 + costs.lru_update
-        if credit is not None or t0 != t_store:
-            # The credit is released where the update ends, or the store
-            # slept (a flush, an eviction): the update keeps its timer.
-            yield Timeout.at(sim, updated)
+        if clock.charge(costs.lru_update) or credit is not None:
+            yield clock.sleep()
         if ptid is not None:
-            prof.record(ptid, px + "index.cache_update", t0, updated)
-
-        self._release_credit(credit)
+            prof.record(ptid, px + "index.cache_update", clock.start, clock.instant)
+        if credit is not None:
+            self._release_credit(credit)
         if request.replica:
             # Replica-apply path: same slab work, separate accounting —
             # user-visible SET counters stay comparable across R values.
@@ -695,16 +663,14 @@ class MemcachedServer:
             self.stats.sets += 1
             if self._metrics_on:
                 self._m_sets.inc()
-        yield from self._respond(endpoint, request, info.status, 0,
-                                 cas_token=item.cas if item else 0,
-                                 since=updated)
+        yield from self._respond(endpoint, request, info.status, 0, clock,
+                                 cas_token=item.cas if item else 0)
 
     # -- GET ------------------------------------------------------------------
 
-    def _handle_get(self, request: GetRequest, endpoint: Endpoint, t0: float):
-        entered = self.sim._now
+    def _handle_get(self, request: GetRequest, endpoint: Endpoint, clock: BurstClock):
         ptid = request.trace_id if self.obs.profiler.enabled else None
-        item, on_cpu = yield from self._check_and_load(request.key, t0, ptid)
+        item = yield from self._check_and_load(request.key, clock, ptid)
 
         self.stats.gets += 1
         if self._metrics_on:
@@ -713,87 +679,67 @@ class MemcachedServer:
             self.stats.get_misses += 1
             if self._metrics_on:
                 self._m_misses.inc()
-            yield from self._respond(endpoint, request, MISS, 0)
+            yield from self._respond(endpoint, request, MISS, 0, clock)
             return
 
-        updated = yield from self._cache_update(item, entered, ptid,
-                                                on_cpu=on_cpu)
+        yield from self._cache_update(item, clock, ptid)
         self.stats.get_hits += 1
         if self._metrics_on:
             self._m_hits.inc()
-        yield from self._respond(endpoint, request, HIT, item.value_length,
-                                 cas_token=item.cas, since=updated)
+        yield from self._respond(endpoint, request, HIT, item.value_length, clock,
+                                 cas_token=item.cas)
 
-    def _check_and_load(self, key: bytes, t0: float, ptid):
+    def _check_and_load(self, key: bytes, clock: BurstClock, ptid):
         """Generator: a read's Cache Check & Load stage (GET, gat). Its
-        hash lookup, from ``t0`` to now, rode the timer that woke the
-        worker. Returns ``(item, on_cpu)``: the live item, its value
-        readable, or None; and whether the load's last sleep was a CPU
-        timer (see :meth:`HybridSlabManager.load_value`)."""
+        hash lookup, the clock's last charge, rode the timer that woke
+        the worker. Returns the live item, its value readable, or None."""
         sim = self.sim
         prof = self.obs.profiler
         t_load = sim._now
         if ptid is not None:
-            prof.record(ptid, "index.cache_check_load", t0, t_load)
+            prof.record(ptid, "index.cache_check_load", clock.start, t_load)
         item = self.manager.lookup(key)
-        if item is None:
-            return None, False
-        was_ssd = item.on_ssd
-        _nbytes, on_cpu = yield from self.manager.load_value(item, trace=ptid)
-        if ptid is not None:
-            # A RAM hit serves at memcpy speed; the SSD path's device
-            # time is nested under this span as ``ssd.io``.
-            prof.record(ptid, ("ssd" if was_ssd else "ram")
-                        + ".cache_check_load", t_load, sim._now)
-        return item, on_cpu
+        if item is not None and item.on_ssd:
+            yield from self.manager.load_value(item, clock, trace=ptid)
+            if ptid is not None:
+                # The device time is nested under this span as ``ssd.io``.
+                prof.record(ptid, "ssd.cache_check_load", t_load, sim._now)
+        return item
 
-    def _cache_update(self, item, entered: float, ptid, px: str = "",
-                      on_cpu: bool = False):
-        """Generator: the Cache Update stage, ``item`` to MRU. Returns
-        the instant it ends, where the response prep starts.
-
-        A handler still at the instant it was ``entered`` has not slept
-        since its lookup, and one whose last sleep was a CPU timer
-        (``on_cpu``: a memcpy of the SSD-tier load) woke from CPU work:
-        either way the update and the response prep are one CPU burst,
-        slept as one timer by :meth:`_respond`, so nothing is slept here
-        and the LRU move is stamped with the instant its own timer would
-        have ended. After a device wake (direct I/O) or any other sleep
-        the update keeps its own timer."""
-        sim = self.sim
-        t0 = sim._now
-        updated = t0 + self.config.costs.lru_update
-        if t0 != entered and not on_cpu:
-            yield Timeout.at(sim, updated)
-        self.manager.touch(item, at=updated)
+    def _cache_update(self, item, clock: BurstClock, ptid, px: str = ""):
+        """Generator: the Cache Update stage, ``item`` to MRU, stamped with
+        the stage's end. It rides the response's timer unless it opens a
+        new burst (after a device read, a store or promotion that slept)."""
+        if clock.charge(self.config.costs.lru_update):
+            yield clock.sleep()
+        self.manager.touch(item, at=clock.instant)
         if ptid is not None:
-            self.obs.profiler.record(ptid, px + "index.cache_update",
-                                     t0, updated)
-        return updated
+            self.obs.profiler.record(ptid, px + "index.cache_update", clock.start,
+                                     clock.instant)
 
     # -- MGET -----------------------------------------------------------------
 
-    def _handle_mget(self, request: MultiGetRequest, endpoint: Endpoint, _parsed: float):
+    def _handle_mget(self, request: MultiGetRequest, endpoint: Endpoint, clock: BurstClock):
         """memcached_mget: one GET per requested key, each with its own
         lookup sleep and its own response (and, in a migration window,
         pulled on its own)."""
+        yield clock.sleep()  # the parse
         traces = request.traces if self.obs.profiler.enabled else ()
         for i, (req_id, key) in enumerate(request.entries):
             sub = GetRequest(req_id=req_id, op="get", key=key,
                              trace_id=traces[i] if i < len(traces) else None)
             if self.handoff is not None:
                 self._pull_on_miss(sub)
-            t0 = self.sim._now
-            yield self.sim.timeout(self.config.costs.hash_lookup)
-            yield from self._handle_get(sub, endpoint, t0)
+            yield clock.sleep(self.config.costs.hash_lookup)
+            yield from self._handle_get(sub, endpoint, clock)
 
     # -- DELETE --------------------------------------------------------------
 
-    def _handle_delete(self, request: DeleteRequest, endpoint: Endpoint, t0: float):
+    def _handle_delete(self, request: DeleteRequest, endpoint: Endpoint, clock: BurstClock):
         if request.trace_id is not None and self.obs.profiler.enabled:
             px = "replica." if request.replica else ""
             self.obs.profiler.record(request.trace_id, px + "index",
-                                     t0, self.sim.now)
+                                     clock.start, self.sim.now)
         found = self.manager.delete(request.key, hlc=request.hlc)
         if found and self.handoff is not None:
             self._note_write(request.key)
@@ -806,44 +752,41 @@ class MemcachedServer:
             if self._metrics_on:
                 self._m_deletes.inc()
         yield from self._respond(endpoint, request,
-                                 DELETED if found else NOT_FOUND, 0)
+                                 DELETED if found else NOT_FOUND, 0, clock)
 
     # -- TOUCH ---------------------------------------------------------------
 
-    def _handle_touch(self, request: TouchRequest, endpoint: Endpoint, t0: float):
+    def _handle_touch(self, request: TouchRequest, endpoint: Endpoint, clock: BurstClock):
         """memcached's ``touch``: bump expiration + LRU, no data moved."""
-        entered = self.sim._now
         prof = self.obs.profiler
         ptid = request.trace_id if prof.enabled else None
         if ptid is not None:
-            prof.record(ptid, "index.cache_check_load", t0, entered)
+            prof.record(ptid, "index.cache_check_load", clock.start, self.sim._now)
         item = self.manager.lookup(request.key)
         if item is None:
-            yield from self._respond(endpoint, request, NOT_FOUND, 0)
+            yield from self._respond(endpoint, request, NOT_FOUND, 0, clock)
             return
-        updated = None
         # A past deadline removes the item *now* (memcached semantics);
         # blindly assigning it would leave a dead item holding its slab
         # chunk and MRU slot until the next lookup happened to find it.
         if self.manager.set_expiration(item, request.expiration):
-            updated = yield from self._cache_update(item, entered, ptid)
+            yield from self._cache_update(item, clock, ptid)
         if self.handoff is not None:
             # Deadline changed (or a past deadline removed the item):
             # either way the migrated copy must reflect it.
             self._note_write(request.key)
-        yield from self._respond(endpoint, request, TOUCHED, 0, since=updated)
+        yield from self._respond(endpoint, request, TOUCHED, 0, clock)
 
     # -- INCR / DECR ---------------------------------------------------------
 
-    def _handle_counter(self, request: CounterRequest, endpoint: Endpoint, t0: float):
+    def _handle_counter(self, request: CounterRequest, endpoint: Endpoint, clock: BurstClock):
         """incr/decr: in-place arithmetic, optional auto-create (whose
         store may sleep on a flush or an eviction)."""
-        entered = self.sim._now
         prof = self.obs.profiler
         ptid = request.trace_id if prof.enabled else None
         px = "replica." if request.replica else ""
         if ptid is not None:
-            prof.record(ptid, px + "index.cache_check_load", t0, entered)
+            prof.record(ptid, px + "index.cache_check_load", clock.start, self.sim._now)
         status, value, item = yield from self.manager.counter_op(
             request.key, request.delta, request.direction,
             initial=request.initial, expiration=request.expiration)
@@ -851,54 +794,49 @@ class MemcachedServer:
             self._note_write(request.key)
         cas_token = 0
         value_length = 0
-        updated = None
         if status == STORED and item is not None:
             cas_token = item.cas
             value_length = item.value_length
-            updated = yield from self._cache_update(item, entered, ptid, px)
+            yield from self._cache_update(item, clock, ptid, px)
         if request.replica:
             self.stats.replica_applies += 1
             if self._metrics_on:
                 self._m_replica_applies.inc()
         else:
             self.stats.counters += 1
-        yield from self._respond(endpoint, request, status, value_length,
-                                 cas_token=cas_token, counter_value=value,
-                                 since=updated)
+        yield from self._respond(endpoint, request, status, value_length, clock,
+                                 cas_token=cas_token, counter_value=value)
 
     # -- GAT -----------------------------------------------------------------
 
-    def _handle_gat(self, request: GatRequest, endpoint: Endpoint, t0: float):
+    def _handle_gat(self, request: GatRequest, endpoint: Endpoint, clock: BurstClock):
         """gat: a GET that also refreshes the item's deadline. A past
         deadline serves the value one last time, then removes the item."""
-        entered = self.sim._now
         ptid = request.trace_id if self.obs.profiler.enabled else None
-        item, on_cpu = yield from self._check_and_load(request.key, t0, ptid)
+        item = yield from self._check_and_load(request.key, clock, ptid)
         self.stats.gats += 1
         if item is None:
-            yield from self._respond(endpoint, request, MISS, 0)
+            yield from self._respond(endpoint, request, MISS, 0, clock)
             return
         value_length, cas_token = item.value_length, item.cas
-        updated = None
         if self.manager.set_expiration(item, request.expiration):
-            updated = yield from self._cache_update(item, entered, ptid,
-                                                    on_cpu=on_cpu)
+            yield from self._cache_update(item, clock, ptid)
         if self.handoff is not None:
             self._note_write(request.key)
-        yield from self._respond(endpoint, request, HIT, value_length,
-                                 cas_token=cas_token, since=updated)
+        yield from self._respond(endpoint, request, HIT, value_length, clock,
+                                 cas_token=cas_token)
 
     # -- FLUSH ---------------------------------------------------------------
 
-    def _handle_flush(self, request: FlushRequest, endpoint: Endpoint, _parsed: float):
+    def _handle_flush(self, request: FlushRequest, endpoint: Endpoint, clock: BurstClock):
         """flush_all: stamp the invalidation epoch; reclaim stays lazy."""
         self.manager.flush_all(request.delay)
         self.stats.flushes += 1
-        yield from self._respond(endpoint, request, OK, 0)
+        yield from self._respond(endpoint, request, OK, 0, clock)
 
     # -- STATS ---------------------------------------------------------------
 
-    def _handle_stats(self, request: StatsRequest, endpoint: Endpoint, _parsed: float):
+    def _handle_stats(self, request: StatsRequest, endpoint: Endpoint, _clock: BurstClock):
         """memcached's ``stats``: ship a counter snapshot. Its one stage
         rode the pickup timer, so the worker's ``yield from`` gets ()."""
         if self.alive and self.reachable:
@@ -953,25 +891,18 @@ class MemcachedServer:
 
     # -- response ----------------------------------------------------------------
 
-    def _respond(self, endpoint: Endpoint, request: Request, status: str,
-                 value_length: int, cas_token: int = 0,
-                 counter_value: int = 0, since: Optional[float] = None):
-        """Generator: prepare and send the response. The prep starts at
-        ``since`` (default now); a later ``since`` is the end of a Cache
-        Update that runs in the same CPU burst (see
-        :meth:`_cache_update`, :meth:`_handle_set`), and the one timer
-        covers both stages."""
+    def _respond(self, endpoint: Endpoint, request: Request, status: str, value_length: int,
+                 clock: BurstClock, cas_token: int = 0, counter_value: int = 0):
+        """Generator: prepare and send the response. The prep is charged
+        to the worker's clock, which is slept before the send."""
         if not self.alive:
             return  # crashed mid-request: the response never forms
-        sim = self.sim
         prof = self.obs.profiler
         ptid = request.trace_id if prof.enabled else None
         px = ("replica." if getattr(request, "replica", False) else "")
-        t_prep = sim._now if since is None else since
-        yield Timeout.at(sim, t_prep + self.config.costs.response_prep,
-                         posted=t_prep)
+        yield clock.sleep(self.config.costs.response_prep)
         if ptid is not None:
-            prof.record(ptid, px + "server_cpu.response", t_prep, sim._now)
+            prof.record(ptid, px + "server_cpu.response", clock.start, clock.instant)
         if not (self.alive and self.reachable):
             return  # died or partitioned during prep: response dropped
         response = Response(req_id=request.req_id, op=request.op,

@@ -9,6 +9,7 @@ The clock is a float in **seconds** and advances only through scheduled
 events, so every run is exactly reproducible.
 """
 
+from repro.sim.clock import BurstClock
 from repro.sim.engine import Simulator
 from repro.sim.errors import SimulationError
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Process, Timeout
@@ -16,6 +17,7 @@ from repro.sim.resources import Mailbox, PriorityStore, Resource, Store
 
 __all__ = [
     "Simulator",
+    "BurstClock",
     "Event",
     "Timeout",
     "Process",

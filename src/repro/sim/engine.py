@@ -21,9 +21,10 @@ lane entry at *t* in global post order; ``step``/``peek``/``run`` drain
 due heap entries first, then the lane in FIFO order. ``posted`` is the
 clock at the push, so it rises with the tie-break and changes no order
 — except for a timer that stands for several back-to-back sleeps
-(``Timeout.at(..., posted=)``): it passes the instant its last sleep
-would have started, and sorts among same-instant timers as if it had
-been posted there. Nothing in the process environment changes the
+(``Timeout.at(..., posted=)``, and a server worker's
+:class:`~repro.sim.clock.BurstClock`): it passes the instant its last
+sleep would have started, and sorts among same-instant timers as if it
+had been posted there. Nothing in the process environment changes the
 engine.
 """
 

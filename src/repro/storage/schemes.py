@@ -10,14 +10,17 @@ page cache's write-back underneath).
 
 from __future__ import annotations
 
-from repro.sim import Simulator
-from repro.sim.events import Timeout
+from repro.sim import BurstClock, Simulator
 from repro.storage.device import BlockDevice
 from repro.storage.pagecache import PageCache
 
 
 class IOScheme:
     """Interface: synchronous write/read of a byte range on one device.
+
+    A read charges its CPU stages (a syscall, page faults, a memcpy) to
+    the reader's ``clock``, empty at the call, and sleeps them where a
+    device read is submitted and where the data is in memory.
 
     ``trace`` is an optional causal profile trace id: direct I/O tags
     the resulting device operation with it; the page-cache schemes
@@ -26,17 +29,13 @@ class IOScheme:
     """
 
     name: str = "abstract"
-    #: Whether a read's last sleep is CPU (the page cache's memcpy)
-    #: rather than a device wake, so the caller's next CPU stage may
-    #: ride its own next timer.
-    read_ends_on_cpu: bool = False
 
     def write(self, offset: int, nbytes: int, trace=None):
         """Generator: complete when the caller may proceed."""
         raise NotImplementedError
 
-    def read(self, offset: int, nbytes: int, trace=None):
-        """Generator: complete when the data is in memory."""
+    def read(self, offset: int, nbytes: int, clock: BurstClock, trace=None):
+        """A generator: complete when the data is in memory."""
         raise NotImplementedError
 
     def discard(self, offset: int, nbytes: int) -> None:
@@ -59,7 +58,8 @@ class DirectIO(IOScheme):
     def write(self, offset: int, nbytes: int, trace=None):
         yield self.device.write(nbytes, trace=trace)
 
-    def read(self, offset: int, nbytes: int, trace=None):
+    def read(self, offset: int, nbytes: int, clock: BurstClock, trace=None):
+        # Nothing to charge: the device read is submitted at the call.
         yield self.device.read(nbytes, trace=trace)
 
 
@@ -68,12 +68,10 @@ class CachedIO(IOScheme):
 
     A write is a syscall plus a memcpy; durability is deferred to
     write-back (acceptable: Memcached is a cache, not a store — Sec V-B).
-    A read of a fully resident range is CPU alone: its syscall and its
-    memcpy are one timer.
+    A read charges its syscall before the page cache's memcpy.
     """
 
     name = "cached"
-    read_ends_on_cpu = True
 
     def __init__(self, sim: Simulator, device: BlockDevice, cache: PageCache):
         self.sim = sim
@@ -84,19 +82,9 @@ class CachedIO(IOScheme):
         yield self.sim.timeout(self.cache.params.syscall_overhead)
         yield from self.cache.write(offset, nbytes, origin="write")
 
-    def read(self, offset: int, nbytes: int, trace=None):
-        sim, cache = self.sim, self.cache
-        params = cache.params
-        if cache.read_resident(offset, nbytes):
-            # Due where the memcpy's own timer would end, and posted
-            # where it would have started (same float sums).
-            syscalled = sim._now + params.syscall_overhead
-            yield Timeout.at(sim, syscalled + nbytes / params.memcpy_bandwidth,
-                             posted=syscalled)
-            return
-        # A missing page's device read is submitted at the syscall's end.
-        yield sim.timeout(params.syscall_overhead)
-        yield from cache.read(offset, nbytes)
+    def read(self, offset: int, nbytes: int, clock: BurstClock, trace=None):
+        clock.charge(self.cache.params.syscall_overhead)
+        return self.cache.read(offset, nbytes, clock)
 
     def discard(self, offset: int, nbytes: int) -> None:
         self.cache.discard(offset, nbytes)
@@ -112,7 +100,6 @@ class MmapIO(IOScheme):
     """
 
     name = "mmap"
-    read_ends_on_cpu = True
 
     def __init__(self, sim: Simulator, device: BlockDevice, cache: PageCache):
         self.sim = sim
@@ -128,11 +115,11 @@ class MmapIO(IOScheme):
             yield self.sim.timeout(cost)
         yield from self.cache.write(offset, nbytes, origin="mmap")
 
-    def read(self, offset: int, nbytes: int, trace=None):
+    def read(self, offset: int, nbytes: int, clock: BurstClock, trace=None):
         cost = self._fault_cost(offset, nbytes)
         if cost:
-            yield self.sim.timeout(cost)
-        yield from self.cache.read(offset, nbytes)
+            clock.charge(cost)
+        return self.cache.read(offset, nbytes, clock)
 
     def discard(self, offset: int, nbytes: int) -> None:
         self.cache.discard(offset, nbytes)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.server.hybrid import HybridSlabManager
-from repro.sim import Simulator
+from repro.sim import BurstClock, Simulator
 from repro.storage.device import BlockDevice
 from repro.storage.params import PageCacheParams, RAMDISK
 from repro.units import KB, MB
@@ -57,7 +57,7 @@ def run_program(mgr, sim, ops):
             elif kind == "get":
                 item = mgr.lookup(kb)
                 if item is not None:
-                    yield from mgr.load_value(item)
+                    yield from mgr.load_value(item, BurstClock(sim))
                     mgr.touch(item)
             else:
                 mgr.delete(kb)

@@ -8,19 +8,21 @@ write-back takes the oldest dirty pages and cleans them in place, and
 writers throttle past the dirty ratio.
 
 Seeded random programs of buffered writes, mmap writes, reads, reads
-that try the resident-only path first, and discards run on a small
-cache and on the model, each in its own simulator, as two concurrent
-client processes. After every call both must hold the same resident
+after a syscall charged to the reader's clock (slept, and the pages
+looked at again, only when one is missing), and discards run on a
+small cache and on the model, each in its own simulator, as two
+concurrent client processes. After every call both must hold the same resident
 pages (so they evicted the same victims), the same ``resident_pages``
 and ``dirty_pages``, and must have sent the device the same writes, of
 the same sizes, in the same order (and the same reads).
 """
 
+import itertools
 import random
 
-from repro.sim import Simulator
+from repro.sim import BurstClock, Simulator
 from repro.storage.device import BlockDevice
-from repro.storage.pagecache import PageCache, _cluster_runs
+from repro.storage.pagecache import PageCache
 from repro.storage.params import PageCacheParams, RAMDISK
 from repro.units import KB, US
 
@@ -96,28 +98,29 @@ class DictPageCache:
             self.pages[p] = (True, origin)
         self._wake()
 
-    def read_resident(self, offset, nbytes):
+    def _runs(self, pages):
+        """Byte sizes of the contiguous runs of a sorted page list: a
+        run's pages minus their positions in the list are one number."""
+        return [len(list(run)) * self.params.page_size
+                for _, run in itertools.groupby(enumerate(pages),
+                                                lambda ip: ip[1] - ip[0])]
+
+    def read(self, offset, nbytes, clock):
         pages = self._range(offset, nbytes)
         if any(p not in self.pages for p in pages):
-            return False
-        for p in pages:
-            self.pages[p] = self.pages.pop(p)
-        return True
-
-    def read(self, offset, nbytes):
-        pages = self._range(offset, nbytes)
+            yield clock.sleep()
         missing = [p for p in pages if p not in self.pages]
         for p in pages:
             if p in self.pages:
                 self.pages[p] = self.pages.pop(p)
         if missing:
             yield from self._make_room(len(missing))
-            for run_bytes in _cluster_runs(missing, self.params.page_size):
+            for run_bytes in self._runs(missing):
                 yield self.device.read(run_bytes)
             for p in missing:
                 if p not in self.pages and len(self.pages) < self.capacity:
                     self.pages[p] = (False, "read")
-        yield self.sim.timeout(nbytes / self.params.memcpy_bandwidth)
+        clock.charge(nbytes / self.params.memcpy_bandwidth)
 
     def discard(self, offset, nbytes):
         for p in self._range(offset, nbytes):
@@ -162,7 +165,7 @@ def program(rng):
     """One client's calls: ``(kind, offset, nbytes, gap)``."""
     calls = []
     for _ in range(rng.randint(20, 60)):
-        kind = rng.choice(["write", "mmap", "read", "read_resident",
+        kind = rng.choice(["write", "mmap", "read", "syscall_read",
                            "discard"])
         first = rng.randrange(SPACE)
         pages = rng.randint(1, min(6, SPACE - first))
@@ -184,14 +187,15 @@ def run(cache_type, programs):
     seen = []
 
     def client(name, calls):
+        clock = BurstClock(sim)
         for i, (kind, offset, nbytes, gap) in enumerate(calls):
             if kind in ("write", "mmap"):
                 yield from cache.write(offset, nbytes, origin=kind)
-            elif kind == "read":
-                yield from cache.read(offset, nbytes)
-            elif kind == "read_resident":
-                if not cache.read_resident(offset, nbytes):
-                    yield from cache.read(offset, nbytes)
+            elif kind.endswith("read"):
+                if kind == "syscall_read":
+                    clock.charge(PARAMS.syscall_overhead)
+                yield from cache.read(offset, nbytes, clock)
+                yield clock.sleep()
             else:
                 cache.discard(offset, nbytes)
             resident = [p for p in range(SPACE) if cache.contains(p * PS, PS)]

@@ -1,7 +1,7 @@
 """Tests for asynchronous SSD flushes (the paper's Sec-VII future work)."""
 
 from repro.server.hybrid import HybridSlabManager
-from repro.sim import Simulator
+from repro.sim import BurstClock, Simulator
 from repro.storage.device import BlockDevice
 from repro.storage.params import PageCacheParams, SATA_SSD
 from repro.units import KB, MB
@@ -68,7 +68,7 @@ def test_read_during_inflight_flush_served_from_buffer():
                       if (it := mgr.lookup(f"k{i}".encode())) is not None
                       and it.on_ssd and not it.disk_slot.durable)
         t0 = sim.now
-        yield from mgr.load_value(victim)
+        yield from mgr.load_value(victim, BurstClock(sim))
         return sim.now - t0
 
     elapsed = sim.run(until=sim.spawn(driver()))

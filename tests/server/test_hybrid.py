@@ -11,7 +11,7 @@ from repro.core.profiles import H_RDMA_OPT_NONB_I
 from repro.core.topology import TopologyConfig
 from repro.harness.runner import RunConfig
 from repro.server.hybrid import DiskSlot, HybridSlabManager
-from repro.sim import Simulator
+from repro.sim import BurstClock, Simulator
 from repro.storage.device import BlockDevice
 from repro.storage.params import PageCacheParams, SATA_SSD
 from repro.units import KB, MB
@@ -116,17 +116,16 @@ class TestSpillToSSD:
         victim = next(it for it in
                       (mgr.lookup(f"k{i}".encode()) for i in range(100))
                       if it is not None and it.on_ssd)
-        nbytes, on_cpu = drive(sim, mgr.load_value(victim))
+        nbytes = drive(sim, mgr.load_value(victim, BurstClock(sim)))
         assert nbytes == victim.total_size
-        # Cached I/O ends on the page cache's memcpy, and the promotion
-        # finds a free chunk in the page the flush recycled.
-        assert victim.in_ram and on_cpu
+        # The promotion finds a free chunk in the page the flush recycled.
+        assert victim.in_ram
         assert mgr.stats.ssd_reads == 1
 
     def test_ram_hit_reads_nothing(self):
         sim, dev, mgr = make_hybrid()
         item, _ = drive(sim, mgr.store(b"key", 1000))
-        assert drive(sim, mgr.load_value(item)) == (0, False)
+        assert drive(sim, mgr.load_value(item, BurstClock(sim))) == 0
         assert mgr.stats.ssd_reads == 0
 
     def test_cheap_promotion_moves_item_to_ram(self):
@@ -140,7 +139,7 @@ class TestSpillToSSD:
                         (mgr.lookup(f"k{i}".encode()) for i in range(100))
                         if it is not None and it.in_ram)
         mgr.delete(ram_item.key)
-        drive(sim, mgr.load_value(on_ssd))
+        drive(sim, mgr.load_value(on_ssd, BurstClock(sim)))
         assert on_ssd.in_ram
         assert mgr.stats.promotions >= 1
 
@@ -206,7 +205,7 @@ class TestSSDCapacity:
                 elif i % 3 == 2:
                     item = mgr.lookup(key)
                     if item is not None:
-                        yield from mgr.load_value(item)
+                        yield from mgr.load_value(item, BurstClock(sim))
                 else:
                     yield from mgr.store(key, (1 + i % 3) * 10 * KB)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import BurstClock, Simulator
 from repro.storage.device import BlockDevice
 from repro.storage.pagecache import PageCache
 from repro.storage.params import PageCacheParams, SATA_SSD
@@ -34,7 +34,7 @@ class TestDirectIO:
     def test_read_pays_device_time(self, rig):
         sim, dev, _ = rig
         scheme = DirectIO(sim, dev)
-        t = timed(sim, scheme.read(0, 32 * KB))
+        t = timed(sim, scheme.read(0, 32 * KB, BurstClock(sim)))
         assert t == pytest.approx(SATA_SSD.read_time(32 * KB), rel=1e-9)
 
 
@@ -50,14 +50,14 @@ class TestCachedIO:
         scheme = CachedIO(sim, dev, cache)
         timed(sim, scheme.write(0, 64 * KB))
         reads_before = dev.stats.reads
-        t = timed(sim, scheme.read(0, 64 * KB))
+        t = timed(sim, scheme.read(0, 64 * KB, BurstClock(sim)))
         assert dev.stats.reads == reads_before
         assert t < SATA_SSD.read_time(64 * KB) / 5
 
     def test_cold_read_pays_device(self, rig):
         sim, dev, cache = rig
         scheme = CachedIO(sim, dev, cache)
-        t = timed(sim, scheme.read(1 * MB, 32 * KB))
+        t = timed(sim, scheme.read(1 * MB, 32 * KB, BurstClock(sim)))
         assert t >= SATA_SSD.read_latency
 
 
