@@ -112,6 +112,19 @@ def test_mmap_origin_writes_back_in_smaller_clusters():
     assert dev2.stats.writes > dev1.stats.writes
 
 
+def test_a_parked_write_back_daemon_holds_no_batch():
+    """Once every dirty page is written back the daemon parks on its
+    wakeup; its frame keeps no batch of ``(page, state)`` pairs alive."""
+    sim, dev, cache = make_cache()
+    run_gen(sim, cache.write(0, 64 * KB))
+    run_gen(sim, cache.sync())
+    assert dev.stats.writes > 0
+    (resume,) = cache._wakeup.callbacks
+    daemon = resume.__self__._gen
+    assert daemon.gi_code.co_name == "_writeback_daemon"
+    assert "batch" not in daemon.gi_frame.f_locals
+
+
 def test_hit_rate_stat():
     sim, dev, cache = make_cache()
     run_gen(sim, cache.write(0, 64 * KB))
