@@ -32,6 +32,7 @@ same three columns for one I/O on a bare block device.
 """
 
 import collections
+import dataclasses
 import itertools
 import re
 from pathlib import Path
@@ -104,6 +105,10 @@ def _stats(c):
     yield from c.stats(0)
 
 
+def _mget(c):
+    yield from c.mget([KEY, COUNTER])  # both stored by the warm-up
+
+
 #: The operation each budget in ``tests/golden/event_budget.json`` times,
 #: and the design it runs on.
 OPS = {
@@ -136,6 +141,18 @@ OPS = {
     # holds its caller for both acks, a GET reads the primary alone.
     "set/RDMA_MEM/r2": (profiles.RDMA_MEM, _set),
     "get-hit/RDMA_MEM/r2": (profiles.RDMA_MEM, _get),
+    # A second, idle client on the timed client's node: the two share a
+    # NIC, so the engine sleeps to every job's send instant, and a SET's
+    # free credit takes the ``request()`` hop.
+    "get-hit/RDMA_MEM/shared-nic": (profiles.RDMA_MEM, _get),
+    "set/RDMA_MEM/shared-nic": (profiles.RDMA_MEM, _set),
+    # The registered-buffer pool modelled: the engine sleeps to the send
+    # instant, then draws a buffer (a reuse, free, in steady state).
+    "get-hit/RDMA_MEM/registration": (profiles.RDMA_MEM, _get),
+    "set/RDMA_MEM/registration": (profiles.RDMA_MEM, _set),
+    # Two keys on one server: one batched job, entered on the caller's
+    # clock.
+    "mget-2/RDMA_MEM": (profiles.RDMA_MEM, _mget),
 }
 #: SSD-tier GETs on a warm hybrid 1x1 (``_warm_ssd_cluster``): the
 #: design, the I/O scheme the value's slab class is read through, and
@@ -162,6 +179,9 @@ SSD_OPS = {
 FLUSH_OP = "set/flush/H_RDMA_DEF"
 #: The replication the ``/r2`` budgets run with (none for the others).
 R2 = ReplicationConfig(factor=2)
+#: The budget-name suffixes that change the warm cluster
+#: (``_warm_cluster``).
+VARIANTS = ("r2", "shared-nic", "registration")
 PINS = load("event_budget")["budgets"]
 
 
@@ -212,14 +232,25 @@ def resumes(monkeypatch):
     return calls
 
 
-def _warm_cluster(profile, profiled, replication=ReplicationConfig()):
+def _warm_cluster(profile, profiled, variant=""):
     """A cluster of one client and one server per copy of a key, with
-    the key and the counter stored and every lazy process started."""
+    the key and the counter stored and every lazy process started.
+    ``variant`` is a budget-name suffix: ``r2`` keeps two copies of
+    every key (sync writes), ``shared-nic`` adds an idle second client
+    on the first one's node, ``registration`` models the client's
+    registered-buffer pool."""
+    replication = R2 if variant == "r2" else ReplicationConfig()
+    shared = variant == "shared-nic"
     cluster = build_cluster(profile, spec=ClusterSpec(
         topology=TopologyConfig(initial_servers=replication.factor),
+        num_clients=2 if shared else 1, client_nodes=1,
         server_mem=32 * MB, ssd_limit=64 * MB, profile=profiled,
         replication=replication))
     client, sim = cluster.clients[0], cluster.sim
+    assert client._nic_shared == shared
+    if variant == "registration":
+        client.config = dataclasses.replace(client.config,
+                                            model_registration=True)
 
     def warm():
         yield from client.set(KEY, 4 * KB)
@@ -444,8 +475,9 @@ def test_events_per_op_is_exactly_the_budget(case, profiled, resumes):
         cluster, op = _flushing_cluster(profiled)
     else:
         profile, op = OPS[case]
-        replication = R2 if case.endswith("/r2") else ReplicationConfig()
-        cluster = _warm_cluster(profile, profiled, replication)
+        variant = case.rpartition("/")[2]
+        cluster = _warm_cluster(profile, profiled,
+                                variant if variant in VARIANTS else "")
     client, sim = cluster.clients[0], cluster.sim
     got, steady = _per_op(sim, lambda: op(client), resumes)
     msg = mismatch(case, got, PINS)
