@@ -279,7 +279,7 @@ class HybridSlabManager:
         concurrent worker since the lookup is silently skipped.
         """
         item.last_access = self.sim.now if at is None else at
-        if item.in_ram and item.page is not None:
+        if item.location == RAM and item.page is not None:
             self.allocator.classes[item.clsid].lru.touch(item)
 
     # -- SET path ------------------------------------------------------------
@@ -844,7 +844,7 @@ class HybridSlabManager:
         victim page to the SSD: the churn this creates is part of the
         hybrid design's cost when the working set exceeds memory.
         """
-        if not item.on_ssd:
+        if item.location != SSD:
             return 0
         slot: DiskSlot = item.disk_slot
         cls = self.allocator.classes[item.clsid]
@@ -886,7 +886,7 @@ class HybridSlabManager:
 
     def _promotable(self, item: Item) -> bool:
         """Still the live table entry, still on SSD (races resolve here)."""
-        return (item.on_ssd and item.disk_slot is not None
+        return (item.location == SSD and item.disk_slot is not None
                 and self.table.get(item.key) is item)
 
     # -- preload (zero simulated time) ------------------------------------------

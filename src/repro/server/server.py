@@ -37,6 +37,7 @@ from repro.obs.api import NULL_OBS, Observability
 from repro.obs.profile import profile_message
 from repro.obs.tracer import NULL_SPAN
 from repro.server.hybrid import HybridSlabManager
+from repro.server.item import SSD
 from repro.server.protocol import (
     DELETED,
     HIT,
@@ -445,18 +446,9 @@ class MemcachedServer:
         lands on its ``delivered`` timer, where a frame's fate is
         decided (:meth:`_land_value`)."""
         arrival.landed_at = msg.delivered_at
-        if self.alive and self.reachable:
-            self._land_value(endpoint, arrival)
-        else:
-            msg.delivered.callbacks.append(
-                partial(self._land_value, endpoint, arrival))
-
-    def _land_value(self, endpoint: Endpoint, arrival: ValueArrival,
-                    _timer=None) -> None:
-        """Put a SET value on its rendezvous; one that lands on a dead
-        or unreachable server is dropped, as a frame would be."""
         if not (self.alive and self.reachable):
-            self._m_dropped_rx.inc()
+            msg.delivered.callbacks.append(
+                partial(self._land_value, endpoint, arrival, msg))
             return
         # req_ids are unique per client connection only; key the
         # rendezvous by (connection, req_id).
@@ -470,6 +462,17 @@ class MemcachedServer:
         # A parked worker takes the value inside this call; one whose
         # header is not picked up yet finds the event processed.
         (ev._hand_off if ev.callbacks else ev.succeed)(arrival)
+
+    def _land_value(self, endpoint: Endpoint, arrival: ValueArrival,
+                    msg, _timer) -> None:
+        """A SET value polled while the server was down lands where it
+        is delivered: on a server up again by then it is polled there,
+        and on one still down or unreachable it is dropped, as a frame
+        would be."""
+        if self.alive and self.reachable:
+            self._poll_value(endpoint, arrival, msg)
+        else:
+            self._m_dropped_rx.inc()
 
     def _enqueue(self, delivery, endpoint: Endpoint) -> None:
         """Hand a request frame to the worker pool; a parked worker
@@ -699,7 +702,7 @@ class MemcachedServer:
         if ptid is not None:
             prof.record(ptid, "index.cache_check_load", clock.start, t_load)
         item = self.manager.lookup(key)
-        if item is not None and item.on_ssd:
+        if item is not None and item.location == SSD:
             yield from self.manager.load_value(item, clock, trace=ptid)
             if ptid is not None:
                 # The device time is nested under this span as ``ssd.io``.
