@@ -73,7 +73,7 @@ class MemcachedReq:
         "t_issue", "t_api_return", "t_complete",
         "blocked_time", "miss_penalty", "server_index", "trace_id",
         "expiration", "counter_value", "hlc",
-        "flags", "mode", "cas_send", "delta", "initial", "recorded",
+        "flags", "mode", "cas_send", "delta", "initial", "recorded", "user",
     )
 
     def __init__(self, sim: Simulator, req_id: int, op: str, key: bytes,
@@ -130,6 +130,9 @@ class MemcachedReq:
         #: The client finished this operation (record, history, span):
         #: what makes ``wait``/``test`` on it idempotent afterwards.
         self.recorded = False
+        #: A user-visible operation: recorded, and its blocked time is
+        #: the client's (False: a miss's repopulating set).
+        self.user = True
 
     @property
     def done(self) -> bool:

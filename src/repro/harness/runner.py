@@ -366,10 +366,9 @@ def _drive_blocking(client, ops: Sequence[Op], mget_batch: int = 0,
 
 
 def _paced(client, pacer) -> Timeout:
-    """The pacer's inter-op sleep, taken from the caller's clock
-    (``client.now``): where the last call's API overhead ends."""
-    t = client.now
-    return Timeout.at(client.sim, t + pacer.interval_at(t), posted=t)
+    """The pacer's inter-op sleep, slept on the caller's clock
+    (``client.clock``) from where the last call's API overhead ends."""
+    return client.clock.sleep(pacer.interval_at(client.now))
 
 
 def _drive_nonblocking(client, ops: Sequence[Op], api: str, window: int,

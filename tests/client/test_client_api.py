@@ -369,6 +369,42 @@ class TestRecords:
         ops = [r.op for r in client.records]
         assert ops == ["get"]  # the internal repopulation set is hidden
 
+    def test_a_blocking_miss_is_blocked_time_once(self):
+        """A blocking GET miss blocks its caller through the backend
+        fetch and the set that repopulates the cache. That set is no
+        operation of its own: the client's blocked total is the sum of
+        its records' blocked times, not that plus the set's."""
+        cluster = small_cluster(profiles.RDMA_MEM)
+        cluster.backend.default_value_length = 4 * KB
+        client = cluster.clients[0]
+
+        def app(sim):
+            yield from client.get(b"absent-1")
+            yield from client.get(b"absent-2")
+
+        run_app(cluster, app)
+        assert [r.status for r in client.records] == [MISS, MISS]
+        assert client.total_blocked == pytest.approx(
+            sum(r.blocked_time for r in client.records), rel=1e-12)
+
+    def test_a_polled_miss_fetch_blocks_nobody(self):
+        """``test()`` starts a completed miss's backend fetch and cache
+        repopulation in the background, off the caller's critical path:
+        the caller blocked only in its ``iget`` call."""
+        cluster = small_cluster(profiles.H_RDMA_OPT_NONB_I)
+        cluster.backend.default_value_length = 4 * KB
+        client = cluster.clients[0]
+
+        def app(sim):
+            req = yield from client.iget(b"absent")
+            while not client.test(req):
+                yield sim.timeout(1 * US)
+
+        run_app(cluster, app)
+        (rec,) = client.records
+        assert rec.status == MISS and rec.value_length == 4 * KB
+        assert client.total_blocked == rec.blocked_time
+
 
 class TestMultiServer:
     def test_keys_spread_over_servers(self):

@@ -98,7 +98,7 @@ def run_scenario_once():
 
 @pytest.fixture
 def broken_replica_barrier(monkeypatch):
-    def broken(self, req):
+    def broken(self, req, clock):
         self._replica_subs.pop(req.req_id, None)
         return
         yield
