@@ -25,20 +25,26 @@ really wait for a later instant, read off the simulator's tie-break
 counter (one draw per push). The third is generator resumes per
 operation — calls of ``Process._resume``, counted by a spy this file
 installs (the engine keeps no counter of its own); it is recorded as it
-is today, the cost ROADMAP item 3 is about, not a target. A failing
-budget prints the moved columns, the entry to paste, and the events of
-one more operation, one per line. The file's ``device`` table holds the
-same three columns for one I/O on a bare block device.
+is today, the cost ROADMAP item 3 is about, not a target. The fourth
+is objects constructed per operation, counted by a ``sys.setprofile``
+hook: each ``__init__`` frame of a class defined in the package, and
+each ``object.__new__`` call its code makes (timers are made that way).
+It is pinned with the profiler off, which constructs its own records.
+A failing budget prints the moved columns, the entry to paste, and the
+events of one more operation, one per line. The file's ``device`` table
+holds the same four columns for one I/O on a bare block device.
 """
 
 import collections
 import dataclasses
 import itertools
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro import build_cluster, profiles
 from repro.core.cluster import ClusterSpec, ReplicationConfig
 from repro.core.topology import TopologyConfig
@@ -335,9 +341,41 @@ def _flushing_cluster(profiled):
     return cluster, op
 
 
-def _costs_for(sim, op, n, resumes):
+#: The package's source directory: an ``object.__new__`` call counts as
+#: a construction when code under it makes it.
+_SRC = str(Path(repro.__file__).parent)
+
+
+def _object_counter(count):
+    """A ``sys.setprofile`` hook adding one to ``count[0]`` per object the
+    package constructs: each ``__init__`` frame of a class defined in it
+    (a ``super().__init__`` call is a frame of its own), and each
+    ``object.__new__`` call its code makes (the timers' fast path)."""
+    new = object.__new__
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_name != "__init__" or not code.co_argcount:
+                return
+            obj = frame.f_locals[code.co_varnames[0]]
+            for cls in type(obj).__mro__:
+                init = cls.__dict__.get("__init__")
+                if getattr(init, "__code__", None) is code:
+                    if cls.__module__.startswith("repro."):
+                        count[0] += 1
+                    return
+        elif event == "c_call" and arg is new and \
+                frame.f_code.co_filename.startswith(_SRC):
+            count[0] += 1
+
+    return hook
+
+
+def _costs_for(sim, op, n, resumes, objects):
     """``(events popped, heap pushes, generator resumes)`` of ``n``
-    operations, each one ``yield from op()``."""
+    operations, each one ``yield from op()``, and with ``objects`` the
+    objects constructed."""
 
     def app():
         for _ in range(n):
@@ -346,10 +384,17 @@ def _costs_for(sim, op, n, resumes):
     # Every heap push draws one tie-break value, so two draws of our own
     # bracket the run's (the lane draws none).
     before = sim.events_processed, next(sim._counter), resumes[0]
-    sim.run(until=sim.spawn(app()))
-    return (sim.events_processed - before[0],
-            next(sim._counter) - before[1] - 1,
-            resumes[0] - before[2])
+    made = [0]
+    if objects:
+        sys.setprofile(_object_counter(made))
+    try:
+        sim.run(until=sim.spawn(app()))
+    finally:
+        sys.setprofile(None)
+    costs = (sim.events_processed - before[0],
+             next(sim._counter) - before[1] - 1,
+             resumes[0] - before[2])
+    return costs + (made[0],) if objects else costs
 
 
 def _callback_name(cb):
@@ -451,18 +496,23 @@ def _event_list(sim, op):
     return "\n".join(lines)
 
 
-def _per_op(sim, op, resumes):
-    """Exact ``{events, pushes, resumes}`` of one operation, from runs of
-    10 and 20 (which must agree), or the mismatch message's event list."""
-    ten = _costs_for(sim, op, 10, resumes)
-    twenty = _costs_for(sim, op, 20, resumes)
+def _per_op(sim, op, resumes, objects=True):
+    """Exact ``{events, pushes, resumes}`` of one operation, and with
+    ``objects`` the objects it constructs, from runs of 10 and 20 (which
+    must agree), or the mismatch message's event list."""
+    ten = _costs_for(sim, op, 10, resumes, objects)
+    twenty = _costs_for(sim, op, 20, resumes, objects)
     # The driver process costs two lane events per run (its Initialize
-    # and its observed end) and one resume (its start; every other one
-    # happens inside an operation); everything else is the operations'.
-    per_op = [((ten[0] - 2) / 10, ten[1] / 10, (ten[2] - 1) / 10),
-              ((twenty[0] - 2) / 20, twenty[1] / 20, (twenty[2] - 1) / 20)]
+    # and its observed end), one resume (its start; every other one
+    # happens inside an operation) and three constructions (its
+    # Initialize, and its Process with that one's Event.__init__);
+    # everything else is the operations'.
+    driver = (2, 0, 1, 3)
+    per_op = [tuple((c - d) / n for c, d in zip(costs, driver))
+              for costs, n in ((ten, 10), (twenty, 20))]
     got = {col: int(n) if n.is_integer() else n
-           for col, n in zip(("events", "pushes", "resumes"), per_op[0])}
+           for col, n in zip(("events", "pushes", "resumes", "objects"),
+                             per_op[0])}
     return got, per_op[0] == per_op[1]
 
 
@@ -479,8 +529,15 @@ def test_events_per_op_is_exactly_the_budget(case, profiled, resumes):
         cluster = _warm_cluster(profile, profiled,
                                 variant if variant in VARIANTS else "")
     client, sim = cluster.clients[0], cluster.sim
-    got, steady = _per_op(sim, lambda: op(client), resumes)
-    msg = mismatch(case, got, PINS)
+    # The profiler constructs its records as it samples, so the objects
+    # column is pinned with it off.
+    got, steady = _per_op(sim, lambda: op(client), resumes,
+                          objects=not profiled)
+    pins = PINS
+    if profiled:
+        pins = {case: {col: n for col, n in PINS[case].items()
+                       if col != "objects"}}
+    msg = mismatch(case, got, pins)
     assert steady and not msg, (
         f"{msg}\nevents of one more operation (2 of them the driver's):\n"
         + _event_list(sim, lambda: op(client)))
