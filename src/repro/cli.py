@@ -39,6 +39,15 @@ from repro.workloads.ycsb import CORE_WORKLOADS, generate_ycsb_ops
 DEVICES = {"sata": SATA_SSD, "nvme": NVME_SSD}
 
 
+def _scale(text: str) -> int:
+    """``--scale``: the figures divide the paper's sizes by it, so it is
+    a whole number of at least 1."""
+    scale = int(text)
+    if scale < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {scale}")
+    return scale
+
+
 def _add_cluster_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", default="h-rdma-opt-nonb-i",
                    choices=sorted(ALL_PROFILES),
@@ -531,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="regenerate a paper table/figure")
     rep_p.add_argument("--figure", default="all",
                        choices=["all", *figures.FIGURES])
-    rep_p.add_argument("--scale", type=int, default=16)
+    rep_p.add_argument("--scale", type=_scale, default=16)
     rep_p.add_argument("--ops", type=int, default=1200)
     rep_p.set_defaults(func=cmd_reproduce)
 
@@ -540,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "build (artifact evaluation), or — with "
                                 "--seed — replay one consistency-fuzz "
                                 "scenario and check its history")
-    chk_p.add_argument("--scale", type=int, default=16)
+    chk_p.add_argument("--scale", type=_scale, default=16)
     chk_p.add_argument("--ops", type=int, default=None,
                        help="claims: ops per run (default 1200); "
                             "consistency: ops per client (default 120)")
@@ -576,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["all", *figures.FIGURES])
     exp_p.add_argument("--out", default="figure_data",
                        help="output directory (or file for one figure)")
-    exp_p.add_argument("--scale", type=int, default=16)
+    exp_p.add_argument("--scale", type=_scale, default=16)
     exp_p.add_argument("--ops", type=int, default=1200)
     exp_p.set_defaults(func=cmd_export)
 

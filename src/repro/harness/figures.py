@@ -354,7 +354,10 @@ def fig8b(scale: int = 16,
     """
     num_servers = 4
     agg_mem = BASE_SERVER_MEM // scale
-    total_bytes = 4 * GB // scale
+    # A whole number of the largest block (at least one), so that every
+    # block size divides it at any scale.
+    largest = max(block_sizes)
+    total_bytes = max(1, 4 * GB // scale // largest) * largest
     rows = []
     for device, device_name in ((SATA_SSD, "SATA"), (NVME_SSD, "NVMe")):
         for block_size in block_sizes:

@@ -556,10 +556,11 @@ class HybridSlabManager:
     def _remove_item(self, item: Item, keep_table: bool = False) -> None:
         if not keep_table:
             self.table.pop(item.key, None)
-        if item.in_ram:
+        location = item.location
+        if location == RAM:
             self.allocator.classes[item.clsid].lru.remove(item)
             self.allocator.free_chunk(item)
-        elif item.on_ssd:
+        elif location == SSD:
             self._remove_from_slot(item, item.chunk_index)
         # Mark dead: concurrent readers holding this item must not touch
         # the LRU or promote it.

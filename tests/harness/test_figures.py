@@ -193,3 +193,17 @@ class TestFig8b:
                                          / sub["H-RDMA-Opt-Block"])
             # Larger blocks expose more overlap (paper Sec VI-G).
             assert improvement[16 * MB] >= improvement[2 * MB] - 5, dev
+
+    def test_any_scale_runs_whole_blocks(self):
+        # 4 GiB / 48 is no whole number of 16 MiB blocks: the workload
+        # rounds down to five of them, 80 MiB for either block size.
+        rows = figures.fig8b(scale=48, block_sizes=(2 * MB, 16 * MB))
+        for r in rows:
+            # Every block is written once and read once.
+            assert r["blocks"] * r["block_size"] == 2 * 80 * MB, r
+
+    @pytest.mark.parametrize("scale", [32, 64])
+    def test_a_power_of_two_scale_keeps_its_bytes(self, scale):
+        rows = figures.fig8b(scale=scale, block_sizes=(16 * MB,))
+        assert {r["blocks"] * r["block_size"] for r in rows} == {
+            2 * 4096 * MB // scale}

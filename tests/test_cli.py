@@ -146,6 +146,15 @@ def test_reproduce_table1(capsys):
     assert "This Paper" in out
 
 
+@pytest.mark.parametrize("command", ["reproduce", "check", "export"])
+@pytest.mark.parametrize("scale", ["0", "-3"])
+def test_scale_below_one_rejected(capsys, command, scale):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scale", scale])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_unknown_profile_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--profile", "bogus"])

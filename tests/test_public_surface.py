@@ -30,7 +30,6 @@ ALLOWED = {
     # benchmarks/kvbench (micro.py, measure.py)
     "repro.sim.resources.Store": "kvbench",
     "repro.net.transport.Endpoint.recv": "kvbench",
-    "repro.net.ipoib.IPoIBEndpoint.recv": "kvbench",
     "repro.client.request.OpRecord.stages": "kvbench",
     "repro.core.metrics.load_imbalance": "kvbench",
     # test oracles
@@ -58,6 +57,8 @@ ALLOWED = {
     "repro.client.client.MemcachedClient.outstanding_count": "accessor",
     "repro.sim.events.Process.is_alive": "accessor",
     "repro.server.hybrid.HybridSlabManager.live_slot_count": "accessor",
+    "repro.server.item.Item.in_ram": "accessor",
+    "repro.server.item.Item.on_ssd": "accessor",
     "repro.core.cluster.Cluster.total_items": "accessor",
     "repro.consensus.raft.RaftGroup.elections": "accessor",
     # documented API
