@@ -44,6 +44,7 @@ from repro.client.backend import BackendDatabase
 from repro.client.buffers import BufferPool
 from repro.client.hashing import RouterTable
 from repro.client.request import MemcachedReq, OpRecord
+from repro.net.fabric import Message
 from repro.net.transport import Endpoint
 from repro.obs.api import NULL_OBS, Observability
 from repro.obs.profile import profile_message
@@ -1520,15 +1521,16 @@ class MemcachedClient:
         else:
             endpoint.listen(receiver)
 
-    def _on_buffer_ack(self, ack: BufferAck, msg) -> None:
+    def _on_buffer_ack(self, msg: Message) -> None:
         """The server sent a BufferAck: the request's buffers are free
         once it lands, which costs a timer only if someone waits."""
+        ack: BufferAck = msg.payload
         req = self._outstanding.get(ack.req_id)
         if req is not None:
             req.ack_point(msg)
 
-    def _on_response(self, conn: ServerConn, delivery) -> None:
-        response: Response = delivery.payload
+    def _on_response(self, conn: ServerConn, msg: Message) -> None:
+        response: Response = msg.payload
         req = self._outstanding.pop(response.req_id, None)
         if req is None:
             # Late response for an op already declared SERVER_DOWN,

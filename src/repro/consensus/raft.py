@@ -41,6 +41,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional
 
+from repro.net.fabric import Message
 from repro.net.transport import connect_ipoib
 
 FOLLOWER = "follower"
@@ -157,11 +158,11 @@ class RaftNode:
         for peer in self.endpoints:
             self._send(peer, msg, nbytes)
 
-    def _receive(self, delivery) -> None:
+    def _receive(self, msg: Message) -> None:
         """Every peer endpoint's receiver: a message is handled as it
         is delivered."""
         if self.live():  # a crashed/partitioned node drops everything
-            self._dispatch(delivery.payload)
+            self._dispatch(msg.payload)
 
     # -- timers ------------------------------------------------------------
 

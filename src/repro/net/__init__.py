@@ -3,19 +3,20 @@
 The model is a star fabric (single full-bisection switch, matching the
 paper's rack-level topology on SDSC Comet). Each node owns a NIC whose
 transmit side serializes messages at link bandwidth; propagation adds a
-fixed one-way latency. Two transports run on top:
+fixed one-way latency. A transfer is one :class:`Message`, from the
+sender's NIC to the consumer, which is handed that same object. Two
+transports run on top (:mod:`repro.net.transport`):
 
-* :class:`repro.net.transport.RdmaEndpoint` — the RDMA runtime the
+* :class:`~repro.net.transport.RdmaEndpoint` — the RDMA runtime the
   Memcached protocol runs on: two-sided header sends with
   sub-microsecond receive CPU, and one-sided value writes (after a
   receive-buffer credit) and polled BufferAcks that cost the remote CPU
   nothing.
-* :mod:`repro.net.ipoib` — TCP/IP-over-InfiniBand streams with kernel
-  stack overheads and reduced effective bandwidth.
+* :class:`~repro.net.transport.IPoIBEndpoint` — TCP/IP-over-InfiniBand
+  streams with kernel stack overheads and reduced effective bandwidth.
 """
 
 from repro.net.fabric import Fabric, Message, NIC, Node
-from repro.net.ipoib import IPoIBConnection
 from repro.net.params import FDR_IPOIB, FDR_RDMA, LinkParams
 
 __all__ = [
@@ -26,5 +27,4 @@ __all__ = [
     "LinkParams",
     "FDR_RDMA",
     "FDR_IPOIB",
-    "IPoIBConnection",
 ]

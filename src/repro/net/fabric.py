@@ -5,8 +5,8 @@ A :class:`Message` moves through three observable points:
 1. *on wire* — the sender's NIC finished serializing it; the sender's
    buffers are free for reuse (this is what ``bset``/``bget`` wait for).
 2. *delivered* — the last byte arrived at the destination NIC.
-3. consumption — a higher layer (an endpoint's receiver or inbox) hands
-   it to the application.
+3. consumption — the destination endpoint, ``msg.to``, hands the
+   message itself to its receiver (or inbox).
 
 The transmit side of each NIC is one pipe, so concurrent messages from
 one node serialize — this is what creates client-side NIC contention in
@@ -26,16 +26,17 @@ the instant its CPU ends). They are plain numbers on the message,
 event a message costs the engine is the timer that delivers it, posted
 at ``at``. The events
 ``msg.on_wire`` and ``msg.delivered`` are timers made for whoever asks
-before the instant (already processed from the instant on). Frames that
+before the instant (already processed from the instant on). Messages that
 arrive in the same instant are handled in the order they were handed to
 their NICs.
 
 The same rule holds on the receive side. A stream socket whose consumer
-pays the kernel receive (``rx``: serial CPU per socket, known at
-submit) keeps the instant that receive falls idle, and the message's one
-timer is due when its receive ends,
+pays the kernel receive (serial CPU per socket, known at submit: a
+destination whose ``rx_free_at`` is not None) keeps the instant that
+receive falls idle, and the message's one timer is due when its receive
+ends,
 
-    rx_start  = max(delivered_at, rx.rx_free_at)
+    rx_start  = max(delivered_at, to.rx_free_at)
     taken_at  = rx_start + recv_cpu
 
 posted at ``rx_start``, where a receive loop would have started that
@@ -47,7 +48,7 @@ it wants to) costs no event at all: its arrival exists only as the
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Optional, Set, Tuple
 
 from repro.net.params import LinkParams
 from repro.obs.api import NULL_OBS, Observability
@@ -55,20 +56,22 @@ from repro.sim import Event, SimulationError, Simulator, Timeout
 
 
 class Message:
-    """One transfer over the fabric.
+    """One transfer over the fabric, and what its consumer is handed.
 
-    ``payload`` is an arbitrary Python object (protocol header, value
-    descriptor, ...). ``nbytes`` is the size that occupies the wire.
+    ``to`` is the destination endpoint: anything with an ``arrive(msg)``
+    and an ``rx_free_at`` (see :meth:`NIC.transmit`). ``payload`` is an
+    arbitrary Python object (protocol header, value descriptor, ...).
+    ``nbytes`` is the size that occupies the wire.
     """
 
-    __slots__ = ("src", "dst", "nbytes", "payload", "one_sided", "recv_cpu",
+    __slots__ = ("src", "to", "nbytes", "payload", "one_sided", "recv_cpu",
                  "at", "wire_at", "delivered_at", "_on_wire", "_delivered")
 
-    def __init__(self, src: "NIC", dst: "NIC", nbytes: int, payload: Any,
+    def __init__(self, src: "NIC", to: Any, nbytes: int, payload: Any,
                  one_sided: bool, recv_cpu: float, at: float,
                  wire_at: float, delivered_at: float):
         self.src = src
-        self.dst = dst
+        self.to = to
         self.nbytes = nbytes
         self.payload = payload
         #: True for one-sided RDMA ops: the destination CPU is not involved.
@@ -125,8 +128,6 @@ class NIC:
         #: The instant the transmit pipe falls idle (the DMA/wire is one
         #: pipe: a message starts serializing no earlier than this).
         self.busy_until = 0.0
-        #: Called with each delivered Message; installed by the transport.
-        self.deliver: Optional[Callable[[Message], None]] = None
         #: The clients wired to send through this NIC. One of them alone
         #: may hand a message over ahead of its send instant; with more,
         #: each sends at its own now (the pipe must see sends in time
@@ -186,9 +187,9 @@ class NIC:
             pending.popleft()
         return now
 
-    def transmit(self, dst: "NIC", nbytes: int, payload: Any = None,
+    def transmit(self, to: Any, nbytes: int, payload: Any = None,
                  one_sided: bool = False, recv_cpu: float = 0.0,
-                 rx: Any = None, polled: bool = False,
+                 polled: bool = False,
                  at: Optional[float] = None) -> Message:
         """Start an asynchronous transfer; returns the in-flight Message.
 
@@ -205,8 +206,9 @@ class NIC:
         back-to-back sleeps would add them up, ``(start + busy) +
         latency``, which ``start + (busy + latency)`` is not.
 
-        ``rx`` is the destination socket when its consumer pays the
-        kernel receive (an object with a float ``rx_free_at``): the
+        ``to`` is the destination endpoint, whose ``arrive`` is called
+        with the message at its delivery. When its ``rx_free_at`` is a
+        float, not None, its consumer pays the kernel receive: the
         message is handed over once that receive ends. ``polled``
         schedules nothing (see the module docs).
         """
@@ -220,13 +222,13 @@ class NIC:
         wire_at = start + (self._cpu_send + self._serialize(nbytes))
         self.busy_until = wire_at
         delivered_at = wire_at + self._latency
-        msg = Message(self, dst, nbytes, payload, one_sided, recv_cpu,
+        msg = Message(self, to, nbytes, payload, one_sided, recv_cpu,
                       at, wire_at, delivered_at)
-        if rx is not None:
-            rx_start = rx.rx_free_at
+        rx_start = to.rx_free_at
+        if rx_start is not None:
             if rx_start < delivered_at:
                 rx_start = delivered_at
-            taken_at = rx.rx_free_at = rx_start + recv_cpu
+            taken_at = to.rx_free_at = rx_start + recv_cpu
             Timeout.at(sim, taken_at, msg, posted=rx_start).callbacks.append(
                 self._delivered)
         elif not polled:
@@ -251,16 +253,7 @@ class NIC:
     @staticmethod
     def _delivered(timer: Event) -> None:
         msg = timer._value
-        deliver = msg.dst.deliver
-        if deliver is not None:
-            deliver(msg)
-        else:
-            payload = msg.payload
-            if payload is not None:
-                # Self-routing frames (RDMA / IPoIB) dispatch themselves.
-                route = getattr(payload, "deliver", None)
-                if route is not None:
-                    route(msg)
+        msg.to.arrive(msg)
 
 
 class Node:

@@ -13,63 +13,78 @@ whose ``on_wire`` event is the *buffer-reuse* point the paper's
 ``bset``/``bget`` APIs wait on, and whose ``delivered`` event marks
 arrival at the peer. The message knows both instants from the moment it
 is sent (``wire_at`` / ``delivered_at``); its delivery is the one event
-it costs — the frame is handed to the peer's receiver when it pops (on
-a stream socket that pays its kernel receive, once that receive ends) —
-and ``on_wire`` is a timer created only for a caller that asks. A
-polled write (:meth:`RdmaEndpoint.write_polled`) costs no event: the
-peer reads its ``delivered`` milestone when it polls.
+it costs, and ``on_wire`` is a timer created only for a caller that
+asks. The message is the only object of a transfer: its ``to`` is the
+peer endpoint, whose :meth:`Endpoint.arrive` hands that very message to
+the peer's receiver (or, without one, its inbox) as it is delivered.
 
 :class:`RdmaEndpoint` on a :class:`~repro.net.fabric.NIC` is the
 simulator's only RDMA model. The Memcached runtime's three parts all
 ride it: the request header is a two-sided send, and two polled writes
 (:meth:`RdmaEndpoint.write_polled`) carry the rest — a SET's value,
 written once the server has granted a receive-buffer credit and found
-by the server worker polling that buffer, and the server's BufferAck.
-Frames go straight to the peer endpoint's receiver (or, without one,
-its inbox); a polled write goes to the peer's poller as it is sent.
+by the server worker polling that buffer, and the server's BufferAck. A
+polled write costs no event: it goes to the peer's poller as it is
+sent, and the peer reads its ``delivered`` milestone when it polls.
+
+:class:`IPoIBEndpoint` is one side of a TCP socket running over the IB
+HCA in IPoIB mode: every message crosses the kernel stack on both ends
+(``cpu_send``/``cpu_recv`` from :data:`repro.net.params.FDR_IPOIB`), is
+segmented at the IPoIB MTU, and sees roughly a third of the native link
+bandwidth. There are no one-sided operations. A socket whose consumer
+pays the kernel receive (:meth:`IPoIBEndpoint.listen`) keeps it as a
+clock: the receive is serial CPU per socket and its time is known when
+the peer sends, so each message is handed over ``cpu_recv`` after it
+arrived and the message before it was received (see
+:mod:`repro.net.fabric`). The clock advances in send order, so a stream
+socket never reorders: messages reach the receiver in the order they
+were sent, even when a later one arrives first (a ``link_degrade``
+restored mid-batch shortens the latency of what is sent after it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from repro.net.fabric import Message, Node
-from repro.net.ipoib import Delivery, IPoIBConnection, IPoIBEndpoint
 from repro.net.params import FDR_IPOIB, FDR_RDMA, LinkParams
 from repro.sim import Mailbox, Simulator
 
 
 class Endpoint:
-    """Abstract one side of a connection. Concrete: RDMA or IPoIB."""
+    """One side of a connection. Concrete: RDMA or IPoIB."""
 
-    sim: Simulator
-    params: LinkParams
-    #: Called with each :class:`Delivery` as it arrives, in place of the
+    #: Whether ``send(..., one_sided=True)`` bypasses the peer's CPU.
+    supports_one_sided = False
+    #: Called with each :class:`Message` as it arrives, in place of the
     #: inbox: what a consumer that would only loop on ``recv()`` installs
     #: instead of a process. ``None`` buffers into :attr:`inbox`.
-    receiver: Optional[Callable[[Delivery], None]] = None
-    #: Called with the payload and in-flight :class:`Message` of each
-    #: polled write the peer sends (:meth:`RdmaEndpoint.write_polled`),
-    #: at the instant it is sent, in place of its delivery. ``None``:
-    #: polled writes arrive as frames like any other.
-    poller: Optional[Callable[[Any, Message], None]] = None
+    receiver: Optional[Callable[[Message], None]] = None
+    #: Called with the in-flight :class:`Message` of each polled write
+    #: the peer sends (:meth:`RdmaEndpoint.write_polled`), at the instant
+    #: it is sent, in place of its delivery. ``None``: polled writes
+    #: arrive like any other message.
+    poller: Optional[Callable[[Message], None]] = None
+    #: The instant this socket's kernel receive falls idle, once
+    #: :meth:`IPoIBEndpoint.listen` made the receiver pay it; None while
+    #: the consumer charges ``msg.recv_cpu`` itself (a server worker's
+    #: pickup) or reads through :meth:`recv`.
+    rx_free_at: Optional[float] = None
     _inbox: Optional[Mailbox] = None
 
-    def send(self, payload: Any, nbytes: int, one_sided: bool = False,
-             at: Optional[float] = None) -> Message:
-        """Transfer ``nbytes`` to the peer; ``payload`` rides along.
-        ``at`` is the send instant, now or later (see
-        :meth:`~repro.net.fabric.NIC.transmit`)."""
-        raise NotImplementedError
+    def __init__(self, sim: Simulator, nic):
+        self.sim = sim
+        self.nic = nic
+        self.params: LinkParams = nic.params
+        self.peer: "Endpoint" = None  # type: ignore[assignment]
 
     @property
     def inbox(self) -> Mailbox:
-        """Frames that arrived while no :attr:`receiver` was installed,
+        """Messages that arrived while no :attr:`receiver` was installed,
         in arrival order, for :meth:`recv`. Created on first use — by a
-        ``recv()`` or by such a frame — so an endpoint whose consumer is
-        a receiver (every server endpoint, every one-sided client
-        endpoint) never allocates one."""
+        ``recv()`` or by such a message — so an endpoint whose consumer
+        is a receiver (every server endpoint, every client endpoint)
+        never allocates one."""
         inbox = self._inbox
         if inbox is None:
             # Mailbox, not Store: delivery never blocks and never filters.
@@ -77,29 +92,12 @@ class Endpoint:
         return inbox
 
     def recv(self):
-        """Event producing the next :class:`Delivery` from the inbox."""
+        """Event producing the next :class:`Message` from the inbox."""
         return self.inbox.get()
 
-    @property
-    def supports_one_sided(self) -> bool:
-        raise NotImplementedError
-
-
-@dataclass(slots=True)
-class _RdmaEpFrame:
-    """Self-routing frame for endpoint-level RDMA transfers."""
-
-    dst: "RdmaEndpoint"
-    payload: Any
-    one_sided: bool
-
-    def deliver(self, msg: Message) -> None:
-        # msg.recv_cpu was computed at send time (0.0 for one-sided);
-        # re-deriving it here walked dst.params per delivery.
-        dst = self.dst
-        (dst.receiver or dst.inbox.put)(
-            Delivery(payload=self.payload, nbytes=msg.nbytes,
-                     recv_cpu=msg.recv_cpu, one_sided=self.one_sided))
+    def arrive(self, msg: Message) -> None:
+        """Hand a delivered message to its consumer."""
+        (self.receiver or self.inbox.put)(msg)
 
 
 class RdmaEndpoint(Endpoint):
@@ -111,19 +109,17 @@ class RdmaEndpoint(Endpoint):
     communication engine does.
     """
 
-    def __init__(self, sim: Simulator, nic):
-        self.sim = sim
-        self.nic = nic
-        self.params = nic.params
-        self.peer: "RdmaEndpoint" = None  # type: ignore[assignment]
+    supports_one_sided = True
 
     def send(self, payload: Any, nbytes: int, one_sided: bool = False,
              at: Optional[float] = None) -> Message:
-        frame = _RdmaEpFrame(dst=self.peer, payload=payload, one_sided=one_sided)
-        return self.nic.transmit(self.peer.nic, nbytes, payload=frame,
-                                 one_sided=one_sided,
-                                 recv_cpu=0.0 if one_sided else self.peer.params.cpu_recv,
-                                 at=at)
+        """Transfer ``nbytes`` to the peer; ``payload`` rides along.
+        ``at`` is the send instant, now or later (see
+        :meth:`~repro.net.fabric.NIC.transmit`)."""
+        peer = self.peer
+        return self.nic.transmit(
+            peer, nbytes, payload=payload, one_sided=one_sided,
+            recv_cpu=0.0 if one_sided else peer.params.cpu_recv, at=at)
 
     def write_polled(self, payload: Any, nbytes: int) -> Message:
         """A one-sided write the peer polls for instead of being woken
@@ -131,36 +127,55 @@ class RdmaEndpoint(Endpoint):
         write, but no event at its arrival. The peer's :attr:`poller`
         is handed the in-flight message now and reads its ``delivered``
         milestone if and when it cares; a peer without a poller gets
-        the write as a frame."""
+        the write delivered like any other message."""
         peer = self.peer
         poller = peer.poller
         if poller is None:
             return self.send(payload, nbytes, one_sided=True)
-        frame = _RdmaEpFrame(dst=peer, payload=payload, one_sided=True)
-        msg = self.nic.transmit(peer.nic, nbytes, payload=frame,
+        msg = self.nic.transmit(peer, nbytes, payload=payload,
                                 one_sided=True, polled=True)
-        poller(payload, msg)
+        poller(msg)
         return msg
 
-    @property
-    def supports_one_sided(self) -> bool:
-        return True
+
+class IPoIBEndpoint(Endpoint):
+    """One side of an IPoIB socket. IPoIB cannot bypass the remote CPU,
+    which is exactly the cost the paper's IPoIB-Mem baseline pays."""
+
+    def listen(self, receiver: Callable[[Message], None]) -> None:
+        """Install ``receiver`` behind the socket's kernel receive: it is
+        called with each message once that message's ``cpu_recv`` is
+        spent, in send order, where a receive loop would take it."""
+        self.receiver = receiver
+        self.rx_free_at = 0.0
+
+    def send(self, payload: Any, nbytes: int, one_sided: bool = False,
+             at: Optional[float] = None) -> Message:
+        """Stream ``nbytes`` to the peer, sent ``at`` (default: now; see
+        :meth:`~repro.net.fabric.NIC.transmit`). ``one_sided`` silently
+        degrades to a stream send: TCP always involves the remote CPU
+        (that is the point of this model)."""
+        peer = self.peer
+        return self.nic.transmit(peer, nbytes, payload=payload,
+                                 recv_cpu=peer.params.cpu_recv, at=at)
+
+
+def _connect(cls, sim: Simulator, node_a: Node, node_b: Node,
+             params: LinkParams) -> Tuple[Any, Any]:
+    ep_a = cls(sim, node_a.nic(params))
+    ep_b = cls(sim, node_b.nic(params))
+    ep_a.peer, ep_b.peer = ep_b, ep_a
+    return ep_a, ep_b
 
 
 def connect_rdma(sim: Simulator, node_a: Node, node_b: Node,
                  params: LinkParams = FDR_RDMA) -> Tuple[RdmaEndpoint, RdmaEndpoint]:
     """Create a connected pair of RDMA endpoints between two nodes."""
-    ep_a = RdmaEndpoint(sim, node_a.nic(params))
-    ep_b = RdmaEndpoint(sim, node_b.nic(params))
-    ep_a.peer, ep_b.peer = ep_b, ep_a
-    return ep_a, ep_b
+    return _connect(RdmaEndpoint, sim, node_a, node_b, params)
 
 
 def connect_ipoib(sim: Simulator, node_a: Node, node_b: Node,
                   params: LinkParams = FDR_IPOIB
                   ) -> Tuple[IPoIBEndpoint, IPoIBEndpoint]:
-    """Create a connected IPoIB socket between two nodes; its two
-    :class:`~repro.net.ipoib.IPoIBEndpoint` sides speak the
-    :class:`Endpoint` interface as they are."""
-    conn = IPoIBConnection(sim, node_a.nic(params), node_b.nic(params))
-    return conn.a, conn.b
+    """Create a connected IPoIB socket between two nodes."""
+    return _connect(IPoIBEndpoint, sim, node_a, node_b, params)

@@ -29,9 +29,9 @@ by :func:`repro.core.metrics.stage_breakdown`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional
 
+from repro.net.fabric import Message
 from repro.net.transport import Endpoint
 from repro.obs.api import NULL_OBS, Observability
 from repro.obs.profile import profile_message
@@ -256,12 +256,13 @@ class MemcachedServer:
     # -- wiring -----------------------------------------------------------
 
     def attach(self, endpoint: Endpoint) -> None:
-        """Serve one client connection: its frames are handled as they
+        """Serve one client connection: its messages are handled as they
         are delivered, by :meth:`_receive`, and on RDMA its SET values,
-        polled writes, as they are handed over, by :meth:`_poll_value`."""
-        endpoint.receiver = partial(self._receive, endpoint)
+        polled writes, as they are handed over, by :meth:`_poll_value`.
+        Both find the connection as the message's ``to``."""
+        endpoint.receiver = self._receive
         if endpoint.supports_one_sided:
-            endpoint.poller = partial(self._poll_value, endpoint)
+            endpoint.poller = self._poll_value
 
     def start(self) -> None:
         if self._started:
@@ -317,9 +318,9 @@ class MemcachedServer:
         # A queued RDMA SET header is lost with the queue, so its value's
         # rendezvous is dropped outright: a purge marker would wait for
         # a header that never comes.
-        lost = [(id(got[1]), got[0].payload.req_id)
-                for got in self._queue.drain()
-                if got is not _POISON and type(got[0].payload) is SetRequest]
+        lost = [(id(msg.to), msg.payload.req_id)
+                for msg in self._queue.drain()
+                if msg is not _POISON and type(msg.payload) is SetRequest]
         self._purge_value_waits()
         for key in lost:
             self._value_events.pop(key, None)
@@ -409,18 +410,19 @@ class MemcachedServer:
 
     # -- receive path ---------------------------------------------------------
 
-    def _receive(self, endpoint: Endpoint, delivery) -> None:
-        """The connection's receiver: runs inside the frame's delivery,
-        at the instant it arrives (the worker polling the receive buffer
-        picks the request up; no process sits in between)."""
-        payload = delivery.payload
+    def _receive(self, msg: Message) -> None:
+        """Every connection's receiver: runs inside the message's
+        delivery, at the instant it arrives (the worker polling the
+        receive buffer picks the request up; no process sits in
+        between)."""
+        payload = msg.payload
         if not (self.alive and self.reachable):
-            # Crashed or partitioned: the frame vanishes. No CPU is
+            # Crashed or partitioned: the message vanishes. No CPU is
             # charged — nobody is listening. An RDMA SET's header takes
             # the dropped marker of its value along (_purge_value_waits).
             self._m_dropped_rx.inc()
             if self._value_events and type(payload) is SetRequest:
-                key = (id(endpoint), payload.req_id)
+                key = (id(msg.to), payload.req_id)
                 if self._value_events.get(key) is self._dropped_value:
                     del self._value_events[key]
             return
@@ -429,30 +431,30 @@ class MemcachedServer:
             if prof.enabled:
                 for tid, px in self._trace_targets(payload):
                     prof.open_stage(tid, px + "server_queue")
-            self._enqueue(delivery, endpoint)
+            self._enqueue(msg)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected payload {payload!r}")
 
-    def _poll_value(self, endpoint: Endpoint, arrival: ValueArrival,
-                    msg) -> None:
-        """The connection's poller: a SET value the client RDMA-writes
-        into a receive buffer, handed over as the write is sent. The
+    def _poll_value(self, msg: Message) -> None:
+        """Every RDMA connection's poller: a SET value the client
+        RDMA-writes into a receive buffer, handed over as the write is
+        sent (``msg.to`` is the connection's endpoint). The
         worker finds it by polling that buffer, so its landing wakes
         nothing: the value goes to the SET's rendezvous now, stamped
         with the instant it lands (``msg.delivered_at``), and the worker
         starts its copy no earlier than that. A server that is down now
         may be up again where the value lands, as it may be for the
         value's header: for it, and only on this fault path, the value
-        lands on its ``delivered`` timer, where a frame's fate is
+        lands on its ``delivered`` timer, where a message's fate is
         decided (:meth:`_land_value`)."""
+        arrival: ValueArrival = msg.payload
         arrival.landed_at = msg.delivered_at
         if not (self.alive and self.reachable):
-            msg.delivered.callbacks.append(
-                partial(self._land_value, endpoint, arrival, msg))
+            msg.delivered.callbacks.append(self._land_value)
             return
         # req_ids are unique per client connection only; key the
         # rendezvous by (connection, req_id).
-        key = (id(endpoint), arrival.req_id)
+        key = (id(msg.to), arrival.req_id)
         events = self._value_events
         ev = events.get(key)
         if ev is None or ev is self._dropped_value:
@@ -463,27 +465,26 @@ class MemcachedServer:
         # header is not picked up yet finds the event processed.
         (ev._hand_off if ev.callbacks else ev.succeed)(arrival)
 
-    def _land_value(self, endpoint: Endpoint, arrival: ValueArrival,
-                    msg, _timer) -> None:
+    def _land_value(self, delivered) -> None:
         """A SET value polled while the server was down lands where it
         is delivered: on a server up again by then it is polled there,
-        and on one still down or unreachable it is dropped, as a frame
+        and on one still down or unreachable it is dropped, as a message
         would be."""
         if self.alive and self.reachable:
-            self._poll_value(endpoint, arrival, msg)
+            self._poll_value(delivered.value)
         else:
             self._m_dropped_rx.inc()
 
-    def _enqueue(self, delivery, endpoint: Endpoint) -> None:
-        """Hand a request frame to the worker pool; a parked worker
+    def _enqueue(self, msg: Message) -> None:
+        """Hand a request message to the worker pool; a parked worker
         picks it up inside this call."""
         if self.config.get_priority:
             # Reads skip ahead of writes (0 beats 1); gat rides the
             # read lane — its TTL refresh never flushes.
-            rank = 0 if delivery.payload.op in ("get", "mget", "gat") else 1
-            self._queue.put((delivery, endpoint), priority=rank)
+            rank = 0 if msg.payload.op in ("get", "mget", "gat") else 1
+            self._queue.put(msg, priority=rank)
         else:
-            self._queue.put((delivery, endpoint))
+            self._queue.put(msg)
 
     @staticmethod
     def _trace_targets(request: Request):
@@ -519,19 +520,18 @@ class MemcachedServer:
         tracer_on = tracer.enabled
         clock = BurstClock(sim)
         while True:
-            got = yield queue_get()
-            if got is _POISON:
+            msg = yield queue_get()
+            if msg is _POISON:
                 if gen != self._generation or not self.alive:
                     return  # crash teardown: this worker's pool is gone
                 continue
             if gen != self._generation:
                 # Superseded by a restart: hand the work to the new pool.
-                self._queue.put(got)
+                self._queue.put(msg)
                 return
-            delivery, endpoint = got
             start = sim._now
             self._busy_workers += 1
-            request = delivery.payload
+            request = msg.payload
             targets = ()
             if prof_on:
                 targets = self._trace_targets(request)
@@ -547,7 +547,7 @@ class MemcachedServer:
                 span = NULL_SPAN
             # Receive CPU and parse are one stage; the handler's first stage
             # rides its timer (a SET and an MGET sleep it in the handler).
-            clock.charge(delivery.recv_cpu, parse_cost)
+            clock.charge(msg.recv_cpu, parse_cost)
             parsed = clock.instant
             handler, lead = self._handlers[type(request)]
             if lead is not None:
@@ -556,7 +556,7 @@ class MemcachedServer:
                 prof.record(ptid, px + "server_cpu", start, parsed)
             if self.handoff is not None and lead is not None:
                 self._pull_on_miss(request)
-            yield from handler(request, endpoint, clock)
+            yield from handler(request, msg.to, clock)
             if span is not NULL_SPAN:
                 span.end()
             self._busy_workers -= 1

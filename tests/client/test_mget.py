@@ -136,7 +136,7 @@ def test_ipoib_mget_responses_keep_send_order_across_a_link_restore():
     after it arrive first. The client still takes them in send order,
     each one socket receive after the one before it."""
     from repro.faults import LINK_DEGRADE, FaultEvent, FaultPlan
-    from repro.net.ipoib import IPoIBEndpoint
+    from repro.net.transport import IPoIBEndpoint
     from repro.server.protocol import Response
 
     keys = [b"k%d" % i for i in range(12)]

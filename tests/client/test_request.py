@@ -103,9 +103,9 @@ def _iset_with_ack(read_early):
     acks = []
     transmit = NIC.transmit
 
-    def spy(nic, dst, nbytes, payload=None, *args, **kwargs):
-        msg = transmit(nic, dst, nbytes, payload, *args, **kwargs)
-        if isinstance(getattr(payload, "payload", None), BufferAck):
+    def spy(nic, to, nbytes, payload=None, *args, **kwargs):
+        msg = transmit(nic, to, nbytes, payload, *args, **kwargs)
+        if isinstance(payload, BufferAck):
             acks.append(msg)
         return msg
 

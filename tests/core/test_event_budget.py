@@ -486,9 +486,8 @@ def _event_list(sim, op):
         event = heap[0][3] if source == "heap" else lane[0]
         wakes = ", ".join(_callback_name(cb) for cb in event.callbacks)
         if NIC._delivered in event.callbacks:
-            # Which message this delivery hands over: the frame's payload.
-            frame = event._value.payload
-            wakes += f" [{type(getattr(frame, 'payload', frame)).__name__}]"
+            # Which message this delivery hands over.
+            wakes += f" [{type(event._value.payload).__name__}]"
         wakes += _process_stage(event) + _device_stage(event)
         sim.step()
         lines.append(f"{sim.now * 1e6:12.3f} us  {source}  "

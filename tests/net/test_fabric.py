@@ -14,11 +14,27 @@ from repro.sim import SimulationError, Simulator
 from repro.units import KB, MB, US
 
 
+class Sink:
+    """A stub destination endpoint on ``nic``: it records ``(instant,
+    message)`` of each arrival, and its consumer pays no kernel
+    receive."""
+
+    rx_free_at = None
+
+    def __init__(self, nic):
+        self.nic = nic
+        self.arrivals = []
+
+    def arrive(self, msg):
+        self.arrivals.append((self.nic.sim.now, msg))
+
+
 def make_pair(params=FDR_RDMA):
+    """A sending NIC and a stub endpoint on another node's NIC."""
     sim = Simulator()
     fabric = Fabric(sim)
     a = fabric.node("a").nic(params)
-    b = fabric.node("b").nic(params)
+    b = Sink(fabric.node("b").nic(params))
     return sim, a, b
 
 
@@ -76,7 +92,7 @@ def test_different_nics_do_not_contend():
     fabric = Fabric(sim)
     a = fabric.node("a").nic(FDR_RDMA)
     b = fabric.node("b").nic(FDR_RDMA)
-    c = fabric.node("c").nic(FDR_RDMA)
+    c = Sink(fabric.node("c").nic(FDR_RDMA))
     m1 = a.transmit(c, 1 * MB)
     m2 = b.transmit(c, 1 * MB)
     sim.run()
@@ -93,7 +109,7 @@ def test_traffic_accounting():
     sim.run()
     assert a.bytes_sent == 30 * KB
     assert a.messages_sent == 2
-    assert b.bytes_sent == 0
+    assert b.nic.bytes_sent == 0
 
 
 def test_zero_byte_message_costs_cpu_and_latency_only():
@@ -138,6 +154,7 @@ class TestLazyMilestones:
         gc.disable()
         try:
             sim.run()
+            b.arrivals.clear()  # the stub's own reference
             assert ref() is None
         finally:
             gc.enable()
@@ -205,10 +222,8 @@ class TestTransmitClock:
         # The third queues behind the first two, at the new rate.
         assert m3.wire_at == m2.wire_at + slow_busy
         assert m3.delivered_at == m3.wire_at + slow.latency
-        arrivals = []
-        b.deliver = lambda msg: arrivals.append((sim.now, msg))
         sim.run()
-        assert arrivals == [(m.delivered_at, m) for m in (m1, m2, m3)]
+        assert b.arrivals == [(m.delivered_at, m) for m in (m1, m2, m3)]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -230,9 +245,7 @@ class TestTransmitClock:
                 name=f"link{i}", latency=latency, bandwidth=bandwidth,
                 cpu_send=cpu_send, cpu_recv=0.0))
             for i, (latency, cpu_send, bandwidth) in enumerate(links)]
-        dst = fabric.node("dst").nic(FDR_RDMA)
-        arrivals = []
-        dst.deliver = lambda msg: arrivals.append((sim.now, msg))
+        dst = Sink(fabric.node("dst").nic(FDR_RDMA))
         sent = []
 
         def submit():
@@ -255,7 +268,7 @@ class TestTransmitClock:
         # Every message arrives, at its instant; ties pop in submit
         # order, which also makes each NIC's deliveries FIFO.
         order = {id(msg): i for i, (_t, msg) in enumerate(sent)}
-        assert arrivals == sorted(
+        assert dst.arrivals == sorted(
             ((msg.delivered_at, msg) for _t, msg in sent),
             key=lambda a: (a[0], order[id(a[1])]))
         # One event per message, plus the submitter's own (its start
@@ -285,7 +298,7 @@ def test_registry_metrics_and_tx_spans_keep_their_meaning():
     obs = Observability(sim, metrics=True, trace=True)
     fabric = Fabric(sim, obs=obs)
     a = fabric.node("a").nic(FDR_RDMA)
-    b = fabric.node("b").nic(FDR_RDMA)
+    b = Sink(fabric.node("b").nic(FDR_RDMA))
     one = FDR_RDMA.cpu_send + FDR_RDMA.serialize_time(1 * MB)
     msgs = [a.transmit(b, 1 * MB) for _ in range(3)]
 
@@ -328,10 +341,8 @@ class TestSendInstant:
         assert msg.delivered_at == msg.wire_at + FDR_RDMA.latency
         # The next one queues behind it, as if it were sent at ``at`` too.
         assert a.transmit(b, 4 * KB, at=at).wire_at == (at + one) + one
-        arrivals = []
-        b.deliver = lambda m: arrivals.append(sim.now)
         sim.run()
-        assert arrivals[0] == msg.delivered_at
+        assert b.arrivals[0] == (msg.delivered_at, msg)
         # Its delivery timer, and a milestone asked for before the send
         # instant, are posted at the send instant, where a message sent
         # then would have posted them.
@@ -345,7 +356,7 @@ class TestSendInstant:
         obs = Observability(sim, metrics=True)
         fabric = Fabric(sim, obs=obs)
         a = fabric.node("a").nic(FDR_RDMA)
-        b = fabric.node("b").nic(FDR_RDMA)
+        b = Sink(fabric.node("b").nic(FDR_RDMA))
         one = FDR_RDMA.cpu_send + FDR_RDMA.serialize_time(1 * MB)
         now_msg = a.transmit(b, 1 * MB)
         later = a.transmit(b, 1 * MB, at=0.5 * one)

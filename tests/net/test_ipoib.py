@@ -1,10 +1,10 @@
-"""Direct tests for the IPoIB stream transport module."""
+"""Direct tests for the IPoIB stream transport."""
 
 import pytest
 
 from repro.net.fabric import Fabric
-from repro.net.ipoib import Delivery, IPoIBConnection
 from repro.net.params import FDR_IPOIB, FDR_RDMA
+from repro.net.transport import connect_ipoib
 from repro.sim import Simulator
 from repro.units import KB, MB
 
@@ -13,24 +13,23 @@ from repro.units import KB, MB
 def conn():
     sim = Simulator()
     fabric = Fabric(sim)
-    c = IPoIBConnection(sim, fabric.node("a").nic(FDR_IPOIB),
-                        fabric.node("b").nic(FDR_IPOIB))
-    return sim, c
+    a, b = connect_ipoib(sim, fabric.node("a"), fabric.node("b"))
+    return sim, a, b
 
 
 def test_bidirectional_send_recv(conn):
-    sim, c = conn
+    sim, a, b = conn
     got = {}
 
     def side_b(sim):
-        d = yield c.b.recv()
-        got["b"] = d.payload
-        c.b.send("pong", 64)
+        msg = yield b.recv()
+        got["b"] = msg.payload
+        b.send("pong", 64)
 
     def side_a(sim):
-        c.a.send("ping", 64)
-        d = yield c.a.recv()
-        got["a"] = d.payload
+        a.send("ping", 64)
+        msg = yield a.recv()
+        got["a"] = msg.payload
 
     sim.spawn(side_b(sim))
     sim.spawn(side_a(sim))
@@ -39,36 +38,19 @@ def test_bidirectional_send_recv(conn):
 
 
 def test_stream_preserves_order(conn):
-    sim, c = conn
+    sim, a, b = conn
     seen = []
 
     def rx(sim):
         for _ in range(5):
-            d = yield c.b.recv()
-            seen.append(d.payload)
+            msg = yield b.recv()
+            seen.append(msg.payload)
 
     for i in range(5):
-        c.a.send(i, 1 * KB)
+        a.send(i, 1 * KB)
     sim.spawn(rx(sim))
     sim.run()
     assert seen == [0, 1, 2, 3, 4]
-
-
-def test_delivery_carries_kernel_cpu(conn):
-    sim, c = conn
-    out = {}
-
-    def rx(sim):
-        d = yield c.b.recv()
-        out["d"] = d
-
-    c.a.send("x", 4 * KB)
-    sim.spawn(rx(sim))
-    sim.run()
-    d: Delivery = out["d"]
-    assert d.recv_cpu == FDR_IPOIB.cpu_recv
-    assert not d.one_sided
-    assert d.nbytes == 4 * KB
 
 
 def test_mtu_segmentation_penalty():

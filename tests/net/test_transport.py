@@ -21,8 +21,8 @@ def test_rdma_endpoint_roundtrip(sim_fabric):
     got = []
 
     def server(sim):
-        d = yield srv.recv()
-        got.append(d)
+        msg = yield srv.recv()
+        got.append(msg)
 
     cli.send({"op": "get"}, 128)
     sim.spawn(server(sim))
@@ -42,7 +42,7 @@ def test_send_completes_on_a_link_that_costs_nothing():
     fabric = Fabric(sim)
     cli, srv = connect_rdma(sim, fabric.node("c"), fabric.node("s"), free)
     got = []
-    srv.receiver = lambda d: got.append((sim.now, d.payload))
+    srv.receiver = lambda msg: got.append((sim.now, msg.payload))
     msg = cli.send("now", 64)
     sim.run()
     assert sim.now == 0.0
@@ -55,7 +55,7 @@ def test_rdma_frames_arrive_in_send_order(sim_fabric):
     sim, fabric = sim_fabric
     cli, srv = connect_rdma(sim, fabric.node("c"), fabric.node("s"))
     got = []
-    srv.receiver = lambda d: got.append((sim.now, d.payload))
+    srv.receiver = lambda msg: got.append((sim.now, msg.payload))
     for i, nbytes in enumerate((64 * KB, 64, 1 * KB)):
         cli.send(i, nbytes)
     sim.run()
@@ -69,8 +69,8 @@ def test_rdma_one_sided_has_zero_recv_cpu(sim_fabric):
     got = []
 
     def server(sim):
-        d = yield srv.recv()
-        got.append(d)
+        msg = yield srv.recv()
+        got.append(msg)
 
     cli.send("bulk-value", 32 * KB, one_sided=True)
     sim.spawn(server(sim))
@@ -85,8 +85,8 @@ def test_ipoib_endpoint_roundtrip(sim_fabric):
     got = []
 
     def server(sim):
-        d = yield srv.recv()
-        got.append(d)
+        msg = yield srv.recv()
+        got.append(msg)
 
     cli.send("req", 128)
     sim.spawn(server(sim))
@@ -101,8 +101,8 @@ def test_ipoib_one_sided_degrades_to_stream(sim_fabric):
     got = []
 
     def server(sim):
-        d = yield srv.recv()
-        got.append(d)
+        msg = yield srv.recv()
+        got.append(msg)
 
     cli.send("v", 1 * KB, one_sided=True)
     sim.spawn(server(sim))
@@ -120,8 +120,8 @@ def test_rdma_faster_than_ipoib_for_same_payload(sim_fabric):
     times = {}
 
     def receiver(sim, ep, tag):
-        d = yield ep.recv()
-        yield sim.timeout(d.recv_cpu)
+        msg = yield ep.recv()
+        yield sim.timeout(msg.recv_cpu)
         times[tag] = sim.now
 
     r_cli.send("x", 32 * KB)
@@ -160,8 +160,8 @@ def test_polled_write_wakes_nobody_and_lands_at_delivered_at(sim_fabric):
     sim, fabric = sim_fabric
     srv, cli = connect_rdma(sim, fabric.node("s"), fabric.node("c"))
     polled = []
-    cli.receiver = lambda d: pytest.fail("a polled write reached the receiver")
-    cli.poller = lambda payload, msg: polled.append((sim.now, payload, msg))
+    cli.receiver = lambda _msg: pytest.fail("a polled write reached the receiver")
+    cli.poller = lambda msg: polled.append((sim.now, msg.payload, msg))
     msg = srv.write_polled("ack", 64)
     assert polled == [(0.0, "ack", msg)]  # told at send time
     sim.run()
@@ -190,7 +190,7 @@ def test_listened_ipoib_socket_takes_frames_after_its_receive_cpu(sim_fabric):
     sim, fabric = sim_fabric
     srv, cli = connect_ipoib(sim, fabric.node("s"), fabric.node("c"))
     taken = []
-    cli.listen(lambda d: taken.append((sim.now, d.payload)))
+    cli.listen(lambda msg: taken.append((sim.now, msg.payload)))
     msgs = [srv.send(i, 1 * KB) for i in range(3)]
     sim.run()
     # One event per frame: its receive end. The sender's pipe spaces the
@@ -199,3 +199,42 @@ def test_listened_ipoib_socket_takes_frames_after_its_receive_cpu(sim_fabric):
     assert sim.events_processed == 3
     assert taken == [(m.delivered_at + FDR_IPOIB.cpu_recv, i)
                      for i, m in enumerate(msgs)]
+
+
+#: Each way a message reaches its consumer: how it is sent, how the
+#: peer takes it, and the receive CPU and one-sidedness it carries.
+PATHS = {
+    "rdma-two-sided": (connect_rdma, "send", "receiver", FDR_RDMA.cpu_recv, False),
+    "rdma-one-sided": (connect_rdma, "one-sided", "receiver", 0.0, True),
+    "polled-write-to-a-poller": (connect_rdma, "polled", "poller", 0.0, True),
+    "polled-write-without-a-poller": (connect_rdma, "polled", "receiver", 0.0, True),
+    "ipoib-listen": (connect_ipoib, "send", "listen", FDR_IPOIB.cpu_recv, False),
+    "ipoib-recv": (connect_ipoib, "send", "recv", FDR_IPOIB.cpu_recv, False),
+}
+
+
+@pytest.mark.parametrize("path", list(PATHS))
+def test_the_consumer_gets_the_message_that_was_sent(sim_fabric, path):
+    """A transfer is one object: on every path the peer's consumer is
+    handed the very message ``send``/``write_polled`` returned."""
+    connect, kind, take, recv_cpu, one_sided = PATHS[path]
+    sim, fabric = sim_fabric
+    a, b = connect(sim, fabric.node("a"), fabric.node("b"))
+    got = []
+    if take == "recv":
+        def consumer():
+            got.append((yield b.recv()))
+        sim.spawn(consumer())
+    elif take == "listen":
+        b.listen(got.append)
+    else:
+        setattr(b, take, got.append)
+    if kind == "polled":
+        msg = a.write_polled("x", 4 * KB)
+    else:
+        msg = a.send("x", 4 * KB, one_sided=kind == "one-sided")
+    sim.run()
+    assert len(got) == 1 and got[0] is msg
+    assert msg.to is b
+    assert (msg.payload, msg.nbytes, msg.recv_cpu, msg.one_sided) == (
+        "x", 4 * KB, recv_cpu, one_sided)

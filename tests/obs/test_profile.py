@@ -1,6 +1,7 @@
 """Unit tests for the causal profiler: attribution, trees, sketches."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -220,11 +221,12 @@ def test_null_profiler_is_inert():
 
 
 def _send(nbytes=4096, params=FDR_RDMA):
-    """One real message, just handed to an idle NIC at t=0."""
+    """One real message, just handed to an idle NIC at t=0, for a stub
+    destination endpoint that drops it."""
     sim = Simulator()
     fabric = Fabric(sim)
-    msg = fabric.node("a").nic(params).transmit(
-        fabric.node("b").nic(params), nbytes)
+    to = SimpleNamespace(rx_free_at=None, arrive=lambda msg: None)
+    msg = fabric.node("a").nic(params).transmit(to, nbytes)
     return sim, msg
 
 
@@ -305,10 +307,13 @@ def test_profiled_and_unprofiled_bursts_pop_the_same_events():
     def burst(profiled):
         sim = Simulator()
         fabric = Fabric(sim)
-        a, b = (fabric.node(n).nic(FDR_RDMA) for n in "ab")
+        a = fabric.node("a").nic(FDR_RDMA)
         prof = RequestProfiler(clock=lambda: sim.now)
         popped = []
-        b.deliver = lambda msg: popped.append((sim.now, msg.nbytes))
+        # A stub destination endpoint that records each arrival.
+        b = SimpleNamespace(
+            rx_free_at=None,
+            arrive=lambda msg: popped.append((sim.now, msg.nbytes)))
 
         def app():
             for nbytes in (64, 32768, 4096, 4096):

@@ -350,9 +350,9 @@ def test_window_bursts_are_the_engine_and_nic_recursions(
     for client in cluster.clients:
         free = 0.0
         for nic, msg in sent:
-            if owner.get(msg.payload.dst) is not client:
+            if owner.get(msg.to) is not client:
                 continue
-            body = msg.payload.payload
+            body = msg.payload
             if isinstance(body, ValueArrival):
                 # Sent where its credit was granted: the engine is free.
                 assert msg.at >= free
@@ -491,11 +491,11 @@ def test_nonblocking_calls_are_the_sleep_per_call_schedule(
     nic = client._conns[0].endpoint.nic
     ours = [m for n, m in sent if n is nic]
     first, busy = {}, 0.0
-    for msg in sorted(ours, key=lambda m: at[m.payload.payload.req_id]):
-        busy = max(at[msg.payload.payload.req_id], busy) + (
+    for msg in sorted(ours, key=lambda m: at[m.payload.req_id]):
+        busy = max(at[msg.payload.req_id], busy) + (
             nic._cpu_send + nic._serialize(msg.nbytes))
-        first.setdefault(msg.payload.payload.req_id, busy)
+        first.setdefault(msg.payload.req_id, busy)
     for req in calls:
         assert first[req.req_id] == min(
             m.wire_at for m in ours
-            if m.payload.payload.req_id == req.req_id), req.req_id
+            if m.payload.req_id == req.req_id), req.req_id

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from repro import build_cluster, profiles
 from repro.client.client import MemcachedClient
 from repro.core.cluster import ClusterSpec
-from repro.net.ipoib import IPoIBEndpoint
 from repro.net.params import FDR_IPOIB
+from repro.net.transport import IPoIBEndpoint
 from repro.server.protocol import Response
 from repro.units import KB, MB
 
@@ -43,9 +43,9 @@ def _run(cpu_recv, batches, value_length):
             sent.append((msg, payload))
         return msg
 
-    def spy_response(client, conn, delivery):
-        taken.append((client.sim.now, delivery.payload))
-        on_response(client, conn, delivery)
+    def spy_response(client, conn, msg):
+        taken.append((client.sim.now, msg.payload))
+        on_response(client, conn, msg)
 
     params = dataclasses.replace(FDR_IPOIB, cpu_recv=cpu_recv)
     with mock.patch.object(IPoIBEndpoint, "send", spy_send), \

@@ -65,7 +65,7 @@ costs = st.builds(ServerCosts, parse=cost, hash_lookup=cost,
 def _run(profile, server_costs, value_length):
     """One SET then one GET of the same key, a touch and a gat of it,
     and two incrs of a counter (the first creates it). Returns what the
-    server received (``(instant, recv_cpu, payload)``: a frame as it is
+    server received (``(instant, recv_cpu, payload)``: a message as it is
     delivered, an RDMA-written value as it lands), the responses'
     payloads and each request's server-side profile spans."""
 
@@ -90,18 +90,18 @@ def _run_app(profile, spec, app, setup=None):
     receive, on_response = MemcachedServer._receive, MemcachedClient._on_response
     poll_value = MemcachedServer._poll_value
 
-    def spy_receive(server, endpoint, delivery):
-        received.append((server.sim.now, delivery.recv_cpu, delivery.payload))
-        receive(server, endpoint, delivery)
+    def spy_receive(server, msg):
+        received.append((server.sim.now, msg.recv_cpu, msg.payload))
+        receive(server, msg)
 
-    def spy_poll_value(server, endpoint, arrival, msg):
+    def spy_poll_value(server, msg):
         # Handed over as it is sent; it lands at its delivered milestone.
-        received.append((msg.delivered_at, 0.0, arrival))
-        poll_value(server, endpoint, arrival, msg)
+        received.append((msg.delivered_at, 0.0, msg.payload))
+        poll_value(server, msg)
 
-    def spy_response(client, conn, delivery):
-        responses.append(delivery.payload)
-        on_response(client, conn, delivery)
+    def spy_response(client, conn, msg):
+        responses.append(msg.payload)
+        on_response(client, conn, msg)
 
     # The receivers and the poller are bound when the cluster wires its
     # connections.

@@ -120,9 +120,9 @@ def test_a_promotion_that_waits_no_time_does_not_end_the_burst():
             waits.append((process.sim.now, gen.gi_code.co_name))
         resume(process, event)
 
-    def spy_receive(server, endpoint, delivery):
-        received.append((server.sim.now, delivery.recv_cpu, delivery.payload))
-        receive(server, endpoint, delivery)
+    def spy_receive(server, msg):
+        received.append((server.sim.now, msg.recv_cpu, msg.payload))
+        receive(server, msg)
 
     # A process binds its resume callback and a connection its receiver
     # when they are made.

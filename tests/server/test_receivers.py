@@ -1,9 +1,9 @@
 """A connection is a receiver on each endpoint, not a relay process.
 
 ``MemcachedServer.attach`` and the client's one-sided connections
-install a callable the frame's ``deliver`` runs at the instant of
+install a callable the endpoint hands each message to at the instant of
 arrival. These cases pin that the fault paths behave as they did when a
-pump process sat there: a frame for a dead or unreachable server is
+pump process sat there: a message for a dead or unreachable server is
 dropped and counted (a SET value, a polled write, where it lands),
 ``crash()`` tears the worker pool down although the
 parked workers now run *inside* it, and a connection added to a running
@@ -42,9 +42,9 @@ def _spy_values(client):
     for conn in client._conns:
         peer = conn.endpoint.peer
 
-        def spy(arrival, msg, poll=peer.poller):
+        def spy(msg, poll=peer.poller):
             landed.append(msg.delivered_at)
-            poll(arrival, msg)
+            poll(msg)
 
         peer.poller = spy
     return landed
@@ -63,7 +63,7 @@ def test_frame_for_a_down_server_is_dropped_and_counted(
         header = GetRequest(req_id=req_id, op="get", key=b"k")
         ep.send(header, header.header_bytes)
     sim.run()
-    # Each frame vanished at the receiver: counted, never queued, no CPU
+    # Each message vanished at the receiver: counted, never queued, no CPU
     # charged, nothing sent back.
     assert dropped(cluster) == 3
     assert server.queue_depth() == 0
@@ -77,7 +77,7 @@ def test_frame_for_a_down_server_is_dropped_and_counted(
 def test_a_value_written_to_a_down_server_is_dropped_and_counted(fault):
     """A SET value is a polled write, handed to the server's poller as
     it is sent: one that lands while the server is still dead or
-    unreachable is dropped there, counted as a frame would be, and
+    unreachable is dropped there, counted as a message would be, and
     leaves no rendezvous behind."""
     cluster = make_cluster(RDMA_MEM)
     sim, server = cluster.sim, cluster.servers[0]
@@ -96,7 +96,7 @@ def test_a_value_written_to_a_down_server_is_dropped_and_counted(fault):
 def test_a_value_written_to_a_down_server_that_is_up_where_it_lands_is_stored(
         fault, recover):
     """Whether a value written to a down server is lost is decided where
-    it lands, as a frame's fate is: a SET sent while the server is down,
+    it lands, as a message's fate is: a SET sent while the server is down,
     whose header and value both land after it is back, completes."""
     cluster = make_cluster(RDMA_MEM)
     sim, server, client = cluster.sim, cluster.servers[0], cluster.clients[0]
@@ -122,19 +122,19 @@ def test_a_value_written_to_a_down_server_that_is_up_where_it_lands_is_stored(
 
 def _spy_handovers_and_headers(cluster):
     """The instants each SET value is handed to the server and each
-    request frame is delivered to it."""
+    request message is delivered to it."""
     sim, client = cluster.sim, cluster.clients[0]
     peer = client._conns[0].endpoint.peer
     handed, headers = [], []
     poll, receive = peer.poller, peer.receiver
 
-    def spy_poll(arrival, msg):
+    def spy_poll(msg):
         handed.append(sim.now)
-        poll(arrival, msg)
+        poll(msg)
 
-    def spy_receive(delivery):
+    def spy_receive(msg):
         headers.append(sim.now)
-        receive(delivery)
+        receive(msg)
 
     peer.poller, peer.receiver = spy_poll, spy_receive
     return handed, headers
@@ -413,10 +413,10 @@ def test_a_crash_while_the_value_is_in_flight_abandons_the_rdma_set(
     receive, send, write_polled = (srv_ep.receiver, srv_ep.send,
                                    srv_ep.write_polled)
 
-    def spy_receive(delivery):
+    def spy_receive(msg):
         costs = server.config.costs
-        parsed.append((sim.now + delivery.recv_cpu) + costs.parse)
-        receive(delivery)
+        parsed.append((sim.now + msg.recv_cpu) + costs.parse)
+        receive(msg)
 
     def spy_send(payload, *args, **kwargs):
         sent.append(payload)
