@@ -39,21 +39,22 @@ from repro.workloads.ycsb import CORE_WORKLOADS, generate_ycsb_ops
 DEVICES = {"sata": SATA_SSD, "nvme": NVME_SSD}
 
 
-def _scale(text: str) -> int:
-    """``--scale``: the figures divide the paper's sizes by it, so it is
-    a whole number of at least 1."""
-    scale = int(text)
-    if scale < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {scale}")
-    return scale
+def _at_least_one(text: str) -> int:
+    """A count or size that must be a whole number of at least 1:
+    ``--scale`` (the figures divide the paper's sizes by it),
+    ``--servers``, ``--clients``, ``--ops`` and ``--value-kb``."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _add_cluster_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", default="h-rdma-opt-nonb-i",
                    choices=sorted(ALL_PROFILES),
                    help="design profile (default: the paper's proposal)")
-    p.add_argument("--servers", type=int, default=1)
-    p.add_argument("--clients", type=int, default=1)
+    p.add_argument("--servers", type=_at_least_one, default=1)
+    p.add_argument("--clients", type=_at_least_one, default=1)
     p.add_argument("--server-mem-mb", type=int, default=64,
                    help="memory limit per server (MB)")
     p.add_argument("--ssd-limit-mb", type=int, default=256,
@@ -101,9 +102,9 @@ def _add_cluster_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ops", type=int, default=2000,
+    p.add_argument("--ops", type=_at_least_one, default=2000,
                    help="operations per client")
-    p.add_argument("--value-kb", type=int, default=32)
+    p.add_argument("--value-kb", type=_at_least_one, default=32)
     p.add_argument("--keys", type=int, default=0,
                    help="keyspace size (default: from dataset ratio)")
     p.add_argument("--dataset-ratio", type=float, default=1.5,
@@ -501,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     ycsb_p.add_argument("--workload", default="A",
                         choices=sorted(CORE_WORKLOADS) +
                         [w.lower() for w in CORE_WORKLOADS])
-    ycsb_p.add_argument("--ops", type=int, default=2000)
-    ycsb_p.add_argument("--value-kb", type=int, default=8)
+    ycsb_p.add_argument("--ops", type=_at_least_one, default=2000)
+    ycsb_p.add_argument("--value-kb", type=_at_least_one, default=8)
     ycsb_p.add_argument("--keys", type=int, default=0)
     ycsb_p.add_argument("--dataset-ratio", type=float, default=1.5)
     ycsb_p.add_argument("--seed", type=int, default=1)
@@ -540,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="regenerate a paper table/figure")
     rep_p.add_argument("--figure", default="all",
                        choices=["all", *figures.FIGURES])
-    rep_p.add_argument("--scale", type=_scale, default=16)
+    rep_p.add_argument("--scale", type=_at_least_one, default=16)
     rep_p.add_argument("--ops", type=int, default=1200)
     rep_p.set_defaults(func=cmd_reproduce)
 
@@ -549,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "build (artifact evaluation), or — with "
                                 "--seed — replay one consistency-fuzz "
                                 "scenario and check its history")
-    chk_p.add_argument("--scale", type=_scale, default=16)
+    chk_p.add_argument("--scale", type=_at_least_one, default=16)
     chk_p.add_argument("--ops", type=int, default=None,
                        help="claims: ops per run (default 1200); "
                             "consistency: ops per client (default 120)")
@@ -585,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["all", *figures.FIGURES])
     exp_p.add_argument("--out", default="figure_data",
                        help="output directory (or file for one figure)")
-    exp_p.add_argument("--scale", type=_scale, default=16)
+    exp_p.add_argument("--scale", type=_at_least_one, default=16)
     exp_p.add_argument("--ops", type=int, default=1200)
     exp_p.set_defaults(func=cmd_export)
 

@@ -53,16 +53,8 @@ from repro.server.protocol import (
     MISS,
     SERVER_DOWN,
     BufferAck,
-    CounterRequest,
-    DeleteRequest,
-    FlushRequest,
-    GatRequest,
-    GetRequest,
-    MultiGetRequest,
+    Request,
     Response,
-    SetRequest,
-    StatsRequest,
-    TouchRequest,
     ValueArrival,
 )
 from repro.server.server import MemcachedServer
@@ -508,15 +500,7 @@ class MemcachedClient:
         batches: Dict[int, _MgetJob] = {}
         for key in keys:
             conn = self._route(key)
-            req = MemcachedReq(self.sim, self._next_req_id, "get", key,
-                               0, "mget")
-            self._next_req_id += 1
-            req.t_issue = t0
-            req.t_api_return = t_api
-            if self._profiler.enabled:
-                req.trace_id = self._profiler.maybe_start("get", "mget",
-                                                          t_issue=t0)
-            self._op_begin(req)
+            req = self._open(t0, t_api, "get", key, 0, "mget")
             reqs.append(req)
             if conn is None:  # every server ejected: fail fast
                 down.append(req)
@@ -555,14 +539,10 @@ class MemcachedClient:
         clock = self.clock
         yield from self._to_clock(clock)
         conn = self._conns[server_index]
-        req = MemcachedReq(self.sim, self._next_req_id, "stats", b"",
-                           0, "stats")
-        self._next_req_id += 1
-        t0 = req.t_issue = self.sim.now
-        req.server_index = conn.index
-        self._op_begin(req, history=False)
         clock.charge(self.config.api_overhead)
-        t_api = req.t_api_return = clock.instant
+        t0, t_api = clock.start, clock.instant
+        req = self._open(t0, t_api, "stats", b"", 0, "stats",
+                         server_index=conn.index, traced=False, history=False)
         self._engine_queue.put(self._job_new(req, conn, 0.0, t_api))
         # stats targets one explicit server: no failover, no retry.
         yield clock.bounded(req.complete, self.config.request_timeout)
@@ -653,14 +633,10 @@ class MemcachedClient:
         t0, t_api = clock.start, clock.instant
         reqs: List[MemcachedReq] = []
         for conn in self._conns:
-            req = MemcachedReq(self.sim, self._next_req_id, "flush", b"",
-                               0, "flush")
-            self._next_req_id += 1
-            req.t_issue = t0
-            req.expiration = delay
-            req.server_index = conn.index
-            req.t_api_return = t_api
-            self._op_begin(req)
+            # The expiration slot carries flush_all's delay.
+            req = self._open(t0, t_api, "flush", b"", 0, "flush",
+                             expiration=delay, server_index=conn.index,
+                             traced=False)
             self._engine_queue.put(self._job_new(req, conn, t0, t_api))
             reqs.append(req)
         self._account_many(reqs, t_api - t0)
@@ -914,32 +890,22 @@ class MemcachedClient:
         operation (``_account_block``, ``_finalize``)."""
         if not self._started:
             self._ensure_started()
-        sim = self.sim
         stamps = self._hlc is not None and op in ("set", "delete")
         if stamps:
             yield from self._to_clock(clock)
         clock.charge(self.config.api_overhead)
         t0, t_api = clock.start, clock.instant
-        req_id = self._next_req_id
-        req = MemcachedReq(sim, req_id, op, key, value_length, api,
-                           flags, mode, cas_token, delta, initial)
-        self._next_req_id = req_id + 1
-        req.user = user
-        req.t_issue = t0
-        req.expiration = expiration
+        conn = self._route(key)
         # One HLC stamp per user write, drawn at issue time so the
         # recorded history sees it even if the op never completes.
         # Every replica copy shares it, so all copies of this write
         # merge identically everywhere. Counters are excluded: incr/
         # decr are commutative server-side arithmetic, not
         # last-writer-wins values.
-        if stamps:
-            req.hlc = self._hlc.stamp()
-        if self._profiler.enabled:
-            req.trace_id = self._profiler.maybe_start(op, api, t_issue=t0)
-        conn = self._route(key)
-        self._op_begin(req)
-        req.t_api_return = t_api
+        req = self._open(t0, t_api, op, key, value_length, api, flags, mode,
+                         cas_token, delta, initial, expiration=expiration,
+                         hlc=self._hlc.stamp() if stamps else None)
+        req.user = user
         if conn is not None:
             req.server_index = conn.index
             self._engine_queue.put(self._job_new(req, conn, t0, t_api))
@@ -954,7 +920,7 @@ class MemcachedClient:
             return req
         # Every server ejected: fail fast where the overhead ends.
         yield clock.sleep()
-        self._account_block(req, sim._now - t0)
+        self._account_block(req, self.sim._now - t0)
         self._fail_server_down(req)
         return req
 
@@ -1239,6 +1205,28 @@ class MemcachedClient:
             if self._metrics_on:
                 self._m_blocked.inc(dt)
 
+    def _open(self, t0: float, t_api: float, *fields,
+              expiration: float = 0.0, hlc: Optional[tuple] = None,
+              server_index: int = -1, traced: bool = True,
+              history: bool = True) -> MemcachedReq:
+        """Open a request called at ``t0`` whose API overhead ends at
+        ``t_api``: draw its id (``fields`` are :class:`MemcachedReq`'s
+        after it), set what its issue record reads, start its profile
+        trace unless not ``traced``, and run :meth:`_op_begin`."""
+        req_id = self._next_req_id
+        req = MemcachedReq(self.sim, req_id, *fields)
+        self._next_req_id = req_id + 1
+        req.t_issue = t0
+        req.t_api_return = t_api
+        req.expiration = expiration
+        req.hlc = hlc
+        req.server_index = server_index
+        if traced and self._profiler.enabled:
+            req.trace_id = self._profiler.maybe_start(req.op, req.api,
+                                                      t_issue=t0)
+        self._op_begin(req, history)
+        return req
+
     def _op_begin(self, req: MemcachedReq, history: bool = True) -> None:
         """Issue-time bookkeeping of one user-visible request: history,
         the outstanding table, live metrics, the trace span."""
@@ -1352,54 +1340,33 @@ class MemcachedClient:
             # The job carried its payload to here; recycle it.
             job.req = job.conn = None  # type: ignore[assignment]
             pool.append(job)
+            # One header for every single-key op: the server reads the
+            # fields its op uses. ``inline``: a SET's value rides in the
+            # header's message (see _engine_set).
+            replica = req.api == "replica"
+            inline = op == "set" and (replica or not conn.one_sided
+                                      or conn.server is None)
+            header = Request(req.req_id, op, req.key, req.trace_id,
+                             req.value_length, req.flags, req.expiration,
+                             req.mode, req.cas_send, inline, replica,
+                             req.hlc, req.delta, req.initial)
             # ``msg`` is the message whose going on the wire frees the
             # operation's buffers (None: a BufferAck does instead).
             if op == "set":
-                msg = yield from self._engine_set(req, conn, clock)
+                msg = yield from self._engine_set(req, header, conn, clock)
                 if msg is not None:
                     req.reuse_point(msg)
                 continue
             # Everything else is one header-only message.
-            if op == "get":
-                header = GetRequest(req_id=req.req_id, op="get", key=req.key,
-                                    trace_id=req.trace_id)
-            elif op == "delete":
-                header = DeleteRequest(req_id=req.req_id, op="delete",
-                                       key=req.key,
-                                       replica=req.api == "replica",
-                                       hlc=req.hlc, trace_id=req.trace_id)
-            elif op == "touch":
-                header = TouchRequest(req_id=req.req_id, op="touch",
-                                      key=req.key,
-                                      expiration=req.expiration,
-                                      trace_id=req.trace_id)
-            elif op in ("incr", "decr"):
-                header = CounterRequest(req_id=req.req_id, op=op,
-                                        key=req.key, delta=req.delta,
-                                        initial=req.initial,
-                                        expiration=req.expiration,
-                                        direction=op,
-                                        replica=req.api == "replica",
-                                        trace_id=req.trace_id)
-            elif op == "gat":
-                header = GatRequest(req_id=req.req_id, op="gat",
-                                    key=req.key,
-                                    expiration=req.expiration,
-                                    trace_id=req.trace_id)
-            elif op == "flush":
-                # The expiration slot carries flush_all's delay.
-                header = FlushRequest(req_id=req.req_id, op="flush",
-                                      key=b"", delay=req.expiration)
-            else:
-                header = StatsRequest(req_id=req.req_id, op="stats", key=b"")
             msg = conn.endpoint.send(header, header.header_bytes, at=at)
             if req.trace_id is not None:
                 self._profile_msg(req, msg)
             req.reuse_point(msg)
 
-    def _engine_set(self, req: MemcachedReq, conn: ServerConn,
-                    clock: BurstClock):
-        """Send a SET where the engine's ``clock`` ends. An RDMA SET's
+    def _engine_set(self, req: MemcachedReq, header: Request,
+                    conn: ServerConn, clock: BurstClock):
+        """Send a SET's ``header`` where the engine's ``clock`` ends, its
+        value with it when ``header.inline_value``. An RDMA SET's
         header goes at once; the engine sleeps its clock (if it has not
         yet) before claiming the value's receive credit. The value is a
         polled write: the server finds it in its receive buffer, and its
@@ -1412,14 +1379,7 @@ class MemcachedClient:
         keeps the order in which the clients' engines send."""
         ep = conn.endpoint
         at = clock.instant
-        replica = req.api == "replica"
-        if not replica and conn.one_sided and conn.server is not None:
-            header = SetRequest(req_id=req.req_id, op="set", key=req.key,
-                                value_length=req.value_length,
-                                flags=req.flags, expiration=req.expiration,
-                                mode=req.mode, cas_token=req.cas_send,
-                                inline_value=False, hlc=req.hlc,
-                                trace_id=req.trace_id)
+        if not header.inline_value:
             msg_h = ep.send(header, header.header_bytes, at=at)
             if req.trace_id is not None:
                 self._profile_msg(req, msg_h)
@@ -1448,12 +1408,6 @@ class MemcachedClient:
             # Stream transport — and every replica propagation: header
             # and value in one message, so the apply path never competes
             # for the receive-buffer credits user traffic flows through.
-            header = SetRequest(req_id=req.req_id, op="set", key=req.key,
-                                value_length=req.value_length,
-                                flags=req.flags, expiration=req.expiration,
-                                mode=req.mode, cas_token=req.cas_send,
-                                inline_value=True, replica=replica,
-                                hlc=req.hlc, trace_id=req.trace_id)
             msg = ep.send(header, header.header_bytes + req.value_length,
                           at=at)
             if req.trace_id is not None:
@@ -1462,11 +1416,11 @@ class MemcachedClient:
 
     def _engine_mget(self, reqs: List[MemcachedReq], conn: ServerConn,
                      at: float) -> None:
-        header = MultiGetRequest(
-            req_id=reqs[0].req_id, op="mget", key=reqs[0].key,
-            entries=tuple((r.req_id, r.key) for r in reqs))
-        if self._profiler.enabled:
-            header.traces = tuple(r.trace_id for r in reqs)
+        header = Request(
+            reqs[0].req_id, "mget", b"",
+            entries=tuple((r.req_id, r.key) for r in reqs),
+            traces=(tuple(r.trace_id for r in reqs)
+                    if self._profiler.enabled else ()))
         msg = conn.endpoint.send(header, header.header_bytes, at=at)
         for r in reqs:
             self._profile_msg(r, msg)

@@ -233,26 +233,17 @@ class MemcachedReq:
         the return values of ``wait``, ``wait_all``, and polled requests
         identically.
         """
-        if not self.done:
-            return ReqResult(op=self.op, api=self.api, status="PENDING",
-                             value_length=self.value_length, latency=0.0,
-                             blocked_time=self.blocked_time,
-                             cas_token=self.cas_token,
-                             server_index=self.server_index,
-                             key=self.key, req_id=self.req_id,
-                             t_issue=self.t_issue, t_complete=0.0,
-                             expiration=self.expiration,
-                             counter_value=self.counter_value,
-                             auto_create=self.auto_create,
-                             hlc=self.hlc)
-        return ReqResult(op=self.op, api=self.api, status=self.status or "?",
+        done = self.done
+        return ReqResult(op=self.op, api=self.api,
+                         status=(self.status or "?") if done else "PENDING",
                          value_length=self.value_length,
-                         latency=self.latency,
+                         latency=self.latency if done else 0.0,
                          blocked_time=self.blocked_time,
                          cas_token=self.cas_token,
                          server_index=self.server_index,
                          key=self.key, req_id=self.req_id,
-                         t_issue=self.t_issue, t_complete=self.t_complete,
+                         t_issue=self.t_issue,
+                         t_complete=self.t_complete if done else 0.0,
                          expiration=self.expiration,
                          counter_value=self.counter_value,
                          auto_create=self.auto_create,

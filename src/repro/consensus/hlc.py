@@ -17,9 +17,10 @@ anti-entropy resync both use exactly this order
 ``hlc_accepts``), which is what makes concurrent writes under a
 partition converge to a single winner on every replica.
 
-Stamps ride on :class:`~repro.server.protocol.SetRequest` /
-``DeleteRequest`` and on history events, so the eventual-consistency
-checker can justify the post-quiesce winner against the issued order.
+Stamps ride on the ``hlc`` field of set and delete headers
+(:class:`~repro.server.protocol.Request`) and on history events, so the
+eventual-consistency checker can justify the post-quiesce winner
+against the issued order.
 """
 
 from __future__ import annotations

@@ -35,154 +35,54 @@ SERVER_DOWN = "SERVER_DOWN"
 
 @dataclass(slots=True)
 class Request:
+    """One request header. ``op`` alone names the command; each
+    handler reads the fields its command uses (docs/protocol.md)."""
+
     req_id: int
     op: str
+    #: ``b""`` for the key-less flush and stats, and for an mget, whose
+    #: keys travel in ``entries``.
     key: bytes
-    #: Causal profile trace id of the issuing client request (None when
-    #: the request is not sampled). Observability only — servers must
-    #: never branch on it.
+    #: Causal profile trace id of the issuing request (None: not
+    #: sampled). Observability only — servers never branch on it.
     trace_id: Optional[int] = None
-
-    @property
-    def header_bytes(self) -> int:
-        return REQUEST_HEADER_BYTES + len(self.key)
-
-
-@dataclass(slots=True)
-class SetRequest(Request):
     value_length: int = 0
     flags: int = 0
+    #: Deadline (absolute sim time; 0 = never) of a set, touch, gat or
+    #: counter auto-create; flush's delay, in seconds from receipt.
     expiration: float = 0.0
-    #: Storage mode: "set" (unconditional), "add" (only if absent),
-    #: "replace" (only if present), "cas" (only if the token matches).
+    #: Set mode: "set", "add" (only if absent), "replace" (only if
+    #: present), "cas" (only if ``cas_token`` matches).
     mode: str = "set"
     #: For mode "cas": the token the client observed on its last get.
     cas_token: int = 0
-    #: True when the value travels inside the same wire message as the
-    #: header (IPoIB streams); False when it arrives separately via an
-    #: RDMA write (see :class:`ValueArrival`).
+    #: True when a SET's value travels inside the same wire message as
+    #: the header (IPoIB streams); False when it arrives separately via
+    #: an RDMA write (see :class:`ValueArrival`).
     inline_value: bool = False
-    #: True for replica-propagation copies of a client write. Replica
-    #: SETs always inline their value so the apply path never competes
-    #: for the receive-buffer credits user traffic flows through.
+    #: True for replica-propagation copies of a set, delete, incr or
+    #: decr. Replica SETs always inline their value, so the apply path
+    #: never competes for the credits user traffic flows through.
     replica: bool = False
-    #: Hybrid-logical-clock stamp (``(physical, logical, origin)``)
-    #: when the cluster runs with HLC convergence; None otherwise.
+    #: Hybrid-logical-clock stamp ``(physical, logical, origin)`` of a
+    #: set or delete under HLC convergence; None otherwise.
     hlc: Optional[tuple] = None
-
-    def __post_init__(self):
-        self.op = "set"
-
-
-@dataclass(slots=True)
-class GetRequest(Request):
-    def __post_init__(self):
-        self.op = "get"
-
-
-@dataclass(slots=True)
-class DeleteRequest(Request):
-    #: True for replica-propagation copies of a client delete (the
-    #: removal counterpart of ``SetRequest.replica``).
-    replica: bool = False
-    #: HLC stamp of the delete (tombstone order); None without HLC.
-    hlc: Optional[tuple] = None
-
-    def __post_init__(self):
-        self.op = "delete"
-
-
-@dataclass(slots=True)
-class TouchRequest(Request):
-    """memcached's ``touch``: refresh an item's expiration in place."""
-
-    expiration: float = 0.0
-
-    def __post_init__(self):
-        self.op = "touch"
-
-
-@dataclass(slots=True)
-class CounterRequest(Request):
-    """memcached's ``incr``/``decr`` (meta-protocol arithmetic).
-
-    The server performs the arithmetic in place — only the resulting
-    value crosses the wire back, never the operand bytes.
-    """
-
+    #: incr/decr amount, applied in place (decr saturates at zero).
     delta: int = 1
-    #: None: plain incr/decr (absent key answers NOT_FOUND). An int:
-    #: auto-create — an absent key is initialized to this value (the
-    #: meta protocol's N flag), installing ``expiration``.
+    #: incr/decr auto-create (the meta protocol's N flag): an absent
+    #: key starts at this value; None answers NOT_FOUND.
     initial: Optional[int] = None
-    #: TTL installed on auto-create (absolute sim time; 0 = never).
-    expiration: float = 0.0
-    direction: str = "incr"  # "incr" | "decr" (decr saturates at zero)
-    #: True for replica-propagation copies (counters fan out like SETs;
-    #: each replica applies the arithmetic independently).
-    replica: bool = False
-
-    def __post_init__(self):
-        self.op = self.direction
-
-
-@dataclass(slots=True)
-class GatRequest(Request):
-    """memcached's ``gat``: get-and-touch in one round trip."""
-
-    #: New deadline (absolute sim time; 0 = never). A deadline already
-    #: in the past serves the value one last time and removes the item.
-    expiration: float = 0.0
-
-    def __post_init__(self):
-        self.op = "gat"
-
-
-@dataclass(slots=True)
-class FlushRequest(Request):
-    """memcached's ``flush_all``: epoch-invalidate the whole cache.
-
-    ``delay`` seconds from server receipt, every item created before
-    the epoch becomes invisible; chunk reclaim is lazy plus the expiry
-    sweeper.
-    """
-
-    delay: float = 0.0
-
-    def __post_init__(self):
-        self.op = "flush"
-        self.key = b""
-
-
-@dataclass(slots=True)
-class StatsRequest(Request):
-    """memcached's ``stats`` command: fetch server counters."""
-
-    def __post_init__(self):
-        self.op = "stats"
-        self.key = b""
-
-
-@dataclass(slots=True)
-class MultiGetRequest(Request):
-    """libmemcached's ``memcached_mget``: one request, many keys.
-
-    ``entries`` maps each key to the per-key request id its response
-    answers; the server streams one :class:`Response` per key.
-    """
-
-    entries: tuple = ()  # of (req_id, key)
-    #: Parallel per-entry trace ids (same length as ``entries`` when the
-    #: issuing client profiles; empty otherwise).
+    #: mget's ``(req_id, key)`` entries, one :class:`Response` each.
+    entries: tuple = ()
+    #: Per-entry trace ids when the issuing client profiles; else ().
     traces: tuple = ()
-
-    def __post_init__(self):
-        self.op = "mget"
 
     @property
     def header_bytes(self) -> int:
-        return (REQUEST_HEADER_BYTES
-                + sum(len(k) + 8 for _, k in self.entries))
+        n = REQUEST_HEADER_BYTES + len(self.key)
+        for _, key in self.entries:
+            n += len(key) + 8
+        return n
 
 
 @dataclass(slots=True)

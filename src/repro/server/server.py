@@ -48,17 +48,8 @@ from repro.server.protocol import (
     STORED,
     TOUCHED,
     BufferAck,
-    CounterRequest,
-    DeleteRequest,
-    FlushRequest,
-    GatRequest,
-    GetRequest,
-    MultiGetRequest,
     Request,
     Response,
-    SetRequest,
-    StatsRequest,
-    TouchRequest,
     ValueArrival,
 )
 from repro.sim import BurstClock, Mailbox, PriorityStore, Resource, Simulator
@@ -203,19 +194,20 @@ class MemcachedServer:
         self._dropped_value = sim.event().succeed(_DROPPED)
         #: Instant of every SET-value purge (crash, partition, heal).
         self._purges: List[float] = []
-        # Per request type: its handler (passed the worker's clock) and the
-        # CPU stage it starts with, slept on the pickup timer (see _worker).
+        # Per op: its handler (passed the worker's clock) and the CPU
+        # stage it starts with, slept on the pickup timer (see _worker).
         lookup = config.costs.hash_lookup
         self._handlers = {
-            SetRequest: (self._handle_set, None),
-            GetRequest: (self._handle_get, lookup),
-            MultiGetRequest: (self._handle_mget, None),
-            DeleteRequest: (self._handle_delete, lookup),
-            TouchRequest: (self._handle_touch, lookup),
-            CounterRequest: (self._handle_counter, lookup),
-            GatRequest: (self._handle_gat, lookup),
-            FlushRequest: (self._handle_flush, lookup),
-            StatsRequest: (self._handle_stats, config.costs.response_prep),
+            "set": (self._handle_set, None),
+            "get": (self._handle_get, lookup),
+            "mget": (self._handle_mget, None),
+            "delete": (self._handle_delete, lookup),
+            "touch": (self._handle_touch, lookup),
+            "incr": (self._handle_counter, lookup),
+            "decr": (self._handle_counter, lookup),
+            "gat": (self._handle_gat, lookup),
+            "flush": (self._handle_flush, lookup),
+            "stats": (self._handle_stats, config.costs.response_prep),
         }
         self._started = False
         self._busy_workers = 0
@@ -280,14 +272,14 @@ class MemcachedServer:
 
     # -- migration handoff (elastic scaling) ----------------------------------
 
-    def _pull_on_miss(self, request) -> None:
+    def _pull_on_miss(self, request: Request) -> None:
         """Migration window: materialize a single-key request's item
         from its old owner before it is served here, unless the key was
         already written here. Replica applies and key-less broadcasts
         (flush/stats) stay local; an mget pulls per entry in
         :meth:`_handle_mget`."""
         state = self.handoff
-        if not state.pulling or getattr(request, "replica", False):
+        if not state.pulling or request.replica:
             return
         key = request.key
         if key and key not in state.written:
@@ -320,7 +312,7 @@ class MemcachedServer:
         # a header that never comes.
         lost = [(id(msg.to), msg.payload.req_id)
                 for msg in self._queue.drain()
-                if msg is not _POISON and type(msg.payload) is SetRequest]
+                if msg is not _POISON and msg.payload.op == "set"]
         self._purge_value_waits()
         for key in lost:
             self._value_events.pop(key, None)
@@ -421,19 +413,16 @@ class MemcachedServer:
             # charged — nobody is listening. An RDMA SET's header takes
             # the dropped marker of its value along (_purge_value_waits).
             self._m_dropped_rx.inc()
-            if self._value_events and type(payload) is SetRequest:
+            if self._value_events and payload.op == "set":
                 key = (id(msg.to), payload.req_id)
                 if self._value_events.get(key) is self._dropped_value:
                     del self._value_events[key]
             return
-        if isinstance(payload, Request):
-            prof = self.obs.profiler
-            if prof.enabled:
-                for tid, px in self._trace_targets(payload):
-                    prof.open_stage(tid, px + "server_queue")
-            self._enqueue(msg)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected payload {payload!r}")
+        prof = self.obs.profiler
+        if prof.enabled:
+            for tid, px in self._trace_targets(payload):
+                prof.open_stage(tid, px + "server_queue")
+        self._enqueue(msg)
 
     def _poll_value(self, msg: Message) -> None:
         """Every RDMA connection's poller: a SET value the client
@@ -491,11 +480,11 @@ class MemcachedServer:
         """``(trace_id, stage_prefix)`` pairs of a request's sampled
         traces — one per entry for a batched mget, the ``replica.``
         prefix for replica-propagation applies."""
-        if isinstance(request, MultiGetRequest):
+        if request.op == "mget":
             return [(tid, "") for tid in request.traces if tid is not None]
         if request.trace_id is None:
             return []
-        px = "replica." if getattr(request, "replica", False) else ""
+        px = "replica." if request.replica else ""
         return [(request.trace_id, px)]
 
     # -- worker threads ---------------------------------------------------------
@@ -549,7 +538,7 @@ class MemcachedServer:
             # rides its timer (a SET and an MGET sleep it in the handler).
             clock.charge(msg.recv_cpu, parse_cost)
             parsed = clock.instant
-            handler, lead = self._handlers[type(request)]
+            handler, lead = self._handlers[request.op]
             if lead is not None:
                 yield clock.sleep(lead)
             for ptid, px in targets:
@@ -567,7 +556,7 @@ class MemcachedServer:
 
     # -- SET -----------------------------------------------------------------
 
-    def _handle_set(self, request: SetRequest, endpoint: Endpoint, clock: BurstClock):
+    def _handle_set(self, request: Request, endpoint: Endpoint, clock: BurstClock):
         """Generator: stage the value, allocate its chunk, store it,
         update the LRU and respond. The copy and the slab allocation are
         one timer unless the early ack comes between them; the LRU
@@ -671,7 +660,7 @@ class MemcachedServer:
 
     # -- GET ------------------------------------------------------------------
 
-    def _handle_get(self, request: GetRequest, endpoint: Endpoint, clock: BurstClock):
+    def _handle_get(self, request: Request, endpoint: Endpoint, clock: BurstClock):
         ptid = request.trace_id if self.obs.profiler.enabled else None
         item = yield from self._check_and_load(request.key, clock, ptid)
 
@@ -722,15 +711,15 @@ class MemcachedServer:
 
     # -- MGET -----------------------------------------------------------------
 
-    def _handle_mget(self, request: MultiGetRequest, endpoint: Endpoint, clock: BurstClock):
+    def _handle_mget(self, request: Request, endpoint: Endpoint, clock: BurstClock):
         """memcached_mget: one GET per requested key, each with its own
         lookup sleep and its own response (and, in a migration window,
         pulled on its own)."""
         yield clock.sleep()  # the parse
         traces = request.traces if self.obs.profiler.enabled else ()
         for i, (req_id, key) in enumerate(request.entries):
-            sub = GetRequest(req_id=req_id, op="get", key=key,
-                             trace_id=traces[i] if i < len(traces) else None)
+            sub = Request(req_id, "get", key,
+                          traces[i] if i < len(traces) else None)
             if self.handoff is not None:
                 self._pull_on_miss(sub)
             yield clock.sleep(self.config.costs.hash_lookup)
@@ -738,7 +727,7 @@ class MemcachedServer:
 
     # -- DELETE --------------------------------------------------------------
 
-    def _handle_delete(self, request: DeleteRequest, endpoint: Endpoint, clock: BurstClock):
+    def _handle_delete(self, request: Request, endpoint: Endpoint, clock: BurstClock):
         if request.trace_id is not None and self.obs.profiler.enabled:
             px = "replica." if request.replica else ""
             self.obs.profiler.record(request.trace_id, px + "index",
@@ -759,7 +748,7 @@ class MemcachedServer:
 
     # -- TOUCH ---------------------------------------------------------------
 
-    def _handle_touch(self, request: TouchRequest, endpoint: Endpoint, clock: BurstClock):
+    def _handle_touch(self, request: Request, endpoint: Endpoint, clock: BurstClock):
         """memcached's ``touch``: bump expiration + LRU, no data moved."""
         prof = self.obs.profiler
         ptid = request.trace_id if prof.enabled else None
@@ -782,7 +771,7 @@ class MemcachedServer:
 
     # -- INCR / DECR ---------------------------------------------------------
 
-    def _handle_counter(self, request: CounterRequest, endpoint: Endpoint, clock: BurstClock):
+    def _handle_counter(self, request: Request, endpoint: Endpoint, clock: BurstClock):
         """incr/decr: in-place arithmetic, optional auto-create (whose
         store may sleep on a flush or an eviction)."""
         prof = self.obs.profiler
@@ -791,7 +780,7 @@ class MemcachedServer:
         if ptid is not None:
             prof.record(ptid, px + "index.cache_check_load", clock.start, self.sim._now)
         status, value, item = yield from self.manager.counter_op(
-            request.key, request.delta, request.direction,
+            request.key, request.delta, request.op,
             initial=request.initial, expiration=request.expiration)
         if self.handoff is not None and status == STORED:
             self._note_write(request.key)
@@ -812,7 +801,7 @@ class MemcachedServer:
 
     # -- GAT -----------------------------------------------------------------
 
-    def _handle_gat(self, request: GatRequest, endpoint: Endpoint, clock: BurstClock):
+    def _handle_gat(self, request: Request, endpoint: Endpoint, clock: BurstClock):
         """gat: a GET that also refreshes the item's deadline. A past
         deadline serves the value one last time, then removes the item."""
         ptid = request.trace_id if self.obs.profiler.enabled else None
@@ -831,15 +820,15 @@ class MemcachedServer:
 
     # -- FLUSH ---------------------------------------------------------------
 
-    def _handle_flush(self, request: FlushRequest, endpoint: Endpoint, clock: BurstClock):
+    def _handle_flush(self, request: Request, endpoint: Endpoint, clock: BurstClock):
         """flush_all: stamp the invalidation epoch; reclaim stays lazy."""
-        self.manager.flush_all(request.delay)
+        self.manager.flush_all(request.expiration)
         self.stats.flushes += 1
         yield from self._respond(endpoint, request, OK, 0, clock)
 
     # -- STATS ---------------------------------------------------------------
 
-    def _handle_stats(self, request: StatsRequest, endpoint: Endpoint, _clock: BurstClock):
+    def _handle_stats(self, request: Request, endpoint: Endpoint, _clock: BurstClock):
         """memcached's ``stats``: ship a counter snapshot. Its one stage
         rode the pickup timer, so the worker's ``yield from`` gets ()."""
         if self.alive and self.reachable:
@@ -902,7 +891,7 @@ class MemcachedServer:
             return  # crashed mid-request: the response never forms
         prof = self.obs.profiler
         ptid = request.trace_id if prof.enabled else None
-        px = ("replica." if getattr(request, "replica", False) else "")
+        px = "replica." if request.replica else ""
         yield clock.sleep(self.config.costs.response_prep)
         if ptid is not None:
             prof.record(ptid, px + "server_cpu.response", clock.start, clock.instant)

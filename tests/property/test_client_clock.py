@@ -71,7 +71,7 @@ from repro.client.client import MemcachedClient
 from repro.core.cluster import ClusterSpec, ReplicationConfig
 from repro.core.topology import TopologyConfig
 from repro.net.fabric import NIC
-from repro.server.protocol import MultiGetRequest, ValueArrival
+from repro.server.protocol import ValueArrival
 from repro.sim import Timeout
 from repro.units import KB, MB
 
@@ -358,7 +358,7 @@ def test_window_bursts_are_the_engine_and_nic_recursions(
                 assert msg.at >= free
                 free = msg.at
                 continue
-            req_id = (body.entries[0][0] if isinstance(body, MultiGetRequest)
+            req_id = (body.entries[0][0] if body.op == "mget"
                       else body.req_id)
             ready = issued[client][req_id].t_api_return
             free = max(ready, free) + engine_cpu

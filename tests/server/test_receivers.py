@@ -17,7 +17,7 @@ from repro.core.cluster import ClusterSpec, ReplicationConfig, build_cluster
 from repro.core.profiles import H_RDMA_OPT_NONB_I, IPOIB_MEM, RDMA_MEM
 from repro.core.topology import TopologyConfig
 from repro.harness.runner import RunConfig
-from repro.server.protocol import HIT, STORED, GetRequest, ValueArrival
+from repro.server.protocol import HIT, STORED, Request, ValueArrival
 from repro.server.server import ServerCosts
 from repro.units import KB, MB, US
 from repro.workloads.generator import WorkloadSpec
@@ -60,7 +60,7 @@ def test_frame_for_a_down_server_is_dropped_and_counted(
     ep = cluster.clients[0]._conns[0].endpoint
     getattr(server, fault)()
     for req_id in (1, 2, 3):
-        header = GetRequest(req_id=req_id, op="get", key=b"k")
+        header = Request(req_id=req_id, op="get", key=b"k")
         ep.send(header, header.header_bytes)
     sim.run()
     # Each message vanished at the receiver: counted, never queued, no CPU

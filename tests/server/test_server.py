@@ -13,13 +13,8 @@ from repro.server.protocol import (
     HIT,
     MISS,
     STORED,
-    CounterRequest,
-    DeleteRequest,
-    GatRequest,
-    GetRequest,
+    Request,
     Response,
-    SetRequest,
-    TouchRequest,
     ValueArrival,
 )
 from repro.server.server import MemcachedServer, ServerConfig
@@ -47,9 +42,9 @@ def raw_set(sim, server, ep, req_id, key, nbytes, trace_id=None):
     """Drive the wire protocol by hand (no client library)."""
     from repro.server.protocol import BufferAck
 
-    header = SetRequest(req_id=req_id, op="set", key=key,
-                        value_length=nbytes, inline_value=False,
-                        trace_id=trace_id)
+    header = Request(req_id=req_id, op="set", key=key,
+                     value_length=nbytes, inline_value=False,
+                     trace_id=trace_id)
     ep.send(header, header.header_bytes)
     credit = server.credits.request()
     yield credit
@@ -62,7 +57,7 @@ def raw_set(sim, server, ep, req_id, key, nbytes, trace_id=None):
 
 
 def raw_get(sim, ep, req_id, key, trace_id=None):
-    header = GetRequest(req_id=req_id, op="get", key=key, trace_id=trace_id)
+    header = Request(req_id=req_id, op="get", key=key, trace_id=trace_id)
     ep.send(header, header.header_bytes)
     d = yield ep.recv()
     return d.payload
@@ -158,12 +153,11 @@ def test_touch_gat_and_incr_record_their_stages_as_get_does():
     prof = server.obs.profiler
     keys = [f"k{i}".encode() for i in range(100)]
     headers = {
-        "touch": TouchRequest(req_id=1, op="touch", key=keys[-1]),
-        "gat": GatRequest(req_id=2, op="gat", key=keys[-1]),
-        "incr-create": CounterRequest(req_id=3, op="incr", key=b"n",
-                                      initial=0),
-        "incr": CounterRequest(req_id=4, op="incr", key=b"n"),
-        "gat-ssd": GatRequest(req_id=5, op="gat", key=keys[0]),
+        "touch": Request(req_id=1, op="touch", key=keys[-1]),
+        "gat": Request(req_id=2, op="gat", key=keys[-1]),
+        "incr-create": Request(req_id=3, op="incr", key=b"n", initial=0),
+        "incr": Request(req_id=4, op="incr", key=b"n"),
+        "gat-ssd": Request(req_id=5, op="gat", key=keys[0]),
     }
     tids = {}
 
@@ -224,8 +218,8 @@ def test_early_ack_releases_credit_before_response():
         times = {}
 
         def app(sim):
-            header = SetRequest(req_id=1, op="set", key=b"a",
-                                value_length=32 * KB, inline_value=False)
+            header = Request(req_id=1, op="set", key=b"a",
+                             value_length=32 * KB, inline_value=False)
             ep.send(header, header.header_bytes)
             credit = server.credits.request()
             yield credit
@@ -322,8 +316,6 @@ def test_stats_accumulate_busy_time():
 
 
 def test_mget_miss_accounts_the_stages_a_get_miss_does():
-    from repro.server.protocol import MultiGetRequest
-
     def miss_stages(send):
         sim, server, ep = make_rig(profile=True)
         tid = server.obs.profiler.maybe_start("get")
@@ -337,12 +329,12 @@ def test_mget_miss_accounts_the_stages_a_get_miss_does():
         return fig2_spans(server, tid)
 
     def get(ep, tid):
-        header = GetRequest(req_id=1, op="get", key=b"absent", trace_id=tid)
+        header = Request(req_id=1, op="get", key=b"absent", trace_id=tid)
         ep.send(header, header.header_bytes)
 
     def mget(ep, tid):
-        header = MultiGetRequest(req_id=1, op="mget", key=b"absent",
-                                 entries=((1, b"absent"),), traces=(tid,))
+        header = Request(req_id=1, op="mget", key=b"",
+                         entries=((1, b"absent"),), traces=(tid,))
         ep.send(header, header.header_bytes)
 
     via_get = miss_stages(get)
@@ -358,11 +350,11 @@ def test_delete_request():
 
     def app(sim):
         yield from raw_set(sim, server, ep, 1, b"k", 1 * KB)
-        header = DeleteRequest(req_id=2, op="delete", key=b"k")
+        header = Request(req_id=2, op="delete", key=b"k")
         ep.send(header, header.header_bytes)
         d = yield ep.recv()
         out.append(d.payload.status)
-        header = DeleteRequest(req_id=3, op="delete", key=b"k")
+        header = Request(req_id=3, op="delete", key=b"k")
         ep.send(header, header.header_bytes)
         d = yield ep.recv()
         out.append(d.payload.status)
@@ -384,11 +376,10 @@ def test_delete_and_replica_applies_touch_no_counter_with_metrics_off(
     def app(sim):
         yield from raw_set(sim, server, ep, 1, b"k", 1 * KB)
         yield from raw_set(sim, server, ep, 2, b"r", 1 * KB)
-        headers = [DeleteRequest(req_id=3, op="delete", key=b"k"),
-                   DeleteRequest(req_id=4, op="delete", key=b"r",
-                                 replica=True),
-                   CounterRequest(req_id=5, op="incr", key=b"n", initial=0,
-                                  replica=True)]
+        headers = [Request(req_id=3, op="delete", key=b"k"),
+                   Request(req_id=4, op="delete", key=b"r", replica=True),
+                   Request(req_id=5, op="incr", key=b"n", initial=0,
+                           replica=True)]
         for header in headers:
             ep.send(header, header.header_bytes)
             d = yield ep.recv()

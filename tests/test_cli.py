@@ -155,6 +155,23 @@ def test_scale_below_one_rejected(capsys, command, scale):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--servers", "0"],
+    ["run", "--clients", "0"],
+    ["run", "--ops", "0"],
+    ["run", "--value-kb", "0"],
+    ["stats", "--clients", "-1"],
+    ["ycsb", "--ops", "0"],
+    ["ycsb", "--value-kb", "0"],
+    ["ycsb", "--servers", "0"],
+])
+def test_sizes_below_one_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_unknown_profile_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--profile", "bogus"])
