@@ -41,8 +41,11 @@ DEVICES = {"sata": SATA_SSD, "nvme": NVME_SSD}
 
 def _at_least_one(text: str) -> int:
     """A count or size that must be a whole number of at least 1:
-    ``--scale`` (the figures divide the paper's sizes by it),
-    ``--servers``, ``--clients``, ``--ops`` and ``--value-kb``."""
+    ``--scale`` (the figures divide the paper's sizes by it), the
+    server, client, op and ``--value-kb`` counts, and ``check``'s
+    ``--keys`` and ``--replication``. ``--keys 0`` of a workload
+    (derive the keyspace) and ``check``'s ``--value-length 0`` (an
+    empty value is valid memcached) stay legal."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
@@ -515,11 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
                       "traffic) and report migration counters")
     _add_cluster_args(scale_p)
     _add_workload_args(scale_p)
-    scale_p.add_argument("--from", dest="from_servers", type=int,
+    scale_p.add_argument("--from", dest="from_servers", type=_at_least_one,
                          default=4, metavar="N",
                          help="initial server count (default 4)")
-    scale_p.add_argument("--to", dest="to_servers", type=int, default=8,
-                         metavar="N",
+    scale_p.add_argument("--to", dest="to_servers", type=_at_least_one,
+                         default=8, metavar="N",
                          help="target server count (default 8)")
     scale_p.add_argument("--at", default="2ms", metavar="TIME",
                          help="sim time of the resize (default 2ms)")
@@ -542,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--figure", default="all",
                        choices=["all", *figures.FIGURES])
     rep_p.add_argument("--scale", type=_at_least_one, default=16)
-    rep_p.add_argument("--ops", type=int, default=1200)
+    rep_p.add_argument("--ops", type=_at_least_one, default=1200)
     rep_p.set_defaults(func=cmd_reproduce)
 
     chk_p = sub.add_parser("check",
@@ -551,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "--seed — replay one consistency-fuzz "
                                 "scenario and check its history")
     chk_p.add_argument("--scale", type=_at_least_one, default=16)
-    chk_p.add_argument("--ops", type=int, default=None,
+    chk_p.add_argument("--ops", type=_at_least_one, default=None,
                        help="claims: ops per run (default 1200); "
                             "consistency: ops per client (default 120)")
     _add_consistency_args(chk_p)
@@ -587,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--out", default="figure_data",
                        help="output directory (or file for one figure)")
     exp_p.add_argument("--scale", type=_at_least_one, default=16)
-    exp_p.add_argument("--ops", type=int, default=1200)
+    exp_p.add_argument("--ops", type=_at_least_one, default=1200)
     exp_p.set_defaults(func=cmd_export)
 
     return parser
@@ -599,11 +602,12 @@ def _add_consistency_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="consistency mode: replay this fuzz scenario "
                         "(all other flags default to Scenario defaults)")
-    p.add_argument("--servers", type=int, default=3)
-    p.add_argument("--clients", type=int, default=2)
-    p.add_argument("--keys", type=int, default=24)
+    p.add_argument("--servers", type=_at_least_one, default=3)
+    p.add_argument("--clients", type=_at_least_one, default=2)
+    p.add_argument("--keys", type=_at_least_one, default=24)
     p.add_argument("--value-length", type=int, default=4096)
-    p.add_argument("--replication", type=int, default=2, metavar="R")
+    p.add_argument("--replication", type=_at_least_one, default=2,
+                   metavar="R")
     p.add_argument("--write-mode", default="sync",
                    choices=("sync", "async"))
     p.add_argument("--router", default="ketama",

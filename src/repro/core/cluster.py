@@ -111,10 +111,6 @@ class ClusterSpec:
     #: Asynchronous SSD flushes (the paper's future-work extension).
     async_flush: bool = False
     flush_buffers: int = 4
-    #: Slab automover (memcached's rebalancer) for shifting workloads.
-    automove: bool = False
-    #: Schedule GETs ahead of SETs in the server worker queue.
-    get_priority: bool = False
     #: Active TTL reclaim (background expiry sweeper on each server).
     active_expiry: bool = True
     expiry_interval: float = 0.005
@@ -547,8 +543,6 @@ def build_cluster(profile: DesignProfile,
         early_ack=profile.early_ack,
         async_flush=spec.async_flush,
         flush_buffers=spec.flush_buffers,
-        automove=spec.automove,
-        get_priority=spec.get_priority,
         active_expiry=spec.active_expiry,
         expiry_interval=spec.expiry_interval,
         expiry_budget=spec.expiry_budget,

@@ -81,7 +81,6 @@ class ManagerStats:
     dropped_items: int = 0
     async_flushes: int = 0
     buffer_served_reads: int = 0
-    automoves: int = 0
     counter_ops: int = 0
     #: Items reclaimed by the background expiry sweeper.
     expired_active: int = 0
@@ -126,8 +125,6 @@ class HybridSlabManager:
                  async_flush: bool = False,
                  flush_buffers: int = 4,
                  flush_memcpy_bandwidth: float = 8e9,
-                 automove: bool = False,
-                 automove_interval: float = 0.05,
                  active_expiry: bool = True,
                  expiry_interval: float = 0.005,
                  expiry_budget: int = 128,
@@ -186,15 +183,6 @@ class HybridSlabManager:
         self.async_flush = async_flush
         self._flush_buffers = Resource(sim, capacity=max(1, flush_buffers))
         self._flush_memcpy_bandwidth = flush_memcpy_bandwidth
-        #: Slab automover (memcached's rebalancer): when one class keeps
-        #: needing space while another sits on under-used pages, move a
-        #: page proactively. Event-triggered so an idle sim drains.
-        self.automove = automove
-        self.automove_interval = automove_interval
-        self._pressure: Dict[int, int] = {}
-        self._automove_wakeup = sim.event()
-        if automove:
-            sim.spawn(self._automover(), name="slab-automover")
         #: Active TTL reclaim (memcached's LRU crawler): a background
         #: process scans the table on a per-tick item budget and frees
         #: expired chunks without waiting for the next lookup. Spawned
@@ -588,7 +576,6 @@ class HybridSlabManager:
 
     def _make_space(self, cls: SlabClass, info: StoreInfo):
         """Generator: free at least one chunk of ``cls``."""
-        self._note_pressure(cls)
         if not self.hybrid:
             # Pure-RAM eviction is instantaneous: no yield, so the
             # enclosing `yield from` costs no scheduling round.
@@ -606,74 +593,6 @@ class HybridSlabManager:
             yield from self._flush_page(victim, cls, info)
         finally:
             self._flush_lock.release(req)
-
-    def _note_pressure(self, cls: SlabClass) -> None:
-        if not self.automove:
-            return
-        self._pressure[cls.clsid] = self._pressure.get(cls.clsid, 0) + 1
-        if not self._automove_wakeup.triggered:
-            self._automove_wakeup.succeed()
-
-    def _automover(self):
-        """Background rebalancer: donate an under-used page to the class
-        under sustained allocation pressure (memcached's slab automove,
-        adapted: in hybrid mode the donated page's items are flushed to
-        SSD, so nothing is lost)."""
-        while True:
-            yield self._automove_wakeup
-            yield self.sim.timeout(self.automove_interval)  # batch window
-            self._automove_wakeup = self.sim.event()
-            pressure, self._pressure = self._pressure, {}
-            if not pressure:
-                continue
-            poor_id = max(pressure, key=pressure.get)
-            poor = self.allocator.classes[poor_id]
-            donor_page = self._least_used_page(exclude=poor_id)
-            if donor_page is None:
-                continue
-            req = self._flush_lock.request()
-            yield req
-            try:
-                # Re-validate under the lock (state may have moved on).
-                if donor_page.clsid == poor.clsid or donor_page not in \
-                        self.allocator.classes[donor_page.clsid].pages:
-                    continue
-                if donor_page.used == 0:
-                    self.allocator.recycle_page(donor_page, poor)
-                elif self.hybrid:
-                    info = StoreInfo()
-                    yield from self._flush_page(donor_page, poor, info)
-                else:
-                    info = StoreInfo()
-                    donor_cls = self.allocator.classes[donor_page.clsid]
-                    for idx, item in list(donor_page.items.items()):
-                        donor_cls.lru.remove(item)
-                        self.table.pop(item.key, None)
-                        donor_page.free(idx)
-                        item.page = None
-                        self.stats.ram_evictions += 1
-                        if self._metrics_on:
-                            self._m_evictions.inc()
-                    self.allocator.recycle_page(donor_page, poor)
-                self.stats.automoves += 1
-            finally:
-                self._flush_lock.release(req)
-
-    def _least_used_page(self, exclude: int,
-                         max_fraction: float = 0.5) -> Optional[SlabPage]:
-        """The page with the lowest occupancy below ``max_fraction``
-        outside the excluded class (None if every page is busy)."""
-        best = None
-        best_frac = max_fraction
-        for cls in self.allocator.classes:
-            if cls.clsid == exclude:
-                continue
-            for page in cls.pages:
-                frac = page.used / page.capacity
-                if frac <= best_frac:
-                    best = page
-                    best_frac = frac
-        return best
 
     def _steal_empty_page(self, to_cls: SlabClass) -> bool:
         """Re-purpose a fully-empty page from another class (no I/O)."""

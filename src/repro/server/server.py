@@ -52,7 +52,7 @@ from repro.server.protocol import (
     Response,
     ValueArrival,
 )
-from repro.sim import BurstClock, Mailbox, PriorityStore, Resource, Simulator
+from repro.sim import BurstClock, Mailbox, Resource, Simulator
 from repro.sim.errors import SimulationError
 from repro.storage.device import BlockDevice
 from repro.storage.params import DeviceParams, PageCacheParams
@@ -98,13 +98,6 @@ class ServerConfig:
     #: flushes stage in bounded buffers and write back in the background.
     async_flush: bool = False
     flush_buffers: int = 4
-    #: Slab automover (memcached's rebalancer) for shifting workloads.
-    automove: bool = False
-    automove_interval: float = 0.05
-    #: Schedule GETs ahead of SETs in the worker queue (an extension
-    #: beyond the paper: read requests skip ahead of writes whose slab
-    #: flushes would otherwise head-of-line-block them).
-    get_priority: bool = False
     #: Active TTL reclaim (memcached's LRU crawler): a background
     #: sweeper scans ``expiry_budget`` items per tick and frees expired
     #: chunks without waiting for the next lookup.
@@ -166,8 +159,6 @@ class MemcachedServer:
             async_flush=config.async_flush,
             flush_buffers=config.flush_buffers,
             flush_memcpy_bandwidth=config.costs.memcpy_bandwidth,
-            automove=config.automove,
-            automove_interval=config.automove_interval,
             active_expiry=config.active_expiry,
             expiry_interval=config.expiry_interval,
             expiry_budget=config.expiry_budget,
@@ -183,9 +174,9 @@ class MemcachedServer:
         #: handoff; None outside any window — the request hot path pays
         #: exactly one attribute test for elasticity.
         self.handoff = None
-        # Neither queue allocates a per-put event: the receiver never
+        # The worker queue allocates no per-put event: the receiver never
         # blocks on (or looks at) a put, so there is nobody to wait on it.
-        self._queue = PriorityStore(sim) if config.get_priority else Mailbox(sim)
+        self._queue = Mailbox(sim)
         self.credits = Resource(sim, capacity=config.recv_credits)
         self._value_events: Dict[int, object] = {}
         #: The rendezvous a purge leaves for a value it dropped after the
@@ -422,7 +413,7 @@ class MemcachedServer:
         if prof.enabled:
             for tid, px in self._trace_targets(payload):
                 prof.open_stage(tid, px + "server_queue")
-        self._enqueue(msg)
+        self._queue.put(msg)
 
     def _poll_value(self, msg: Message) -> None:
         """Every RDMA connection's poller: a SET value the client
@@ -463,17 +454,6 @@ class MemcachedServer:
             self._poll_value(delivered.value)
         else:
             self._m_dropped_rx.inc()
-
-    def _enqueue(self, msg: Message) -> None:
-        """Hand a request message to the worker pool; a parked worker
-        picks it up inside this call."""
-        if self.config.get_priority:
-            # Reads skip ahead of writes (0 beats 1); gat rides the
-            # read lane — its TTL refresh never flushes.
-            rank = 0 if msg.payload.op in ("get", "mget", "gat") else 1
-            self._queue.put(msg, priority=rank)
-        else:
-            self._queue.put(msg)
 
     @staticmethod
     def _trace_targets(request: Request):

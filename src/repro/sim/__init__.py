@@ -13,7 +13,7 @@ from repro.sim.clock import BurstClock
 from repro.sim.engine import Simulator
 from repro.sim.errors import SimulationError
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Process, Timeout
-from repro.sim.resources import Mailbox, PriorityStore, Resource, Store
+from repro.sim.resources import Mailbox, Resource, Store
 
 __all__ = [
     "Simulator",
@@ -26,7 +26,6 @@ __all__ = [
     "AnyOf",
     "Resource",
     "Store",
-    "PriorityStore",
     "Mailbox",
     "SimulationError",
 ]

@@ -15,7 +15,6 @@ Usage from a process::
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
@@ -156,49 +155,6 @@ class StoreGet(Event):
         self._ok = None
         self.defused = False
         self.filter = filter
-
-
-class PriorityStore:
-    """A store whose getters receive the lowest-priority-value item first.
-
-    ``put(item, priority)`` inserts; ties resolve FIFO (stable). Getters
-    are served FIFO. Unbounded (use :class:`Store` when backpressure on
-    producers is needed), so ``put`` never blocks and — like
-    :meth:`Mailbox.put` — returns nothing to wait on.
-    """
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._heap: list[tuple[float, int, Any]] = []
-        self._counter = 0
-        self._getters: Deque[StoreGet] = deque()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def drain(self) -> list:
-        """Drop all buffered items and return them (in no set order)."""
-        items = [item for _, _, item in self._heap]
-        self._heap.clear()
-        return items
-
-    def put(self, item: Any, priority: float = 0.0) -> None:
-        heapq.heappush(self._heap, (priority, self._counter, item))
-        self._counter += 1
-        self._dispatch()
-
-    def get(self) -> StoreGet:
-        ev = StoreGet(self.sim, None)
-        self._getters.append(ev)
-        self._dispatch()
-        return ev
-
-    def _dispatch(self) -> None:
-        # Getters are requests: always queued (_trigger), so a fresh
-        # satisfied getter takes the same one lane hop as a parked one.
-        while self._getters and self._heap:
-            _, _, item = heapq.heappop(self._heap)
-            self._getters.popleft()._trigger(True, item)
 
 
 class Store:

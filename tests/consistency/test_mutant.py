@@ -3,15 +3,18 @@
 The mutant acks sync writes after the primary alone (it skips the
 replica-ack barrier) — the classic replica-apply-reordered-vs-ack bug.
 Every shipped configuration passes the checker
-(test_shipped_configs.py); this scenario makes the mutant observable:
+(test_shipped_configs.py); this scenario makes the mutant observable
+on the paper's FIFO server:
 
-* one worker, large values and a slow memcpy give server 1 a deep
-  store queue; a bomber client keeps it full;
-* a victim write replicates s0 -> s1; its replica copy queues behind
-  the bombers, so its apply lands milliseconds after the primary ack;
-* s0 then crashes, and a reader's GET fails over to s1 where
-  ``get_priority`` lets it jump the queued SETs — observing the stale
-  preloaded token.
+* s1 is an 8 MB direct-I/O hybrid store that 40 preloaded 512 KiB
+  fill items have pushed onto its SSD, and its SSD runs ten times
+  slower; the victim, preloaded last, is its newest item and stays in
+  RAM;
+* a victim write replicates s0 -> s1; to store the replica copy s1
+  must first flush a page to the slow SSD, so its apply lands
+  milliseconds after the primary ack;
+* s0 then crashes, and a reader's GET fails over to s1, where another
+  worker serves it from RAM — observing the stale preloaded token.
 
 With the barrier, the write only acks after the replica sub resolves
 (here: a bounded SERVER_DOWN give-up), so the read is concurrent and
@@ -25,7 +28,7 @@ from repro.client.client import MemcachedClient
 from repro.consistency import HistoryRecorder, check_history
 from repro.core.cluster import (ClusterSpec, ReplicationConfig,
                                 build_cluster)
-from repro.core.profiles import H_RDMA_OPT_NONB_I
+from repro.core.profiles import H_RDMA_DEF
 from repro.core.topology import TopologyConfig
 from repro.faults import FaultPlan
 from repro.server.server import ServerCosts
@@ -46,39 +49,30 @@ def keys_by_primary(client, want, count):
 
 def run_scenario_once():
     spec = ClusterSpec(topology=TopologyConfig(initial_servers=3),
-                       num_clients=3,
-                       server_mem=256 * MB,
+                       num_clients=2,
+                       server_mem=8 * MB, ssd_limit=256 * MB,
                        replication=ReplicationConfig(
                            factor=2, write_mode="sync", router="modulo"),
-                       worker_threads=1, get_priority=True,
                        costs=ServerCosts(memcpy_bandwidth=5e8),
                        request_timeout=1.5e-3, retry_backoff=5e-6)
-    cluster = build_cluster(H_RDMA_OPT_NONB_I, spec=spec,
+    cluster = build_cluster(H_RDMA_DEF, spec=spec,
                             value_length_for=lambda _k: VAL)
     sim = cluster.sim
-    writer, bomber, reader = cluster.clients
+    writer, reader = cluster.clients
     victim = keys_by_primary(writer, 0, 1)[0]
-    bombers = keys_by_primary(writer, 1, 8)
-    cluster.preload([(victim, VAL)])
+    fill = keys_by_primary(writer, 1, 40)
+    cluster.preload([(key, VAL) for key in fill] + [(victim, VAL)])
     recorder = HistoryRecorder().attach(cluster)
-    FaultPlan.parse(["crash:server=0,at=0.0016"]).inject(cluster)
-
-    def drive_bomber():
-        reqs = []
-        for key in bombers:
-            req = yield from bomber.iset(key, VAL)
-            reqs.append(req)
-        for req in reqs:
-            yield from bomber.wait(req)
-        yield from bomber.quiesce()
+    FaultPlan.parse(["ssd:server=1,at=0,factor=10",
+                     "crash:server=0,at=0.0016"]).inject(cluster)
 
     def drive_writer():
         yield sim.timeout(300e-6)
         yield from writer.set(victim, VAL)
         # Stay alive past the replica copy's real ack, so a broken
         # client records it STORED instead of quiesce timing it out.
-        if sim.now < 8e-3:
-            yield sim.timeout(8e-3 - sim.now)
+        if sim.now < 50e-3:
+            yield sim.timeout(50e-3 - sim.now)
         yield from writer.quiesce()
 
     def drive_reader():
@@ -86,8 +80,7 @@ def run_scenario_once():
         yield from reader.get(victim)
         yield from reader.quiesce()
 
-    done = sim.all_of([sim.spawn(drive_bomber(), name="bomber"),
-                       sim.spawn(drive_writer(), name="writer"),
+    done = sim.all_of([sim.spawn(drive_writer(), name="writer"),
                        sim.spawn(drive_reader(), name="reader")])
     sim.run(until=done)
     events = recorder.finish()

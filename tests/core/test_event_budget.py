@@ -706,7 +706,7 @@ def test_the_event_list_names_each_worker_stage():
 def test_no_process_per_connection(spawned, profile, consensus):
     """A running 4x8 cluster (32 connections) keeps one process per
     server worker thread and one engine per client, plus any named
-    daemon (expiry sweeper, writeback, automover — none is up on these
+    daemon (expiry sweeper, writeback — neither is up on these
     in-memory profiles; one Raft ticker per node when Raft owns the
     membership): a connection is a receiver on its two endpoints, not a
     process. That holds on a stream transport too, whose client side

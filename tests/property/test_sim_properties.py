@@ -76,29 +76,6 @@ def test_zipf_draws_always_in_range(num_keys, theta, seed):
     assert draws.max() < num_keys
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1000)),
-                min_size=1, max_size=80))
-def test_priority_store_matches_heap_model(items):
-    """PriorityStore must drain in (priority, insertion) order."""
-    from repro.sim import PriorityStore
-
-    sim = Simulator()
-    ps = PriorityStore(sim)
-    out = []
-
-    def consumer(sim):
-        for _ in items:
-            out.append((yield ps.get()))
-
-    for i, (prio, val) in enumerate(items):
-        ps.put((prio, i, val), priority=prio)
-    sim.spawn(consumer(sim))
-    sim.run()
-    assert out == sorted(out, key=lambda t: (t[0], t[1]))
-    assert len(ps) == 0
-
-
 @st.composite
 def record_lists(draw):
     n = draw(st.integers(min_value=1, max_value=40))

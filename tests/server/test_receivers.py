@@ -213,10 +213,7 @@ def test_a_header_dropped_while_down_takes_its_values_marker(fault, recover):
 
 @pytest.mark.parametrize("request_timeout", [None, 1e-3],
                          ids=["no-timeout", "retried"])
-@pytest.mark.parametrize("get_priority", [False, True],
-                         ids=["fifo", "get-priority"])
-def test_a_crash_drops_a_queued_headers_handed_over_value(get_priority,
-                                                          request_timeout):
+def test_a_crash_drops_a_queued_headers_handed_over_value(request_timeout):
     """One worker, busy on a 256 KiB SET; a second SET's header waits in
     the queue behind it, its value already handed over. The crash drops
     the queued header, and its value's rendezvous with it: no dropped
@@ -226,7 +223,7 @@ def test_a_crash_drops_a_queued_headers_handed_over_value(get_priority,
     rendezvous under the same req_id."""
     cluster = build_cluster(RDMA_MEM, spec=ClusterSpec(
         num_clients=2, server_mem=16 * MB, worker_threads=1,
-        get_priority=get_priority, request_timeout=request_timeout))
+        request_timeout=request_timeout))
     sim, server = cluster.sim, cluster.servers[0]
     done = []
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.sim import (
     Mailbox,
-    PriorityStore,
     Resource,
     SimulationError,
     Simulator,
@@ -170,12 +169,8 @@ def test_run_until_observes_its_event_and_stops_at_its_lane_slot(sim):
 # -- store requests keep exactly one hop ---------------------------------------
 
 
-_BOXES = {"store": Store, "priority": PriorityStore}
-
-
-@pytest.mark.parametrize("kind", sorted(_BOXES))
-def test_parked_getter_takes_exactly_one_lane_hop(sim, kind):
-    box = _BOXES[kind](sim)
+def test_parked_getter_takes_exactly_one_lane_hop(sim):
+    box = Store(sim)
     log = []
 
     def getter():
@@ -194,9 +189,8 @@ def test_parked_getter_takes_exactly_one_lane_hop(sim, kind):
     assert sim.events_processed - before == 3  # no per-put event
 
 
-@pytest.mark.parametrize("kind", sorted(_BOXES))
-def test_fresh_satisfied_getter_takes_exactly_one_lane_hop(sim, kind):
-    box = _BOXES[kind](sim)
+def test_fresh_satisfied_getter_takes_exactly_one_lane_hop(sim):
+    box = Store(sim)
     box.put("item")
     log = []
 

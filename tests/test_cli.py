@@ -164,6 +164,16 @@ def test_scale_below_one_rejected(capsys, command, scale):
     ["ycsb", "--ops", "0"],
     ["ycsb", "--value-kb", "0"],
     ["ycsb", "--servers", "0"],
+    ["check", "--seed", "0", "--servers", "0"],
+    ["check", "--seed", "0", "--clients", "0"],
+    ["check", "--seed", "0", "--keys", "0"],
+    ["check", "--seed", "0", "--replication", "0"],
+    ["check", "--seed", "0", "--ops", "0"],
+    ["check", "--ops", "0"],
+    ["reproduce", "--figure", "fig2", "--ops", "0"],
+    ["export", "--ops", "0"],
+    ["scale", "--from", "0"],
+    ["scale", "--to", "0"],
 ])
 def test_sizes_below_one_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:

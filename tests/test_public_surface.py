@@ -142,3 +142,65 @@ def test_allow_list_is_current():
     assert not reached, f"the package reaches these now; unlist them: {reached}"
     # The scan itself must keep working.
     assert len(defined) > 800
+
+
+# -- switches: a bool config field some entry point turns on -------------------
+
+REPO = PACKAGE.parent.parent
+
+#: The config classes whose ``bool`` fields are feature switches.
+SWITCH_CLASSES = {
+    "repro.core.cluster": ("ClusterSpec", "ReplicationConfig"),
+    "repro.harness.runner": ("RunConfig",),
+}
+
+#: Where a switch is turned on: the CLI, the harness (figures, checks,
+#: sweeps), the fuzzer, the examples and kvbench.
+ENTRY_POINTS = ("src/repro/cli.py", "src/repro/harness",
+                "src/repro/consistency/fuzz.py", "examples",
+                "benchmarks/kvbench")
+
+#: ``"Class.field": reason`` for a switch no entry point sets.
+SWITCHES_ALLOWED = {}
+
+
+def _bool_fields():
+    for module, classes in SWITCH_CLASSES.items():
+        path = PACKAGE.parent / (module.replace(".", "/") + ".py")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name in classes:
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.annotation, ast.Name)
+                            and stmt.annotation.id == "bool"):
+                        yield node.name, stmt.target.id
+
+
+def _entry_point_names():
+    """Every ``name=`` keyword and ``.name`` attribute the entry points
+    write."""
+    names = set()
+    for entry in ENTRY_POINTS:
+        root = REPO / entry
+        for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.keyword) and node.arg:
+                    names.add(node.arg)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_switch_is_turned_on_by_an_entry_point():
+    """A switch that only tests turn on is a feature nothing runs:
+    delete it with its code, or allow it here with a reason."""
+    fields = list(_bool_fields())
+    assert len(fields) >= 8  # the scan itself must keep working
+    names = _entry_point_names()
+    unused = [f"{cls}.{name}" for cls, name in fields
+              if name not in names and f"{cls}.{name}" not in SWITCHES_ALLOWED]
+    assert not unused, (
+        "no entry point turns these on; delete them or add them to"
+        " SWITCHES_ALLOWED with a reason:\n  " + "\n  ".join(unused))
+    stale = sorted(set(SWITCHES_ALLOWED) - {f"{c}.{n}" for c, n in fields})
+    assert not stale, f"no such switch: {stale}"
